@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -61,33 +60,6 @@ OPS = (
     "pythagoras",
     "report",
 )
-
-_CONFIG_FIELDS = {
-    "model",
-    "op",
-    "levels",
-    "kappa",
-    "lam",
-    "mu0",
-    "sigma0",
-    "at",
-    "start",
-    "end",
-    "velocity",
-    "vector",
-    "targets",
-    "other",
-    "t_end",
-    "step",
-    "grid",
-    "data",
-    "field_source",
-    "fibre_k",
-    "trials",
-    "tolerances",
-    "seed",
-    "out",
-}
 
 _REPORT_FIELDS = {
     "schema_version",
@@ -137,7 +109,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        unknown = set(payload) - _CONFIG_FIELDS
+        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "model" not in payload or "op" not in payload:
@@ -640,22 +612,14 @@ def report_all(out_dir: str, seed: int = 42, tolerances: Optional[dict] = None) 
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    names = list(models.MODEL_NAMES)
-    workers = int(os.environ.get("DSM_GEOM_THREADS", "0")) or None
-
-    def one(name):
-        return name, model_report(models.build(name), tolerances, seed=seed)
-
     try:
-        if workers == 1:
-            produced = [one(name) for name in names]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                produced = list(pool.map(one, names))
+        produced = [
+            (name, model_report(models.build(name), tolerances, seed=seed))
+            for name in sorted(models.MODEL_NAMES)
+        ]
     except DsmGeomError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    produced.sort(key=lambda pair: pair[0])
     summary_rows = []
     try:
         for name, document in produced:
@@ -743,33 +707,9 @@ def config_from_args(argv) -> RunConfig:
             raise ConfigError(f"--tol expects KEY=VAL, got '{item}'")
         key, value = item.split("=", 1)
         tolerances[key.strip()] = float(value)
-    data = json.loads(namespace.data) if namespace.data else None
-    payload = {
-        "model": namespace.model,
-        "op": namespace.op,
-        "levels": namespace.levels,
-        "kappa": namespace.kappa,
-        "lam": namespace.lam,
-        "mu0": namespace.mu0,
-        "sigma0": namespace.sigma0,
-        "at": namespace.at,
-        "start": namespace.start,
-        "end": namespace.end,
-        "velocity": namespace.velocity,
-        "vector": namespace.vector,
-        "targets": namespace.targets,
-        "other": namespace.other,
-        "t_end": namespace.t_end,
-        "step": namespace.step,
-        "grid": namespace.grid,
-        "data": data,
-        "field_source": namespace.field_source,
-        "fibre_k": namespace.fibre_k,
-        "trials": namespace.trials,
-        "tolerances": tolerances,
-        "seed": namespace.seed,
-        "out": namespace.out,
-    }
+    payload = dict(vars(namespace), tolerances=tolerances)
+    del payload["tol"]
+    payload["data"] = json.loads(namespace.data) if namespace.data else None
     payload = {key: value for key, value in payload.items() if value is not None}
     return RunConfig.from_dict(payload)
 

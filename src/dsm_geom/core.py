@@ -10,7 +10,7 @@ returns one real number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -134,12 +134,9 @@ class StatisticQuery:
 class DataSet:
     """Expectation provider.  Subclasses answer statistic queries.
 
-    ``provider_kind`` is one of AnalyticDistribution, MomentSpecified,
-    EmpiricalSample, RegressionSample.  Queries are deterministic for a
-    fixed payload.
+    Queries are deterministic for a fixed payload.
     """
 
-    provider_kind = "AnalyticDistribution"
     label = "dataset"
 
     def statistic(self, statistic_id: str, theta=None) -> float:
@@ -329,8 +326,6 @@ class MomentData(DataSet):
     payload carries first and second moments, else to 0.
     """
 
-    provider_kind = "MomentSpecified"
-
     def __init__(self, moments: dict, label: str = "moments"):
         self.moments = dict(moments)
         self.label = label
@@ -355,8 +350,6 @@ class WeightedSampleData(DataSet):
     Entropy offset is 0 by convention; divergences built on it are shifted
     by a data-dependent constant, which no derivative or geometry sees.
     """
-
-    provider_kind = "EmpiricalSample"
 
     def __init__(self, points: Sequence[float], weights: Optional[Sequence[float]] = None):
         self.points = np.asarray(points, dtype=float)
@@ -393,8 +386,6 @@ class WeightedSampleData(DataSet):
 class OccupationData(DataSet):
     """Measured occupation numbers of a finite energy spectrum."""
 
-    provider_kind = "EmpiricalSample"
-
     def __init__(self, occupations: Sequence[float], levels: Sequence[float]):
         self.occupations = np.asarray(occupations, dtype=float)
         self.levels = np.asarray(levels, dtype=float)
@@ -417,8 +408,6 @@ class RegressionData(DataSet):
 
     Couples must satisfy N * sum(x^2) - (sum x)^2 != 0.
     """
-
-    provider_kind = "RegressionSample"
 
     def __init__(self, couples: Sequence[Sequence[float]]):
         arr = np.asarray(couples, dtype=float)
@@ -448,8 +437,6 @@ class RegressionData(DataSet):
 
 class RegressionMomentData(DataSet):
     """Regression sums injected directly (off-fibre probes)."""
-
-    provider_kind = "MomentSpecified"
 
     def __init__(self, sums: dict, label: str = "regression-moments"):
         needed = {"n_points", "sum_x", "sum_y", "sum_xx", "sum_xy", "sum_yy"}
@@ -516,7 +503,6 @@ class ClosedFormOracle:
     connection_domain: Optional[tuple] = None
     geodesic: Optional[Callable] = None
     covariant_field: Optional[Callable] = None
-    constants: dict = field(default_factory=dict)
 
 
 @dataclass

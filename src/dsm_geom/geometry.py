@@ -68,7 +68,6 @@ class ConnectionField:
     evaluate: Callable
     provenance: str
     domain: tuple
-    probe_policy: str = "paired-family-0"
 
     def __call__(self, theta):
         return self.evaluate(as_coords(theta))
@@ -224,7 +223,6 @@ def connection_field(
             evaluate=model.oracle.connection,
             provenance="analytic-oracle",
             domain=domain,
-            probe_policy="oracle",
         )
     return ConnectionField(
         evaluate=lambda coords: connection_at(
@@ -233,10 +231,6 @@ def connection_field(
         provenance="fibre-evaluated",
         domain=model.chart.domain,
     )
-
-
-def _diff_config(model: ModelDefinition) -> numdiff.DiffConfig:
-    return numdiff.DiffConfig.for_chart(model.chart)
 
 
 def dual_connection_at(
@@ -252,7 +246,7 @@ def dual_connection_at(
     g = metric(coords)
     ginv = np.linalg.inv(g)
     omega = connection(coords)
-    cfg = _diff_config(model)
+    cfg = numdiff.DiffConfig.for_chart(model.chart)
     n = coords.size
     dg = np.stack(
         [numdiff.fd_field_derivative(metric, coords, a, cfg) for a in range(n)]
@@ -274,7 +268,7 @@ def curvature_at(
     coords = model.chart.require(theta)
     connection = connection or connection_field(model)
     omega = connection(coords)
-    cfg = _diff_config(model)
+    cfg = numdiff.DiffConfig.for_chart(model.chart)
     n = coords.size
     domega = np.stack(
         [numdiff.fd_field_derivative(connection, coords, i, cfg) for i in range(n)]
@@ -304,7 +298,7 @@ def codazzi_residual(
     connection = connection or connection_field(model)
     g = metric(coords)
     omega = connection(coords)
-    cfg = _diff_config(model)
+    cfg = numdiff.DiffConfig.for_chart(model.chart)
     n = coords.size
     dg = np.stack(
         [numdiff.fd_field_derivative(metric, coords, a, cfg) for a in range(n)]
@@ -423,7 +417,7 @@ def metric_transform_check(
     # both sides go through the same FD path so the residual measures the
     # transformation property alone
     g_source = metric_at(model, coords, source="fd").matrix
-    jac = numdiff.fd_jacobian(forward, coords, _diff_config(model))
+    jac = numdiff.fd_jacobian(forward, coords, numdiff.DiffConfig.for_chart(model.chart))
     target = reparametrized_model(model, forward, inverse, target_chart)
     g_target = metric_at(target, forward(coords), source="fd").matrix
     transformed = jac.T @ g_target @ jac

@@ -2,7 +2,7 @@
 
 Each constructor returns a :class:`~dsm_geom.core.ModelDefinition` whose
 oracle record carries the closed forms used for testing (metric,
-connection, affine coordinates, Massieu potential, special constants).
+connection, affine coordinates, Massieu potential, geodesics).
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from .gce import grand_canonical
 from .gumbel import gumbel
 from .regression import regression_dlambda, regression_ls
 from .vmf import vmf_cylinder, vmf_sphere
-
-CatalogueEntry = ModelDefinition
 
 _BUILDERS = {
     "gaussian-kl": gaussian_kl,
@@ -46,7 +44,6 @@ def catalogue() -> dict:
 
 
 __all__ = [
-    "CatalogueEntry",
     "MODEL_NAMES",
     "build",
     "catalogue",

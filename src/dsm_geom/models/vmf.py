@@ -158,7 +158,6 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
     oracle = ClosedFormOracle(
         metric=oracle_metric,
         connection=oracle_connection,
-        constants={"curvature_theta_phithetaphi": lambda t: math.sin(t) ** 2},
     )
 
     return ModelDefinition(

@@ -7,7 +7,7 @@ bound is closer than two steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,23 +77,13 @@ def _axis_derivative(f, coords, axis, h, cfg):
     room = min(below, above)
     if room > 2.5 * cfg.abs_step_floor:
         h = min(h, room / 2.5)
-        return _axis_derivative(f, coords, axis, h, _without_domain(cfg))
+        # the shrunken step is known to fit, avoid re-triggering the boundary path
+        return _axis_derivative(f, coords, axis, h, replace(cfg, domain=None))
     sign = 1.0 if above >= below else -1.0
     f0 = f(coords)
     f1 = f(_shifted(coords, axis, sign * h))
     f2 = f(_shifted(coords, axis, sign * 2.0 * h))
     return sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-
-
-def _without_domain(cfg):
-    # the shrunken step is known to fit, avoid re-triggering the boundary path
-    return DiffConfig(
-        rel_step=cfg.rel_step,
-        abs_step_floor=cfg.abs_step_floor,
-        richardson=cfg.richardson,
-        scale=cfg.scale,
-        domain=None,
-    )
 
 
 def _check_agreement(fine, refined, coords, axis):

@@ -36,6 +36,7 @@ from .geometry import (
     metric_field,
     torsion_residual,
 )
+from .transport import _l_path, _rk4
 
 CLASSIFY_GRID_PER_AXIS = 5
 FLAT_TOL = 1e-3
@@ -237,30 +238,6 @@ class MassieuSample:
     curl_residuals: list
 
 
-def _rk4_path(rhs, state, steps):
-    h = 1.0 / steps
-    s = 0.0
-    for _ in range(steps):
-        k1 = rhs(s, state)
-        k2 = rhs(s + 0.5 * h, state + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, state + 0.5 * h * k2)
-        k4 = rhs(s + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += h
-    return state
-
-
-def _l_path(start, stop):
-    """Axis-aligned detour: change one coordinate at a time."""
-    corners = [np.array(start, dtype=float)]
-    current = np.array(start, dtype=float)
-    for axis in range(start.size):
-        current = current.copy()
-        current[axis] = stop[axis]
-        corners.append(current)
-    return corners
-
-
 def _integrate_affine(conn: ConnectionField, waypoints, state, steps):
     """Advance (G, Theta) along a piecewise-linear path.
 
@@ -268,6 +245,7 @@ def _integrate_affine(conn: ConnectionField, waypoints, state, steps):
     with tangent delta they obey dG = G M with M[c, b] = delta^a w^c_ab.
     """
     n = waypoints[0].size
+    h = 1.0 / steps
     for seg in range(len(waypoints) - 1):
         start, stop = waypoints[seg], waypoints[seg + 1]
         delta = stop - start
@@ -282,7 +260,8 @@ def _integrate_affine(conn: ConnectionField, waypoints, state, steps):
             dvalues = grads @ delta
             return np.concatenate([dgrads.ravel(), dvalues])
 
-        state = _rk4_path(rhs, state, steps)
+        for k in range(steps):
+            state = _rk4(state, rhs, k * h, h)
     return state
 
 
@@ -333,6 +312,7 @@ def affine_coordinates(
 
 def _integrate_massieu(metric, conn, waypoints, state, steps):
     n = waypoints[0].size
+    h = 1.0 / steps
     for seg in range(len(waypoints) - 1):
         start, stop = waypoints[seg], waypoints[seg + 1]
         delta = stop - start
@@ -350,7 +330,8 @@ def _integrate_massieu(metric, conn, waypoints, state, steps):
             dphi = float(delta @ alpha)
             return np.concatenate([dalpha, [dphi]])
 
-        state = _rk4_path(rhs, state, steps)
+        for k in range(steps):
+            state = _rk4(state, rhs, k * h, h)
     return state
 
 

@@ -55,6 +55,17 @@ def _rk4(state, rhs, t, h):
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _l_path(start, stop):
+    """Axis-aligned detour: change one coordinate at a time."""
+    corners = [np.array(start, dtype=float)]
+    current = np.array(start, dtype=float)
+    for axis in range(start.size):
+        current = current.copy()
+        current[axis] = stop[axis]
+        corners.append(current)
+    return corners
+
+
 def geodesic(
     model: ModelDefinition,
     theta0,
@@ -220,9 +231,8 @@ def covariant_constant_field(
         target = grid_points[index]
         if np.allclose(target, base):
             continue
-        corner = np.array([target[0], base[1]]) if base.size == 2 else 0.5 * (base + target)
         detour = parallel_transport(
-            model, [base, corner, target], seed, connection=conn,
+            model, _l_path(base, target), seed, connection=conn,
             steps_per_segment=steps_per_segment,
         )
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -38,6 +39,12 @@ class TestRunConfig:
             {"model": "gce", "op": "classify", "seed": 7, "tolerances": {"cond4": 1e-6}}
         )
         assert cli.RunConfig.from_dict(config.to_dict()) == config
+
+    def test_parser_dests_match_config_fields(self):
+        # config_from_args passes the parsed namespace to RunConfig as is
+        dests = {action.dest for action in cli.build_parser()._actions}
+        fields = {field.name for field in dataclasses.fields(cli.RunConfig)}
+        assert dests - {"help", "tol"} == fields - {"tolerances"}
 
 
 class TestDocuments:

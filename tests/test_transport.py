@@ -151,6 +151,28 @@ class TestCovariantConstantField:
                 sphere, [math.pi / 3, 0.0], [1.0, 0.0], grid, steps_per_segment=64
             )
 
+    def test_detour_sees_curvature_beyond_two_dimensions(self):
+        # the sphere connection in the first two axes, flat in the third:
+        # the axis-aligned detour must differ from the straight path
+        sphere = models.build("vmf-sphere", kappa=1.0)
+
+        def omega(coords):
+            out = np.zeros((3, 3, 3))
+            out[:2, :2, :2] = sphere.oracle.connection(coords[:2])
+            return out
+
+        conn = geometry.ConnectionField(
+            evaluate=omega,
+            provenance="analytic-oracle",
+            domain=sphere.chart.domain + ((-math.inf, math.inf),),
+        )
+        grid = [np.array([1.0, 0.5, 0.4]), np.array([1.5, 1.0, -0.3])]
+        with pytest.raises(NotFlat):
+            transport.covariant_constant_field(
+                sphere, [math.pi / 3, 0.0, 0.0], [1.0, 0.0, 0.0], grid,
+                connection=conn, steps_per_segment=64,
+            )
+
 
 class TestTraceFormat:
     def test_times_increase_and_points_in_chart(self, catalogue):
