@@ -12,6 +12,7 @@ from .core import (
     ModelDefinition,
     ParameterPoint,
     StatisticQuery,
+    Tolerances,
     evaluate_divergence,
     divergence_gradient,
     divergence_hessian,
@@ -27,6 +28,7 @@ __all__ = [
     "ModelDefinition",
     "ParameterPoint",
     "StatisticQuery",
+    "Tolerances",
     "closed_form_fit",
     "divergence_gradient",
     "divergence_hessian",

@@ -25,16 +25,14 @@ from .core import (
     GaussianData,
     MomentData,
     RegressionData,
-    as_coords,
+    Tolerances,
 )
 from .errors import (
     Condition4Violated,
     DomainError,
     DsmGeomError,
     HessianStructureViolated,
-    MetricNotPD,
     MissingStatistic,
-    NoConvergence,
     Unsupported,
 )
 from .fit import fit
@@ -146,16 +144,17 @@ class RunConfig:
             raise ConfigError("op 'pythagoras' needs --other")
         if self.op == "fit" and (self.data is None or self.start is None):
             raise ConfigError("op 'fit' needs --data and --start")
-        unknown_tols = set(self.tolerances) - {
-            "cond4",
-            "hessian",
-            "flat",
-            "torsion",
-            "codazzi",
-            "path",
-        }
-        if unknown_tols:
-            raise ConfigError(f"unknown tolerance keys: {sorted(unknown_tols)}")
+        if self.fibre_k < 1:
+            raise ConfigError(f"--fibre-k must be >= 1, got {self.fibre_k}")
+        try:
+            self.tol  # the constructor checks every key and value
+        except (DomainError, TypeError) as err:
+            keys = [spec.name for spec in dataclasses.fields(Tolerances)]
+            raise ConfigError(f"bad tolerances (keys {keys}): {err}") from None
+
+    @property
+    def tol(self) -> Tolerances:
+        return Tolerances(**self.tolerances)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -186,12 +185,15 @@ def parse_data_spec(spec: dict) -> DataSet:
         raise ConfigError("data spec must be an object with a 'kind'")
     kind = spec["kind"]
     body = {key: value for key, value in spec.items() if key != "kind"}
-    if kind == "gaussian":
-        return GaussianData(body["mean"], body["std"])
-    if kind == "moments":
-        return MomentData(body)
-    if kind == "regression":
-        return RegressionData(body["couples"])
+    try:
+        if kind == "gaussian":
+            return GaussianData(body["mean"], body["std"])
+        if kind == "moments":
+            return MomentData(body)
+        if kind == "regression":
+            return RegressionData(body["couples"])
+    except KeyError as err:
+        raise ConfigError(f"data spec of kind '{kind}' needs key {err}") from None
     raise ConfigError(f"unknown data kind '{kind}'")
 
 
@@ -276,22 +278,22 @@ def _out_paths(out: str):
 # ---------------------------------------------------------------------------
 
 
-def _tol(config, key, default):
-    return float(config.tolerances.get(key, default))
-
-
 def _grid_for(config, model):
     if config.grid == "default":
         return structure.default_grid(model)
-    if ";" in config.grid or "," in config.grid:
-        points = [
-            [float(value) for value in chunk.split(",")]
-            for chunk in config.grid.split(";")
-            if chunk.strip()
-        ]
-        return [np.array(point) for point in points]
-    per_axis = int(config.grid)
-    return structure.default_grid(model, per_axis)
+    try:
+        if ";" in config.grid or "," in config.grid:
+            grid = [np.array(point) for point in _point_list(config.grid)]
+        else:
+            per_axis = int(config.grid)
+            grid = structure.default_grid(model, per_axis) if per_axis >= 1 else []
+    except ValueError:
+        raise ConfigError(
+            f"--grid expects 'default', a count or points 'a,b;c,d', got '{config.grid}'"
+        ) from None
+    if not grid:
+        raise ConfigError(f"--grid '{config.grid}' has no point; a count must be >= 1")
+    return grid
 
 
 def _op_fit(config, model):
@@ -312,26 +314,12 @@ def _op_fit(config, model):
 def _op_metric(config, model):
     try:
         evaluation = geometry.metric_at(
-            model,
-            config.at,
-            fibre_k=config.fibre_k,
-            cond4_tol=_tol(config, "cond4", geometry.COND4_TOL),
+            model, config.at, fibre_k=config.fibre_k, tol=config.tol
         )
     except Condition4Violated as err:
-        verdicts = {"condition4": "fail"}
-        evidence = {
-            "deviation": err.deviation,
-            "members": list(err.member_labels),
-            "member_hessians": [h.tolist() for h in err.member_hessians],
-        }
-        if model.condition4_evidence_fn is not None:
-            evidence.update(
-                model.condition4_evidence_fn(
-                    as_coords(config.at), err.member_hessians, err.member_labels
-                )
-            )
+        evidence = structure.condition4_evidence(model, config.at, err)
         return make_document(
-            config, results={"evidence": evidence}, verdicts=verdicts
+            config, results={"evidence": evidence}, verdicts={"condition4": "fail"}
         ), None
     return make_document(
         config,
@@ -343,9 +331,7 @@ def _op_metric(config, model):
 
 def _op_connection(config, model):
     try:
-        evaluation = geometry.connection_at(
-            model, config.at, hess_tol=_tol(config, "hessian", geometry.HESS_TOL)
-        )
+        evaluation = geometry.connection_at(model, config.at, tol=config.tol)
     except HessianStructureViolated as err:
         return make_document(
             config,
@@ -362,46 +348,25 @@ def _op_connection(config, model):
 
 
 def _op_curvature(config, model):
-    tensor = geometry.curvature_at(model, config.at)
-    flat_tol = _tol(config, "flat", structure.FLAT_TOL)
+    tensor = geometry.curvature_at(
+        model, config.at, connection=geometry.connection_field(model, tol=config.tol)
+    )
     return make_document(
         config,
         results={"curvature": tensor.components},
         residuals={"max_abs": tensor.max_abs},
-        verdicts={"flat": "pass" if tensor.max_abs <= flat_tol else "fail"},
+        verdicts={"flat": "pass" if tensor.max_abs <= config.tol.flat else "fail"},
     ), None
 
 
 def _op_classify(config, model):
-    report = structure.classify(
-        model,
-        theta_grid=_grid_for(config, model),
-        fibre_k=config.fibre_k,
-        cond4_tol=_tol(config, "cond4", geometry.COND4_TOL),
-        hess_tol=_tol(config, "hessian", geometry.HESS_TOL),
-        flat_tol=_tol(config, "flat", structure.FLAT_TOL),
-        torsion_tol=_tol(config, "torsion", structure.TORSION_TOL),
-        codazzi_tol=_tol(config, "codazzi", structure.CODAZZI_TOL),
-    )
-    payload = report.to_dict()
-    return make_document(
-        config,
-        results=payload,
-        verdicts={
-            "condition4": payload["condition4"]["status"],
-            "hessian_structure": payload["hessian_structure"],
-            "exponential_family": payload["exponential_family"],
-        },
-    ), None
+    grid = _grid_for(config, model)
+    report = structure.classify(model, grid, fibre_k=config.fibre_k, tol=config.tol)
+    return make_document(config, results=report.to_dict(), verdicts=report.verdicts), None
 
 
 def _op_affine(config, model):
-    amap = structure.affine_coordinates(
-        model,
-        config.start,
-        config.targets,
-        path_tol=_tol(config, "path", structure.PATH_TOL),
-    )
+    amap = structure.affine_coordinates(model, config.start, config.targets, tol=config.tol)
     return make_document(
         config,
         results={
@@ -415,12 +380,7 @@ def _op_affine(config, model):
 
 
 def _op_massieu(config, model):
-    sample = structure.massieu(
-        model,
-        config.start,
-        config.targets,
-        path_tol=_tol(config, "path", structure.PATH_TOL),
-    )
+    sample = structure.massieu(model, config.start, config.targets, tol=config.tol)
     return make_document(
         config,
         results={
@@ -437,6 +397,10 @@ def _op_massieu(config, model):
     ), None
 
 
+def _connection_field(config, model):
+    return geometry.connection_field(model, source=config.field_source, tol=config.tol)
+
+
 def _op_geodesic(config, model):
     trace = transport.geodesic(
         model,
@@ -444,7 +408,7 @@ def _op_geodesic(config, model):
         config.velocity,
         config.t_end,
         step=config.step,
-        source=config.field_source,
+        connection=_connection_field(config, model),
     )
     doc = make_document(
         config,
@@ -463,7 +427,7 @@ def _op_transport(config, model):
         model,
         [np.array(config.start, dtype=float), np.array(config.end, dtype=float)],
         config.vector,
-        source=config.field_source,
+        connection=_connection_field(config, model),
     )
     doc = make_document(
         config,
@@ -479,7 +443,8 @@ def _op_transport(config, model):
 def _op_field(config, model):
     grid = _grid_for(config, model)
     trace = transport.covariant_constant_field(
-        model, config.start, config.vector, grid, source=config.field_source
+        model, config.start, config.vector, grid,
+        connection=_connection_field(config, model),
     )
     doc = make_document(
         config,
@@ -560,14 +525,8 @@ def _single_report(config: RunConfig) -> int:
 def model_report(model, tolerances: dict, seed: int = 42) -> dict:
     """classify + oracle comparison for one model (deterministic)."""
     config = RunConfig(model=model.name, op="report", tolerances=tolerances, seed=seed)
-    report = structure.classify(
-        model,
-        cond4_tol=float(tolerances.get("cond4", geometry.COND4_TOL)),
-        hess_tol=float(tolerances.get("hessian", geometry.HESS_TOL)),
-        flat_tol=float(tolerances.get("flat", structure.FLAT_TOL)),
-        torsion_tol=float(tolerances.get("torsion", structure.TORSION_TOL)),
-        codazzi_tol=float(tolerances.get("codazzi", structure.CODAZZI_TOL)),
-    ).to_dict()
+    tol = config.tol
+    report = structure.classify(model, tol=tol)
     oracle_gaps = {}
     if model.oracle is not None and model.oracle.metric is not None:
         rng = np.random.default_rng(seed)
@@ -575,14 +534,14 @@ def model_report(model, tolerances: dict, seed: int = 42) -> dict:
         metric_gap = 0.0
         connection_gap = 0.0
         for point in points:
-            g = geometry.metric_at(model, point).matrix
+            g = geometry.metric_at(model, point, tol=tol).matrix
             reference = model.oracle.metric(point)
             scale = max(float(np.max(np.abs(reference))), 1e-12)
             metric_gap = max(
                 metric_gap, float(np.max(np.abs(g - reference))) / scale
             )
             if model.oracle.connection is not None and model.has_probes:
-                omega = geometry.connection_at(model, point).omega
+                omega = geometry.connection_at(model, point, tol=tol).omega
                 ref = model.oracle.connection(point)
                 cscale = max(float(np.max(np.abs(ref))), 1.0)
                 connection_gap = max(
@@ -591,12 +550,8 @@ def model_report(model, tolerances: dict, seed: int = 42) -> dict:
         oracle_gaps = {"metric": metric_gap, "connection": connection_gap}
     return make_document(
         config,
-        results={"classification": report, "oracle_comparison": oracle_gaps},
-        verdicts={
-            "condition4": report["condition4"]["status"],
-            "hessian_structure": report["hessian_structure"],
-            "exponential_family": report["exponential_family"],
-        },
+        results={"classification": report.to_dict(), "oracle_comparison": oracle_gaps},
+        verdicts=report.verdicts,
     )
 
 
@@ -624,15 +579,7 @@ def report_all(out_dir: str, seed: int = 42, tolerances: Optional[dict] = None) 
     try:
         for name, document in produced:
             write_json(os.path.join(out_dir, f"{name}.json"), document)
-            verdicts = document["verdicts"]
-            summary_rows.append(
-                {
-                    "model": name,
-                    "condition4": verdicts["condition4"],
-                    "hessian_structure": verdicts["hessian_structure"],
-                    "exponential_family": verdicts["exponential_family"],
-                }
-            )
+            summary_rows.append({"model": name, **document["verdicts"]})
         write_json(
             os.path.join(out_dir, "summary.json"),
             {"schema_version": SCHEMA_VERSION, "seed": seed, "models": summary_rows},
@@ -703,10 +650,11 @@ def config_from_args(argv) -> RunConfig:
     namespace = parser.parse_args(argv)
     tolerances = {}
     for item in namespace.tol:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects KEY=VAL, got '{item}'")
-        key, value = item.split("=", 1)
-        tolerances[key.strip()] = float(value)
+        key, _, value = item.partition("=")
+        try:
+            tolerances[key.strip()] = float(value)
+        except ValueError:
+            raise ConfigError(f"--tol expects KEY=NUMBER, got '{item}'") from None
     payload = dict(vars(namespace), tolerances=tolerances)
     del payload["tol"]
     payload["data"] = json.loads(namespace.data) if namespace.data else None

@@ -10,7 +10,8 @@ returns one real number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -124,6 +125,32 @@ class StatisticQuery:
 
     statistic_id: str
     theta: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Thresholds the verdict checks compare their residuals with.
+
+    cond4: fibre-Hessian spread; hessian: probe-family gap; flat, torsion,
+    codazzi: max-abs residuals; path: two-path gap of affine and Massieu
+    solves.  Each must be a finite number > 0, so no check passes vacuously.
+    """
+
+    cond4: float = 1e-3
+    hessian: float = 1e-3
+    flat: float = 1e-3
+    torsion: float = 1e-3
+    codazzi: float = 1e-3
+    path: float = 1e-4
+
+    def __post_init__(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise DomainError(
+                    f"tolerance '{spec.name}' must be a finite number > 0, got {value!r}"
+                )
+            object.__setattr__(self, spec.name, float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +525,6 @@ class ClosedFormOracle:
     affine_inverse: Optional[Callable] = None
     massieu_chart: Optional[Callable] = None
     massieu_affine: Optional[Callable] = None
-    chart_map: Optional[Callable] = None
-    chart_map_inverse: Optional[Callable] = None
     connection_domain: Optional[tuple] = None
     geodesic: Optional[Callable] = None
     covariant_field: Optional[Callable] = None

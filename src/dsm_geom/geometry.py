@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .core import ChartSpec, ModelDefinition, as_coords
+from .core import ChartSpec, ModelDefinition, Tolerances, as_coords
 from .core import divergence_gradient, divergence_hessian
 from .errors import (
     Condition4Violated,
@@ -26,8 +26,6 @@ from .errors import (
 )
 
 FIBRE_K_DEFAULT = 3
-COND4_TOL = 1e-3
-HESS_TOL = 1e-3
 PROBE_DELTA = 1e-3
 PROBE_CONDITION_LIMIT = 1e8
 
@@ -89,7 +87,7 @@ def metric_at(
     theta,
     fibre_k: int = FIBRE_K_DEFAULT,
     source: str = "auto",
-    cond4_tol: float = COND4_TOL,
+    tol: Tolerances = Tolerances(),
 ) -> MetricEvaluation:
     """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
     coords = model.chart.require(theta)
@@ -104,7 +102,7 @@ def metric_at(
             gap = float(np.max(np.abs(hessians[i] - hessians[j]))) / scale
             deviation = max(deviation, gap)
     labels = tuple(x.label for x in members)
-    if deviation > cond4_tol:
+    if deviation > tol.cond4:
         raise Condition4Violated(
             f"divergence Hessian of {model.name} varies by {deviation:.3g} "
             f"(relative) across fibre members at {coords.tolist()}",
@@ -159,9 +157,9 @@ def connection_at(
     model: ModelDefinition,
     theta,
     delta: float = PROBE_DELTA,
-    hess_tol: float = HESS_TOL,
     source: str = "auto",
     check_consistency: bool = True,
+    tol: Tolerances = Tolerances(),
 ) -> ConnectionEvaluation:
     """Connection coefficients omega[k, i, j] from off-fibre probes.
 
@@ -170,13 +168,13 @@ def connection_at(
     structure.
     """
     coords = model.chart.require(theta)
-    metric_at(model, theta, source=source)  # condition-4 gate
+    metric_at(model, theta, source=source, tol=tol)  # condition-4 gate
     omega = _solve_family(model, coords, delta, 0, source)
     if not check_consistency:
         return ConnectionEvaluation(omega=omega, probe_consistency=float("nan"))
     other = _solve_family(model, coords, delta, 1, source)
     gap = _relative_gap(other, omega)
-    if gap > hess_tol:
+    if gap > tol.hessian:
         raise HessianStructureViolated(
             f"probe families disagree on the connection of {model.name} at "
             f"{coords.tolist()} (relative {gap:.3g})",
@@ -191,6 +189,7 @@ def metric_field(
     source: str = "fibre",
     fibre_k: int = FIBRE_K_DEFAULT,
     deriv_source: str = "auto",
+    tol: Tolerances = Tolerances(),
 ) -> MetricField:
     if source == "oracle":
         if model.oracle is None or model.oracle.metric is None:
@@ -202,7 +201,7 @@ def metric_field(
         )
     return MetricField(
         evaluate=lambda coords: metric_at(
-            model, coords, fibre_k=fibre_k, source=deriv_source
+            model, coords, fibre_k=fibre_k, source=deriv_source, tol=tol
         ).matrix,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
@@ -214,6 +213,7 @@ def connection_field(
     source: str = "fibre",
     delta: float = PROBE_DELTA,
     deriv_source: str = "auto",
+    tol: Tolerances = Tolerances(),
 ) -> ConnectionField:
     if source == "oracle":
         if model.oracle is None or model.oracle.connection is None:
@@ -226,7 +226,8 @@ def connection_field(
         )
     return ConnectionField(
         evaluate=lambda coords: connection_at(
-            model, coords, delta=delta, source=deriv_source, check_consistency=False
+            model, coords, delta=delta, source=deriv_source,
+            check_consistency=False, tol=tol,
         ).omega,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
@@ -363,8 +364,8 @@ def reparametrized_model(
 
 def canonical_chart_for(model: ModelDefinition) -> ChartSpec:
     """Box chart spanned by the canonical image of the sample box."""
-    if model.oracle is None or model.oracle.chart_map is None:
-        raise Unsupported(f"model {model.name} declares no canonical chart map")
+    if model.oracle is None or model.oracle.affine_map is None:
+        raise Unsupported(f"model {model.name} declares no affine coordinates")
     corners = []
     lows = [lo for lo, _ in model.chart.sample_box]
     highs = [hi for _, hi in model.chart.sample_box]
@@ -372,7 +373,7 @@ def canonical_chart_for(model: ModelDefinition) -> ChartSpec:
         corner = [
             highs[i] if mask & (1 << i) else lows[i] for i in range(model.chart.dim)
         ]
-        corners.append(model.oracle.chart_map(np.array(corner, dtype=float)))
+        corners.append(model.oracle.affine_map(np.array(corner, dtype=float)))
     corners = np.array(corners)
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
@@ -397,21 +398,22 @@ def canonical_chart_for(model: ModelDefinition) -> ChartSpec:
 
 
 def metric_transform_check(
-    model: ModelDefinition, theta, chart_map=None, target_chart: Optional[ChartSpec] = None
+    model: ModelDefinition, theta, maps=None, target_chart: Optional[ChartSpec] = None
 ) -> float:
     """Tensor-transformation residual of the metric under a chart change.
 
-    Uses the model's canonical chart map by default; both sides are
+    ``maps`` is a (forward, inverse) pair; by default the model's affine
+    coordinates and the canonical chart they span.  Both sides are
     evaluated numerically and compared through an FD Jacobian.
     """
     coords = model.chart.require(theta)
-    if chart_map is None:
-        if model.oracle is None or model.oracle.chart_map is None:
-            raise Unsupported(f"model {model.name} declares no canonical chart map")
-        forward, inverse = model.oracle.chart_map, model.oracle.chart_map_inverse
+    if maps is None:
+        if model.oracle is None or model.oracle.affine_map is None:
+            raise Unsupported(f"model {model.name} declares no affine coordinates")
+        forward, inverse = model.oracle.affine_map, model.oracle.affine_inverse
         target_chart = target_chart or canonical_chart_for(model)
     else:
-        forward, inverse = chart_map
+        forward, inverse = maps
         if target_chart is None:
             raise Unsupported("custom chart maps need an explicit target chart")
     # both sides go through the same FD path so the residual measures the

@@ -184,8 +184,6 @@ def gaussian_kl() -> ModelDefinition:
         affine_inverse=affine_inverse,
         massieu_affine=massieu_affine,
         massieu_chart=massieu_chart,
-        chart_map=affine_map,
-        chart_map_inverse=affine_inverse,
     )
 
     return ModelDefinition(
@@ -309,8 +307,6 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         affine_inverse=affine_inverse,
         massieu_affine=massieu_affine,
         massieu_chart=massieu_chart,
-        chart_map=affine_map,
-        chart_map_inverse=affine_inverse,
     )
 
     return ModelDefinition(

@@ -200,8 +200,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         affine_inverse=affine_inverse,
         massieu_affine=massieu_affine,
         massieu_chart=massieu_chart,
-        chart_map=affine_map,
-        chart_map_inverse=affine_inverse,
         # the closed-form connection 1/beta is smooth for all mu, and its
         # geodesics legitimately cross mu = min(levels)
         connection_domain=((0.0, math.inf), (-math.inf, math.inf)),

@@ -16,9 +16,11 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .core import ModelDefinition, as_coords, divergence_hessian, evaluate_divergence
+from .core import ModelDefinition, Tolerances, as_coords
+from .core import divergence_hessian, evaluate_divergence
 from .errors import (
     Condition4Violated,
+    DomainError,
     HessianStructureViolated,
     MetricNotPD,
     NotFlat,
@@ -39,10 +41,6 @@ from .geometry import (
 from .transport import _l_path, _rk4
 
 CLASSIFY_GRID_PER_AXIS = 5
-FLAT_TOL = 1e-3
-TORSION_TOL = 1e-3
-CODAZZI_TOL = 1e-3
-PATH_TOL = 1e-4
 MASSIEU_HESS_TOL = 1e-3
 DEFAULT_PATH_STEPS = 96
 
@@ -76,6 +74,29 @@ class GeometryReport:
             "exponential_family": self.exponential_family,
         }
 
+    @property
+    def verdicts(self) -> dict:
+        return {
+            "condition4": self.condition4["status"],
+            "hessian_structure": self.hessian_structure,
+            "exponential_family": self.exponential_family,
+        }
+
+
+def condition4_evidence(model: ModelDefinition, point, err: Condition4Violated) -> dict:
+    """Report a condition-4 failure as data: where, how far, which members."""
+    coords = as_coords(point)
+    hessians, labels = err.member_hessians, err.member_labels
+    evidence = {
+        "point": coords.tolist(),
+        "deviation": err.deviation,
+        "members": list(labels),
+        "member_hessians": [h.tolist() for h in hessians],
+    }
+    if model.condition4_evidence_fn is not None:
+        evidence.update(model.condition4_evidence_fn(coords, hessians, labels))
+    return evidence
+
 
 def default_grid(model: ModelDefinition, per_axis: int = CLASSIFY_GRID_PER_AXIS) -> list:
     if model.classify_points_fn is not None:
@@ -87,31 +108,29 @@ def classify(
     model: ModelDefinition,
     theta_grid: Optional[list] = None,
     fibre_k: int = 3,
-    cond4_tol: float = 1e-3,
-    hess_tol: float = 1e-3,
-    flat_tol: float = FLAT_TOL,
-    torsion_tol: float = TORSION_TOL,
-    codazzi_tol: float = CODAZZI_TOL,
+    tol: Tolerances = Tolerances(),
 ) -> GeometryReport:
     """Run the full identification chain over a grid of chart points."""
     grid = theta_grid if theta_grid is not None else default_grid(model)
     grid = [as_coords(point) for point in grid]
+    if not grid:
+        raise DomainError(f"classify of {model.name} needs at least one grid point")
     report = GeometryReport(
         model=model.name,
         grid=grid,
         tolerances={
-            "cond4": cond4_tol,
-            "hessian": hess_tol,
-            "flat": flat_tol,
-            "torsion": torsion_tol,
-            "codazzi": codazzi_tol,
+            "cond4": tol.cond4,
+            "hessian": tol.hessian,
+            "flat": tol.flat,
+            "torsion": tol.torsion,
+            "codazzi": tol.codazzi,
         },
     )
     worst = {"cond4": 0.0, "probe": 0.0, "torsion": 0.0, "flat": 0.0, "codazzi": 0.0}
     worst_points = {}
     failure_evidence = None
-    metric = metric_field(model, fibre_k=fibre_k)
-    conn = connection_field(model)
+    metric = metric_field(model, fibre_k=fibre_k, tol=tol)
+    conn = connection_field(model, tol=tol)
 
     def track(key, value, point):
         if value > worst[key]:
@@ -120,19 +139,9 @@ def classify(
 
     for point in grid:
         try:
-            evaluation = metric_at(model, point, fibre_k=fibre_k, cond4_tol=cond4_tol)
+            evaluation = metric_at(model, point, fibre_k=fibre_k, tol=tol)
         except Condition4Violated as err:
-            evidence = {
-                "point": point.tolist(),
-                "deviation": err.deviation,
-                "members": list(err.member_labels),
-                "member_hessians": [h.tolist() for h in err.member_hessians],
-            }
-            if model.condition4_evidence_fn is not None:
-                evidence.update(
-                    model.condition4_evidence_fn(point, err.member_hessians, err.member_labels)
-                )
-            failure_evidence = evidence
+            failure_evidence = condition4_evidence(model, point, err)
             track("cond4", err.deviation, point)
             continue
         except MetricNotPD as err:
@@ -143,7 +152,7 @@ def classify(
         if not model.has_probes:
             continue
         try:
-            connection = connection_at(model, point, hess_tol=hess_tol)
+            connection = connection_at(model, point, tol=tol)
         except HessianStructureViolated as err:
             track("probe", err.deviation, point)
             continue
@@ -159,7 +168,7 @@ def classify(
             codazzi_residual(model, point, metric=metric, connection=conn)[1],
             point,
         )
-    cond4_ok = worst["cond4"] <= cond4_tol
+    cond4_ok = worst["cond4"] <= tol.cond4
     report.condition4 = {
         "status": "pass" if cond4_ok else "fail",
         "worst_deviation": worst["cond4"],
@@ -174,10 +183,10 @@ def classify(
         report.codazzi = {"status": not_run, "residual": None}
         report.hessian_structure = "fail" if not cond4_ok else not_run
     else:
-        probe_ok = worst["probe"] <= hess_tol
-        torsion_ok = worst["torsion"] <= torsion_tol
-        flat_ok = worst["flat"] <= flat_tol
-        codazzi_ok = worst["codazzi"] <= codazzi_tol
+        probe_ok = worst["probe"] <= tol.hessian
+        torsion_ok = worst["torsion"] <= tol.torsion
+        flat_ok = worst["flat"] <= tol.flat
+        codazzi_ok = worst["codazzi"] <= tol.codazzi
         report.probe_consistency = {
             "status": "pass" if probe_ok else "fail",
             "worst": worst["probe"],
@@ -271,7 +280,7 @@ def affine_coordinates(
     targets,
     connection: Optional[ConnectionField] = None,
     steps: int = DEFAULT_PATH_STEPS,
-    path_tol: float = PATH_TOL,
+    tol: Tolerances = Tolerances(),
 ) -> AffineCoordinateMap:
     """Integrate the affine-coordinate system along straight chart paths.
 
@@ -281,7 +290,7 @@ def affine_coordinates(
     residual; disagreement means the connection is not flat.
     """
     reference = model.chart.require(theta0)
-    conn = connection or connection_field(model)
+    conn = connection or connection_field(model, tol=tol)
     n = reference.size
     seed = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
     values, gradients, residuals = [], [], []
@@ -292,7 +301,7 @@ def affine_coordinates(
         value = straight[n * n :]
         scale = max(float(np.max(np.abs(value))), 1.0)
         residual = float(np.max(np.abs(value - detour[n * n :]))) / scale
-        if residual > path_tol:
+        if residual > tol.path:
             raise NotFlat(
                 f"affine coordinates of {model.name} are path-dependent "
                 f"(residual {residual:.3g}) towards {stop.tolist()}",
@@ -342,8 +351,7 @@ def massieu(
     metric: Optional[MetricField] = None,
     connection: Optional[ConnectionField] = None,
     steps: int = DEFAULT_PATH_STEPS,
-    path_tol: float = PATH_TOL,
-    hess_tol: float = MASSIEU_HESS_TOL,
+    tol: Tolerances = Tolerances(),
     verify: bool = True,
 ) -> MassieuSample:
     """Reconstruct the Massieu potential from the Mayer-Lie system.
@@ -354,8 +362,8 @@ def massieu(
     with the metric, and the curl of alpha is checked.
     """
     reference = model.chart.require(theta0)
-    metric = metric or metric_field(model)
-    conn = connection or connection_field(model)
+    metric = metric or metric_field(model, tol=tol)
+    conn = connection or connection_field(model, tol=tol)
     n = reference.size
     seed = np.zeros(n + 1)
     potentials, covectors, residuals = [], [], []
@@ -368,7 +376,7 @@ def massieu(
         )
         scale = max(float(np.max(np.abs(straight))), 1.0)
         residual = float(np.max(np.abs(straight - detour))) / scale
-        if residual > path_tol:
+        if residual > tol.path:
             raise NotIntegrable(
                 f"Mayer-Lie system of {model.name} is path-dependent "
                 f"(residual {residual:.3g}) towards {stop.tolist()}",
@@ -382,7 +390,7 @@ def massieu(
             hess_res, curl_res = _verify_massieu(
                 model, metric, conn, stop, alpha, phi, steps
             )
-            if hess_res > hess_tol:
+            if hess_res > MASSIEU_HESS_TOL:
                 raise NotIntegrable(
                     f"covariant Hessian of the sampled potential deviates from "
                     f"the metric by {hess_res:.3g} at {stop.tolist()}",

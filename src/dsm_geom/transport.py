@@ -56,13 +56,13 @@ def _rk4(state, rhs, t, h):
 
 
 def _l_path(start, stop):
-    """Axis-aligned detour: change one coordinate at a time."""
+    """Axis-aligned detour: change one differing coordinate at a time."""
     corners = [np.array(start, dtype=float)]
-    current = np.array(start, dtype=float)
     for axis in range(start.size):
-        current = current.copy()
-        current[axis] = stop[axis]
-        corners.append(current)
+        if stop[axis] != start[axis]:
+            corner = corners[-1].copy()
+            corner[axis] = stop[axis]
+            corners.append(corner)
     return corners
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 
@@ -242,6 +241,69 @@ class TestExitCodes:
         assert result.returncode == 3
 
 
+class TestBadInput:
+    """Bad run input ends with exit 1 and one line, never a vacuous verdict."""
+
+    @staticmethod
+    def run_main(args, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = cli.main([*args, "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "0", "abc"])
+    def test_tolerance_must_be_finite_and_positive(self, value, tmp_path, capsys):
+        args = ["--model", "regression-ls", "--op", "metric", "--at", "0.5,-0.25"]
+        code, err, out = self.run_main([*args, "--tol", f"cond4={value}"], tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "cond4" in err
+        assert not out.exists()
+
+    def test_user_cond4_reaches_the_connection_gate(self, tmp_path, capsys):
+        # the connection gate used to re-check condition 4 at the default
+        # tolerance and end the run with exit 2
+        args = ["--model", "regression-ls", "--op", "classify", "--tol", "cond4=1"]
+        code, err, out = self.run_main(args, tmp_path, capsys)
+        assert code == 0, err
+        doc = json.loads(out.read_text())
+        assert doc["verdicts"]["condition4"] == "pass"
+        assert doc["results"]["condition4"]["worst_deviation"] == pytest.approx(0.1875)
+        assert doc["results"]["tolerances"]["cond4"] == 1.0
+
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            (["--model", "regression-ls", "--op", "classify", "--grid", "0"], "--grid"),
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", ";"], "--grid"),
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", "abc"], "--grid"),
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", "-2"], "--grid"),
+            (
+                ["--model", "gaussian-kl", "--op", "field", "--start", "0,1",
+                 "--vector", "1,0", "--grid", "0"],
+                "--grid",
+            ),
+            (["--model", "gaussian-kl", "--op", "metric", "--at", "0,1", "--fibre-k", "0"],
+             "--fibre-k"),
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "gaussian", "mean": 0}'],
+                "'std'",
+            ),
+        ],
+        ids=[
+            "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
+            "field-grid-zero", "fibre-k-zero", "data-missing-key",
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_run_input_errors_are_one_line(self, args, needle, tmp_path, capsys):
+        code, err, out = self.run_main(args, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert needle in err
+        assert not out.exists()
+
+
 class TestReportAll:
     def test_verdict_table_and_determinism(self, tmp_path):
         first = tmp_path / "one"
@@ -249,8 +311,9 @@ class TestReportAll:
         res1 = run_cli(["--model", "all", "--op", "report", "--seed", "42", "--out", str(first)])
         res2 = run_cli(["--model", "all", "--op", "report", "--seed", "42", "--out", str(second)])
         assert res1.returncode == 0 and res2.returncode == 0
-        names = sorted(p.name for p in first.iterdir())
-        assert names == sorted(p.name for p in second.iterdir())
+        names = sorted([f"{name}.json" for name in models.MODEL_NAMES] + ["summary.json"])
+        assert sorted(p.name for p in first.iterdir()) == names
+        assert sorted(p.name for p in second.iterdir()) == names
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         summary = json.loads((first / "summary.json").read_text())
@@ -274,23 +337,3 @@ class TestReportAll:
         # no wall-clock fields anywhere in the outputs
         for name in names:
             assert "runtime_ms" not in json.loads((first / name).read_text())
-
-    def test_output_independent_of_thread_count(self, tmp_path):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        for out, threads in ((serial, "1"), (parallel, "4")):
-            result = subprocess.run(
-                [sys.executable, "-m", "dsm_geom.cli", "--model", "all", "--op",
-                 "report", "--seed", "42", "--out", str(out)],
-                capture_output=True,
-                text=True,
-                # inherit the caller's environment (PYTHONPATH included); the
-                # thread count goes last so an inherited value cannot override it
-                env={**os.environ, "DSM_GEOM_THREADS": threads},
-            )
-            assert result.returncode == 0, result.stderr
-        expected = sorted([f"{name}.json" for name in models.MODEL_NAMES] + ["summary.json"])
-        assert sorted(p.name for p in serial.iterdir()) == expected
-        assert sorted(p.name for p in parallel.iterdir()) == expected
-        for name in expected:
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name

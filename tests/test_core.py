@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dsm_geom.core import (
     ParameterPoint,
     RegressionData,
     StatisticQuery,
+    Tolerances,
     evaluate_divergence,
     divergence_gradient,
     divergence_hessian,
@@ -37,6 +39,49 @@ class TestParameterPoint:
         point = ParameterPoint(np.array([1.0, 2.0]), chart_id="mu-sigma")
         with pytest.raises(ValueError):
             point.coords[0] = 3.0
+
+
+class TestTolerances:
+    def test_defaults(self):
+        assert dataclasses.asdict(Tolerances()) == {
+            "cond4": 1e-3,
+            "hessian": 1e-3,
+            "flat": 1e-3,
+            "torsion": 1e-3,
+            "codazzi": 1e-3,
+            "path": 1e-4,
+        }
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, "1e-3", None]
+    )
+    def test_rejects_nonfinite_nonpositive_and_nonnumeric(self, value):
+        for spec in dataclasses.fields(Tolerances):
+            with pytest.raises(DomainError, match=spec.name):
+                Tolerances(**{spec.name: value})
+
+    def test_unknown_key_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Tolerances(bogus=1.0)
+
+    def test_property_accepts_exactly_finite_positive_values(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        keys = st.sampled_from([spec.name for spec in dataclasses.fields(Tolerances)])
+        values = st.one_of(
+            st.floats(), st.floats(min_value=0.0), st.integers(-(10**6), 10**6)
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(key=keys, value=values)
+        def check(key, value):
+            if math.isfinite(value) and value > 0:
+                assert getattr(Tolerances(**{key: value}), key) == float(value)
+            else:
+                with pytest.raises(DomainError):
+                    Tolerances(**{key: value})
+
+        check()
 
 
 class TestChartSpec:

@@ -105,8 +105,8 @@ class TestClosedFormFit:
 class TestChartCovariance:
     def test_gaussian_fit_commutes_with_canonical_chart(self, catalogue, rng):
         model = catalogue["gaussian-kl"]
-        forward = model.oracle.chart_map
-        inverse = model.oracle.chart_map_inverse
+        forward = model.oracle.affine_map
+        inverse = model.oracle.affine_inverse
         wrapped = reparametrized_model(
             model, forward, inverse, canonical_chart_for(model)
         )

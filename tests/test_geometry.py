@@ -217,7 +217,7 @@ class TestMetricTransform:
         model = catalogue["gaussian-kl"]
         identity = (lambda t: np.array(t, dtype=float), lambda t: np.array(t, dtype=float))
         residual = geometry.metric_transform_check(
-            model, [0.0, 1.0], chart_map=identity, target_chart=model.chart
+            model, [0.0, 1.0], maps=identity, target_chart=model.chart
         )
         assert residual < 1e-10
 

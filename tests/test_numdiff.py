@@ -161,6 +161,6 @@ class TestJacobian:
         assert np.max(np.abs(jac - matrix)) < 1e-8
 
     def test_canonical_gaussian_map(self, catalogue):
-        forward = catalogue["gaussian-kl"].oracle.chart_map
+        forward = catalogue["gaussian-kl"].oracle.affine_map
         jac = numdiff.fd_jacobian(forward, np.array([0.0, 1.0]))
         assert jac == pytest.approx(np.array([[0.0, -1.0], [-1.0, 0.0]]), abs=1e-8)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dsm_geom import models, numdiff, structure
-from dsm_geom.errors import NotFlat, NotIntegrable
+from dsm_geom.core import Tolerances
+from dsm_geom.errors import DomainError, NotFlat, NotIntegrable
 from dsm_geom.geometry import connection_field, metric_field
 
 from conftest import (
@@ -65,6 +66,24 @@ class TestClassify:
         payload = report.to_dict()
         assert payload["hessian_structure"] == "pass"
         assert payload["condition4"]["status"] == "pass"
+
+
+    def test_empty_grid_raises(self, catalogue):
+        # an empty grid used to pass every check without evaluating one
+        with pytest.raises(DomainError, match="grid point"):
+            structure.classify(catalogue["regression-ls"], theta_grid=[])
+
+    def test_tolerances_reach_every_gate(self, catalogue):
+        model = catalogue["regression-ls"]
+        grid = structure.default_grid(model, 2)
+        assert structure.classify(model, theta_grid=grid).verdicts["condition4"] == "fail"
+        report = structure.classify(model, theta_grid=grid, tol=Tolerances(cond4=1.0))
+        assert report.verdicts == {
+            "condition4": "pass",
+            "hessian_structure": "pass",
+            "exponential_family": "not-applicable",
+        }
+        assert report.tolerances["cond4"] == 1.0
 
 
 class TestAffineCoordinates:

@@ -133,14 +133,14 @@ class TestCovariantConstantField:
         theta0 = np.array([0.0, 1.0])
         from dsm_geom import numdiff
 
-        jac0 = numdiff.fd_jacobian(model.oracle.chart_map, theta0)
+        jac0 = numdiff.fd_jacobian(model.oracle.affine_map, theta0)
         seed = np.linalg.solve(jac0, np.array([1.0, 0.0]))
         grid = [np.array([mu, sigma]) for mu in (-0.5, 0.5) for sigma in (0.8, 1.6)]
         trace = transport.covariant_constant_field(
             model, theta0, seed, grid, steps_per_segment=64
         )
         for point, vector in zip(trace.points, trace.vectors):
-            jac = numdiff.fd_jacobian(model.oracle.chart_map, point)
+            jac = numdiff.fd_jacobian(model.oracle.affine_map, point)
             assert jac @ vector == pytest.approx([1.0, 0.0], abs=1e-3)
 
     def test_sphere_raises_not_flat(self):
@@ -172,6 +172,29 @@ class TestCovariantConstantField:
                 sphere, [math.pi / 3, 0.0, 0.0], [1.0, 0.0, 0.0], grid,
                 connection=conn, steps_per_segment=64,
             )
+
+
+    def test_detour_skips_zero_length_segments(self, catalogue):
+        # the target shares mu with the base, so the detour is one segment:
+        # 200 RK4 steps of 4 evaluations each for the straight path and the
+        # detour (a zero-length corner used to cost another 800)
+        model = catalogue["gaussian-kl"]
+        oracle = geometry.connection_field(model, source="oracle")
+        calls = []
+
+        def counted(coords):
+            calls.append(1)
+            return oracle.evaluate(coords)
+
+        conn = geometry.ConnectionField(
+            evaluate=counted, provenance=oracle.provenance, domain=oracle.domain
+        )
+        trace = transport.covariant_constant_field(
+            model, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])],
+            connection=conn, steps_per_segment=200,
+        )
+        assert len(calls) == 1600
+        assert trace.metadata["path_residual"] < 1e-12
 
 
 class TestTraceFormat:
