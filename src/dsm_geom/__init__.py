@@ -10,8 +10,6 @@ from .core import (
     ChartSpec,
     DataSet,
     ModelDefinition,
-    ParameterPoint,
-    StatisticQuery,
     Tolerances,
     evaluate_divergence,
     divergence_gradient,
@@ -26,8 +24,6 @@ __all__ = [
     "DataSet",
     "FitResult",
     "ModelDefinition",
-    "ParameterPoint",
-    "StatisticQuery",
     "Tolerances",
     "closed_form_fit",
     "divergence_gradient",

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import typing
 from typing import Optional
 
 import numpy as np
@@ -112,6 +113,14 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "model" not in payload or "op" not in payload:
             raise ConfigError("config needs 'model' and 'op'")
+        hints = typing.get_type_hints(cls)
+        for name, value in payload.items():
+            allowed = typing.get_args(hints[name]) or (hints[name],)
+            if float in allowed:
+                allowed += (int,)
+            if not isinstance(value, allowed) or isinstance(value, bool):
+                names = " or ".join(kind.__name__ for kind in allowed)
+                raise ConfigError(f"config field '{name}' must be {names}, got {value!r}")
         config = cls(**payload)
         config.validate()
         return config
@@ -483,39 +492,44 @@ _OP_HANDLERS = {
 }
 
 
+_POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
+
+
+def _check_dims(config, dim):
+    """Each point and vector option needs one value per chart coordinate."""
+    given = [(name, getattr(config, name)) for name in _POINT_OPTIONS]
+    given += [("targets", point) for point in config.targets or []]
+    for name, value in given:
+        if value is not None and len(value) != dim:
+            raise ConfigError(
+                f"--{name} needs {dim} values for {config.model}, got {len(value)}"
+            )
+
+
 def run(config: RunConfig) -> int:
     """Execute one operation and write its output files."""
-    if config.op == "report":
-        if config.model == "all":
-            return report_all(config.out, seed=config.seed, tolerances=config.tolerances)
-        return _single_report(config)
-    model = config.build_model()
-    started = time.perf_counter()
+    if config.op == "report" and config.model == "all":
+        return report_all(config.out, seed=config.seed, tolerances=config.tolerances)
     try:
-        document, trace = _OP_HANDLERS[config.op](config, model)
+        model = config.build_model()
+        _check_dims(config, model.chart.dim)
+        started = time.perf_counter()
+        if config.op == "report":  # deterministic: no wall-clock field
+            document, trace = model_report(model, config.tolerances, seed=config.seed), None
+        else:
+            document, trace = _OP_HANDLERS[config.op](config, model)
+            document["runtime_ms"] = int((time.perf_counter() - started) * 1000)
     except (ConfigError, DomainError, Unsupported, MissingStatistic) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (DsmGeomError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    document["runtime_ms"] = int((time.perf_counter() - started) * 1000)
     json_path, csv_path = _out_paths(config.out)
     try:
         write_json(json_path, document)
         if trace is not None:
             write_trace_csv(csv_path, trace, model.chart.names)
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
-def _single_report(config: RunConfig) -> int:
-    model = config.build_model()
-    document = model_report(model, config.tolerances, seed=config.seed)
-    try:
-        write_json(config.out, document)
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

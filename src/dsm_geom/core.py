@@ -21,36 +21,15 @@ from .errors import DomainError, MissingStatistic, NumericalFailure, Unsupported
 
 _LOG_2PI = math.log(2.0 * math.pi)
 EULER_GAMMA = float(np.euler_gamma)
+CENTRAL_FRACTION = 0.6  # share of the sample box spanned by default grids
 
 
 def as_coords(theta) -> np.ndarray:
-    """Coerce a ParameterPoint / sequence into a float vector."""
-    if isinstance(theta, ParameterPoint):
-        return theta.coords
+    """Coerce a sequence into a float vector."""
     arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1:
         raise DomainError(f"parameter point must be a vector, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class ParameterPoint:
-    """Coordinates of one model point in a named chart."""
-
-    coords: np.ndarray
-    chart_id: str = "default"
-
-    def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=float)
-        if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
-            raise DomainError("parameter point needs >= 1 finite coordinates")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
 
 
 @dataclass(frozen=True)
@@ -76,12 +55,12 @@ class ChartSpec:
             if not (lo < hi and slo < shi and lo <= slo and shi <= hi):
                 raise DomainError("sample box must sit inside the open domain")
 
-    def contains(self, theta, margin: float = 0.0) -> bool:
+    def contains(self, theta) -> bool:
         coords = as_coords(theta)
         if coords.size != self.dim:
             return False
         for value, (lo, hi) in zip(coords, self.domain):
-            if not (lo + margin < value < hi - margin):
+            if not (lo < value < hi):
                 return False
         return True
 
@@ -109,22 +88,14 @@ class ChartSpec:
         highs = np.array([hi for _, hi in self.sample_box])
         return [lows + rng.random(self.dim) * (highs - lows) for _ in range(count)]
 
-    def central_grid(self, per_axis: int, fraction: float = 0.6) -> list:
-        """Regular grid over the central ``fraction`` of the sample box."""
+    def central_grid(self, per_axis: int) -> list:
+        """Regular grid over the central ``CENTRAL_FRACTION`` of the sample box."""
         axes = []
         for lo, hi in self.sample_box:
-            pad = 0.5 * (1.0 - fraction) * (hi - lo)
+            pad = 0.5 * (1.0 - CENTRAL_FRACTION) * (hi - lo)
             axes.append(np.linspace(lo + pad, hi - pad, per_axis))
         mesh = np.meshgrid(*axes, indexing="ij")
         return [np.array(pt) for pt in zip(*(m.ravel() for m in mesh))]
-
-
-@dataclass(frozen=True)
-class StatisticQuery:
-    """One expectation request: statistic id plus optional chart point."""
-
-    statistic_id: str
-    theta: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -170,9 +141,6 @@ class DataSet:
         raise MissingStatistic(
             f"{self.label} cannot answer statistic '{statistic_id}'"
         )
-
-    def expectation(self, query: StatisticQuery) -> float:
-        return self.statistic(query.statistic_id, query.theta)
 
 
 class GaussianData(DataSet):

@@ -119,8 +119,8 @@ def metric_at(
     return MetricEvaluation(matrix=mean, fibre_deviation=deviation, member_labels=labels)
 
 
-def _solve_family(model, coords, delta, family, source):
-    pairs = model.probe_pairs(coords, delta, family)
+def _solve_family(model, coords, family, source):
+    pairs = model.probe_pairs(coords, PROBE_DELTA, family)
     n = coords.size
     if len(pairs) < n:
         raise ProbeSingular(
@@ -156,7 +156,6 @@ def _solve_family(model, coords, delta, family, source):
 def connection_at(
     model: ModelDefinition,
     theta,
-    delta: float = PROBE_DELTA,
     source: str = "auto",
     check_consistency: bool = True,
     tol: Tolerances = Tolerances(),
@@ -169,10 +168,10 @@ def connection_at(
     """
     coords = model.chart.require(theta)
     metric_at(model, theta, source=source, tol=tol)  # condition-4 gate
-    omega = _solve_family(model, coords, delta, 0, source)
+    omega = _solve_family(model, coords, 0, source)
     if not check_consistency:
         return ConnectionEvaluation(omega=omega, probe_consistency=float("nan"))
-    other = _solve_family(model, coords, delta, 1, source)
+    other = _solve_family(model, coords, 1, source)
     gap = _relative_gap(other, omega)
     if gap > tol.hessian:
         raise HessianStructureViolated(
@@ -188,7 +187,6 @@ def metric_field(
     model: ModelDefinition,
     source: str = "fibre",
     fibre_k: int = FIBRE_K_DEFAULT,
-    deriv_source: str = "auto",
     tol: Tolerances = Tolerances(),
 ) -> MetricField:
     if source == "oracle":
@@ -200,9 +198,7 @@ def metric_field(
             domain=model.chart.domain,
         )
     return MetricField(
-        evaluate=lambda coords: metric_at(
-            model, coords, fibre_k=fibre_k, source=deriv_source, tol=tol
-        ).matrix,
+        evaluate=lambda coords: metric_at(model, coords, fibre_k=fibre_k, tol=tol).matrix,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
     )
@@ -211,8 +207,6 @@ def metric_field(
 def connection_field(
     model: ModelDefinition,
     source: str = "fibre",
-    delta: float = PROBE_DELTA,
-    deriv_source: str = "auto",
     tol: Tolerances = Tolerances(),
 ) -> ConnectionField:
     if source == "oracle":
@@ -226,8 +220,7 @@ def connection_field(
         )
     return ConnectionField(
         evaluate=lambda coords: connection_at(
-            model, coords, delta=delta, source=deriv_source,
-            check_consistency=False, tol=tol,
+            model, coords, check_consistency=False, tol=tol
         ).omega,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
@@ -326,7 +319,6 @@ def reparametrized_model(
     forward: Callable,
     inverse: Callable,
     chart: ChartSpec,
-    name_suffix: str = "reparam",
 ) -> ModelDefinition:
     """Express the same data set model in a different chart.
 
@@ -346,7 +338,7 @@ def reparametrized_model(
         return model.probe_pairs(inverse(np.asarray(z, dtype=float)), delta, family)
 
     return ModelDefinition(
-        name=f"{model.name}-{name_suffix}",
+        name=f"{model.name}-reparam",
         chart=chart,
         statistic_schema=model.statistic_schema,
         divergence_fn=divergence,

@@ -45,8 +45,10 @@ def _null_space_shifts(levels):
 
 def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
     levels = np.asarray(levels, dtype=float)
-    if levels.size == 0:
-        raise DomainError("the energy spectrum must not be empty")
+    if np.unique(levels).size < 2:
+        raise DomainError(
+            f"the energy spectrum needs at least two distinct levels, got {levels.tolist()}"
+        )
     eps_min = float(np.min(levels))
     eps_span = max(float(np.max(levels)) - eps_min, 1.0)
 

@@ -1,6 +1,6 @@
 """Finite-difference engine for chart derivatives of scalars and tensors.
 
-Central differences with one optional Richardson extrapolation level.
+Central differences with one Richardson extrapolation level.
 Steps shrink near chart boundaries so stencils never leave the open
 domain; gradients fall back to a one-sided second-order stencil when a
 bound is closer than two steps.
@@ -15,6 +15,7 @@ import numpy as np
 from .core import ChartSpec, as_coords
 from .errors import NumericalFailure
 
+ABS_STEP_FLOOR = 1e-7
 RICHARDSON_AGREE_TOL = 1e-3
 HESSIAN_ASYMMETRY_TOL = 1e-3
 
@@ -24,21 +25,15 @@ class DiffConfig:
     """Step policy for finite differences on one chart."""
 
     rel_step: float = 1e-4
-    abs_step_floor: float = 1e-7
-    richardson: bool = True
-    scale: Optional[np.ndarray] = None
     domain: Optional[tuple] = None
 
     @classmethod
-    def for_chart(cls, chart: ChartSpec, rel_step: float = 1e-4, richardson: bool = True):
-        return cls(rel_step=rel_step, richardson=richardson, domain=chart.domain)
+    def for_chart(cls, chart: ChartSpec, rel_step: float = 1e-4):
+        return cls(rel_step=rel_step, domain=chart.domain)
 
     def step(self, coords: np.ndarray, axis: int) -> float:
-        if self.scale is not None:
-            scale = float(self.scale[axis])
-        else:
-            scale = max(abs(float(coords[axis])), 1.0)
-        return max(self.rel_step * scale, self.abs_step_floor)
+        scale = max(abs(float(coords[axis])), 1.0)
+        return max(self.rel_step * scale, ABS_STEP_FLOOR)
 
     def bound_distance(self, coords: np.ndarray, axis: int) -> tuple:
         """Distances to the lower / upper bound along one axis (inf if open)."""
@@ -59,15 +54,12 @@ def _shifted(coords, axis, amount):
 def _axis_derivative(f, coords, axis, h, cfg):
     """d f / d coords[axis] with step h, honouring boundary stencils."""
     below, above = cfg.bound_distance(coords, axis)
-    wide = 2.0 * h if cfg.richardson else h
-    if below > wide and above > wide:
+    if below > 2.0 * h and above > 2.0 * h:
         def central(step):
             return (f(_shifted(coords, axis, step)) - f(_shifted(coords, axis, -step))) / (
                 2.0 * step
             )
 
-        if not cfg.richardson:
-            return central(h)
         coarse = central(h)
         fine = central(0.5 * h)
         refined = (4.0 * fine - coarse) / 3.0
@@ -75,7 +67,7 @@ def _axis_derivative(f, coords, axis, h, cfg):
         return refined
     # within two steps of a bound: shrink, then a one-sided 2nd-order stencil
     room = min(below, above)
-    if room > 2.5 * cfg.abs_step_floor:
+    if room > 2.5 * ABS_STEP_FLOOR:
         h = min(h, room / 2.5)
         # the shrunken step is known to fit, avoid re-triggering the boundary path
         return _axis_derivative(f, coords, axis, h, replace(cfg, domain=None))
@@ -110,13 +102,13 @@ def fd_gradient(f: Callable, theta, cfg: Optional[DiffConfig] = None) -> np.ndar
     return grad
 
 
-def _fit_step(cfg, coords, axis, multiplier=1.0):
-    h = multiplier * cfg.step(coords, axis)
+def _fit_step(cfg, coords, axis):
+    h = cfg.step(coords, axis)
     below, above = cfg.bound_distance(coords, axis)
     room = min(below, above)
     if np.isfinite(room):
         h = min(h, room / 2.5)
-    return max(h, cfg.abs_step_floor)
+    return max(h, ABS_STEP_FLOOR)
 
 
 def fd_hessian(f: Callable, theta, cfg: Optional[DiffConfig] = None) -> np.ndarray:
@@ -144,11 +136,8 @@ def fd_hessian(f: Callable, theta, cfg: Optional[DiffConfig] = None) -> np.ndarr
 
     steps = np.array([_fit_step(cfg, coords, i) for i in range(n)])
     coarse = hessian_with(steps)
-    if cfg.richardson:
-        fine = hessian_with(0.5 * steps)
-        result = (4.0 * fine - coarse) / 3.0
-    else:
-        result = coarse
+    fine = hessian_with(0.5 * steps)
+    result = (4.0 * fine - coarse) / 3.0
     asym = np.max(np.abs(result - result.T))
     scale = max(np.max(np.abs(result)), 1e-12)
     if asym / scale > HESSIAN_ASYMMETRY_TOL:
@@ -175,8 +164,6 @@ def fd_field_derivative(field: Callable, theta, direction: int, cfg: Optional[Di
         return (upper - lower) / (2.0 * step)
 
     coarse = central(h)
-    if not cfg.richardson:
-        return coarse
     fine = central(0.5 * h)
     refined = (4.0 * fine - coarse) / 3.0
     _check_agreement(fine, refined, coords, direction)

@@ -38,7 +38,7 @@ from .geometry import (
     metric_field,
     torsion_residual,
 )
-from .transport import _l_path, _rk4
+from .transport import _along, _l_path
 
 CLASSIFY_GRID_PER_AXIS = 5
 MASSIEU_HESS_TOL = 1e-3
@@ -254,24 +254,16 @@ def _integrate_affine(conn: ConnectionField, waypoints, state, steps):
     with tangent delta they obey dG = G M with M[c, b] = delta^a w^c_ab.
     """
     n = waypoints[0].size
-    h = 1.0 / steps
-    for seg in range(len(waypoints) - 1):
-        start, stop = waypoints[seg], waypoints[seg + 1]
-        delta = stop - start
-        if not np.any(delta):
-            continue
 
-        def rhs(s, packed):
-            grads = packed[: n * n].reshape(n, n)
-            omega = conn(start + s * delta)
-            mixer = np.einsum("a,cab->cb", delta, omega)
-            dgrads = grads @ mixer
-            dvalues = grads @ delta
-            return np.concatenate([dgrads.ravel(), dvalues])
+    def rhs(point, delta, packed):
+        grads = packed[: n * n].reshape(n, n)
+        omega = conn(point)
+        mixer = np.einsum("a,cab->cb", delta, omega)
+        dgrads = grads @ mixer
+        dvalues = grads @ delta
+        return np.concatenate([dgrads.ravel(), dvalues])
 
-        for k in range(steps):
-            state = _rk4(state, rhs, k * h, h)
-    return state
+    return _along(rhs, state, waypoints, steps)[-1][2]
 
 
 def affine_coordinates(
@@ -320,28 +312,20 @@ def affine_coordinates(
 
 
 def _integrate_massieu(metric, conn, waypoints, state, steps):
+    """Advance (alpha, Phi) along a piecewise-linear path (Mayer-Lie system)."""
     n = waypoints[0].size
-    h = 1.0 / steps
-    for seg in range(len(waypoints) - 1):
-        start, stop = waypoints[seg], waypoints[seg + 1]
-        delta = stop - start
-        if not np.any(delta):
-            continue
 
-        def rhs(s, packed):
-            alpha, _ = packed[:n], packed[n]
-            point = start + s * delta
-            g = metric(point)
-            omega = conn(point)
-            dalpha = np.einsum("a,ab->b", delta, g) + np.einsum(
-                "a,cab,c->b", delta, omega, alpha
-            )
-            dphi = float(delta @ alpha)
-            return np.concatenate([dalpha, [dphi]])
+    def rhs(point, delta, packed):
+        alpha = packed[:n]
+        g = metric(point)
+        omega = conn(point)
+        dalpha = np.einsum("a,ab->b", delta, g) + np.einsum(
+            "a,cab,c->b", delta, omega, alpha
+        )
+        dphi = float(delta @ alpha)
+        return np.concatenate([dalpha, [dphi]])
 
-        for k in range(steps):
-            state = _rk4(state, rhs, k * h, h)
-    return state
+    return _along(rhs, state, waypoints, steps)[-1][2]
 
 
 def massieu(

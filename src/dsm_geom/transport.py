@@ -1,8 +1,10 @@
 """Geodesics, parallel transport and covariant-constant fields.
 
-Fixed-step RK4 on the connection field.  Traces record the sampled
-curve; a trace that leaves the field's domain is truncated and flagged
-with ``domain_exit`` instead of raising.
+One fixed-step RK4 loop (``_integrate``) integrates every path: geodesics
+here, and through ``_along`` parallel transport and the affine-coordinate
+and Massieu systems of ``structure``.  Traces record the sampled curve; a
+geodesic that leaves the field's domain is truncated and flagged with
+``domain_exit`` instead of raising.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from .errors import DomainError, NotFlat, NumericalFailure
 from .geometry import ConnectionField, connection_field
 
 DEFAULT_STEP_FRACTION = 1e-3
+FIELD_SPOT_CHECKS = 3
 FIELD_SPOT_TOL = 1e-3
 
 
@@ -41,18 +44,42 @@ class Trace:
         return None if self.vectors is None else self.vectors[-1]
 
 
-def _resolve_field(model: ModelDefinition, conn, source: str) -> ConnectionField:
-    if conn is not None:
-        return conn
-    return connection_field(model, source=source)
-
-
 def _rk4(state, rhs, t, h):
     k1 = rhs(t, state)
     k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
     k4 = rhs(t + h, state + h * k3)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate(f, y, t_end, steps):
+    """Fixed-step RK4 for dy/dt = f(t, y) from t = 0; yields (t, y) per step."""
+    h = t_end / steps
+    for k in range(steps):
+        y = _rk4(y, f, k * h, h)
+        yield (k + 1) * h, y
+
+
+def _along(rhs, state, waypoints, steps):
+    """Integrate a state along a piecewise-linear chart path.
+
+    On each segment ``rhs(point, delta, state)`` is d state/ds at
+    ``point = start + s * delta``, s in [0, 1].  Zero-length segments are
+    skipped.  Returns the samples (seg + s, point, state), initial one first.
+    """
+    samples = [(0.0, waypoints[0], state)]
+    for seg in range(len(waypoints) - 1):
+        start = waypoints[seg]
+        delta = waypoints[seg + 1] - start
+        if not np.any(delta):
+            continue
+
+        def f(s, y):
+            return rhs(start + s * delta, delta, y)
+
+        for s, state in _integrate(f, state, 1.0, steps):
+            samples.append((seg + s, start + s * delta, state))
+    return samples
 
 
 def _l_path(start, stop):
@@ -73,12 +100,15 @@ def geodesic(
     t_end: float,
     step: Optional[float] = None,
     connection: Optional[ConnectionField] = None,
-    source: str = "fibre",
 ) -> Trace:
-    """Integrate d^2 theta/dt^2 = -omega^k_ij dtheta^i dtheta^j."""
+    """Integrate d^2 theta/dt^2 = -omega^k_ij dtheta^i dtheta^j.
+
+    The path is not known in advance, so every accepted step is checked
+    against the field domain; leaving it truncates the trace.
+    """
     coords = as_coords(theta0)
     velocity = as_coords(v0)
-    conn = _resolve_field(model, connection, source)
+    conn = connection or connection_field(model)
     if not conn.contains(coords):
         raise NumericalFailure(f"geodesic start {coords.tolist()} outside field domain")
     h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
@@ -93,31 +123,25 @@ def geodesic(
         return np.concatenate([vel, acc])
 
     steps = max(int(round(abs(t_end) / h)), 1)
-    h = t_end / steps
     times = [0.0]
-    points = [coords.copy()]
-    vectors = [velocity.copy()]
-    state = np.concatenate([coords, velocity])
+    states = [np.concatenate([coords, velocity])]
     flags = []
-    for k in range(steps):
-        try:
-            trial = _rk4(state, rhs, k * h, h)
-        except DomainError:  # an RK4 stage left the chart
-            flags.append("domain_exit")
-            break
-        if not conn.contains(trial[:n]):
-            flags.append("domain_exit")
-            break
-        state = trial
-        times.append((k + 1) * h)
-        points.append(state[:n].copy())
-        vectors.append(state[n:].copy())
+    try:
+        for t, state in _integrate(rhs, states[0], t_end, steps):
+            if not conn.contains(state[:n]):
+                flags.append("domain_exit")
+                break
+            times.append(t)
+            states.append(state)
+    except DomainError:  # an RK4 stage left the chart
+        flags.append("domain_exit")
+    states = np.array(states)
     return Trace(
         kind="geodesic",
         times=np.array(times),
-        points=np.array(points),
-        vectors=np.array(vectors),
-        step=h,
+        points=states[:, :n],
+        vectors=states[:, n:],
+        step=t_end / steps,
         flags=tuple(flags),
         metadata={"field": conn.provenance},
     )
@@ -135,55 +159,34 @@ def parallel_transport(
     v0,
     steps_per_segment: int = 200,
     connection: Optional[ConnectionField] = None,
-    source: str = "fibre",
 ) -> Trace:
     """Transport a vector along a piecewise-linear chart path.
 
     Solves dv^j/dt + omega^j_ik dtheta^i/dt v^k = 0 segment by segment.
+    The field domain is a box, so a path whose way points lie inside it
+    stays inside; a way point outside it raises DomainError up front.
     """
     waypoints = _as_waypoints(curve)
     if waypoints.shape[0] < 2:
         raise NumericalFailure("transport needs at least two way points")
-    conn = _resolve_field(model, connection, source)
-    vector = as_coords(v0).copy()
-    n = waypoints.shape[1]
-    times = [0.0]
-    points = [waypoints[0].copy()]
-    vectors = [vector.copy()]
-    flags = []
-    for seg in range(waypoints.shape[0] - 1):
-        start, stop = waypoints[seg], waypoints[seg + 1]
-        delta = stop - start
+    conn = connection or connection_field(model)
+    for point in waypoints:
+        if not conn.contains(point):
+            raise DomainError(
+                f"transport way point {point.tolist()} outside field domain {conn.domain}"
+            )
 
-        def rhs(s, vec):
-            omega = conn(start + s * delta)
-            return -np.einsum("jik,i,k->j", omega, delta, vec)
+    def rhs(point, delta, vector):
+        omega = conn(point)
+        return -np.einsum("jik,i,k->j", omega, delta, vector)
 
-        h = 1.0 / steps_per_segment
-        exited = False
-        for k in range(steps_per_segment):
-            if not conn.contains(start + (k + 1) * h * delta):
-                flags.append("domain_exit")
-                exited = True
-                break
-            try:
-                vector = _rk4(vector, rhs, k * h, h)
-            except DomainError:
-                flags.append("domain_exit")
-                exited = True
-                break
-            times.append(seg + (k + 1) * h)
-            points.append(start + (k + 1) * h * delta)
-            vectors.append(vector.copy())
-        if exited:
-            break
+    times, points, vectors = zip(*_along(rhs, as_coords(v0), waypoints, steps_per_segment))
     return Trace(
         kind="parallel_transport",
         times=np.array(times),
         points=np.array(points),
         vectors=np.array(vectors),
         step=1.0 / steps_per_segment,
-        flags=tuple(flags),
         metadata={"field": conn.provenance},
     )
 
@@ -193,21 +196,18 @@ def covariant_constant_field(
     theta0,
     v0,
     grid,
-    spot_checks: int = 3,
-    spot_tol: float = FIELD_SPOT_TOL,
     connection: Optional[ConnectionField] = None,
-    source: str = "fibre",
     steps_per_segment: int = 200,
 ) -> Trace:
     """Extend a vector to a grid by straight-path parallel transport.
 
     A few grid points are re-transported along an axis-aligned detour;
-    disagreement beyond ``spot_tol`` means the connection is not flat and
-    no covariant-constant extension exists.
+    disagreement beyond ``FIELD_SPOT_TOL`` means the connection is not
+    flat and no covariant-constant extension exists.
     """
     base = as_coords(theta0)
     seed = as_coords(v0)
-    conn = _resolve_field(model, connection, source)
+    conn = connection or connection_field(model)
     grid_points = [as_coords(point) for point in grid]
     vectors = []
     for target in grid_points:
@@ -218,14 +218,10 @@ def covariant_constant_field(
             model, [base, target], seed, connection=conn,
             steps_per_segment=steps_per_segment,
         )
-        if trace.flags:
-            raise NumericalFailure(
-                f"transport to {target.tolist()} left the field domain"
-            )
         vectors.append(trace.end_vector)
     scale = max(float(np.max(np.abs(vectors))), 1.0)
     worst = 0.0
-    count = min(spot_checks, len(grid_points))
+    count = min(FIELD_SPOT_CHECKS, len(grid_points))
     picks = np.linspace(0, len(grid_points) - 1, count).astype(int)
     for index in picks:
         target = grid_points[index]
@@ -237,7 +233,7 @@ def covariant_constant_field(
         )
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale
         worst = max(worst, gap)
-    if worst > spot_tol:
+    if worst > FIELD_SPOT_TOL:
         raise NotFlat(
             f"two transport paths disagree by {worst:.3g}; no covariant-constant "
             f"field exists for {model.name}",
@@ -248,7 +244,5 @@ def covariant_constant_field(
         times=np.arange(len(grid_points), dtype=float),
         points=np.array(grid_points),
         vectors=np.array(vectors),
-        step=0.0,
-        flags=(),
         metadata={"field": conn.provenance, "path_residual": worst},
     )

@@ -39,6 +39,14 @@ class TestRunConfig:
         )
         assert cli.RunConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "field, value", [("fibre_k", "3"), ("at", "1,2"), ("seed", 1.5), ("kappa", "2")]
+    )
+    def test_rejects_wrongly_typed_fields(self, field, value):
+        payload = {"model": "gce", "op": "metric", "at": [1.0, -1.0], field: value}
+        with pytest.raises(cli.ConfigError, match=f"'{field}'"):
+            cli.RunConfig.from_dict(payload)
+
     def test_parser_dests_match_config_fields(self):
         # config_from_args passes the parsed namespace to RunConfig as is
         dests = {action.dest for action in cli.build_parser()._actions}
@@ -289,10 +297,38 @@ class TestBadInput:
                  "--data", '{"kind": "gaussian", "mean": 0}'],
                 "'std'",
             ),
+            (
+                ["--model", "gce", "--op", "transport", "--start=1,0", "--end=2,1",
+                 "--vector=1,0"],
+                "way point [2.0, 1.0]",
+            ),
+            (["--model", "vmf-sphere", "--op", "metric", "--at", "1,0.3", "--kappa=-1"],
+             "kappa"),
+            (["--model", "gce", "--op", "metric", "--at", "1,-1", "--levels="], "levels"),
+            (["--model", "gce", "--op", "report", "--levels", "1"], "levels"),
+            (["--model", "gce", "--op", "classify", "--levels", "1"], "levels"),
+            (
+                ["--model", "gaussian-kl", "--op", "geodesic", "--start", "0,1",
+                 "--velocity", "1,0,0", "--t", "1"],
+                "--velocity",
+            ),
+            (
+                ["--model", "gaussian-kl", "--op", "transport", "--start", "0,1",
+                 "--end", "0,1,3", "--vector", "1,0"],
+                "--end",
+            ),
+            (
+                ["--model", "gaussian-kl", "--op", "affine", "--start", "0,1",
+                 "--targets", "0.5,1.5;0.5"],
+                "--targets",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
             "field-grid-zero", "fibre-k-zero", "data-missing-key",
+            "transport-outside-chart", "kappa-negative", "levels-empty",
+            "report-one-level", "classify-one-level", "velocity-length",
+            "end-length", "targets-point-length",
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -9,9 +9,7 @@ from dsm_geom.core import (
     ChartSpec,
     GaussianData,
     MomentData,
-    ParameterPoint,
     RegressionData,
-    StatisticQuery,
     Tolerances,
     evaluate_divergence,
     divergence_gradient,
@@ -26,19 +24,6 @@ from conftest import (
     random_chart_point,
     random_dataset,
 )
-
-
-class TestParameterPoint:
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(DomainError):
-            ParameterPoint(np.array([]))
-        with pytest.raises(DomainError):
-            ParameterPoint(np.array([1.0, np.inf]))
-
-    def test_coords_read_only(self):
-        point = ParameterPoint(np.array([1.0, 2.0]), chart_id="mu-sigma")
-        with pytest.raises(ValueError):
-            point.coords[0] = 3.0
 
 
 class TestTolerances:
@@ -237,8 +222,8 @@ class TestStatisticQuery:
 
         data = GumbelData(1.0, 0.0)
         with pytest.raises(MissingStatistic):
-            data.expectation(StatisticQuery("exp_shift"))
-        value = data.expectation(StatisticQuery("exp_shift", np.array([1.0, 0.0])))
+            data.statistic("exp_shift")
+        value = data.statistic("exp_shift", np.array([1.0, 0.0]))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_gce_occupancy_oracle(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from dsm_geom import models
+from dsm_geom import models, structure
 from dsm_geom.core import (
     ExponentialData,
     GaussianData,
@@ -106,6 +106,18 @@ class TestGrandCanonical:
     def test_empty_spectrum_rejected(self):
         with pytest.raises(DomainError):
             models.build("gce", levels=[])
+
+    @pytest.mark.parametrize("levels", [[1.0], [1.0, 1.0, 1.0]])
+    def test_degenerate_spectrum_rejected(self, levels):
+        # one distinct level leaves a singular metric at every point
+        with pytest.raises(DomainError, match=r"two distinct levels.*\[1\.0"):
+            models.build("gce", levels=levels)
+
+    @pytest.mark.parametrize("levels", [[1.0, 1.0, 2.0], [2.0, 1.0]])
+    def test_repeated_or_unsorted_levels_classify(self, levels):
+        model = models.build("gce", levels=levels)
+        report = structure.classify(model, structure.default_grid(model, 2))
+        assert report.exponential_family == "yes"
 
     def test_two_level_fibre_capacity(self):
         model = models.build("gce", levels=[1.0, 2.0])

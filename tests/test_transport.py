@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dsm_geom import geometry, models, transport
-from dsm_geom.errors import NotFlat
+from dsm_geom.errors import DomainError, NotFlat
 
 from conftest import levi_civita_from_metric
 
@@ -65,7 +65,43 @@ class TestGeodesic:
         assert len(trace.points) < 1001
 
 
+def counting_oracle_field(model):
+    """The model's oracle connection field, recording each evaluation."""
+    oracle = geometry.connection_field(model, source="oracle")
+    calls = []
+
+    def counted(coords):
+        calls.append(1)
+        return oracle.evaluate(coords)
+
+    conn = geometry.ConnectionField(
+        evaluate=counted, provenance=oracle.provenance, domain=oracle.domain
+    )
+    return conn, calls
+
+
 class TestParallelTransport:
+    def test_waypoint_outside_domain_raises_before_any_evaluation(self, catalogue):
+        # beta = -0.5 is outside the field domain beta > 0; the straight
+        # path used to run until a step crossed the bound
+        gce = catalogue["gce"]
+        conn, calls = counting_oracle_field(gce)
+        with pytest.raises(DomainError, match="way point"):
+            transport.parallel_transport(
+                gce, [np.array([1.0, 0.0]), np.array([-0.5, 0.0])], [1.0, 0.0],
+                connection=conn,
+            )
+        assert calls == []
+
+    def test_zero_length_path_is_one_sample(self, catalogue):
+        model = catalogue["gaussian-kl"]
+        conn, calls = counting_oracle_field(model)
+        a = np.array([0.3, 1.2])
+        trace = transport.parallel_transport(model, [a, a], [0.7, -0.2], connection=conn)
+        assert len(trace.times) == 1 and calls == []
+        assert trace.end_point.tolist() == [0.3, 1.2]
+        assert trace.end_vector.tolist() == [0.7, -0.2]
+
     def test_zero_connection_keeps_vector(self, catalogue):
         trace = transport.parallel_transport(
             catalogue["regression-dlambda"],
@@ -179,16 +215,7 @@ class TestCovariantConstantField:
         # 200 RK4 steps of 4 evaluations each for the straight path and the
         # detour (a zero-length corner used to cost another 800)
         model = catalogue["gaussian-kl"]
-        oracle = geometry.connection_field(model, source="oracle")
-        calls = []
-
-        def counted(coords):
-            calls.append(1)
-            return oracle.evaluate(coords)
-
-        conn = geometry.ConnectionField(
-            evaluate=counted, provenance=oracle.provenance, domain=oracle.domain
-        )
+        conn, calls = counting_oracle_field(model)
         trace = transport.covariant_constant_field(
             model, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])],
             connection=conn, steps_per_segment=200,
