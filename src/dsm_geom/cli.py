@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -45,21 +47,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-OPS = (
-    "fit",
-    "metric",
-    "connection",
-    "curvature",
-    "classify",
-    "affine",
-    "massieu",
-    "geodesic",
-    "transport",
-    "field",
-    "pythagoras",
-    "report",
-)
-
 _REPORT_FIELDS = {
     "schema_version",
     "model",
@@ -83,18 +70,18 @@ class RunConfig:
 
     model: str
     op: str
-    levels: Optional[list] = None
+    levels: Optional[list[float]] = None
     kappa: Optional[float] = None
     lam: Optional[float] = None
     mu0: Optional[float] = None
     sigma0: Optional[float] = None
-    at: Optional[list] = None
-    start: Optional[list] = None
-    end: Optional[list] = None
-    velocity: Optional[list] = None
-    vector: Optional[list] = None
-    targets: Optional[list] = None
-    other: Optional[list] = None
+    at: Optional[list[float]] = None
+    start: Optional[list[float]] = None
+    end: Optional[list[float]] = None
+    velocity: Optional[list[float]] = None
+    vector: Optional[list[float]] = None
+    targets: Optional[list[list[float]]] = None
+    other: Optional[list[float]] = None
     t_end: Optional[float] = None
     step: Optional[float] = None
     grid: str = "default"
@@ -115,12 +102,11 @@ class RunConfig:
             raise ConfigError("config needs 'model' and 'op'")
         hints = typing.get_type_hints(cls)
         for name, value in payload.items():
-            allowed = typing.get_args(hints[name]) or (hints[name],)
-            if float in allowed:
-                allowed += (int,)
-            if not isinstance(value, allowed) or isinstance(value, bool):
-                names = " or ".join(kind.__name__ for kind in allowed)
-                raise ConfigError(f"config field '{name}' must be {names}, got {value!r}")
+            if not _conforms(value, hints[name]):
+                kind = inspect.formatannotation(hints[name])
+                raise ConfigError(
+                    f"config field '{name}' must be {kind} with finite numbers, got {value!r}"
+                )
         config = cls(**payload)
         config.validate()
         return config
@@ -134,25 +120,21 @@ class RunConfig:
             )
         if self.model == "all" and self.op != "report":
             raise ConfigError("--model all is only valid with --op report")
-        needs_point = {"metric", "connection", "curvature", "pythagoras"}
-        if self.op in needs_point and self.at is None:
-            raise ConfigError(f"op '{self.op}' needs --at")
-        if self.op in {"affine", "massieu"} and (self.start is None or not self.targets):
-            raise ConfigError(f"op '{self.op}' needs --start and --targets")
-        if self.op == "geodesic" and (
-            self.start is None or self.velocity is None or self.t_end is None
-        ):
-            raise ConfigError("op 'geodesic' needs --start, --velocity and --t")
-        if self.op == "transport" and (
-            self.start is None or self.end is None or self.vector is None
-        ):
-            raise ConfigError("op 'transport' needs --start, --end and --vector")
-        if self.op == "field" and (self.start is None or self.vector is None):
-            raise ConfigError("op 'field' needs --start and --vector")
-        if self.op == "pythagoras" and self.other is None:
-            raise ConfigError("op 'pythagoras' needs --other")
-        if self.op == "fit" and (self.data is None or self.start is None):
-            raise ConfigError("op 'fit' needs --data and --start")
+        takes = models.options(self.model) if self.model != "all" else ()
+        for name in _MODEL_OPTIONS:
+            if getattr(self, name) is not None and name not in takes:
+                known = ", ".join(_flag(option) for option in takes) or "none"
+                raise ConfigError(
+                    f"--model {self.model} takes no {_flag(name)} (its options: {known})"
+                )
+        # a required option given empty or zero is as good as missing
+        unset = [_flag(name) for name in _OPS[self.op][1] if not getattr(self, name)]
+        if unset:
+            raise ConfigError(
+                f"op '{self.op}' needs {', '.join(unset)}, each non-empty and nonzero"
+            )
+        if self.step is not None and self.step <= 0:
+            raise ConfigError(f"--step must be > 0, got {self.step}")
         if self.fibre_k < 1:
             raise ConfigError(f"--fibre-k must be >= 1, got {self.fibre_k}")
         try:
@@ -169,19 +151,20 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def build_model(self):
-        kwargs = {}
-        if self.model == "gce" and self.levels is not None:
-            kwargs["levels"] = self.levels
-        if self.model in ("vmf-sphere", "vmf-cylinder") and self.kappa is not None:
-            kwargs["kappa"] = self.kappa
-        if self.model == "regression-dlambda" and self.lam is not None:
-            kwargs["lam"] = self.lam
-        if self.model == "gaussian-sumsq":
-            if self.mu0 is not None:
-                kwargs["mu0"] = self.mu0
-            if self.sigma0 is not None:
-                kwargs["sigma0"] = self.sigma0
-        return models.build(self.model, **kwargs)
+        given = {name: getattr(self, name) for name in models.options(self.model)}
+        return models.build(self.model, **{k: v for k, v in given.items() if v is not None})
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has type ``hint``, list elements included; numbers are finite."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_conforms(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(item, args[0]) for item in value)
+    kinds = (int, float) if hint is float else hint
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return isinstance(value, kinds) and not isinstance(value, bool) and finite
 
 
 def parse_data_spec(spec: dict) -> DataSet:
@@ -419,7 +402,7 @@ def _op_geodesic(config, model):
         step=config.step,
         connection=_connection_field(config, model),
     )
-    doc = make_document(
+    return make_document(
         config,
         results={
             "end_point": trace.end_point,
@@ -427,8 +410,7 @@ def _op_geodesic(config, model):
             "samples": len(trace.times),
             "flags": list(trace.flags),
         },
-    )
-    return doc, trace
+    ), trace
 
 
 def _op_transport(config, model):
@@ -438,15 +420,14 @@ def _op_transport(config, model):
         config.vector,
         connection=_connection_field(config, model),
     )
-    doc = make_document(
+    return make_document(
         config,
         results={
             "end_point": trace.end_point,
             "end_vector": trace.end_vector,
             "flags": list(trace.flags),
         },
-    )
-    return doc, trace
+    ), trace
 
 
 def _op_field(config, model):
@@ -455,12 +436,11 @@ def _op_field(config, model):
         model, config.start, config.vector, grid,
         connection=_connection_field(config, model),
     )
-    doc = make_document(
+    return make_document(
         config,
         results={"points": trace.points, "vectors": trace.vectors},
         residuals={"path_residual": trace.metadata.get("path_residual")},
-    )
-    return doc, trace
+    ), trace
 
 
 def _op_pythagoras(config, model):
@@ -477,22 +457,35 @@ def _op_pythagoras(config, model):
     ), None
 
 
-_OP_HANDLERS = {
-    "fit": _op_fit,
-    "metric": _op_metric,
-    "connection": _op_connection,
-    "curvature": _op_curvature,
-    "classify": _op_classify,
-    "affine": _op_affine,
-    "massieu": _op_massieu,
-    "geodesic": _op_geodesic,
-    "transport": _op_transport,
-    "field": _op_field,
-    "pythagoras": _op_pythagoras,
-}
+def _op_report(config, model):
+    return model_report(model, config), None
 
+
+# each op's handler and the options it cannot run without, in --op order
+_OPS = {
+    "fit": (_op_fit, ("data", "start")),
+    "metric": (_op_metric, ("at",)),
+    "connection": (_op_connection, ("at",)),
+    "curvature": (_op_curvature, ("at",)),
+    "classify": (_op_classify, ()),
+    "affine": (_op_affine, ("start", "targets")),
+    "massieu": (_op_massieu, ("start", "targets")),
+    "geodesic": (_op_geodesic, ("start", "velocity", "t_end")),
+    "transport": (_op_transport, ("start", "end", "vector")),
+    "field": (_op_field, ("start", "vector")),
+    "pythagoras": (_op_pythagoras, ("at", "other")),
+    "report": (_op_report, ()),
+}
+OPS = tuple(_OPS)
+
+_MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.options(name)})
 
 _POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
+
+
+def _flag(name: str) -> str:
+    """The command-line spelling of a RunConfig field, such as ``--t``."""
+    return next(act.option_strings[0] for act in build_parser()._actions if act.dest == name)
 
 
 def _check_dims(config, dim):
@@ -508,47 +501,52 @@ def _check_dims(config, dim):
 
 def run(config: RunConfig) -> int:
     """Execute one operation and write its output files."""
-    if config.op == "report" and config.model == "all":
-        return report_all(config.out, seed=config.seed, tolerances=config.tolerances)
+    trace, table = None, None
+    json_path, csv_path = _out_paths(config.out)
     try:
-        model = config.build_model()
-        _check_dims(config, model.chart.dim)
-        started = time.perf_counter()
-        if config.op == "report":  # deterministic: no wall-clock field
-            document, trace = model_report(model, config.tolerances, seed=config.seed), None
+        if config.model == "all":
+            documents, table = report_all(config.out, config.seed, config.tolerances)
         else:
-            document, trace = _OP_HANDLERS[config.op](config, model)
-            document["runtime_ms"] = int((time.perf_counter() - started) * 1000)
+            model = config.build_model()
+            _check_dims(config, model.chart.dim)
+            started = time.perf_counter()
+            document, trace = _OPS[config.op][0](config, model)
+            if config.op != "report":  # a report is deterministic: no wall-clock field
+                document["runtime_ms"] = int((time.perf_counter() - started) * 1000)
+            documents = [(json_path, document)]
     except (ConfigError, DomainError, Unsupported, MissingStatistic) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (DsmGeomError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    json_path, csv_path = _out_paths(config.out)
     try:
-        write_json(json_path, document)
+        if config.model == "all":
+            os.makedirs(config.out, exist_ok=True)
+        for path, document in documents:
+            write_json(path, document)
         if trace is not None:
             write_trace_csv(csv_path, trace, model.chart.names)
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    if table is not None:
+        print(table)
     return EXIT_OK
 
 
-def model_report(model, tolerances: dict, seed: int = 42) -> dict:
+def model_report(model, config: RunConfig) -> dict:
     """classify + oracle comparison for one model (deterministic)."""
-    config = RunConfig(model=model.name, op="report", tolerances=tolerances, seed=seed)
     tol = config.tol
-    report = structure.classify(model, tol=tol)
+    report = structure.classify(model, _grid_for(config, model), config.fibre_k, tol)
     oracle_gaps = {}
     if model.oracle is not None and model.oracle.metric is not None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(config.seed)
         points = model.chart.random_points(rng, 5)
         metric_gap = 0.0
         connection_gap = 0.0
         for point in points:
-            g = geometry.metric_at(model, point, tol=tol).matrix
+            g = geometry.metric_at(model, point, fibre_k=config.fibre_k, tol=tol).matrix
             reference = model.oracle.metric(point)
             scale = max(float(np.max(np.abs(reference))), 1e-12)
             metric_gap = max(
@@ -569,46 +567,29 @@ def model_report(model, tolerances: dict, seed: int = 42) -> dict:
     )
 
 
-def report_all(out_dir: str, seed: int = 42, tolerances: Optional[dict] = None) -> int:
-    """Classify the whole catalogue; one JSON per model plus a summary.
+def report_all(out_dir: str, seed: int = 42, tolerances: Optional[dict] = None):
+    """Classify the whole catalogue: one document per model plus a summary.
 
-    Documents omit wall-clock timing so reruns with the same seed are
-    byte-identical.
+    Returns the ``(path, document)`` pairs to write under ``out_dir`` and
+    the verdict table to print.  Documents omit wall-clock timing so reruns
+    with the same seed are byte-identical.
     """
-    tolerances = tolerances or {}
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        produced = [
-            (name, model_report(models.build(name), tolerances, seed=seed))
-            for name in sorted(models.MODEL_NAMES)
-        ]
-    except DsmGeomError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    summary_rows = []
-    try:
-        for name, document in produced:
-            write_json(os.path.join(out_dir, f"{name}.json"), document)
-            summary_rows.append({"model": name, **document["verdicts"]})
-        write_json(
-            os.path.join(out_dir, "summary.json"),
-            {"schema_version": SCHEMA_VERSION, "seed": seed, "models": summary_rows},
-        )
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
-    width = max(len(row["model"]) for row in summary_rows)
-    for row in summary_rows:
-        print(
-            f"{row['model']:<{width}}  condition4={row['condition4']:<14}"
-            f"hessian={row['hessian_structure']:<14}"
-            f"exponential_family={row['exponential_family']}"
-        )
-    return EXIT_OK
+    documents, rows = [], []
+    for name in sorted(models.MODEL_NAMES):
+        config = RunConfig(model=name, op="report", tolerances=tolerances or {}, seed=seed)
+        document = model_report(models.build(name), config)
+        documents.append((os.path.join(out_dir, f"{name}.json"), document))
+        rows.append({"model": name, **document["verdicts"]})
+    summary = {"schema_version": SCHEMA_VERSION, "seed": seed, "models": rows}
+    documents.append((os.path.join(out_dir, "summary.json"), summary))
+    width = max(len(row["model"]) for row in rows)
+    table = "\n".join(
+        f"{row['model']:<{width}}  condition4={row['condition4']:<14}"
+        f"hessian={row['hessian_structure']:<14}"
+        f"exponential_family={row['exponential_family']}"
+        for row in rows
+    )
+    return documents, table
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ connection, affine coordinates, Massieu potential, geodesics).
 """
 from __future__ import annotations
 
+import inspect
+
 from ..core import ModelDefinition
 from .gaussian import gaussian_kl, gaussian_sumsq
 from .gce import grand_canonical
@@ -38,6 +40,11 @@ def build(name: str, **kwargs) -> ModelDefinition:
     return builder(**kwargs)
 
 
+def options(name: str) -> tuple:
+    """The constructor options of a catalogue entry: its builder's parameters."""
+    return tuple(inspect.signature(_BUILDERS[name]).parameters)
+
+
 def catalogue() -> dict:
     """All entries with default constructor arguments."""
     return {name: build(name) for name in MODEL_NAMES}
@@ -47,6 +54,7 @@ __all__ = [
     "MODEL_NAMES",
     "build",
     "catalogue",
+    "options",
     "gaussian_kl",
     "gaussian_sumsq",
     "regression_ls",

@@ -78,8 +78,7 @@ def _probe_pairs_kl(coords, delta, family):
     mu, sigma = coords
 
     def central_pinned(mean, central2):
-        raw = central2 + 2.0 * mu * mean - mu * mu
-        return raw
+        return central2 + 2.0 * mu * mean - mu * mu
 
     if family == 0:
         d = delta * sigma
@@ -241,28 +240,25 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         mu, sigma = coords
         d = delta * sigma if family == 0 else 0.5 * delta * sigma
         raw_fibre = sigma**2 + mu**2
-
-        def probe(mean, raw, tag):
-            return _moment_probe(mean, raw, tag)
-
         if family == 0:
             return [
                 ProbePair(
-                    probe(mu + d, raw_fibre, "p(mu)+"), probe(mu - d, raw_fibre, "p(mu)-")
+                    _moment_probe(mu + d, raw_fibre, "p(mu)+"),
+                    _moment_probe(mu - d, raw_fibre, "p(mu)-"),
                 ),
                 ProbePair(
-                    probe(mu, (sigma + d) ** 2 + mu**2, "p(sigma)+"),
-                    probe(mu, (sigma - d) ** 2 + mu**2, "p(sigma)-"),
+                    _moment_probe(mu, (sigma + d) ** 2 + mu**2, "p(sigma)+"),
+                    _moment_probe(mu, (sigma - d) ** 2 + mu**2, "p(sigma)-"),
                 ),
             ]
         return [
             ProbePair(
-                probe(mu + d, (sigma + d / 3.0) ** 2 + mu**2, "q0+"),
-                probe(mu - d, (sigma - d / 3.0) ** 2 + mu**2, "q0-"),
+                _moment_probe(mu + d, (sigma + d / 3.0) ** 2 + mu**2, "q0+"),
+                _moment_probe(mu - d, (sigma - d / 3.0) ** 2 + mu**2, "q0-"),
             ),
             ProbePair(
-                probe(mu - d / 3.0, (sigma + d) ** 2 + mu**2, "q1+"),
-                probe(mu + d / 3.0, (sigma - d) ** 2 + mu**2, "q1-"),
+                _moment_probe(mu - d / 3.0, (sigma + d) ** 2 + mu**2, "q1+"),
+                _moment_probe(mu + d / 3.0, (sigma - d) ** 2 + mu**2, "q1-"),
             ),
         ]
 

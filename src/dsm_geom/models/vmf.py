@@ -30,6 +30,18 @@ def _moment_vector(x):
     )
 
 
+def _moment_data(vector, entropy, tag):
+    return MomentData(
+        {
+            "mean_e1": vector[0],
+            "mean_e2": vector[1],
+            "mean_e3": vector[2],
+            "entropy": entropy,
+        },
+        label=tag,
+    )
+
+
 def _sphere_point(theta):
     t, p = theta
     return np.array(
@@ -92,23 +104,12 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         h[1, 1] = -kappa * float(du[(1, 1)] @ moments)
         return h
 
-    def moment_data(vector, entropy, tag):
-        return MomentData(
-            {
-                "mean_e1": vector[0],
-                "mean_e2": vector[1],
-                "mean_e3": vector[2],
-                "entropy": entropy,
-            },
-            label=tag,
-        )
-
     def fibre_members(coords, k):
         # the fibre pins the moment vector; members differ in the
         # divergence-invisible entropy offset only
         u = _sphere_point(coords)
         return [
-            moment_data(u, fibre_entropy - 0.35 * j, f"sphere-fibre({j})")
+            _moment_data(u, fibre_entropy - 0.35 * j, f"sphere-fibre({j})")
             for j in range(k)
         ]
 
@@ -129,8 +130,8 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         for idx, direction in enumerate(tangents):
             pairs.append(
                 ProbePair(
-                    moment_data(great_circle(direction, +delta), fibre_entropy, f"gc{idx}+"),
-                    moment_data(great_circle(direction, -delta), fibre_entropy, f"gc{idx}-"),
+                    _moment_data(great_circle(direction, +delta), fibre_entropy, f"gc{idx}+"),
+                    _moment_data(great_circle(direction, -delta), fibre_entropy, f"gc{idx}-"),
                 )
             )
         return pairs
@@ -229,22 +230,11 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     def fibre_entropy(lam):
         return log_norm(lam) - kappa + 1.0  # cross-entropy at the projection
 
-    def moment_data(vector, entropy, tag):
-        return MomentData(
-            {
-                "mean_e1": vector[0],
-                "mean_e2": vector[1],
-                "mean_e3": vector[2],
-                "entropy": entropy,
-            },
-            label=tag,
-        )
-
     def fibre_members(coords, k):
         phi, lam = coords
         vec = np.array([math.cos(phi), math.sin(phi), 1.0 / lam])
         return [
-            moment_data(vec, fibre_entropy(lam) - 0.35 * j, f"cyl-fibre({j})")
+            _moment_data(vec, fibre_entropy(lam) - 0.35 * j, f"cyl-fibre({j})")
             for j in range(k)
         ]
 
@@ -260,7 +250,7 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
 
         def on_surface(angle, e3_value):
             vec = np.array([math.cos(angle), math.sin(angle), e3_value])
-            return moment_data(vec, max_entropy(vec), "cyl-probe")
+            return _moment_data(vec, max_entropy(vec), "cyl-probe")
 
         if family == 0:
             return [

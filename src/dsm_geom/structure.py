@@ -10,7 +10,7 @@ along chart paths, with a second path recording path-independence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,15 @@ from .transport import _along, _l_path
 CLASSIFY_GRID_PER_AXIS = 5
 MASSIEU_HESS_TOL = 1e-3
 DEFAULT_PATH_STEPS = 96
+
+# the Hessian-structure checks: report block, key of the block's value, and
+# the tolerance that value is compared with (also its key in classify's worst)
+_HESSIAN_CHECKS = (
+    ("probe_consistency", "worst", "hessian"),
+    ("torsionless", "residual", "torsion"),
+    ("flat", "max_curvature", "flat"),
+    ("codazzi", "residual", "codazzi"),
+)
 
 
 @dataclass
@@ -115,18 +124,10 @@ def classify(
     grid = [as_coords(point) for point in grid]
     if not grid:
         raise DomainError(f"classify of {model.name} needs at least one grid point")
-    report = GeometryReport(
-        model=model.name,
-        grid=grid,
-        tolerances={
-            "cond4": tol.cond4,
-            "hessian": tol.hessian,
-            "flat": tol.flat,
-            "torsion": tol.torsion,
-            "codazzi": tol.codazzi,
-        },
-    )
-    worst = {"cond4": 0.0, "probe": 0.0, "torsion": 0.0, "flat": 0.0, "codazzi": 0.0}
+    tolerances = asdict(tol)
+    del tolerances["path"]  # the affine and Massieu tolerance: no classify check
+    report = GeometryReport(model=model.name, grid=grid, tolerances=tolerances)
+    worst = dict.fromkeys(tolerances, 0.0)
     worst_points = {}
     failure_evidence = None
     metric = metric_field(model, fibre_k=fibre_k, tol=tol)
@@ -154,13 +155,13 @@ def classify(
         try:
             connection = connection_at(model, point, tol=tol)
         except HessianStructureViolated as err:
-            track("probe", err.deviation, point)
+            track("hessian", err.deviation, point)
             continue
         except ProbeSingular as err:
             failure_evidence = {"point": point.tolist(), "error": str(err)}
-            track("probe", float("inf"), point)
+            track("hessian", float("inf"), point)
             continue
-        track("probe", connection.probe_consistency, point)
+        track("hessian", connection.probe_consistency, point)
         track("torsion", torsion_residual(connection.omega), point)
         track("flat", curvature_at(model, point, connection=conn).max_abs, point)
         track(
@@ -175,41 +176,21 @@ def classify(
         "worst_point": worst_points.get("cond4"),
         "evidence": failure_evidence,
     }
-    if not cond4_ok or not model.has_probes:
-        not_run = "not-evaluated"
-        report.probe_consistency = {"status": not_run, "worst": None}
-        report.torsionless = {"status": not_run, "residual": None}
-        report.flat = {"status": not_run, "max_curvature": None}
-        report.codazzi = {"status": not_run, "residual": None}
-        report.hessian_structure = "fail" if not cond4_ok else not_run
+    evaluated = cond4_ok and model.has_probes
+    for block, value_key, key in _HESSIAN_CHECKS:
+        entry = {"status": "not-evaluated", value_key: None}
+        if evaluated:
+            entry = {
+                "status": "pass" if worst[key] <= tolerances[key] else "fail",
+                value_key: worst[key],
+                "worst_point": worst_points.get(key),
+            }
+        setattr(report, block, entry)
+    if cond4_ok and not model.has_probes:
+        report.hessian_structure = "not-evaluated"
     else:
-        probe_ok = worst["probe"] <= tol.hessian
-        torsion_ok = worst["torsion"] <= tol.torsion
-        flat_ok = worst["flat"] <= tol.flat
-        codazzi_ok = worst["codazzi"] <= tol.codazzi
-        report.probe_consistency = {
-            "status": "pass" if probe_ok else "fail",
-            "worst": worst["probe"],
-            "worst_point": worst_points.get("probe"),
-        }
-        report.torsionless = {
-            "status": "pass" if torsion_ok else "fail",
-            "residual": worst["torsion"],
-            "worst_point": worst_points.get("torsion"),
-        }
-        report.flat = {
-            "status": "pass" if flat_ok else "fail",
-            "max_curvature": worst["flat"],
-            "worst_point": worst_points.get("flat"),
-        }
-        report.codazzi = {
-            "status": "pass" if codazzi_ok else "fail",
-            "residual": worst["codazzi"],
-            "worst_point": worst_points.get("codazzi"),
-        }
-        report.hessian_structure = (
-            "pass" if (probe_ok and torsion_ok and flat_ok and codazzi_ok) else "fail"
-        )
+        passed = [getattr(report, block)["status"] == "pass" for block, *_ in _HESSIAN_CHECKS]
+        report.hessian_structure = "pass" if all(passed) else "fail"
     if model.divergence_tag != "kl":
         report.exponential_family = "not-applicable"
     elif cond4_ok and report.hessian_structure == "pass":

@@ -110,7 +110,7 @@ def geodesic(
     velocity = as_coords(v0)
     conn = connection or connection_field(model)
     if not conn.contains(coords):
-        raise NumericalFailure(f"geodesic start {coords.tolist()} outside field domain")
+        raise DomainError(f"geodesic start {coords.tolist()} outside field domain")
     h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
     if not h > 0:
         raise NumericalFailure("geodesic needs a positive step")

@@ -40,12 +40,52 @@ class TestRunConfig:
         assert cli.RunConfig.from_dict(config.to_dict()) == config
 
     @pytest.mark.parametrize(
-        "field, value", [("fibre_k", "3"), ("at", "1,2"), ("seed", 1.5), ("kappa", "2")]
+        "field, value",
+        [
+            ("fibre_k", "3"),
+            ("at", "1,2"),
+            ("seed", 1.5),
+            ("kappa", "2"),
+            ("at", ["a", "b"]),
+            ("targets", [[1.0, -1.0], [2.0, "x"]]),
+        ],
     )
     def test_rejects_wrongly_typed_fields(self, field, value):
         payload = {"model": "gce", "op": "metric", "at": [1.0, -1.0], field: value}
         with pytest.raises(cli.ConfigError, match=f"'{field}'"):
             cli.RunConfig.from_dict(payload)
+
+    def test_each_required_option_is_named_when_missing(self):
+        needs = {
+            "fit": ["--data", "--start"],
+            "metric": ["--at"],
+            "connection": ["--at"],
+            "curvature": ["--at"],
+            "classify": [],
+            "affine": ["--start", "--targets"],
+            "massieu": ["--start", "--targets"],
+            "geodesic": ["--start", "--velocity", "--t"],
+            "transport": ["--start", "--end", "--vector"],
+            "field": ["--start", "--vector"],
+            "pythagoras": ["--at", "--other"],
+            "report": [],
+        }
+        assert list(needs) == list(cli.OPS)
+        options = {
+            "--at": "1,-1", "--start": "1,-1", "--end": "2,-1", "--velocity": "1,0",
+            "--vector": "1,0", "--targets": "2,0.3", "--other": "2,-1", "--t": "1",
+            "--data": '{"kind": "gaussian", "mean": 0, "std": 1}',
+        }
+
+        def argv(op, drop=None):
+            given = [item for key, value in options.items() if key != drop for item in (key, value)]
+            return ["--model", "gce", "--op", op, *given]
+
+        for op, flags in needs.items():
+            cli.config_from_args(argv(op))
+            for flag in flags:
+                with pytest.raises(cli.ConfigError, match=f"needs .*{flag}\\b"):
+                    cli.config_from_args(argv(op, drop=flag))
 
     def test_parser_dests_match_config_fields(self):
         # config_from_args passes the parsed namespace to RunConfig as is
@@ -70,6 +110,14 @@ class TestDocuments:
             np.diag([1.0, 2.0])
         )
         assert doc["schema_version"] == cli.SCHEMA_VERSION
+
+    def test_single_model_report_records_its_inputs(self, tmp_path):
+        out = tmp_path / "gce.json"
+        args = ["--model", "gce", "--levels", "1,2,5", "--op", "report", "--out", str(out)]
+        assert cli.main(args) == 0
+        doc = cli.load_document(str(out))
+        assert doc["inputs"]["levels"] == [1.0, 2.0, 5.0]
+        assert doc["inputs"]["out"] == str(out)
 
     def test_unknown_report_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -322,13 +370,44 @@ class TestBadInput:
                  "--targets", "0.5,1.5;0.5"],
                 "--targets",
             ),
+            (["--model", "gce", "--op", "metric", "--at", "1,-1", "--kappa", "2"], "--kappa"),
+            (["--model", "regression-ls", "--op", "metric", "--at", "0.5,-0.25",
+              "--lambda", "2"], "--lambda"),
+            (["--model", "all", "--op", "report", "--levels", "1,2"], "--levels"),
+            (
+                ["--model", "gce", "--op", "geodesic", "--start", "1,2",
+                 "--velocity", "1,0", "--t", "1"],
+                "outside field domain",
+            ),
+            (
+                ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
+                 "--velocity", "1,0", "--t", "1", "--step", "0"],
+                "--step",
+            ),
+            (
+                ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
+                 "--velocity", "1,0", "--t", "0"],
+                "--t",
+            ),
+            (
+                ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
+                 "--velocity", "1,0", "--t", "inf"],
+                "'t_end'",
+            ),
+            (
+                ["--model", "gaussian-kl", "--op", "transport", "--start", "0,1",
+                 "--end", "0.3,1.2", "--vector", "nan,0"],
+                "'vector'",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
             "field-grid-zero", "fibre-k-zero", "data-missing-key",
             "transport-outside-chart", "kappa-negative", "levels-empty",
             "report-one-level", "classify-one-level", "velocity-length",
-            "end-length", "targets-point-length",
+            "end-length", "targets-point-length", "gce-kappa", "regression-ls-lambda",
+            "all-levels", "geodesic-outside-chart", "step-zero", "t-zero", "t-inf",
+            "vector-nan",
         ],
     )
     @pytest.mark.filterwarnings("error")
