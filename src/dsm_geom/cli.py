@@ -127,8 +127,13 @@ class RunConfig:
                 raise ConfigError(
                     f"--model {self.model} takes no {_flag(name)} (its options: {known})"
                 )
+        _, needs, may = _OPS[self.op]
+        for name in _RUN_OPTIONS:
+            if getattr(self, name) is not None and name not in needs + may:
+                known = ", ".join(_flag(option) for option in needs + may) or "none"
+                raise ConfigError(f"op '{self.op}' takes no {_flag(name)} (its options: {known})")
         # a required option given empty or zero is as good as missing
-        unset = [_flag(name) for name in _OPS[self.op][1] if not getattr(self, name)]
+        unset = [_flag(name) for name in needs if not getattr(self, name)]
         if unset:
             raise ConfigError(
                 f"op '{self.op}' needs {', '.join(unset)}, each non-empty and nonzero"
@@ -461,24 +466,28 @@ def _op_report(config, model):
     return model_report(model, config), None
 
 
-# each op's handler and the options it cannot run without, in --op order
+# each op's handler, the options it cannot run without and the ones it may
+# take, in --op order
 _OPS = {
-    "fit": (_op_fit, ("data", "start")),
-    "metric": (_op_metric, ("at",)),
-    "connection": (_op_connection, ("at",)),
-    "curvature": (_op_curvature, ("at",)),
-    "classify": (_op_classify, ()),
-    "affine": (_op_affine, ("start", "targets")),
-    "massieu": (_op_massieu, ("start", "targets")),
-    "geodesic": (_op_geodesic, ("start", "velocity", "t_end")),
-    "transport": (_op_transport, ("start", "end", "vector")),
-    "field": (_op_field, ("start", "vector")),
-    "pythagoras": (_op_pythagoras, ("at", "other")),
-    "report": (_op_report, ()),
+    "fit": (_op_fit, ("data", "start"), ()),
+    "metric": (_op_metric, ("at",), ()),
+    "connection": (_op_connection, ("at",), ()),
+    "curvature": (_op_curvature, ("at",), ()),
+    "classify": (_op_classify, (), ()),
+    "affine": (_op_affine, ("start", "targets"), ()),
+    "massieu": (_op_massieu, ("start", "targets"), ()),
+    "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step",)),
+    "transport": (_op_transport, ("start", "end", "vector"), ()),
+    "field": (_op_field, ("start", "vector"), ()),
+    "pythagoras": (_op_pythagoras, ("at", "other"), ()),
+    "report": (_op_report, (), ()),
 }
 OPS = tuple(_OPS)
 
 _MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.options(name)})
+
+# the run options that are unset by default; an op takes only those it names
+_RUN_OPTIONS = ("at", "start", "end", "velocity", "vector", "targets", "other", "t_end", "step", "data")
 
 _POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
 
@@ -505,7 +514,7 @@ def run(config: RunConfig) -> int:
     json_path, csv_path = _out_paths(config.out)
     try:
         if config.model == "all":
-            documents, table = report_all(config.out, config.seed, config.tolerances)
+            documents, table = report_all(config)
         else:
             model = config.build_model()
             _check_dims(config, model.chart.dim)
@@ -553,7 +562,7 @@ def model_report(model, config: RunConfig) -> dict:
                 metric_gap, float(np.max(np.abs(g - reference))) / scale
             )
             if model.oracle.connection is not None and model.has_probes:
-                omega = geometry.connection_at(model, point, tol=tol).omega
+                omega = geometry.connection_at(model, point, fibre_k=config.fibre_k, tol=tol).omega
                 ref = model.oracle.connection(point)
                 cscale = max(float(np.max(np.abs(ref))), 1.0)
                 connection_gap = max(
@@ -567,21 +576,22 @@ def model_report(model, config: RunConfig) -> dict:
     )
 
 
-def report_all(out_dir: str, seed: int = 42, tolerances: Optional[dict] = None):
+def report_all(config: RunConfig):
     """Classify the whole catalogue: one document per model plus a summary.
 
-    Returns the ``(path, document)`` pairs to write under ``out_dir`` and
-    the verdict table to print.  Documents omit wall-clock timing so reruns
-    with the same seed are byte-identical.
+    Returns the ``(path, document)`` pairs to write under the ``config.out``
+    directory and the verdict table to print.  Documents omit wall-clock
+    timing and the output directory, so reruns with the same seed are
+    byte-identical wherever they write.
     """
     documents, rows = [], []
     for name in sorted(models.MODEL_NAMES):
-        config = RunConfig(model=name, op="report", tolerances=tolerances or {}, seed=seed)
-        document = model_report(models.build(name), config)
-        documents.append((os.path.join(out_dir, f"{name}.json"), document))
+        model_config = dataclasses.replace(config, model=name, out="report.json")
+        document = model_report(models.build(name), model_config)
+        documents.append((os.path.join(config.out, f"{name}.json"), document))
         rows.append({"model": name, **document["verdicts"]})
-    summary = {"schema_version": SCHEMA_VERSION, "seed": seed, "models": rows}
-    documents.append((os.path.join(out_dir, "summary.json"), summary))
+    summary = {"schema_version": SCHEMA_VERSION, "seed": config.seed, "models": rows}
+    documents.append((os.path.join(config.out, "summary.json"), summary))
     width = max(len(row["model"]) for row in rows)
     table = "\n".join(
         f"{row['model']:<{width}}  condition4={row['condition4']:<14}"

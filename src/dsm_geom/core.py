@@ -46,7 +46,6 @@ class ChartSpec:
     domain: tuple
     names: tuple
     sample_box: tuple
-    chart_id: str = "default"
 
     def __post_init__(self):
         if self.dim < 1 or len(self.domain) != self.dim or len(self.names) != self.dim:
@@ -514,7 +513,6 @@ class ModelDefinition:
     closed_form_fit_fn: Optional[Callable] = None
     oracle: Optional[ClosedFormOracle] = None
     divergence_tag: str = "other"
-    expected_condition4_fail: bool = False
     classify_points_fn: Optional[Callable] = None
     condition4_evidence_fn: Optional[Callable] = None
 
@@ -607,17 +605,10 @@ def evaluate_divergence(model: ModelDefinition, x: DataSet, theta) -> float:
     return value
 
 
-def divergence_gradient(model: ModelDefinition, x: DataSet, theta, source: str = "auto") -> np.ndarray:
-    """First parameter derivatives of D(x || m_theta).
-
-    ``source``: "analytic" demands model derivatives, "fd" forces finite
-    differences, "auto" prefers analytic.
-    """
+def divergence_gradient(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
+    """First parameter derivatives of D(x || m_theta): ``gradient_fn`` or FD."""
     coords = model.chart.require(theta)
-    use_analytic = model.gradient_fn is not None and source in ("auto", "analytic")
-    if source == "analytic" and model.gradient_fn is None:
-        raise Unsupported(f"model {model.name} has no analytic gradient")
-    if use_analytic:
+    if model.gradient_fn is not None:
         return np.asarray(model.gradient_fn(x, coords), dtype=float)
     from . import numdiff
 
@@ -625,13 +616,10 @@ def divergence_gradient(model: ModelDefinition, x: DataSet, theta, source: str =
     return numdiff.fd_gradient(lambda t: model.divergence_fn(x, t), coords, cfg)
 
 
-def divergence_hessian(model: ModelDefinition, x: DataSet, theta, source: str = "auto") -> np.ndarray:
-    """Plain (non-covariant) second-derivative matrix of D(x || m_theta)."""
+def divergence_hessian(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
+    """Plain (non-covariant) second derivatives of D(x || m_theta): ``hessian_fn`` or FD."""
     coords = model.chart.require(theta)
-    use_analytic = model.hessian_fn is not None and source in ("auto", "analytic")
-    if source == "analytic" and model.hessian_fn is None:
-        raise Unsupported(f"model {model.name} has no analytic hessian")
-    if use_analytic:
+    if model.hessian_fn is not None:
         hess = np.asarray(model.hessian_fn(x, coords), dtype=float)
         return 0.5 * (hess + hess.T)
     from . import numdiff

@@ -14,6 +14,9 @@ MAX_ITER = 200
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 DOMAIN_MARGIN = 1e-9
+# a Newton step whose predicted decrease is below this share of the value is
+# lost in rounding: a line search that then fails has arrived at the optimum
+ROUNDING_DECREASE = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -36,21 +39,15 @@ def _descent_direction(grad, hess):
         return -grad / max(norm, 1.0), False
 
 
-def fit(
-    model: ModelDefinition,
-    x: DataSet,
-    theta0,
-    grad_tol: float = GRAD_TOL,
-    max_iter: int = MAX_ITER,
-) -> FitResult:
+def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
     """Damped Newton with Armijo backtracking, projected into the chart."""
     chart = model.chart
     theta = chart.require(theta0).copy()
     value = evaluate_divergence(model, x, theta)
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITER):
         grad = divergence_gradient(model, x, theta)
         gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= grad_tol:
+        if gnorm <= GRAD_TOL:
             hess = divergence_hessian(model, x, theta)
             try:
                 np.linalg.cholesky(hess)
@@ -68,6 +65,7 @@ def fit(
         if slope >= 0:  # fall back if curvature information misleads
             direction = -grad / max(np.linalg.norm(grad), 1.0)
             slope = float(grad @ direction)
+        arrived = newton and -slope <= ROUNDING_DECREASE * max(abs(value), 1.0)
         step = 1.0
         for _ in range(60):
             candidate = chart.clip_inside(theta + step * direction, DOMAIN_MARGIN)
@@ -76,6 +74,8 @@ def fit(
                 break
             step *= ARMIJO_SHRINK
         else:
+            if arrived:
+                return FitResult(theta, value, gnorm, iteration, True)
             raise NoConvergence(
                 f"line search stalled for {model.name} at {theta.tolist()}",
                 reason="stalled",
@@ -84,12 +84,12 @@ def fit(
         theta, value = candidate, new_value
     grad = divergence_gradient(model, x, theta)
     gnorm = float(np.max(np.abs(grad)))
-    if gnorm <= grad_tol:
-        return FitResult(theta, value, gnorm, max_iter, True)
+    if gnorm <= GRAD_TOL or arrived:
+        return FitResult(theta, value, gnorm, MAX_ITER, True)
     raise NoConvergence(
-        f"fit of {model.name} did not converge in {max_iter} iterations",
+        f"fit of {model.name} did not converge in {MAX_ITER} iterations",
         reason="max_iter",
-        result=FitResult(theta, value, gnorm, max_iter, False),
+        result=FitResult(theta, value, gnorm, MAX_ITER, False),
     )
 
 
@@ -98,7 +98,6 @@ def closed_form_fit(model: ModelDefinition, x: DataSet) -> np.ndarray:
     return model.closed_form_fit(x)
 
 
-def fit_from_closed_form(model: ModelDefinition, x: DataSet, **kwargs) -> FitResult:
+def fit_from_closed_form(model: ModelDefinition, x: DataSet) -> FitResult:
     """Run the iterative fit seeded at the closed-form solution."""
-    start = model.closed_form_fit(x)
-    return fit(model, x, as_coords(start), **kwargs)
+    return fit(model, x, as_coords(model.closed_form_fit(x)))

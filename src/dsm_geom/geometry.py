@@ -9,7 +9,7 @@ second-order accurate when it does not (the sphere).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,14 +86,13 @@ def metric_at(
     model: ModelDefinition,
     theta,
     fibre_k: int = FIBRE_K_DEFAULT,
-    source: str = "auto",
     tol: Tolerances = Tolerances(),
 ) -> MetricEvaluation:
     """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
     coords = model.chart.require(theta)
     k = min(fibre_k, model.fibre_capacity)
     members = model.fibre_sampler(coords, k)
-    hessians = [divergence_hessian(model, x, coords, source=source) for x in members]
+    hessians = [divergence_hessian(model, x, coords) for x in members]
     mean = np.mean(hessians, axis=0)
     scale = max(float(np.max(np.abs(mean))), 1e-12)
     deviation = 0.0
@@ -119,7 +118,7 @@ def metric_at(
     return MetricEvaluation(matrix=mean, fibre_deviation=deviation, member_labels=labels)
 
 
-def _solve_family(model, coords, family, source):
+def _solve_family(model, coords, family):
     pairs = model.probe_pairs(coords, PROBE_DELTA, family)
     n = coords.size
     if len(pairs) < n:
@@ -129,10 +128,10 @@ def _solve_family(model, coords, family, source):
     probe_matrix = np.empty((len(pairs), n))
     rhs = np.empty((len(pairs), n, n))
     for c, pair in enumerate(pairs):
-        grad_plus = divergence_gradient(model, pair.plus, coords, source=source)
-        grad_minus = divergence_gradient(model, pair.minus, coords, source=source)
-        hess_plus = divergence_hessian(model, pair.plus, coords, source=source)
-        hess_minus = divergence_hessian(model, pair.minus, coords, source=source)
+        grad_plus = divergence_gradient(model, pair.plus, coords)
+        grad_minus = divergence_gradient(model, pair.minus, coords)
+        hess_plus = divergence_hessian(model, pair.plus, coords)
+        hess_minus = divergence_hessian(model, pair.minus, coords)
         probe_matrix[c] = 0.5 * (grad_plus - grad_minus)
         rhs[c] = 0.5 * (hess_plus - hess_minus)
     singular_values = np.linalg.svd(probe_matrix, compute_uv=False)
@@ -156,8 +155,8 @@ def _solve_family(model, coords, family, source):
 def connection_at(
     model: ModelDefinition,
     theta,
-    source: str = "auto",
     check_consistency: bool = True,
+    fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> ConnectionEvaluation:
     """Connection coefficients omega[k, i, j] from off-fibre probes.
@@ -167,11 +166,11 @@ def connection_at(
     structure.
     """
     coords = model.chart.require(theta)
-    metric_at(model, theta, source=source, tol=tol)  # condition-4 gate
-    omega = _solve_family(model, coords, 0, source)
+    metric_at(model, theta, fibre_k=fibre_k, tol=tol)  # condition-4 gate
+    omega = _solve_family(model, coords, 0)
     if not check_consistency:
         return ConnectionEvaluation(omega=omega, probe_consistency=float("nan"))
-    other = _solve_family(model, coords, 1, source)
+    other = _solve_family(model, coords, 1)
     gap = _relative_gap(other, omega)
     if gap > tol.hessian:
         raise HessianStructureViolated(
@@ -185,18 +184,9 @@ def connection_at(
 
 def metric_field(
     model: ModelDefinition,
-    source: str = "fibre",
     fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> MetricField:
-    if source == "oracle":
-        if model.oracle is None or model.oracle.metric is None:
-            raise Unsupported(f"model {model.name} has no metric oracle")
-        return MetricField(
-            evaluate=model.oracle.metric,
-            provenance="analytic-oracle",
-            domain=model.chart.domain,
-        )
     return MetricField(
         evaluate=lambda coords: metric_at(model, coords, fibre_k=fibre_k, tol=tol).matrix,
         provenance="fibre-evaluated",
@@ -207,6 +197,7 @@ def metric_field(
 def connection_field(
     model: ModelDefinition,
     source: str = "fibre",
+    fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> ConnectionField:
     if source == "oracle":
@@ -220,7 +211,7 @@ def connection_field(
         )
     return ConnectionField(
         evaluate=lambda coords: connection_at(
-            model, coords, check_consistency=False, tol=tol
+            model, coords, check_consistency=False, fibre_k=fibre_k, tol=tol
         ).omega,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
@@ -240,15 +231,12 @@ def dual_connection_at(
     g = metric(coords)
     ginv = np.linalg.inv(g)
     omega = connection(coords)
-    cfg = numdiff.DiffConfig.for_chart(model.chart)
+    dg = numdiff.fd_jacobian(metric, coords, numdiff.DiffConfig.for_chart(model.chart))
     n = coords.size
-    dg = np.stack(
-        [numdiff.fd_field_derivative(metric, coords, a, cfg) for a in range(n)]
-    )
     dual = np.empty((n, n, n))
     for a in range(n):
         # rhs[b, c] = d_a g_bc - omega^d_ab g_dc
-        rhs = dg[a] - np.einsum("db,dc->bc", omega[:, a, :], g)
+        rhs = dg[:, :, a] - np.einsum("db,dc->bc", omega[:, a, :], g)
         dual[:, a, :] = ginv @ rhs
     return dual
 
@@ -262,18 +250,16 @@ def curvature_at(
     coords = model.chart.require(theta)
     connection = connection or connection_field(model)
     omega = connection(coords)
-    cfg = numdiff.DiffConfig.for_chart(model.chart)
+    # domega[l, j, k, i] = d_i w^l_jk
+    domega = numdiff.fd_jacobian(connection, coords, numdiff.DiffConfig.for_chart(model.chart))
     n = coords.size
-    domega = np.stack(
-        [numdiff.fd_field_derivative(connection, coords, i, cfg) for i in range(n)]
-    )
     # components[l, k, i, j] = d_i w^l_jk - d_j w^l_ik + w^l_is w^s_jk - w^l_js w^s_ik
     components = np.empty((n, n, n, n))
     for l in range(n):
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    value = domega[i][l, j, k] - domega[j][l, i, k]
+                    value = domega[l, j, k, i] - domega[l, i, k, j]
                     value += float(omega[l, i, :] @ omega[:, j, k])
                     value -= float(omega[l, j, :] @ omega[:, i, k])
                     components[l, k, i, j] = value
@@ -292,16 +278,13 @@ def codazzi_residual(
     connection = connection or connection_field(model)
     g = metric(coords)
     omega = connection(coords)
-    cfg = numdiff.DiffConfig.for_chart(model.chart)
+    dg = numdiff.fd_jacobian(metric, coords, numdiff.DiffConfig.for_chart(model.chart))
     n = coords.size
-    dg = np.stack(
-        [numdiff.fd_field_derivative(metric, coords, a, cfg) for a in range(n)]
-    )
     residual = np.empty((n, n, n))
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                value = dg[a][b, c] - dg[b][a, c]
+                value = dg[b, c, a] - dg[a, c, b]
                 value += float(g[a, :] @ omega[:, b, c]) - float(
                     g[b, :] @ omega[:, a, c]
                 )
@@ -350,7 +333,6 @@ def reparametrized_model(
         closed_form_fit_fn=None,
         oracle=None,
         divergence_tag=model.divergence_tag,
-        expected_condition4_fail=model.expected_condition4_fail,
     )
 
 
@@ -385,7 +367,6 @@ def canonical_chart_for(model: ModelDefinition) -> ChartSpec:
         domain=tuple(domain),
         names=tuple(f"z{i+1}" for i in range(model.chart.dim)),
         sample_box=tuple((l, h) for l, h in zip(lo, hi)),
-        chart_id="canonical",
     )
 
 
@@ -408,12 +389,13 @@ def metric_transform_check(
         forward, inverse = maps
         if target_chart is None:
             raise Unsupported("custom chart maps need an explicit target chart")
-    # both sides go through the same FD path so the residual measures the
-    # transformation property alone
-    g_source = metric_at(model, coords, source="fd").matrix
+    # both sides go through the same FD path (the target has no model
+    # derivatives) so the residual measures the transformation property alone
+    divergence_only = replace(model, gradient_fn=None, hessian_fn=None)
+    g_source = metric_at(divergence_only, coords).matrix
     jac = numdiff.fd_jacobian(forward, coords, numdiff.DiffConfig.for_chart(model.chart))
     target = reparametrized_model(model, forward, inverse, target_chart)
-    g_target = metric_at(target, forward(coords), source="fd").matrix
+    g_target = metric_at(target, forward(coords)).matrix
     transformed = jac.T @ g_target @ jac
     return _relative_gap(transformed, g_source, floor=1e-12)
 

@@ -25,7 +25,6 @@ _CHART = ChartSpec(
     domain=((-math.inf, math.inf), (0.0, math.inf)),
     names=("mu", "sigma"),
     sample_box=((-2.0, 2.0), (0.5, 3.0)),
-    chart_id="mu-sigma",
 )
 
 _SCHEMA = (StatisticSpec("mean_x"), StatisticSpec("mean_x2"), StatisticSpec("entropy"))

@@ -57,7 +57,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         domain=((0.0, math.inf), (-math.inf, eps_min)),
         names=("beta", "mu"),
         sample_box=((0.5, 3.0), (eps_min - 3.0, eps_min - 0.1)),
-        chart_id="beta-mu",
     )
 
     def stats(x):

@@ -32,7 +32,6 @@ _CHART = ChartSpec(
     domain=((0.0, math.inf), (-math.inf, math.inf)),
     names=("alpha", "mu"),
     sample_box=((0.8, 3.3), (-1.0, 1.0)),
-    chart_id="shape-mode",
 )
 
 _SCHEMA = (
@@ -143,7 +142,6 @@ def gumbel() -> ModelDefinition:
         closed_form_fit_fn=closed_form_fit,
         oracle=None,
         divergence_tag="kl",
-        expected_condition4_fail=True,
         classify_points_fn=classify_points,
         condition4_evidence_fn=condition4_evidence,
     )

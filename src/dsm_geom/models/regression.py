@@ -21,7 +21,6 @@ _CHART = ChartSpec(
     domain=((-math.inf, math.inf), (-math.inf, math.inf)),
     names=("a", "b"),
     sample_box=((-3.0, 3.0), (-3.0, 3.0)),
-    chart_id="slope-intercept",
 )
 
 _SCHEMA = tuple(
@@ -139,7 +138,6 @@ def regression_ls() -> ModelDefinition:
         closed_form_fit_fn=_closed_form_fit,
         oracle=None,
         divergence_tag="other",
-        expected_condition4_fail=True,
     )
 
 

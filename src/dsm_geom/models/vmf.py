@@ -81,7 +81,6 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         domain=((0.0, math.pi), (-math.inf, math.inf)),
         names=("theta", "phi"),
         sample_box=((0.05, math.pi - 0.05), (-math.pi, math.pi)),
-        chart_id="polar",
     )
 
     def divergence(x, theta):
@@ -191,7 +190,6 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         domain=((-math.pi, math.pi), (0.0, math.inf)),
         names=("phi", "lambda"),
         sample_box=((-2.5, 2.5), (0.5, 3.0)),
-        chart_id="cylinder",
     )
 
     def log_norm(lam):

@@ -170,14 +170,11 @@ def fd_field_derivative(field: Callable, theta, direction: int, cfg: Optional[Di
     return refined
 
 
-def fd_jacobian(mapping: Callable, theta, cfg: Optional[DiffConfig] = None) -> np.ndarray:
-    """Jacobian J[a, i] = d mapping_a / d theta^i of a chart map."""
+def fd_jacobian(field: Callable, theta, cfg: Optional[DiffConfig] = None) -> np.ndarray:
+    """Derivatives J[..., i] = d field[...] / d theta^i of a tensor field of any rank."""
     coords = as_coords(theta)
     cfg = cfg or DiffConfig()
-    image = np.asarray(mapping(coords), dtype=float)
-    jac = np.empty((image.size, coords.size))
-    for axis in range(coords.size):
-        jac[:, axis] = np.asarray(
-            fd_field_derivative(mapping, coords, axis, cfg), dtype=float
-        )
-    return jac
+    return np.stack(
+        [fd_field_derivative(field, coords, axis, cfg) for axis in range(coords.size)],
+        axis=-1,
+    )

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .geometry import (
     ConnectionField,
-    MetricField,
     codazzi_residual,
     connection_at,
     connection_field,
@@ -131,7 +130,7 @@ def classify(
     worst_points = {}
     failure_evidence = None
     metric = metric_field(model, fibre_k=fibre_k, tol=tol)
-    conn = connection_field(model, tol=tol)
+    conn = connection_field(model, fibre_k=fibre_k, tol=tol)
 
     def track(key, value, point):
         if value > worst[key]:
@@ -153,7 +152,7 @@ def classify(
         if not model.has_probes:
             continue
         try:
-            connection = connection_at(model, point, tol=tol)
+            connection = connection_at(model, point, fibre_k=fibre_k, tol=tol)
         except HessianStructureViolated as err:
             track("hessian", err.deviation, point)
             continue
@@ -251,7 +250,6 @@ def affine_coordinates(
     model: ModelDefinition,
     theta0,
     targets,
-    connection: Optional[ConnectionField] = None,
     steps: int = DEFAULT_PATH_STEPS,
     tol: Tolerances = Tolerances(),
 ) -> AffineCoordinateMap:
@@ -263,7 +261,7 @@ def affine_coordinates(
     residual; disagreement means the connection is not flat.
     """
     reference = model.chart.require(theta0)
-    conn = connection or connection_field(model, tol=tol)
+    conn = connection_field(model, tol=tol)
     n = reference.size
     seed = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
     values, gradients, residuals = [], [], []
@@ -313,8 +311,6 @@ def massieu(
     model: ModelDefinition,
     theta0,
     targets,
-    metric: Optional[MetricField] = None,
-    connection: Optional[ConnectionField] = None,
     steps: int = DEFAULT_PATH_STEPS,
     tol: Tolerances = Tolerances(),
     verify: bool = True,
@@ -327,8 +323,8 @@ def massieu(
     with the metric, and the curl of alpha is checked.
     """
     reference = model.chart.require(theta0)
-    metric = metric or metric_field(model, tol=tol)
-    conn = connection or connection_field(model, tol=tol)
+    metric = metric_field(model, tol=tol)
+    conn = connection_field(model, tol=tol)
     n = reference.size
     seed = np.zeros(n + 1)
     potentials, covectors, residuals = [], [], []
@@ -468,12 +464,9 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
     def second_slot_hessian(a):
         return divergence_hessian(model, representative(a), coords)
 
-    n = coords.size
-    third = np.stack(
-        [numdiff.fd_field_derivative(second_slot_hessian, coords, s, cfg) for s in range(n)]
-    )
+    third = numdiff.fd_jacobian(second_slot_hessian, coords, cfg)
     ginv = np.linalg.inv(g)
-    omega_induced = -np.einsum("ks,sij->kij", ginv, third)
+    omega_induced = -np.einsum("ks,ijs->kij", ginv, third)
     omega = connection_at(model, coords).omega
     scale = max(float(np.max(np.abs(omega))), 1.0)
     connection_residual = float(np.max(np.abs(omega_induced - omega))) / scale

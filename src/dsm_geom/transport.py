@@ -30,8 +30,6 @@ class Trace:
     times: np.ndarray
     points: np.ndarray
     vectors: Optional[np.ndarray] = None
-    step: float = 0.0
-    order: int = 4
     flags: tuple = ()
     metadata: dict = field(default_factory=dict)
 
@@ -141,7 +139,6 @@ def geodesic(
         times=np.array(times),
         points=states[:, :n],
         vectors=states[:, n:],
-        step=t_end / steps,
         flags=tuple(flags),
         metadata={"field": conn.provenance},
     )
@@ -186,7 +183,6 @@ def parallel_transport(
         times=np.array(times),
         points=np.array(points),
         vectors=np.array(vectors),
-        step=1.0 / steps_per_segment,
         metadata={"field": conn.provenance},
     )
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dsm_geom import cli, models
+from dsm_geom import cli, models, structure
 
 
 def run_cli(args, cwd=None):
@@ -78,7 +78,7 @@ class TestRunConfig:
         }
 
         def argv(op, drop=None):
-            given = [item for key, value in options.items() if key != drop for item in (key, value)]
+            given = [item for key in needs[op] if key != drop for item in (key, options[key])]
             return ["--model", "gce", "--op", op, *given]
 
         for op, flags in needs.items():
@@ -399,6 +399,12 @@ class TestBadInput:
                  "--end", "0.3,1.2", "--vector", "nan,0"],
                 "'vector'",
             ),
+            (
+                ["--model", "gaussian-kl", "--op", "metric", "--at", "0,1",
+                 "--velocity", "1,0", "--step", "0.5"],
+                "--velocity",
+            ),
+            (["--model", "all", "--op", "report", "--at", "0,1"], "--at"),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -407,7 +413,7 @@ class TestBadInput:
             "report-one-level", "classify-one-level", "velocity-length",
             "end-length", "targets-point-length", "gce-kappa", "regression-ls-lambda",
             "all-levels", "geodesic-outside-chart", "step-zero", "t-zero", "t-inf",
-            "vector-nan",
+            "vector-nan", "metric-unread-options", "all-at",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -452,3 +458,12 @@ class TestReportAll:
         # no wall-clock fields anywhere in the outputs
         for name in names:
             assert "runtime_ms" not in json.loads((first / name).read_text())
+
+    def test_grid_and_fibre_k_reach_every_model(self, tmp_path):
+        args = ["--model", "all", "--op", "report", "--fibre-k", "2", "--grid", "2"]
+        assert cli.main([*args, "--out", str(tmp_path)]) == 0
+        for name in models.MODEL_NAMES:
+            doc = json.loads((tmp_path / f"{name}.json").read_text())
+            assert doc["inputs"]["grid"] == "2" and doc["inputs"]["fibre_k"] == 2, name
+            expected = structure.default_grid(models.build(name), 2)
+            assert len(doc["results"]["classification"]["grid"]) == len(expected), name

@@ -53,6 +53,20 @@ class TestFit:
                 grad = divergence_gradient(model, member, result.theta_star)
                 assert np.max(np.abs(grad)) <= 1e-8, name
 
+    def test_gaussian_kl_arrives_when_newton_decrease_is_rounding(self, catalogue):
+        # once the Newton decrease is below rounding no Armijo step passes;
+        # the reproducer and 6 of these 100 starts reach that point
+        model = catalogue["gaussian-kl"]
+        result = fit(model, GaussianData(-0.4695, 0.9097), [0.2984, 2.0457])
+        assert result.converged
+        assert result.theta_star == pytest.approx([-0.4695, 0.9097], abs=1e-7)
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            x = GaussianData(rng.uniform(-1.0, 1.0), rng.uniform(0.7, 2.0))
+            result = fit(model, x, [rng.uniform(-1.2, 1.2), rng.uniform(1.0, 2.5)])
+            assert result.converged
+            assert result.theta_star == pytest.approx(closed_form_fit(model, x), abs=1e-7)
+
     def test_saddle_or_max_detected(self, catalogue):
         # the antipodal stationary point of the sphere divergence is a
         # maximum; starting there must not be reported as a fit

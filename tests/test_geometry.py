@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ class TestMetricAt:
         assert len(evaluation.member_labels) == 3
 
     def test_fd_source(self, catalogue):
-        evaluation = geometry.metric_at(catalogue["gaussian-kl"], [0.0, 1.0], source="fd")
+        model = dataclasses.replace(catalogue["gaussian-kl"], gradient_fn=None, hessian_fn=None)
+        evaluation = geometry.metric_at(model, [0.0, 1.0])
         assert evaluation.matrix == pytest.approx(np.diag([1.0, 2.0]), abs=1e-4)
 
     def test_sphere_metric(self):
@@ -293,19 +295,18 @@ class TestErrorPaths:
     def test_indefinite_metric_raises(self):
         model = _synthetic_model([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(MetricNotPD):
-            geometry.metric_at(model, [0.0, 0.0], source="fd")
+            geometry.metric_at(model, [0.0, 0.0])
 
     def test_degenerate_probes_raise(self):
         model = _synthetic_model(np.eye(2), degenerate_probes=True)
         with pytest.raises(geometry.ProbeSingular):
-            geometry.connection_at(model, [0.0, 0.0], source="fd")
+            geometry.connection_at(model, [0.0, 0.0])
 
 
 class TestGenericProbeFallback:
     def test_model_without_probe_constructor(self):
         # the flat quadratic model declares its statistics; the generic
         # fallback perturbs them and recovers the zero connection
-        import dataclasses
         from dsm_geom.core import StatisticSpec
 
         model = _synthetic_model([[2.0, 0.3], [0.3, 1.0]])
@@ -315,7 +316,7 @@ class TestGenericProbeFallback:
             statistic_schema=(StatisticSpec("c1"), StatisticSpec("c2")),
         )
         assert model.has_probes
-        evaluation = geometry.connection_at(model, [0.1, -0.2], source="fd")
+        evaluation = geometry.connection_at(model, [0.1, -0.2])
         assert np.max(np.abs(evaluation.omega)) < 1e-6
         assert evaluation.probe_consistency < 1e-6
 

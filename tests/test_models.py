@@ -275,11 +275,6 @@ class TestCatalogue:
         with pytest.raises(KeyError):
             models.build("no-such-model")
 
-    def test_expected_failure_flags(self, catalogue):
-        assert catalogue["regression-ls"].expected_condition4_fail
-        assert catalogue["gumbel"].expected_condition4_fail
-        assert not catalogue["gaussian-kl"].expected_condition4_fail
-
     def test_divergence_tags(self, catalogue):
         kl_tagged = {n for n, m in catalogue.items() if m.divergence_tag == "kl"}
         assert kl_tagged == {"gaussian-kl", "gce", "vmf-sphere", "vmf-cylinder", "gumbel"}

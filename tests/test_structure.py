@@ -54,9 +54,11 @@ class TestClassify:
             "regression-ls": "not-applicable",
             "regression-dlambda": "not-applicable",
         }
+        condition4_fails = {"regression-ls", "gumbel"}
         for name, model in catalogue.items():
             report = structure.classify(model, theta_grid=structure.default_grid(model, 3))
             assert report.exponential_family == expected[name], name
+            assert report.condition4["status"] == ("fail" if name in condition4_fails else "pass"), name
 
     def test_report_serialises(self, catalogue):
         report = structure.classify(

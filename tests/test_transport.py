@@ -231,4 +231,3 @@ class TestTraceFormat:
         for point in trace.points:
             assert catalogue["gce"].chart.contains(point)
         assert trace.kind == "geodesic"
-        assert trace.order == 4
