@@ -129,7 +129,7 @@ class RunConfig:
                 )
         _, needs, may = _OPS[self.op]
         for name in _RUN_OPTIONS:
-            if getattr(self, name) is not None and name not in needs + may:
+            if getattr(self, name) != _DEFAULTS[name] and name not in needs + may:
                 known = ", ".join(_flag(option) for option in needs + may) or "none"
                 raise ConfigError(f"op '{self.op}' takes no {_flag(name)} (its options: {known})")
         # a required option given empty or zero is as good as missing
@@ -439,7 +439,7 @@ def _op_field(config, model):
     grid = _grid_for(config, model)
     trace = transport.covariant_constant_field(
         model, config.start, config.vector, grid,
-        connection=_connection_field(config, model),
+        connection=_connection_field(config, model), tol=config.tol,
     )
     return make_document(
         config,
@@ -470,24 +470,29 @@ def _op_report(config, model):
 # take, in --op order
 _OPS = {
     "fit": (_op_fit, ("data", "start"), ()),
-    "metric": (_op_metric, ("at",), ()),
+    "metric": (_op_metric, ("at",), ("fibre_k",)),
     "connection": (_op_connection, ("at",), ()),
     "curvature": (_op_curvature, ("at",), ()),
-    "classify": (_op_classify, (), ()),
+    "classify": (_op_classify, (), ("grid", "fibre_k")),
     "affine": (_op_affine, ("start", "targets"), ()),
     "massieu": (_op_massieu, ("start", "targets"), ()),
-    "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step",)),
-    "transport": (_op_transport, ("start", "end", "vector"), ()),
-    "field": (_op_field, ("start", "vector"), ()),
-    "pythagoras": (_op_pythagoras, ("at", "other"), ()),
-    "report": (_op_report, (), ()),
+    "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step", "field_source")),
+    "transport": (_op_transport, ("start", "end", "vector"), ("field_source",)),
+    "field": (_op_field, ("start", "vector"), ("grid", "field_source")),
+    "pythagoras": (_op_pythagoras, ("at", "other"), ("fibre_k",)),
+    "report": (_op_report, (), ("grid", "fibre_k")),
 }
 OPS = tuple(_OPS)
 
 _MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.options(name)})
 
-# the run options that are unset by default; an op takes only those it names
-_RUN_OPTIONS = ("at", "start", "end", "velocity", "vector", "targets", "other", "t_end", "step", "data")
+# the run options an op takes only if it names them: set to anything but
+# their RunConfig default, they are a config error (no op reads --trials)
+_RUN_OPTIONS = (
+    "at", "start", "end", "velocity", "vector", "targets", "other", "t_end", "step", "data",
+    "grid", "field_source", "fibre_k", "trials",
+)
+_DEFAULTS = {spec.name: spec.default for spec in dataclasses.fields(RunConfig)}
 
 _POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
 

@@ -101,9 +101,11 @@ class ChartSpec:
 class Tolerances:
     """Thresholds the verdict checks compare their residuals with.
 
-    cond4: fibre-Hessian spread; hessian: probe-family gap; flat, torsion,
-    codazzi: max-abs residuals; path: two-path gap of affine and Massieu
-    solves.  Each must be a finite number > 0, so no check passes vacuously.
+    cond4: fibre-Hessian spread; hessian: probe-family gap and the Massieu
+    potential's covariant-Hessian gap to the metric; flat: max-abs curvature
+    and the covariant-field two-path gap; torsion, codazzi: max-abs
+    residuals; path: two-path gap of affine and Massieu solves.  Each must
+    be a finite number > 0, so no check passes vacuously.
     """
 
     cond4: float = 1e-3

@@ -41,6 +41,7 @@ class MetricEvaluation:
 class ConnectionEvaluation:
     omega: np.ndarray
     probe_consistency: float
+    metric: MetricEvaluation  # the condition-4 gate's evaluation at the same point
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,15 @@ def connection_at(
 ) -> ConnectionEvaluation:
     """Connection coefficients omega[k, i, j] from off-fibre probes.
 
-    Requires metric_at to succeed (condition 4); compares two independent
-    probe families, which must agree for any model with a Hessian
-    structure.
+    Requires metric_at to succeed (condition 4) and returns its evaluation;
+    compares two independent probe families, which must agree for any
+    model with a Hessian structure.
     """
     coords = model.chart.require(theta)
-    metric_at(model, theta, fibre_k=fibre_k, tol=tol)  # condition-4 gate
+    metric = metric_at(model, theta, fibre_k=fibre_k, tol=tol)  # condition-4 gate
     omega = _solve_family(model, coords, 0)
     if not check_consistency:
-        return ConnectionEvaluation(omega=omega, probe_consistency=float("nan"))
+        return ConnectionEvaluation(omega=omega, probe_consistency=float("nan"), metric=metric)
     other = _solve_family(model, coords, 1)
     gap = _relative_gap(other, omega)
     if gap > tol.hessian:
@@ -179,7 +180,7 @@ def connection_at(
             deviation=gap,
             family_estimates=(omega, other),
         )
-    return ConnectionEvaluation(omega=0.5 * (omega + other), probe_consistency=gap)
+    return ConnectionEvaluation(omega=0.5 * (omega + other), probe_consistency=gap, metric=metric)
 
 
 def metric_field(

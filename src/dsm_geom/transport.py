@@ -13,13 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ModelDefinition, as_coords
+from .core import ModelDefinition, Tolerances, as_coords
 from .errors import DomainError, NotFlat, NumericalFailure
 from .geometry import ConnectionField, connection_field
 
 DEFAULT_STEP_FRACTION = 1e-3
+MAX_GEODESIC_STEPS = 100_000  # 100 times the default path
 FIELD_SPOT_CHECKS = 3
-FIELD_SPOT_TOL = 1e-3
 
 
 @dataclass
@@ -102,7 +102,9 @@ def geodesic(
     """Integrate d^2 theta/dt^2 = -omega^k_ij dtheta^i dtheta^j.
 
     The path is not known in advance, so every accepted step is checked
-    against the field domain; leaving it truncates the trace.
+    against the field domain; leaving it truncates the trace.  A step that
+    asks for more than ``MAX_GEODESIC_STEPS`` steps raises NumericalFailure
+    before any field evaluation.
     """
     coords = as_coords(theta0)
     velocity = as_coords(v0)
@@ -112,6 +114,13 @@ def geodesic(
     h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
     if not h > 0:
         raise NumericalFailure("geodesic needs a positive step")
+    span = abs(t_end) / h  # a float first: a tiny step must not overflow int()
+    if not span <= MAX_GEODESIC_STEPS:
+        raise NumericalFailure(
+            f"geodesic step {h:.3g} over t = {t_end:g} needs {span:.3g} steps, "
+            f"more than the budget of {MAX_GEODESIC_STEPS}"
+        )
+    steps = max(int(round(span)), 1)
     n = coords.size
 
     def rhs(_, state):
@@ -120,7 +129,6 @@ def geodesic(
         acc = -np.einsum("kij,i,j->k", omega, vel, vel)
         return np.concatenate([vel, acc])
 
-    steps = max(int(round(abs(t_end) / h)), 1)
     times = [0.0]
     states = [np.concatenate([coords, velocity])]
     flags = []
@@ -194,12 +202,13 @@ def covariant_constant_field(
     grid,
     connection: Optional[ConnectionField] = None,
     steps_per_segment: int = 200,
+    tol: Tolerances = Tolerances(),
 ) -> Trace:
     """Extend a vector to a grid by straight-path parallel transport.
 
     A few grid points are re-transported along an axis-aligned detour;
-    disagreement beyond ``FIELD_SPOT_TOL`` means the connection is not
-    flat and no covariant-constant extension exists.
+    disagreement beyond ``tol.flat`` means the connection is not flat and
+    no covariant-constant extension exists.
     """
     base = as_coords(theta0)
     seed = as_coords(v0)
@@ -229,7 +238,7 @@ def covariant_constant_field(
         )
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale
         worst = max(worst, gap)
-    if worst > FIELD_SPOT_TOL:
+    if worst > tol.flat:
         raise NotFlat(
             f"two transport paths disagree by {worst:.3g}; no covariant-constant "
             f"field exists for {model.name}",

@@ -9,12 +9,13 @@ import pytest
 from dsm_geom import cli, models, structure
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "dsm_geom.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -118,6 +119,14 @@ class TestDocuments:
         doc = cli.load_document(str(out))
         assert doc["inputs"]["levels"] == [1.0, 2.0, 5.0]
         assert doc["inputs"]["out"] == str(out)
+
+    def test_inputs_record_the_option_defaults(self):
+        # ops reject defaulted options they do not read, but record their defaults
+        config = cli.config_from_args(["--model", "gce", "--op", "connection", "--at", "1,-1"])
+        inputs = config.to_dict()
+        assert [inputs[name] for name in ("grid", "field_source", "fibre_k", "trials")] == [
+            "default", "fibre", 3, 1000,
+        ]
 
     def test_unknown_report_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -287,6 +296,47 @@ class TestExitCodes:
         )
         assert result.returncode == 2
 
+    def test_over_budget_geodesic_is_two_without_running(self, tmp_path):
+        # a step of 1e-9 asks for 10^9 RK4 steps; it used to run until killed
+        result = run_cli(
+            [
+                "--model", "gce", "--op", "geodesic", "--start", "1,-1",
+                "--velocity", "1,0.5", "--t", "1", "--step", "1e-9", "--field", "oracle",
+                "--out", str(tmp_path / "g.json"),
+            ],
+            timeout=20,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("numerical failure:")
+        assert result.stderr.count("\n") == 1 and "budget" in result.stderr
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, tight",
+        [
+            (
+                ["--model", "vmf-cylinder", "--op", "massieu", "--start", "0,1",
+                 "--targets", "0.4,1.5"],
+                "hessian=1e-12",
+            ),
+            (
+                ["--model", "vmf-sphere", "--op", "field", "--start", "1,0.3",
+                 "--vector", "1,0", "--grid", "1.01,0.31;1.02,0.32"],
+                "flat=1e-5",
+            ),
+        ],
+        ids=["massieu-hessian", "field-flat"],
+    )
+    def test_tightened_tolerance_reaches_its_check(self, args, tight, tmp_path, capsys):
+        # both checks used to compare with a fixed 1e-3, whatever --tol said
+        assert cli.main([*args, "--out", str(tmp_path / "default.json")]) == 0
+        capsys.readouterr()
+        code = cli.main([*args, "--tol", tight, "--out", str(tmp_path / "tight.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+        assert not (tmp_path / "tight.json").exists()
+
     def test_io_error_is_three(self, tmp_path):
         result = run_cli(
             [
@@ -405,6 +455,16 @@ class TestBadInput:
                 "--velocity",
             ),
             (["--model", "all", "--op", "report", "--at", "0,1"], "--at"),
+            (["--model", "gce", "--op", "connection", "--at", "1,-1", "--fibre-k", "1"],
+             "--fibre-k"),
+            (["--model", "gce", "--op", "connection", "--at", "1,-1", "--field", "oracle"],
+             "--field"),
+            (
+                ["--model", "vmf-cylinder", "--op", "massieu", "--start", "0,1",
+                 "--targets", "0.4,1.5", "--grid", "3"],
+                "--grid",
+            ),
+            (["--model", "all", "--op", "report", "--trials", "10"], "--trials"),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -413,7 +473,8 @@ class TestBadInput:
             "report-one-level", "classify-one-level", "velocity-length",
             "end-length", "targets-point-length", "gce-kappa", "regression-ls-lambda",
             "all-levels", "geodesic-outside-chart", "step-zero", "t-zero", "t-inf",
-            "vector-nan", "metric-unread-options", "all-at",
+            "vector-nan", "metric-unread-options", "all-at", "connection-fibre-k",
+            "connection-field", "massieu-grid", "report-trials",
         ],
     )
     @pytest.mark.filterwarnings("error")

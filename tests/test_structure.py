@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -157,6 +158,37 @@ class TestMassieu:
         assert sample.potentials[0] - gauge == pytest.approx(closed, abs=1e-3)
         assert max(sample.hessian_residuals) < 1e-3
         assert max(sample.curl_residuals) < 1e-5
+
+    def test_cost_of_one_verified_target(self):
+        cylinder = models.build("vmf-cylinder", kappa=2.0)
+        calls = {"gradient": 0, "hessian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        counted_model = dataclasses.replace(
+            cylinder,
+            gradient_fn=counted("gradient", cylinder.gradient_fn),
+            hessian_fn=counted("hessian", cylinder.hessian_fn),
+        )
+        theta0, targets = [0.0, 1.0], [[0.4, 1.5]]  # the target moves both coordinates
+        verified = structure.massieu(counted_model, theta0, targets)
+        # Each chart point costs one gated connection evaluation: 3 fibre
+        # Hessians plus 2 probe pairs (2 gradients, 2 Hessians each), so
+        # 4 gradients and 7 Hessians.  The points: 1152 on the paths
+        # (96 RK4 steps x 4 stages on the straight path, twice that on the
+        # two-segment detour), 64 continuation points (16 distinct FD
+        # stencil points, one 4-stage step each) and the target itself.
+        points = 4 * 96 + 2 * 4 * 96 + 16 * 4 + 1
+        assert calls == {"gradient": 4 * points, "hessian": 7 * points}
+        assert calls == {"gradient": 4868, "hessian": 8519}
+        plain = structure.massieu(cylinder, theta0, targets, verify=False)
+        assert verified.potentials == plain.potentials
+        assert np.array_equal(verified.covectors[0], plain.covectors[0])
 
     def test_dlambda_quadratic_potential(self, catalogue):
         sample = structure.massieu(catalogue["regression-dlambda"], [0.0, 0.0], [[1.0, 1.0]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dsm_geom import geometry, models, transport
-from dsm_geom.errors import DomainError, NotFlat
+from dsm_geom.errors import DomainError, NotFlat, NumericalFailure
 
 from conftest import levi_civita_from_metric
 
@@ -63,6 +63,13 @@ class TestGeodesic:
         trace = transport.geodesic(catalogue["gce"], [1.0, 0.5], [0.0, 2.0], 1.0)
         assert "domain_exit" in trace.flags
         assert len(trace.points) < 1001
+
+    def test_step_budget_raises_before_any_evaluation(self, catalogue):
+        gce = catalogue["gce"]
+        conn, calls = counting_oracle_field(gce)
+        with pytest.raises(NumericalFailure, match="budget"):
+            transport.geodesic(gce, [1.0, -1.0], [1.0, 0.5], 1.0, step=1e-9, connection=conn)
+        assert calls == []
 
 
 def counting_oracle_field(model):
