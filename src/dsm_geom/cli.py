@@ -424,6 +424,7 @@ def _op_transport(config, model):
         [np.array(config.start, dtype=float), np.array(config.end, dtype=float)],
         config.vector,
         connection=_connection_field(config, model),
+        tol=config.tol,
     )
     return make_document(
         config,
@@ -480,7 +481,7 @@ _OPS = {
     "transport": (_op_transport, ("start", "end", "vector"), ("field_source",)),
     "field": (_op_field, ("start", "vector"), ("grid", "field_source")),
     "pythagoras": (_op_pythagoras, ("at", "other"), ("fibre_k",)),
-    "report": (_op_report, (), ("grid", "fibre_k")),
+    "report": (_op_report, (), ("grid", "fibre_k", "seed")),
 }
 OPS = tuple(_OPS)
 
@@ -490,7 +491,7 @@ _MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.op
 # their RunConfig default, they are a config error (no op reads --trials)
 _RUN_OPTIONS = (
     "at", "start", "end", "velocity", "vector", "targets", "other", "t_end", "step", "data",
-    "grid", "field_source", "fibre_k", "trials",
+    "grid", "field_source", "fibre_k", "trials", "seed",
 )
 _DEFAULTS = {spec.name: spec.default for spec in dataclasses.fields(RunConfig)}
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, MissingStatistic, NumericalFailure, Unsupported
 
@@ -104,8 +103,10 @@ class Tolerances:
     cond4: fibre-Hessian spread; hessian: probe-family gap and the Massieu
     potential's covariant-Hessian gap to the metric; flat: max-abs curvature
     and the covariant-field two-path gap; torsion, codazzi: max-abs
-    residuals; path: two-path gap of affine and Massieu solves.  Each must
-    be a finite number > 0, so no check passes vacuously.
+    residuals; path: two-path gap of affine and Massieu solves.  flat and
+    path also set how closely the path solves feeding those checks
+    converge.  Each must be a finite number > 0, so no check passes
+    vacuously.
     """
 
     cond4: float = 1e-3
@@ -268,6 +269,8 @@ class GumbelData(DataSet):
         if statistic_id == "entropy":
             return 1.0 + EULER_GAMMA - math.log(a0)
         if statistic_id in ("exp_shift", "lin_exp_shift", "sq_exp_shift"):
+            from scipy import special  # ~0.3 s to import: only this branch needs it
+
             alpha, mu = _require_theta(statistic_id, theta)
             s = alpha / a0
             if 1.0 + s <= 0:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from ..core import (
     ChartSpec,
@@ -181,6 +180,8 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     The chart is restricted to the simply connected band phi in (-pi, pi)
     so the Massieu potential exists (the full mantle admits none).
     """
+    from scipy import special  # ~0.3 s to import: only this model needs it
+
     if kappa <= 0:
         raise DomainError("kappa must be > 0")
     log_i0 = math.log(2.0 * math.pi * float(special.i0(kappa)))

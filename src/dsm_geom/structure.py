@@ -6,7 +6,9 @@ the exponential family exactly when condition 4 holds and the induced
 connection has a Hessian structure (probe-independent, torsionless,
 flat, Codazzi-compatible).  Affine coordinates and the Massieu
 potential are recovered by integrating their defining linear systems
-along chart paths, with a second path recording path-independence.
+along chart paths, with a second path recording path-independence.  The
+systems' coefficients (the connection, and the metric for Massieu) are
+sampled once per path segment at Chebyshev nodes (``transport._along``).
 """
 from __future__ import annotations
 
@@ -37,10 +39,9 @@ from .geometry import (
     metric_field,
     torsion_residual,
 )
-from .transport import _along, _l_path
+from .transport import _along, _l_path, _segment
 
 CLASSIFY_GRID_PER_AXIS = 5
-DEFAULT_PATH_STEPS = 96
 
 # the Hessian-structure checks: report block, key of the block's value, and
 # the tolerance that value is compared with (also its key in classify's worst)
@@ -226,30 +227,27 @@ class MassieuSample:
     curl_residuals: list
 
 
-def _integrate_affine(conn: ConnectionField, waypoints, state, steps):
-    """Advance (G, Theta) along a piecewise-linear path.
+def _affine_rhs(omega, delta, packed):
+    """d(G, Theta)/ds on a segment with tangent delta.
 
-    G rows are chart gradients of the affine functions; along a segment
-    with tangent delta they obey dG = G M with M[c, b] = delta^a w^c_ab.
+    G rows are chart gradients of the affine functions; they obey
+    dG = G M with M[c, b] = delta^a w^c_ab.
     """
-    n = waypoints[0].size
+    n = delta.size
+    grads = packed[: n * n].reshape(n, n)
+    mixer = np.einsum("a,cab->cb", delta, omega)
+    return np.concatenate([(grads @ mixer).ravel(), grads @ delta])
 
-    def rhs(point, delta, packed):
-        grads = packed[: n * n].reshape(n, n)
-        omega = conn(point)
-        mixer = np.einsum("a,cab->cb", delta, omega)
-        dgrads = grads @ mixer
-        dvalues = grads @ delta
-        return np.concatenate([dgrads.ravel(), dvalues])
 
-    return _along(rhs, state, waypoints, steps)[-1][2]
+def _integrate_affine(conn: ConnectionField, waypoints, state, tol=Tolerances()):
+    """Advance (G, Theta) along a piecewise-linear path, well within ``tol.path``."""
+    return _along(_affine_rhs, conn, state, waypoints, tol.path)[-1][2]
 
 
 def affine_coordinates(
     model: ModelDefinition,
     theta0,
     targets,
-    steps: int = DEFAULT_PATH_STEPS,
     tol: Tolerances = Tolerances(),
 ) -> AffineCoordinateMap:
     """Integrate the affine-coordinate system along straight chart paths.
@@ -266,8 +264,8 @@ def affine_coordinates(
     values, gradients, residuals = [], [], []
     for target in targets:
         stop = model.chart.require(target)
-        straight = _integrate_affine(conn, [reference, stop], seed.copy(), steps)
-        detour = _integrate_affine(conn, _l_path(reference, stop), seed.copy(), steps)
+        straight = _integrate_affine(conn, [reference, stop], seed.copy(), tol)
+        detour = _integrate_affine(conn, _l_path(reference, stop), seed.copy(), tol)
         value = straight[n * n :]
         scale = max(float(np.max(np.abs(value))), 1.0)
         residual = float(np.max(np.abs(value - detour[n * n :]))) / scale
@@ -289,30 +287,36 @@ def affine_coordinates(
     )
 
 
-def _integrate_massieu(local, waypoints, state, steps):
-    """Advance (alpha, Phi) along a piecewise-linear path (Mayer-Lie system).
+def _unpack_local(coeffs, n):
+    """The metric and the connection from one flat Massieu ``local`` value."""
+    return coeffs[: n * n].reshape(n, n), coeffs[n * n :].reshape(n, n, n)
 
-    ``local(point)`` gives the metric and the connection at a chart point.
+
+def _massieu_rhs(coeffs, delta, packed):
+    """d(alpha, Phi)/ds of the Mayer-Lie system on a segment with tangent delta."""
+    n = delta.size
+    g, omega = _unpack_local(coeffs, n)
+    alpha = packed[:n]
+    dalpha = np.einsum("a,ab->b", delta, g) + np.einsum(
+        "a,cab,c->b", delta, omega, alpha
+    )
+    dphi = float(delta @ alpha)
+    return np.concatenate([dalpha, [dphi]])
+
+
+def _integrate_massieu(local, waypoints, state, tol=Tolerances()):
+    """Advance (alpha, Phi) along a piecewise-linear path, well within ``tol.path``.
+
+    ``local(point)`` gives the metric and the connection at a chart point,
+    packed flat.
     """
-    n = waypoints[0].size
-
-    def rhs(point, delta, packed):
-        alpha = packed[:n]
-        g, omega = local(point)
-        dalpha = np.einsum("a,ab->b", delta, g) + np.einsum(
-            "a,cab,c->b", delta, omega, alpha
-        )
-        dphi = float(delta @ alpha)
-        return np.concatenate([dalpha, [dphi]])
-
-    return _along(rhs, state, waypoints, steps)[-1][2]
+    return _along(_massieu_rhs, local, state, waypoints, tol.path)[-1][2]
 
 
 def massieu(
     model: ModelDefinition,
     theta0,
     targets,
-    steps: int = DEFAULT_PATH_STEPS,
     tol: Tolerances = Tolerances(),
     verify: bool = True,
 ) -> MassieuSample:
@@ -329,7 +333,7 @@ def massieu(
     def local(point):
         # one gated evaluation: the connection's condition-4 gate is the metric
         evaluation = connection_at(model, point, check_consistency=False, tol=tol)
-        return evaluation.metric.matrix, evaluation.omega
+        return np.concatenate([evaluation.metric.matrix.ravel(), evaluation.omega.ravel()])
 
     n = reference.size
     seed = np.zeros(n + 1)
@@ -337,8 +341,8 @@ def massieu(
     hessian_residuals, curl_residuals = [], []
     for target in targets:
         stop = model.chart.require(target)
-        straight = _integrate_massieu(local, [reference, stop], seed.copy(), steps)
-        detour = _integrate_massieu(local, _l_path(reference, stop), seed.copy(), steps)
+        straight = _integrate_massieu(local, [reference, stop], seed.copy(), tol)
+        detour = _integrate_massieu(local, _l_path(reference, stop), seed.copy(), tol)
         scale = max(float(np.max(np.abs(straight))), 1.0)
         residual = float(np.max(np.abs(straight - detour))) / scale
         if residual > tol.path:
@@ -380,16 +384,23 @@ def _verify_massieu(model, local, target, alpha, phi):
     Hessian's axis points), so the potential's plain Hessian and alpha's
     curl can be measured independently of the defining ODE.  A segment is
     about ``rel_step`` long, where RK4's error is far below the stencil's.
+    The step samples ``local`` at the 3 Lobatto nodes s = 0, 1/2, 1, its
+    RK4 stage points; the node at the target is evaluated once for all.
     """
     n = target.size
     cfg = numdiff.DiffConfig.for_chart(model.chart)
     state0 = np.concatenate([alpha, [phi]])
-    continued = {}
+    at_target = local(target)
+    continued = {target.tobytes(): state0}  # the stencil centre needs no step
 
     def continue_to(point):
         key = point.tobytes()
         if key not in continued:
-            continued[key] = _integrate_massieu(local, [target, point], state0.copy(), 1)
+            run = _segment(
+                _massieu_rhs, local, target, point - target, state0, 3,
+                {0: at_target}, steps=1,
+            )
+            continued[key] = run[-1][1]
         return continued[key]
 
     def phi_at(point):
@@ -400,7 +411,7 @@ def _verify_massieu(model, local, target, alpha, phi):
 
     plain_hess = numdiff.fd_hessian(phi_at, target, cfg)
     grad = numdiff.fd_gradient(phi_at, target, cfg)
-    g, omega = local(target)
+    g, omega = _unpack_local(at_target, n)
     covariant = plain_hess - np.einsum("cab,c->ab", omega, grad)
     hess_res = float(np.max(np.abs(covariant - g))) / max(float(np.max(np.abs(g))), 1e-12)
     jac = numdiff.fd_jacobian(alpha_at, target, cfg)  # jac[b, a] = d_a alpha_b

@@ -1,8 +1,13 @@
 """Geodesics, parallel transport and covariant-constant fields.
 
-One fixed-step RK4 loop (``_integrate``) integrates every path: geodesics
-here, and through ``_along`` parallel transport and the affine-coordinate
-and Massieu systems of ``structure``.  Traces record the sampled curve; a
+A fixed-step RK4 loop (``_integrate``) integrates every path.  A geodesic
+calls its field at every RK4 stage: its route is not known in advance.
+Parallel transport and the affine-coordinate and Massieu systems of
+``structure`` are linear in their state along a known piecewise-linear
+path, so ``_along`` samples their position-only coefficients once per
+segment at nested Chebyshev-Lobatto nodes and runs the RK4 loop on the
+barycentric interpolant, which makes no further field call (Berrut and
+Trefethen, SIAM Review 46, 2004).  Traces record the sampled curve; a
 geodesic that leaves the field's domain is truncated and flagged with
 ``domain_exit`` instead of raising.
 """
@@ -20,6 +25,18 @@ from .geometry import ConnectionField, connection_field
 DEFAULT_STEP_FRACTION = 1e-3
 MAX_GEODESIC_STEPS = 100_000  # 100 times the default path
 FIELD_SPOT_CHECKS = 3
+# RK4 steps on each segment's interpolant.  The level check does not see
+# RK4's own error, which this count keeps near 4e-9 on gaussian-kl affine
+# coordinates (64 steps: 2e-8); the steps cost no field call.
+PATH_STEPS = 96
+PATH_NODES = (9, 17, 33, 65)  # nested Chebyshev-Lobatto levels on a segment
+LEVEL_AGREEMENT = 1e-3  # share of the consuming check's tolerance
+
+# the finest level's nodes in s in [0, 1]; a level of m nodes takes every
+# (_FINEST / (m - 1))-th, so its nodes are exactly nodes of every finer level.
+# The sine form puts the ends at exactly 0 and 1 and the middle at 0.5.
+_FINEST = PATH_NODES[-1] - 1
+_NODES = 0.5 - 0.5 * np.sin(np.pi * (_FINEST - 2 * np.arange(_FINEST + 1)) / (2 * _FINEST))
 
 
 @dataclass
@@ -58,25 +75,90 @@ def _integrate(f, y, t_end, steps):
         yield (k + 1) * h, y
 
 
-def _along(rhs, state, waypoints, steps):
+def _interpolate(nodes, values, points):
+    """Barycentric Lagrange interpolation of Chebyshev-Lobatto samples.
+
+    ``values[j]`` is the sample at ``nodes[j]``; the weights are (-1)^j,
+    halved at the two ends.  At a node the sample itself is returned.
+    """
+    weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    gaps = points[:, None] - nodes[None, :]
+    rows, cols = np.nonzero(gaps == 0.0)
+    gaps[rows, cols] = 1.0  # those rows are overwritten below
+    ratios = weights / gaps
+    flat = values.reshape(nodes.size, -1)
+    out = (ratios @ flat) / ratios.sum(axis=1)[:, None]
+    out[rows] = flat[cols]
+    return out.reshape((points.size,) + values.shape[1:])
+
+
+def _segment(rhs, local, start, delta, state, count, sampled, steps=PATH_STEPS):
+    """RK4 over one segment on the interpolant of ``count`` Lobatto nodes.
+
+    ``sampled`` maps an index into ``_NODES`` to ``local`` at that node;
+    only nodes missing from it are evaluated (and added).  The interpolant
+    is tabulated at the RK4 stage points s = i / (2 steps) up front.
+    Returns the (s, state) pairs of the RK4 steps.
+    """
+    stride = _FINEST // (count - 1)
+    picks = range(0, _FINEST + 1, stride)
+    for j in picks:
+        if j not in sampled:
+            sampled[j] = local(start + _NODES[j] * delta)
+    stages = 2 * steps
+    table = _interpolate(
+        _NODES[::stride],
+        np.array([sampled[j] for j in picks]),
+        np.arange(stages + 1) / stages,
+    )
+
+    def f(s, y):
+        return rhs(table[round(s * stages)], delta, y)
+
+    return list(_integrate(f, state, 1.0, steps))
+
+
+def _along(rhs, local, state, waypoints, tol):
     """Integrate a state along a piecewise-linear chart path.
 
-    On each segment ``rhs(point, delta, state)`` is d state/ds at
-    ``point = start + s * delta``, s in [0, 1].  Zero-length segments are
-    skipped.  Returns the samples (seg + s, point, state), initial one first.
+    On each segment ``point = start + s * delta``, s in [0, 1], and
+    d state/ds = ``rhs(local(point), delta, state)``: ``local`` is the
+    expensive position-only part, ``rhs`` the cheap linear one.  ``local``
+    is sampled at nested Lobatto levels, each node once, until the end
+    states of two successive levels differ by at most ``LEVEL_AGREEMENT *
+    tol`` (relative to the end state, scale at least 1); ``tol`` is that of
+    the check the result feeds.  A segment that does not settle within
+    ``PATH_NODES[-1]`` nodes raises NumericalFailure.  Zero-length segments
+    are skipped.  Returns the samples (seg + s, point, state), initial one
+    first.
     """
+    limit = LEVEL_AGREEMENT * tol
     samples = [(0.0, waypoints[0], state)]
     for seg in range(len(waypoints) - 1):
         start = waypoints[seg]
         delta = waypoints[seg + 1] - start
         if not np.any(delta):
             continue
-
-        def f(s, y):
-            return rhs(start + s * delta, delta, y)
-
-        for s, state in _integrate(f, state, 1.0, steps):
-            samples.append((seg + s, start + s * delta, state))
+        sampled, previous = {}, None
+        for count in PATH_NODES:
+            run = _segment(rhs, local, start, delta, state, count, sampled)
+            end = run[-1][1]
+            if previous is not None:
+                change = float(np.max(np.abs(end - previous))) / max(
+                    float(np.max(np.abs(end))), 1.0
+                )
+                if change <= limit:
+                    break
+            previous = end
+        else:
+            raise NumericalFailure(
+                f"path segment {start.tolist()} -> {waypoints[seg + 1].tolist()} did not "
+                f"settle within {PATH_NODES[-1]} Chebyshev nodes: the last two levels "
+                f"differ by {change:.3g}, more than {limit:.3g}"
+            )
+        state = end
+        samples.extend((seg + s, start + s * delta, y) for s, y in run)
     return samples
 
 
@@ -162,12 +244,13 @@ def parallel_transport(
     model: ModelDefinition,
     curve,
     v0,
-    steps_per_segment: int = 200,
     connection: Optional[ConnectionField] = None,
+    tol: Tolerances = Tolerances(),
 ) -> Trace:
     """Transport a vector along a piecewise-linear chart path.
 
-    Solves dv^j/dt + omega^j_ik dtheta^i/dt v^k = 0 segment by segment.
+    Solves dv^j/dt + omega^j_ik dtheta^i/dt v^k = 0 segment by segment,
+    to well within ``tol.flat`` (the two-path check of covariant fields).
     The field domain is a box, so a path whose way points lie inside it
     stays inside; a way point outside it raises DomainError up front.
     """
@@ -181,11 +264,10 @@ def parallel_transport(
                 f"transport way point {point.tolist()} outside field domain {conn.domain}"
             )
 
-    def rhs(point, delta, vector):
-        omega = conn(point)
+    def rhs(omega, delta, vector):
         return -np.einsum("jik,i,k->j", omega, delta, vector)
 
-    times, points, vectors = zip(*_along(rhs, as_coords(v0), waypoints, steps_per_segment))
+    times, points, vectors = zip(*_along(rhs, conn, as_coords(v0), waypoints, tol.flat))
     return Trace(
         kind="parallel_transport",
         times=np.array(times),
@@ -201,7 +283,6 @@ def covariant_constant_field(
     v0,
     grid,
     connection: Optional[ConnectionField] = None,
-    steps_per_segment: int = 200,
     tol: Tolerances = Tolerances(),
 ) -> Trace:
     """Extend a vector to a grid by straight-path parallel transport.
@@ -219,10 +300,7 @@ def covariant_constant_field(
         if np.allclose(target, base):
             vectors.append(seed.copy())
             continue
-        trace = parallel_transport(
-            model, [base, target], seed, connection=conn,
-            steps_per_segment=steps_per_segment,
-        )
+        trace = parallel_transport(model, [base, target], seed, connection=conn, tol=tol)
         vectors.append(trace.end_vector)
     scale = max(float(np.max(np.abs(vectors))), 1.0)
     worst = 0.0
@@ -233,8 +311,7 @@ def covariant_constant_field(
         if np.allclose(target, base):
             continue
         detour = parallel_transport(
-            model, _l_path(base, target), seed, connection=conn,
-            steps_per_segment=steps_per_segment,
+            model, _l_path(base, target), seed, connection=conn, tol=tol
         )
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale
         worst = max(worst, gap)

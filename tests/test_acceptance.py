@@ -127,9 +127,7 @@ def test_criterion_5_gce_dynamics(catalogue):
         for beta in np.linspace(0.5, 3.0, 6)
         for mu in np.linspace(-2.0, 0.9, 6)
     ]
-    field = transport.covariant_constant_field(
-        gce, [1.0, 0.0], [1.0, 0.0], grid, steps_per_segment=64
-    )
+    field = transport.covariant_constant_field(gce, [1.0, 0.0], [1.0, 0.0], grid)
     for point, vector in zip(field.points, field.vectors):
         mu0 = 0.0  # seed (1, 0) at (1, 0) pins the integration constant
         expected = np.array([1.0, (mu0 - point[1]) / point[0]])

@@ -36,7 +36,7 @@ class TestRunConfig:
 
     def test_roundtrip(self):
         config = cli.RunConfig.from_dict(
-            {"model": "gce", "op": "classify", "seed": 7, "tolerances": {"cond4": 1e-6}}
+            {"model": "gce", "op": "report", "seed": 7, "tolerances": {"cond4": 1e-6}}
         )
         assert cli.RunConfig.from_dict(config.to_dict()) == config
 
@@ -136,6 +136,15 @@ class TestDocuments:
 
 
 class TestCliRuns:
+    def test_import_leaves_scipy_special_unloaded(self):
+        # scipy.special takes about 0.3 s to import; only the gumbel
+        # statistic and the vmf-cylinder model load it, when they run
+        code = "import sys, dsm_geom.cli; assert 'scipy.special' not in sys.modules"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_classify_gaussian(self, tmp_path):
         out = tmp_path / "r.json"
         result = run_cli(
@@ -324,11 +333,19 @@ class TestExitCodes:
                  "--vector", "1,0", "--grid", "1.01,0.31;1.02,0.32"],
                 "flat=1e-5",
             ),
+            (
+                # the transport solve settles at 33 nodes (level gap 9e-8 <=
+                # 1e-3 * flat) by default, and not within 65 (6e-11) at 1e-9
+                ["--model", "gaussian-kl", "--op", "transport", "--start", "0,1",
+                 "--end", "3,0.05", "--vector", "1,0"],
+                "flat=1e-9",
+            ),
         ],
-        ids=["massieu-hessian", "field-flat"],
+        ids=["massieu-hessian", "field-flat", "transport-flat"],
     )
     def test_tightened_tolerance_reaches_its_check(self, args, tight, tmp_path, capsys):
-        # both checks used to compare with a fixed 1e-3, whatever --tol said
+        # the first two checks used to compare with a fixed 1e-3, whatever
+        # --tol said
         assert cli.main([*args, "--out", str(tmp_path / "default.json")]) == 0
         capsys.readouterr()
         code = cli.main([*args, "--tol", tight, "--out", str(tmp_path / "tight.json")])
@@ -465,6 +482,7 @@ class TestBadInput:
                 "--grid",
             ),
             (["--model", "all", "--op", "report", "--trials", "10"], "--trials"),
+            (["--model", "gce", "--op", "connection", "--at", "1,-1", "--seed", "7"], "--seed"),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -474,7 +492,7 @@ class TestBadInput:
             "end-length", "targets-point-length", "gce-kappa", "regression-ls-lambda",
             "all-levels", "geodesic-outside-chart", "step-zero", "t-zero", "t-inf",
             "vector-nan", "metric-unread-options", "all-at", "connection-fibre-k",
-            "connection-field", "massieu-grid", "report-trials",
+            "connection-field", "massieu-grid", "report-trials", "connection-seed",
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import models, numdiff, structure
+from dsm_geom import geometry, models, numdiff, structure, transport
 from dsm_geom.core import Tolerances
 from dsm_geom.errors import DomainError, NotFlat, NotIntegrable
 from dsm_geom.geometry import connection_field, metric_field
@@ -101,7 +101,7 @@ class TestAffineCoordinates:
     def test_matches_closed_form_up_to_gauge(self, catalogue, rng, name, theta0):
         model = catalogue[name]
         targets = model.chart.random_points(rng, 10)
-        amap = structure.affine_coordinates(model, theta0, targets, steps=48)
+        amap = structure.affine_coordinates(model, theta0, targets)
         closed = [model.oracle.affine_map(t) for t in targets]
         assert gauge_fit_residual(amap.values, closed) < 1e-4
         assert max(amap.path_residuals) < 1e-4
@@ -111,6 +111,24 @@ class TestAffineCoordinates:
         # closed form (beta, -beta mu) - (1, 0), gauge-rotated by the
         # inverse Jacobian at theta0 = diag(1, -1)
         assert amap.values[0] == pytest.approx([1.0, 0.6], abs=1e-4)
+
+    def test_gce_matches_closed_form_tightly(self, catalogue):
+        # affine map (beta, -beta mu) with Jacobian [[1, 0], [-mu, -beta]];
+        # the gauge Theta(theta0) = 0, dTheta(theta0) = I fixes J(theta0)^-1
+        gce = catalogue["gce"]
+        theta0 = np.array([1.5, -0.5])
+
+        def jacobian(point):
+            beta, mu = point
+            return np.array([[1.0, 0.0], [-mu, -beta]])
+
+        inverse = np.linalg.inv(jacobian(theta0))
+        targets = [np.array(t) for t in ([2.0, 0.3], [0.7, -1.2], [2.6, 0.8])]
+        amap = structure.affine_coordinates(gce, theta0, targets)
+        for target, value, gradient in zip(targets, amap.values, amap.gradients):
+            shift = gce.oracle.affine_map(target) - gce.oracle.affine_map(theta0)
+            assert np.max(np.abs(value - inverse @ shift)) <= 1e-10
+            assert np.max(np.abs(gradient - inverse @ jacobian(target))) <= 1e-10
 
     def test_transformed_connection_vanishes(self, catalogue):
         # chain rule with FD Jacobians of the sampled map: in the affine
@@ -131,7 +149,7 @@ class TestAffineCoordinates:
             def map_gradient(point):
                 # continue the sampled map from the target: cheap and
                 # path-independent on this flat model
-                moved = structure._integrate_affine(conn, [target, point], state.copy(), 16)
+                moved = structure._integrate_affine(conn, [target, point], state.copy())
                 return moved[: n * n].reshape(n, n)
 
             hess = np.empty((n, n, n))  # hess[j, a, b] = d_a d_b Theta^j
@@ -179,16 +197,43 @@ class TestMassieu:
         verified = structure.massieu(counted_model, theta0, targets)
         # Each chart point costs one gated connection evaluation: 3 fibre
         # Hessians plus 2 probe pairs (2 gradients, 2 Hessians each), so
-        # 4 gradients and 7 Hessians.  The points: 1152 on the paths
-        # (96 RK4 steps x 4 stages on the straight path, twice that on the
-        # two-segment detour), 64 continuation points (16 distinct FD
-        # stencil points, one 4-stage step each) and the target itself.
-        points = 4 * 96 + 2 * 4 * 96 + 16 * 4 + 1
+        # 4 gradients and 7 Hessians.  The points: 51 on the paths (the
+        # straight segment and the two detour segments each sample 9
+        # Lobatto nodes, then the 8 new ones of the 17-node level, whose end
+        # state agrees), 32 continuation points (16 distinct off-centre FD
+        # stencil points, each at the new Lobatto nodes s = 1/2 and 1 of a
+        # one-step segment) and the target itself (the s = 0 node of every
+        # continuation).
+        points = 3 * (9 + 8) + 16 * 2 + 1
         assert calls == {"gradient": 4 * points, "hessian": 7 * points}
-        assert calls == {"gradient": 4868, "hessian": 8519}
+        assert calls == {"gradient": 336, "hessian": 588}
         plain = structure.massieu(cylinder, theta0, targets, verify=False)
         assert verified.potentials == plain.potentials
         assert np.array_equal(verified.covectors[0], plain.covectors[0])
+
+    def test_continuation_is_the_plain_rk4_step(self):
+        # the verification's 3-node, one-step segment samples exactly the
+        # RK4 stage points s = 0, 1/2, 1, so it equals the step that calls
+        # the field at each stage, bit for bit
+        cylinder = models.build("vmf-cylinder", kappa=2.0)
+
+        def local(point):
+            evaluation = geometry.connection_at(cylinder, point, check_consistency=False)
+            return np.concatenate([evaluation.metric.matrix.ravel(), evaluation.omega.ravel()])
+
+        target, state = np.array([0.4, 1.5]), np.array([0.3, -0.2, 0.7])
+        for step in ([1e-4, 0.0], [1e-4, 1.5e-4], [-2e-4, 3e-5]):
+            delta = (target + np.array(step)) - target
+
+            def field_at_stages(s, y):
+                return structure._massieu_rhs(local(target + s * delta), delta, y)
+
+            (_, plain), = transport._integrate(field_at_stages, state, 1.0, 1)
+            run = transport._segment(
+                structure._massieu_rhs, local, target, delta, state, 3, {0: local(target)},
+                steps=1,
+            )
+            assert np.array_equal(run[-1][1], plain)
 
     def test_dlambda_quadratic_potential(self, catalogue):
         sample = structure.massieu(catalogue["regression-dlambda"], [0.0, 0.0], [[1.0, 1.0]])
@@ -220,7 +265,7 @@ class TestMassieu:
                 b = forward(random_chart_point(model, rng))
                 mid = 0.5 * (a + b)
                 points = [inverse(z) for z in (a, b, mid)]
-                sample = structure.massieu(model, theta0, points, verify=False, steps=32)
+                sample = structure.massieu(model, theta0, points, verify=False)
                 phi_a, phi_b, phi_mid = sample.potentials
                 assert phi_mid <= 0.5 * (phi_a + phi_b) + 1e-7, name
 

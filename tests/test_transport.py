@@ -135,7 +135,7 @@ class TestParallelTransport:
         sphere = models.build("vmf-sphere", kappa=1.0)
         latitude = math.pi / 3
         loop = [np.array([latitude, phi]) for phi in np.linspace(0.0, 2.0 * math.pi, 9)]
-        trace = transport.parallel_transport(sphere, loop, [1.0, 0.0], steps_per_segment=64)
+        trace = transport.parallel_transport(sphere, loop, [1.0, 0.0])
         g = sphere.oracle.metric([latitude, 0.0])
         v0 = np.array([1.0, 0.0])
         v1 = trace.end_vector
@@ -154,9 +154,7 @@ class TestCovariantConstantField:
             for beta in np.linspace(0.5, 3.0, 3)
             for mu in np.linspace(-2.0, 0.9, 3)
         ]
-        trace = transport.covariant_constant_field(
-            gce, [1.0, 0.0], [1.0, 0.0], grid, steps_per_segment=64
-        )
+        trace = transport.covariant_constant_field(gce, [1.0, 0.0], [1.0, 0.0], grid)
         for point, vector in zip(trace.points, trace.vectors):
             expected = gce.oracle.covariant_field([1.0, 0.0], [1.0, 0.0], point)
             assert vector == pytest.approx(expected, abs=1e-4)
@@ -179,9 +177,7 @@ class TestCovariantConstantField:
         jac0 = numdiff.fd_jacobian(model.oracle.affine_map, theta0)
         seed = np.linalg.solve(jac0, np.array([1.0, 0.0]))
         grid = [np.array([mu, sigma]) for mu in (-0.5, 0.5) for sigma in (0.8, 1.6)]
-        trace = transport.covariant_constant_field(
-            model, theta0, seed, grid, steps_per_segment=64
-        )
+        trace = transport.covariant_constant_field(model, theta0, seed, grid)
         for point, vector in zip(trace.points, trace.vectors):
             jac = numdiff.fd_jacobian(model.oracle.affine_map, point)
             assert jac @ vector == pytest.approx([1.0, 0.0], abs=1e-3)
@@ -191,7 +187,7 @@ class TestCovariantConstantField:
         grid = [np.array([1.0, 0.5]), np.array([1.5, 1.0])]
         with pytest.raises(NotFlat):
             transport.covariant_constant_field(
-                sphere, [math.pi / 3, 0.0], [1.0, 0.0], grid, steps_per_segment=64
+                sphere, [math.pi / 3, 0.0], [1.0, 0.0], grid
             )
 
     def test_detour_sees_curvature_beyond_two_dimensions(self):
@@ -213,22 +209,56 @@ class TestCovariantConstantField:
         with pytest.raises(NotFlat):
             transport.covariant_constant_field(
                 sphere, [math.pi / 3, 0.0, 0.0], [1.0, 0.0, 0.0], grid,
-                connection=conn, steps_per_segment=64,
+                connection=conn,
             )
 
 
     def test_detour_skips_zero_length_segments(self, catalogue):
         # the target shares mu with the base, so the detour is one segment:
-        # 200 RK4 steps of 4 evaluations each for the straight path and the
-        # detour (a zero-length corner used to cost another 800)
+        # the straight path and the detour each sample 9 Lobatto nodes, then
+        # the 8 new ones of the 17-node level, whose end state agrees
+        # (a zero-length corner would cost another 17)
         model = catalogue["gaussian-kl"]
         conn, calls = counting_oracle_field(model)
         trace = transport.covariant_constant_field(
-            model, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])],
-            connection=conn, steps_per_segment=200,
+            model, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])], connection=conn
         )
-        assert len(calls) == 1600
+        assert len(calls) == 2 * (9 + 8)
         assert trace.metadata["path_residual"] < 1e-12
+
+
+class TestSegmentSampling:
+    def test_smooth_segment_costs_two_nested_levels(self, catalogue):
+        # 9 Lobatto nodes, then only the 8 new nodes of the 17-node level
+        # (the 9 are among its nodes), whose end state agrees with the first
+        model = catalogue["gaussian-kl"]
+        conn, calls = counting_oracle_field(model)
+        transport.parallel_transport(
+            model, [np.array([0.0, 1.0]), np.array([0.5, 1.4])], [1.0, 0.0], connection=conn
+        )
+        assert len(calls) == 9 + 8
+
+    def test_jump_in_the_field_fails_within_the_node_budget(self, catalogue):
+        # the connection jumps between two nodes inside the segment: no
+        # level settles, and every one of the 65 finest nodes is sampled once
+        model = catalogue["gaussian-kl"]
+        oracle = geometry.connection_field(model, source="oracle")
+        calls = []
+
+        def jumping(coords):
+            calls.append(1)
+            return oracle.evaluate(coords) + (coords[0] > 0.37)
+
+        conn = geometry.ConnectionField(
+            evaluate=jumping, provenance=oracle.provenance, domain=oracle.domain
+        )
+        with pytest.raises(NumericalFailure, match="65 Chebyshev nodes") as excinfo:
+            transport.parallel_transport(
+                model, [np.array([0.0, 1.0]), np.array([1.0, 1.0])], [1.0, 0.0],
+                connection=conn,
+            )
+        assert "\n" not in str(excinfo.value)
+        assert len(calls) == 65
 
 
 class TestTraceFormat:
