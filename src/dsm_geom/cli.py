@@ -87,7 +87,7 @@ class RunConfig:
     grid: str = "default"
     data: Optional[dict] = None
     field_source: str = "fibre"
-    fibre_k: int = 3
+    fibre_k: int = geometry.FIBRE_K_DEFAULT
     trials: int = 1000
     tolerances: dict = dataclasses.field(default_factory=dict)
     seed: int = 42
@@ -645,14 +645,14 @@ def build_parser() -> _Parser:
     parser.add_argument("--other", type=_vector)
     parser.add_argument("--t", dest="t_end", type=float)
     parser.add_argument("--step", type=float)
-    parser.add_argument("--grid", default="default")
+    parser.add_argument("--grid")
     parser.add_argument("--data", type=str, help="JSON data-set spec")
-    parser.add_argument("--field", dest="field_source", choices=("fibre", "oracle"), default="fibre")
-    parser.add_argument("--fibre-k", dest="fibre_k", type=int, default=3)
-    parser.add_argument("--trials", type=int, default=1000)
+    parser.add_argument("--field", dest="field_source", choices=("fibre", "oracle"))
+    parser.add_argument("--fibre-k", dest="fibre_k", type=int)
+    parser.add_argument("--trials", type=int)
     parser.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--out", default="report.json")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out")
     return parser
 
 

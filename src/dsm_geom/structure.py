@@ -8,7 +8,8 @@ flat, Codazzi-compatible).  Affine coordinates and the Massieu
 potential are recovered by integrating their defining linear systems
 along chart paths, with a second path recording path-independence.  The
 systems' coefficients (the connection, and the metric for Massieu) are
-sampled once per path segment at Chebyshev nodes (``transport._along``).
+sampled once per path segment at Chebyshev nodes, where one linear solve
+gives the state (``transport._along``).
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .errors import (
     ProbeSingular,
 )
 from .geometry import (
+    FIBRE_K_DEFAULT,
     ConnectionField,
     codazzi_residual,
     connection_at,
@@ -115,7 +117,7 @@ def default_grid(model: ModelDefinition, per_axis: int = CLASSIFY_GRID_PER_AXIS)
 def classify(
     model: ModelDefinition,
     theta_grid: Optional[list] = None,
-    fibre_k: int = 3,
+    fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> GeometryReport:
     """Run the full identification chain over a grid of chart points."""
@@ -379,13 +381,14 @@ def massieu(
 def _verify_massieu(model, local, target, alpha, phi):
     """FD-check the sampled potential around one target.
 
-    One-step RK4 continuations extend (alpha, Phi) to the stencil points,
-    each continued once (the gradient and Jacobian stencils are the
-    Hessian's axis points), so the potential's plain Hessian and alpha's
-    curl can be measured independently of the defining ODE.  A segment is
-    about ``rel_step`` long, where RK4's error is far below the stencil's.
-    The step samples ``local`` at the 3 Lobatto nodes s = 0, 1/2, 1, its
-    RK4 stage points; the node at the target is evaluated once for all.
+    Short continuations extend (alpha, Phi) to the stencil points, each
+    continued once (the gradient and Jacobian stencils are the Hessian's
+    axis points), so the potential's plain Hessian and alpha's curl can be
+    measured independently of the defining ODE.  Each continuation is one
+    ``transport._segment`` solve at the 3 Lobatto nodes s = 0, 1/2, 1 (the
+    3-stage Lobatto IIIA step, 4th order); a segment is about ``rel_step``
+    long, where that error is far below the stencil's.  The node at the
+    target is evaluated once for all.
     """
     n = target.size
     cfg = numdiff.DiffConfig.for_chart(model.chart)
@@ -397,8 +400,7 @@ def _verify_massieu(model, local, target, alpha, phi):
         key = point.tobytes()
         if key not in continued:
             run = _segment(
-                _massieu_rhs, local, target, point - target, state0, 3,
-                {0: at_target}, steps=1,
+                _massieu_rhs, local, target, point - target, state0, 3, {0: at_target}
             )
             continued[key] = run[-1][1]
         return continued[key]
@@ -432,7 +434,7 @@ class PythagoreanReport:
 
 
 def pythagorean_check(
-    model: ModelDefinition, theta, m_other, fibre_k: int = 3
+    model: ModelDefinition, theta, m_other, fibre_k: int = FIBRE_K_DEFAULT
 ) -> PythagoreanReport:
     """Fibre constancy of D(x || m_other) - D(x || m_theta).
 

@@ -1,19 +1,20 @@
 """Geodesics, parallel transport and covariant-constant fields.
 
-A fixed-step RK4 loop (``_integrate``) integrates every path.  A geodesic
-calls its field at every RK4 stage: its route is not known in advance.
-Parallel transport and the affine-coordinate and Massieu systems of
-``structure`` are linear in their state along a known piecewise-linear
-path, so ``_along`` samples their position-only coefficients once per
-segment at nested Chebyshev-Lobatto nodes and runs the RK4 loop on the
-barycentric interpolant, which makes no further field call (Berrut and
-Trefethen, SIAM Review 46, 2004).  Traces record the sampled curve; a
-geodesic that leaves the field's domain is truncated and flagged with
+A geodesic's route is not known in advance, so a fixed-step RK4 loop
+(``_integrate``) calls its field at every stage.  Parallel transport and
+the affine-coordinate and Massieu systems of ``structure`` are linear in
+their state along a known piecewise-linear path, so ``_along`` samples
+their position-only coefficients once per segment at nested
+Chebyshev-Lobatto nodes and solves the system at those nodes in integral
+form, one linear solve per level (spectral integration: Greengard, SIAM
+J. Numer. Anal. 28, 1991).  Traces record the sampled curve; a geodesic
+that leaves the field's domain is truncated and flagged with
 ``domain_exit`` instead of raising.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -25,10 +26,6 @@ from .geometry import ConnectionField, connection_field
 DEFAULT_STEP_FRACTION = 1e-3
 MAX_GEODESIC_STEPS = 100_000  # 100 times the default path
 FIELD_SPOT_CHECKS = 3
-# RK4 steps on each segment's interpolant.  The level check does not see
-# RK4's own error, which this count keeps near 4e-9 on gaussian-kl affine
-# coordinates (64 steps: 2e-8); the steps cost no field call.
-PATH_STEPS = 96
 PATH_NODES = (9, 17, 33, 65)  # nested Chebyshev-Lobatto levels on a segment
 LEVEL_AGREEMENT = 1e-3  # share of the consuming check's tolerance
 
@@ -75,48 +72,48 @@ def _integrate(f, y, t_end, steps):
         yield (k + 1) * h, y
 
 
-def _interpolate(nodes, values, points):
-    """Barycentric Lagrange interpolation of Chebyshev-Lobatto samples.
+@cache
+def _integration_matrix(count):
+    """Q[i, j] = integral from 0 to s_i of l_j(s) ds on a level's nodes.
 
-    ``values[j]`` is the sample at ``nodes[j]``; the weights are (-1)^j,
-    halved at the two ends.  At a node the sample itself is returned.
+    l_j is the Lagrange polynomial of node j among the ``count`` Lobatto
+    nodes in s in [0, 1]; the last row holds the Clenshaw-Curtis weights.
     """
-    weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    weights[[0, -1]] *= 0.5
-    gaps = points[:, None] - nodes[None, :]
-    rows, cols = np.nonzero(gaps == 0.0)
-    gaps[rows, cols] = 1.0  # those rows are overwritten below
-    ratios = weights / gaps
-    flat = values.reshape(nodes.size, -1)
-    out = (ratios @ flat) / ratios.sum(axis=1)[:, None]
-    out[rows] = flat[cols]
-    return out.reshape((points.size,) + values.shape[1:])
+    from numpy.polynomial import chebyshev  # ~5 ms to import: only path solves need it
+
+    x = 2.0 * _NODES[:: _FINEST // (count - 1)] - 1.0
+    lagrange = np.linalg.inv(chebyshev.chebvander(x, count - 1))  # column j: l_j
+    return chebyshev.chebval(x, chebyshev.chebint(lagrange, lbnd=-1.0, scl=0.5)).T
 
 
-def _segment(rhs, local, start, delta, state, count, sampled, steps=PATH_STEPS):
-    """RK4 over one segment on the interpolant of ``count`` Lobatto nodes.
+def _segment(rhs, local, start, delta, state, count, sampled):
+    """Solve one segment at its ``count`` Lobatto nodes.
 
     ``sampled`` maps an index into ``_NODES`` to ``local`` at that node;
-    only nodes missing from it are evaluated (and added).  The interpolant
-    is tabulated at the RK4 stage points s = i / (2 steps) up front.
-    Returns the (s, state) pairs of the RK4 steps.
+    only nodes missing from it are evaluated (and added).  ``rhs`` is
+    affine in the state, A_j y + b_j at node j, so the node states of the
+    integral form Y_i = state + sum_j Q[i, j] (A_j Y_j + b_j), the Lobatto
+    IIIA method of ``count`` stages, follow from one linear solve.  Returns
+    the (s, state) pairs at the nodes after s = 0.
     """
     stride = _FINEST // (count - 1)
     picks = range(0, _FINEST + 1, stride)
     for j in picks:
         if j not in sampled:
             sampled[j] = local(start + _NODES[j] * delta)
-    stages = 2 * steps
-    table = _interpolate(
-        _NODES[::stride],
-        np.array([sampled[j] for j in picks]),
-        np.arange(stages + 1) / stages,
+    first, *rest = (sampled[j] for j in picks)
+    size = state.size
+    offsets = np.array([rhs(c, delta, np.zeros(size)) for c in rest])
+    # columns[j, k] = A_j e_k, so A_j = columns[j].T
+    columns = np.array([[rhs(c, delta, unit) for unit in np.eye(size)] for c in rest])
+    columns -= offsets[:, None, :]
+    q = _integration_matrix(count)
+    coupling = np.einsum("ij,jba->iajb", q[1:, 1:], columns).reshape(
+        (count - 1) * size, (count - 1) * size
     )
-
-    def f(s, y):
-        return rhs(table[round(s * stages)], delta, y)
-
-    return list(_integrate(f, state, 1.0, steps))
+    load = state + np.outer(q[1:, 0], rhs(first, delta, state)) + q[1:, 1:] @ offsets
+    nodes = np.linalg.solve(np.eye(coupling.shape[0]) - coupling, load.ravel())
+    return list(zip(_NODES[::stride][1:], nodes.reshape(count - 1, size)))
 
 
 def _along(rhs, local, state, waypoints, tol):
@@ -124,14 +121,14 @@ def _along(rhs, local, state, waypoints, tol):
 
     On each segment ``point = start + s * delta``, s in [0, 1], and
     d state/ds = ``rhs(local(point), delta, state)``: ``local`` is the
-    expensive position-only part, ``rhs`` the cheap linear one.  ``local``
-    is sampled at nested Lobatto levels, each node once, until the end
-    states of two successive levels differ by at most ``LEVEL_AGREEMENT *
-    tol`` (relative to the end state, scale at least 1); ``tol`` is that of
-    the check the result feeds.  A segment that does not settle within
+    expensive position-only part, ``rhs`` the cheap one, affine in the
+    state.  ``local`` is sampled at nested Lobatto levels, each node once,
+    until the end states of two successive levels differ by at most
+    ``LEVEL_AGREEMENT * tol`` (relative to the end state, scale at least 1);
+    ``tol`` is that of the check the result feeds.  A segment that does not settle within
     ``PATH_NODES[-1]`` nodes raises NumericalFailure.  Zero-length segments
-    are skipped.  Returns the samples (seg + s, point, state), initial one
-    first.
+    are skipped.  Returns the samples (seg + s, point, state) at the
+    accepted levels' nodes, initial one first.
     """
     limit = LEVEL_AGREEMENT * tol
     samples = [(0.0, waypoints[0], state)]

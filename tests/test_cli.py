@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -287,6 +288,19 @@ class TestCliRuns:
         assert doc["results"]["induced_value"] == pytest.approx(0.5, abs=1e-10)
         assert doc["residuals"]["fibre_deviation"] < 1e-8
 
+    def test_massieu_near_the_cylinder_pole(self, tmp_path, capsys):
+        # g_lambda,lambda = 1 / lambda^2 grows 400-fold along the segment.
+        # The potential kappa mu^2 / 2 - log(lambda), kappa = 2, less its
+        # value and slope at (0, 1): 9 - log(0.05) - 0.95 at (3, 0.05), with
+        # covector (kappa mu, 1 - 1 / lambda) = (6, -19)
+        out = tmp_path / "m.json"
+        args = ["--model", "vmf-cylinder", "--op", "massieu", "--start", "0,1",
+                "--targets", "3,0.05", "--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        results = json.loads(out.read_text())["results"]
+        assert np.max(np.abs(np.array(results["covectors"][0]) - [6.0, -19.0])) <= 1e-10
+        assert abs(results["potentials"][0] - (9.0 - math.log(0.05) - 0.95)) <= 1e-8
+
 
 class TestExitCodes:
     def test_config_error_is_one(self):
@@ -334,11 +348,11 @@ class TestExitCodes:
                 "flat=1e-5",
             ),
             (
-                # the transport solve settles at 33 nodes (level gap 9e-8 <=
-                # 1e-3 * flat) by default, and not within 65 (6e-11) at 1e-9
-                ["--model", "gaussian-kl", "--op", "transport", "--start", "0,1",
-                 "--end", "3,0.05", "--vector", "1,0"],
-                "flat=1e-9",
+                # the transport solve settles at 33 nodes (level gap 4e-7 <=
+                # 1e-3 * flat) by default, and not within 65 (2e-12) at 1e-10
+                ["--model", "vmf-sphere", "--op", "transport", "--start", "1,0.3",
+                 "--end", "0.1,1", "--vector", "1,0"],
+                "flat=1e-10",
             ),
         ],
         ids=["massieu-hessian", "field-flat", "transport-flat"],

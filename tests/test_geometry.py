@@ -237,7 +237,6 @@ class TestCramerRao:
 
     def test_gaussian_margins(self, catalogue):
         report = geometry.cramer_rao_check(catalogue["gaussian-kl"], [0.0, 1.0])
-        assert report.trials == 1000
         assert report.worst_margin >= -1e-10
         assert report.worst_affine_margin >= -1e-10
 
@@ -245,6 +244,14 @@ class TestCramerRao:
         report = geometry.cramer_rao_check(catalogue["gce"], [1.0, 0.5])
         assert report.worst_margin >= -1e-10
         assert report.worst_affine_margin >= -1e-10
+
+    def test_margin_is_the_smallest_metric_eigenvalue(self, catalogue):
+        # the worst Cauchy-Schwarz margin over all vector pairs is >= 0
+        # exactly when the smallest eigenvalue of g is
+        model, point = catalogue["gce"], [1.0, 0.5]
+        g = geometry.metric_at(model, point).matrix
+        report = geometry.cramer_rao_check(model, point)
+        assert report.worst_margin == np.linalg.eigvalsh(g)[0]
 
 
 def _synthetic_model(hessian_matrix, degenerate_probes=False):

@@ -130,6 +130,25 @@ class TestAffineCoordinates:
             assert np.max(np.abs(value - inverse @ shift)) <= 1e-10
             assert np.max(np.abs(gradient - inverse @ jacobian(target))) <= 1e-10
 
+    def test_gaussian_matches_closed_form_tightly(self, catalogue):
+        # affine map (1 / (2 sigma^2), -mu / sigma^2) with Jacobian
+        # [[0, -1 / sigma^3], [-1 / sigma^2, 2 mu / sigma^3]]; the gauge
+        # Theta(theta0) = 0, dTheta(theta0) = I fixes J(theta0)^-1
+        model = catalogue["gaussian-kl"]
+        theta0 = np.array([0.0, 1.0])
+
+        def jacobian(point):
+            mu, sigma = point
+            return np.array([[0.0, -1.0 / sigma**3], [-1.0 / sigma**2, 2.0 * mu / sigma**3]])
+
+        inverse = np.linalg.inv(jacobian(theta0))
+        targets = [np.array(t) for t in ([0.4, 1.5], [-0.7, 0.6], [1.0, 0.5], [2.0, 2.5])]
+        amap = structure.affine_coordinates(model, theta0, targets)
+        for target, value, gradient in zip(targets, amap.values, amap.gradients):
+            shift = model.oracle.affine_map(target) - model.oracle.affine_map(theta0)
+            assert np.max(np.abs(value - inverse @ shift)) <= 1e-12
+            assert np.max(np.abs(gradient - inverse @ jacobian(target))) <= 1e-12
+
     def test_transformed_connection_vanishes(self, catalogue):
         # chain rule with FD Jacobians of the sampled map: in the affine
         # coordinates the connection coefficients must vanish, i.e. the
@@ -212,9 +231,10 @@ class TestMassieu:
         assert np.array_equal(verified.covectors[0], plain.covectors[0])
 
     def test_continuation_is_the_plain_rk4_step(self):
-        # the verification's 3-node, one-step segment samples exactly the
-        # RK4 stage points s = 0, 1/2, 1, so it equals the step that calls
-        # the field at each stage, bit for bit
+        # the verification's 3-node segment samples exactly the RK4 stage
+        # points s = 0, 1/2, 1; its Lobatto IIIA solve and the RK4 step that
+        # calls the field at each stage are both 4th order, and on steps of
+        # 1e-4 they agree to rounding
         cylinder = models.build("vmf-cylinder", kappa=2.0)
 
         def local(point):
@@ -230,10 +250,9 @@ class TestMassieu:
 
             (_, plain), = transport._integrate(field_at_stages, state, 1.0, 1)
             run = transport._segment(
-                structure._massieu_rhs, local, target, delta, state, 3, {0: local(target)},
-                steps=1,
+                structure._massieu_rhs, local, target, delta, state, 3, {0: local(target)}
             )
-            assert np.array_equal(run[-1][1], plain)
+            assert np.max(np.abs(run[-1][1] - plain)) <= 1e-15
 
     def test_dlambda_quadratic_potential(self, catalogue):
         sample = structure.massieu(catalogue["regression-dlambda"], [0.0, 0.0], [[1.0, 1.0]])

@@ -261,6 +261,19 @@ class TestSegmentSampling:
         assert len(calls) == 65
 
 
+    def test_gaussian_transport_is_exact_at_the_nodes(self, catalogue):
+        # transport keeps J v constant, J the Jacobian of the affine map
+        # (1 / (2 sigma^2), -mu / sigma^2), so (1, 0) at (0, 1) ends as
+        # (sigma^2, 0); one row per node of the accepted 17-node level after
+        # s = 0, plus the start
+        trace = transport.parallel_transport(
+            catalogue["gaussian-kl"], [np.array([0.0, 1.0]), np.array([3.0, 0.05])],
+            [1.0, 0.0],
+        )
+        assert np.max(np.abs(trace.end_vector - [0.0025, 0.0])) <= 1e-12
+        assert len(trace.times) == 17
+
+
 class TestTraceFormat:
     def test_times_increase_and_points_in_chart(self, catalogue):
         trace = transport.geodesic(catalogue["gce"], [1.0, -1.0], [1.0, 0.5], 1.0, step=0.01)
