@@ -31,6 +31,17 @@ def as_coords(theta) -> np.ndarray:
     return arr
 
 
+def in_open_box(coords: np.ndarray, domain: tuple) -> bool:
+    """True when the vector ``coords`` has one entry per (lo, hi) bound of
+    ``domain`` and each lies strictly between its bounds."""
+    if coords.size != len(domain):
+        return False
+    for value, (lo, hi) in zip(coords.tolist(), domain):
+        if not (lo < value < hi):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ChartSpec:
     """Open coordinate box of a chart plus a finite box used for sampling.
@@ -54,17 +65,11 @@ class ChartSpec:
                 raise DomainError("sample box must sit inside the open domain")
 
     def contains(self, theta) -> bool:
-        coords = as_coords(theta)
-        if coords.size != self.dim:
-            return False
-        for value, (lo, hi) in zip(coords, self.domain):
-            if not (lo < value < hi):
-                return False
-        return True
+        return in_open_box(as_coords(theta), self.domain)
 
     def require(self, theta) -> np.ndarray:
         coords = as_coords(theta)
-        if not self.contains(coords):
+        if not in_open_box(coords, self.domain):
             raise DomainError(
                 f"point {coords.tolist()} outside chart domain {self.domain}"
             )
@@ -393,13 +398,16 @@ class OccupationData(DataSet):
         if np.any(self.occupations < 0):
             raise DomainError("occupations must be >= 0")
         self.label = f"occupations(J={self.levels.size})"
+        self.totals = {
+            "total_count": float(self.occupations.sum()),
+            "total_energy": float(self.occupations @ self.levels),
+        }
 
     def statistic(self, statistic_id, theta=None):
-        if statistic_id == "total_count":
-            return float(self.occupations.sum())
-        if statistic_id == "total_energy":
-            return float(self.occupations @ self.levels)
-        return super().statistic(statistic_id, theta)
+        try:
+            return self.totals[statistic_id]
+        except KeyError:
+            return super().statistic(statistic_id, theta)
 
 
 class RegressionData(DataSet):
@@ -523,9 +531,12 @@ class ModelDefinition:
 
     def fibre_sampler(self, theta, k: int) -> list:
         """Return up to ``k`` distinct data sets in the fibre of m_theta."""
+        return self._fibre_sampler(self.chart.require(theta), k)
+
+    def _fibre_sampler(self, coords, k):
+        # the body of fibre_sampler: coords are already checked against the chart
         if self.fibre_sampler_fn is None:
             raise Unsupported(f"model {self.name} has no fibre sampler")
-        coords = self.chart.require(theta)
         return self.fibre_sampler_fn(coords, k)
 
     @property
@@ -548,7 +559,10 @@ class ModelDefinition:
         condition each; the generic fallback perturbs each declared
         parameter-independent statistic of a fibre member instead.
         """
-        coords = self.chart.require(theta)
+        return self._probe_pairs(self.chart.require(theta), delta, family)
+
+    def _probe_pairs(self, coords, delta, family):
+        # the body of probe_pairs: coords are already checked against the chart
         if self.probe_pairs_fn is not None:
             return self.probe_pairs_fn(coords, delta, family)
         return self._generic_probe_pairs(coords, delta, family)
@@ -564,7 +578,7 @@ class ModelDefinition:
                 f"model {self.name} has no probe constructor and no "
                 "parameter-independent statistics to perturb"
             )
-        member = self.fibre_sampler(coords, 1)[0]
+        member = self._fibre_sampler(coords, 1)[0]
         base = {sid: member.statistic(sid) for sid in ids}
         base["entropy"] = 0.0
         if family == 1:
@@ -612,7 +626,11 @@ def evaluate_divergence(model: ModelDefinition, x: DataSet, theta) -> float:
 
 def divergence_gradient(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
     """First parameter derivatives of D(x || m_theta): ``gradient_fn`` or FD."""
-    coords = model.chart.require(theta)
+    return _divergence_gradient(model, x, model.chart.require(theta))
+
+
+def _divergence_gradient(model: ModelDefinition, x: DataSet, coords) -> np.ndarray:
+    """The body of divergence_gradient: ``coords`` are already checked against the chart."""
     if model.gradient_fn is not None:
         return np.asarray(model.gradient_fn(x, coords), dtype=float)
     from . import numdiff
@@ -623,7 +641,11 @@ def divergence_gradient(model: ModelDefinition, x: DataSet, theta) -> np.ndarray
 
 def divergence_hessian(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
     """Plain (non-covariant) second derivatives of D(x || m_theta): ``hessian_fn`` or FD."""
-    coords = model.chart.require(theta)
+    return _divergence_hessian(model, x, model.chart.require(theta))
+
+
+def _divergence_hessian(model: ModelDefinition, x: DataSet, coords) -> np.ndarray:
+    """The body of divergence_hessian: ``coords`` are already checked against the chart."""
     if model.hessian_fn is not None:
         hess = np.asarray(model.hessian_fn(x, coords), dtype=float)
         return 0.5 * (hess + hess.T)

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .core import ChartSpec, ModelDefinition, Tolerances, as_coords
-from .core import divergence_gradient, divergence_hessian
+from .core import ChartSpec, ModelDefinition, Tolerances, as_coords, in_open_box
+from .core import _divergence_gradient, _divergence_hessian
 from .errors import (
     Condition4Violated,
     HessianStructureViolated,
@@ -72,10 +72,7 @@ class ConnectionField:
         return self.evaluate(as_coords(theta))
 
     def contains(self, coords) -> bool:
-        for value, (lo, hi) in zip(as_coords(coords), self.domain):
-            if not (lo < value < hi):
-                return False
-        return True
+        return in_open_box(as_coords(coords), self.domain)
 
 
 def _relative_gap(candidate, reference, floor=1.0):
@@ -92,9 +89,9 @@ def metric_at(
     """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
     coords = model.chart.require(theta)
     k = min(fibre_k, model.fibre_capacity)
-    members = model.fibre_sampler(coords, k)
-    hessians = [divergence_hessian(model, x, coords) for x in members]
-    mean = np.mean(hessians, axis=0)
+    members = model._fibre_sampler(coords, k)
+    hessians = [_divergence_hessian(model, x, coords) for x in members]
+    mean = sum(hessians) / len(hessians)  # np.mean(axis=0) bit for bit, without its overhead
     scale = max(float(np.max(np.abs(mean))), 1e-12)
     deviation = 0.0
     for i in range(len(hessians)):
@@ -120,7 +117,7 @@ def metric_at(
 
 
 def _solve_family(model, coords, family):
-    pairs = model.probe_pairs(coords, PROBE_DELTA, family)
+    pairs = model._probe_pairs(coords, PROBE_DELTA, family)
     n = coords.size
     if len(pairs) < n:
         raise ProbeSingular(
@@ -129,10 +126,10 @@ def _solve_family(model, coords, family):
     probe_matrix = np.empty((len(pairs), n))
     rhs = np.empty((len(pairs), n, n))
     for c, pair in enumerate(pairs):
-        grad_plus = divergence_gradient(model, pair.plus, coords)
-        grad_minus = divergence_gradient(model, pair.minus, coords)
-        hess_plus = divergence_hessian(model, pair.plus, coords)
-        hess_minus = divergence_hessian(model, pair.minus, coords)
+        grad_plus = _divergence_gradient(model, pair.plus, coords)
+        grad_minus = _divergence_gradient(model, pair.minus, coords)
+        hess_plus = _divergence_hessian(model, pair.plus, coords)
+        hess_minus = _divergence_hessian(model, pair.minus, coords)
         probe_matrix[c] = 0.5 * (grad_plus - grad_minus)
         rhs[c] = 0.5 * (hess_plus - hess_minus)
     singular_values = np.linalg.svd(probe_matrix, compute_uv=False)
@@ -167,7 +164,7 @@ def connection_at(
     model with a Hessian structure.
     """
     coords = model.chart.require(theta)
-    metric = metric_at(model, theta, fibre_k=fibre_k, tol=tol)  # condition-4 gate
+    metric = metric_at(model, coords, fibre_k=fibre_k, tol=tol)  # condition-4 gate
     omega = _solve_family(model, coords, 0)
     if not check_consistency:
         return ConnectionEvaluation(omega=omega, probe_consistency=float("nan"), metric=metric)

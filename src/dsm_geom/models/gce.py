@@ -30,7 +30,7 @@ def _bose_weights(levels, beta, mu):
 
 
 def _log_partition(levels, beta, mu):
-    return float(-np.sum(np.log(-np.expm1(-beta * (levels - mu)))))
+    return float(-np.log(-np.expm1(-beta * (levels - mu))).sum())
 
 
 def _null_space_shifts(levels):
@@ -50,7 +50,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
             f"the energy spectrum needs at least two distinct levels, got {levels.tolist()}"
         )
     eps_min = float(np.min(levels))
-    eps_span = max(float(np.max(levels)) - eps_min, 1.0)
+    shifts = _null_space_shifts(levels)  # depends on the spectrum alone
 
     chart = ChartSpec(
         dim=2,
@@ -72,7 +72,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         count, energy = stats(x)
         f = _occupancies(levels, beta, mu)
         fibre_energy = float(levels @ f)
-        fibre_count = float(np.sum(f))
+        fibre_count = float(f.sum())
         return np.array(
             [
                 (energy - mu * count) - (fibre_energy - mu * fibre_count),
@@ -82,15 +82,15 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
 
     def hessian(x, theta):
         beta, mu = theta
-        count, _ = stats(x)
+        count = x.statistic("total_count")
         f = _occupancies(levels, beta, mu)
-        h = _bose_weights(levels, beta, mu)
+        h = f * (1.0 + f)  # _bose_weights from the occupancies at hand
         gap = levels - mu
-        mixed = float(np.sum(f) - count - beta * np.sum(gap * h))
+        mixed = float(f.sum() - count - beta * (gap * h).sum())
         return np.array(
             [
-                [float(np.sum(gap**2 * h)), mixed],
-                [mixed, beta**2 * float(np.sum(h))],
+                [float((gap**2 * h).sum()), mixed],
+                [mixed, beta**2 * float(h.sum())],
             ]
         )
 
@@ -98,11 +98,11 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         beta, mu = coords
         base = _occupancies(levels, beta, mu)
         members = [OccupationData(base, levels)]
-        for shift in _null_space_shifts(levels):
+        for shift in shifts:
             if len(members) >= k:
                 break
             moving = np.abs(shift) > 1e-12
-            headroom = float(np.min(base[moving] / np.abs(shift[moving])))
+            headroom = float((base[moving] / np.abs(shift[moving])).min())
             t = 0.5 * min(headroom, 1.0)
             members.append(OccupationData(base + t * shift, levels))
             if len(members) < k:
@@ -114,7 +114,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
     def probe_pairs(coords, delta, family):
         beta, mu = coords
         f = _occupancies(levels, beta, mu)
-        count, energy = float(np.sum(f)), float(levels @ f)
+        count, energy = float(f.sum()), float(levels @ f)
         d_energy = delta * max(abs(energy), 1.0)
         d_count = delta * max(abs(count), 1.0)
 
@@ -153,8 +153,8 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         gap = levels - mu
         return np.array(
             [
-                [float(np.sum(gap**2 * h)), -beta * float(np.sum(gap * h))],
-                [-beta * float(np.sum(gap * h)), beta**2 * float(np.sum(h))],
+                [float((gap**2 * h).sum()), -beta * float((gap * h).sum())],
+                [-beta * float((gap * h).sum()), beta**2 * float(h.sum())],
             ]
         )
 
@@ -176,7 +176,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
 
     def massieu_affine(canonical):
         t1, t2 = canonical
-        return float(-np.sum(np.log(-np.expm1(-t1 * levels - t2))))
+        return float(-np.log(-np.expm1(-t1 * levels - t2)).sum())
 
     def massieu_chart(theta):
         return _log_partition(levels, theta[0], theta[1])

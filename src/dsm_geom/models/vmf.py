@@ -48,19 +48,22 @@ def _sphere_point(theta):
     )
 
 
-def _sphere_frame(theta):
-    """First and second chart derivatives of the moment map."""
+def _sphere_tangents(theta):
+    """First chart derivatives of the moment map: d_t u, d_p u."""
     t, p = theta
     st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-    u = np.array([st * cp, st * sp, ct])
-    du = {
-        (0,): np.array([ct * cp, ct * sp, -st]),
-        (1,): np.array([-st * sp, st * cp, 0.0]),
-        (0, 0): -u,
-        (0, 1): np.array([-ct * sp, ct * cp, 0.0]),
-        (1, 1): np.array([-st * cp, -st * sp, 0.0]),
-    }
-    return u, du
+    return np.array([ct * cp, ct * sp, -st]), np.array([-st * sp, st * cp, 0.0])
+
+
+def _sphere_second_derivatives(theta):
+    """Second chart derivatives of the moment map: d_tt u = -u, d_tp u, d_pp u."""
+    t, p = theta
+    st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
+    return (
+        -np.array([st * cp, st * sp, ct]),
+        np.array([-ct * sp, ct * cp, 0.0]),
+        np.array([-st * cp, -st * sp, 0.0]),
+    )
 
 
 def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
@@ -88,18 +91,16 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
 
     def gradient(x, theta):
         moments = _moment_vector(x)
-        _, du = _sphere_frame(theta)
-        return np.array(
-            [-kappa * float(du[(0,)] @ moments), -kappa * float(du[(1,)] @ moments)]
-        )
+        du_t, du_p = _sphere_tangents(theta)
+        return np.array([-kappa * float(du_t @ moments), -kappa * float(du_p @ moments)])
 
     def hessian(x, theta):
         moments = _moment_vector(x)
-        _, du = _sphere_frame(theta)
+        du_tt, du_tp, du_pp = _sphere_second_derivatives(theta)
         h = np.empty((2, 2))
-        h[0, 0] = -kappa * float(du[(0, 0)] @ moments)
-        h[0, 1] = h[1, 0] = -kappa * float(du[(0, 1)] @ moments)
-        h[1, 1] = -kappa * float(du[(1, 1)] @ moments)
+        h[0, 0] = -kappa * float(du_tt @ moments)
+        h[0, 1] = h[1, 0] = -kappa * float(du_tp @ moments)
+        h[1, 1] = -kappa * float(du_pp @ moments)
         return h
 
     def fibre_members(coords, k):
@@ -112,9 +113,9 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         ]
 
     def probe_pairs(coords, delta, family):
-        u, du = _sphere_frame(coords)
-        t = coords[0]
-        tangents = [du[(0,)], du[(1,)] / math.sin(t)]
+        u = _sphere_point(coords)
+        du_t, du_p = _sphere_tangents(coords)
+        tangents = [du_t, du_p / math.sin(coords[0])]
         if family == 1:
             plus = (tangents[0] + tangents[1]) / math.sqrt(2.0)
             minus = (tangents[0] - tangents[1]) / math.sqrt(2.0)

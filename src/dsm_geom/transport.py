@@ -7,9 +7,9 @@ their state along a known piecewise-linear path, so ``_along`` samples
 their position-only coefficients once per segment at nested
 Chebyshev-Lobatto nodes and solves the system at those nodes in integral
 form, one linear solve per level (spectral integration: Greengard, SIAM
-J. Numer. Anal. 28, 1991).  Traces record the sampled curve; a geodesic
-that leaves the field's domain is truncated and flagged with
-``domain_exit`` instead of raising.
+J. Numer. Anal. 28, 1991); a segment that does not settle is halved.
+Traces record the sampled curve; a geodesic that leaves the field's
+domain is truncated and flagged with ``domain_exit`` instead of raising.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ MAX_GEODESIC_STEPS = 100_000  # 100 times the default path
 FIELD_SPOT_CHECKS = 3
 PATH_NODES = (9, 17, 33, 65)  # nested Chebyshev-Lobatto levels on a segment
 LEVEL_AGREEMENT = 1e-3  # share of the consuming check's tolerance
+MAX_HALVINGS = 6  # a segment that has not settled is split down to 1/64 of it
 
 # the finest level's nodes in s in [0, 1]; a level of m nodes takes every
 # (_FINEST / (m - 1))-th, so its nodes are exactly nodes of every finer level.
@@ -116,6 +117,26 @@ def _segment(rhs, local, start, delta, state, count, sampled):
     return list(zip(_NODES[::stride][1:], nodes.reshape(count - 1, size)))
 
 
+def _settle(rhs, local, start, delta, state, limit):
+    """Solve one straight piece at the nested levels of ``PATH_NODES``.
+
+    Stops at the first level whose end state differs from the previous
+    level's by at most ``limit`` (relative to the end state, scale at least
+    1).  Returns that level's (s, state) pairs, or the finest level's, and
+    the last difference.
+    """
+    sampled, previous = {}, None
+    for count in PATH_NODES:
+        run = _segment(rhs, local, start, delta, state, count, sampled)
+        end = run[-1][1]
+        if previous is not None:
+            change = float(np.max(np.abs(end - previous))) / max(float(np.max(np.abs(end))), 1.0)
+            if change <= limit:
+                break
+        previous = end
+    return run, change
+
+
 def _along(rhs, local, state, waypoints, tol):
     """Integrate a state along a piecewise-linear chart path.
 
@@ -124,11 +145,14 @@ def _along(rhs, local, state, waypoints, tol):
     expensive position-only part, ``rhs`` the cheap one, affine in the
     state.  ``local`` is sampled at nested Lobatto levels, each node once,
     until the end states of two successive levels differ by at most
-    ``LEVEL_AGREEMENT * tol`` (relative to the end state, scale at least 1);
-    ``tol`` is that of the check the result feeds.  A segment that does not settle within
-    ``PATH_NODES[-1]`` nodes raises NumericalFailure.  Zero-length segments
-    are skipped.  Returns the samples (seg + s, point, state) at the
-    accepted levels' nodes, initial one first.
+    ``LEVEL_AGREEMENT * tol`` (``_settle``); ``tol`` is that of the check
+    the result feeds.  A segment that does not settle within
+    ``PATH_NODES[-1]`` nodes is halved, and each half settled in turn from
+    the state the one before it reached, down to ``MAX_HALVINGS`` halvings;
+    the first piece that does not settle at that depth raises
+    NumericalFailure.  Zero-length segments are skipped.  Returns the
+    samples (seg + s, point, state) at the accepted levels' nodes, initial
+    one first.
     """
     limit = LEVEL_AGREEMENT * tol
     samples = [(0.0, waypoints[0], state)]
@@ -137,25 +161,26 @@ def _along(rhs, local, state, waypoints, tol):
         delta = waypoints[seg + 1] - start
         if not np.any(delta):
             continue
-        sampled, previous = {}, None
-        for count in PATH_NODES:
-            run = _segment(rhs, local, start, delta, state, count, sampled)
-            end = run[-1][1]
-            if previous is not None:
-                change = float(np.max(np.abs(end - previous))) / max(
-                    float(np.max(np.abs(end))), 1.0
-                )
-                if change <= limit:
-                    break
-            previous = end
-        else:
-            raise NumericalFailure(
-                f"path segment {start.tolist()} -> {waypoints[seg + 1].tolist()} did not "
-                f"settle within {PATH_NODES[-1]} Chebyshev nodes: the last two levels "
-                f"differ by {change:.3g}, more than {limit:.3g}"
-            )
-        state = end
-        samples.extend((seg + s, start + s * delta, y) for s, y in run)
+        # pieces still to solve, the next one last; a piece (begin, step, s0,
+        # width, halvings) covers s in [s0, s0 + width] of the segment
+        pieces = [(start, delta, 0.0, 1.0, 0)]
+        while pieces:
+            begin, step, s0, width, halvings = pieces.pop()
+            run, change = _settle(rhs, local, begin, step, state, limit)
+            if change > limit:
+                if halvings == MAX_HALVINGS:
+                    raise NumericalFailure(
+                        f"path segment {start.tolist()} -> {waypoints[seg + 1].tolist()} did "
+                        f"not settle within {PATH_NODES[-1]} Chebyshev nodes on its piece "
+                        f"s in [{s0:.6g}, {s0 + width:.6g}] after {MAX_HALVINGS} halvings: the "
+                        f"last two levels differ by {change:.3g}, more than {limit:.3g}"
+                    )
+                half = 0.5 * step
+                pieces.append((begin + half, half, s0 + 0.5 * width, 0.5 * width, halvings + 1))
+                pieces.append((begin, half, s0, 0.5 * width, halvings + 1))
+                continue
+            state = run[-1][1]
+            samples.extend((seg + s0 + width * s, begin + s * step, y) for s, y in run)
     return samples
 
 
@@ -190,6 +215,11 @@ def geodesic(
     conn = connection or connection_field(model)
     if not conn.contains(coords):
         raise DomainError(f"geodesic start {coords.tolist()} outside field domain")
+    if velocity.size != coords.size:
+        raise DomainError(
+            f"geodesic velocity {velocity.tolist()} has {velocity.size} components, "
+            f"the start {coords.size}"
+        )
     h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
     if not h > 0:
         raise NumericalFailure("geodesic needs a positive step")

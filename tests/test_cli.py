@@ -301,6 +301,29 @@ class TestCliRuns:
         assert np.max(np.abs(np.array(results["covectors"][0]) - [6.0, -19.0])) <= 1e-10
         assert abs(results["potentials"][0] - (9.0 - math.log(0.05) - 0.95)) <= 1e-8
 
+    def test_affine_coordinates_near_the_gaussian_pole(self, tmp_path, capsys):
+        # the affine map (1 / (2 sigma^2), -mu / sigma^2) steepens like
+        # 1 / sigma^3 towards sigma = 0, so these segments settle only once
+        # halved; gauge Theta(0, 1) = 0, dTheta(0, 1) = I as in test_structure
+        out = tmp_path / "a.json"
+        args = ["--model", "gaussian-kl", "--op", "affine", "--start", "0,1",
+                "--targets", "3,0.05;3,0.02", "--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        results = json.loads(out.read_text())["results"]
+
+        def jacobian(mu, sigma):
+            return np.array([[0.0, -1.0 / sigma**3], [-1.0 / sigma**2, 2.0 * mu / sigma**3]])
+
+        inverse = np.linalg.inv(jacobian(0.0, 1.0))
+        for (mu, sigma), value, gradient in zip(
+            results["targets"], results["values"], results["gradients"]
+        ):
+            exact_value = inverse @ np.array([1.0 / (2.0 * sigma**2) - 0.5, -mu / sigma**2])
+            exact_gradient = inverse @ jacobian(mu, sigma)
+            for got, exact in ((value, exact_value), (gradient, exact_gradient)):
+                gap = np.max(np.abs(np.array(got) - exact)) / np.max(np.abs(exact))
+                assert gap <= 1e-10
+
 
 class TestExitCodes:
     def test_config_error_is_one(self):
@@ -349,10 +372,11 @@ class TestExitCodes:
             ),
             (
                 # the transport solve settles at 33 nodes (level gap 4e-7 <=
-                # 1e-3 * flat) by default, and not within 65 (2e-12) at 1e-10
+                # 1e-3 * flat) by default; at 1e-13 no piece down to 1/64 of
+                # the segment settles (rounding leaves a level gap of ~7e-16)
                 ["--model", "vmf-sphere", "--op", "transport", "--start", "1,0.3",
                  "--end", "0.1,1", "--vector", "1,0"],
-                "flat=1e-10",
+                "flat=1e-13",
             ),
         ],
         ids=["massieu-hessian", "field-flat", "transport-flat"],

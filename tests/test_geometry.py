@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from dsm_geom import geometry, models
+from dsm_geom.core import ChartSpec
 from dsm_geom.errors import Condition4Violated, HessianStructureViolated, MetricNotPD
 
 from conftest import (
@@ -106,6 +108,37 @@ class TestConnectionAt:
                     model, random_chart_point(model, rng)
                 ).omega
                 assert geometry.torsion_residual(omega) < 1e-10, name
+
+    @pytest.mark.parametrize("name, point", [("gce", [1.0, -1.0]), ("vmf-sphere", [1.0, 0.3])])
+    def test_fibre_evaluation_makes_only_its_model_calls(
+        self, catalogue, monkeypatch, name, point
+    ):
+        # one geodesic field evaluation: the condition-4 gate samples 3
+        # fibre members (1 sampler call, 3 Hessians), one probe family of 2
+        # antithetic pairs costs 4 gradients and 4 Hessians, and the chart
+        # is checked by connection_at and its gate only
+        model = catalogue[name]
+        calls = collections.Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        model_callables = (
+            "divergence_fn", "gradient_fn", "hessian_fn", "fibre_sampler_fn", "probe_pairs_fn"
+        )
+        for attr in model_callables:
+            monkeypatch.setattr(model, attr, counted(attr, getattr(model, attr)))
+        for method in ("require", "contains"):
+            monkeypatch.setattr(ChartSpec, method, counted("chart", getattr(ChartSpec, method)))
+        geometry.connection_at(model, point, check_consistency=False)
+        assert calls.pop("chart") <= 2
+        assert calls == {
+            "fibre_sampler_fn": 1, "probe_pairs_fn": 1, "gradient_fn": 4, "hessian_fn": 7
+        }
 
     def test_oracle_match(self, catalogue, rng):
         for name in METRIC_BEARING:

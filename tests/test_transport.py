@@ -71,6 +71,19 @@ class TestGeodesic:
             transport.geodesic(gce, [1.0, -1.0], [1.0, 0.5], 1.0, step=1e-9, connection=conn)
         assert calls == []
 
+    @pytest.mark.parametrize("source", ["fibre", "oracle"])
+    def test_wrong_dimension_start_or_velocity_raises(self, catalogue, source):
+        # a 3-vector used to zip against the 2-d domain: a one-point
+        # domain_exit trace (fibre) or a numpy ValueError (oracle)
+        gce = catalogue["gce"]
+        conn = geometry.connection_field(gce, source=source)
+        cases = (([1.0, -1.0, 7.0], [1.0, 0.5, 0.0]), ([1.0, -1.0], [1.0, 0.5, 0.0]))
+        for start, velocity in cases:
+            with pytest.raises(DomainError) as excinfo:
+                transport.geodesic(gce, start, velocity, 1.0, connection=conn)
+            assert "\n" not in str(excinfo.value)
+        assert not conn.contains([1.0, -1.0, 7.0])
+
 
 def counting_oracle_field(model):
     """The model's oracle connection field, recording each evaluation."""
@@ -239,8 +252,10 @@ class TestSegmentSampling:
         assert len(calls) == 9 + 8
 
     def test_jump_in_the_field_fails_within_the_node_budget(self, catalogue):
-        # the connection jumps between two nodes inside the segment: no
-        # level settles, and every one of the 65 finest nodes is sampled once
+        # the connection jumps at s = 0.37: the pieces holding the jump never
+        # settle, so the segment is halved down to [0.359375, 0.375], where
+        # it fails.  Seven failing pieces at 65 nodes each and four smooth
+        # pieces settled at 17 cost 7 * 65 + 4 * 17 = 523 evaluations
         model = catalogue["gaussian-kl"]
         oracle = geometry.connection_field(model, source="oracle")
         calls = []
@@ -258,7 +273,8 @@ class TestSegmentSampling:
                 connection=conn,
             )
         assert "\n" not in str(excinfo.value)
-        assert len(calls) == 65
+        assert "[0.0, 1.0] -> [1.0, 1.0]" in str(excinfo.value)
+        assert len(calls) == 523
 
 
     def test_gaussian_transport_is_exact_at_the_nodes(self, catalogue):
