@@ -157,7 +157,12 @@ class RunConfig:
 
     def build_model(self):
         given = {name: getattr(self, name) for name in models.options(self.model)}
-        return models.build(self.model, **{k: v for k, v in given.items() if v is not None})
+        given = {name: value for name, value in given.items() if value is not None}
+        try:
+            return models.build(self.model, **given)
+        except ArithmeticError as err:
+            options = ", ".join(f"{_flag(name)} {value}" for name, value in given.items())
+            raise ConfigError(f"{options} out of range for {self.model} ({err})") from None
 
 
 def _conforms(value, hint) -> bool:
@@ -182,6 +187,9 @@ def parse_data_spec(spec: dict) -> DataSet:
         raise ConfigError("data spec must be an object with a 'kind'")
     kind = spec["kind"]
     body = {key: value for key, value in spec.items() if key != "kind"}
+    for key, value in body.items():
+        if not _conforms(value, list[list[float]] if kind == "regression" else float):
+            raise ConfigError(f"data spec key '{key}' needs finite numbers, got {value!r}")
     try:
         if kind == "gaussian":
             return GaussianData(body["mean"], body["std"])
@@ -519,21 +527,26 @@ def run(config: RunConfig) -> int:
     trace, table = None, None
     json_path, csv_path = _out_paths(config.out)
     try:
-        if config.model == "all":
-            documents, table = report_all(config)
-        else:
-            model = config.build_model()
-            _check_dims(config, model.chart.dim)
-            started = time.perf_counter()
-            document, trace = _OPS[config.op][0](config, model)
-            if config.op != "report":  # a report is deterministic: no wall-clock field
-                document["runtime_ms"] = int((time.perf_counter() - started) * 1000)
-            documents = [(json_path, document)]
+        # floating-point overflow, division by zero and NaN raise instead of warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if config.model == "all":
+                documents, table = report_all(config)
+            else:
+                model = config.build_model()
+                _check_dims(config, model.chart.dim)
+                started = time.perf_counter()
+                document, trace = _OPS[config.op][0](config, model)
+                if config.op != "report":  # a report is deterministic: no wall-clock field
+                    document["runtime_ms"] = int((time.perf_counter() - started) * 1000)
+                documents = [(json_path, document)]
     except (ConfigError, DomainError, Unsupported, MissingStatistic) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (DsmGeomError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as err:  # overflow, division by zero or NaN inside the op
+        print(f"numerical failure: {type(err).__name__} in {config.op}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     try:
         if config.model == "all":

@@ -635,8 +635,7 @@ def _divergence_gradient(model: ModelDefinition, x: DataSet, coords) -> np.ndarr
         return np.asarray(model.gradient_fn(x, coords), dtype=float)
     from . import numdiff
 
-    cfg = numdiff.DiffConfig.for_chart(model.chart)
-    return numdiff.fd_gradient(lambda t: model.divergence_fn(x, t), coords, cfg)
+    return numdiff.fd_gradient(lambda t: model.divergence_fn(x, t), coords, model.chart.domain)
 
 
 def divergence_hessian(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
@@ -651,5 +650,4 @@ def _divergence_hessian(model: ModelDefinition, x: DataSet, coords) -> np.ndarra
         return 0.5 * (hess + hess.T)
     from . import numdiff
 
-    cfg = numdiff.DiffConfig.for_chart(model.chart)
-    return numdiff.fd_hessian(lambda t: model.divergence_fn(x, t), coords, cfg)
+    return numdiff.fd_hessian(lambda t: model.divergence_fn(x, t), coords, model.chart.domain)

@@ -92,6 +92,10 @@ def metric_at(
     members = model._fibre_sampler(coords, k)
     hessians = [_divergence_hessian(model, x, coords) for x in members]
     mean = sum(hessians) / len(hessians)  # np.mean(axis=0) bit for bit, without its overhead
+    if not np.isfinite(mean).all():  # a NaN passes every comparison below
+        raise MetricNotPD(
+            f"divergence Hessian of {model.name} is not finite at {coords.tolist()}"
+        )
     scale = max(float(np.max(np.abs(mean))), 1e-12)
     deviation = 0.0
     for i in range(len(hessians)):
@@ -229,7 +233,7 @@ def dual_connection_at(
     g = metric(coords)
     ginv = np.linalg.inv(g)
     omega = connection(coords)
-    dg = numdiff.fd_jacobian(metric, coords, numdiff.DiffConfig.for_chart(model.chart))
+    dg = numdiff.fd_jacobian(metric, coords, model.chart.domain)
     n = coords.size
     dual = np.empty((n, n, n))
     for a in range(n):
@@ -249,7 +253,7 @@ def curvature_at(
     connection = connection or connection_field(model)
     omega = connection(coords)
     # domega[l, j, k, i] = d_i w^l_jk
-    domega = numdiff.fd_jacobian(connection, coords, numdiff.DiffConfig.for_chart(model.chart))
+    domega = numdiff.fd_jacobian(connection, coords, model.chart.domain)
     n = coords.size
     # components[l, k, i, j] = d_i w^l_jk - d_j w^l_ik + w^l_is w^s_jk - w^l_js w^s_ik
     components = np.empty((n, n, n, n))
@@ -276,7 +280,7 @@ def codazzi_residual(
     connection = connection or connection_field(model)
     g = metric(coords)
     omega = connection(coords)
-    dg = numdiff.fd_jacobian(metric, coords, numdiff.DiffConfig.for_chart(model.chart))
+    dg = numdiff.fd_jacobian(metric, coords, model.chart.domain)
     n = coords.size
     residual = np.empty((n, n, n))
     for a in range(n):
@@ -391,7 +395,7 @@ def metric_transform_check(
     # derivatives) so the residual measures the transformation property alone
     divergence_only = replace(model, gradient_fn=None, hessian_fn=None)
     g_source = metric_at(divergence_only, coords).matrix
-    jac = numdiff.fd_jacobian(forward, coords, numdiff.DiffConfig.for_chart(model.chart))
+    jac = numdiff.fd_jacobian(forward, coords, model.chart.domain)
     target = reparametrized_model(model, forward, inverse, target_chart)
     g_target = metric_at(target, forward(coords)).matrix
     transformed = jac.T @ g_target @ jac
@@ -421,6 +425,6 @@ def cramer_rao_check(model: ModelDefinition, theta) -> CramerRaoReport:
     oracle = model.oracle
     if oracle is not None and oracle.affine_map is not None and oracle.massieu_affine is not None:
         canonical = oracle.affine_map(coords)
-        hess = numdiff.fd_hessian(oracle.massieu_affine, canonical, numdiff.DiffConfig())
+        hess = numdiff.fd_hessian(oracle.massieu_affine, canonical)
         worst_affine = float(np.linalg.eigvalsh(hess)[0])
     return CramerRaoReport(worst_margin=worst, worst_affine_margin=worst_affine)

@@ -50,16 +50,6 @@ def compatible_point(rate: float) -> np.ndarray:
     return np.array([alpha, mode])
 
 
-def exponential_fibre_constant(rate: float) -> float:
-    """alpha^2 * E[(x-mu)^2 exp(-alpha(x-mu))] for the exponential member."""
-    alpha, mode = compatible_point(rate)
-    s = rate + alpha
-    value = rate * math.exp(alpha * mode) * (
-        2.0 / s**3 - 2.0 * mode / s**2 + mode**2 / s
-    )
-    return alpha**2 * value
-
-
 def gumbel() -> ModelDefinition:
     def divergence(x, theta):
         alpha, mu = theta

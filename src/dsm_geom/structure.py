@@ -214,9 +214,6 @@ class AffineCoordinateMap:
     gradients: list  # dTheta/dzeta at each target
     path_residuals: list
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values)
-
 
 @dataclass
 class MassieuSample:
@@ -386,12 +383,12 @@ def _verify_massieu(model, local, target, alpha, phi):
     axis points), so the potential's plain Hessian and alpha's curl can be
     measured independently of the defining ODE.  Each continuation is one
     ``transport._segment`` solve at the 3 Lobatto nodes s = 0, 1/2, 1 (the
-    3-stage Lobatto IIIA step, 4th order); a segment is about ``rel_step``
-    long, where that error is far below the stencil's.  The node at the
-    target is evaluated once for all.
+    3-stage Lobatto IIIA step, 4th order); a segment is about
+    ``numdiff.REL_STEP`` long, where that error is far below the stencil's.
+    The node at the target is evaluated once for all.
     """
     n = target.size
-    cfg = numdiff.DiffConfig.for_chart(model.chart)
+    domain = model.chart.domain
     state0 = np.concatenate([alpha, [phi]])
     at_target = local(target)
     continued = {target.tobytes(): state0}  # the stencil centre needs no step
@@ -411,12 +408,12 @@ def _verify_massieu(model, local, target, alpha, phi):
     def alpha_at(point):
         return continue_to(point)[:n]
 
-    plain_hess = numdiff.fd_hessian(phi_at, target, cfg)
-    grad = numdiff.fd_gradient(phi_at, target, cfg)
+    plain_hess = numdiff.fd_hessian(phi_at, target, domain)
+    grad = numdiff.fd_gradient(phi_at, target, domain)
     g, omega = _unpack_local(at_target, n)
     covariant = plain_hess - np.einsum("cab,c->ab", omega, grad)
     hess_res = float(np.max(np.abs(covariant - g))) / max(float(np.max(np.abs(g))), 1e-12)
-    jac = numdiff.fd_jacobian(alpha_at, target, cfg)  # jac[b, a] = d_a alpha_b
+    jac = numdiff.fd_jacobian(alpha_at, target, domain)  # jac[b, a] = d_a alpha_b
     curl_res = float(np.max(np.abs(jac - jac.T)))
     return hess_res, curl_res
 
@@ -474,8 +471,7 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
         x = representative(a)
         return evaluate_divergence(model, x, b) - evaluate_divergence(model, x, a)
 
-    cfg = numdiff.DiffConfig.for_chart(model.chart)
-    metric_fd = numdiff.fd_hessian(lambda b: induced(coords, b), coords, cfg)
+    metric_fd = numdiff.fd_hessian(lambda b: induced(coords, b), coords, model.chart.domain)
     g = metric_at(model, coords).matrix
     metric_residual = float(np.max(np.abs(metric_fd - g))) / max(
         float(np.max(np.abs(g))), 1e-12
@@ -484,7 +480,7 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
     def second_slot_hessian(a):
         return divergence_hessian(model, representative(a), coords)
 
-    third = numdiff.fd_jacobian(second_slot_hessian, coords, cfg)
+    third = numdiff.fd_jacobian(second_slot_hessian, coords, model.chart.domain)
     ginv = np.linalg.inv(g)
     omega_induced = -np.einsum("ks,ijs->kij", ginv, third)
     omega = connection_at(model, coords).omega

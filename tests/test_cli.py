@@ -521,6 +521,15 @@ class TestBadInput:
             ),
             (["--model", "all", "--op", "report", "--trials", "10"], "--trials"),
             (["--model", "gce", "--op", "connection", "--at", "1,-1", "--seed", "7"], "--seed"),
+            (["--model", "vmf-sphere", "--kappa", "800", "--op", "metric", "--at", "1,1"],
+             "--kappa"),
+            (["--model", "gaussian-sumsq", "--mu0", "1e-300", "--op", "metric", "--at", "1,1"],
+             "--mu0"),
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "gaussian", "mean": 0, "std": "a"}'],
+                "'std'",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -531,6 +540,7 @@ class TestBadInput:
             "all-levels", "geodesic-outside-chart", "step-zero", "t-zero", "t-inf",
             "vector-nan", "metric-unread-options", "all-at", "connection-fibre-k",
             "connection-field", "massieu-grid", "report-trials", "connection-seed",
+            "kappa-overflow", "mu0-underflow", "data-std-not-a-number",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -539,6 +549,23 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--model", "gaussian-kl", "--op", "metric", "--at", "0,1e-308"],
+            ["--model", "gce", "--levels", "1,1e308", "--op", "metric", "--at", "1,-1"],
+            ["--model", "gaussian-kl", "--op", "metric", "--at", "0,1e308"],
+        ],
+        ids=["metric-sigma-tiny", "metric-level-huge", "metric-sigma-huge"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_arithmetic_failures_are_two_and_one_line(self, args, tmp_path, capsys):
+        # each used to pass condition 4 with a NaN metric or end in a traceback
+        code, err, out = self.run_main(args, tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("numerical failure:") and err.count("\n") == 1, err
         assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import geometry, models
+from dsm_geom import geometry, models, structure
 from dsm_geom.core import ChartSpec
 from dsm_geom.errors import Condition4Violated, HessianStructureViolated, MetricNotPD
 
@@ -337,6 +337,17 @@ class TestErrorPaths:
         with pytest.raises(MetricNotPD):
             geometry.metric_at(model, [0.0, 0.0])
 
+    def test_non_finite_metric_raises_and_classify_records_it(self, catalogue):
+        # a NaN entry passes the condition-4 spread check and cholesky alike
+        kl = catalogue["gaussian-kl"]
+        point = [0.0, 1e-308]
+        with np.errstate(all="ignore"):
+            with pytest.raises(MetricNotPD, match="not finite"):
+                geometry.metric_at(kl, point)
+            report = structure.classify(kl, [point])
+        assert report.condition4["status"] == "fail"
+        assert "not finite" in report.condition4["evidence"]["error"]
+
     def test_degenerate_probes_raise(self):
         model = _synthetic_model(np.eye(2), degenerate_probes=True)
         with pytest.raises(geometry.ProbeSingular):
@@ -384,7 +395,7 @@ class TestEmpiricalProviders:
         fd = numdiff.fd_gradient(
             lambda t: model.divergence_fn(sample, t),
             theta,
-            numdiff.DiffConfig.for_chart(model.chart),
+            model.chart.domain,
         )
         assert analytic == pytest.approx(fd, abs=1e-7)
 

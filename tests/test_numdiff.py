@@ -28,7 +28,7 @@ class TestGradient:
         grad = numdiff.fd_gradient(
             lambda t: kl.divergence_fn(data, t),
             np.array([0.0, 1.0]),
-            numdiff.DiffConfig.for_chart(kl.chart),
+            kl.chart.domain,
         )
         assert np.max(np.abs(grad)) < 1e-6
 
@@ -48,7 +48,7 @@ class TestGradient:
         # engine must refuse rather than step outside the chart
         kl = catalogue["gaussian-kl"]
         data = GaussianData(0.0, 1.0)
-        cfg = numdiff.DiffConfig.for_chart(kl.chart)
+        domain = kl.chart.domain
         calls = []
 
         def watched(t):
@@ -56,19 +56,19 @@ class TestGradient:
             return kl.divergence_fn(data, t)
 
         with pytest.raises(NumericalFailure):
-            numdiff.fd_gradient(watched, np.array([0.0, 2e-4]), cfg)
+            numdiff.fd_gradient(watched, np.array([0.0, 2e-4]), domain)
         assert min(calls) > 0.0
 
     def test_one_sided_at_boundary(self):
         # smooth across the bound; the stencil still must not cross it
-        cfg = numdiff.DiffConfig(domain=((-math.inf, math.inf), (0.0, math.inf)))
+        domain = ((-math.inf, math.inf), (0.0, math.inf))
         calls = []
 
         def smooth(t):
             calls.append(t[1])
             return math.sin(t[1]) + t[0] ** 2
 
-        grad = numdiff.fd_gradient(smooth, np.array([0.5, 1e-8]), cfg)
+        grad = numdiff.fd_gradient(smooth, np.array([0.5, 1e-8]), domain)
         assert min(calls) >= 0.0
         assert grad[1] == pytest.approx(1.0, abs=1e-5)
 
@@ -78,6 +78,49 @@ class TestGradient:
 
         with pytest.raises(NumericalFailure):
             numdiff.fd_gradient(kinked, np.array([1.0]))
+
+
+class TestBoundary:
+    # axis 1 lives in the open interval (0, 3); axis 0 is unbounded
+    DOMAIN = ((-math.inf, math.inf), (0.0, 3.0))
+
+    @staticmethod
+    def scalar(t):
+        return math.sin(t[0]) * math.exp(t[1]), np.array(
+            [math.cos(t[0]) * math.exp(t[1]), math.sin(t[0]) * math.exp(t[1])]
+        )
+
+    @staticmethod
+    def tensor(t):
+        wave, cross = math.sin(t[0]) * math.exp(t[1]), t[0] * t[1] ** 2
+        value = np.array([[wave, cross], [cross, math.cos(t[1])]])
+        jac = np.empty((2, 2, 2))  # jac[a, b, i] = d_i value[a, b]
+        jac[:, :, 0] = [[math.cos(t[0]) * math.exp(t[1]), t[1] ** 2], [t[1] ** 2, 0.0]]
+        jac[:, :, 1] = [[wave, 2 * t[0] * t[1]], [2 * t[0] * t[1], -math.sin(t[1])]]
+        return value, jac
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("distance", [1e-8, 1.5e-7, 2.2e-4, 1e-2])
+    def test_stencil_stays_inside_and_matches(self, rank, side, distance):
+        # closer than 2.5 floor steps (2.5e-7) the stencil is one-sided; at
+        # 2.2e-4 the central step shrinks to fit; at 1e-2 it is the full step
+        point = np.array([0.4, distance if side == "lower" else 3.0 - distance])
+        exact = self.scalar if rank == 0 else self.tensor
+        seen = []
+
+        def field(t):
+            seen.append(t[1])
+            return exact(t)[0]
+
+        derive = numdiff.fd_gradient if rank == 0 else numdiff.fd_jacobian
+        result = derive(field, point, self.DOMAIN)
+        assert 0.0 < min(seen) and max(seen) < 3.0
+        assert np.max(np.abs(result - exact(point)[1])) < 1e-5
+
+    def test_hessian_refused_where_no_stencil_fits(self):
+        with pytest.raises(NumericalFailure, match="no Hessian stencil"):
+            numdiff.fd_hessian(lambda t: t[1] ** 2, np.array([0.4, 1e-8]), self.DOMAIN)
 
 
 class TestHessian:
@@ -91,7 +134,7 @@ class TestHessian:
         hess = numdiff.fd_hessian(
             lambda t: kl.divergence_fn(data, t),
             np.array([0.0, 1.0]),
-            numdiff.DiffConfig.for_chart(kl.chart),
+            kl.chart.domain,
         )
         assert hess == pytest.approx(np.diag([1.0, 2.0]), abs=1e-4)
 
@@ -113,21 +156,23 @@ class TestHessian:
         hess = numdiff.fd_hessian(bumpy, rng.standard_normal(3))
         assert np.array_equal(hess, hess.T)
 
-    def test_step_halving_robust_on_divergences(self, catalogue, rng):
+    def test_step_halving_robust_on_divergences(self, catalogue, rng, monkeypatch):
         for model in catalogue.values():
             chart = model.chart
             for _ in range(10):
                 x = random_dataset(model, rng)
                 theta = random_chart_point(model, rng)
+                monkeypatch.setattr(numdiff, "REL_STEP", 1e-4)
                 coarse = numdiff.fd_hessian(
                     lambda t: model.divergence_fn(x, t),
                     theta,
-                    numdiff.DiffConfig.for_chart(chart, rel_step=1e-4),
+                    chart.domain,
                 )
+                monkeypatch.setattr(numdiff, "REL_STEP", 5e-5)
                 fine = numdiff.fd_hessian(
                     lambda t: model.divergence_fn(x, t),
                     theta,
-                    numdiff.DiffConfig.for_chart(chart, rel_step=5e-5),
+                    chart.domain,
                 )
                 scale = max(np.max(np.abs(coarse)), 1.0)
                 assert np.max(np.abs(coarse - fine)) / scale < 1e-4, model.name

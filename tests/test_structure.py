@@ -156,7 +156,7 @@ class TestAffineCoordinates:
         model = catalogue["gaussian-kl"]
         theta0 = np.array([0.0, 1.0])
         conn = connection_field(model)
-        cfg = numdiff.DiffConfig.for_chart(model.chart)
+        domain = model.chart.domain
         n = 2
         for target in ([0.4, 1.4], [-0.3, 0.8]):
             target = np.array(target)
@@ -173,7 +173,7 @@ class TestAffineCoordinates:
 
             hess = np.empty((n, n, n))  # hess[j, a, b] = d_a d_b Theta^j
             for a in range(n):
-                hess[:, a, :] = numdiff.fd_field_derivative(map_gradient, target, a, cfg)
+                hess[:, a, :] = numdiff.fd_field_derivative(map_gradient, target, a, domain)
             residual = np.einsum("cab,jc->jab", omega, jac) - hess
             assert np.max(np.abs(residual)) < 1e-3
 
