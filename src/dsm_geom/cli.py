@@ -181,7 +181,8 @@ def parse_data_spec(spec: dict) -> DataSet:
     """Build a data set from a JSON payload.
 
     kinds: gaussian {mean, std}; moments {statistic: value, ...};
-    regression {couples: [[x, y], ...]}.
+    regression {couples: [[x, y], ...]}.  Every statistic the data set
+    answers without a chart point must come out a finite number.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("data spec must be an object with a 'kind'")
@@ -191,14 +192,23 @@ def parse_data_spec(spec: dict) -> DataSet:
         if not _conforms(value, list[list[float]] if kind == "regression" else float):
             raise ConfigError(f"data spec key '{key}' needs finite numbers, got {value!r}")
     try:
-        if kind == "gaussian":
-            return GaussianData(body["mean"], body["std"])
-        if kind == "moments":
-            return MomentData(body)
-        if kind == "regression":
-            return RegressionData(body["couples"])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if kind == "gaussian":
+                data = GaussianData(body["mean"], body["std"])
+                # moments and regression data sets compute theirs on construction
+                for statistic_id in ("mean_x", "mean_x2", "entropy"):
+                    if not math.isfinite(data.statistic(statistic_id)):
+                        raise OverflowError(f"statistic '{statistic_id}' overflows")
+                return data
+            if kind == "moments":
+                return MomentData(body)
+            if kind == "regression":
+                return RegressionData(body["couples"])
     except KeyError as err:
         raise ConfigError(f"data spec of kind '{kind}' needs key {err}") from None
+    except ArithmeticError as err:
+        keys = ", ".join(f"'{key}'" for key in body)
+        raise ConfigError(f"data spec of kind '{kind}' out of range in {keys} ({err})") from None
     raise ConfigError(f"unknown data kind '{kind}'")
 
 
@@ -522,6 +532,15 @@ def _check_dims(config, dim):
             )
 
 
+def _point_of(config) -> str:
+    """' at --at 0.0,1.0' for the chart point the op starts from, '' for an op without one."""
+    for name in _OPS[config.op][1]:
+        if name in ("at", "start"):
+            value = ",".join(str(coordinate) for coordinate in getattr(config, name))
+            return f" at {_flag(name)} {value}"
+    return ""
+
+
 def run(config: RunConfig) -> int:
     """Execute one operation and write its output files."""
     trace, table = None, None
@@ -546,7 +565,10 @@ def run(config: RunConfig) -> int:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ArithmeticError as err:  # overflow, division by zero or NaN inside the op
-        print(f"numerical failure: {type(err).__name__} in {config.op}: {err}", file=sys.stderr)
+        print(
+            f"numerical failure: {type(err).__name__} in {config.op}{_point_of(config)}: {err}",
+            file=sys.stderr,
+        )
         return EXIT_NUMERICAL
     try:
         if config.model == "all":

@@ -426,10 +426,8 @@ class RegressionData(DataSet):
         if abs(n * np.sum(self.x**2) - np.sum(self.x) ** 2) < 1e-12:
             raise DomainError("regression abscissae are degenerate")
         self.label = f"regression(n={n})"
-
-    def statistic(self, statistic_id, theta=None):
         x, y = self.x, self.y
-        table = {
+        self.sums = {
             "n_points": float(x.size),
             "sum_x": float(x.sum()),
             "sum_y": float(y.sum()),
@@ -437,9 +435,12 @@ class RegressionData(DataSet):
             "sum_xy": float(x @ y),
             "sum_yy": float(y @ y),
         }
-        if statistic_id in table:
-            return table[statistic_id]
-        return super().statistic(statistic_id, theta)
+
+    def statistic(self, statistic_id, theta=None):
+        try:
+            return self.sums[statistic_id]
+        except KeyError:
+            return super().statistic(statistic_id, theta)
 
 
 class RegressionMomentData(DataSet):
@@ -626,28 +627,48 @@ def evaluate_divergence(model: ModelDefinition, x: DataSet, theta) -> float:
 
 def divergence_gradient(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
     """First parameter derivatives of D(x || m_theta): ``gradient_fn`` or FD."""
-    return _divergence_gradient(model, x, model.chart.require(theta))
+    return _divergence_gradients(model, [x], model.chart.require(theta))[0]
 
 
-def _divergence_gradient(model: ModelDefinition, x: DataSet, coords) -> np.ndarray:
-    """The body of divergence_gradient: ``coords`` are already checked against the chart."""
+def _divergence_gradients(model: ModelDefinition, data, coords) -> np.ndarray:
+    """Gradients of D(x || m_coords) for each data set x in ``data``, stacked (k, n).
+
+    One ``gradient_fn`` call (or FD gradient) per data set; ``coords`` are
+    already checked against the chart.
+    """
     if model.gradient_fn is not None:
-        return np.asarray(model.gradient_fn(x, coords), dtype=float)
+        return np.array([model.gradient_fn(x, coords) for x in data], dtype=float)
     from . import numdiff
 
-    return numdiff.fd_gradient(lambda t: model.divergence_fn(x, t), coords, model.chart.domain)
+    domain = model.chart.domain
+    return np.array(
+        [
+            numdiff.fd_gradient(lambda t, x=x: model.divergence_fn(x, t), coords, domain)
+            for x in data
+        ]
+    )
 
 
 def divergence_hessian(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
     """Plain (non-covariant) second derivatives of D(x || m_theta): ``hessian_fn`` or FD."""
-    return _divergence_hessian(model, x, model.chart.require(theta))
+    return _divergence_hessians(model, [x], model.chart.require(theta))[0]
 
 
-def _divergence_hessian(model: ModelDefinition, x: DataSet, coords) -> np.ndarray:
-    """The body of divergence_hessian: ``coords`` are already checked against the chart."""
+def _divergence_hessians(model: ModelDefinition, data, coords) -> np.ndarray:
+    """Symmetric Hessians of D(x || m_coords) for each data set x in ``data``, stacked (k, n, n).
+
+    One ``hessian_fn`` call (or FD Hessian, already symmetric) per data
+    set; ``coords`` are already checked against the chart.
+    """
     if model.hessian_fn is not None:
-        hess = np.asarray(model.hessian_fn(x, coords), dtype=float)
-        return 0.5 * (hess + hess.T)
+        hess = np.array([model.hessian_fn(x, coords) for x in data], dtype=float)
+        return 0.5 * (hess + hess.transpose(0, 2, 1))
     from . import numdiff
 
-    return numdiff.fd_hessian(lambda t: model.divergence_fn(x, t), coords, model.chart.domain)
+    domain = model.chart.domain
+    return np.array(
+        [
+            numdiff.fd_hessian(lambda t, x=x: model.divergence_fn(x, t), coords, domain)
+            for x in data
+        ]
+    )

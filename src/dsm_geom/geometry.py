@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numdiff
 from .core import ChartSpec, ModelDefinition, Tolerances, as_coords, in_open_box
-from .core import _divergence_gradient, _divergence_hessian
+from .core import _divergence_gradients, _divergence_hessians
 from .errors import (
     Condition4Violated,
     HessianStructureViolated,
@@ -90,25 +90,23 @@ def metric_at(
     coords = model.chart.require(theta)
     k = min(fibre_k, model.fibre_capacity)
     members = model._fibre_sampler(coords, k)
-    hessians = [_divergence_hessian(model, x, coords) for x in members]
-    mean = sum(hessians) / len(hessians)  # np.mean(axis=0) bit for bit, without its overhead
+    hessians = _divergence_hessians(model, members, coords)
+    mean = hessians.sum(axis=0) / len(members)  # np.mean(axis=0) bit for bit, without its overhead
     if not np.isfinite(mean).all():  # a NaN passes every comparison below
         raise MetricNotPD(
             f"divergence Hessian of {model.name} is not finite at {coords.tolist()}"
         )
     scale = max(float(np.max(np.abs(mean))), 1e-12)
-    deviation = 0.0
-    for i in range(len(hessians)):
-        for j in range(i + 1, len(hessians)):
-            gap = float(np.max(np.abs(hessians[i] - hessians[j]))) / scale
-            deviation = max(deviation, gap)
+    # the largest pairwise gap |h_i - h_j|: per entry it is max - min (that pair
+    # is one of the pairs, and rounding keeps the order)
+    deviation = float((hessians.max(axis=0) - hessians.min(axis=0)).max()) / scale
     labels = tuple(x.label for x in members)
     if deviation > tol.cond4:
         raise Condition4Violated(
             f"divergence Hessian of {model.name} varies by {deviation:.3g} "
             f"(relative) across fibre members at {coords.tolist()}",
             deviation=deviation,
-            member_hessians=hessians,
+            member_hessians=list(hessians),
             member_labels=labels,
         )
     try:
@@ -127,15 +125,13 @@ def _solve_family(model, coords, family):
         raise ProbeSingular(
             f"{model.name} supplied {len(pairs)} probe pairs for dimension {n}"
         )
-    probe_matrix = np.empty((len(pairs), n))
-    rhs = np.empty((len(pairs), n, n))
-    for c, pair in enumerate(pairs):
-        grad_plus = _divergence_gradient(model, pair.plus, coords)
-        grad_minus = _divergence_gradient(model, pair.minus, coords)
-        hess_plus = _divergence_hessian(model, pair.plus, coords)
-        hess_minus = _divergence_hessian(model, pair.minus, coords)
-        probe_matrix[c] = 0.5 * (grad_plus - grad_minus)
-        rhs[c] = 0.5 * (hess_plus - hess_minus)
+    # rows [0, m) are the plus probes, rows [m, 2m) the minus probes
+    data = [pair.plus for pair in pairs] + [pair.minus for pair in pairs]
+    grads = _divergence_gradients(model, data, coords)
+    hessians = _divergence_hessians(model, data, coords)
+    m = len(pairs)
+    probe_matrix = 0.5 * (grads[:m] - grads[m:])
+    rhs = 0.5 * (hessians[:m] - hessians[m:])
     singular_values = np.linalg.svd(probe_matrix, compute_uv=False)
     condition = (
         singular_values[0] / singular_values[-1] if singular_values[-1] > 0 else np.inf

@@ -210,6 +210,10 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         raise DomainError("sum-of-squares scales mu0, sigma0 must be > 0")
     inv_mu02 = 1.0 / mu0**2
     inv_s04 = 1.0 / sigma0**4
+    # float division returns inf, not an error, when the power is subnormal
+    for name, value in (("1/mu0^2", inv_mu02), ("1/sigma0^4", inv_s04)):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} overflows")
 
     def divergence(x, theta):
         mu, sigma = theta

@@ -1,7 +1,9 @@
 """Grand canonical ensemble of non-interacting bosons on a finite spectrum."""
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +19,18 @@ from ..core import (
 from ..errors import DomainError
 
 _SCHEMA = (StatisticSpec("total_count"), StatisticSpec("total_energy"))
+
+
+class _PointTerms(NamedTuple):
+    """The data-free terms of the gradient and Hessian at one chart point,
+    with h = f (1 + f) and gap = levels - mu."""
+
+    occupancies: np.ndarray  # f, read-only
+    energy: float  # sum(levels f)
+    count: float  # sum(f)
+    gap_h: float  # sum(gap h)
+    gap2_h: float  # sum(gap^2 h)
+    h_sum: float  # sum(h)
 
 
 def _occupancies(levels, beta, mu):
@@ -67,36 +81,47 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         count, energy = stats(x)
         return _log_partition(levels, beta, mu) + beta * energy - beta * mu * count
 
+    # one entry: every member and probe of a fibre evaluation asks at one point
+    @functools.lru_cache(maxsize=1)
+    def point_terms(beta, mu) -> _PointTerms:
+        f = _occupancies(levels, beta, mu)
+        f.flags.writeable = False
+        h = f * (1.0 + f)  # _bose_weights from the occupancies at hand
+        gap = levels - mu
+        return _PointTerms(
+            occupancies=f,
+            energy=float(levels @ f),
+            count=float(f.sum()),
+            gap_h=float((gap * h).sum()),
+            gap2_h=float((gap**2 * h).sum()),
+            h_sum=float(h.sum()),
+        )
+
     def gradient(x, theta):
         beta, mu = theta
         count, energy = stats(x)
-        f = _occupancies(levels, beta, mu)
-        fibre_energy = float(levels @ f)
-        fibre_count = float(f.sum())
+        fibre = point_terms(beta, mu)
         return np.array(
             [
-                (energy - mu * count) - (fibre_energy - mu * fibre_count),
-                beta * (fibre_count - count),
+                (energy - mu * count) - (fibre.energy - mu * fibre.count),
+                beta * (fibre.count - count),
             ]
         )
 
     def hessian(x, theta):
         beta, mu = theta
         count = x.statistic("total_count")
-        f = _occupancies(levels, beta, mu)
-        h = f * (1.0 + f)  # _bose_weights from the occupancies at hand
-        gap = levels - mu
-        mixed = float(f.sum() - count - beta * (gap * h).sum())
+        fibre = point_terms(beta, mu)
+        mixed = float(fibre.count - count - beta * fibre.gap_h)
         return np.array(
             [
-                [float((gap**2 * h).sum()), mixed],
-                [mixed, beta**2 * float(h.sum())],
+                [fibre.gap2_h, mixed],
+                [mixed, beta**2 * fibre.h_sum],
             ]
         )
 
     def fibre_members(coords, k):
-        beta, mu = coords
-        base = _occupancies(levels, beta, mu)
+        base = point_terms(*coords).occupancies
         members = [OccupationData(base, levels)]
         for shift in shifts:
             if len(members) >= k:
@@ -112,9 +137,8 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         return members[:k]
 
     def probe_pairs(coords, delta, family):
-        beta, mu = coords
-        f = _occupancies(levels, beta, mu)
-        count, energy = float(f.sum()), float(levels @ f)
+        fibre = point_terms(*coords)
+        count, energy = fibre.count, fibre.energy
         d_energy = delta * max(abs(energy), 1.0)
         d_count = delta * max(abs(count), 1.0)
 

@@ -1,6 +1,7 @@
 """von Mises-Fisher submanifolds: the 2-sphere and the half-cylinder."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,18 +49,22 @@ def _sphere_point(theta):
     )
 
 
-def _sphere_tangents(theta):
-    """First chart derivatives of the moment map: d_t u, d_p u."""
-    t, p = theta
-    st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-    return np.array([ct * cp, ct * sp, -st]), np.array([-st * sp, st * cp, 0.0])
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def _sphere_second_derivatives(theta):
-    """Second chart derivatives of the moment map: d_tt u = -u, d_tp u, d_pp u."""
-    t, p = theta
+def _sphere_tangents(t, p):
+    """First chart derivatives of the moment map: d_t u, d_p u (read-only)."""
     st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-    return (
+    return _read_only(np.array([ct * cp, ct * sp, -st]), np.array([-st * sp, st * cp, 0.0]))
+
+
+def _sphere_second_derivatives(t, p):
+    """Second chart derivatives of the moment map: d_tt u = -u, d_tp u, d_pp u (read-only)."""
+    st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
+    return _read_only(
         -np.array([st * cp, st * sp, ct]),
         np.array([-ct * sp, ct * cp, 0.0]),
         np.array([-st * cp, -st * sp, 0.0]),
@@ -85,18 +90,22 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         sample_box=((0.05, math.pi - 0.05), (-math.pi, math.pi)),
     )
 
+    # one entry each: every member and probe of a fibre evaluation asks at one point
+    tangents_at = functools.lru_cache(maxsize=1)(_sphere_tangents)
+    second_derivatives_at = functools.lru_cache(maxsize=1)(_sphere_second_derivatives)
+
     def divergence(x, theta):
         u = _sphere_point(theta)
         return -x.statistic("entropy") + log_norm - kappa * float(u @ _moment_vector(x))
 
     def gradient(x, theta):
         moments = _moment_vector(x)
-        du_t, du_p = _sphere_tangents(theta)
+        du_t, du_p = tangents_at(*theta)
         return np.array([-kappa * float(du_t @ moments), -kappa * float(du_p @ moments)])
 
     def hessian(x, theta):
         moments = _moment_vector(x)
-        du_tt, du_tp, du_pp = _sphere_second_derivatives(theta)
+        du_tt, du_tp, du_pp = second_derivatives_at(*theta)
         h = np.empty((2, 2))
         h[0, 0] = -kappa * float(du_tt @ moments)
         h[0, 1] = h[1, 0] = -kappa * float(du_tp @ moments)
@@ -114,7 +123,7 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
 
     def probe_pairs(coords, delta, family):
         u = _sphere_point(coords)
-        du_t, du_p = _sphere_tangents(coords)
+        du_t, du_p = tangents_at(*coords)
         tangents = [du_t, du_p / math.sin(coords[0])]
         if family == 1:
             plus = (tangents[0] + tangents[1]) / math.sqrt(2.0)

@@ -530,6 +530,31 @@ class TestBadInput:
                  "--data", '{"kind": "gaussian", "mean": 0, "std": "a"}'],
                 "'std'",
             ),
+            # the reciprocal power is inf where mu0**2 or sigma0**4 is subnormal
+            (["--model", "gaussian-sumsq", "--mu0", "1e-160", "--op", "metric", "--at", "1,1"],
+             "--mu0"),
+            (["--model", "gaussian-sumsq", "--sigma0", "1e-80", "--op", "metric", "--at", "1,1"],
+             "--sigma0"),
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "gaussian", "mean": 0, "std": 1e200}'],
+                "'std'",
+            ),
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "gaussian", "mean": 1.3e154, "std": 1.3e154}'],
+                "'mean_x2'",
+            ),
+            (
+                ["--model", "regression-ls", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "regression", "couples": [[1e200, 1], [2, 3]]}'],
+                "'couples'",
+            ),
+            (
+                ["--model", "regression-ls", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "regression", "couples": [[1, 1e200], [2, 3]]}'],
+                "'couples'",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -541,6 +566,8 @@ class TestBadInput:
             "vector-nan", "metric-unread-options", "all-at", "connection-fibre-k",
             "connection-field", "massieu-grid", "report-trials", "connection-seed",
             "kappa-overflow", "mu0-underflow", "data-std-not-a-number",
+            "mu0-subnormal-square", "sigma0-subnormal-power", "data-std-overflow",
+            "data-second-moment-overflow", "data-couples-x-overflow", "data-couples-y-overflow",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -552,20 +579,26 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args",
+        "args, point",
         [
-            ["--model", "gaussian-kl", "--op", "metric", "--at", "0,1e-308"],
-            ["--model", "gce", "--levels", "1,1e308", "--op", "metric", "--at", "1,-1"],
-            ["--model", "gaussian-kl", "--op", "metric", "--at", "0,1e308"],
+            (["--model", "gaussian-kl", "--op", "metric", "--at", "0,1e-308"],
+             "at --at 0.0,1e-308:"),
+            (["--model", "gce", "--levels", "1,1e308", "--op", "metric", "--at", "1,-1"],
+             "at --at 1.0,-1.0:"),
+            (["--model", "gaussian-kl", "--op", "metric", "--at", "0,1e308"],
+             "at --at 0.0,1e+308:"),
+            (["--model", "gce", "--levels", "1,1e308", "--op", "classify"], "in classify:"),
         ],
-        ids=["metric-sigma-tiny", "metric-level-huge", "metric-sigma-huge"],
+        ids=["metric-sigma-tiny", "metric-level-huge", "metric-sigma-huge", "classify-level-huge"],
     )
     @pytest.mark.filterwarnings("error")
-    def test_arithmetic_failures_are_two_and_one_line(self, args, tmp_path, capsys):
-        # each used to pass condition 4 with a NaN metric or end in a traceback
+    def test_arithmetic_failures_are_two_and_one_line(self, args, point, tmp_path, capsys):
+        # each used to pass condition 4 with a NaN metric or end in a traceback;
+        # the message names the op's chart point where it has one
         code, err, out = self.run_main(args, tmp_path, capsys)
         assert code == 2
         assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+        assert point in err, err
         assert not out.exists()
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import geometry, models, structure
-from dsm_geom.core import ChartSpec
+from dsm_geom import geometry, models, numdiff, structure
+from dsm_geom.core import ChartSpec, Tolerances
 from dsm_geom.errors import Condition4Violated, HessianStructureViolated, MetricNotPD
 
 from conftest import (
@@ -409,3 +409,122 @@ class TestLeviCivitaOracle:
         gamma = levi_civita_from_metric(sphere.oracle.metric, point)
         omega = geometry.connection_at(sphere, point).omega
         assert np.max(np.abs(gamma - omega)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Stacked fibre and probe evaluation against the per-member loop
+# ---------------------------------------------------------------------------
+
+
+def _loop_gradient(model, x, coords):
+    if model.gradient_fn is not None:
+        return np.asarray(model.gradient_fn(x, coords), dtype=float)
+    return numdiff.fd_gradient(lambda t: model.divergence_fn(x, t), coords, model.chart.domain)
+
+
+def _loop_hessian(model, x, coords):
+    if model.hessian_fn is not None:
+        hess = np.asarray(model.hessian_fn(x, coords), dtype=float)
+        return 0.5 * (hess + hess.T)
+    return numdiff.fd_hessian(lambda t: model.divergence_fn(x, t), coords, model.chart.domain)
+
+
+def _loop_metric(model, coords, tol=Tolerances()):
+    """metric_at as one Hessian, difference and reduction per fibre member."""
+    members = model.fibre_sampler(coords, min(geometry.FIBRE_K_DEFAULT, model.fibre_capacity))
+    hessians = [_loop_hessian(model, x, coords) for x in members]
+    mean = sum(hessians) / len(hessians)
+    scale = max(float(np.max(np.abs(mean))), 1e-12)
+    deviation = 0.0
+    for i in range(len(hessians)):
+        for j in range(i + 1, len(hessians)):
+            gap = float(np.max(np.abs(hessians[i] - hessians[j]))) / scale
+            deviation = max(deviation, gap)
+    return mean, deviation, hessians
+
+
+def _loop_family(model, coords, family):
+    """One probe family's connection, one pair at a time."""
+    pairs = model.probe_pairs(coords, geometry.PROBE_DELTA, family)
+    n = coords.size
+    probe_matrix = np.empty((len(pairs), n))
+    rhs = np.empty((len(pairs), n, n))
+    for c, pair in enumerate(pairs):
+        probe_matrix[c] = 0.5 * (
+            _loop_gradient(model, pair.plus, coords) - _loop_gradient(model, pair.minus, coords)
+        )
+        rhs[c] = 0.5 * (
+            _loop_hessian(model, pair.plus, coords) - _loop_hessian(model, pair.minus, coords)
+        )
+    if len(pairs) == n:
+        return np.linalg.solve(probe_matrix, rhs.reshape(n, n * n)).reshape(n, n, n)
+    flat, *_ = np.linalg.lstsq(probe_matrix, rhs.reshape(len(pairs), n * n), rcond=None)
+    return flat.reshape(n, n, n)
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("divergence_only", [False, True], ids=["model", "divergence-only"])
+    @pytest.mark.parametrize(
+        "name", [name for name in models.MODEL_NAMES if models.build(name).has_probes]
+    )
+    def test_bit_identical_to_the_per_member_loop(self, catalogue, name, divergence_only):
+        model = catalogue[name]
+        if divergence_only:
+            model = dataclasses.replace(model, gradient_fn=None, hessian_fn=None)
+        for point in structure.default_grid(model, 3):
+            mean, deviation, hessians = _loop_metric(model, point)
+            if deviation > Tolerances().cond4:  # regression-ls fails condition 4
+                with pytest.raises(Condition4Violated) as excinfo:
+                    geometry.metric_at(model, point)
+                assert excinfo.value.deviation == deviation
+                assert len(excinfo.value.member_hessians) == len(hessians)
+                for got, want in zip(excinfo.value.member_hessians, hessians):
+                    assert np.array_equal(got, want)
+                continue
+            evaluation = geometry.metric_at(model, point)
+            assert np.array_equal(evaluation.matrix, mean)
+            assert evaluation.fibre_deviation == deviation
+            omega = _loop_family(model, point, 0)
+            other = _loop_family(model, point, 1)
+            gap = geometry._relative_gap(other, omega)
+            single = geometry.connection_at(model, point, check_consistency=False)
+            assert np.array_equal(single.omega, omega)
+            assert np.array_equal(single.metric.matrix, mean)
+            try:
+                both = geometry.connection_at(model, point)
+            except HessianStructureViolated as err:
+                assert err.deviation == gap
+                assert all(map(np.array_equal, err.family_estimates, (omega, other)))
+            else:
+                assert both.probe_consistency == gap
+                assert np.array_equal(both.omega, 0.5 * (omega + other))
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("gce", ({"levels": (1.0, 2.0, 3.0)}, {"levels": (0.5, 1.5, 4.0)})),
+            ("vmf-sphere", ({"kappa": 2.0}, {"kappa": 5.0})),
+        ],
+    )
+    def test_point_caches_keep_models_and_points_apart(self, name, options):
+        # each model reuses its per-point terms; interleaving two models and
+        # two points A, B, A must give what a freshly built model gives at a
+        # point it has not seen last (a third point C comes first)
+        pair = [models.build(name, **kw) for kw in options]
+        a, b, c = (structure.default_grid(pair[0], 3)[i] for i in (2, 6, 4))
+        fresh = {}
+        for index, kw in enumerate(options):
+            for key, point in (("a", a), ("b", b)):
+                model = models.build(name, **kw)
+                geometry.connection_at(model, c)
+                fresh[index, key] = geometry.connection_at(model, point)
+        for key, point in (("a", a), ("b", b), ("a", a)):
+            for index, model in enumerate(pair):
+                got, want = geometry.connection_at(model, point), fresh[index, key]
+                assert np.array_equal(got.omega, want.omega), (index, key)
+                assert np.array_equal(got.metric.matrix, want.metric.matrix), (index, key)
+                assert got.probe_consistency == want.probe_consistency, (index, key)
+        if name == "gce":  # the cached occupancies are shared, so read-only
+            member = pair[0].fibre_sampler(a, 1)[0]
+            with pytest.raises(ValueError):
+                member.occupations[0] = 0.0
