@@ -145,12 +145,36 @@ class DataSet:
     label = "dataset"
 
     def statistic(self, statistic_id: str, theta=None) -> float:
-        raise MissingStatistic(
-            f"{self.label} cannot answer statistic '{statistic_id}'"
-        )
+        raise MissingStatistic(f"{self.label} cannot answer statistic '{statistic_id}'")
 
 
-class GaussianData(DataSet):
+class MomentData(DataSet):
+    """A statistic table: the values of finitely many theta-free statistics.
+
+    Directly injected tables are the usual off-fibre probe payload; every
+    provider whose statistics do not depend on theta is a subclass that
+    validates its inputs and fills its table once.  ``entropy`` defaults
+    to the matching-variance Gaussian value when the table carries first
+    and second moments.
+    """
+
+    def __init__(self, moments: dict, label: str = "moments"):
+        self.moments = dict(moments)
+        self.label = label
+        if "entropy" not in self.moments and {"mean_x", "mean_x2"} <= set(self.moments):
+            var = self.moments["mean_x2"] - self.moments["mean_x"] ** 2
+            if var <= 0:
+                raise DomainError("moment payload implies non-positive variance")
+            self.moments["entropy"] = 0.5 * (1.0 + _LOG_2PI + math.log(var))
+
+    def statistic(self, statistic_id, theta=None):
+        try:
+            return self.moments[statistic_id]
+        except KeyError:
+            return super().statistic(statistic_id, theta)
+
+
+class GaussianData(MomentData):
     """Normal distribution with known mean and standard deviation."""
 
     def __init__(self, mean: float, std: float):
@@ -158,19 +182,12 @@ class GaussianData(DataSet):
             raise DomainError("gaussian data needs std > 0")
         self.mean = float(mean)
         self.std = float(std)
-        self.label = f"gaussian({mean},{std})"
-
-    def statistic(self, statistic_id, theta=None):
-        if statistic_id == "mean_x":
-            return self.mean
-        if statistic_id == "mean_x2":
-            return self.std**2 + self.mean**2
-        if statistic_id == "entropy":
-            return 0.5 * (1.0 + _LOG_2PI) + math.log(self.std)
-        return super().statistic(statistic_id, theta)
+        entropy = 0.5 * (1.0 + _LOG_2PI) + math.log(self.std)
+        table = {"mean_x": self.mean, "mean_x2": self.std**2 + self.mean**2, "entropy": entropy}
+        super().__init__(table, label=f"gaussian({mean},{std})")
 
 
-class UniformData(DataSet):
+class UniformData(MomentData):
     """Uniform distribution on (lo, hi)."""
 
     def __init__(self, lo: float, hi: float):
@@ -178,20 +195,13 @@ class UniformData(DataSet):
             raise DomainError("uniform data needs hi > lo")
         self.lo = float(lo)
         self.hi = float(hi)
-        self.label = f"uniform({lo},{hi})"
-
-    def statistic(self, statistic_id, theta=None):
-        if statistic_id == "mean_x":
-            return 0.5 * (self.lo + self.hi)
-        if statistic_id == "mean_x2":
-            m = 0.5 * (self.lo + self.hi)
-            return (self.hi - self.lo) ** 2 / 12.0 + m**2
-        if statistic_id == "entropy":
-            return math.log(self.hi - self.lo)
-        return super().statistic(statistic_id, theta)
+        m = 0.5 * (self.lo + self.hi)
+        second = (self.hi - self.lo) ** 2 / 12.0 + m**2
+        table = {"mean_x": m, "mean_x2": second, "entropy": math.log(self.hi - self.lo)}
+        super().__init__(table, label=f"uniform({lo},{hi})")
 
 
-class TwoPointData(DataSet):
+class TwoPointData(MomentData):
     """Symmetric two-point measure on {center - h, center + h}.
 
     Its differential entropy is -inf; the entropy offset instead uses the
@@ -205,16 +215,10 @@ class TwoPointData(DataSet):
             raise DomainError("two-point data needs half_spread > 0")
         self.center = float(center)
         self.half_spread = float(half_spread)
-        self.label = f"twopoint({center},{half_spread})"
-
-    def statistic(self, statistic_id, theta=None):
-        if statistic_id == "mean_x":
-            return self.center
-        if statistic_id == "mean_x2":
-            return self.half_spread**2 + self.center**2
-        if statistic_id == "entropy":
-            return 0.5 * (1.0 + _LOG_2PI) + math.log(self.half_spread)
-        return super().statistic(statistic_id, theta)
+        entropy = 0.5 * (1.0 + _LOG_2PI) + math.log(self.half_spread)
+        second = self.half_spread**2 + self.center**2
+        table = {"mean_x": self.center, "mean_x2": second, "entropy": entropy}
+        super().__init__(table, label=f"twopoint({center},{half_spread})")
 
 
 class ExponentialData(DataSet):
@@ -294,7 +298,7 @@ class GumbelData(DataSet):
         return super().statistic(statistic_id, theta)
 
 
-class VonMisesFisherData(DataSet):
+class VonMisesFisherData(MomentData):
     """von Mises-Fisher distribution on the unit 2-sphere.
 
     Mean resultant length A(kappa) = coth(kappa) - 1/kappa.
@@ -309,43 +313,12 @@ class VonMisesFisherData(DataSet):
             raise DomainError("vMF direction must be nonzero")
         self.kappa = float(kappa)
         self.direction = direction / norm
-        self.label = f"vmf({kappa})"
-
-    def statistic(self, statistic_id, theta=None):
-        kappa = self.kappa
-        resultant = 1.0 / math.tanh(kappa) - 1.0 / kappa
-        if statistic_id in ("mean_e1", "mean_e2", "mean_e3"):
-            idx = int(statistic_id[-1]) - 1
-            return resultant * self.direction[idx]
-        if statistic_id == "entropy":
-            log_norm = math.log(4.0 * math.pi * math.sinh(kappa) / kappa)
-            return log_norm - kappa * resultant
-        return super().statistic(statistic_id, theta)
-
-
-class MomentData(DataSet):
-    """Directly injected moment values (the usual off-fibre probe payload).
-
-    ``entropy`` defaults to the matching-variance Gaussian value when the
-    payload carries first and second moments, else to 0.
-    """
-
-    def __init__(self, moments: dict, label: str = "moments"):
-        self.moments = dict(moments)
-        self.label = label
-        if "entropy" not in self.moments and {"mean_x", "mean_x2"} <= set(
-            self.moments
-        ):
-            var = self.moments["mean_x2"] - self.moments["mean_x"] ** 2
-            if var <= 0:
-                raise DomainError("moment payload implies non-positive variance")
-            self.moments["entropy"] = 0.5 * (1.0 + _LOG_2PI + math.log(var))
-
-    def statistic(self, statistic_id, theta=None):
-        try:
-            return self.moments[statistic_id]
-        except KeyError:
-            return super().statistic(statistic_id, theta)
+        k = self.kappa
+        resultant = 1.0 / math.tanh(k) - 1.0 / k
+        log_norm = math.log(4.0 * math.pi * math.sinh(k) / k)
+        table = {f"mean_e{i + 1}": resultant * self.direction[i] for i in range(3)}
+        table["entropy"] = log_norm - k * resultant
+        super().__init__(table, label=f"vmf({kappa})")
 
 
 class WeightedSampleData(DataSet):
@@ -387,7 +360,12 @@ class WeightedSampleData(DataSet):
         return super().statistic(statistic_id, theta)
 
 
-class OccupationData(DataSet):
+def occupation_totals(occupations: np.ndarray, levels: np.ndarray) -> dict:
+    """The statistic table of occupation numbers on an energy spectrum."""
+    return {"total_count": float(occupations.sum()), "total_energy": float(occupations @ levels)}
+
+
+class OccupationData(MomentData):
     """Measured occupation numbers of a finite energy spectrum."""
 
     def __init__(self, occupations: Sequence[float], levels: Sequence[float]):
@@ -397,20 +375,13 @@ class OccupationData(DataSet):
             raise DomainError("occupations and levels must match and be nonempty")
         if np.any(self.occupations < 0):
             raise DomainError("occupations must be >= 0")
-        self.label = f"occupations(J={self.levels.size})"
-        self.totals = {
-            "total_count": float(self.occupations.sum()),
-            "total_energy": float(self.occupations @ self.levels),
-        }
-
-    def statistic(self, statistic_id, theta=None):
-        try:
-            return self.totals[statistic_id]
-        except KeyError:
-            return super().statistic(statistic_id, theta)
+        super().__init__(
+            occupation_totals(self.occupations, self.levels),
+            label=f"occupations(J={self.levels.size})",
+        )
 
 
-class RegressionData(DataSet):
+class RegressionData(MomentData):
     """A set of (x_j, y_j) couples for functional-relation fitting.
 
     Couples must satisfy N * sum(x^2) - (sum x)^2 != 0.
@@ -425,39 +396,18 @@ class RegressionData(DataSet):
         n = arr.shape[0]
         if abs(n * np.sum(self.x**2) - np.sum(self.x) ** 2) < 1e-12:
             raise DomainError("regression abscissae are degenerate")
-        self.label = f"regression(n={n})"
         x, y = self.x, self.y
-        self.sums = {
-            "n_points": float(x.size),
-            "sum_x": float(x.sum()),
-            "sum_y": float(y.sum()),
-            "sum_xx": float(x @ x),
-            "sum_xy": float(x @ y),
-            "sum_yy": float(y @ y),
-        }
-
-    def statistic(self, statistic_id, theta=None):
-        try:
-            return self.sums[statistic_id]
-        except KeyError:
-            return super().statistic(statistic_id, theta)
-
-
-class RegressionMomentData(DataSet):
-    """Regression sums injected directly (off-fibre probes)."""
-
-    def __init__(self, sums: dict, label: str = "regression-moments"):
-        needed = {"n_points", "sum_x", "sum_y", "sum_xx", "sum_xy", "sum_yy"}
-        if not needed <= set(sums):
-            raise DomainError("regression moment payload incomplete")
-        self.sums = dict(sums)
-        self.label = label
-
-    def statistic(self, statistic_id, theta=None):
-        try:
-            return self.sums[statistic_id]
-        except KeyError:
-            return super().statistic(statistic_id, theta)
+        super().__init__(
+            {
+                "n_points": float(x.size),
+                "sum_x": float(x.sum()),
+                "sum_y": float(y.sum()),
+                "sum_xx": float(x @ x),
+                "sum_xy": float(x @ y),
+                "sum_yy": float(y @ y),
+            },
+            label=f"regression(n={n})",
+        )
 
 
 def _require_theta(statistic_id, theta):

@@ -12,9 +12,9 @@ from ..core import (
     ClosedFormOracle,
     MomentData,
     ModelDefinition,
-    OccupationData,
     ProbePair,
     StatisticSpec,
+    occupation_totals,
 )
 from ..errors import DomainError
 
@@ -25,7 +25,7 @@ class _PointTerms(NamedTuple):
     """The data-free terms of the gradient and Hessian at one chart point,
     with h = f (1 + f) and gap = levels - mu."""
 
-    occupancies: np.ndarray  # f, read-only
+    occupancies: np.ndarray  # f
     energy: float  # sum(levels f)
     count: float  # sum(f)
     gap_h: float  # sum(gap h)
@@ -85,7 +85,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
     @functools.lru_cache(maxsize=1)
     def point_terms(beta, mu) -> _PointTerms:
         f = _occupancies(levels, beta, mu)
-        f.flags.writeable = False
         h = f * (1.0 + f)  # _bose_weights from the occupancies at hand
         gap = levels - mu
         return _PointTerms(
@@ -120,20 +119,26 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
             ]
         )
 
+    label = f"occupations(J={levels.size})"
+
+    def member(occupations):
+        # the table OccupationData fills, without re-checking occupations built here
+        return MomentData(occupation_totals(occupations, levels), label=label)
+
     def fibre_members(coords, k):
         base = point_terms(*coords).occupancies
-        members = [OccupationData(base, levels)]
+        members = [member(base)]
         for shift in shifts:
             if len(members) >= k:
                 break
             moving = np.abs(shift) > 1e-12
             headroom = float((base[moving] / np.abs(shift[moving])).min())
             t = 0.5 * min(headroom, 1.0)
-            members.append(OccupationData(base + t * shift, levels))
+            members.append(member(base + t * shift))
             if len(members) < k:
-                members.append(OccupationData(base - t * shift, levels))
+                members.append(member(base - t * shift))
         while len(members) < k:  # J=2 spectra only have the base member
-            members.append(OccupationData(base, levels))
+            members.append(member(base))
         return members[:k]
 
     def probe_pairs(coords, delta, family):

@@ -9,9 +9,9 @@ from ..core import (
     ChartSpec,
     ClosedFormOracle,
     ModelDefinition,
+    MomentData,
     ProbePair,
     RegressionData,
-    RegressionMomentData,
     StatisticSpec,
 )
 from ..errors import DomainError
@@ -72,7 +72,7 @@ def _probe_pairs(coords, delta, family):
         payload = dict(sums)
         for key, amount in deltas.items():
             payload[key] = payload[key] + amount
-        return RegressionMomentData(payload, label="probe")
+        return MomentData(payload, label="probe")
 
     if family == 0:
         return [

@@ -190,11 +190,13 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     The chart is restricted to the simply connected band phi in (-pi, pi)
     so the Massieu potential exists (the full mantle admits none).
     """
-    from scipy import special  # ~0.3 s to import: only this model needs it
-
     if kappa <= 0:
         raise DomainError("kappa must be > 0")
-    log_i0 = math.log(2.0 * math.pi * float(special.i0(kappa)))
+    with np.errstate(over="ignore"):  # an overflow is the OverflowError below
+        normaliser = 2.0 * math.pi * float(np.i0(kappa))
+    if not math.isfinite(normaliser):
+        raise OverflowError("2 pi I0(kappa) overflows")
+    log_i0 = math.log(normaliser)
 
     chart = ChartSpec(
         dim=2,

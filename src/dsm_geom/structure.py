@@ -146,7 +146,7 @@ def classify(
             failure_evidence = condition4_evidence(model, point, err)
             track("cond4", err.deviation, point)
             continue
-        except MetricNotPD as err:
+        except (MetricNotPD, ArithmeticError) as err:
             failure_evidence = {"point": point.tolist(), "error": str(err)}
             track("cond4", float("inf"), point)
             continue
@@ -158,7 +158,7 @@ def classify(
         except HessianStructureViolated as err:
             track("hessian", err.deviation, point)
             continue
-        except ProbeSingular as err:
+        except (ProbeSingular, ArithmeticError) as err:
             failure_evidence = {"point": point.tolist(), "error": str(err)}
             track("hessian", float("inf"), point)
             continue
@@ -472,7 +472,8 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
         return evaluate_divergence(model, x, b) - evaluate_divergence(model, x, a)
 
     metric_fd = numdiff.fd_hessian(lambda b: induced(coords, b), coords, model.chart.domain)
-    g = metric_at(model, coords).matrix
+    evaluation = connection_at(model, coords)  # its condition-4 gate gives the metric
+    g = evaluation.metric.matrix
     metric_residual = float(np.max(np.abs(metric_fd - g))) / max(
         float(np.max(np.abs(g))), 1e-12
     )
@@ -483,7 +484,7 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
     third = numdiff.fd_jacobian(second_slot_hessian, coords, model.chart.domain)
     ginv = np.linalg.inv(g)
     omega_induced = -np.einsum("ks,ijs->kij", ginv, third)
-    omega = connection_at(model, coords).omega
+    omega = evaluation.omega
     scale = max(float(np.max(np.abs(omega))), 1.0)
     connection_residual = float(np.max(np.abs(omega_induced - omega))) / scale
     return metric_residual, connection_residual

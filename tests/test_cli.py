@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dsm_geom import cli, models, structure
+from dsm_geom import cli, geometry, models, structure
 
 
 def run_cli(args, cwd=None, timeout=None):
@@ -138,9 +138,14 @@ class TestDocuments:
 
 class TestCliRuns:
     def test_import_leaves_scipy_special_unloaded(self):
-        # scipy.special takes about 0.3 s to import; only the gumbel
-        # statistic and the vmf-cylinder model load it, when they run
-        code = "import sys, dsm_geom.cli; assert 'scipy.special' not in sys.modules"
+        # scipy.special takes about 0.3 s to import and only the gumbel
+        # statistics load it, when they run; numpy.polynomial is loaded by
+        # the path solves alone.  Neither is on the import and build path.
+        code = (
+            "import sys, dsm_geom.cli; dsm_geom.cli.models.catalogue(); "
+            "loaded = {'scipy.special', 'numpy.polynomial'} & set(sys.modules); "
+            "assert not loaded, loaded"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
@@ -555,6 +560,11 @@ class TestBadInput:
                  "--data", '{"kind": "regression", "couples": [[1, 1e200], [2, 3]]}'],
                 "'couples'",
             ),
+            (
+                ["--model", "vmf-cylinder", "--kappa", "800", "--op", "pythagoras",
+                 "--at", "0,1", "--other", "0.1,1.2"],
+                "--kappa",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -568,6 +578,7 @@ class TestBadInput:
             "kappa-overflow", "mu0-underflow", "data-std-not-a-number",
             "mu0-subnormal-square", "sigma0-subnormal-power", "data-std-overflow",
             "data-second-moment-overflow", "data-couples-x-overflow", "data-couples-y-overflow",
+            "cylinder-kappa-overflow",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -587,9 +598,10 @@ class TestBadInput:
              "at --at 1.0,-1.0:"),
             (["--model", "gaussian-kl", "--op", "metric", "--at", "0,1e308"],
              "at --at 0.0,1e+308:"),
-            (["--model", "gce", "--levels", "1,1e308", "--op", "classify"], "in classify:"),
+            (["--model", "gce", "--levels", "1,1e308", "--op", "report"],
+             "in the oracle comparison at ["),
         ],
-        ids=["metric-sigma-tiny", "metric-level-huge", "metric-sigma-huge", "classify-level-huge"],
+        ids=["metric-sigma-tiny", "metric-level-huge", "metric-sigma-huge", "report-level-huge"],
     )
     @pytest.mark.filterwarnings("error")
     def test_arithmetic_failures_are_two_and_one_line(self, args, point, tmp_path, capsys):
@@ -600,6 +612,21 @@ class TestBadInput:
         assert err.startswith("numerical failure:") and err.count("\n") == 1, err
         assert point in err, err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_classify_records_an_arithmetic_failure_as_evidence(self, tmp_path, capsys):
+        # an overflow at a grid point is a failed check there, as a metric
+        # that is not positive definite is
+        args = ["--model", "gce", "--levels", "1,1e308", "--op", "classify"]
+        code, err, out = self.run_main(args, tmp_path, capsys)
+        assert code == 0, err
+        doc = json.loads(out.read_text())
+        assert doc["verdicts"]["condition4"] == "fail"
+        assert doc["verdicts"]["exponential_family"] == "no"
+        condition4 = doc["results"]["condition4"]
+        assert condition4["worst_deviation"] == math.inf
+        assert condition4["evidence"]["point"] in doc["results"]["grid"]
+        assert "overflow" in condition4["evidence"]["error"]
 
 
 class TestReportAll:
@@ -635,6 +662,29 @@ class TestReportAll:
         # no wall-clock fields anywhere in the outputs
         for name in names:
             assert "runtime_ms" not in json.loads((first / name).read_text())
+
+    def test_oracle_comparison_evaluates_each_point_once(self):
+        # a report costs its classify plus one connection_at per oracle point:
+        # the metric compared with the oracle is that connection's gate
+        calls = []
+        model = models.build("gce")
+
+        def hessian(x, theta, inner=model.hessian_fn):
+            calls.append(1)
+            return inner(x, theta)
+
+        model = dataclasses.replace(model, hessian_fn=hessian)
+        config = cli.RunConfig(model="gce", op="report", grid="2")
+
+        def count(action):
+            calls.clear()
+            action()
+            return len(calls)
+
+        report = count(lambda: cli.model_report(model, config))
+        classify = count(lambda: structure.classify(model, structure.default_grid(model, 2)))
+        point = count(lambda: geometry.connection_at(model, [1.0, -1.0]))
+        assert report == classify + 5 * point
 
     def test_grid_and_fibre_k_reach_every_model(self, tmp_path):
         args = ["--model", "all", "--op", "report", "--fibre-k", "2", "--grid", "2"]

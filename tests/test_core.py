@@ -9,8 +9,12 @@ from dsm_geom.core import (
     ChartSpec,
     GaussianData,
     MomentData,
+    OccupationData,
     RegressionData,
     Tolerances,
+    TwoPointData,
+    UniformData,
+    VonMisesFisherData,
     evaluate_divergence,
     divergence_gradient,
     divergence_hessian,
@@ -218,7 +222,63 @@ class TestFibreConsistency:
                 assert np.max(np.abs(grad)) < 1e-6, (model.name, member.label)
 
 
+_LOG_2PI = math.log(2.0 * math.pi)
+_VMF_RESULTANT = 1.0 / math.tanh(2.0) - 0.5
+
+
 class TestStatisticQuery:
+    @pytest.mark.parametrize(
+        "provider, expected",
+        [
+            (
+                lambda: GaussianData(0.5, 2.0),
+                {"mean_x": 0.5, "mean_x2": 4.25, "entropy": 0.5 * (1 + _LOG_2PI) + math.log(2.0)},
+            ),
+            (
+                lambda: UniformData(-1.0, 3.0),
+                {"mean_x": 1.0, "mean_x2": 16.0 / 12.0 + 1.0, "entropy": math.log(4.0)},
+            ),
+            (
+                lambda: TwoPointData(1.0, 0.5),
+                {"mean_x": 1.0, "mean_x2": 1.25, "entropy": 0.5 * (1 + _LOG_2PI) + math.log(0.5)},
+            ),
+            (
+                lambda: VonMisesFisherData(2.0, [0.0, 0.0, 2.0]),
+                {
+                    "mean_e1": 0.0,
+                    "mean_e2": 0.0,
+                    "mean_e3": _VMF_RESULTANT,
+                    "entropy": math.log(2.0 * math.pi * math.sinh(2.0)) - 2.0 * _VMF_RESULTANT,
+                },
+            ),
+            (
+                lambda: OccupationData([0.5, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                {"total_count": 3.5, "total_energy": 8.5},
+            ),
+            (
+                lambda: RegressionData([[0.0, 1.0], [1.0, 3.0], [2.0, 4.0]]),
+                {
+                    "n_points": 3.0,
+                    "sum_x": 3.0,
+                    "sum_y": 8.0,
+                    "sum_xx": 5.0,
+                    "sum_xy": 11.0,
+                    "sum_yy": 26.0,
+                },
+            ),
+        ],
+        ids=["gaussian", "uniform", "twopoint", "vmf", "occupations", "regression"],
+    )
+    def test_theta_free_providers_are_statistic_tables(self, provider, expected):
+        data = provider()
+        assert isinstance(data, MomentData)
+        assert set(data.moments) == set(expected)
+        for statistic_id, value in expected.items():
+            assert data.statistic(statistic_id) == pytest.approx(value, rel=1e-14, abs=1e-15)
+            assert data.statistic(statistic_id, np.array([1.0, 2.0])) == data.moments[statistic_id]
+        with pytest.raises(MissingStatistic, match="unknown_id"):
+            data.statistic("unknown_id")
+
     def test_parameter_dependent_statistics_need_theta(self):
         from dsm_geom.core import GumbelData
 

@@ -524,7 +524,3 @@ class TestStackedEvaluation:
                 assert np.array_equal(got.omega, want.omega), (index, key)
                 assert np.array_equal(got.metric.matrix, want.metric.matrix), (index, key)
                 assert got.probe_consistency == want.probe_consistency, (index, key)
-        if name == "gce":  # the cached occupancies are shared, so read-only
-            member = pair[0].fibre_sampler(a, 1)[0]
-            with pytest.raises(ValueError):
-                member.occupations[0] = 0.0
