@@ -159,13 +159,13 @@ class MomentData(DataSet):
     """
 
     def __init__(self, moments: dict, label: str = "moments"):
-        self.moments = dict(moments)
+        self.moments = table = dict(moments)
         self.label = label
-        if "entropy" not in self.moments and {"mean_x", "mean_x2"} <= set(self.moments):
-            var = self.moments["mean_x2"] - self.moments["mean_x"] ** 2
+        if "entropy" not in table and "mean_x" in table and "mean_x2" in table:
+            var = table["mean_x2"] - table["mean_x"] ** 2
             if var <= 0:
                 raise DomainError("moment payload implies non-positive variance")
-            self.moments["entropy"] = 0.5 * (1.0 + _LOG_2PI + math.log(var))
+            table["entropy"] = 0.5 * (1.0 + _LOG_2PI + math.log(var))
 
     def statistic(self, statistic_id, theta=None):
         try:
@@ -256,6 +256,52 @@ class ExponentialData(DataSet):
         return super().statistic(statistic_id, theta)
 
 
+# asymptotic series in z = 1/x^2 (Abramowitz & Stegun 6.3.18 and 6.4.12): the
+# Bernoulli terms B_2k / 2k of psi and B_2k of psi', k = 1..7
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _series(z: float, coefficients) -> float:
+    """sum of c_k z^k, k = 1, 2, ..., by Horner's rule."""
+    total = 0.0
+    for c in reversed(coefficients):
+        total = total * z + c
+    return total * z
+
+
+def _gamma(x: float) -> np.float64:
+    """Gamma(x) for x > 0; inf where it overflows (x > 171.6)."""
+    try:
+        return np.float64(math.gamma(x))
+    except OverflowError:
+        return np.float64(math.inf)
+
+
+def _digamma(x: float) -> np.float64:
+    """psi(x) for x > 0 (Bernardo, "Algorithm AS 103", Appl. Statist. 25, 1976).
+
+    Integers up to 10 are summed as cephes sums them, bit for bit; other
+    points recur up to x >= 10 and take the asymptotic series.
+    """
+    if x <= 10.0 and x == math.floor(x):
+        return np.float64(sum(1.0 / k for k in range(1, int(x))) - EULER_GAMMA)
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    return np.float64(math.log(x) - 0.5 / x - _series(1.0 / (x * x), _DIGAMMA_SERIES) - shift)
+
+
+def _trigamma(x: float) -> np.float64:
+    """psi'(x) for x > 0: recurrence up to x >= 10, then the asymptotic series."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    return np.float64(shift + (1.0 + 0.5 / x + _series(1.0 / (x * x), _TRIGAMMA_SERIES)) / x)
+
+
 class GumbelData(DataSet):
     """Gumbel distribution with shape alpha0 > 0 and mode mu0.
 
@@ -278,20 +324,18 @@ class GumbelData(DataSet):
         if statistic_id == "entropy":
             return 1.0 + EULER_GAMMA - math.log(a0)
         if statistic_id in ("exp_shift", "lin_exp_shift", "sq_exp_shift"):
-            from scipy import special  # ~0.3 s to import: only this branch needs it
-
             alpha, mu = _require_theta(statistic_id, theta)
             s = alpha / a0
             if 1.0 + s <= 0:
                 raise MissingStatistic("exp_shift diverges for alpha <= -alpha0")
             shift = m0 - mu
-            front = math.exp(-alpha * shift) * special.gamma(1.0 + s)
-            psi = special.digamma(1.0 + s)
+            front = math.exp(-alpha * shift) * _gamma(1.0 + s)
+            psi = _digamma(1.0 + s)
             if statistic_id == "exp_shift":
                 return front
             if statistic_id == "lin_exp_shift":
                 return front * (shift - psi / a0)
-            psi1 = special.polygamma(1, 1.0 + s)
+            psi1 = _trigamma(1.0 + s)
             return front * (
                 shift**2 - 2.0 * shift * psi / a0 + (psi**2 + psi1) / a0**2
             )

@@ -9,6 +9,7 @@ second-order accurate when it does not (the sphere).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -92,11 +93,12 @@ def metric_at(
     members = model._fibre_sampler(coords, k)
     hessians = _divergence_hessians(model, members, coords)
     mean = hessians.sum(axis=0) / len(members)  # np.mean(axis=0) bit for bit, without its overhead
-    if not np.isfinite(mean).all():  # a NaN passes every comparison below
+    largest = float(np.abs(mean).max())  # NaN or inf where any entry is not finite
+    if not math.isfinite(largest):  # a NaN passes every comparison below
         raise MetricNotPD(
             f"divergence Hessian of {model.name} is not finite at {coords.tolist()}"
         )
-    scale = max(float(np.max(np.abs(mean))), 1e-12)
+    scale = max(largest, 1e-12)
     # the largest pairwise gap |h_i - h_j|: per entry it is max - min (that pair
     # is one of the pairs, and rounding keeps the order)
     deviation = float((hessians.max(axis=0) - hessians.min(axis=0)).max()) / scale

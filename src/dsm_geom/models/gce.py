@@ -64,7 +64,12 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
             f"the energy spectrum needs at least two distinct levels, got {levels.tolist()}"
         )
     eps_min = float(np.min(levels))
-    shifts = _null_space_shifts(levels)  # depends on the spectrum alone
+    # the shifts depend on the spectrum alone: each with the levels it moves
+    # and its step sizes there, which bound how far a member may shift
+    shifts = []
+    for shift in _null_space_shifts(levels):
+        moving = np.abs(shift) > 1e-12
+        shifts.append((shift, moving, np.abs(shift[moving])))
 
     chart = ChartSpec(
         dim=2,
@@ -128,11 +133,10 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
     def fibre_members(coords, k):
         base = point_terms(*coords).occupancies
         members = [member(base)]
-        for shift in shifts:
+        for shift, moving, steps in shifts:
             if len(members) >= k:
                 break
-            moving = np.abs(shift) > 1e-12
-            headroom = float((base[moving] / np.abs(shift[moving])).min())
+            headroom = float((base[moving] / steps).min())
             t = 0.5 * min(headroom, 1.0)
             members.append(member(base + t * shift))
             if len(members) < k:

@@ -130,25 +130,29 @@ def classify(
     report = GeometryReport(model=model.name, grid=grid, tolerances=tolerances)
     worst = dict.fromkeys(tolerances, 0.0)
     worst_points = {}
-    failure_evidence = None
+    failure_evidence = None  # of the worst condition-4 point
+    probe_evidence = None  # of the first probe solve that broke down
     metric = metric_field(model, fibre_k=fibre_k, tol=tol)
     conn = connection_field(model, fibre_k=fibre_k, tol=tol)
 
     def track(key, value, point):
+        """Keep the first largest value of a check; True when it is this point's."""
         if value > worst[key]:
             worst[key] = value
             worst_points[key] = [float(c) for c in point]
+            return True
+        return False
 
     for point in grid:
         try:
             evaluation = metric_at(model, point, fibre_k=fibre_k, tol=tol)
         except Condition4Violated as err:
-            failure_evidence = condition4_evidence(model, point, err)
-            track("cond4", err.deviation, point)
+            if track("cond4", err.deviation, point):
+                failure_evidence = condition4_evidence(model, point, err)
             continue
         except (MetricNotPD, ArithmeticError) as err:
-            failure_evidence = {"point": point.tolist(), "error": str(err)}
-            track("cond4", float("inf"), point)
+            if track("cond4", float("inf"), point):
+                failure_evidence = {"point": point.tolist(), "error": str(err)}
             continue
         track("cond4", evaluation.fibre_deviation, point)
         if not model.has_probes:
@@ -159,8 +163,8 @@ def classify(
             track("hessian", err.deviation, point)
             continue
         except (ProbeSingular, ArithmeticError) as err:
-            failure_evidence = {"point": point.tolist(), "error": str(err)}
-            track("hessian", float("inf"), point)
+            if track("hessian", float("inf"), point):
+                probe_evidence = {"point": point.tolist(), "error": str(err)}
             continue
         track("hessian", connection.probe_consistency, point)
         track("torsion", torsion_residual(connection.omega), point)
@@ -187,6 +191,8 @@ def classify(
                 "worst_point": worst_points.get(key),
             }
         setattr(report, block, entry)
+    if probe_evidence is not None:
+        report.probe_consistency["evidence"] = probe_evidence
     if cond4_ok and not model.has_probes:
         report.hessian_structure = "not-evaluated"
     else:

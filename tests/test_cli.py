@@ -137,19 +137,25 @@ class TestDocuments:
 
 
 class TestCliRuns:
-    def test_import_leaves_scipy_special_unloaded(self):
-        # scipy.special takes about 0.3 s to import and only the gumbel
-        # statistics load it, when they run; numpy.polynomial is loaded by
-        # the path solves alone.  Neither is on the import and build path.
+    def test_import_leaves_scipy_special_unloaded(self, tmp_path):
+        # the runtime is numpy alone: not even the gumbel statistics, which
+        # take Gamma, psi and psi', load scipy; numpy.polynomial is loaded by
+        # the path solves alone, so neither is on the import and build path
+        out = tmp_path / "gumbel.json"
         code = (
             "import sys, dsm_geom.cli; dsm_geom.cli.models.catalogue(); "
-            "loaded = {'scipy.special', 'numpy.polynomial'} & set(sys.modules); "
-            "assert not loaded, loaded"
+            "loaded = {'scipy', 'numpy.polynomial'} & set(sys.modules); "
+            "assert not loaded, loaded; "
+            "args = ['--model', 'gumbel', '--op', 'classify', '--grid', '3', "
+            f"'--out', {str(out)!r}]; "
+            "assert dsm_geom.cli.main(args) == 0; "
+            "assert 'scipy' not in sys.modules"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["verdicts"]["condition4"] == "fail"
 
     def test_classify_gaussian(self, tmp_path):
         out = tmp_path / "r.json"
@@ -626,6 +632,8 @@ class TestBadInput:
         condition4 = doc["results"]["condition4"]
         assert condition4["worst_deviation"] == math.inf
         assert condition4["evidence"]["point"] in doc["results"]["grid"]
+        # the evidence is taken where the worst value (the first inf) was
+        assert condition4["evidence"]["point"] == condition4["worst_point"]
         assert "overflow" in condition4["evidence"]["error"]
 
 

@@ -294,3 +294,43 @@ class TestStatisticQuery:
         expected_count = sum(1.0 / (math.exp(1.0 * (e - 0.5)) - 1.0) for e in levels)
         assert count == pytest.approx(expected_count, rel=1e-12)
         assert energy > count  # all levels above unit energy
+
+
+@pytest.fixture
+def special():
+    return pytest.importorskip("scipy.special")
+
+
+class TestGumbelSpecialFunctions:
+    """The Gamma-function family behind the Gumbel statistics, against scipy."""
+
+    POINTS = np.concatenate([np.logspace(-12, 2.2, 400), np.linspace(0.5, 30.0, 400)])
+
+    def test_digamma_matches_scipy(self, special):
+        from dsm_geom.core import _digamma
+
+        want = special.digamma(self.POINTS)
+        got = np.array([_digamma(float(x)) for x in self.POINTS])
+        # absolute near the root of psi at 1.4616, relative elsewhere
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+
+    def test_trigamma_matches_scipy(self, special):
+        from dsm_geom.core import _trigamma
+
+        want = special.polygamma(1, self.POINTS)
+        got = np.array([_trigamma(float(x)) for x in self.POINTS])
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_digamma_at_integers_is_scipy_bit_for_bit(self, special):
+        # every gumbel fibre member is evaluated at 1 + s = 2 exactly
+        from dsm_geom.core import _digamma
+
+        for n in range(1, 11):
+            assert _digamma(float(n)) == special.digamma(float(n)), n
+
+    def test_gamma_overflow_is_inf(self):
+        from dsm_geom.core import GumbelData
+
+        # Gamma(1001) overflows: inf, as scipy gives it, and no OverflowError
+        value = GumbelData(1e-3, 0.0).statistic("exp_shift", [1.0, 0.0])
+        assert isinstance(value, np.float64) and value == math.inf

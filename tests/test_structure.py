@@ -44,6 +44,66 @@ class TestClassify:
         assert evidence["varying_ratio"] == pytest.approx(1.64, abs=0.01)
         assert report.exponential_family == "no"
 
+    @pytest.mark.parametrize("name", ["gumbel", "regression-ls"])
+    def test_condition4_evidence_is_the_worst_points(self, catalogue, name):
+        condition4 = structure.classify(catalogue[name]).condition4
+        assert condition4["status"] == "fail"
+        assert condition4["evidence"]["point"] == condition4["worst_point"]
+        assert condition4["evidence"]["deviation"] == condition4["worst_deviation"]
+
+    def test_gumbel_varying_ratio_is_the_same_at_every_point(self, catalogue):
+        gumbel = catalogue["gumbel"]
+        for point in structure.default_grid(gumbel):
+            with pytest.raises(geometry.Condition4Violated) as caught:
+                geometry.metric_at(gumbel, point)
+            evidence = structure.condition4_evidence(gumbel, point, caught.value)
+            assert evidence["varying_ratio"] == pytest.approx(1.6455, abs=1e-4), point
+
+    def test_probe_failure_keeps_condition4_evidence(self):
+        # members disagree on the weight for u > 0 (condition 4 fails there);
+        # the probe pairs are degenerate everywhere (the probe solve fails
+        # wherever condition 4 holds)
+        from dsm_geom.core import ChartSpec, ModelDefinition, MomentData, ProbePair
+
+        def divergence(x, theta):
+            delta = np.asarray(theta) - [x.statistic("c1"), x.statistic("c2")]
+            return float(0.5 * x.statistic("w") * (delta @ delta))
+
+        def data(theta, weight):
+            return MomentData({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
+
+        def sampler(theta, k):
+            return [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(k)]
+
+        def probes(theta, delta, family):
+            same = data(theta, 1.0)
+            return [ProbePair(same, same), ProbePair(same, same)]
+
+        model = ModelDefinition(
+            name="split",
+            chart=ChartSpec(
+                dim=2,
+                domain=((-math.inf, math.inf), (-math.inf, math.inf)),
+                names=("u", "v"),
+                sample_box=((-1.0, 1.0), (-1.0, 1.0)),
+            ),
+            statistic_schema=(),
+            divergence_fn=divergence,
+            fibre_sampler_fn=sampler,
+            probe_pairs_fn=probes,
+        )
+        report = structure.classify(model, [[-1.0, 0.0], [1.0, 0.0], [-0.5, 0.0]])
+        assert report.condition4["status"] == "fail"
+        assert report.condition4["evidence"]["point"] == [1.0, 0.0]
+        assert report.condition4["evidence"]["deviation"] > 0.1
+        probe = report.probe_consistency
+        assert probe["status"] == "not-evaluated"
+        assert probe["evidence"]["point"] == [-1.0, 0.0]
+        assert "singular" in probe["evidence"]["error"]
+        # the key is there only when a probe solve broke down
+        clean = structure.classify(model, [[1.0, 0.0]])
+        assert "evidence" not in clean.probe_consistency
+
     def test_verdict_consistency_across_catalogue(self, catalogue):
         expected = {
             "gaussian-kl": "yes",
