@@ -328,16 +328,21 @@ def _op_fit(config, model):
     ), None
 
 
+def _condition4_failure(config, model, err):
+    # a condition-4 failure at the requested point is a verdict, not an error
+    evidence = structure.condition4_evidence(model, config.at, err)
+    return make_document(
+        config, results={"evidence": evidence}, verdicts={"condition4": "fail"}
+    ), None
+
+
 def _op_metric(config, model):
     try:
         evaluation = geometry.metric_at(
             model, config.at, fibre_k=config.fibre_k, tol=config.tol
         )
     except Condition4Violated as err:
-        evidence = structure.condition4_evidence(model, config.at, err)
-        return make_document(
-            config, results={"evidence": evidence}, verdicts={"condition4": "fail"}
-        ), None
+        return _condition4_failure(config, model, err)
     return make_document(
         config,
         results={"metric": evaluation.matrix, "members": list(evaluation.member_labels)},
@@ -349,6 +354,8 @@ def _op_metric(config, model):
 def _op_connection(config, model):
     try:
         evaluation = geometry.connection_at(model, config.at, tol=config.tol)
+    except Condition4Violated as err:
+        return _condition4_failure(config, model, err)
     except HessianStructureViolated as err:
         return make_document(
             config,

@@ -469,14 +469,6 @@ def _require_theta(statistic_id, theta):
 
 
 @dataclass(frozen=True)
-class StatisticSpec:
-    """One entry of a model's statistic schema."""
-
-    statistic_id: str
-    parameter_dependent: bool = False
-
-
-@dataclass(frozen=True)
 class ProbePair:
     """Antithetic off-fibre probe pair for one probe direction.
 
@@ -511,7 +503,6 @@ class ModelDefinition:
 
     name: str
     chart: ChartSpec
-    statistic_schema: tuple
     divergence_fn: Callable
     gradient_fn: Optional[Callable] = None
     hessian_fn: Optional[Callable] = None
@@ -536,66 +527,18 @@ class ModelDefinition:
 
     @property
     def has_probes(self) -> bool:
-        if self.probe_pairs_fn is not None:
-            return True
-        if self.fibre_sampler_fn is None:
-            return False
-        independent = [
-            spec
-            for spec in self.statistic_schema
-            if not spec.parameter_dependent and spec.statistic_id != "entropy"
-        ]
-        return len(independent) >= self.chart.dim
+        return self.probe_pairs_fn is not None
 
     def probe_pairs(self, theta, delta: float, family: int = 0) -> list:
-        """Off-fibre probe pairs; two families (0, 1) are available.
-
-        Models normally supply probes that perturb exactly one fibre
-        condition each; the generic fallback perturbs each declared
-        parameter-independent statistic of a fibre member instead.
-        """
+        """Off-fibre probe pairs, each perturbing one fibre condition; two
+        families (0, 1) are available."""
         return self._probe_pairs(self.chart.require(theta), delta, family)
 
     def _probe_pairs(self, coords, delta, family):
         # the body of probe_pairs: coords are already checked against the chart
-        if self.probe_pairs_fn is not None:
-            return self.probe_pairs_fn(coords, delta, family)
-        return self._generic_probe_pairs(coords, delta, family)
-
-    def _generic_probe_pairs(self, coords, delta, family):
-        ids = [
-            spec.statistic_id
-            for spec in self.statistic_schema
-            if not spec.parameter_dependent and spec.statistic_id != "entropy"
-        ]
-        if not ids:
-            raise Unsupported(
-                f"model {self.name} has no probe constructor and no "
-                "parameter-independent statistics to perturb"
-            )
-        member = self._fibre_sampler(coords, 1)[0]
-        base = {sid: member.statistic(sid) for sid in ids}
-        base["entropy"] = 0.0
-        if family == 1:
-            delta = 0.5 * delta
-        pairs = []
-        for index, sid in enumerate(ids):
-            scale = max(abs(base[sid]), 1.0)
-            plus, minus = dict(base), dict(base)
-            plus[sid] += delta * scale
-            minus[sid] -= delta * scale
-            if family == 1:  # mix in a second direction
-                other = ids[(index + 1) % len(ids)]
-                other_scale = max(abs(base[other]), 1.0)
-                plus[other] += delta * other_scale / 3.0
-                minus[other] -= delta * other_scale / 3.0
-            pairs.append(
-                ProbePair(
-                    MomentData(plus, label=f"probe({sid})+"),
-                    MomentData(minus, label=f"probe({sid})-"),
-                )
-            )
-        return pairs
+        if self.probe_pairs_fn is None:
+            raise Unsupported(f"model {self.name} has no off-fibre probes")
+        return self.probe_pairs_fn(coords, delta, family)
 
     def closed_form_fit(self, x: DataSet) -> np.ndarray:
         if self.closed_form_fit_fn is None:

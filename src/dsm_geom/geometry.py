@@ -323,7 +323,6 @@ def reparametrized_model(
     return ModelDefinition(
         name=f"{model.name}-reparam",
         chart=chart,
-        statistic_schema=model.statistic_schema,
         divergence_fn=divergence,
         gradient_fn=None,
         hessian_fn=None,

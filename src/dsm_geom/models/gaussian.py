@@ -12,7 +12,6 @@ from ..core import (
     MomentData,
     ModelDefinition,
     ProbePair,
-    StatisticSpec,
     TwoPointData,
     UniformData,
 )
@@ -26,8 +25,6 @@ _CHART = ChartSpec(
     names=("mu", "sigma"),
     sample_box=((-2.0, 2.0), (0.5, 3.0)),
 )
-
-_SCHEMA = (StatisticSpec("mean_x"), StatisticSpec("mean_x2"), StatisticSpec("entropy"))
 
 
 def _moments(x, theta=None):
@@ -187,7 +184,6 @@ def gaussian_kl() -> ModelDefinition:
     return ModelDefinition(
         name="gaussian-kl",
         chart=_CHART,
-        statistic_schema=_SCHEMA,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,
@@ -311,7 +307,6 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
     return ModelDefinition(
         name="gaussian-sumsq",
         chart=_CHART,
-        statistic_schema=(StatisticSpec("mean_x"), StatisticSpec("mean_x2")),
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,

@@ -13,12 +13,9 @@ from ..core import (
     MomentData,
     ModelDefinition,
     ProbePair,
-    StatisticSpec,
     occupation_totals,
 )
 from ..errors import DomainError
-
-_SCHEMA = (StatisticSpec("total_count"), StatisticSpec("total_energy"))
 
 
 class _PointTerms(NamedTuple):
@@ -244,7 +241,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
     return ModelDefinition(
         name="gce",
         chart=chart,
-        statistic_schema=_SCHEMA,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,

@@ -18,7 +18,6 @@ from ..core import (
     ExponentialData,
     GumbelData,
     ModelDefinition,
-    StatisticSpec,
 )
 from ..errors import DomainError
 
@@ -32,14 +31,6 @@ _CHART = ChartSpec(
     domain=((0.0, math.inf), (-math.inf, math.inf)),
     names=("alpha", "mu"),
     sample_box=((0.8, 3.3), (-1.0, 1.0)),
-)
-
-_SCHEMA = (
-    StatisticSpec("mean_x"),
-    StatisticSpec("entropy"),
-    StatisticSpec("exp_shift", parameter_dependent=True),
-    StatisticSpec("lin_exp_shift", parameter_dependent=True),
-    StatisticSpec("sq_exp_shift", parameter_dependent=True),
 )
 
 
@@ -122,7 +113,6 @@ def gumbel() -> ModelDefinition:
     model = ModelDefinition(
         name="gumbel",
         chart=_CHART,
-        statistic_schema=_SCHEMA,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,

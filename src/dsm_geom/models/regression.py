@@ -12,7 +12,6 @@ from ..core import (
     MomentData,
     ProbePair,
     RegressionData,
-    StatisticSpec,
 )
 from ..errors import DomainError
 
@@ -21,11 +20,6 @@ _CHART = ChartSpec(
     domain=((-math.inf, math.inf), (-math.inf, math.inf)),
     names=("a", "b"),
     sample_box=((-3.0, 3.0), (-3.0, 3.0)),
-)
-
-_SCHEMA = tuple(
-    StatisticSpec(name)
-    for name in ("n_points", "sum_x", "sum_y", "sum_xx", "sum_xy", "sum_yy")
 )
 
 _SUM_IDS = ("n_points", "sum_x", "sum_y", "sum_xx", "sum_xy", "sum_yy")
@@ -129,7 +123,6 @@ def regression_ls() -> ModelDefinition:
     return ModelDefinition(
         name="regression-ls",
         chart=_CHART,
-        statistic_schema=_SCHEMA,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,
@@ -196,7 +189,6 @@ def regression_dlambda(lam: float = 1.0) -> ModelDefinition:
     return ModelDefinition(
         name="regression-dlambda",
         chart=_CHART,
-        statistic_schema=_SCHEMA,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,

@@ -12,16 +12,8 @@ from ..core import (
     MomentData,
     ModelDefinition,
     ProbePair,
-    StatisticSpec,
 )
 from ..errors import DomainError
-
-_SCHEMA = (
-    StatisticSpec("mean_e1"),
-    StatisticSpec("mean_e2"),
-    StatisticSpec("mean_e3"),
-    StatisticSpec("entropy"),
-)
 
 
 def _moment_vector(x):
@@ -172,7 +164,6 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
     return ModelDefinition(
         name="vmf-sphere",
         chart=chart,
-        statistic_schema=_SCHEMA,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,
@@ -309,7 +300,6 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     return ModelDefinition(
         name="vmf-cylinder",
         chart=chart,
-        statistic_schema=_SCHEMA,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,

@@ -323,7 +323,6 @@ def massieu(
     theta0,
     targets,
     tol: Tolerances = Tolerances(),
-    verify: bool = True,
 ) -> MassieuSample:
     """Reconstruct the Massieu potential from the Mayer-Lie system.
 
@@ -360,16 +359,15 @@ def massieu(
         potentials.append(phi)
         covectors.append(alpha)
         residuals.append(residual)
-        if verify:
-            hess_res, curl_res = _verify_massieu(model, local, stop, alpha, phi)
-            if hess_res > tol.hessian:
-                raise NotIntegrable(
-                    f"covariant Hessian of the sampled potential deviates from "
-                    f"the metric by {hess_res:.3g} at {stop.tolist()}",
-                    residual=hess_res,
-                )
-            hessian_residuals.append(hess_res)
-            curl_residuals.append(curl_res)
+        hess_res, curl_res = _verify_massieu(model, local, stop, alpha, phi)
+        if hess_res > tol.hessian:
+            raise NotIntegrable(
+                f"covariant Hessian of the sampled potential deviates from "
+                f"the metric by {hess_res:.3g} at {stop.tolist()}",
+                residual=hess_res,
+            )
+        hessian_residuals.append(hess_res)
+        curl_residuals.append(curl_res)
     return MassieuSample(
         reference=reference,
         targets=[as_coords(t) for t in targets],

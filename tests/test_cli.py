@@ -249,6 +249,17 @@ class TestCliRuns:
         assert doc["verdicts"]["condition4"] == "fail"
         assert "varying_ratio" in doc["results"]["evidence"]
 
+    def test_connection_condition4_failure_is_data(self, tmp_path, capsys):
+        # a condition-4 failure is a verdict in both point ops, with one evidence block
+        point = ["--model", "regression-ls", "--at", "0,0"]
+        docs = {}
+        for op in ("metric", "connection"):
+            out = tmp_path / f"{op}.json"
+            assert cli.main([*point, "--op", op, "--out", str(out)]) == 0, capsys.readouterr()
+            docs[op] = json.loads(out.read_text())
+        assert docs["connection"]["verdicts"] == {"condition4": "fail"}
+        assert docs["connection"]["results"]["evidence"] == docs["metric"]["results"]["evidence"]
+
     def test_remaining_ops_smoke(self, tmp_path):
         cases = [
             (["--model", "gaussian-kl", "--op", "connection", "--at", "0,2"], "c.json"),
@@ -429,6 +440,18 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert "cond4" in err
+        assert not out.exists()
+
+    def test_model_without_probes_has_no_connection(self, tmp_path, capsys):
+        # gumbel supplies no probes; at cond4=1 its fibre passes the gate,
+        # so the run reaches the probe step
+        from dsm_geom.models.gumbel import compatible_point
+
+        point = compatible_point(1.3)
+        args = ["--model", "gumbel", "--op", "connection", "--at", f"{point[0]},{point[1]}"]
+        code, err, out = self.run_main([*args, "--tol", "cond4=1"], tmp_path, capsys)
+        assert code == 1
+        assert err == "config error: model gumbel has no off-fibre probes\n"
         assert not out.exists()
 
     def test_user_cond4_reaches_the_connection_gate(self, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Dependency audit: the package imports the standard library, itself and the
-packages pyproject.toml declares, nothing else.
+packages pyproject.toml declares, nothing else, and reads every name it imports.
 
-Lazy imports inside functions count too, so an undeclared import fails here
-even when no test runs the code that makes it.
+Lazy imports inside functions count too, so an undeclared or unused import
+fails here even when no test runs the code that makes it.
 """
 import ast
 import pathlib
@@ -46,3 +46,47 @@ def test_every_import_is_stdlib_the_package_or_declared():
     ]
     assert not undeclared, undeclared
 
+
+
+def unused_imports(source):
+    """(line, name) of every name an import binds (``__future__`` excepted)
+    that the module neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    bound, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.partition(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.append((node.lineno, alias.asname or alias.name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_the_unused_import_scan_sees_lazy_and_aliased_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import pi as half_turn, tau\n"
+        "__all__ = ['tau']\n"
+        "def f():\n"
+        "    import json\n"
+        "    return os.path.sep\n"
+    )
+    assert unused_imports(source) == [(3, "half_turn"), (6, "json")]
+
+
+def test_every_imported_name_is_read_or_exported():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert not unused, unused

@@ -7,7 +7,12 @@ import pytest
 
 from dsm_geom import geometry, models, numdiff, structure
 from dsm_geom.core import ChartSpec, Tolerances
-from dsm_geom.errors import Condition4Violated, HessianStructureViolated, MetricNotPD
+from dsm_geom.errors import (
+    Condition4Violated,
+    HessianStructureViolated,
+    MetricNotPD,
+    Unsupported,
+)
 
 from conftest import (
     HESSIAN_STRUCTURED,
@@ -324,7 +329,6 @@ def _synthetic_model(hessian_matrix, degenerate_probes=False):
     return ModelDefinition(
         name="synthetic",
         chart=chart,
-        statistic_schema=(),
         divergence_fn=divergence,
         fibre_sampler_fn=sampler,
         probe_pairs_fn=probes,
@@ -354,22 +358,15 @@ class TestErrorPaths:
             geometry.connection_at(model, [0.0, 0.0])
 
 
-class TestGenericProbeFallback:
-    def test_model_without_probe_constructor(self):
-        # the flat quadratic model declares its statistics; the generic
-        # fallback perturbs them and recovers the zero connection
-        from dsm_geom.core import StatisticSpec
-
-        model = _synthetic_model([[2.0, 0.3], [0.3, 1.0]])
-        model = dataclasses.replace(
-            model,
-            probe_pairs_fn=None,
-            statistic_schema=(StatisticSpec("c1"), StatisticSpec("c2")),
-        )
-        assert model.has_probes
-        evaluation = geometry.connection_at(model, [0.1, -0.2])
-        assert np.max(np.abs(evaluation.omega)) < 1e-6
-        assert evaluation.probe_consistency < 1e-6
+class TestModelWithoutProbes:
+    def test_connection_is_unsupported_and_classify_stops_at_condition4(self, catalogue):
+        model = dataclasses.replace(catalogue["gaussian-kl"], probe_pairs_fn=None)
+        assert not model.has_probes
+        with pytest.raises(Unsupported, match="model gaussian-kl has no off-fibre probes"):
+            geometry.connection_at(model, [0, 1])
+        report = structure.classify(model, structure.default_grid(model, 3))
+        assert report.condition4["status"] == "pass"
+        assert report.hessian_structure == "not-evaluated"
 
 
 class TestEmpiricalProviders:

@@ -87,7 +87,6 @@ class TestClassify:
                 names=("u", "v"),
                 sample_box=((-1.0, 1.0), (-1.0, 1.0)),
             ),
-            statistic_schema=(),
             divergence_fn=divergence,
             fibre_sampler_fn=sampler,
             probe_pairs_fn=probes,
@@ -273,7 +272,7 @@ class TestMassieu:
             hessian_fn=counted("hessian", cylinder.hessian_fn),
         )
         theta0, targets = [0.0, 1.0], [[0.4, 1.5]]  # the target moves both coordinates
-        verified = structure.massieu(counted_model, theta0, targets)
+        structure.massieu(counted_model, theta0, targets)
         # Each chart point costs one gated connection evaluation: 3 fibre
         # Hessians plus 2 probe pairs (2 gradients, 2 Hessians each), so
         # 4 gradients and 7 Hessians.  The points: 51 on the paths (the
@@ -286,9 +285,6 @@ class TestMassieu:
         points = 3 * (9 + 8) + 16 * 2 + 1
         assert calls == {"gradient": 4 * points, "hessian": 7 * points}
         assert calls == {"gradient": 336, "hessian": 588}
-        plain = structure.massieu(cylinder, theta0, targets, verify=False)
-        assert verified.potentials == plain.potentials
-        assert np.array_equal(verified.covectors[0], plain.covectors[0])
 
     def test_continuation_is_the_plain_rk4_step(self):
         # the verification's 3-node segment samples exactly the RK4 stage
@@ -319,9 +315,7 @@ class TestMassieu:
         assert sample.potentials[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_gauge_at_reference(self, catalogue):
-        sample = structure.massieu(
-            catalogue["regression-dlambda"], [0.0, 0.0], [[0.0, 0.0]], verify=False
-        )
+        sample = structure.massieu(catalogue["regression-dlambda"], [0.0, 0.0], [[0.0, 0.0]])
         assert sample.potentials[0] == 0.0
         assert np.all(sample.covectors[0] == 0.0)
 
@@ -344,7 +338,7 @@ class TestMassieu:
                 b = forward(random_chart_point(model, rng))
                 mid = 0.5 * (a + b)
                 points = [inverse(z) for z in (a, b, mid)]
-                sample = structure.massieu(model, theta0, points, verify=False)
+                sample = structure.massieu(model, theta0, points)
                 phi_a, phi_b, phi_mid = sample.potentials
                 assert phi_mid <= 0.5 * (phi_a + phi_b) + 1e-7, name
 
