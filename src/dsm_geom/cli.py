@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import math
 import os
 import sys
 import time
-import typing
 from typing import Optional
 
 import numpy as np
@@ -94,43 +92,19 @@ class RunConfig:
     seed: int = 42
     out: str = "report.json"
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "model" not in payload or "op" not in payload:
-            raise ConfigError("config needs 'model' and 'op'")
-        hints = typing.get_type_hints(cls)
-        for name, value in payload.items():
-            if not _conforms(value, hints[name]):
-                kind = inspect.formatannotation(hints[name])
-                raise ConfigError(
-                    f"config field '{name}' must be {kind} with finite numbers, got {value!r}"
-                )
-        config = cls(**payload)
-        config.validate()
-        return config
-
-    def validate(self):
-        if self.op not in OPS:
-            raise ConfigError(f"unknown op '{self.op}'; choose from {OPS}")
-        if self.model != "all" and self.model not in models.MODEL_NAMES:
-            raise ConfigError(
-                f"unknown model '{self.model}'; choose from {models.MODEL_NAMES}"
-            )
+    def validate(self, given):
+        """Check the run as a whole; ``given`` names the options set on the command line."""
         if self.model == "all" and self.op != "report":
             raise ConfigError("--model all is only valid with --op report")
         takes = models.options(self.model) if self.model != "all" else ()
-        for name in _MODEL_OPTIONS:
-            if getattr(self, name) is not None and name not in takes:
+        _, needs, may = _OPS[self.op]
+        for name in given:
+            if name in _MODEL_OPTIONS and name not in takes:
                 known = ", ".join(_flag(option) for option in takes) or "none"
                 raise ConfigError(
                     f"--model {self.model} takes no {_flag(name)} (its options: {known})"
                 )
-        _, needs, may = _OPS[self.op]
-        for name in _RUN_OPTIONS:
-            if getattr(self, name) != _DEFAULTS[name] and name not in needs + may:
+            if name not in (*_MODEL_OPTIONS, *_EVERY_OP, *needs, *may):
                 known = ", ".join(_flag(option) for option in needs + may) or "none"
                 raise ConfigError(f"op '{self.op}' takes no {_flag(name)} (its options: {known})")
         # a required option given empty or zero is as good as missing
@@ -166,16 +140,12 @@ class RunConfig:
             raise ConfigError(f"{options} out of range for {self.model} ({err})") from None
 
 
-def _conforms(value, hint) -> bool:
-    """Whether ``value`` has type ``hint``, list elements included; numbers are finite."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is typing.Union:
-        return any(_conforms(value, arg) for arg in args)
-    if origin is list:
-        return isinstance(value, list) and all(_conforms(item, args[0]) for item in value)
-    kinds = (int, float) if hint is float else hint
+def _finite(value, depth=0) -> bool:
+    """Whether ``value`` is a number (a finite one if a float) in ``depth`` levels of lists."""
+    if depth:
+        return isinstance(value, list) and all(_finite(item, depth - 1) for item in value)
     finite = not isinstance(value, float) or math.isfinite(value)
-    return isinstance(value, kinds) and not isinstance(value, bool) and finite
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and finite
 
 
 def parse_data_spec(spec: dict) -> DataSet:
@@ -190,7 +160,7 @@ def parse_data_spec(spec: dict) -> DataSet:
     kind = spec["kind"]
     body = {key: value for key, value in spec.items() if key != "kind"}
     for key, value in body.items():
-        if not _conforms(value, list[list[float]] if kind == "regression" else float):
+        if not _finite(value, 2 if kind == "regression" else 0):
             raise ConfigError(f"data spec key '{key}' needs finite numbers, got {value!r}")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -233,8 +203,8 @@ def _jsonable(value):
     return value
 
 
-def make_document(config, results, residuals=None, verdicts=None, runtime_ms=None):
-    doc = {
+def make_document(config, results, residuals=None, verdicts=None):
+    return {
         "schema_version": SCHEMA_VERSION,
         "model": config.model,
         "op": config.op,
@@ -244,9 +214,6 @@ def make_document(config, results, residuals=None, verdicts=None, runtime_ms=Non
         "verdicts": _jsonable(verdicts or {}),
         "tolerances": _jsonable(config.tolerances),
     }
-    if runtime_ms is not None:
-        doc["runtime_ms"] = runtime_ms
-    return doc
 
 
 def load_document(path: str) -> dict:
@@ -268,16 +235,11 @@ def write_json(path: str, document: dict):
 
 
 def write_trace_csv(path: str, trace: transport.Trace, coord_names):
-    columns = ["t"] + list(coord_names)
-    has_vectors = trace.vectors is not None
-    if has_vectors:
-        columns += [f"v_{name}" for name in coord_names]
-    rows = []
-    for index in range(len(trace.times)):
-        row = [trace.times[index], *trace.points[index]]
-        if has_vectors:
-            row.extend(trace.vectors[index])
-        rows.append(",".join(f"{value:.17g}" for value in row))
+    columns = ["t", *coord_names, *(f"v_{name}" for name in coord_names)]
+    rows = [
+        ",".join(f"{value:.17g}" for value in (t, *point, *vector))
+        for t, point, vector in zip(trace.times, trace.points, trace.vectors)
+    ]
     text = ",".join(columns) + "\n" + "\n".join(rows) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
@@ -304,12 +266,17 @@ def _grid_for(config, model):
         else:
             per_axis = int(config.grid)
             grid = structure.default_grid(model, per_axis) if per_axis >= 1 else []
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ConfigError(
             f"--grid expects 'default', a count or points 'a,b;c,d', got '{config.grid}'"
         ) from None
     if not grid:
         raise ConfigError(f"--grid '{config.grid}' has no point; a count must be >= 1")
+    for point in grid:
+        if len(point) != model.chart.dim:
+            raise ConfigError(
+                f"--grid points need {model.chart.dim} values, got {point.tolist()}"
+            )
     return grid
 
 
@@ -372,9 +339,12 @@ def _op_connection(config, model):
 
 
 def _op_curvature(config, model):
-    tensor = geometry.curvature_at(
-        model, config.at, connection=geometry.connection_field(model, tol=config.tol)
-    )
+    try:
+        tensor = geometry.curvature_at(
+            model, config.at, connection=geometry.connection_field(model, tol=config.tol)
+        )
+    except Condition4Violated as err:
+        return _condition4_failure(config, model, err)
     return make_document(
         config,
         results={"curvature": tensor.components},
@@ -514,13 +484,9 @@ OPS = tuple(_OPS)
 
 _MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.options(name)})
 
-# the run options an op takes only if it names them: set to anything but
-# their RunConfig default, they are a config error (no op reads --trials)
-_RUN_OPTIONS = (
-    "at", "start", "end", "velocity", "vector", "targets", "other", "t_end", "step", "data",
-    "grid", "field_source", "fibre_k", "trials", "seed",
-)
-_DEFAULTS = {spec.name: spec.default for spec in dataclasses.fields(RunConfig)}
+# the options every op takes; any other run option given to an op that does
+# not name it is a config error (no op reads --trials)
+_EVERY_OP = ("model", "op", "tolerances", "out")
 
 _POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
 
@@ -657,13 +623,22 @@ def report_all(config: RunConfig):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # argparse defaults to usage lines and exit code 2
         raise ConfigError(message)
 
 
+def _number(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects finite numbers, got '{text}'")
+    return value
+
+
 def _vector(text):
-    return [float(chunk) for chunk in text.split(",") if chunk.strip()]
+    return [_number(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
 def _point_list(text):
@@ -672,13 +647,13 @@ def _point_list(text):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="dsm-geom", description=__doc__)
-    parser.add_argument("--model", required=True)
+    parser.add_argument("--model", required=True, choices=("all", *models.MODEL_NAMES))
     parser.add_argument("--op", required=True, choices=OPS)
     parser.add_argument("--levels", type=_vector)
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--mu0", type=float)
-    parser.add_argument("--sigma0", type=float)
+    parser.add_argument("--kappa", type=_number)
+    parser.add_argument("--lambda", dest="lam", type=_number)
+    parser.add_argument("--mu0", type=_number)
+    parser.add_argument("--sigma0", type=_number)
     parser.add_argument("--at", type=_vector)
     parser.add_argument("--start", type=_vector)
     parser.add_argument("--end", type=_vector)
@@ -686,10 +661,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--vector", type=_vector)
     parser.add_argument("--targets", type=_point_list)
     parser.add_argument("--other", type=_vector)
-    parser.add_argument("--t", dest="t_end", type=float)
-    parser.add_argument("--step", type=float)
+    parser.add_argument("--t", dest="t_end", type=_number)
+    parser.add_argument("--step", type=_number)
     parser.add_argument("--grid")
-    parser.add_argument("--data", type=str, help="JSON data-set spec")
+    parser.add_argument("--data", help="JSON data-set spec")
     parser.add_argument("--field", dest="field_source", choices=("fibre", "oracle"))
     parser.add_argument("--fibre-k", dest="fibre_k", type=int)
     parser.add_argument("--trials", type=int)
@@ -700,27 +675,31 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(argv) -> RunConfig:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
+    namespace = vars(build_parser().parse_args(argv))
+    given = {name: value for name, value in namespace.items() if value is not None}
     tolerances = {}
-    for item in namespace.tol:
+    for item in given.pop("tol"):
         key, _, value = item.partition("=")
         try:
             tolerances[key.strip()] = float(value)
         except ValueError:
             raise ConfigError(f"--tol expects KEY=NUMBER, got '{item}'") from None
-    payload = dict(vars(namespace), tolerances=tolerances)
-    del payload["tol"]
-    payload["data"] = json.loads(namespace.data) if namespace.data else None
-    payload = {key: value for key, value in payload.items() if value is not None}
-    return RunConfig.from_dict(payload)
+    given["tolerances"] = tolerances
+    if given.get("data"):
+        try:
+            given["data"] = json.loads(given["data"])
+        except ValueError as err:
+            raise ConfigError(f"--data is not JSON: {err}") from None
+    config = RunConfig(**given)
+    config.validate(given)
+    return config
 
 
 def main(argv=None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     try:
         config = config_from_args(argv)
-    except (ConfigError, ValueError, json.JSONDecodeError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     return run(config)

@@ -1,6 +1,7 @@
 """Normal-distribution models: relative entropy and sum-of-squares."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,46 +60,36 @@ def _fibre_members(coords, k):
     return members[:k]
 
 
-def _moment_probe(mean, raw_second, label):
-    return MomentData({"mean_x": mean, "mean_x2": raw_second}, label=label)
-
-
-def _probe_pairs_kl(coords, delta, family):
+def _probe_pairs(coords, delta, family, second_moment):
     """Probes holding one fibre condition fixed (the p^(mu), p^(sigma) pairs).
 
-    The mu probes pin the central second moment at sigma^2; the sigma
-    probes pin the mean.  Family 1 mixes the two directions with a
-    different offset, which must not change the result for a model with
-    Hessian structure.
+    The mu probes keep the spread at sigma; the sigma probes pin the mean.
+    ``second_moment(mu, mean, spread)`` is a probe's raw second moment.
+    Family 1 mixes the two directions with a different offset, which must
+    not change the result for a model with Hessian structure.
     """
     mu, sigma = coords
 
-    def central_pinned(mean, central2):
-        return central2 + 2.0 * mu * mean - mu * mu
+    def probe(mean, spread, label):
+        raw_second = second_moment(mu, mean, spread)
+        return MomentData({"mean_x": mean, "mean_x2": raw_second}, label=label)
 
     if family == 0:
         d = delta * sigma
         return [
-            ProbePair(
-                _moment_probe(mu + d, central_pinned(mu + d, sigma**2), "p(mu)+"),
-                _moment_probe(mu - d, central_pinned(mu - d, sigma**2), "p(mu)-"),
-            ),
-            ProbePair(
-                _moment_probe(mu, central_pinned(mu, (sigma + d) ** 2), "p(sigma)+"),
-                _moment_probe(mu, central_pinned(mu, (sigma - d) ** 2), "p(sigma)-"),
-            ),
+            ProbePair(probe(mu + d, sigma, "p(mu)+"), probe(mu - d, sigma, "p(mu)-")),
+            ProbePair(probe(mu, sigma + d, "p(sigma)+"), probe(mu, sigma - d, "p(sigma)-")),
         ]
     d = 0.5 * delta * sigma
     return [
-        ProbePair(
-            _moment_probe(mu + d, central_pinned(mu + d, (sigma + d / 3.0) ** 2), "q0+"),
-            _moment_probe(mu - d, central_pinned(mu - d, (sigma - d / 3.0) ** 2), "q0-"),
-        ),
-        ProbePair(
-            _moment_probe(mu - d / 3.0, central_pinned(mu - d / 3.0, (sigma + d) ** 2), "q1+"),
-            _moment_probe(mu + d / 3.0, central_pinned(mu + d / 3.0, (sigma - d) ** 2), "q1-"),
-        ),
+        ProbePair(probe(mu + d, sigma + d / 3.0, "q0+"), probe(mu - d, sigma - d / 3.0, "q0-")),
+        ProbePair(probe(mu - d / 3.0, sigma + d, "q1+"), probe(mu + d / 3.0, sigma - d, "q1-")),
     ]
+
+
+def _central_pinned(mu, mean, spread):
+    # the raw second moment whose central second moment about mu is spread^2
+    return spread**2 + 2.0 * mu * mean - mu * mu
 
 
 def _closed_form_fit(x):
@@ -188,7 +179,7 @@ def gaussian_kl() -> ModelDefinition:
         gradient_fn=gradient,
         hessian_fn=hessian,
         fibre_sampler_fn=_fibre_members,
-        probe_pairs_fn=_probe_pairs_kl,
+        probe_pairs_fn=functools.partial(_probe_pairs, second_moment=_central_pinned),
         closed_form_fit_fn=_closed_form_fit,
         oracle=oracle,
         divergence_tag="kl",
@@ -234,32 +225,6 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
                 [2.0 * inv_s04 * mu * sigma, inv_s04 * (mu**2 + 3.0 * sigma**2 - e2)],
             ]
         )
-
-    def probe_pairs(coords, delta, family):
-        mu, sigma = coords
-        d = delta * sigma if family == 0 else 0.5 * delta * sigma
-        raw_fibre = sigma**2 + mu**2
-        if family == 0:
-            return [
-                ProbePair(
-                    _moment_probe(mu + d, raw_fibre, "p(mu)+"),
-                    _moment_probe(mu - d, raw_fibre, "p(mu)-"),
-                ),
-                ProbePair(
-                    _moment_probe(mu, (sigma + d) ** 2 + mu**2, "p(sigma)+"),
-                    _moment_probe(mu, (sigma - d) ** 2 + mu**2, "p(sigma)-"),
-                ),
-            ]
-        return [
-            ProbePair(
-                _moment_probe(mu + d, (sigma + d / 3.0) ** 2 + mu**2, "q0+"),
-                _moment_probe(mu - d, (sigma - d / 3.0) ** 2 + mu**2, "q0-"),
-            ),
-            ProbePair(
-                _moment_probe(mu - d / 3.0, (sigma + d) ** 2 + mu**2, "q1+"),
-                _moment_probe(mu + d / 3.0, (sigma - d) ** 2 + mu**2, "q1-"),
-            ),
-        ]
 
     def oracle_metric(theta):
         mu, sigma = theta
@@ -311,7 +276,10 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         gradient_fn=gradient,
         hessian_fn=hessian,
         fibre_sampler_fn=_fibre_members,
-        probe_pairs_fn=probe_pairs,
+        # the raw second moment of N(mu, spread^2), whatever the probe's mean
+        probe_pairs_fn=functools.partial(
+            _probe_pairs, second_moment=lambda mu, mean, spread: spread**2 + mu**2
+        ),
         closed_form_fit_fn=_closed_form_fit,
         oracle=oracle,
         divergence_tag="other",

@@ -21,41 +21,36 @@ def run_cli(args, cwd=None, timeout=None):
 
 
 class TestRunConfig:
-    def test_rejects_unknown_fields(self):
-        with pytest.raises(cli.ConfigError, match="unknown config fields"):
-            cli.RunConfig.from_dict({"model": "gce", "op": "classify", "bogus": 1})
-
-    def test_rejects_unknown_op_and_model(self):
-        with pytest.raises(cli.ConfigError):
-            cli.RunConfig.from_dict({"model": "gce", "op": "meditate"})
-        with pytest.raises(cli.ConfigError):
-            cli.RunConfig.from_dict({"model": "laplace", "op": "classify"})
-
-    def test_requires_op_specific_fields(self):
-        with pytest.raises(cli.ConfigError, match="--at"):
-            cli.RunConfig.from_dict({"model": "gce", "op": "metric"})
-
-    def test_roundtrip(self):
-        config = cli.RunConfig.from_dict(
-            {"model": "gce", "op": "report", "seed": 7, "tolerances": {"cond4": 1e-6}}
-        )
-        assert cli.RunConfig.from_dict(config.to_dict()) == config
-
     @pytest.mark.parametrize(
-        "field, value",
+        "args, flag",
         [
-            ("fibre_k", "3"),
-            ("at", "1,2"),
-            ("seed", 1.5),
-            ("kappa", "2"),
-            ("at", ["a", "b"]),
-            ("targets", [[1.0, -1.0], [2.0, "x"]]),
+            (["--model", "gce", "--op", "classify", "--bogus", "1"], "--bogus"),
+            (["--model", "gce", "--op", "meditate"], "--op"),
+            (["--model", "laplace", "--op", "classify"], "--model"),
+            (["--model", "gce", "--op", "metric"], "--at"),
+            (["--model", "gce", "--op", "metric", "--at", "1,-1", "--fibre-k", "3.5"],
+             "--fibre-k"),
+            (["--model", "gce", "--op", "metric", "--at", "a,b"], "--at"),
+            (["--model", "gce", "--op", "metric", "--at", "1,-1", "--seed", "1.5"], "--seed"),
+            (["--model", "vmf-sphere", "--op", "metric", "--at", "1,0.3", "--kappa", "x"],
+             "--kappa"),
+            (["--model", "gce", "--op", "affine", "--start", "1,-1", "--targets", "1,-1;2,x"],
+             "--targets"),
+            (["--model", "gce", "--op", "metric", "--at", "1,-1", "--grid", "default"],
+             "--grid"),
+        ],
+        ids=[
+            "bogus", "op-meditate", "model-laplace", "metric-missing-at", "fibre-k-3.5",
+            "at-a,b", "seed-1.5", "kappa-x", "targets-x", "metric-grid-default",
         ],
     )
-    def test_rejects_wrongly_typed_fields(self, field, value):
-        payload = {"model": "gce", "op": "metric", "at": [1.0, -1.0], field: value}
-        with pytest.raises(cli.ConfigError, match=f"'{field}'"):
-            cli.RunConfig.from_dict(payload)
+    def test_bad_flag_is_one_config_error_line(self, args, flag, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert cli.main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert flag in err
+        assert not out.exists()
 
     def test_each_required_option_is_named_when_missing(self):
         needs = {
@@ -89,6 +84,12 @@ class TestRunConfig:
                 with pytest.raises(cli.ConfigError, match=f"needs .*{flag}\\b"):
                     cli.config_from_args(argv(op, drop=flag))
 
+    def test_op_options_are_parser_dests(self):
+        # validate checks the given options against these names alone
+        dests = {action.dest for action in cli.build_parser()._actions}
+        for _, needs, may in cli._OPS.values():
+            assert set(needs + may) <= dests
+
     def test_parser_dests_match_config_fields(self):
         # config_from_args passes the parsed namespace to RunConfig as is
         dests = {action.dest for action in cli.build_parser()._actions}
@@ -98,13 +99,9 @@ class TestRunConfig:
 
 class TestDocuments:
     def test_report_schema_roundtrip(self, tmp_path):
-        config = cli.RunConfig.from_dict(
-            {
-                "model": "gaussian-kl",
-                "op": "metric",
-                "at": [0.0, 1.0],
-                "out": str(tmp_path / "m.json"),
-            }
+        config = cli.config_from_args(
+            ["--model", "gaussian-kl", "--op", "metric", "--at", "0,1",
+             "--out", str(tmp_path / "m.json")]
         )
         assert cli.run(config) == 0
         doc = cli.load_document(str(tmp_path / "m.json"))
@@ -122,7 +119,7 @@ class TestDocuments:
         assert doc["inputs"]["out"] == str(out)
 
     def test_inputs_record_the_option_defaults(self):
-        # ops reject defaulted options they do not read, but record their defaults
+        # an op rejects an option it does not read only when given; inputs record every default
         config = cli.config_from_args(["--model", "gce", "--op", "connection", "--at", "1,-1"])
         inputs = config.to_dict()
         assert [inputs[name] for name in ("grid", "field_source", "fibre_k", "trials")] == [
@@ -250,15 +247,16 @@ class TestCliRuns:
         assert "varying_ratio" in doc["results"]["evidence"]
 
     def test_connection_condition4_failure_is_data(self, tmp_path, capsys):
-        # a condition-4 failure is a verdict in both point ops, with one evidence block
+        # a condition-4 failure is a verdict in every point op, with one evidence block
         point = ["--model", "regression-ls", "--at", "0,0"]
         docs = {}
-        for op in ("metric", "connection"):
+        for op in ("metric", "connection", "curvature"):
             out = tmp_path / f"{op}.json"
             assert cli.main([*point, "--op", op, "--out", str(out)]) == 0, capsys.readouterr()
             docs[op] = json.loads(out.read_text())
-        assert docs["connection"]["verdicts"] == {"condition4": "fail"}
-        assert docs["connection"]["results"]["evidence"] == docs["metric"]["results"]["evidence"]
+        for op in ("connection", "curvature"):
+            assert docs[op]["verdicts"] == {"condition4": "fail"}
+            assert docs[op]["results"]["evidence"] == docs["metric"]["results"]["evidence"]
 
     def test_remaining_ops_smoke(self, tmp_path):
         cases = [
@@ -477,6 +475,13 @@ class TestBadInput:
                  "--vector", "1,0", "--grid", "0"],
                 "--grid",
             ),
+            (
+                ["--model", "gaussian-kl", "--op", "field", "--start", "0,1",
+                 "--vector", "1,0", "--grid", "1,2;3"],
+                "--grid points need 2 values, got [3.0]",
+            ),
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", "1,2;3"],
+             "--grid points need 2 values, got [3.0]"),
             (["--model", "gaussian-kl", "--op", "metric", "--at", "0,1", "--fibre-k", "0"],
              "--fibre-k"),
             (
@@ -531,12 +536,12 @@ class TestBadInput:
             (
                 ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
                  "--velocity", "1,0", "--t", "inf"],
-                "'t_end'",
+                "--t",
             ),
             (
                 ["--model", "gaussian-kl", "--op", "transport", "--start", "0,1",
                  "--end", "0.3,1.2", "--vector", "nan,0"],
-                "'vector'",
+                "--vector",
             ),
             (
                 ["--model", "gaussian-kl", "--op", "metric", "--at", "0,1",
@@ -597,7 +602,8 @@ class TestBadInput:
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
-            "field-grid-zero", "fibre-k-zero", "data-missing-key",
+            "field-grid-zero", "field-grid-point-length", "classify-grid-point-length",
+            "fibre-k-zero", "data-missing-key",
             "transport-outside-chart", "kappa-negative", "levels-empty",
             "report-one-level", "classify-one-level", "velocity-length",
             "end-length", "targets-point-length", "gce-kappa", "regression-ls-lambda",
