@@ -365,45 +365,6 @@ class VonMisesFisherData(MomentData):
         super().__init__(table, label=f"vmf({kappa})")
 
 
-class WeightedSampleData(DataSet):
-    """Weighted empirical sample over the real line.
-
-    Entropy offset is 0 by convention; divergences built on it are shifted
-    by a data-dependent constant, which no derivative or geometry sees.
-    """
-
-    def __init__(self, points: Sequence[float], weights: Optional[Sequence[float]] = None):
-        self.points = np.asarray(points, dtype=float)
-        if weights is None:
-            weights = np.full(self.points.size, 1.0 / self.points.size)
-        self.weights = np.asarray(weights, dtype=float)
-        if self.points.shape != self.weights.shape or self.points.size == 0:
-            raise DomainError("sample points and weights must match and be nonempty")
-        total = self.weights.sum()
-        if not total > 0:
-            raise DomainError("sample weights must have positive total")
-        self.weights = self.weights / total
-        self.label = f"sample(n={self.points.size})"
-
-    def statistic(self, statistic_id, theta=None):
-        x, w = self.points, self.weights
-        if statistic_id == "mean_x":
-            return float(w @ x)
-        if statistic_id == "mean_x2":
-            return float(w @ x**2)
-        if statistic_id == "entropy":
-            return 0.0
-        if statistic_id in ("exp_shift", "lin_exp_shift", "sq_exp_shift"):
-            alpha, mu = _require_theta(statistic_id, theta)
-            e = np.exp(-alpha * (x - mu))
-            if statistic_id == "exp_shift":
-                return float(w @ e)
-            if statistic_id == "lin_exp_shift":
-                return float(w @ ((x - mu) * e))
-            return float(w @ ((x - mu) ** 2 * e))
-        return super().statistic(statistic_id, theta)
-
-
 def occupation_totals(occupations: np.ndarray, levels: np.ndarray) -> dict:
     """The statistic table of occupation numbers on an energy spectrum."""
     return {"total_count": float(occupations.sum()), "total_energy": float(occupations @ levels)}
@@ -481,6 +442,31 @@ class ProbePair:
     minus: DataSet
 
 
+def antithetic_pairs(probe: Callable, steps: Sequence[float], family: int) -> list:
+    """Both probe families from one probe: ``probe(offsets)`` is the data set
+    whose n fibre conditions are moved by ``offsets``.
+
+    Family 0 moves condition i alone by ``steps[i]``.  Family 1 halves the
+    steps and moves condition i by its step and each other condition by a
+    third of its step, + after i and - before it; for a model with a
+    Hessian structure the two families give the same connection.  Each
+    pair's minus member is ``probe(-offsets)``.
+    """
+    pairs = []
+    for i in range(len(steps)):
+        plus, minus = [], []
+        for j, step in enumerate(steps):
+            if family == 0:
+                offset = step if j == i else 0.0
+            else:
+                half = 0.5 * step
+                offset = half if j == i else (half / 3.0 if j > i else -half / 3.0)
+            plus.append(offset)
+            minus.append(-offset)
+        pairs.append(ProbePair(probe(plus), probe(minus)))
+    return pairs
+
+
 @dataclass
 class ClosedFormOracle:
     """Closed forms a catalogue model knows about itself, for testing and
@@ -507,7 +493,6 @@ class ModelDefinition:
     gradient_fn: Optional[Callable] = None
     hessian_fn: Optional[Callable] = None
     fibre_sampler_fn: Optional[Callable] = None
-    fibre_capacity: int = 3
     probe_pairs_fn: Optional[Callable] = None
     closed_form_fit_fn: Optional[Callable] = None
     oracle: Optional[ClosedFormOracle] = None
@@ -523,6 +508,8 @@ class ModelDefinition:
         # the body of fibre_sampler: coords are already checked against the chart
         if self.fibre_sampler_fn is None:
             raise Unsupported(f"model {self.name} has no fibre sampler")
+        if k < 1:
+            raise DomainError(f"a fibre sample needs at least one member, got k={k}")
         return self.fibre_sampler_fn(coords, k)
 
     @property

@@ -87,10 +87,10 @@ def metric_at(
     fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> MetricEvaluation:
-    """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
+    """Fibre-averaged divergence Hessian with the condition-4 diagnostic; a
+    ``fibre_k`` above ``FIBRE_K_DEFAULT`` is capped there."""
     coords = model.chart.require(theta)
-    k = min(fibre_k, model.fibre_capacity)
-    members = model._fibre_sampler(coords, k)
+    members = model._fibre_sampler(coords, min(fibre_k, FIBRE_K_DEFAULT))
     hessians = _divergence_hessians(model, members, coords)
     mean = hessians.sum(axis=0) / len(members)  # np.mean(axis=0) bit for bit, without its overhead
     largest = float(np.abs(mean).max())  # NaN or inf where any entry is not finite
@@ -232,13 +232,11 @@ def dual_connection_at(
     ginv = np.linalg.inv(g)
     omega = connection(coords)
     dg = numdiff.fd_jacobian(metric, coords, model.chart.domain)
-    n = coords.size
-    dual = np.empty((n, n, n))
-    for a in range(n):
-        # rhs[b, c] = d_a g_bc - omega^d_ab g_dc
-        rhs = dg[:, :, a] - np.einsum("db,dc->bc", omega[:, a, :], g)
-        dual[:, a, :] = ginv @ rhs
-    return dual
+    # rhs[a, b, c] = d_a g_bc - omega^d_ab g_dc; dual[k, a, c] = g^kb rhs[a, b, c]
+    # einsum, not tensordot: tensordot sums omega^d_ab g_dc in another order,
+    # which moves the last bit of some components
+    rhs = dg.transpose(2, 0, 1) - np.einsum("dab,dc->abc", omega, g)
+    return np.tensordot(ginv, rhs, axes=(1, 1))
 
 
 def curvature_at(
@@ -252,17 +250,12 @@ def curvature_at(
     omega = connection(coords)
     # domega[l, j, k, i] = d_i w^l_jk
     domega = numdiff.fd_jacobian(connection, coords, model.chart.domain)
-    n = coords.size
-    # components[l, k, i, j] = d_i w^l_jk - d_j w^l_ik + w^l_is w^s_jk - w^l_js w^s_ik
-    components = np.empty((n, n, n, n))
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    value = domega[l, j, k, i] - domega[l, i, k, j]
-                    value += float(omega[l, i, :] @ omega[:, j, k])
-                    value -= float(omega[l, j, :] @ omega[:, i, k])
-                    components[l, k, i, j] = value
+    # components[l, k, i, j] = d_i w^l_jk - d_j w^l_ik + w^l_is w^s_jk - w^l_js w^s_ik,
+    # summed in that order; product[l, i, j, k] = w^l_is w^s_jk
+    product = np.tensordot(omega, omega, axes=(2, 0))
+    components = domega.transpose(0, 2, 3, 1) - domega.transpose(0, 2, 1, 3)
+    components += product.transpose(0, 3, 1, 2)
+    components -= product.transpose(0, 3, 2, 1)
     return CurvatureTensor(components=components, max_abs=float(np.max(np.abs(components))))
 
 
@@ -279,16 +272,11 @@ def codazzi_residual(
     g = metric(coords)
     omega = connection(coords)
     dg = numdiff.fd_jacobian(metric, coords, model.chart.domain)
-    n = coords.size
-    residual = np.empty((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                value = dg[b, c, a] - dg[a, c, b]
-                value += float(g[a, :] @ omega[:, b, c]) - float(
-                    g[b, :] @ omega[:, a, c]
-                )
-                residual[a, b, c] = value
+    # residual[a, b, c] = (d_a g_bc - d_b g_ac) + (g_as w^s_bc - g_bs w^s_ac)
+    lowered = np.tensordot(g, omega, axes=(1, 0))  # lowered[a, b, c] = g_as w^s_bc
+    residual = (dg.transpose(2, 0, 1) - dg.transpose(0, 2, 1)) + (
+        lowered - lowered.transpose(1, 0, 2)
+    )
     return residual, float(np.max(np.abs(residual)))
 
 
@@ -328,7 +316,6 @@ def reparametrized_model(
         hessian_fn=None,
         fibre_sampler_fn=fibre_sampler,
         probe_pairs_fn=probe_pairs if model.probe_pairs_fn else None,
-        fibre_capacity=model.fibre_capacity,
         closed_form_fit_fn=None,
         oracle=None,
         divergence_tag=model.divergence_tag,

@@ -12,9 +12,9 @@ from ..core import (
     GaussianData,
     MomentData,
     ModelDefinition,
-    ProbePair,
     TwoPointData,
     UniformData,
+    antithetic_pairs,
 )
 from ..errors import DomainError
 
@@ -61,30 +61,18 @@ def _fibre_members(coords, k):
 
 
 def _probe_pairs(coords, delta, family, second_moment):
-    """Probes holding one fibre condition fixed (the p^(mu), p^(sigma) pairs).
+    """Probes moving the fibre conditions (mean, spread) from (mu, sigma).
 
-    The mu probes keep the spread at sigma; the sigma probes pin the mean.
     ``second_moment(mu, mean, spread)`` is a probe's raw second moment.
-    Family 1 mixes the two directions with a different offset, which must
-    not change the result for a model with Hessian structure.
     """
     mu, sigma = coords
 
-    def probe(mean, spread, label):
-        raw_second = second_moment(mu, mean, spread)
-        return MomentData({"mean_x": mean, "mean_x2": raw_second}, label=label)
+    def probe(offsets):
+        mean, spread = mu + offsets[0], sigma + offsets[1]
+        table = {"mean_x": mean, "mean_x2": second_moment(mu, mean, spread)}
+        return MomentData(table, label="probe")
 
-    if family == 0:
-        d = delta * sigma
-        return [
-            ProbePair(probe(mu + d, sigma, "p(mu)+"), probe(mu - d, sigma, "p(mu)-")),
-            ProbePair(probe(mu, sigma + d, "p(sigma)+"), probe(mu, sigma - d, "p(sigma)-")),
-        ]
-    d = 0.5 * delta * sigma
-    return [
-        ProbePair(probe(mu + d, sigma + d / 3.0, "q0+"), probe(mu - d, sigma - d / 3.0, "q0-")),
-        ProbePair(probe(mu - d / 3.0, sigma + d, "q1+"), probe(mu + d / 3.0, sigma - d, "q1-")),
-    ]
+    return antithetic_pairs(probe, (delta * sigma, delta * sigma), family)
 
 
 def _central_pinned(mu, mean, spread):

@@ -12,7 +12,7 @@ from ..core import (
     ClosedFormOracle,
     MomentData,
     ModelDefinition,
-    ProbePair,
+    antithetic_pairs,
     occupation_totals,
 )
 from ..errors import DomainError
@@ -143,39 +143,16 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         return members[:k]
 
     def probe_pairs(coords, delta, family):
+        # the fibre conditions (count lowered, energy raised)
         fibre = point_terms(*coords)
         count, energy = fibre.count, fibre.energy
-        d_energy = delta * max(abs(energy), 1.0)
-        d_count = delta * max(abs(count), 1.0)
 
-        def probe(count_value, energy_value, tag):
-            return MomentData(
-                {"total_count": count_value, "total_energy": energy_value}, label=tag
-            )
+        def probe(offsets):
+            table = {"total_count": count - offsets[0], "total_energy": energy + offsets[1]}
+            return MomentData(table, label="probe")
 
-        if family == 0:
-            return [
-                ProbePair(
-                    probe(count, energy + d_energy, "n(beta)+"),
-                    probe(count, energy - d_energy, "n(beta)-"),
-                ),
-                ProbePair(
-                    probe(count - d_count, energy, "n(mu)+"),
-                    probe(count + d_count, energy, "n(mu)-"),
-                ),
-            ]
-        d_energy *= 0.5
-        d_count *= 0.5
-        return [
-            ProbePair(
-                probe(count + d_count / 3.0, energy + d_energy, "m0+"),
-                probe(count - d_count / 3.0, energy - d_energy, "m0-"),
-            ),
-            ProbePair(
-                probe(count - d_count, energy + d_energy / 3.0, "m1+"),
-                probe(count + d_count, energy - d_energy / 3.0, "m1-"),
-            ),
-        ]
+        steps = (delta * max(abs(count), 1.0), delta * max(abs(energy), 1.0))
+        return antithetic_pairs(probe, steps, family)
 
     def oracle_metric(theta):
         beta, mu = theta

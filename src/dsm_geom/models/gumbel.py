@@ -117,7 +117,6 @@ def gumbel() -> ModelDefinition:
         gradient_fn=gradient,
         hessian_fn=hessian,
         fibre_sampler_fn=fibre_members,
-        fibre_capacity=2,
         probe_pairs_fn=None,
         closed_form_fit_fn=closed_form_fit,
         oracle=None,

@@ -10,8 +10,8 @@ from ..core import (
     ClosedFormOracle,
     ModelDefinition,
     MomentData,
-    ProbePair,
     RegressionData,
+    antithetic_pairs,
 )
 from ..errors import DomainError
 
@@ -44,7 +44,7 @@ def _fibre_members(coords, k):
         (np.array([-2.0, -1.0, 1.0, 2.0]), 0.25 * np.array([1.0, -1.0, -1.0, 1.0])),
     ]
     members = []
-    for xs, residual in configs[: max(k, 1)]:
+    for xs, residual in configs[:k]:
         ys = a * xs + b + residual
         members.append(RegressionData(np.column_stack([xs, ys])))
     while len(members) < k:
@@ -54,29 +54,17 @@ def _fibre_members(coords, k):
 
 
 def _probe_pairs(coords, delta, family):
+    """Probes moving the fibre conditions (sum_xy, sum_y) of three points on the line."""
     a, b = coords
     xs = np.array([0.0, 1.0, 2.0])
-    ys = a * xs + b
-    base = RegressionData(np.column_stack([xs, ys]))
-    sums = _sums(base)
-    scale = max(abs(sums["sum_yy"]), 1.0)
-    d = delta * scale if family == 0 else 0.4 * delta * scale
+    sums = _sums(RegressionData(np.column_stack([xs, a * xs + b])))
+    d = delta * max(abs(sums["sum_yy"]), 1.0)
 
-    def shifted(**deltas):
-        payload = dict(sums)
-        for key, amount in deltas.items():
-            payload[key] = payload[key] + amount
-        return MomentData(payload, label="probe")
+    def probe(offsets):
+        moved = {"sum_xy": sums["sum_xy"] + offsets[0], "sum_y": sums["sum_y"] + offsets[1]}
+        return MomentData({**sums, **moved}, label="probe")
 
-    if family == 0:
-        return [
-            ProbePair(shifted(sum_xy=+d), shifted(sum_xy=-d)),
-            ProbePair(shifted(sum_y=+d), shifted(sum_y=-d)),
-        ]
-    return [
-        ProbePair(shifted(sum_xy=+d, sum_y=+d / 3.0), shifted(sum_xy=-d, sum_y=-d / 3.0)),
-        ProbePair(shifted(sum_y=+d, sum_xy=-d / 3.0), shifted(sum_y=-d, sum_xy=+d / 3.0)),
-    ]
+    return antithetic_pairs(probe, (d, d), family)
 
 
 def _closed_form_fit(x):

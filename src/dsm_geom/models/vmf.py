@@ -12,6 +12,7 @@ from ..core import (
     MomentData,
     ModelDefinition,
     ProbePair,
+    antithetic_pairs,
 )
 from ..errors import DomainError
 
@@ -245,30 +246,16 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         return log_norm(1.0 / vector[2]) - kappa + 1.0
 
     def probe_pairs(coords, delta, family):
+        # the fibre conditions (phi lowered, e3) on the cylinder surface
         phi, lam = coords
         e3 = 1.0 / lam
-        d_angle = delta if family == 0 else 0.5 * delta
-        d_e3 = delta * e3 if family == 0 else 0.5 * delta * e3
 
-        def on_surface(angle, e3_value):
-            vec = np.array([math.cos(angle), math.sin(angle), e3_value])
+        def probe(offsets):
+            angle = phi - offsets[0]
+            vec = np.array([math.cos(angle), math.sin(angle), e3 + offsets[1]])
             return _moment_data(vec, max_entropy(vec), "cyl-probe")
 
-        if family == 0:
-            return [
-                ProbePair(on_surface(phi - d_angle, e3), on_surface(phi + d_angle, e3)),
-                ProbePair(on_surface(phi, e3 + d_e3), on_surface(phi, e3 - d_e3)),
-            ]
-        return [
-            ProbePair(
-                on_surface(phi - d_angle, e3 + d_e3 / 3.0),
-                on_surface(phi + d_angle, e3 - d_e3 / 3.0),
-            ),
-            ProbePair(
-                on_surface(phi + d_angle / 3.0, e3 + d_e3),
-                on_surface(phi - d_angle / 3.0, e3 - d_e3),
-            ),
-        ]
+        return antithetic_pairs(probe, (delta, delta * e3), family)
 
     def closed_form_fit(x):
         moments = _moment_vector(x)

@@ -440,11 +440,12 @@ def pythagorean_check(
     """Fibre constancy of D(x || m_other) - D(x || m_theta).
 
     When the difference is constant over the fibre it defines the
-    induced proper divergence between the two model points.
+    induced proper divergence between the two model points.  A ``fibre_k``
+    above ``FIBRE_K_DEFAULT`` is capped there, as in ``metric_at``.
     """
     coords = model.chart.require(theta)
     other = model.chart.require(m_other)
-    members = model.fibre_sampler(coords, min(fibre_k, model.fibre_capacity))
+    members = model.fibre_sampler(coords, min(fibre_k, FIBRE_K_DEFAULT))
     differences = [
         evaluate_divergence(model, x, other) - evaluate_divergence(model, x, coords)
         for x in members

@@ -290,11 +290,17 @@ def parallel_transport(
             raise DomainError(
                 f"transport way point {point.tolist()} outside field domain {conn.domain}"
             )
+    vector = as_coords(v0)
+    if vector.size != waypoints.shape[1]:
+        raise DomainError(
+            f"transported vector {vector.tolist()} has {vector.size} components, "
+            f"the path {waypoints.shape[1]}"
+        )
 
     def rhs(omega, delta, vector):
         return -np.einsum("jik,i,k->j", omega, delta, vector)
 
-    times, points, vectors = zip(*_along(rhs, conn, as_coords(v0), waypoints, tol.flat))
+    times, points, vectors = zip(*_along(rhs, conn, vector, waypoints, tol.flat))
     return Trace(
         kind="parallel_transport",
         times=np.array(times),
@@ -322,6 +328,10 @@ def covariant_constant_field(
     seed = as_coords(v0)
     conn = connection or connection_field(model)
     grid_points = [as_coords(point) for point in grid]
+    if not grid_points:
+        raise DomainError(
+            f"a covariant-constant field of {model.name} needs at least one grid point"
+        )
     vectors = []
     for target in grid_points:
         if np.allclose(target, base):

@@ -258,6 +258,21 @@ class TestCliRuns:
             assert docs[op]["verdicts"] == {"condition4": "fail"}
             assert docs[op]["results"]["evidence"] == docs["metric"]["results"]["evidence"]
 
+    def test_fibre_k_above_three_is_capped(self, tmp_path, capsys):
+        # at most FIBRE_K_DEFAULT members, however many are asked for: regression-ls's
+        # fourth abscissa configuration stays out, and 10**9 builds no more data sets
+        results = {}
+        for k in ("3", "4", "1000000000"):
+            for op, point in (("metric", ["--at", "0,0"]), ("pythagoras", ["--at", "0,0", "--other", "1,1"])):
+                out = tmp_path / f"{op}-{k}.json"
+                args = ["--model", "regression-ls", "--op", op, *point, "--fibre-k", k]
+                assert cli.main([*args, "--out", str(out)]) == 0, capsys.readouterr()
+                results[op, k] = json.loads(out.read_text())["results"]
+        assert len(results["metric", "3"]["evidence"]["members"]) == 3
+        assert len(results["pythagoras", "3"]["members"]) == 3
+        for op in ("metric", "pythagoras"):
+            assert results[op, "4"] == results[op, "3"] == results[op, "1000000000"]
+
     def test_remaining_ops_smoke(self, tmp_path):
         cases = [
             (["--model", "gaussian-kl", "--op", "connection", "--at", "0,2"], "c.json"),

@@ -15,12 +15,14 @@ from dsm_geom.core import (
     TwoPointData,
     UniformData,
     VonMisesFisherData,
+    antithetic_pairs,
     evaluate_divergence,
     divergence_gradient,
     divergence_hessian,
 )
 from dsm_geom.errors import DomainError, MissingStatistic
 from dsm_geom.fit import fit
+from dsm_geom.geometry import FIBRE_K_DEFAULT
 
 from conftest import (
     gaussian_kl_closed_form,
@@ -217,9 +219,35 @@ class TestFibreConsistency:
                 theta = compatible_point(float(rng.uniform(0.5, 2.0)))
             else:
                 theta = random_chart_point(model, rng)
-            for member in model.fibre_sampler(theta, model.fibre_capacity):
+            for member in model.fibre_sampler(theta, FIBRE_K_DEFAULT):
                 grad = divergence_gradient(model, member, theta)
                 assert np.max(np.abs(grad)) < 1e-6, (model.name, member.label)
+
+
+class TestAntitheticPairs:
+    @pytest.mark.parametrize(
+        "steps, family, expected",
+        [
+            ((0.2, 0.6), 0, [[0.2, 0.0], [0.0, 0.6]]),
+            ((0.2, 0.6), 1, [[0.1, 0.1], [-0.1 / 3.0, 0.3]]),
+            ((0.2, 0.6, 1.2), 0, [[0.2, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 1.2]]),
+            (
+                (0.2, 0.6, 1.2),
+                1,
+                [[0.1, 0.1, 0.2], [-0.1 / 3.0, 0.3, 0.2], [-0.1 / 3.0, -0.1, 0.6]],
+            ),
+        ],
+    )
+    def test_offsets_of_each_family(self, steps, family, expected):
+        # family 1 moves condition i by half its step, each later condition by
+        # +1/3 and each earlier one by -1/3 of its half step
+        pairs = antithetic_pairs(np.array, steps, family)
+        plus = np.array([pair.plus for pair in pairs])
+        minus = np.array([pair.minus for pair in pairs])
+        assert plus == pytest.approx(np.array(expected), rel=1e-15, abs=0.0)
+        assert np.array_equal(minus, -plus)
+        # family 1 moves each condition by half the step of family 0
+        assert np.array_equal(np.diag(plus), np.asarray(steps) * (0.5 if family else 1.0))
 
 
 _LOG_2PI = math.log(2.0 * math.pi)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from dsm_geom import geometry, models, numdiff, structure
-from dsm_geom.core import ChartSpec, Tolerances
+from dsm_geom.core import ChartSpec, ModelDefinition, Tolerances
 from dsm_geom.errors import (
     Condition4Violated,
+    DomainError,
     HessianStructureViolated,
     MetricNotPD,
     Unsupported,
@@ -69,6 +70,19 @@ class TestMetricAt:
 
         with pytest.raises(Condition4Violated):
             geometry.metric_at(catalogue["gumbel"], compatible_point(1.3), fibre_k=2)
+
+    def test_empty_fibre_sample_raises(self, catalogue):
+        # fibre_k=0 used to end in numpy's "axes don't match array" here and
+        # to pass the Pythagorean check vacuously with a NaN induced value
+        model = catalogue["gaussian-kl"]
+        with pytest.raises(DomainError, match="k=0"):
+            geometry.metric_at(model, [0.0, 1.0], fibre_k=0)
+        with pytest.raises(DomainError, match="k=0"):
+            structure.pythagorean_check(model, [0.0, 1.0], [1.0, 1.0], fibre_k=0)
+        # a fibre with fewer members than asked for gives what it has
+        from dsm_geom.models.gumbel import compatible_point
+
+        assert len(catalogue["gumbel"].fibre_sampler(compatible_point(1.3), 3)) == 2
 
 
 class TestConnectionAt:
@@ -223,6 +237,53 @@ class TestCurvature:
         swapped = np.transpose(tensor.components, (0, 1, 3, 2))
         assert np.max(np.abs(tensor.components + swapped)) < 1e-12
 
+    def test_sphere_times_line_in_three_dimensions(self):
+        # S^2 x R with metric diag(1, sin^2 theta, 1) and its Levi-Civita connection
+        domain = ((0.0, math.pi), (-math.inf, math.inf), (-math.inf, math.inf))
+        chart = ChartSpec(
+            dim=3, domain=domain, names=("theta", "phi", "z"),
+            sample_box=((0.5, 2.5), (-1.0, 1.0), (-1.0, 1.0)),
+        )
+        model = ModelDefinition(name="s2xr", chart=chart, divergence_fn=None)
+
+        def omega(coords):
+            out = np.zeros((3, 3, 3))
+            out[:2, :2, :2] = sphere_connection_reference(coords[:2])
+            return out
+
+        metric = geometry.MetricField(
+            lambda coords: np.diag([1.0, math.sin(coords[0]) ** 2, 1.0]), "analytic", domain
+        )
+        conn = geometry.ConnectionField(omega, "analytic", domain)
+        point = np.array([1.1, 0.4, -0.3])
+        components = geometry.curvature_at(model, point, connection=conn).components
+        assert components[0, 1, 0, 1] == pytest.approx(math.sin(1.1) ** 2, abs=1e-8)
+        for axis in range(4):
+            assert not np.any(np.take(components, 2, axis=axis))
+        residual, worst = geometry.codazzi_residual(model, point, metric=metric, connection=conn)
+        assert worst < 1e-8
+        # a Levi-Civita connection is its own dual
+        dual = geometry.dual_connection_at(model, point, metric=metric, connection=conn)
+        assert np.max(np.abs(dual - omega(point))) < 1e-8
+        # the contractions sum as the index loops they replace, bit for bit
+        w = omega(point)
+        domega = numdiff.fd_jacobian(conn, point, domain)
+        dg = numdiff.fd_jacobian(metric, point, domain)
+        g = metric(point)
+        for l, k, i, j in np.ndindex(3, 3, 3, 3):
+            value = domega[l, j, k, i] - domega[l, i, k, j]
+            value += float(w[l, i, :] @ w[:, j, k])
+            value -= float(w[l, j, :] @ w[:, i, k])
+            assert components[l, k, i, j] == value
+        for a, b, c in np.ndindex(3, 3, 3):
+            value = dg[b, c, a] - dg[a, c, b]
+            value += float(g[a, :] @ w[:, b, c]) - float(g[b, :] @ w[:, a, c])
+            assert residual[a, b, c] == value
+        ginv = np.linalg.inv(g)
+        for a in range(3):
+            rhs = dg[:, :, a] - np.einsum("db,dc->bc", w[:, a, :], g)
+            assert np.array_equal(dual[:, a, :], ginv @ rhs)
+
 
 class TestCodazzi:
     def test_cylinder(self, catalogue):
@@ -369,34 +430,6 @@ class TestModelWithoutProbes:
         assert report.hessian_structure == "not-evaluated"
 
 
-class TestEmpiricalProviders:
-    def test_weighted_sample_feeds_gaussian_models(self, catalogue, rng):
-        from dsm_geom.core import WeightedSampleData
-        from dsm_geom.fit import fit
-
-        points = rng.normal(0.5, 1.5, size=40)
-        sample = WeightedSampleData(points)
-        result = fit(catalogue["gaussian-kl"], sample, [0.0, 1.0])
-        mean = sample.statistic("mean_x")
-        var = sample.statistic("mean_x2") - mean**2
-        assert result.theta_star == pytest.approx([mean, math.sqrt(var)], abs=1e-6)
-
-    def test_weighted_sample_answers_parameter_dependent_queries(self, catalogue):
-        from dsm_geom.core import WeightedSampleData, divergence_gradient
-        from dsm_geom import numdiff
-
-        sample = WeightedSampleData([0.1, 0.9, 2.3], [0.2, 0.5, 0.3])
-        model = catalogue["gumbel"]
-        theta = np.array([1.2, 0.3])
-        analytic = divergence_gradient(model, sample, theta)
-        fd = numdiff.fd_gradient(
-            lambda t: model.divergence_fn(sample, t),
-            theta,
-            model.chart.domain,
-        )
-        assert analytic == pytest.approx(fd, abs=1e-7)
-
-
 class TestLeviCivitaOracle:
     def test_sphere_connection_is_metric_connection(self):
         # the divergence-induced sphere connection coincides with the
@@ -428,7 +461,7 @@ def _loop_hessian(model, x, coords):
 
 def _loop_metric(model, coords, tol=Tolerances()):
     """metric_at as one Hessian, difference and reduction per fibre member."""
-    members = model.fibre_sampler(coords, min(geometry.FIBRE_K_DEFAULT, model.fibre_capacity))
+    members = model.fibre_sampler(coords, geometry.FIBRE_K_DEFAULT)
     hessians = [_loop_hessian(model, x, coords) for x in members]
     mean = sum(hessians) / len(hessians)
     scale = max(float(np.max(np.abs(mean))), 1e-12)

@@ -113,6 +113,17 @@ class TestParallelTransport:
             )
         assert calls == []
 
+    def test_wrong_length_vector_raises_before_any_evaluation(self, catalogue):
+        # a 3-vector on a 2-d path used to end in a numpy broadcast ValueError
+        gce = catalogue["gce"]
+        conn, calls = counting_oracle_field(gce)
+        with pytest.raises(DomainError, match="3 components, the path 2") as excinfo:
+            transport.parallel_transport(
+                gce, [np.array([1.0, 0.0]), np.array([1.5, 0.0])], [1.0, 0.0, 0.0],
+                connection=conn,
+            )
+        assert "\n" not in str(excinfo.value) and calls == []
+
     def test_zero_length_path_is_one_sample(self, catalogue):
         model = catalogue["gaussian-kl"]
         conn, calls = counting_oracle_field(model)
@@ -225,6 +236,15 @@ class TestCovariantConstantField:
                 connection=conn,
             )
 
+    def test_empty_grid_raises(self, catalogue):
+        # an empty grid used to end in numpy's zero-size array ValueError
+        model = catalogue["gce"]
+        conn, calls = counting_oracle_field(model)
+        with pytest.raises(DomainError, match="grid point"):
+            transport.covariant_constant_field(
+                model, [1.0, -1.0], [1.0, 0.0], [], connection=conn
+            )
+        assert calls == []
 
     def test_detour_skips_zero_length_segments(self, catalogue):
         # the target shares mu with the base, so the detour is one segment:
