@@ -86,8 +86,6 @@ class RunConfig:
     grid: str = "default"
     data: Optional[dict] = None
     field_source: str = "fibre"
-    fibre_k: int = geometry.FIBRE_K_DEFAULT
-    trials: int = 1000
     tolerances: dict = dataclasses.field(default_factory=dict)
     seed: int = 42
     out: str = "report.json"
@@ -115,8 +113,6 @@ class RunConfig:
             )
         if self.step is not None and self.step <= 0:
             raise ConfigError(f"--step must be > 0, got {self.step}")
-        if self.fibre_k < 1:
-            raise ConfigError(f"--fibre-k must be >= 1, got {self.fibre_k}")
         try:
             self.tol  # the constructor checks every key and value
         except (DomainError, TypeError) as err:
@@ -305,9 +301,7 @@ def _condition4_failure(config, model, err):
 
 def _op_metric(config, model):
     try:
-        evaluation = geometry.metric_at(
-            model, config.at, fibre_k=config.fibre_k, tol=config.tol
-        )
+        evaluation = geometry.metric_at(model, config.at, tol=config.tol)
     except Condition4Violated as err:
         return _condition4_failure(config, model, err)
     return make_document(
@@ -355,7 +349,7 @@ def _op_curvature(config, model):
 
 def _op_classify(config, model):
     grid = _grid_for(config, model)
-    report = structure.classify(model, grid, fibre_k=config.fibre_k, tol=config.tol)
+    report = structure.classify(model, grid, tol=config.tol)
     return make_document(config, results=report.to_dict(), verdicts=report.verdicts), None
 
 
@@ -447,9 +441,7 @@ def _op_field(config, model):
 
 
 def _op_pythagoras(config, model):
-    report = structure.pythagorean_check(
-        model, config.at, config.other, fibre_k=config.fibre_k
-    )
+    report = structure.pythagorean_check(model, config.at, config.other)
     return make_document(
         config,
         results={
@@ -468,24 +460,24 @@ def _op_report(config, model):
 # take, in --op order
 _OPS = {
     "fit": (_op_fit, ("data", "start"), ()),
-    "metric": (_op_metric, ("at",), ("fibre_k",)),
+    "metric": (_op_metric, ("at",), ()),
     "connection": (_op_connection, ("at",), ()),
     "curvature": (_op_curvature, ("at",), ()),
-    "classify": (_op_classify, (), ("grid", "fibre_k")),
+    "classify": (_op_classify, (), ("grid",)),
     "affine": (_op_affine, ("start", "targets"), ()),
     "massieu": (_op_massieu, ("start", "targets"), ()),
     "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step", "field_source")),
     "transport": (_op_transport, ("start", "end", "vector"), ("field_source",)),
     "field": (_op_field, ("start", "vector"), ("grid", "field_source")),
-    "pythagoras": (_op_pythagoras, ("at", "other"), ("fibre_k",)),
-    "report": (_op_report, (), ("grid", "fibre_k", "seed")),
+    "pythagoras": (_op_pythagoras, ("at", "other"), ()),
+    "report": (_op_report, (), ("grid", "seed")),
 }
 OPS = tuple(_OPS)
 
 _MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.options(name)})
 
 # the options every op takes; any other run option given to an op that does
-# not name it is a config error (no op reads --trials)
+# not name it is a config error
 _EVERY_OP = ("model", "op", "tolerances", "out")
 
 _POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
@@ -563,7 +555,7 @@ def run(config: RunConfig) -> int:
 def model_report(model, config: RunConfig) -> dict:
     """classify + oracle comparison for one model (deterministic)."""
     tol = config.tol
-    report = structure.classify(model, _grid_for(config, model), config.fibre_k, tol)
+    report = structure.classify(model, _grid_for(config, model), tol=tol)
     oracle = model.oracle
     oracle_gaps = {}
     if oracle is not None and oracle.metric is not None:
@@ -572,12 +564,12 @@ def model_report(model, config: RunConfig) -> dict:
             try:
                 if oracle.connection is not None and model.has_probes:
                     # the connection's condition-4 gate evaluates the metric
-                    found = geometry.connection_at(model, point, fibre_k=config.fibre_k, tol=tol)
+                    found = geometry.connection_at(model, point, tol=tol)
                     gap = geometry._relative_gap(found.omega, oracle.connection(point))
                     oracle_gaps["connection"] = max(oracle_gaps["connection"], gap)
                     g = found.metric.matrix
                 else:
-                    g = geometry.metric_at(model, point, fibre_k=config.fibre_k, tol=tol).matrix
+                    g = geometry.metric_at(model, point, tol=tol).matrix
                 gap = geometry._relative_gap(g, oracle.metric(point), floor=1e-12)
                 oracle_gaps["metric"] = max(oracle_gaps["metric"], gap)
             except ArithmeticError as err:
@@ -666,8 +658,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--grid")
     parser.add_argument("--data", help="JSON data-set spec")
     parser.add_argument("--field", dest="field_source", choices=("fibre", "oracle"))
-    parser.add_argument("--fibre-k", dest="fibre_k", type=int)
-    parser.add_argument("--trials", type=int)
     parser.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")

@@ -75,14 +75,14 @@ class ChartSpec:
             )
         return coords
 
-    def clip_inside(self, coords: np.ndarray, margin: float = 1e-9) -> np.ndarray:
-        """Project a vector onto the open box, ``margin`` inside each bound."""
+    def clip_inside(self, coords: np.ndarray) -> np.ndarray:
+        """Project a vector onto the open box, 1e-9 inside each bound."""
         out = np.array(coords, dtype=float)
         for i, (lo, hi) in enumerate(self.domain):
             if np.isfinite(lo):
-                out[i] = max(out[i], lo + margin)
+                out[i] = max(out[i], lo + 1e-9)
             if np.isfinite(hi):
-                out[i] = min(out[i], hi - margin)
+                out[i] = min(out[i], hi - 1e-9)
         return out
 
     def random_points(self, rng: np.random.Generator, count: int) -> list:
@@ -500,17 +500,21 @@ class ModelDefinition:
     classify_points_fn: Optional[Callable] = None
     condition4_evidence_fn: Optional[Callable] = None
 
-    def fibre_sampler(self, theta, k: int) -> list:
-        """Return up to ``k`` distinct data sets in the fibre of m_theta."""
-        return self._fibre_sampler(self.chart.require(theta), k)
+    def fibre_sampler(self, theta) -> list:
+        """Return the model's own sample of data sets in the fibre of m_theta."""
+        return self._fibre_sampler(self.chart.require(theta))
 
-    def _fibre_sampler(self, coords, k):
+    def _fibre_sampler(self, coords):
         # the body of fibre_sampler: coords are already checked against the chart
         if self.fibre_sampler_fn is None:
             raise Unsupported(f"model {self.name} has no fibre sampler")
-        if k < 1:
-            raise DomainError(f"a fibre sample needs at least one member, got k={k}")
-        return self.fibre_sampler_fn(coords, k)
+        members = self.fibre_sampler_fn(coords)
+        if len(members) < 2:  # one member would pass condition 4 vacuously
+            raise Unsupported(
+                f"the fibre sampler of {self.name} gave {len(members)} members; "
+                "condition 4 needs at least two"
+            )
+        return members
 
     @property
     def has_probes(self) -> bool:

@@ -13,7 +13,6 @@ GRAD_TOL = 1e-9
 MAX_ITER = 200
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
-DOMAIN_MARGIN = 1e-9
 # a Newton step whose predicted decrease is below this share of the value is
 # lost in rounding: a line search that then fails has arrived at the optimum
 ROUNDING_DECREASE = 4.0 * np.finfo(float).eps
@@ -68,7 +67,7 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
         arrived = newton and -slope <= ROUNDING_DECREASE * max(abs(value), 1.0)
         step = 1.0
         for _ in range(60):
-            candidate = chart.clip_inside(theta + step * direction, DOMAIN_MARGIN)
+            candidate = chart.clip_inside(theta + step * direction)
             new_value = evaluate_divergence(model, x, candidate)
             if new_value <= value + ARMIJO_C * step * slope:
                 break

@@ -26,7 +26,6 @@ from .errors import (
     Unsupported,
 )
 
-FIBRE_K_DEFAULT = 3
 PROBE_DELTA = 1e-3
 PROBE_CONDITION_LIMIT = 1e8
 
@@ -84,13 +83,11 @@ def _relative_gap(candidate, reference, floor=1.0):
 def metric_at(
     model: ModelDefinition,
     theta,
-    fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> MetricEvaluation:
-    """Fibre-averaged divergence Hessian with the condition-4 diagnostic; a
-    ``fibre_k`` above ``FIBRE_K_DEFAULT`` is capped there."""
+    """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
     coords = model.chart.require(theta)
-    members = model._fibre_sampler(coords, min(fibre_k, FIBRE_K_DEFAULT))
+    members = model._fibre_sampler(coords)
     hessians = _divergence_hessians(model, members, coords)
     mean = hessians.sum(axis=0) / len(members)  # np.mean(axis=0) bit for bit, without its overhead
     largest = float(np.abs(mean).max())  # NaN or inf where any entry is not finite
@@ -156,7 +153,6 @@ def connection_at(
     model: ModelDefinition,
     theta,
     check_consistency: bool = True,
-    fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> ConnectionEvaluation:
     """Connection coefficients omega[k, i, j] from off-fibre probes.
@@ -166,7 +162,7 @@ def connection_at(
     model with a Hessian structure.
     """
     coords = model.chart.require(theta)
-    metric = metric_at(model, coords, fibre_k=fibre_k, tol=tol)  # condition-4 gate
+    metric = metric_at(model, coords, tol=tol)  # condition-4 gate
     omega = _solve_family(model, coords, 0)
     if not check_consistency:
         return ConnectionEvaluation(omega=omega, probe_consistency=float("nan"), metric=metric)
@@ -182,13 +178,9 @@ def connection_at(
     return ConnectionEvaluation(omega=0.5 * (omega + other), probe_consistency=gap, metric=metric)
 
 
-def metric_field(
-    model: ModelDefinition,
-    fibre_k: int = FIBRE_K_DEFAULT,
-    tol: Tolerances = Tolerances(),
-) -> MetricField:
+def metric_field(model: ModelDefinition, tol: Tolerances = Tolerances()) -> MetricField:
     return MetricField(
-        evaluate=lambda coords: metric_at(model, coords, fibre_k=fibre_k, tol=tol).matrix,
+        evaluate=lambda coords: metric_at(model, coords, tol=tol).matrix,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
     )
@@ -197,7 +189,6 @@ def metric_field(
 def connection_field(
     model: ModelDefinition,
     source: str = "fibre",
-    fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> ConnectionField:
     if source == "oracle":
@@ -211,7 +202,7 @@ def connection_field(
         )
     return ConnectionField(
         evaluate=lambda coords: connection_at(
-            model, coords, check_consistency=False, fibre_k=fibre_k, tol=tol
+            model, coords, check_consistency=False, tol=tol
         ).omega,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
@@ -302,8 +293,8 @@ def reparametrized_model(
         back = model.chart.require(inverse(np.asarray(z, dtype=float)))
         return model.divergence_fn(x, back)
 
-    def fibre_sampler(z, k):
-        return model.fibre_sampler(inverse(np.asarray(z, dtype=float)), k)
+    def fibre_sampler(z):
+        return model.fibre_sampler(inverse(np.asarray(z, dtype=float)))
 
     def probe_pairs(z, delta, family):
         return model.probe_pairs(inverse(np.asarray(z, dtype=float)), delta, family)

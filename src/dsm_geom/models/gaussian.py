@@ -36,28 +36,13 @@ def _central2(e1, e2, mu):
     return e2 - 2.0 * mu * e1 + mu * mu
 
 
-def _fibre_members(coords, k):
+def _fibre_members(coords):
     mu, sigma = coords
-    members = [
+    return [
         GaussianData(mu, sigma),
         TwoPointData(mu, sigma),
         UniformData(mu - math.sqrt(3.0) * sigma, mu + math.sqrt(3.0) * sigma),
     ]
-    maxent = 0.5 * (1.0 + _LOG_2PI) + math.log(sigma)
-    extra = 0
-    while len(members) < k:
-        extra += 1
-        members.append(
-            MomentData(
-                {
-                    "mean_x": mu,
-                    "mean_x2": sigma**2 + mu**2,
-                    "entropy": maxent - 0.25 * extra,
-                },
-                label=f"moments(offset={extra})",
-            )
-        )
-    return members[:k]
 
 
 def _probe_pairs(coords, delta, family, second_moment):

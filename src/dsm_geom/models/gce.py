@@ -44,14 +44,14 @@ def _log_partition(levels, beta, mu):
     return float(-np.log(-np.expm1(-beta * (levels - mu))).sum())
 
 
-def _null_space_shifts(levels):
-    """Occupation shifts preserving total count and total energy."""
+def _null_space_shift(levels):
+    """An occupation shift preserving total count and total energy; None for two levels."""
     j = levels.size
     if j < 3:
-        return []
+        return None
     basis = np.vstack([np.ones(j), levels])
     _, _, vt = np.linalg.svd(basis)
-    return [vt[row] for row in range(2, j)]
+    return vt[2]
 
 
 def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
@@ -61,12 +61,12 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
             f"the energy spectrum needs at least two distinct levels, got {levels.tolist()}"
         )
     eps_min = float(np.min(levels))
-    # the shifts depend on the spectrum alone: each with the levels it moves
-    # and its step sizes there, which bound how far a member may shift
-    shifts = []
-    for shift in _null_space_shifts(levels):
+    # the shift depends on the spectrum alone, as do the levels it moves and
+    # its step sizes there, which bound how far a member may shift
+    shift = _null_space_shift(levels)
+    if shift is not None:
         moving = np.abs(shift) > 1e-12
-        shifts.append((shift, moving, np.abs(shift[moving])))
+        steps = np.abs(shift[moving])
 
     chart = ChartSpec(
         dim=2,
@@ -127,20 +127,13 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         # the table OccupationData fills, without re-checking occupations built here
         return MomentData(occupation_totals(occupations, levels), label=label)
 
-    def fibre_members(coords, k):
+    def fibre_members(coords):
         base = point_terms(*coords).occupancies
-        members = [member(base)]
-        for shift, moving, steps in shifts:
-            if len(members) >= k:
-                break
-            headroom = float((base[moving] / steps).min())
-            t = 0.5 * min(headroom, 1.0)
-            members.append(member(base + t * shift))
-            if len(members) < k:
-                members.append(member(base - t * shift))
-        while len(members) < k:  # J=2 spectra only have the base member
-            members.append(member(base))
-        return members[:k]
+        if shift is None:  # J=2 spectra only have the base member
+            return [member(base) for _ in range(3)]
+        headroom = float((base[moving] / steps).min())
+        t = 0.5 * min(headroom, 1.0)
+        return [member(base), member(base + t * shift), member(base - t * shift)]
 
     def probe_pairs(coords, delta, family):
         # the fibre conditions (count lowered, energy raised)

@@ -72,7 +72,7 @@ def gumbel() -> ModelDefinition:
             [[1.0 / alpha**2 + sq, mixed], [mixed, alpha**2 * exp_shift]]
         )
 
-    def fibre_members(coords, k):
+    def fibre_members(coords):
         alpha, mu = coords
         rate = alpha / GOLDEN_RATIO
         expected = compatible_point(rate)
@@ -82,8 +82,7 @@ def gumbel() -> ModelDefinition:
                 f"mu = ln((rate+alpha)/rate)/alpha; at alpha={alpha:.6g} that "
                 f"is mu={expected[1]:.10g}, got mu={mu:.10g}"
             )
-        members = [GumbelData(alpha, mu), ExponentialData(rate)]
-        return members[:k]
+        return [GumbelData(alpha, mu), ExponentialData(rate)]
 
     def classify_points(per_axis):
         rates = np.linspace(0.5, 2.0, per_axis)

@@ -29,7 +29,7 @@ def _sums(x):
     return {name: x.statistic(name) for name in _SUM_IDS}
 
 
-def _fibre_members(coords, k):
+def _fibre_members(coords):
     """Samples whose residuals are orthogonal to {1, x} at (a, b).
 
     Different abscissa configurations give different second-derivative
@@ -41,16 +41,11 @@ def _fibre_members(coords, k):
         (np.array([0.0, 1.0, 2.0]), np.zeros(3)),
         (np.array([0.0, 1.0, 2.0]), 0.3 * np.array([1.0, -2.0, 1.0])),
         (np.array([-1.0, 0.0, 1.0, 2.0]), 0.4 * np.array([1.0, -1.0, -1.0, 1.0])),
-        (np.array([-2.0, -1.0, 1.0, 2.0]), 0.25 * np.array([1.0, -1.0, -1.0, 1.0])),
     ]
-    members = []
-    for xs, residual in configs[:k]:
-        ys = a * xs + b + residual
-        members.append(RegressionData(np.column_stack([xs, ys])))
-    while len(members) < k:
-        xs = np.linspace(0.0, 2.0 + 0.5 * len(members), 4)
-        members.append(RegressionData(np.column_stack([xs, a * xs + b])))
-    return members[:k]
+    return [
+        RegressionData(np.column_stack([xs, a * xs + b + residual]))
+        for xs, residual in configs
+    ]
 
 
 def _probe_pairs(coords, delta, family):

@@ -105,13 +105,13 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         h[1, 1] = -kappa * float(du_pp @ moments)
         return h
 
-    def fibre_members(coords, k):
+    def fibre_members(coords):
         # the fibre pins the moment vector; members differ in the
         # divergence-invisible entropy offset only
         u = _sphere_point(coords)
         return [
             _moment_data(u, fibre_entropy - 0.35 * j, f"sphere-fibre({j})")
-            for j in range(k)
+            for j in range(3)
         ]
 
     def probe_pairs(coords, delta, family):
@@ -233,12 +233,12 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     def fibre_entropy(lam):
         return log_norm(lam) - kappa + 1.0  # cross-entropy at the projection
 
-    def fibre_members(coords, k):
+    def fibre_members(coords):
         phi, lam = coords
         vec = np.array([math.cos(phi), math.sin(phi), 1.0 / lam])
         return [
             _moment_data(vec, fibre_entropy(lam) - 0.35 * j, f"cyl-fibre({j})")
-            for j in range(k)
+            for j in range(3)
         ]
 
     def max_entropy(vector):

@@ -31,7 +31,6 @@ from .errors import (
     ProbeSingular,
 )
 from .geometry import (
-    FIBRE_K_DEFAULT,
     ConnectionField,
     codazzi_residual,
     connection_at,
@@ -117,7 +116,6 @@ def default_grid(model: ModelDefinition, per_axis: int = CLASSIFY_GRID_PER_AXIS)
 def classify(
     model: ModelDefinition,
     theta_grid: Optional[list] = None,
-    fibre_k: int = FIBRE_K_DEFAULT,
     tol: Tolerances = Tolerances(),
 ) -> GeometryReport:
     """Run the full identification chain over a grid of chart points."""
@@ -132,8 +130,8 @@ def classify(
     worst_points = {}
     failure_evidence = None  # of the worst condition-4 point
     probe_evidence = None  # of the first probe solve that broke down
-    metric = metric_field(model, fibre_k=fibre_k, tol=tol)
-    conn = connection_field(model, fibre_k=fibre_k, tol=tol)
+    metric = metric_field(model, tol=tol)
+    conn = connection_field(model, tol=tol)
 
     def track(key, value, point):
         """Keep the first largest value of a check; True when it is this point's."""
@@ -145,7 +143,7 @@ def classify(
 
     for point in grid:
         try:
-            evaluation = metric_at(model, point, fibre_k=fibre_k, tol=tol)
+            evaluation = metric_at(model, point, tol=tol)
         except Condition4Violated as err:
             if track("cond4", err.deviation, point):
                 failure_evidence = condition4_evidence(model, point, err)
@@ -158,7 +156,7 @@ def classify(
         if not model.has_probes:
             continue
         try:
-            connection = connection_at(model, point, fibre_k=fibre_k, tol=tol)
+            connection = connection_at(model, point, tol=tol)
         except HessianStructureViolated as err:
             track("hessian", err.deviation, point)
             continue
@@ -434,23 +432,20 @@ class PythagoreanReport:
     member_labels: tuple
 
 
-def pythagorean_check(
-    model: ModelDefinition, theta, m_other, fibre_k: int = FIBRE_K_DEFAULT
-) -> PythagoreanReport:
+def pythagorean_check(model: ModelDefinition, theta, m_other) -> PythagoreanReport:
     """Fibre constancy of D(x || m_other) - D(x || m_theta).
 
     When the difference is constant over the fibre it defines the
-    induced proper divergence between the two model points.  A ``fibre_k``
-    above ``FIBRE_K_DEFAULT`` is capped there, as in ``metric_at``.
+    induced proper divergence between the two model points.
     """
     coords = model.chart.require(theta)
     other = model.chart.require(m_other)
-    members = model.fibre_sampler(coords, min(fibre_k, FIBRE_K_DEFAULT))
+    members = model.fibre_sampler(coords)
     differences = [
         evaluate_divergence(model, x, other) - evaluate_divergence(model, x, coords)
         for x in members
     ]
-    deviation = max(differences) - min(differences) if len(differences) > 1 else 0.0
+    deviation = max(differences) - min(differences)
     return PythagoreanReport(
         max_deviation=float(deviation),
         induced_value=float(np.mean(differences)),
@@ -470,7 +465,7 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
     coords = model.chart.require(theta)
 
     def representative(a):
-        return model.fibre_sampler(a, 1)[0]
+        return model.fibre_sampler(a)[0]
 
     def induced(a, b):
         x = representative(a)

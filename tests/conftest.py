@@ -183,7 +183,7 @@ def random_dataset(model, rng):
         return ExponentialData(rng.uniform(0.5, 2.0))
     # vmf models: a fibre member of a random chart point
     point = model.chart.random_points(rng, 1)[0]
-    return model.fibre_sampler(point, 1)[0]
+    return model.fibre_sampler(point)[0]
 
 
 def random_chart_point(model, rng):

@@ -68,7 +68,7 @@ def test_criterion_3_negative_detections(catalogue):
 
     point = compatible_point(1.0)
     with pytest.raises(Condition4Violated) as excinfo:
-        geometry.metric_at(catalogue["gumbel"], point, fibre_k=2)
+        geometry.metric_at(catalogue["gumbel"], point)
     alpha2 = point[0] ** 2
     varying = sorted(
         (hess[0, 0] - 1.0 / alpha2) * alpha2 for hess in excinfo.value.member_hessians

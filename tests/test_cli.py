@@ -87,8 +87,12 @@ class TestRunConfig:
     def test_op_options_are_parser_dests(self):
         # validate checks the given options against these names alone
         dests = {action.dest for action in cli.build_parser()._actions}
+        read = set(cli._MODEL_OPTIONS) | set(cli._EVERY_OP)
         for _, needs, may in cli._OPS.values():
             assert set(needs + may) <= dests
+            read |= set(needs + may)
+        # and every flag is read by some op, is a model option or is taken by every op
+        assert dests - {"help", "tol"} <= read
 
     def test_parser_dests_match_config_fields(self):
         # config_from_args passes the parsed namespace to RunConfig as is
@@ -122,9 +126,7 @@ class TestDocuments:
         # an op rejects an option it does not read only when given; inputs record every default
         config = cli.config_from_args(["--model", "gce", "--op", "connection", "--at", "1,-1"])
         inputs = config.to_dict()
-        assert [inputs[name] for name in ("grid", "field_source", "fibre_k", "trials")] == [
-            "default", "fibre", 3, 1000,
-        ]
+        assert [inputs[name] for name in ("grid", "field_source")] == ["default", "fibre"]
 
     def test_unknown_report_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -237,7 +239,7 @@ class TestCliRuns:
         result = run_cli(
             [
                 "--model", "gumbel", "--op", "metric",
-                "--at", f"{point[0]},{point[1]}", "--fibre-k", "2",
+                "--at", f"{point[0]},{point[1]}",
                 "--out", str(out),
             ]
         )
@@ -257,21 +259,6 @@ class TestCliRuns:
         for op in ("connection", "curvature"):
             assert docs[op]["verdicts"] == {"condition4": "fail"}
             assert docs[op]["results"]["evidence"] == docs["metric"]["results"]["evidence"]
-
-    def test_fibre_k_above_three_is_capped(self, tmp_path, capsys):
-        # at most FIBRE_K_DEFAULT members, however many are asked for: regression-ls's
-        # fourth abscissa configuration stays out, and 10**9 builds no more data sets
-        results = {}
-        for k in ("3", "4", "1000000000"):
-            for op, point in (("metric", ["--at", "0,0"]), ("pythagoras", ["--at", "0,0", "--other", "1,1"])):
-                out = tmp_path / f"{op}-{k}.json"
-                args = ["--model", "regression-ls", "--op", op, *point, "--fibre-k", k]
-                assert cli.main([*args, "--out", str(out)]) == 0, capsys.readouterr()
-                results[op, k] = json.loads(out.read_text())["results"]
-        assert len(results["metric", "3"]["evidence"]["members"]) == 3
-        assert len(results["pythagoras", "3"]["members"]) == 3
-        for op in ("metric", "pythagoras"):
-            assert results[op, "4"] == results[op, "3"] == results[op, "1000000000"]
 
     def test_remaining_ops_smoke(self, tmp_path):
         cases = [
@@ -738,11 +725,11 @@ class TestReportAll:
         point = count(lambda: geometry.connection_at(model, [1.0, -1.0]))
         assert report == classify + 5 * point
 
-    def test_grid_and_fibre_k_reach_every_model(self, tmp_path):
-        args = ["--model", "all", "--op", "report", "--fibre-k", "2", "--grid", "2"]
+    def test_grid_reaches_every_model(self, tmp_path):
+        args = ["--model", "all", "--op", "report", "--grid", "2"]
         assert cli.main([*args, "--out", str(tmp_path)]) == 0
         for name in models.MODEL_NAMES:
             doc = json.loads((tmp_path / f"{name}.json").read_text())
-            assert doc["inputs"]["grid"] == "2" and doc["inputs"]["fibre_k"] == 2, name
+            assert doc["inputs"]["grid"] == "2", name
             expected = structure.default_grid(models.build(name), 2)
             assert len(doc["results"]["classification"]["grid"]) == len(expected), name

@@ -22,7 +22,6 @@ from dsm_geom.core import (
 )
 from dsm_geom.errors import DomainError, MissingStatistic
 from dsm_geom.fit import fit
-from dsm_geom.geometry import FIBRE_K_DEFAULT
 
 from conftest import (
     gaussian_kl_closed_form,
@@ -142,7 +141,7 @@ class TestDivergenceGradient:
 
     def test_gce_fibre_member(self, catalogue):
         gce = catalogue["gce"]
-        for member in gce.fibre_sampler(np.array([1.3, -0.4]), 3):
+        for member in gce.fibre_sampler(np.array([1.3, -0.4])):
             grad = divergence_gradient(gce, member, [1.3, -0.4])
             assert np.max(np.abs(grad)) < 1e-10
 
@@ -219,7 +218,7 @@ class TestFibreConsistency:
                 theta = compatible_point(float(rng.uniform(0.5, 2.0)))
             else:
                 theta = random_chart_point(model, rng)
-            for member in model.fibre_sampler(theta, FIBRE_K_DEFAULT):
+            for member in model.fibre_sampler(theta):
                 grad = divergence_gradient(model, member, theta)
                 assert np.max(np.abs(grad)) < 1e-6, (model.name, member.label)
 

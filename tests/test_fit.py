@@ -13,7 +13,7 @@ from dsm_geom.core import (
 )
 from dsm_geom.errors import NoConvergence, Unsupported
 from dsm_geom.fit import closed_form_fit, fit, fit_from_closed_form
-from dsm_geom.geometry import FIBRE_K_DEFAULT, canonical_chart_for, reparametrized_model
+from dsm_geom.geometry import canonical_chart_for, reparametrized_model
 
 from conftest import (
     gce_fit_bisection,
@@ -49,7 +49,7 @@ class TestFit:
             model = catalogue[name]
             x = random_dataset(model, rng)
             result = fit(model, x, model.chart.random_points(rng, 1)[0])
-            for member in model.fibre_sampler(result.theta_star, FIBRE_K_DEFAULT):
+            for member in model.fibre_sampler(result.theta_star):
                 grad = divergence_gradient(model, member, result.theta_star)
                 assert np.max(np.abs(grad)) <= 1e-8, name
 
@@ -71,7 +71,7 @@ class TestFit:
         # the antipodal stationary point of the sphere divergence is a
         # maximum; starting there must not be reported as a fit
         sphere = catalogue["vmf-sphere"]
-        data = sphere.fibre_sampler(np.array([math.pi / 3, 0.0]), 1)[0]
+        data = sphere.fibre_sampler(np.array([math.pi / 3, 0.0]))[0]
         antipode = np.array([math.pi - math.pi / 3, math.pi])
         with pytest.raises(NoConvergence) as excinfo:
             fit(sphere, data, antipode)

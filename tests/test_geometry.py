@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from dsm_geom import geometry, models, numdiff, structure
-from dsm_geom.core import ChartSpec, ModelDefinition, Tolerances
+from dsm_geom.core import ChartSpec, GaussianData, ModelDefinition, Tolerances
 from dsm_geom.errors import (
     Condition4Violated,
-    DomainError,
     HessianStructureViolated,
     MetricNotPD,
     Unsupported,
@@ -46,7 +45,7 @@ class TestMetricAt:
 
         point = compatible_point(1.0)
         with pytest.raises(Condition4Violated) as excinfo:
-            geometry.metric_at(catalogue["gumbel"], point, fibre_k=2)
+            geometry.metric_at(catalogue["gumbel"], point)
         alpha2 = point[0] ** 2
         varying = sorted(
             (h[0, 0] - 1.0 / alpha2) * alpha2 for h in excinfo.value.member_hessians
@@ -69,20 +68,22 @@ class TestMetricAt:
         from dsm_geom.models.gumbel import compatible_point
 
         with pytest.raises(Condition4Violated):
-            geometry.metric_at(catalogue["gumbel"], compatible_point(1.3), fibre_k=2)
+            geometry.metric_at(catalogue["gumbel"], compatible_point(1.3))
 
     def test_empty_fibre_sample_raises(self, catalogue):
-        # fibre_k=0 used to end in numpy's "axes don't match array" here and
-        # to pass the Pythagorean check vacuously with a NaN induced value
-        model = catalogue["gaussian-kl"]
-        with pytest.raises(DomainError, match="k=0"):
-            geometry.metric_at(model, [0.0, 1.0], fibre_k=0)
-        with pytest.raises(DomainError, match="k=0"):
-            structure.pythagorean_check(model, [0.0, 1.0], [1.0, 1.0], fibre_k=0)
-        # a fibre with fewer members than asked for gives what it has
+        # no member ended in numpy's "axes don't match array" here, and one
+        # member passed condition 4 and the Pythagorean check vacuously
+        kl = catalogue["gaussian-kl"]
+        for sample in ([], [GaussianData(0.0, 1.0)]):
+            model = dataclasses.replace(kl, fibre_sampler_fn=lambda coords: sample)
+            with pytest.raises(Unsupported, match=f"gave {len(sample)} members"):
+                geometry.metric_at(model, [0.0, 1.0])
+            with pytest.raises(Unsupported, match=f"gave {len(sample)} members"):
+                structure.pythagorean_check(model, [0.0, 1.0], [1.0, 1.0])
+        # two members are enough: gumbel's fibre pair
         from dsm_geom.models.gumbel import compatible_point
 
-        assert len(catalogue["gumbel"].fibre_sampler(compatible_point(1.3), 3)) == 2
+        assert len(catalogue["gumbel"].fibre_sampler(compatible_point(1.3))) == 2
 
 
 class TestConnectionAt:
@@ -371,10 +372,10 @@ def _synthetic_model(hessian_matrix, degenerate_probes=False):
         delta = np.asarray(theta) - center
         return float(0.5 * delta @ hessian_matrix @ delta)
 
-    def sampler(theta, k):
+    def sampler(theta):
         return [
             MomentData({"c1": theta[0], "c2": theta[1], "entropy": 0.0})
-            for _ in range(k)
+            for _ in range(3)
         ]
 
     def probes(theta, delta, family):
@@ -461,7 +462,7 @@ def _loop_hessian(model, x, coords):
 
 def _loop_metric(model, coords, tol=Tolerances()):
     """metric_at as one Hessian, difference and reduction per fibre member."""
-    members = model.fibre_sampler(coords, geometry.FIBRE_K_DEFAULT)
+    members = model.fibre_sampler(coords)
     hessians = [_loop_hessian(model, x, coords) for x in members]
     mean = sum(hessians) / len(hessians)
     scale = max(float(np.max(np.abs(mean))), 1e-12)

@@ -121,7 +121,7 @@ class TestGrandCanonical:
 
     def test_two_level_fibre_capacity(self):
         model = models.build("gce", levels=[1.0, 2.0])
-        members = model.fibre_sampler(np.array([1.0, 0.3]), 3)
+        members = model.fibre_sampler(np.array([1.0, 0.3]))
         sums = {
             (round(m.statistic("total_count"), 12), round(m.statistic("total_energy"), 12))
             for m in members
@@ -238,7 +238,7 @@ class TestGumbel:
 
     def test_sampler_refuses_off_curve_points(self, catalogue):
         with pytest.raises(DomainError, match="compatible curve"):
-            catalogue["gumbel"].fibre_sampler(np.array([1.0, 0.0]), 2)
+            catalogue["gumbel"].fibre_sampler(np.array([1.0, 0.0]))
 
 
 class TestFibreDerivativesVanish:

@@ -72,8 +72,8 @@ class TestClassify:
         def data(theta, weight):
             return MomentData({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
 
-        def sampler(theta, k):
-            return [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(k)]
+        def sampler(theta):
+            return [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)]
 
         def probes(theta, delta, family):
             same = data(theta, 1.0)
