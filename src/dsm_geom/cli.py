@@ -24,7 +24,6 @@ from . import geometry, models, structure, transport
 from .core import (
     DataSet,
     GaussianData,
-    MomentData,
     RegressionData,
     Tolerances,
 )
@@ -163,7 +162,7 @@ def parse_data_spec(spec: dict) -> DataSet:
             if kind == "gaussian":
                 data = GaussianData(body["mean"], body["std"])
             elif kind == "moments":
-                data = MomentData(body)
+                data = DataSet(body)
             elif kind == "regression":
                 data = RegressionData(body["couples"])
             else:

@@ -4,8 +4,7 @@ A data set model couples a space of data sets, a parametrised model
 manifold, a model map and a divergence function.  Data sets enter every
 computation only through finitely many expectation values, so the data
 side of the contract is an expectation provider: given a statistic id
-(and, for parameter-dependent integrands, the evaluation point) it
-returns one real number.
+it returns one real number.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import DomainError, MissingStatistic, NumericalFailure, Unsupported
 
 _LOG_2PI = math.log(2.0 * math.pi)
-EULER_GAMMA = float(np.euler_gamma)
 CENTRAL_FRACTION = 0.6  # share of the sample box spanned by default grids
 
 
@@ -137,25 +135,12 @@ class Tolerances:
 
 
 class DataSet:
-    """Expectation provider.  Subclasses answer statistic queries.
-
-    Queries are deterministic for a fixed payload.
-    """
-
-    label = "dataset"
-
-    def statistic(self, statistic_id: str, theta=None) -> float:
-        raise MissingStatistic(f"{self.label} cannot answer statistic '{statistic_id}'")
-
-
-class MomentData(DataSet):
     """A statistic table: the values of finitely many theta-free statistics.
 
     Directly injected tables are the usual off-fibre probe payload; every
-    provider whose statistics do not depend on theta is a subclass that
-    validates its inputs and fills its table once.  ``entropy`` defaults
-    to the matching-variance Gaussian value when the table carries first
-    and second moments.
+    other data set is a subclass that validates its inputs and fills its
+    table once.  ``entropy`` defaults to the matching-variance Gaussian
+    value when the table carries first and second moments.
     """
 
     def __init__(self, moments: dict, label: str = "moments"):
@@ -167,14 +152,16 @@ class MomentData(DataSet):
                 raise DomainError("moment payload implies non-positive variance")
             table["entropy"] = 0.5 * (1.0 + _LOG_2PI + math.log(var))
 
-    def statistic(self, statistic_id, theta=None):
+    def statistic(self, statistic_id: str) -> float:
         try:
             return self.moments[statistic_id]
         except KeyError:
-            return super().statistic(statistic_id, theta)
+            raise MissingStatistic(
+                f"{self.label} cannot answer statistic '{statistic_id}'"
+            ) from None
 
 
-class GaussianData(MomentData):
+class GaussianData(DataSet):
     """Normal distribution with known mean and standard deviation."""
 
     def __init__(self, mean: float, std: float):
@@ -187,7 +174,7 @@ class GaussianData(MomentData):
         super().__init__(table, label=f"gaussian({mean},{std})")
 
 
-class UniformData(MomentData):
+class UniformData(DataSet):
     """Uniform distribution on (lo, hi)."""
 
     def __init__(self, lo: float, hi: float):
@@ -201,7 +188,7 @@ class UniformData(MomentData):
         super().__init__(table, label=f"uniform({lo},{hi})")
 
 
-class TwoPointData(MomentData):
+class TwoPointData(DataSet):
     """Symmetric two-point measure on {center - h, center + h}.
 
     Its differential entropy is -inf; the entropy offset instead uses the
@@ -221,128 +208,7 @@ class TwoPointData(MomentData):
         super().__init__(table, label=f"twopoint({center},{half_spread})")
 
 
-class ExponentialData(DataSet):
-    """Exponential distribution with rate lambda on x >= 0.
-
-    Answers the shifted-exponential statistics the Gumbel divergence
-    reads, in closed form.
-    """
-
-    def __init__(self, rate: float):
-        if rate <= 0:
-            raise DomainError("exponential data needs rate > 0")
-        self.rate = float(rate)
-        self.label = f"exponential({rate})"
-
-    def statistic(self, statistic_id, theta=None):
-        lam = self.rate
-        if statistic_id == "mean_x":
-            return 1.0 / lam
-        if statistic_id == "mean_x2":
-            return 2.0 / lam**2
-        if statistic_id == "entropy":
-            return 1.0 - math.log(lam)
-        if statistic_id in ("exp_shift", "lin_exp_shift", "sq_exp_shift"):
-            alpha, mu = _require_theta(statistic_id, theta)
-            if lam + alpha <= 0:
-                raise MissingStatistic("exp_shift diverges for alpha <= -rate")
-            s = lam + alpha
-            front = lam * math.exp(alpha * mu)
-            if statistic_id == "exp_shift":
-                return front / s
-            if statistic_id == "lin_exp_shift":
-                return front * (1.0 / s**2 - mu / s)
-            return front * (2.0 / s**3 - 2.0 * mu / s**2 + mu**2 / s)
-        return super().statistic(statistic_id, theta)
-
-
-# asymptotic series in z = 1/x^2 (Abramowitz & Stegun 6.3.18 and 6.4.12): the
-# Bernoulli terms B_2k / 2k of psi and B_2k of psi', k = 1..7
-_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
-_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-
-
-def _series(z: float, coefficients) -> float:
-    """sum of c_k z^k, k = 1, 2, ..., by Horner's rule."""
-    total = 0.0
-    for c in reversed(coefficients):
-        total = total * z + c
-    return total * z
-
-
-def _gamma(x: float) -> np.float64:
-    """Gamma(x) for x > 0; inf where it overflows (x > 171.6)."""
-    try:
-        return np.float64(math.gamma(x))
-    except OverflowError:
-        return np.float64(math.inf)
-
-
-def _digamma(x: float) -> np.float64:
-    """psi(x) for x > 0 (Bernardo, "Algorithm AS 103", Appl. Statist. 25, 1976).
-
-    Integers up to 10 are summed as cephes sums them, bit for bit; other
-    points recur up to x >= 10 and take the asymptotic series.
-    """
-    if x <= 10.0 and x == math.floor(x):
-        return np.float64(sum(1.0 / k for k in range(1, int(x))) - EULER_GAMMA)
-    shift = 0.0
-    while x < 10.0:
-        shift += 1.0 / x
-        x += 1.0
-    return np.float64(math.log(x) - 0.5 / x - _series(1.0 / (x * x), _DIGAMMA_SERIES) - shift)
-
-
-def _trigamma(x: float) -> np.float64:
-    """psi'(x) for x > 0: recurrence up to x >= 10, then the asymptotic series."""
-    shift = 0.0
-    while x < 10.0:
-        shift += 1.0 / (x * x)
-        x += 1.0
-    return np.float64(shift + (1.0 + 0.5 / x + _series(1.0 / (x * x), _TRIGAMMA_SERIES)) / x)
-
-
-class GumbelData(DataSet):
-    """Gumbel distribution with shape alpha0 > 0 and mode mu0.
-
-    Closed forms come from the Gamma-integral identities
-    E[exp(-s u)] = Gamma(1+s), E[u exp(-s u)] = -Gamma'(1+s), etc., for a
-    standard Gumbel variable u.
-    """
-
-    def __init__(self, alpha: float, mode: float):
-        if alpha <= 0:
-            raise DomainError("gumbel data needs alpha > 0")
-        self.alpha = float(alpha)
-        self.mode = float(mode)
-        self.label = f"gumbel({alpha},{mode})"
-
-    def statistic(self, statistic_id, theta=None):
-        a0, m0 = self.alpha, self.mode
-        if statistic_id == "mean_x":
-            return m0 + EULER_GAMMA / a0
-        if statistic_id == "entropy":
-            return 1.0 + EULER_GAMMA - math.log(a0)
-        if statistic_id in ("exp_shift", "lin_exp_shift", "sq_exp_shift"):
-            alpha, mu = _require_theta(statistic_id, theta)
-            s = alpha / a0
-            if 1.0 + s <= 0:
-                raise MissingStatistic("exp_shift diverges for alpha <= -alpha0")
-            shift = m0 - mu
-            front = math.exp(-alpha * shift) * _gamma(1.0 + s)
-            psi = _digamma(1.0 + s)
-            if statistic_id == "exp_shift":
-                return front
-            if statistic_id == "lin_exp_shift":
-                return front * (shift - psi / a0)
-            psi1 = _trigamma(1.0 + s)
-            return front * (
-                shift**2 - 2.0 * shift * psi / a0 + (psi**2 + psi1) / a0**2
-            )
-        return super().statistic(statistic_id, theta)
-
-
-class VonMisesFisherData(MomentData):
+class VonMisesFisherData(DataSet):
     """von Mises-Fisher distribution on the unit 2-sphere.
 
     Mean resultant length A(kappa) = coth(kappa) - 1/kappa.
@@ -370,7 +236,7 @@ def occupation_totals(occupations: np.ndarray, levels: np.ndarray) -> dict:
     return {"total_count": float(occupations.sum()), "total_energy": float(occupations @ levels)}
 
 
-class OccupationData(MomentData):
+class OccupationData(DataSet):
     """Measured occupation numbers of a finite energy spectrum."""
 
     def __init__(self, occupations: Sequence[float], levels: Sequence[float]):
@@ -386,7 +252,7 @@ class OccupationData(MomentData):
         )
 
 
-class RegressionData(MomentData):
+class RegressionData(DataSet):
     """A set of (x_j, y_j) couples for functional-relation fitting.
 
     Couples must satisfy N * sum(x^2) - (sum x)^2 != 0.
@@ -413,15 +279,6 @@ class RegressionData(MomentData):
             },
             label=f"regression(n={n})",
         )
-
-
-def _require_theta(statistic_id, theta):
-    if theta is None:
-        raise MissingStatistic(
-            f"statistic '{statistic_id}' is parameter-dependent and needs theta"
-        )
-    coords = as_coords(theta)
-    return float(coords[0]), float(coords[1])
 
 
 # ---------------------------------------------------------------------------

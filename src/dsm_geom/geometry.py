@@ -120,17 +120,16 @@ def metric_at(
 def _solve_family(model, coords, family):
     pairs = model._probe_pairs(coords, PROBE_DELTA, family)
     n = coords.size
-    if len(pairs) < n:
+    if len(pairs) != n:
         raise ProbeSingular(
             f"{model.name} supplied {len(pairs)} probe pairs for dimension {n}"
         )
-    # rows [0, m) are the plus probes, rows [m, 2m) the minus probes
+    # rows [0, n) are the plus probes, rows [n, 2n) the minus probes
     data = [pair.plus for pair in pairs] + [pair.minus for pair in pairs]
     grads = _divergence_gradients(model, data, coords)
     hessians = _divergence_hessians(model, data, coords)
-    m = len(pairs)
-    probe_matrix = 0.5 * (grads[:m] - grads[m:])
-    rhs = 0.5 * (hessians[:m] - hessians[m:])
+    probe_matrix = 0.5 * (grads[:n] - grads[n:])
+    rhs = 0.5 * (hessians[:n] - hessians[n:])
     singular_values = np.linalg.svd(probe_matrix, compute_uv=False)
     condition = (
         singular_values[0] / singular_values[-1] if singular_values[-1] > 0 else np.inf
@@ -140,13 +139,7 @@ def _solve_family(model, coords, family):
             f"off-fibre probe matrix of {model.name} is singular "
             f"(condition {condition:.3g}) at {coords.tolist()}"
         )
-    if len(pairs) == n:
-        flat = np.linalg.solve(probe_matrix, rhs.reshape(n, n * n))
-    else:  # overdetermined probe family: least squares
-        flat, *_ = np.linalg.lstsq(
-            probe_matrix, rhs.reshape(len(pairs), n * n), rcond=None
-        )
-    return flat.reshape(n, n, n)
+    return np.linalg.solve(probe_matrix, rhs.reshape(n, n * n)).reshape(n, n, n)
 
 
 def connection_at(

@@ -9,8 +9,8 @@ import numpy as np
 from ..core import (
     ChartSpec,
     ClosedFormOracle,
+    DataSet,
     GaussianData,
-    MomentData,
     ModelDefinition,
     TwoPointData,
     UniformData,
@@ -28,8 +28,8 @@ _CHART = ChartSpec(
 )
 
 
-def _moments(x, theta=None):
-    return x.statistic("mean_x", theta), x.statistic("mean_x2", theta)
+def _moments(x):
+    return x.statistic("mean_x"), x.statistic("mean_x2")
 
 
 def _central2(e1, e2, mu):
@@ -55,7 +55,7 @@ def _probe_pairs(coords, delta, family, second_moment):
     def probe(offsets):
         mean, spread = mu + offsets[0], sigma + offsets[1]
         table = {"mean_x": mean, "mean_x2": second_moment(mu, mean, spread)}
-        return MomentData(table, label="probe")
+        return DataSet(table, label="probe")
 
     return antithetic_pairs(probe, (delta * sigma, delta * sigma), family)
 

@@ -10,7 +10,7 @@ import numpy as np
 from ..core import (
     ChartSpec,
     ClosedFormOracle,
-    MomentData,
+    DataSet,
     ModelDefinition,
     antithetic_pairs,
     occupation_totals,
@@ -125,7 +125,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
 
     def member(occupations):
         # the table OccupationData fills, without re-checking occupations built here
-        return MomentData(occupation_totals(occupations, levels), label=label)
+        return DataSet(occupation_totals(occupations, levels), label=label)
 
     def fibre_members(coords):
         base = point_terms(*coords).occupancies
@@ -142,7 +142,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
 
         def probe(offsets):
             table = {"total_count": count - offsets[0], "total_energy": energy + offsets[1]}
-            return MomentData(table, label="probe")
+            return DataSet(table, label="probe")
 
         steps = (delta * max(abs(count), 1.0), delta * max(abs(energy), 1.0))
         return antithetic_pairs(probe, steps, family)

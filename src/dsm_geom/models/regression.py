@@ -8,8 +8,8 @@ import numpy as np
 from ..core import (
     ChartSpec,
     ClosedFormOracle,
+    DataSet,
     ModelDefinition,
-    MomentData,
     RegressionData,
     antithetic_pairs,
 )
@@ -57,7 +57,7 @@ def _probe_pairs(coords, delta, family):
 
     def probe(offsets):
         moved = {"sum_xy": sums["sum_xy"] + offsets[0], "sum_y": sums["sum_y"] + offsets[1]}
-        return MomentData({**sums, **moved}, label="probe")
+        return DataSet({**sums, **moved}, label="probe")
 
     return antithetic_pairs(probe, (d, d), family)
 

@@ -9,7 +9,7 @@ import numpy as np
 from ..core import (
     ChartSpec,
     ClosedFormOracle,
-    MomentData,
+    DataSet,
     ModelDefinition,
     ProbePair,
     antithetic_pairs,
@@ -24,7 +24,7 @@ def _moment_vector(x):
 
 
 def _moment_data(vector, entropy, tag):
-    return MomentData(
+    return DataSet(
         {
             "mean_e1": vector[0],
             "mean_e2": vector[1],

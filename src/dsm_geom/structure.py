@@ -31,7 +31,6 @@ from .errors import (
     ProbeSingular,
 )
 from .geometry import (
-    ConnectionField,
     codazzi_residual,
     connection_at,
     connection_field,
@@ -242,11 +241,6 @@ def _affine_rhs(omega, delta, packed):
     return np.concatenate([(grads @ mixer).ravel(), grads @ delta])
 
 
-def _integrate_affine(conn: ConnectionField, waypoints, state, tol=Tolerances()):
-    """Advance (G, Theta) along a piecewise-linear path, well within ``tol.path``."""
-    return _along(_affine_rhs, conn, state, waypoints, tol.path)[-1][2]
-
-
 def affine_coordinates(
     model: ModelDefinition,
     theta0,
@@ -267,8 +261,8 @@ def affine_coordinates(
     values, gradients, residuals = [], [], []
     for target in targets:
         stop = model.chart.require(target)
-        straight = _integrate_affine(conn, [reference, stop], seed.copy(), tol)
-        detour = _integrate_affine(conn, _l_path(reference, stop), seed.copy(), tol)
+        straight = _along(_affine_rhs, conn, seed, [reference, stop], tol.path)[-1][2]
+        detour = _along(_affine_rhs, conn, seed, _l_path(reference, stop), tol.path)[-1][2]
         value = straight[n * n :]
         scale = max(float(np.max(np.abs(value))), 1.0)
         residual = float(np.max(np.abs(value - detour[n * n :]))) / scale
@@ -290,30 +284,18 @@ def affine_coordinates(
     )
 
 
-def _unpack_local(coeffs, n):
-    """The metric and the connection from one flat Massieu ``local`` value."""
-    return coeffs[: n * n].reshape(n, n), coeffs[n * n :].reshape(n, n, n)
+def _massieu_rhs(local, delta, packed):
+    """d(alpha, Phi)/ds of the Mayer-Lie system on a segment with tangent delta.
 
-
-def _massieu_rhs(coeffs, delta, packed):
-    """d(alpha, Phi)/ds of the Mayer-Lie system on a segment with tangent delta."""
-    n = delta.size
-    g, omega = _unpack_local(coeffs, n)
-    alpha = packed[:n]
+    ``local`` is the pair (metric, connection) at a point of the segment.
+    """
+    g, omega = local
+    alpha = packed[: delta.size]
     dalpha = np.einsum("a,ab->b", delta, g) + np.einsum(
         "a,cab,c->b", delta, omega, alpha
     )
     dphi = float(delta @ alpha)
     return np.concatenate([dalpha, [dphi]])
-
-
-def _integrate_massieu(local, waypoints, state, tol=Tolerances()):
-    """Advance (alpha, Phi) along a piecewise-linear path, well within ``tol.path``.
-
-    ``local(point)`` gives the metric and the connection at a chart point,
-    packed flat.
-    """
-    return _along(_massieu_rhs, local, state, waypoints, tol.path)[-1][2]
 
 
 def massieu(
@@ -335,7 +317,7 @@ def massieu(
     def local(point):
         # one gated evaluation: the connection's condition-4 gate is the metric
         evaluation = connection_at(model, point, check_consistency=False, tol=tol)
-        return np.concatenate([evaluation.metric.matrix.ravel(), evaluation.omega.ravel()])
+        return evaluation.metric.matrix, evaluation.omega
 
     n = reference.size
     seed = np.zeros(n + 1)
@@ -343,8 +325,8 @@ def massieu(
     hessian_residuals, curl_residuals = [], []
     for target in targets:
         stop = model.chart.require(target)
-        straight = _integrate_massieu(local, [reference, stop], seed.copy(), tol)
-        detour = _integrate_massieu(local, _l_path(reference, stop), seed.copy(), tol)
+        straight = _along(_massieu_rhs, local, seed, [reference, stop], tol.path)[-1][2]
+        detour = _along(_massieu_rhs, local, seed, _l_path(reference, stop), tol.path)[-1][2]
         scale = max(float(np.max(np.abs(straight))), 1.0)
         residual = float(np.max(np.abs(straight - detour))) / scale
         if residual > tol.path:
@@ -412,7 +394,7 @@ def _verify_massieu(model, local, target, alpha, phi):
 
     plain_hess = numdiff.fd_hessian(phi_at, target, domain)
     grad = numdiff.fd_gradient(phi_at, target, domain)
-    g, omega = _unpack_local(at_target, n)
+    g, omega = at_target
     covariant = plain_hess - np.einsum("cab,c->ab", omega, grad)
     hess_res = float(np.max(np.abs(covariant - g))) / max(float(np.max(np.abs(g))), 1e-12)
     jac = numdiff.fd_jacobian(alpha_at, target, domain)  # jac[b, a] = d_a alpha_b

@@ -5,15 +5,14 @@ import pytest
 
 from dsm_geom import models
 from dsm_geom.core import (
-    ExponentialData,
+    DataSet,
     GaussianData,
-    GumbelData,
-    MomentData,
     OccupationData,
     RegressionData,
     TwoPointData,
     UniformData,
 )
+from dsm_geom.models.gumbel import ExponentialData, GumbelData
 
 HESSIAN_STRUCTURED = (
     "gaussian-kl",
@@ -158,7 +157,7 @@ def random_dataset(model, rng):
         if kind == 2:
             half = math.sqrt(3.0) * std
             return UniformData(mean - half, mean + half)
-        return MomentData({"mean_x": mean, "mean_x2": std**2 + mean**2})
+        return DataSet({"mean_x": mean, "mean_x2": std**2 + mean**2})
     if name.startswith("regression"):
         n = int(rng.integers(3, 9))
         xs = np.sort(rng.uniform(-3.0, 3.0, size=n))

@@ -601,6 +601,11 @@ class TestBadInput:
                  "--at", "0,1", "--other", "0.1,1.2"],
                 "--kappa",
             ),
+            (
+                ["--model", "gumbel", "--op", "fit", "--start", "1,0",
+                 "--data", '{"kind":"gaussian","mean":0.5,"std":1}'],
+                "'exp_shift'",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -615,7 +620,7 @@ class TestBadInput:
             "kappa-overflow", "mu0-underflow", "data-std-not-a-number",
             "mu0-subnormal-square", "sigma0-subnormal-power", "data-std-overflow",
             "data-second-moment-overflow", "data-couples-x-overflow", "data-couples-y-overflow",
-            "cylinder-kappa-overflow",
+            "cylinder-kappa-overflow", "gumbel-fit-foreign-data",
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -7,8 +7,8 @@ import pytest
 from dsm_geom import numdiff
 from dsm_geom.core import (
     ChartSpec,
+    DataSet,
     GaussianData,
-    MomentData,
     OccupationData,
     RegressionData,
     Tolerances,
@@ -22,6 +22,13 @@ from dsm_geom.core import (
 )
 from dsm_geom.errors import DomainError, MissingStatistic
 from dsm_geom.fit import fit
+from dsm_geom.models.gumbel import (
+    ExponentialData,
+    GumbelData,
+    _digamma,
+    _trigamma,
+    compatible_point,
+)
 
 from conftest import (
     gaussian_kl_closed_form,
@@ -110,7 +117,7 @@ class TestEvaluateDivergence:
             evaluate_divergence(catalogue["gaussian-kl"], GaussianData(0, 1), [0.0, -1.0])
 
     def test_missing_statistic_raises(self, catalogue):
-        bare = MomentData({"mean_x": 0.0, "mean_x2": 2.0, "entropy": 0.0})
+        bare = DataSet({"mean_x": 0.0, "mean_x2": 2.0, "entropy": 0.0})
         with pytest.raises(MissingStatistic):
             evaluate_divergence(catalogue["gce"], bare, [1.0, 0.0])
 
@@ -130,7 +137,7 @@ class TestDivergenceGradient:
     def test_mu_component_closed_form(self, catalogue):
         # E[x] = 0.5 with E[(x-mu)^2] = 1 at theta=(0,1): d_mu D = -0.5
         kl = catalogue["gaussian-kl"]
-        data = MomentData({"mean_x": 0.5, "mean_x2": 1.0 + 2 * 0.0 * 0.5 - 0.0})
+        data = DataSet({"mean_x": 0.5, "mean_x2": 1.0 + 2 * 0.0 * 0.5 - 0.0})
         grad = divergence_gradient(kl, data, [0.0, 1.0])
         assert grad == pytest.approx([-0.5, 0.0], abs=1e-12)
         fd = numdiff.fd_gradient(
@@ -178,9 +185,6 @@ class TestDivergenceHessian:
             assert hess[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gumbel_exponential_member_entry(self, catalogue):
-        from dsm_geom.core import ExponentialData
-        from dsm_geom.models.gumbel import compatible_point
-
         point = compatible_point(1.0)
         hess = divergence_hessian(catalogue["gumbel"], ExponentialData(1.0), point)
         alpha = point[0]
@@ -293,26 +297,45 @@ class TestStatisticQuery:
                     "sum_yy": 26.0,
                 },
             ),
+            (
+                lambda: ExponentialData(2.0),
+                {"mean_x": 0.5, "mean_x2": 0.5, "entropy": 1.0 - math.log(2.0)},
+            ),
+            (
+                lambda: GumbelData(2.0, 0.5),
+                {
+                    "mean_x": 0.5 + 0.5 * np.euler_gamma,
+                    "entropy": 1.0 + np.euler_gamma - math.log(2.0),
+                },
+            ),
         ],
-        ids=["gaussian", "uniform", "twopoint", "vmf", "occupations", "regression"],
+        ids=[
+            "gaussian",
+            "uniform",
+            "twopoint",
+            "vmf",
+            "occupations",
+            "regression",
+            "exponential",
+            "gumbel",
+        ],
     )
     def test_theta_free_providers_are_statistic_tables(self, provider, expected):
         data = provider()
-        assert isinstance(data, MomentData)
+        assert isinstance(data, DataSet)
         assert set(data.moments) == set(expected)
         for statistic_id, value in expected.items():
             assert data.statistic(statistic_id) == pytest.approx(value, rel=1e-14, abs=1e-15)
-            assert data.statistic(statistic_id, np.array([1.0, 2.0])) == data.moments[statistic_id]
         with pytest.raises(MissingStatistic, match="unknown_id"):
             data.statistic("unknown_id")
 
-    def test_parameter_dependent_statistics_need_theta(self):
-        from dsm_geom.core import GumbelData
-
-        data = GumbelData(1.0, 0.0)
-        with pytest.raises(MissingStatistic):
-            data.statistic("exp_shift")
-        value = data.statistic("exp_shift", np.array([1.0, 0.0]))
+    def test_gumbel_divergence_of_a_plain_table_raises(self, catalogue):
+        # the shift integrals depend on the model point: only gumbel's own
+        # fibre data sets answer them, never a table of numbers
+        table = DataSet({"mean_x": 0.5, "mean_x2": 1.25}, label="table")
+        with pytest.raises(MissingStatistic, match="table cannot answer statistic 'exp_shift'"):
+            evaluate_divergence(catalogue["gumbel"], table, [1.0, 0.0])
+        value = GumbelData(1.0, 0.0).shift_integrals(1.0, 0.0)[0]
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_gce_occupancy_oracle(self):
@@ -334,30 +357,22 @@ class TestGumbelSpecialFunctions:
     POINTS = np.concatenate([np.logspace(-12, 2.2, 400), np.linspace(0.5, 30.0, 400)])
 
     def test_digamma_matches_scipy(self, special):
-        from dsm_geom.core import _digamma
-
         want = special.digamma(self.POINTS)
         got = np.array([_digamma(float(x)) for x in self.POINTS])
         # absolute near the root of psi at 1.4616, relative elsewhere
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
 
     def test_trigamma_matches_scipy(self, special):
-        from dsm_geom.core import _trigamma
-
         want = special.polygamma(1, self.POINTS)
         got = np.array([_trigamma(float(x)) for x in self.POINTS])
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
     def test_digamma_at_integers_is_scipy_bit_for_bit(self, special):
         # every gumbel fibre member is evaluated at 1 + s = 2 exactly
-        from dsm_geom.core import _digamma
-
         for n in range(1, 11):
             assert _digamma(float(n)) == special.digamma(float(n)), n
 
     def test_gamma_overflow_is_inf(self):
-        from dsm_geom.core import GumbelData
-
         # Gamma(1001) overflows: inf, as scipy gives it, and no OverflowError
-        value = GumbelData(1e-3, 0.0).statistic("exp_shift", [1.0, 0.0])
+        value = GumbelData(1e-3, 0.0).shift_integrals(1.0, 0.0)[0]
         assert isinstance(value, np.float64) and value == math.inf

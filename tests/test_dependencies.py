@@ -90,3 +90,78 @@ def test_every_imported_name_is_read_or_exported():
         for line, name in unused_imports(path.read_text())
     ]
     assert not unused, unused
+
+
+def _module_statements(source):
+    """(line, private names it defines, names it reads) of each module-level
+    statement.  A private name starts with one underscore; a read is a loaded
+    name or attribute."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [
+                sub.id
+                for target in targets
+                for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)
+            ]
+        else:
+            defined = []
+        private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+        reads = {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+        }
+        yield node.lineno, private, reads
+
+
+def dead_private_names(sources):
+    """(module, line, name) of every module-level private def, class or
+    assignment in ``sources`` (module -> source) that no statement of any
+    module reads, its own definition excepted."""
+    statements = [
+        (module, line, private, reads)
+        for module, source in sources.items()
+        for line, private, reads in _module_statements(source)
+    ]
+    return [
+        (module, line, name)
+        for module, line, private, _ in statements
+        for name in private
+        if not any(
+            name in reads
+            for other, other_line, _, reads in statements
+            if (other, other_line) != (module, line)
+        )
+    ]
+
+
+def test_the_dead_helper_scan_sees_reads_from_other_modules_only():
+    sources = {
+        "a": (
+            "_LIMIT, _UNUSED = 1, 2\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Dead:\n"
+            "    pass\n"
+        ),
+        "b": "from a import _helper\nimport a\nvalue = a._helper() + a.__name__\n",
+    }
+    assert dead_private_names(sources) == [
+        ("a", 1, "_UNUSED"),
+        ("a", 4, "_recursive"),
+        ("a", 6, "_Dead"),
+    ]
+
+
+def test_every_private_helper_is_read_in_the_package():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    dead = [f"{module}:{line}: {name}" for module, line, name in dead_private_names(sources)]
+    assert not dead, dead

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dsm_geom.core import (
-    ExponentialData,
+    DataSet,
     GaussianData,
-    MomentData,
     OccupationData,
     RegressionData,
     divergence_gradient,
@@ -14,6 +13,7 @@ from dsm_geom.core import (
 from dsm_geom.errors import NoConvergence, Unsupported
 from dsm_geom.fit import closed_form_fit, fit, fit_from_closed_form
 from dsm_geom.geometry import canonical_chart_for, reparametrized_model
+from dsm_geom.models.gumbel import ExponentialData
 
 from conftest import (
     gce_fit_bisection,
@@ -24,7 +24,7 @@ from conftest import (
 
 class TestFit:
     def test_gaussian_moments(self, catalogue):
-        data = MomentData({"mean_x": 1.5, "mean_x2": 4.0 + 1.5**2})
+        data = DataSet({"mean_x": 1.5, "mean_x2": 4.0 + 1.5**2})
         result = fit(catalogue["gaussian-kl"], data, [0.0, 1.0])
         assert result.converged
         assert result.theta_star == pytest.approx([1.5, 2.0], abs=1e-6)
@@ -37,7 +37,7 @@ class TestFit:
 
     def test_gce_against_bisection_oracle(self, catalogue):
         levels = np.array([1.0, 2.0, 3.0])
-        data = MomentData({"total_count": 1.5, "total_energy": 2.8})
+        data = DataSet({"total_count": 1.5, "total_energy": 2.8})
         result = fit(catalogue["gce"], data, [1.0, 0.0])
         oracle = gce_fit_bisection(levels, 1.5, 2.8)
         assert result.theta_star == pytest.approx(oracle, abs=1e-6)
@@ -96,7 +96,7 @@ class TestClosedFormFit:
         assert theta == pytest.approx([0.7, 1.4], abs=1e-12)
 
     def test_unsupported_without_closed_form(self, catalogue):
-        data = MomentData({"total_count": 1.0, "total_energy": 2.0})
+        data = DataSet({"total_count": 1.0, "total_energy": 2.0})
         with pytest.raises(Unsupported):
             closed_form_fit(catalogue["gce"], data)
 

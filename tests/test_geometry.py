@@ -357,7 +357,7 @@ class TestCramerRao:
 def _synthetic_model(hessian_matrix, degenerate_probes=False):
     """Minimal quadratic model for the error paths."""
     import math
-    from dsm_geom.core import ChartSpec, ModelDefinition, MomentData, ProbePair
+    from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, ProbePair
 
     chart = ChartSpec(
         dim=2,
@@ -374,18 +374,18 @@ def _synthetic_model(hessian_matrix, degenerate_probes=False):
 
     def sampler(theta):
         return [
-            MomentData({"c1": theta[0], "c2": theta[1], "entropy": 0.0})
+            DataSet({"c1": theta[0], "c2": theta[1], "entropy": 0.0})
             for _ in range(3)
         ]
 
     def probes(theta, delta, family):
         if degenerate_probes:
-            same = MomentData({"c1": theta[0], "c2": theta[1], "entropy": 0.0})
+            same = DataSet({"c1": theta[0], "c2": theta[1], "entropy": 0.0})
             return [ProbePair(same, same), ProbePair(same, same)]
-        first = MomentData({"c1": theta[0] + delta, "c2": theta[1], "entropy": 0.0})
-        first_m = MomentData({"c1": theta[0] - delta, "c2": theta[1], "entropy": 0.0})
-        second = MomentData({"c1": theta[0], "c2": theta[1] + delta, "entropy": 0.0})
-        second_m = MomentData({"c1": theta[0], "c2": theta[1] - delta, "entropy": 0.0})
+        first = DataSet({"c1": theta[0] + delta, "c2": theta[1], "entropy": 0.0})
+        first_m = DataSet({"c1": theta[0] - delta, "c2": theta[1], "entropy": 0.0})
+        second = DataSet({"c1": theta[0], "c2": theta[1] + delta, "entropy": 0.0})
+        second_m = DataSet({"c1": theta[0], "c2": theta[1] - delta, "entropy": 0.0})
         return [ProbePair(first, first_m), ProbePair(second, second_m)]
 
     return ModelDefinition(
@@ -417,6 +417,19 @@ class TestErrorPaths:
     def test_degenerate_probes_raise(self):
         model = _synthetic_model(np.eye(2), degenerate_probes=True)
         with pytest.raises(geometry.ProbeSingular):
+            geometry.connection_at(model, [0.0, 0.0])
+
+    def test_extra_probe_pair_raises(self):
+        # a family has one pair per fibre condition: a third pair in 2-D is refused
+        model = _synthetic_model(np.eye(2))
+        probes = model.probe_pairs_fn
+
+        def three_pairs(theta, delta, family):
+            pairs = probes(theta, delta, family)
+            return pairs + pairs[:1]
+
+        model = dataclasses.replace(model, probe_pairs_fn=three_pairs)
+        with pytest.raises(geometry.ProbeSingular, match="3 probe pairs for dimension 2"):
             geometry.connection_at(model, [0.0, 0.0])
 
 
@@ -487,10 +500,7 @@ def _loop_family(model, coords, family):
         rhs[c] = 0.5 * (
             _loop_hessian(model, pair.plus, coords) - _loop_hessian(model, pair.minus, coords)
         )
-    if len(pairs) == n:
-        return np.linalg.solve(probe_matrix, rhs.reshape(n, n * n)).reshape(n, n, n)
-    flat, *_ = np.linalg.lstsq(probe_matrix, rhs.reshape(len(pairs), n * n), rcond=None)
-    return flat.reshape(n, n, n)
+    return np.linalg.solve(probe_matrix, rhs.reshape(n, n * n)).reshape(n, n, n)
 
 
 class TestStackedEvaluation:

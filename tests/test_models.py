@@ -6,9 +6,7 @@ from scipy import integrate
 
 from dsm_geom import models, structure
 from dsm_geom.core import (
-    ExponentialData,
     GaussianData,
-    GumbelData,
     RegressionData,
     VonMisesFisherData,
     divergence_gradient,
@@ -16,7 +14,12 @@ from dsm_geom.core import (
 )
 from dsm_geom.errors import DomainError
 from dsm_geom.fit import fit
-from dsm_geom.models.gumbel import GOLDEN_RATIO, SELF_FIBRE_CONSTANT, compatible_point
+from dsm_geom.models.gumbel import (
+    GOLDEN_RATIO,
+    SELF_FIBRE_CONSTANT,
+    GumbelData,
+    compatible_point,
+)
 
 from conftest import least_squares_fit, random_chart_point, random_dataset
 
@@ -217,7 +220,6 @@ class TestGumbel:
     def test_provider_statistics_by_quadrature(self):
         # the closed-form Gumbel provider against brute-force integrals
         provider = GumbelData(1.3, 0.4)
-        theta = np.array([0.9, -0.2])
 
         def expect(f):
             value, _ = integrate.quad(
@@ -229,10 +231,12 @@ class TestGumbel:
             )
             return value
 
-        assert provider.statistic("exp_shift", theta) == pytest.approx(
-            expect(lambda x: math.exp(-0.9 * (x + 0.2))), rel=1e-8
+        exp_shift, lin, sq = provider.shift_integrals(0.9, -0.2)
+        assert exp_shift == pytest.approx(expect(lambda x: math.exp(-0.9 * (x + 0.2))), rel=1e-8)
+        assert lin == pytest.approx(
+            expect(lambda x: (x + 0.2) * math.exp(-0.9 * (x + 0.2))), rel=1e-8
         )
-        assert provider.statistic("sq_exp_shift", theta) == pytest.approx(
+        assert sq == pytest.approx(
             expect(lambda x: (x + 0.2) ** 2 * math.exp(-0.9 * (x + 0.2))), rel=1e-8
         )
 

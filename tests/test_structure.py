@@ -63,14 +63,14 @@ class TestClassify:
         # members disagree on the weight for u > 0 (condition 4 fails there);
         # the probe pairs are degenerate everywhere (the probe solve fails
         # wherever condition 4 holds)
-        from dsm_geom.core import ChartSpec, ModelDefinition, MomentData, ProbePair
+        from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, ProbePair
 
         def divergence(x, theta):
             delta = np.asarray(theta) - [x.statistic("c1"), x.statistic("c2")]
             return float(0.5 * x.statistic("w") * (delta @ delta))
 
         def data(theta, weight):
-            return MomentData({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
+            return DataSet({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
 
         def sampler(theta):
             return [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)]
@@ -227,8 +227,9 @@ class TestAffineCoordinates:
             def map_gradient(point):
                 # continue the sampled map from the target: cheap and
                 # path-independent on this flat model
-                moved = structure._integrate_affine(conn, [target, point], state.copy())
-                return moved[: n * n].reshape(n, n)
+                path, tol = [target, point], Tolerances().path
+                run = transport._along(structure._affine_rhs, conn, state, path, tol)
+                return run[-1][2][: n * n].reshape(n, n)
 
             hess = np.empty((n, n, n))  # hess[j, a, b] = d_a d_b Theta^j
             for a in range(n):
@@ -295,7 +296,7 @@ class TestMassieu:
 
         def local(point):
             evaluation = geometry.connection_at(cylinder, point, check_consistency=False)
-            return np.concatenate([evaluation.metric.matrix.ravel(), evaluation.omega.ravel()])
+            return evaluation.metric.matrix, evaluation.omega
 
         target, state = np.array([0.4, 1.5]), np.array([0.3, -0.2, 0.7])
         for step in ([1e-4, 0.0], [1e-4, 1.5e-4], [-2e-4, 3e-5]):
