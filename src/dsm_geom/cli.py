@@ -112,6 +112,11 @@ class RunConfig:
             )
         if self.step is not None and self.step <= 0:
             raise ConfigError(f"--step must be > 0, got {self.step}")
+        if self.levels is not None and len(self.levels) > models.gce.MAX_LEVELS:
+            raise ConfigError(
+                f"--levels gives {len(self.levels)} levels, more than the budget "
+                f"of {models.gce.MAX_LEVELS}"
+            )
         try:
             self.tol  # the constructor checks every key and value
         except (DomainError, TypeError) as err:
@@ -260,6 +265,12 @@ def _grid_for(config, model):
             grid = [np.array(point) for point in _point_list(config.grid)]
         else:
             per_axis = int(config.grid)
+            points = per_axis**model.chart.dim  # of the chart grid, before it is built
+            if points > structure.MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"--grid {per_axis} asks for {points} points, more than the budget "
+                    f"of {structure.MAX_GRID_POINTS}"
+                )
             grid = structure.default_grid(model, per_axis) if per_axis >= 1 else []
     except (ValueError, argparse.ArgumentTypeError):
         raise ConfigError(
@@ -349,7 +360,9 @@ def _op_curvature(config, model):
 def _op_classify(config, model):
     grid = _grid_for(config, model)
     report = structure.classify(model, grid, tol=config.tol)
-    return make_document(config, results=report.to_dict(), verdicts=report.verdicts), None
+    return make_document(
+        config, results=dataclasses.asdict(report), verdicts=report.verdicts
+    ), None
 
 
 def _op_affine(config, model):
@@ -435,7 +448,7 @@ def _op_field(config, model):
     return make_document(
         config,
         results={"points": trace.points, "vectors": trace.vectors},
-        residuals={"path_residual": trace.metadata.get("path_residual")},
+        residuals={"path_residual": trace.path_residual},
     ), trace
 
 
@@ -563,7 +576,12 @@ def model_report(model, config: RunConfig) -> dict:
             try:
                 if oracle.connection is not None and model.has_probes:
                     # the connection's condition-4 gate evaluates the metric
-                    found = geometry.connection_at(model, point, tol=tol)
+                    try:
+                        found = geometry.connection_at(model, point, tol=tol)
+                    except HessianStructureViolated:  # a verdict of classify's: compare one family
+                        found = geometry.connection_at(
+                            model, point, check_consistency=False, tol=tol
+                        )
                     gap = geometry._relative_gap(found.omega, oracle.connection(point))
                     oracle_gaps["connection"] = max(oracle_gaps["connection"], gap)
                     g = found.metric.matrix
@@ -577,7 +595,7 @@ def model_report(model, config: RunConfig) -> dict:
                 ) from None
     return make_document(
         config,
-        results={"classification": report.to_dict(), "oracle_comparison": oracle_gaps},
+        results={"classification": dataclasses.asdict(report), "oracle_comparison": oracle_gaps},
         verdicts=report.verdicts,
     )
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, MissingStatistic, NumericalFailure, Unsupported
 
 _LOG_2PI = math.log(2.0 * math.pi)
+PROBE_DELTA = 1e-3  # an off-fibre probe moves a fibre condition by this times its scale
 CENTRAL_FRACTION = 0.6  # share of the sample box spanned by default grids
 
 
@@ -167,10 +168,9 @@ class GaussianData(DataSet):
     def __init__(self, mean: float, std: float):
         if std <= 0:
             raise DomainError("gaussian data needs std > 0")
-        self.mean = float(mean)
-        self.std = float(std)
-        entropy = 0.5 * (1.0 + _LOG_2PI) + math.log(self.std)
-        table = {"mean_x": self.mean, "mean_x2": self.std**2 + self.mean**2, "entropy": entropy}
+        m, s = float(mean), float(std)
+        entropy = 0.5 * (1.0 + _LOG_2PI) + math.log(s)
+        table = {"mean_x": m, "mean_x2": s**2 + m**2, "entropy": entropy}
         super().__init__(table, label=f"gaussian({mean},{std})")
 
 
@@ -180,11 +180,9 @@ class UniformData(DataSet):
     def __init__(self, lo: float, hi: float):
         if not hi > lo:
             raise DomainError("uniform data needs hi > lo")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        m = 0.5 * (self.lo + self.hi)
-        second = (self.hi - self.lo) ** 2 / 12.0 + m**2
-        table = {"mean_x": m, "mean_x2": second, "entropy": math.log(self.hi - self.lo)}
+        width = float(hi) - float(lo)
+        m = 0.5 * (float(lo) + float(hi))
+        table = {"mean_x": m, "mean_x2": width**2 / 12.0 + m**2, "entropy": math.log(width)}
         super().__init__(table, label=f"uniform({lo},{hi})")
 
 
@@ -200,11 +198,9 @@ class TwoPointData(DataSet):
     def __init__(self, center: float, half_spread: float):
         if half_spread <= 0:
             raise DomainError("two-point data needs half_spread > 0")
-        self.center = float(center)
-        self.half_spread = float(half_spread)
-        entropy = 0.5 * (1.0 + _LOG_2PI) + math.log(self.half_spread)
-        second = self.half_spread**2 + self.center**2
-        table = {"mean_x": self.center, "mean_x2": second, "entropy": entropy}
+        c, h = float(center), float(half_spread)
+        entropy = 0.5 * (1.0 + _LOG_2PI) + math.log(h)
+        table = {"mean_x": c, "mean_x2": h**2 + c**2, "entropy": entropy}
         super().__init__(table, label=f"twopoint({center},{half_spread})")
 
 
@@ -221,12 +217,11 @@ class VonMisesFisherData(DataSet):
         norm = float(np.linalg.norm(direction))
         if not norm > 0:
             raise DomainError("vMF direction must be nonzero")
-        self.kappa = float(kappa)
-        self.direction = direction / norm
-        k = self.kappa
+        unit = direction / norm
+        k = float(kappa)
         resultant = 1.0 / math.tanh(k) - 1.0 / k
         log_norm = math.log(4.0 * math.pi * math.sinh(k) / k)
-        table = {f"mean_e{i + 1}": resultant * self.direction[i] for i in range(3)}
+        table = {f"mean_e{i + 1}": resultant * unit[i] for i in range(3)}
         table["entropy"] = log_norm - k * resultant
         super().__init__(table, label=f"vmf({kappa})")
 
@@ -240,15 +235,14 @@ class OccupationData(DataSet):
     """Measured occupation numbers of a finite energy spectrum."""
 
     def __init__(self, occupations: Sequence[float], levels: Sequence[float]):
-        self.occupations = np.asarray(occupations, dtype=float)
-        self.levels = np.asarray(levels, dtype=float)
-        if self.occupations.shape != self.levels.shape or self.occupations.size == 0:
+        occupations = np.asarray(occupations, dtype=float)
+        levels = np.asarray(levels, dtype=float)
+        if occupations.shape != levels.shape or occupations.size == 0:
             raise DomainError("occupations and levels must match and be nonempty")
-        if np.any(self.occupations < 0):
+        if np.any(occupations < 0):
             raise DomainError("occupations must be >= 0")
         super().__init__(
-            occupation_totals(self.occupations, self.levels),
-            label=f"occupations(J={self.levels.size})",
+            occupation_totals(occupations, levels), label=f"occupations(J={levels.size})"
         )
 
 
@@ -299,16 +293,18 @@ class ProbePair:
     minus: DataSet
 
 
-def antithetic_pairs(probe: Callable, steps: Sequence[float], family: int) -> list:
+def antithetic_pairs(probe: Callable, scales: Sequence[float], family: int) -> list:
     """Both probe families from one probe: ``probe(offsets)`` is the data set
     whose n fibre conditions are moved by ``offsets``.
 
-    Family 0 moves condition i alone by ``steps[i]``.  Family 1 halves the
-    steps and moves condition i by its step and each other condition by a
-    third of its step, + after i and - before it; for a model with a
-    Hessian structure the two families give the same connection.  Each
-    pair's minus member is ``probe(-offsets)``.
+    Condition i's step is ``PROBE_DELTA * scales[i]``.  Family 0 moves
+    condition i alone by its step.  Family 1 halves the steps and moves
+    condition i by its step and each other condition by a third of its
+    step, + after i and - before it; for a model with a Hessian structure
+    the two families give the same connection.  Each pair's minus member
+    is ``probe(-offsets)``.
     """
+    steps = [PROBE_DELTA * scale for scale in scales]
     pairs = []
     for i in range(len(steps)):
         plus, minus = [], []
@@ -377,16 +373,16 @@ class ModelDefinition:
     def has_probes(self) -> bool:
         return self.probe_pairs_fn is not None
 
-    def probe_pairs(self, theta, delta: float, family: int = 0) -> list:
+    def probe_pairs(self, theta, family: int = 0) -> list:
         """Off-fibre probe pairs, each perturbing one fibre condition; two
         families (0, 1) are available."""
-        return self._probe_pairs(self.chart.require(theta), delta, family)
+        return self._probe_pairs(self.chart.require(theta), family)
 
-    def _probe_pairs(self, coords, delta, family):
+    def _probe_pairs(self, coords, family):
         # the body of probe_pairs: coords are already checked against the chart
         if self.probe_pairs_fn is None:
             raise Unsupported(f"model {self.name} has no off-fibre probes")
-        return self.probe_pairs_fn(coords, delta, family)
+        return self.probe_pairs_fn(coords, family)
 
     def closed_form_fit(self, x: DataSet) -> np.ndarray:
         if self.closed_form_fit_fn is None:

@@ -23,10 +23,9 @@ class NoConvergence(DsmGeomError):
     ``reason`` is one of ``"max_iter"``, ``"SaddleOrMax"``, ``"stalled"``.
     """
 
-    def __init__(self, message, reason="max_iter", result=None):
+    def __init__(self, message, reason="max_iter"):
         super().__init__(message)
         self.reason = reason
-        self.result = result
 
 
 class Unsupported(DsmGeomError):
@@ -66,14 +65,6 @@ class MetricNotPD(DsmGeomError):
 class NotFlat(DsmGeomError):
     """Path dependence detected where a flat connection was required."""
 
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NotIntegrable(DsmGeomError):
     """The Mayer-Lie system failed its two-path integrability check."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual

@@ -55,7 +55,6 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
                     f"stationary point of {model.name} at {theta.tolist()} is "
                     "not a local minimum",
                     reason="SaddleOrMax",
-                    result=FitResult(theta, value, gnorm, iteration, False),
                 )
             return FitResult(theta, value, gnorm, iteration, True)
         hess = divergence_hessian(model, x, theta)
@@ -78,7 +77,6 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
             raise NoConvergence(
                 f"line search stalled for {model.name} at {theta.tolist()}",
                 reason="stalled",
-                result=FitResult(theta, value, gnorm, iteration, False),
             )
         theta, value = candidate, new_value
     grad = divergence_gradient(model, x, theta)
@@ -88,7 +86,6 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
     raise NoConvergence(
         f"fit of {model.name} did not converge in {MAX_ITER} iterations",
         reason="max_iter",
-        result=FitResult(theta, value, gnorm, MAX_ITER, False),
     )
 
 

@@ -26,7 +26,6 @@ from .errors import (
     Unsupported,
 )
 
-PROBE_DELTA = 1e-3
 PROBE_CONDITION_LIMIT = 1e8
 
 
@@ -118,7 +117,7 @@ def metric_at(
 
 
 def _solve_family(model, coords, family):
-    pairs = model._probe_pairs(coords, PROBE_DELTA, family)
+    pairs = model._probe_pairs(coords, family)
     n = coords.size
     if len(pairs) != n:
         raise ProbeSingular(
@@ -289,8 +288,8 @@ def reparametrized_model(
     def fibre_sampler(z):
         return model.fibre_sampler(inverse(np.asarray(z, dtype=float)))
 
-    def probe_pairs(z, delta, family):
-        return model.probe_pairs(inverse(np.asarray(z, dtype=float)), delta, family)
+    def probe_pairs(z, family):
+        return model.probe_pairs(inverse(np.asarray(z, dtype=float)), family)
 
     return ModelDefinition(
         name=f"{model.name}-reparam",

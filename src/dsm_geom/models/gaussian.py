@@ -45,7 +45,7 @@ def _fibre_members(coords):
     ]
 
 
-def _probe_pairs(coords, delta, family, second_moment):
+def _probe_pairs(coords, family, second_moment):
     """Probes moving the fibre conditions (mean, spread) from (mu, sigma).
 
     ``second_moment(mu, mean, spread)`` is a probe's raw second moment.
@@ -57,7 +57,7 @@ def _probe_pairs(coords, delta, family, second_moment):
         table = {"mean_x": mean, "mean_x2": second_moment(mu, mean, spread)}
         return DataSet(table, label="probe")
 
-    return antithetic_pairs(probe, (delta * sigma, delta * sigma), family)
+    return antithetic_pairs(probe, (sigma, sigma), family)
 
 
 def _central_pinned(mu, mean, spread):

@@ -30,6 +30,10 @@ class _PointTerms(NamedTuple):
     h_sum: float  # sum(h)
 
 
+# the fibre's null-space shift takes a J x J SVD: 3000 levels peak at 170 MB
+MAX_LEVELS = 1000
+
+
 def _occupancies(levels, beta, mu):
     return 1.0 / np.expm1(beta * (levels - mu))
 
@@ -135,7 +139,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         t = 0.5 * min(headroom, 1.0)
         return [member(base), member(base + t * shift), member(base - t * shift)]
 
-    def probe_pairs(coords, delta, family):
+    def probe_pairs(coords, family):
         # the fibre conditions (count lowered, energy raised)
         fibre = point_terms(*coords)
         count, energy = fibre.count, fibre.energy
@@ -144,8 +148,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
             table = {"total_count": count - offsets[0], "total_energy": energy + offsets[1]}
             return DataSet(table, label="probe")
 
-        steps = (delta * max(abs(count), 1.0), delta * max(abs(energy), 1.0))
-        return antithetic_pairs(probe, steps, family)
+        return antithetic_pairs(probe, (max(abs(count), 1.0), max(abs(energy), 1.0)), family)
 
     def oracle_metric(theta):
         beta, mu = theta

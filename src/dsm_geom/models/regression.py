@@ -48,18 +48,18 @@ def _fibre_members(coords):
     ]
 
 
-def _probe_pairs(coords, delta, family):
+def _probe_pairs(coords, family):
     """Probes moving the fibre conditions (sum_xy, sum_y) of three points on the line."""
     a, b = coords
     xs = np.array([0.0, 1.0, 2.0])
     sums = _sums(RegressionData(np.column_stack([xs, a * xs + b])))
-    d = delta * max(abs(sums["sum_yy"]), 1.0)
+    scale = max(abs(sums["sum_yy"]), 1.0)
 
     def probe(offsets):
         moved = {"sum_xy": sums["sum_xy"] + offsets[0], "sum_y": sums["sum_y"] + offsets[1]}
         return DataSet({**sums, **moved}, label="probe")
 
-    return antithetic_pairs(probe, (d, d), family)
+    return antithetic_pairs(probe, (scale, scale), family)
 
 
 def _closed_form_fit(x):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ..core import (
+    PROBE_DELTA,
     ChartSpec,
     ClosedFormOracle,
     DataSet,
@@ -114,15 +115,16 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
             for j in range(3)
         ]
 
-    def probe_pairs(coords, delta, family):
+    def probe_pairs(coords, family):
         u = _sphere_point(coords)
         du_t, du_p = tangents_at(*coords)
         tangents = [du_t, du_p / math.sin(coords[0])]
+        angle = PROBE_DELTA  # along a great circle
         if family == 1:
             plus = (tangents[0] + tangents[1]) / math.sqrt(2.0)
             minus = (tangents[0] - tangents[1]) / math.sqrt(2.0)
             tangents = [plus, minus]
-            delta *= 0.5
+            angle *= 0.5
 
         def great_circle(direction, eps):
             return math.cos(eps) * u + math.sin(eps) * direction
@@ -131,8 +133,8 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         for idx, direction in enumerate(tangents):
             pairs.append(
                 ProbePair(
-                    _moment_data(great_circle(direction, +delta), fibre_entropy, f"gc{idx}+"),
-                    _moment_data(great_circle(direction, -delta), fibre_entropy, f"gc{idx}-"),
+                    _moment_data(great_circle(direction, +angle), fibre_entropy, f"gc{idx}+"),
+                    _moment_data(great_circle(direction, -angle), fibre_entropy, f"gc{idx}-"),
                 )
             )
         return pairs
@@ -245,7 +247,7 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         # smallest cross-entropy over the chart keeps divergences >= 0
         return log_norm(1.0 / vector[2]) - kappa + 1.0
 
-    def probe_pairs(coords, delta, family):
+    def probe_pairs(coords, family):
         # the fibre conditions (phi lowered, e3) on the cylinder surface
         phi, lam = coords
         e3 = 1.0 / lam
@@ -255,7 +257,7 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
             vec = np.array([math.cos(angle), math.sin(angle), e3 + offsets[1]])
             return _moment_data(vec, max_entropy(vec), "cyl-probe")
 
-        return antithetic_pairs(probe, (delta, delta * e3), family)
+        return antithetic_pairs(probe, (1.0, e3), family)
 
     def closed_form_fit(x):
         moments = _moment_vector(x)

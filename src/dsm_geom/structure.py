@@ -31,6 +31,7 @@ from .errors import (
     ProbeSingular,
 )
 from .geometry import (
+    _relative_gap,
     codazzi_residual,
     connection_at,
     connection_field,
@@ -42,6 +43,7 @@ from .geometry import (
 from .transport import _along, _l_path, _segment
 
 CLASSIFY_GRID_PER_AXIS = 5
+MAX_GRID_POINTS = 100 * CLASSIFY_GRID_PER_AXIS**2  # 100 times the default grid
 
 # the Hessian-structure checks: report block, key of the block's value, and
 # the tolerance that value is compared with (also its key in classify's worst)
@@ -55,10 +57,11 @@ _HESSIAN_CHECKS = (
 
 @dataclass
 class GeometryReport:
-    """Aggregated verdicts with the worst residual evidence per check."""
+    """Aggregated verdicts with the worst residual evidence per check;
+    ``dataclasses.asdict`` gives its document."""
 
     model: str
-    grid: list
+    grid: list  # of lists of floats
     tolerances: dict
     condition4: dict = field(default_factory=dict)
     probe_consistency: dict = field(default_factory=dict)
@@ -67,20 +70,6 @@ class GeometryReport:
     codazzi: dict = field(default_factory=dict)
     hessian_structure: str = "not-evaluated"
     exponential_family: str = "not-applicable"
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "grid": [list(map(float, point)) for point in self.grid],
-            "tolerances": self.tolerances,
-            "condition4": self.condition4,
-            "probe_consistency": self.probe_consistency,
-            "torsionless": self.torsionless,
-            "flat": self.flat,
-            "codazzi": self.codazzi,
-            "hessian_structure": self.hessian_structure,
-            "exponential_family": self.exponential_family,
-        }
 
     @property
     def verdicts(self) -> dict:
@@ -124,8 +113,10 @@ def classify(
         raise DomainError(f"classify of {model.name} needs at least one grid point")
     tolerances = asdict(tol)
     del tolerances["path"]  # the affine and Massieu tolerance: no classify check
-    report = GeometryReport(model=model.name, grid=grid, tolerances=tolerances)
-    worst = dict.fromkeys(tolerances, 0.0)
+    report = GeometryReport(
+        model=model.name, grid=[list(map(float, point)) for point in grid], tolerances=tolerances
+    )
+    worst = {}  # the largest value (at least 0) of each check run at some grid point
     worst_points = {}
     failure_evidence = None  # of the worst condition-4 point
     probe_evidence = None  # of the first probe solve that broke down
@@ -134,7 +125,7 @@ def classify(
 
     def track(key, value, point):
         """Keep the first largest value of a check; True when it is this point's."""
-        if value > worst[key]:
+        if value > worst.setdefault(key, 0.0):
             worst[key] = value
             worst_points[key] = [float(c) for c in point]
             return True
@@ -178,10 +169,9 @@ def classify(
         "worst_point": worst_points.get("cond4"),
         "evidence": failure_evidence,
     }
-    evaluated = cond4_ok and model.has_probes
     for block, value_key, key in _HESSIAN_CHECKS:
         entry = {"status": "not-evaluated", value_key: None}
-        if evaluated:
+        if cond4_ok and key in worst:
             entry = {
                 "status": "pass" if worst[key] <= tolerances[key] else "fail",
                 value_key: worst[key],
@@ -190,17 +180,11 @@ def classify(
         setattr(report, block, entry)
     if probe_evidence is not None:
         report.probe_consistency["evidence"] = probe_evidence
-    if cond4_ok and not model.has_probes:
-        report.hessian_structure = "not-evaluated"
-    else:
+    if not cond4_ok or model.has_probes:  # else the default "not-evaluated"
         passed = [getattr(report, block)["status"] == "pass" for block, *_ in _HESSIAN_CHECKS]
         report.hessian_structure = "pass" if all(passed) else "fail"
-    if model.divergence_tag != "kl":
-        report.exponential_family = "not-applicable"
-    elif cond4_ok and report.hessian_structure == "pass":
-        report.exponential_family = "yes"
-    else:
-        report.exponential_family = "no"
+    if model.divergence_tag == "kl":  # else the default "not-applicable"
+        report.exponential_family = "yes" if report.hessian_structure == "pass" else "no"
     return report
 
 
@@ -264,13 +248,11 @@ def affine_coordinates(
         straight = _along(_affine_rhs, conn, seed, [reference, stop], tol.path)[-1][2]
         detour = _along(_affine_rhs, conn, seed, _l_path(reference, stop), tol.path)[-1][2]
         value = straight[n * n :]
-        scale = max(float(np.max(np.abs(value))), 1.0)
-        residual = float(np.max(np.abs(value - detour[n * n :]))) / scale
+        residual = _relative_gap(detour[n * n :], value)
         if residual > tol.path:
             raise NotFlat(
                 f"affine coordinates of {model.name} are path-dependent "
-                f"(residual {residual:.3g}) towards {stop.tolist()}",
-                residual=residual,
+                f"(residual {residual:.3g}) towards {stop.tolist()}"
             )
         values.append(value)
         gradients.append(straight[: n * n].reshape(n, n))
@@ -327,13 +309,11 @@ def massieu(
         stop = model.chart.require(target)
         straight = _along(_massieu_rhs, local, seed, [reference, stop], tol.path)[-1][2]
         detour = _along(_massieu_rhs, local, seed, _l_path(reference, stop), tol.path)[-1][2]
-        scale = max(float(np.max(np.abs(straight))), 1.0)
-        residual = float(np.max(np.abs(straight - detour))) / scale
+        residual = _relative_gap(detour, straight)
         if residual > tol.path:
             raise NotIntegrable(
                 f"Mayer-Lie system of {model.name} is path-dependent "
-                f"(residual {residual:.3g}) towards {stop.tolist()}",
-                residual=residual,
+                f"(residual {residual:.3g}) towards {stop.tolist()}"
             )
         alpha, phi = straight[:n], float(straight[n])
         potentials.append(phi)
@@ -343,8 +323,7 @@ def massieu(
         if hess_res > tol.hessian:
             raise NotIntegrable(
                 f"covariant Hessian of the sampled potential deviates from "
-                f"the metric by {hess_res:.3g} at {stop.tolist()}",
-                residual=hess_res,
+                f"the metric by {hess_res:.3g} at {stop.tolist()}"
             )
         hessian_residuals.append(hess_res)
         curl_residuals.append(curl_res)
@@ -396,7 +375,7 @@ def _verify_massieu(model, local, target, alpha, phi):
     grad = numdiff.fd_gradient(phi_at, target, domain)
     g, omega = at_target
     covariant = plain_hess - np.einsum("cab,c->ab", omega, grad)
-    hess_res = float(np.max(np.abs(covariant - g))) / max(float(np.max(np.abs(g))), 1e-12)
+    hess_res = _relative_gap(covariant, g, floor=1e-12)
     jac = numdiff.fd_jacobian(alpha_at, target, domain)  # jac[b, a] = d_a alpha_b
     curl_res = float(np.max(np.abs(jac - jac.T)))
     return hess_res, curl_res
@@ -456,9 +435,7 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
     metric_fd = numdiff.fd_hessian(lambda b: induced(coords, b), coords, model.chart.domain)
     evaluation = connection_at(model, coords)  # its condition-4 gate gives the metric
     g = evaluation.metric.matrix
-    metric_residual = float(np.max(np.abs(metric_fd - g))) / max(
-        float(np.max(np.abs(g))), 1e-12
-    )
+    metric_residual = _relative_gap(metric_fd, g, floor=1e-12)
 
     def second_slot_hessian(a):
         return divergence_hessian(model, representative(a), coords)
@@ -466,7 +443,5 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
     third = numdiff.fd_jacobian(second_slot_hessian, coords, model.chart.domain)
     ginv = np.linalg.inv(g)
     omega_induced = -np.einsum("ks,ijs->kij", ginv, third)
-    omega = evaluation.omega
-    scale = max(float(np.max(np.abs(omega))), 1.0)
-    connection_residual = float(np.max(np.abs(omega_induced - omega))) / scale
+    connection_residual = _relative_gap(omega_induced, evaluation.omega)
     return metric_residual, connection_residual

@@ -13,7 +13,7 @@ domain is truncated and flagged with ``domain_exit`` instead of raising.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ModelDefinition, Tolerances, as_coords
 from .errors import DomainError, NotFlat, NumericalFailure
-from .geometry import ConnectionField, connection_field
+from .geometry import ConnectionField, _relative_gap, connection_field
 
 DEFAULT_STEP_FRACTION = 1e-3
 MAX_GEODESIC_STEPS = 100_000  # 100 times the default path
@@ -39,14 +39,16 @@ _NODES = 0.5 - 0.5 * np.sin(np.pi * (_FINEST - 2 * np.arange(_FINEST + 1)) / (2 
 
 @dataclass
 class Trace:
-    """Sampled curve output: (t, theta(t)) rows plus optional vectors."""
+    """Sampled curve output: (t, theta(t)) rows plus optional vectors.
 
-    kind: str
+    ``path_residual`` is a covariant-constant field's two-path gap.
+    """
+
     times: np.ndarray
     points: np.ndarray
     vectors: Optional[np.ndarray] = None
     flags: tuple = ()
-    metadata: dict = field(default_factory=dict)
+    path_residual: Optional[float] = None
 
     @property
     def end_point(self) -> np.ndarray:
@@ -130,7 +132,7 @@ def _settle(rhs, local, start, delta, state, limit):
         run = _segment(rhs, local, start, delta, state, count, sampled)
         end = run[-1][1]
         if previous is not None:
-            change = float(np.max(np.abs(end - previous))) / max(float(np.max(np.abs(end))), 1.0)
+            change = _relative_gap(previous, end)
             if change <= limit:
                 break
         previous = end
@@ -252,19 +254,11 @@ def geodesic(
         flags.append("domain_exit")
     states = np.array(states)
     return Trace(
-        kind="geodesic",
         times=np.array(times),
         points=states[:, :n],
         vectors=states[:, n:],
         flags=tuple(flags),
-        metadata={"field": conn.provenance},
     )
-
-
-def _as_waypoints(curve) -> np.ndarray:
-    if isinstance(curve, Trace):
-        return np.asarray(curve.points, dtype=float)
-    return np.array([as_coords(point) for point in curve], dtype=float)
 
 
 def parallel_transport(
@@ -281,7 +275,7 @@ def parallel_transport(
     The field domain is a box, so a path whose way points lie inside it
     stays inside; a way point outside it raises DomainError up front.
     """
-    waypoints = _as_waypoints(curve)
+    waypoints = np.array([as_coords(point) for point in curve], dtype=float)
     if waypoints.shape[0] < 2:
         raise NumericalFailure("transport needs at least two way points")
     conn = connection or connection_field(model)
@@ -301,13 +295,7 @@ def parallel_transport(
         return -np.einsum("jik,i,k->j", omega, delta, vector)
 
     times, points, vectors = zip(*_along(rhs, conn, vector, waypoints, tol.flat))
-    return Trace(
-        kind="parallel_transport",
-        times=np.array(times),
-        points=np.array(points),
-        vectors=np.array(vectors),
-        metadata={"field": conn.provenance},
-    )
+    return Trace(times=np.array(times), points=np.array(points), vectors=np.array(vectors))
 
 
 def covariant_constant_field(
@@ -355,13 +343,11 @@ def covariant_constant_field(
     if worst > tol.flat:
         raise NotFlat(
             f"two transport paths disagree by {worst:.3g}; no covariant-constant "
-            f"field exists for {model.name}",
-            residual=worst,
+            f"field exists for {model.name}"
         )
     return Trace(
-        kind="covariant_field",
         times=np.arange(len(grid_points), dtype=float),
         points=np.array(grid_points),
         vectors=np.array(vectors),
-        metadata={"field": conn.provenance, "path_residual": worst},
+        path_residual=worst,
     )

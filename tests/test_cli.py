@@ -1,13 +1,18 @@
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dsm_geom import cli, geometry, models, structure
+
+# the sha256 of each file of `--model all --op report --seed 42`, as sha256sum writes it
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_seed42.sha256"
 
 
 def run_cli(args, cwd=None, timeout=None):
@@ -260,6 +265,16 @@ class TestCliRuns:
             assert docs[op]["verdicts"] == {"condition4": "fail"}
             assert docs[op]["results"]["evidence"] == docs["metric"]["results"]["evidence"]
 
+    def test_connection_probe_disagreement_is_data(self, tmp_path):
+        # a Hessian-structure failure at the requested point is a verdict too
+        out = tmp_path / "c.json"
+        args = ["--model", "gce", "--op", "connection", "--at", "1,-1", "--tol", "hessian=1e-300"]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdicts"] == {"hessian_structure": "fail"}
+        assert np.array(doc["results"]["family_estimates"]).shape == (2, 2, 2, 2)
+        assert doc["residuals"]["probe_consistency"] > 0
+
     def test_remaining_ops_smoke(self, tmp_path):
         cases = [
             (["--model", "gaussian-kl", "--op", "connection", "--at", "0,2"], "c.json"),
@@ -378,6 +393,28 @@ class TestExitCodes:
         assert result.stderr.startswith("numerical failure:")
         assert result.stderr.count("\n") == 1 and "budget" in result.stderr
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            # 10^6 classify points: about an hour of work, and 10^10 a meshgrid
+            # that does not fit in memory
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", "1000"], "--grid 1000"),
+            (["--model", "gce", "--op", "field", "--start", "1,-1", "--vector", "1,0",
+              "--grid", "100000"], "--grid 100000"),
+            # the fibre's null-space SVD is levels x levels
+            (["--model", "gce", "--levels", ",".join(map(str, range(1, 1002))),
+              "--op", "metric", "--at", "1,-1"], "--levels gives 1001"),
+        ],
+        ids=["classify-grid", "field-grid", "gce-levels"],
+    )
+    def test_over_budget_input_is_one_without_running(self, args, flag, tmp_path):
+        result = run_cli([*args, "--out", str(tmp_path / "x.json")], timeout=20)
+        assert result.returncode == 1
+        assert result.stderr.startswith("config error:")
+        assert result.stderr.count("\n") == 1 and "budget" in result.stderr
+        assert flag in result.stderr
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(
         "args, tight",
@@ -729,6 +766,33 @@ class TestReportAll:
         classify = count(lambda: structure.classify(model, structure.default_grid(model, 2)))
         point = count(lambda: geometry.connection_at(model, [1.0, -1.0]))
         assert report == classify + 5 * point
+
+    def test_report_bytes_match_the_recorded_digests(self, tmp_path, capsys):
+        # a change that moves report bytes on purpose re-records the digests
+        args = ["--model", "all", "--op", "report", "--seed", "42", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        recorded = {}
+        for line in REPORT_DIGESTS.read_text().splitlines():
+            digest, name = line.split()
+            recorded[name] = digest
+        found = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+        }
+        assert found == recorded
+
+    def test_probe_disagreement_is_a_report_verdict(self, tmp_path):
+        # at hessian=1e-15 the gaussian-kl probe families disagree in the last
+        # bits; classify reports that as a verdict, and the report's oracle
+        # comparison used to end the run with exit 2
+        args = ["--model", "gaussian-kl", "--tol", "hessian=1e-15"]
+        assert cli.main([*args, "--op", "report", "--out", str(tmp_path / "r.json")]) == 0
+        assert cli.main([*args, "--op", "classify", "--out", str(tmp_path / "c.json")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        classified = json.loads((tmp_path / "c.json").read_text())
+        assert report["verdicts"] == classified["verdicts"]
+        assert report["verdicts"]["hessian_structure"] == "fail"
+        assert report["results"]["classification"] == classified["results"]
+        assert report["results"]["oracle_comparison"]["connection"] < 1e-6
 
     def test_grid_reaches_every_model(self, tmp_path):
         args = ["--model", "all", "--op", "report", "--grid", "2"]

@@ -6,6 +6,7 @@ import pytest
 
 from dsm_geom import numdiff
 from dsm_geom.core import (
+    PROBE_DELTA,
     ChartSpec,
     DataSet,
     GaussianData,
@@ -242,15 +243,19 @@ class TestAntitheticPairs:
         ],
     )
     def test_offsets_of_each_family(self, steps, family, expected):
-        # family 1 moves condition i by half its step, each later condition by
-        # +1/3 and each earlier one by -1/3 of its half step
+        # the steps and offsets are in units of PROBE_DELTA: the steps are the
+        # scales antithetic_pairs multiplies by it.  Family 1 moves condition i
+        # by half its step, each later condition by +1/3 and each earlier one
+        # by -1/3 of its half step
         pairs = antithetic_pairs(np.array, steps, family)
         plus = np.array([pair.plus for pair in pairs])
         minus = np.array([pair.minus for pair in pairs])
-        assert plus == pytest.approx(np.array(expected), rel=1e-15, abs=0.0)
+        assert plus == pytest.approx(PROBE_DELTA * np.array(expected), rel=1e-15, abs=0.0)
         assert np.array_equal(minus, -plus)
         # family 1 moves each condition by half the step of family 0
-        assert np.array_equal(np.diag(plus), np.asarray(steps) * (0.5 if family else 1.0))
+        assert np.array_equal(
+            np.diag(plus), PROBE_DELTA * np.asarray(steps) * (0.5 if family else 1.0)
+        )
 
 
 _LOG_2PI = math.log(2.0 * math.pi)

@@ -357,7 +357,7 @@ class TestCramerRao:
 def _synthetic_model(hessian_matrix, degenerate_probes=False):
     """Minimal quadratic model for the error paths."""
     import math
-    from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, ProbePair
+    from dsm_geom.core import PROBE_DELTA, ChartSpec, DataSet, ModelDefinition, ProbePair
 
     chart = ChartSpec(
         dim=2,
@@ -378,7 +378,8 @@ def _synthetic_model(hessian_matrix, degenerate_probes=False):
             for _ in range(3)
         ]
 
-    def probes(theta, delta, family):
+    def probes(theta, family):
+        delta = PROBE_DELTA
         if degenerate_probes:
             same = DataSet({"c1": theta[0], "c2": theta[1], "entropy": 0.0})
             return [ProbePair(same, same), ProbePair(same, same)]
@@ -424,8 +425,8 @@ class TestErrorPaths:
         model = _synthetic_model(np.eye(2))
         probes = model.probe_pairs_fn
 
-        def three_pairs(theta, delta, family):
-            pairs = probes(theta, delta, family)
+        def three_pairs(theta, family):
+            pairs = probes(theta, family)
             return pairs + pairs[:1]
 
         model = dataclasses.replace(model, probe_pairs_fn=three_pairs)
@@ -489,7 +490,7 @@ def _loop_metric(model, coords, tol=Tolerances()):
 
 def _loop_family(model, coords, family):
     """One probe family's connection, one pair at a time."""
-    pairs = model.probe_pairs(coords, geometry.PROBE_DELTA, family)
+    pairs = model.probe_pairs(coords, family)
     n = coords.size
     probe_matrix = np.empty((len(pairs), n))
     rhs = np.empty((len(pairs), n, n))

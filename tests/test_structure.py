@@ -75,7 +75,7 @@ class TestClassify:
         def sampler(theta):
             return [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)]
 
-        def probes(theta, delta, family):
+        def probes(theta, family):
             same = data(theta, 1.0)
             return [ProbePair(same, same), ProbePair(same, same)]
 
@@ -125,10 +125,23 @@ class TestClassify:
             catalogue["regression-dlambda"],
             theta_grid=structure.default_grid(catalogue["regression-dlambda"], 2),
         )
-        payload = report.to_dict()
+        payload = dataclasses.asdict(report)
         assert payload["hessian_structure"] == "pass"
         assert payload["condition4"]["status"] == "pass"
 
+
+    def test_check_run_at_no_point_is_not_evaluated(self, catalogue):
+        # every point stops at the probe check; the three checks after it used
+        # to pass with value 0.0 on the curved sphere
+        model = catalogue["vmf-sphere"]
+        grid = structure.default_grid(model, 2)
+        report = structure.classify(model, grid, tol=Tolerances(hessian=1e-300))
+        assert report.probe_consistency["status"] == "fail"
+        assert report.torsionless == {"status": "not-evaluated", "residual": None}
+        assert report.flat == {"status": "not-evaluated", "max_curvature": None}
+        assert report.codazzi == {"status": "not-evaluated", "residual": None}
+        assert report.hessian_structure == "fail"
+        assert report.exponential_family == "no"
 
     def test_empty_grid_raises(self, catalogue):
         # an empty grid used to pass every check without evaluating one

@@ -257,7 +257,7 @@ class TestCovariantConstantField:
             model, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])], connection=conn
         )
         assert len(calls) == 2 * (9 + 8)
-        assert trace.metadata["path_residual"] < 1e-12
+        assert trace.path_residual < 1e-12
 
 
 class TestSegmentSampling:
@@ -316,4 +316,3 @@ class TestTraceFormat:
         assert np.all(np.diff(trace.times) > 0)
         for point in trace.points:
             assert catalogue["gce"].chart.contains(point)
-        assert trace.kind == "geodesic"
