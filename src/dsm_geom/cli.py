@@ -127,9 +127,6 @@ class RunConfig:
     def tol(self) -> Tolerances:
         return Tolerances(**self.tolerances)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def build_model(self):
         given = {name: getattr(self, name) for name in models.options(self.model)}
         given = {name: value for name, value in given.items() if value is not None}
@@ -208,7 +205,7 @@ def make_document(config, results, residuals=None, verdicts=None):
         "schema_version": SCHEMA_VERSION,
         "model": config.model,
         "op": config.op,
-        "inputs": _jsonable(config.to_dict()),
+        "inputs": _jsonable(dataclasses.asdict(config)),
         "results": _jsonable(results),
         "residuals": _jsonable(residuals or {}),
         "verdicts": _jsonable(verdicts or {}),
@@ -289,16 +286,7 @@ def _grid_for(config, model):
 def _op_fit(config, model):
     data = parse_data_spec(config.data)
     result = fit(model, data, config.start)
-    return make_document(
-        config,
-        results={
-            "theta_star": result.theta_star,
-            "divergence_value": result.divergence_value,
-            "gradient_norm": result.gradient_norm,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-    ), None
+    return make_document(config, results=dataclasses.asdict(result)), None
 
 
 def _condition4_failure(config, model, err):

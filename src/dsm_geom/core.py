@@ -48,16 +48,21 @@ class ChartSpec:
     ``domain`` bounds are open (exclusive); infinities are allowed.
     ``sample_box`` is a finite sub-box used for random sampling and
     default grids, so boundary-sensitive stencils stay well inside the
-    chart (e.g. the sphere chart keeps 0.05 away from the poles).
+    chart (e.g. the sphere chart keeps 0.05 away from the poles).  The
+    chart's dimension is the number of domain bounds; ``names`` and
+    ``sample_box`` carry one entry per axis.
     """
 
-    dim: int
     domain: tuple
     names: tuple
     sample_box: tuple
 
+    @property
+    def dim(self) -> int:
+        return len(self.domain)
+
     def __post_init__(self):
-        if self.dim < 1 or len(self.domain) != self.dim or len(self.names) != self.dim:
+        if self.dim < 1 or len(self.names) != self.dim or len(self.sample_box) != self.dim:
             raise DomainError("inconsistent chart specification")
         for (lo, hi), (slo, shi) in zip(self.domain, self.sample_box):
             if not (lo < hi and slo < shi and lo <= slo and shi <= hi):
@@ -329,11 +334,14 @@ class ClosedFormOracle:
     connection: Optional[Callable] = None
     affine_map: Optional[Callable] = None
     affine_inverse: Optional[Callable] = None
-    massieu_chart: Optional[Callable] = None
     massieu_affine: Optional[Callable] = None
     connection_domain: Optional[tuple] = None
     geodesic: Optional[Callable] = None
     covariant_field: Optional[Callable] = None
+
+    def massieu_chart(self, theta) -> float:
+        """The Massieu potential at a chart point, through the affine coordinates."""
+        return self.massieu_affine(self.affine_map(theta))
 
 
 @dataclass

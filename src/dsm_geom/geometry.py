@@ -55,7 +55,6 @@ class CurvatureTensor:
 class MetricField:
     evaluate: Callable
     provenance: str
-    domain: tuple
 
     def __call__(self, theta):
         return self.evaluate(as_coords(theta))
@@ -174,7 +173,6 @@ def metric_field(model: ModelDefinition, tol: Tolerances = Tolerances()) -> Metr
     return MetricField(
         evaluate=lambda coords: metric_at(model, coords, tol=tol).matrix,
         provenance="fibre-evaluated",
-        domain=model.chart.domain,
     )
 
 
@@ -332,32 +330,20 @@ def canonical_chart_for(model: ModelDefinition) -> ChartSpec:
             wide_hi = 1e-3 * h
         domain.append((wide_lo, wide_hi))
     return ChartSpec(
-        dim=model.chart.dim,
         domain=tuple(domain),
         names=tuple(f"z{i+1}" for i in range(model.chart.dim)),
         sample_box=tuple((l, h) for l, h in zip(lo, hi)),
     )
 
 
-def metric_transform_check(
-    model: ModelDefinition, theta, maps=None, target_chart: Optional[ChartSpec] = None
-) -> float:
-    """Tensor-transformation residual of the metric under a chart change.
-
-    ``maps`` is a (forward, inverse) pair; by default the model's affine
-    coordinates and the canonical chart they span.  Both sides are
-    evaluated numerically and compared through an FD Jacobian.
+def metric_transform_check(model: ModelDefinition, theta) -> float:
+    """Tensor-transformation residual of the metric under the change to the
+    model's affine coordinates and the canonical chart they span.  Both
+    sides are evaluated numerically and compared through an FD Jacobian.
     """
+    target_chart = canonical_chart_for(model)
     coords = model.chart.require(theta)
-    if maps is None:
-        if model.oracle is None or model.oracle.affine_map is None:
-            raise Unsupported(f"model {model.name} declares no affine coordinates")
-        forward, inverse = model.oracle.affine_map, model.oracle.affine_inverse
-        target_chart = target_chart or canonical_chart_for(model)
-    else:
-        forward, inverse = maps
-        if target_chart is None:
-            raise Unsupported("custom chart maps need an explicit target chart")
+    forward, inverse = model.oracle.affine_map, model.oracle.affine_inverse
     # both sides go through the same FD path (the target has no model
     # derivatives) so the residual measures the transformation property alone
     divergence_only = replace(model, gradient_fn=None, hessian_fn=None)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ..core import (
+    _LOG_2PI,
     ChartSpec,
     ClosedFormOracle,
     DataSet,
@@ -18,10 +19,7 @@ from ..core import (
 )
 from ..errors import DomainError
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 _CHART = ChartSpec(
-    dim=2,
     domain=((-math.inf, math.inf), (0.0, math.inf)),
     names=("mu", "sigma"),
     sample_box=((-2.0, 2.0), (0.5, 3.0)),
@@ -132,17 +130,12 @@ def gaussian_kl() -> ModelDefinition:
         t1, t2 = canonical
         return t2**2 / (4.0 * t1) + 0.5 * math.log(math.pi / t1)
 
-    def massieu_chart(theta):
-        mu, sigma = theta
-        return mu**2 / (2.0 * sigma**2) + 0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
-
     oracle = ClosedFormOracle(
         metric=oracle_metric,
         connection=oracle_connection,
         affine_map=affine_map,
         affine_inverse=affine_inverse,
         massieu_affine=massieu_affine,
-        massieu_chart=massieu_chart,
     )
 
     return ModelDefinition(
@@ -229,17 +222,12 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         e1, e2 = expectation
         return 0.5 * inv_mu02 * e1**2 + 0.25 * inv_s04 * e2**2
 
-    def massieu_chart(theta):
-        mu, sigma = theta
-        return 0.5 * inv_mu02 * mu**2 + 0.25 * inv_s04 * (mu**2 + sigma**2) ** 2
-
     oracle = ClosedFormOracle(
         metric=oracle_metric,
         connection=oracle_connection,
         affine_map=affine_map,
         affine_inverse=affine_inverse,
         massieu_affine=massieu_affine,
-        massieu_chart=massieu_chart,
     )
 
     return ModelDefinition(

@@ -73,7 +73,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         steps = np.abs(shift[moving])
 
     chart = ChartSpec(
-        dim=2,
         domain=((0.0, math.inf), (-math.inf, eps_min)),
         names=("beta", "mu"),
         sample_box=((0.5, 3.0), (eps_min - 3.0, eps_min - 0.1)),
@@ -181,9 +180,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         t1, t2 = canonical
         return float(-np.log(-np.expm1(-t1 * levels - t2)).sum())
 
-    def massieu_chart(theta):
-        return _log_partition(levels, theta[0], theta[1])
-
     def closed_geodesic(theta0, velocity, t):
         beta0, mu0 = theta0
         v_beta, v_mu = velocity
@@ -203,7 +199,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         affine_map=affine_map,
         affine_inverse=affine_inverse,
         massieu_affine=massieu_affine,
-        massieu_chart=massieu_chart,
         # the closed-form connection 1/beta is smooth for all mu, and its
         # geodesics legitimately cross mu = min(levels)
         connection_domain=((0.0, math.inf), (-math.inf, math.inf)),

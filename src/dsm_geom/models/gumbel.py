@@ -25,7 +25,6 @@ GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
 SELF_FIBRE_CONSTANT = EULER_GAMMA**2 - 2.0 * EULER_GAMMA + math.pi**2 / 6.0
 
 _CHART = ChartSpec(
-    dim=2,
     domain=((0.0, math.inf), (-math.inf, math.inf)),
     names=("alpha", "mu"),
     sample_box=((0.8, 3.3), (-1.0, 1.0)),

@@ -16,7 +16,6 @@ from ..core import (
 from ..errors import DomainError
 
 _CHART = ChartSpec(
-    dim=2,
     domain=((-math.inf, math.inf), (-math.inf, math.inf)),
     names=("a", "b"),
     sample_box=((-3.0, 3.0), (-3.0, 3.0)),
@@ -166,7 +165,6 @@ def regression_dlambda(lam: float = 1.0) -> ModelDefinition:
         affine_map=identity,
         affine_inverse=identity,
         massieu_affine=massieu,
-        massieu_chart=massieu,
     )
 
     return ModelDefinition(

@@ -6,15 +6,7 @@ import math
 
 import numpy as np
 
-from ..core import (
-    PROBE_DELTA,
-    ChartSpec,
-    ClosedFormOracle,
-    DataSet,
-    ModelDefinition,
-    ProbePair,
-    antithetic_pairs,
-)
+from ..core import ChartSpec, ClosedFormOracle, DataSet, ModelDefinition, antithetic_pairs
 from ..errors import DomainError
 
 
@@ -78,7 +70,6 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
     fibre_entropy = log_norm - kappa  # cross-entropy at the projection
 
     chart = ChartSpec(
-        dim=2,
         domain=((0.0, math.pi), (-math.inf, math.inf)),
         names=("theta", "phi"),
         sample_box=((0.05, math.pi - 0.05), (-math.pi, math.pi)),
@@ -116,28 +107,19 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         ]
 
     def probe_pairs(coords, family):
+        # the fibre conditions are the moment vector's angles along the
+        # orthonormal tangents; a probe moves it along a great circle
         u = _sphere_point(coords)
         du_t, du_p = tangents_at(*coords)
-        tangents = [du_t, du_p / math.sin(coords[0])]
-        angle = PROBE_DELTA  # along a great circle
-        if family == 1:
-            plus = (tangents[0] + tangents[1]) / math.sqrt(2.0)
-            minus = (tangents[0] - tangents[1]) / math.sqrt(2.0)
-            tangents = [plus, minus]
-            angle *= 0.5
+        across = du_p / math.sin(coords[0])
 
-        def great_circle(direction, eps):
-            return math.cos(eps) * u + math.sin(eps) * direction
+        def probe(offsets):
+            angle = math.hypot(offsets[0], offsets[1])
+            direction = (offsets[0] / angle) * du_t + (offsets[1] / angle) * across
+            vec = math.cos(angle) * u + math.sin(angle) * direction
+            return _moment_data(vec, fibre_entropy, "great-circle-probe")
 
-        pairs = []
-        for idx, direction in enumerate(tangents):
-            pairs.append(
-                ProbePair(
-                    _moment_data(great_circle(direction, +angle), fibre_entropy, f"gc{idx}+"),
-                    _moment_data(great_circle(direction, -angle), fibre_entropy, f"gc{idx}-"),
-                )
-            )
-        return pairs
+        return antithetic_pairs(probe, (1.0, 1.0), family)
 
     def closed_form_fit(x):
         moments = _moment_vector(x)
@@ -193,7 +175,6 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     log_i0 = math.log(normaliser)
 
     chart = ChartSpec(
-        dim=2,
         domain=((-math.pi, math.pi), (0.0, math.inf)),
         names=("phi", "lambda"),
         sample_box=((-2.5, 2.5), (0.5, 3.0)),
@@ -243,10 +224,6 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
             for j in range(3)
         ]
 
-    def max_entropy(vector):
-        # smallest cross-entropy over the chart keeps divergences >= 0
-        return log_norm(1.0 / vector[2]) - kappa + 1.0
-
     def probe_pairs(coords, family):
         # the fibre conditions (phi lowered, e3) on the cylinder surface
         phi, lam = coords
@@ -255,7 +232,8 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         def probe(offsets):
             angle = phi - offsets[0]
             vec = np.array([math.cos(angle), math.sin(angle), e3 + offsets[1]])
-            return _moment_data(vec, max_entropy(vec), "cyl-probe")
+            # the smallest cross-entropy over the chart keeps divergences >= 0
+            return _moment_data(vec, fibre_entropy(1.0 / vec[2]), "cyl-probe")
 
         return antithetic_pairs(probe, (1.0, e3), family)
 
@@ -283,7 +261,6 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         affine_map=identity,
         affine_inverse=identity,
         massieu_affine=massieu,
-        massieu_chart=massieu,
     )
 
     return ModelDefinition(

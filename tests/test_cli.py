@@ -130,7 +130,7 @@ class TestDocuments:
     def test_inputs_record_the_option_defaults(self):
         # an op rejects an option it does not read only when given; inputs record every default
         config = cli.config_from_args(["--model", "gce", "--op", "connection", "--at", "1,-1"])
-        inputs = config.to_dict()
+        inputs = dataclasses.asdict(config)
         assert [inputs[name] for name in ("grid", "field_source")] == ["default", "fibre"]
 
     def test_unknown_report_fields_rejected(self, tmp_path):
@@ -196,6 +196,26 @@ class TestCliRuns:
         assert final[2] == pytest.approx(-0.75, abs=1e-6)
         doc = json.loads((tmp_path / "g.json").read_text())
         assert doc["results"]["end_point"][1] == pytest.approx(-0.75, abs=1e-6)
+
+    def test_oracle_geodesic_stops_where_it_leaves_the_field_domain(self, tmp_path):
+        # beta = 1 - 2t reaches 0 at t = 0.5: the step that lands there ends the trace
+        out = tmp_path / "g.csv"
+        args = ["--model", "gce", "--op", "geodesic", "--field", "oracle", "--start", "1,-1",
+                "--velocity=-2,0", "--t", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        results = json.loads((tmp_path / "g.json").read_text())["results"]
+        assert results["flags"] == ["domain_exit"]
+        assert results["samples"] == 500
+        assert 0.0 < results["end_point"][0] < 0.01
+
+    def test_field_keeps_the_seed_vector_at_its_base_point(self, tmp_path):
+        out = tmp_path / "f.json"
+        args = ["--model", "gce", "--op", "field", "--start", "1,-1", "--vector", "1,0",
+                "--grid", "1,-1;1.5,-1;1.2,-1.3", "--out", str(out)]
+        assert cli.main(args) == 0
+        vectors = json.loads(out.read_text())["results"]["vectors"]
+        assert vectors[0] == [1.0, 0.0]
+        assert vectors[2] == pytest.approx([1.0, 0.25], abs=1e-6)
 
     def test_trace_csv_has_17_significant_digits(self, tmp_path):
         out = tmp_path / "g.csv"

@@ -95,6 +95,17 @@ class TestChartSpec:
         with pytest.raises(DomainError):
             catalogue["gumbel"].chart.require([-1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "names, sample_box",
+        [(("a", "b"), ((0.2, 0.8),)), (("a",), ((0.2, 0.8), (-1.0, 1.0)))],
+        ids=["short-sample-box", "short-names"],
+    )
+    def test_every_axis_has_a_name_and_a_sample_range(self, names, sample_box):
+        # the dimension is the domain's length; a short sample box would
+        # draw axis 1 from axis 0's bounds and give 1-D grid points
+        with pytest.raises(DomainError, match="inconsistent"):
+            ChartSpec(domain=((0.0, 1.0), (-5.0, 5.0)), names=names, sample_box=sample_box)
+
 
 class TestEvaluateDivergence:
     def test_self_divergence_vanishes(self, catalogue):

@@ -165,3 +165,28 @@ def test_every_private_helper_is_read_in_the_package():
     }
     dead = [f"{module}:{line}: {name}" for module, line, name in dead_private_names(sources)]
     assert not dead, dead
+
+
+
+def named(source):
+    """(line, name) of every name a module imports, reads or reads as an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_models_leave_the_probe_design_to_core():
+    # a model hands its probe to core.antithetic_pairs, which alone builds the
+    # pairs and knows the probe step
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((PACKAGE / "models").glob("*.py"))
+        for line, name in named(path.read_text())
+        if name in ("ProbePair", "PROBE_DELTA")
+    ]
+    assert not found, found

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from dsm_geom import models, structure
 from dsm_geom.core import (
+    PROBE_DELTA,
     GaussianData,
     RegressionData,
     VonMisesFisherData,
@@ -153,6 +154,23 @@ class TestVonMisesFisher:
         assert cylinder.oracle.metric([0.0, 2.0]) == pytest.approx(np.diag([3.0, 0.25]))
         assert np.max(np.abs(cylinder.oracle.connection([0.3, 1.0]))) == 0.0
         assert cylinder.oracle.massieu_chart([1.0, 1.0]) == pytest.approx(1.5)
+
+    def test_sphere_family_0_probes_walk_great_circles(self, catalogue, rng):
+        # condition i's pair is cos(delta) u +- sin(delta) t_i, t_i the unit tangents
+        model = catalogue["vmf-sphere"]
+        c, s = math.cos(PROBE_DELTA), math.sin(PROBE_DELTA)
+        for _ in range(5):
+            t, p = random_chart_point(model, rng)
+            u = np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
+            tangents = [
+                np.array([math.cos(t) * math.cos(p), math.cos(t) * math.sin(p), -math.sin(t)]),
+                np.array([-math.sin(t) * math.sin(p), math.sin(t) * math.cos(p), 0.0])
+                / math.sin(t),
+            ]
+            for pair, tangent in zip(model.probe_pairs([t, p], family=0), tangents):
+                for member, sign in ((pair.plus, 1.0), (pair.minus, -1.0)):
+                    moments = [member.statistic(f"mean_e{k}") for k in (1, 2, 3)]
+                    assert np.array_equal(moments, c * u + (sign * s) * tangent)
 
     def test_vmf_provider_moments(self):
         data = VonMisesFisherData(2.0, [0.0, 0.0, 1.0])

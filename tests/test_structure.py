@@ -82,7 +82,6 @@ class TestClassify:
         model = ModelDefinition(
             name="split",
             chart=ChartSpec(
-                dim=2,
                 domain=((-math.inf, math.inf), (-math.inf, math.inf)),
                 names=("u", "v"),
                 sample_box=((-1.0, 1.0), (-1.0, 1.0)),
