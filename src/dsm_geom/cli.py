@@ -31,7 +31,6 @@ from .errors import (
     Condition4Violated,
     DomainError,
     DsmGeomError,
-    HessianStructureViolated,
     MissingStatistic,
     NumericalFailure,
     Unsupported,
@@ -291,7 +290,7 @@ def _op_fit(config, model):
 
 def _condition4_failure(config, model, err):
     # a condition-4 failure at the requested point is a verdict, not an error
-    evidence = structure.condition4_evidence(model, config.at, err)
+    evidence = structure.condition4_evidence(model, err)
     return make_document(
         config, results={"evidence": evidence}, verdicts={"condition4": "fail"}
     ), None
@@ -315,18 +314,15 @@ def _op_connection(config, model):
         evaluation = geometry.connection_at(model, config.at, tol=config.tol)
     except Condition4Violated as err:
         return _condition4_failure(config, model, err)
-    except HessianStructureViolated as err:
-        return make_document(
-            config,
-            results={"family_estimates": [est.tolist() for est in err.family_estimates]},
-            residuals={"probe_consistency": err.deviation},
-            verdicts={"hessian_structure": "fail"},
-        ), None
+    if evaluation.probe_consistency > config.tol.hessian:
+        results, verdict = {"family_estimates": [f.tolist() for f in evaluation.families]}, "fail"
+    else:
+        results, verdict = {"connection": evaluation.omega}, "pass"
     return make_document(
         config,
-        results={"connection": evaluation.omega},
+        results=results,
         residuals={"probe_consistency": evaluation.probe_consistency},
-        verdicts={"hessian_structure": "pass"},
+        verdicts={"hessian_structure": verdict},
     ), None
 
 
@@ -563,13 +559,9 @@ def model_report(model, config: RunConfig) -> dict:
         for point in model.chart.random_points(np.random.default_rng(config.seed), 5):
             try:
                 if oracle.connection is not None and model.has_probes:
-                    # the connection's condition-4 gate evaluates the metric
-                    try:
-                        found = geometry.connection_at(model, point, tol=tol)
-                    except HessianStructureViolated:  # a verdict of classify's: compare one family
-                        found = geometry.connection_at(
-                            model, point, check_consistency=False, tol=tol
-                        )
+                    # the connection's condition-4 gate evaluates the metric; a
+                    # probe-family disagreement is classify's verdict, not this one's
+                    found = geometry.connection_at(model, point, tol=tol)
                     gap = geometry._relative_gap(found.omega, oracle.connection(point))
                     oracle_gaps["connection"] = max(oracle_gaps["connection"], gap)
                     g = found.metric.matrix

@@ -18,14 +18,8 @@ class NumericalFailure(DsmGeomError):
 
 
 class NoConvergence(DsmGeomError):
-    """An iterative solver stopped without meeting its tolerance.
-
-    ``reason`` is one of ``"max_iter"``, ``"SaddleOrMax"``, ``"stalled"``.
-    """
-
-    def __init__(self, message, reason="max_iter"):
-        super().__init__(message)
-        self.reason = reason
+    """An iterative solver stopped without meeting its tolerance; the message
+    names the cause."""
 
 
 class Unsupported(DsmGeomError):
@@ -35,23 +29,16 @@ class Unsupported(DsmGeomError):
 class Condition4Violated(DsmGeomError):
     """Fibre members disagree on the divergence Hessian beyond tolerance.
 
-    Carries the evidence so callers can report the failure as data.
+    Carries the evidence, and the point it was measured at, so callers can
+    report the failure as data.
     """
 
-    def __init__(self, message, deviation, member_hessians, member_labels):
+    def __init__(self, message, point, deviation, member_hessians, member_labels):
         super().__init__(message)
+        self.point = point
         self.deviation = deviation
         self.member_hessians = member_hessians
         self.member_labels = member_labels
-
-
-class HessianStructureViolated(DsmGeomError):
-    """Two independent probe families yield different connections."""
-
-    def __init__(self, message, deviation, family_estimates):
-        super().__init__(message)
-        self.deviation = deviation
-        self.family_estimates = family_estimates
 
 
 class ProbeSingular(DsmGeomError):

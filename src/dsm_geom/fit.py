@@ -53,8 +53,7 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
             except np.linalg.LinAlgError:
                 raise NoConvergence(
                     f"stationary point of {model.name} at {theta.tolist()} is "
-                    "not a local minimum",
-                    reason="SaddleOrMax",
+                    "not a local minimum"
                 )
             return FitResult(theta, value, gnorm, iteration, True)
         hess = divergence_hessian(model, x, theta)
@@ -74,19 +73,13 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
         else:
             if arrived:
                 return FitResult(theta, value, gnorm, iteration, True)
-            raise NoConvergence(
-                f"line search stalled for {model.name} at {theta.tolist()}",
-                reason="stalled",
-            )
+            raise NoConvergence(f"line search stalled for {model.name} at {theta.tolist()}")
         theta, value = candidate, new_value
     grad = divergence_gradient(model, x, theta)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= GRAD_TOL or arrived:
         return FitResult(theta, value, gnorm, MAX_ITER, True)
-    raise NoConvergence(
-        f"fit of {model.name} did not converge in {MAX_ITER} iterations",
-        reason="max_iter",
-    )
+    raise NoConvergence(f"fit of {model.name} did not converge in {MAX_ITER} iterations")
 
 
 def closed_form_fit(model: ModelDefinition, x: DataSet) -> np.ndarray:

@@ -24,7 +24,6 @@ from .core import divergence_hessian, evaluate_divergence
 from .errors import (
     Condition4Violated,
     DomainError,
-    HessianStructureViolated,
     MetricNotPD,
     NotFlat,
     NotIntegrable,
@@ -80,10 +79,9 @@ class GeometryReport:
         }
 
 
-def condition4_evidence(model: ModelDefinition, point, err: Condition4Violated) -> dict:
+def condition4_evidence(model: ModelDefinition, err: Condition4Violated) -> dict:
     """Report a condition-4 failure as data: where, how far, which members."""
-    coords = as_coords(point)
-    hessians, labels = err.member_hessians, err.member_labels
+    coords, hessians, labels = err.point, err.member_hessians, err.member_labels
     evidence = {
         "point": coords.tolist(),
         "deviation": err.deviation,
@@ -136,7 +134,7 @@ def classify(
             evaluation = metric_at(model, point, tol=tol)
         except Condition4Violated as err:
             if track("cond4", err.deviation, point):
-                failure_evidence = condition4_evidence(model, point, err)
+                failure_evidence = condition4_evidence(model, err)
             continue
         except (MetricNotPD, ArithmeticError) as err:
             if track("cond4", float("inf"), point):
@@ -147,14 +145,13 @@ def classify(
             continue
         try:
             connection = connection_at(model, point, tol=tol)
-        except HessianStructureViolated as err:
-            track("hessian", err.deviation, point)
-            continue
         except (ProbeSingular, ArithmeticError) as err:
             if track("hessian", float("inf"), point):
                 probe_evidence = {"point": point.tolist(), "error": str(err)}
             continue
         track("hessian", connection.probe_consistency, point)
+        if connection.probe_consistency > tol.hessian:
+            continue
         track("torsion", torsion_residual(connection.omega), point)
         track("flat", curvature_at(model, point, connection=conn).max_abs, point)
         track(
@@ -184,7 +181,9 @@ def classify(
         passed = [getattr(report, block)["status"] == "pass" for block, *_ in _HESSIAN_CHECKS]
         report.hessian_structure = "pass" if all(passed) else "fail"
     if model.divergence_tag == "kl":  # else the default "not-applicable"
-        report.exponential_family = "yes" if report.hessian_structure == "pass" else "no"
+        report.exponential_family = {"pass": "yes", "fail": "no"}.get(
+            report.hessian_structure, "not-evaluated"
+        )
     return report
 
 

@@ -295,6 +295,60 @@ class TestCliRuns:
         assert np.array(doc["results"]["family_estimates"]).shape == (2, 2, 2, 2)
         assert doc["residuals"]["probe_consistency"] > 0
 
+    def test_condition4_evidence_names_the_point_it_was_measured_at(self):
+        # the fibre members disagree only for u > 0: the requested point passes
+        # condition 4, and the curvature's FD stencil steps onto u > 0, where it
+        # fails; the evidence used to carry the requested point
+        from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, antithetic_pairs
+
+        def divergence(x, theta):
+            delta = np.asarray(theta) - [x.statistic("c1"), x.statistic("c2")]
+            return float(0.5 * x.statistic("w") * (delta @ delta))
+
+        def data(theta, weight):
+            return DataSet({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
+
+        def shifted(theta, offsets):
+            return data(np.asarray(theta) + offsets, 1.0)
+
+        model = ModelDefinition(
+            name="split",
+            chart=ChartSpec(
+                domain=((-math.inf, math.inf), (-math.inf, math.inf)),
+                names=("u", "v"),
+                sample_box=((-1.0, 1.0), (-1.0, 1.0)),
+            ),
+            divergence_fn=divergence,
+            fibre_sampler_fn=lambda theta: [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)],
+            probe_pairs_fn=lambda theta, family: antithetic_pairs(
+                lambda offsets: shifted(theta, offsets), (1.0, 1.0), family
+            ),
+        )
+        config = cli.RunConfig(model="split", op="metric", at=[0.0, 0.0])
+        metric, _ = cli._op_metric(config, model)
+        assert metric["verdicts"] == {"condition4": "pass"}
+        curvature, _ = cli._op_curvature(dataclasses.replace(config, op="curvature"), model)
+        assert curvature["verdicts"] == {"condition4": "fail"}
+        point = curvature["results"]["evidence"]["point"]
+        assert point[0] > 0 and point != config.at
+        again, _ = cli._op_metric(dataclasses.replace(config, at=point), model)
+        assert again["results"]["evidence"] == curvature["results"]["evidence"]
+
+    def test_connection_and_classify_decide_the_probe_verdict_alike(self, tmp_path):
+        # the two places that compare the probe-family gap with tol.hessian agree
+        point = ["--model", "gaussian-kl", "--at", "0,1.75"]
+        grid = ["--model", "gaussian-kl", "--grid", "0,1.75"]
+        for tol, verdict in ((["--tol", "hessian=1e-15"], "fail"), ([], "pass")):
+            conn_path, report_path = tmp_path / "conn.json", tmp_path / "classify.json"
+            assert cli.main([*point, *tol, "--op", "connection", "--out", str(conn_path)]) == 0
+            assert cli.main([*grid, *tol, "--op", "classify", "--out", str(report_path)]) == 0
+            conn, report = json.loads(conn_path.read_text()), json.loads(report_path.read_text())
+            probe = report["results"]["probe_consistency"]
+            assert conn["verdicts"] == {"hessian_structure": verdict}
+            assert probe["status"] == verdict
+            assert report["verdicts"]["hessian_structure"] == verdict
+            assert conn["residuals"]["probe_consistency"] == probe["worst"] > 0
+
     def test_remaining_ops_smoke(self, tmp_path):
         cases = [
             (["--model", "gaussian-kl", "--op", "connection", "--at", "0,2"], "c.json"),
@@ -766,26 +820,37 @@ class TestReportAll:
 
     def test_oracle_comparison_evaluates_each_point_once(self):
         # a report costs its classify plus one connection_at per oracle point:
-        # the metric compared with the oracle is that connection's gate
+        # the metric compared with the oracle is that connection's gate, and a
+        # point whose probe families disagree (every one at hessian=1e-15) is
+        # not evaluated a second time
         calls = []
-        model = models.build("gce")
 
-        def hessian(x, theta, inner=model.hessian_fn):
-            calls.append(1)
-            return inner(x, theta)
+        def counted(model):
+            def hessian(x, theta, inner=model.hessian_fn):
+                calls.append(1)
+                return inner(x, theta)
 
-        model = dataclasses.replace(model, hessian_fn=hessian)
-        config = cli.RunConfig(model="gce", op="report", grid="2")
+            return dataclasses.replace(model, hessian_fn=hessian)
 
         def count(action):
             calls.clear()
             action()
             return len(calls)
 
-        report = count(lambda: cli.model_report(model, config))
-        classify = count(lambda: structure.classify(model, structure.default_grid(model, 2)))
-        point = count(lambda: geometry.connection_at(model, [1.0, -1.0]))
-        assert report == classify + 5 * point
+        for name, tolerances in (("gce", {}), ("gaussian-kl", {"hessian": 1e-15})):
+            model = counted(models.build(name))
+            config = cli.RunConfig(model=name, op="report", grid="2", tolerances=tolerances)
+            grid, tol = structure.default_grid(model, 2), config.tol
+            report = count(lambda: cli.model_report(model, config))
+            classify = count(lambda: structure.classify(model, grid, tol=tol))
+            point = count(lambda: geometry.connection_at(model, grid[0], tol=tol))
+            assert report == classify + 5 * point, name
+            oracle_points = model.chart.random_points(np.random.default_rng(config.seed), 5)
+            disagree = [
+                geometry.connection_at(model, p).probe_consistency > tol.hessian
+                for p in oracle_points
+            ]
+            assert disagree == [bool(tolerances)] * 5, name
 
     def test_report_bytes_match_the_recorded_digests(self, tmp_path, capsys):
         # a change that moves report bytes on purpose re-records the digests

@@ -167,6 +167,53 @@ def test_every_private_helper_is_read_in_the_package():
     assert not dead, dead
 
 
+def unread_error_fields(errors_source, others):
+    """(class, line, attribute) of every ``self.<attribute>`` an ``__init__``
+    in ``errors_source`` stores that no source in ``others`` reads."""
+    read = {
+        sub.attr
+        for source in others
+        for sub in ast.walk(ast.parse(source))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return [
+        (cls.name, sub.lineno, sub.attr)
+        for cls in ast.parse(errors_source).body
+        if isinstance(cls, ast.ClassDef)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for sub in ast.walk(init)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "self"
+        and sub.attr not in read
+    ]
+
+
+def test_the_error_field_scan_sees_reads_from_other_modules_only():
+    errors = (
+        "class Failed(Exception):\n"
+        "    def __init__(self, message, point, reason):\n"
+        "        super().__init__(message)\n"
+        "        self.point = point\n"
+        "        self.reason = reason\n"
+        "    def __str__(self):\n"
+        "        return self.reason\n"
+    )
+    reader = "def evidence(err):\n    return err.point\n"
+    assert unread_error_fields(errors, [reader]) == [("Failed", 5, "reason")]
+
+
+def test_every_stored_error_field_is_read_in_the_package():
+    # an exception carries evidence only for a caller that reads it
+    others = [
+        path.read_text() for path in sorted(PACKAGE.rglob("*.py")) if path.name != "errors.py"
+    ]
+    unread = unread_error_fields((PACKAGE / "errors.py").read_text(), others)
+    assert not unread, unread
+
+
 
 def named(source):
     """(line, name) of every name a module imports, reads or reads as an attribute."""

@@ -9,7 +9,6 @@ from dsm_geom import geometry, models, numdiff, structure
 from dsm_geom.core import ChartSpec, GaussianData, ModelDefinition, Tolerances
 from dsm_geom.errors import (
     Condition4Violated,
-    HessianStructureViolated,
     MetricNotPD,
     Unsupported,
 )
@@ -434,6 +433,8 @@ class TestModelWithoutProbes:
         report = structure.classify(model, structure.default_grid(model, 3))
         assert report.condition4["status"] == "pass"
         assert report.hessian_structure == "not-evaluated"
+        # no exponential-family verdict without the Hessian-structure check
+        assert report.exponential_family == "not-evaluated"
 
 
 class TestLeviCivitaOracle:
@@ -521,16 +522,16 @@ class TestStackedEvaluation:
             other = _loop_family(model, point, 1)
             gap = geometry._relative_gap(other, omega)
             single = geometry.connection_at(model, point, check_consistency=False)
+            assert len(single.families) == 1
+            assert np.array_equal(single.families[0], omega)
             assert np.array_equal(single.omega, omega)
+            assert math.isnan(single.probe_consistency)
             assert np.array_equal(single.metric.matrix, mean)
-            try:
-                both = geometry.connection_at(model, point)
-            except HessianStructureViolated as err:
-                assert err.deviation == gap
-                assert all(map(np.array_equal, err.family_estimates, (omega, other)))
-            else:
-                assert both.probe_consistency == gap
-                assert np.array_equal(both.omega, 0.5 * (omega + other))
+            both = geometry.connection_at(model, point)  # a disagreement is a value
+            assert len(both.families) == 2
+            assert all(map(np.array_equal, both.families, (omega, other)))
+            assert np.array_equal(both.omega, 0.5 * (omega + other))
+            assert both.probe_consistency == gap
 
     @pytest.mark.parametrize(
         "name, options",

@@ -56,7 +56,8 @@ class TestClassify:
         for point in structure.default_grid(gumbel):
             with pytest.raises(geometry.Condition4Violated) as caught:
                 geometry.metric_at(gumbel, point)
-            evidence = structure.condition4_evidence(gumbel, point, caught.value)
+            evidence = structure.condition4_evidence(gumbel, caught.value)
+            assert evidence["point"] == list(point)
             assert evidence["varying_ratio"] == pytest.approx(1.6455, abs=1e-4), point
 
     def test_probe_failure_keeps_condition4_evidence(self):
