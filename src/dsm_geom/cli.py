@@ -259,19 +259,21 @@ def _grid_for(config, model):
     try:
         if ";" in config.grid or "," in config.grid:
             grid = [np.array(point) for point in _point_list(config.grid)]
+            points, asks = len(grid), "gives"
         else:
             per_axis = int(config.grid)
-            points = per_axis**model.chart.dim  # of the chart grid, before it is built
-            if points > structure.MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"--grid {per_axis} asks for {points} points, more than the budget "
-                    f"of {structure.MAX_GRID_POINTS}"
-                )
-            grid = structure.default_grid(model, per_axis) if per_axis >= 1 else []
+            grid = None  # a count is charged before the chart grid is built
+            points, asks = per_axis**model.chart.dim, f"{per_axis} asks for"
     except (ValueError, argparse.ArgumentTypeError):
         raise ConfigError(
             f"--grid expects 'default', a count or points 'a,b;c,d', got '{config.grid}'"
         ) from None
+    if points > structure.MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--grid {asks} {points} points, more than the budget of {structure.MAX_GRID_POINTS}"
+        )
+    if grid is None:
+        grid = structure.default_grid(model, per_axis) if per_axis >= 1 else []
     if not grid:
         raise ConfigError(f"--grid '{config.grid}' has no point; a count must be >= 1")
     for point in grid:
@@ -288,19 +290,8 @@ def _op_fit(config, model):
     return make_document(config, results=dataclasses.asdict(result)), None
 
 
-def _condition4_failure(config, model, err):
-    # a condition-4 failure at the requested point is a verdict, not an error
-    evidence = structure.condition4_evidence(model, err)
-    return make_document(
-        config, results={"evidence": evidence}, verdicts={"condition4": "fail"}
-    ), None
-
-
 def _op_metric(config, model):
-    try:
-        evaluation = geometry.metric_at(model, config.at, tol=config.tol)
-    except Condition4Violated as err:
-        return _condition4_failure(config, model, err)
+    evaluation = geometry.metric_at(model, config.at, tol=config.tol)
     return make_document(
         config,
         results={"metric": evaluation.matrix, "members": list(evaluation.member_labels)},
@@ -310,10 +301,7 @@ def _op_metric(config, model):
 
 
 def _op_connection(config, model):
-    try:
-        evaluation = geometry.connection_at(model, config.at, tol=config.tol)
-    except Condition4Violated as err:
-        return _condition4_failure(config, model, err)
+    evaluation = geometry.connection_at(model, config.at, tol=config.tol)
     if evaluation.probe_consistency > config.tol.hessian:
         results, verdict = {"family_estimates": [f.tolist() for f in evaluation.families]}, "fail"
     else:
@@ -326,13 +314,12 @@ def _op_connection(config, model):
     ), None
 
 
+def _connection_field(config, model):
+    return geometry.connection_field(model, source=config.field_source, tol=config.tol)
+
+
 def _op_curvature(config, model):
-    try:
-        tensor = geometry.curvature_at(
-            model, config.at, connection=geometry.connection_field(model, tol=config.tol)
-        )
-    except Condition4Violated as err:
-        return _condition4_failure(config, model, err)
+    tensor = geometry.curvature_at(model, config.at, _connection_field(config, model))
     return make_document(
         config,
         results={"curvature": tensor.components},
@@ -381,18 +368,9 @@ def _op_massieu(config, model):
     ), None
 
 
-def _connection_field(config, model):
-    return geometry.connection_field(model, source=config.field_source, tol=config.tol)
-
-
 def _op_geodesic(config, model):
     trace = transport.geodesic(
-        model,
-        config.start,
-        config.velocity,
-        config.t_end,
-        step=config.step,
-        connection=_connection_field(config, model),
+        _connection_field(config, model), config.start, config.velocity, config.t_end, config.step
     )
     return make_document(
         config,
@@ -407,11 +385,10 @@ def _op_geodesic(config, model):
 
 def _op_transport(config, model):
     trace = transport.parallel_transport(
-        model,
+        _connection_field(config, model),
         [np.array(config.start, dtype=float), np.array(config.end, dtype=float)],
         config.vector,
-        connection=_connection_field(config, model),
-        tol=config.tol,
+        config.tol,
     )
     return make_document(
         config,
@@ -426,8 +403,7 @@ def _op_transport(config, model):
 def _op_field(config, model):
     grid = _grid_for(config, model)
     trace = transport.covariant_constant_field(
-        model, config.start, config.vector, grid,
-        connection=_connection_field(config, model), tol=config.tol,
+        _connection_field(config, model), config.start, config.vector, grid, config.tol
     )
     return make_document(
         config,
@@ -504,6 +480,20 @@ def _point_of(config) -> str:
     return ""
 
 
+def _run_op(config, model):
+    """The op's (document, trace); a condition-4 failure at ``--at`` is a verdict, not an error."""
+    handler, needs, _ = _OPS[config.op]
+    try:
+        return handler(config, model)
+    except Condition4Violated as err:
+        if "at" not in needs:
+            raise
+        evidence = structure.condition4_evidence(model, err)
+        return make_document(
+            config, results={"evidence": evidence}, verdicts={"condition4": "fail"}
+        ), None
+
+
 def run(config: RunConfig) -> int:
     """Execute one operation and write its output files."""
     trace, table = None, None
@@ -517,7 +507,7 @@ def run(config: RunConfig) -> int:
                 model = config.build_model()
                 _check_dims(config, model.chart.dim)
                 started = time.perf_counter()
-                document, trace = _OPS[config.op][0](config, model)
+                document, trace = _run_op(config, model)
                 if config.op != "report":  # a report is deterministic: no wall-clock field
                     document["runtime_ms"] = int((time.perf_counter() - started) * 1000)
                 documents = [(json_path, document)]

@@ -198,13 +198,11 @@ def connection_field(
 def dual_connection_at(
     model: ModelDefinition,
     theta,
-    metric: Optional[MetricField] = None,
-    connection: Optional[ConnectionField] = None,
+    metric: MetricField,
+    connection: ConnectionField,
 ) -> np.ndarray:
     """Coefficients of the connection dual with respect to the metric."""
     coords = model.chart.require(theta)
-    metric = metric or metric_field(model)
-    connection = connection or connection_field(model)
     g = metric(coords)
     ginv = np.linalg.inv(g)
     omega = connection(coords)
@@ -219,11 +217,10 @@ def dual_connection_at(
 def curvature_at(
     model: ModelDefinition,
     theta,
-    connection: Optional[ConnectionField] = None,
+    connection: ConnectionField,
 ) -> CurvatureTensor:
     """Curvature components from field derivatives of the connection."""
     coords = model.chart.require(theta)
-    connection = connection or connection_field(model)
     omega = connection(coords)
     # domega[l, j, k, i] = d_i w^l_jk
     domega = numdiff.fd_jacobian(connection, coords, model.chart.domain)
@@ -239,13 +236,11 @@ def curvature_at(
 def codazzi_residual(
     model: ModelDefinition,
     theta,
-    metric: Optional[MetricField] = None,
-    connection: Optional[ConnectionField] = None,
+    metric: MetricField,
+    connection: ConnectionField,
 ):
     """Residual of the Codazzi-Peterson compatibility equation."""
     coords = model.chart.require(theta)
-    metric = metric or metric_field(model)
-    connection = connection or connection_field(model)
     g = metric(coords)
     omega = connection(coords)
     dg = numdiff.fd_jacobian(metric, coords, model.chart.domain)

@@ -1,13 +1,16 @@
 """Geodesics, parallel transport and covariant-constant fields.
 
-A geodesic's route is not known in advance, so a fixed-step RK4 loop
-(``_integrate``) calls its field at every stage.  Parallel transport and
-the affine-coordinate and Massieu systems of ``structure`` are linear in
-their state along a known piecewise-linear path, so ``_along`` samples
-their position-only coefficients once per segment at nested
-Chebyshev-Lobatto nodes and solves the system at those nodes in integral
-form, one linear solve per level (spectral integration: Greengard, SIAM
-J. Numer. Anal. 28, 1991); a segment that does not settle is halved.
+Every path integrates the connection field it is given; the caller
+builds that field once, with the tolerances of its condition-4 gate, and
+this module never sees a model.  A geodesic's route is not known in
+advance, so a fixed-step RK4 loop (``_integrate``) calls its field at
+every stage.  Parallel transport and the affine-coordinate and Massieu
+systems of ``structure`` are linear in their state along a known
+piecewise-linear path, so ``_along`` samples their position-only
+coefficients once per segment at nested Chebyshev-Lobatto nodes and
+solves the system at those nodes in integral form, one linear solve per
+level (spectral integration: Greengard, SIAM J. Numer. Anal. 28, 1991); a
+segment that does not settle is halved.
 Traces record the sampled curve; a geodesic that leaves the field's
 domain is truncated and flagged with ``domain_exit`` instead of raising.
 """
@@ -19,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ModelDefinition, Tolerances, as_coords
+from .core import Tolerances, as_coords
 from .errors import DomainError, NotFlat, NumericalFailure
-from .geometry import ConnectionField, _relative_gap, connection_field
+from .geometry import ConnectionField, _relative_gap
 
 DEFAULT_STEP_FRACTION = 1e-3
 MAX_GEODESIC_STEPS = 100_000  # 100 times the default path
@@ -198,12 +201,11 @@ def _l_path(start, stop):
 
 
 def geodesic(
-    model: ModelDefinition,
+    connection: ConnectionField,
     theta0,
     v0,
     t_end: float,
     step: Optional[float] = None,
-    connection: Optional[ConnectionField] = None,
 ) -> Trace:
     """Integrate d^2 theta/dt^2 = -omega^k_ij dtheta^i dtheta^j.
 
@@ -214,8 +216,7 @@ def geodesic(
     """
     coords = as_coords(theta0)
     velocity = as_coords(v0)
-    conn = connection or connection_field(model)
-    if not conn.contains(coords):
+    if not connection.contains(coords):
         raise DomainError(f"geodesic start {coords.tolist()} outside field domain")
     if velocity.size != coords.size:
         raise DomainError(
@@ -236,7 +237,7 @@ def geodesic(
 
     def rhs(_, state):
         pos, vel = state[:n], state[n:]
-        omega = conn(pos)
+        omega = connection(pos)
         acc = -np.einsum("kij,i,j->k", omega, vel, vel)
         return np.concatenate([vel, acc])
 
@@ -245,7 +246,7 @@ def geodesic(
     flags = []
     try:
         for t, state in _integrate(rhs, states[0], t_end, steps):
-            if not conn.contains(state[:n]):
+            if not connection.contains(state[:n]):
                 flags.append("domain_exit")
                 break
             times.append(t)
@@ -262,10 +263,9 @@ def geodesic(
 
 
 def parallel_transport(
-    model: ModelDefinition,
+    connection: ConnectionField,
     curve,
     v0,
-    connection: Optional[ConnectionField] = None,
     tol: Tolerances = Tolerances(),
 ) -> Trace:
     """Transport a vector along a piecewise-linear chart path.
@@ -278,11 +278,10 @@ def parallel_transport(
     waypoints = np.array([as_coords(point) for point in curve], dtype=float)
     if waypoints.shape[0] < 2:
         raise NumericalFailure("transport needs at least two way points")
-    conn = connection or connection_field(model)
     for point in waypoints:
-        if not conn.contains(point):
+        if not connection.contains(point):
             raise DomainError(
-                f"transport way point {point.tolist()} outside field domain {conn.domain}"
+                f"transport way point {point.tolist()} outside field domain {connection.domain}"
             )
     vector = as_coords(v0)
     if vector.size != waypoints.shape[1]:
@@ -294,16 +293,15 @@ def parallel_transport(
     def rhs(omega, delta, vector):
         return -np.einsum("jik,i,k->j", omega, delta, vector)
 
-    times, points, vectors = zip(*_along(rhs, conn, vector, waypoints, tol.flat))
+    times, points, vectors = zip(*_along(rhs, connection, vector, waypoints, tol.flat))
     return Trace(times=np.array(times), points=np.array(points), vectors=np.array(vectors))
 
 
 def covariant_constant_field(
-    model: ModelDefinition,
+    connection: ConnectionField,
     theta0,
     v0,
     grid,
-    connection: Optional[ConnectionField] = None,
     tol: Tolerances = Tolerances(),
 ) -> Trace:
     """Extend a vector to a grid by straight-path parallel transport.
@@ -314,18 +312,15 @@ def covariant_constant_field(
     """
     base = as_coords(theta0)
     seed = as_coords(v0)
-    conn = connection or connection_field(model)
     grid_points = [as_coords(point) for point in grid]
     if not grid_points:
-        raise DomainError(
-            f"a covariant-constant field of {model.name} needs at least one grid point"
-        )
+        raise DomainError("a covariant-constant field needs at least one grid point")
     vectors = []
     for target in grid_points:
         if np.allclose(target, base):
             vectors.append(seed.copy())
             continue
-        trace = parallel_transport(model, [base, target], seed, connection=conn, tol=tol)
+        trace = parallel_transport(connection, [base, target], seed, tol)
         vectors.append(trace.end_vector)
     scale = max(float(np.max(np.abs(vectors))), 1.0)
     worst = 0.0
@@ -335,15 +330,13 @@ def covariant_constant_field(
         target = grid_points[index]
         if np.allclose(target, base):
             continue
-        detour = parallel_transport(
-            model, _l_path(base, target), seed, connection=conn, tol=tol
-        )
+        detour = parallel_transport(connection, _l_path(base, target), seed, tol)
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale
         worst = max(worst, gap)
     if worst > tol.flat:
         raise NotFlat(
             f"two transport paths disagree by {worst:.3g}; no covariant-constant "
-            f"field exists for {model.name}"
+            f"field exists for the {connection.provenance} connection"
         )
     return Trace(
         times=np.arange(len(grid_points), dtype=float),

@@ -89,7 +89,7 @@ def test_criterion_4_sphere_vs_cylinder():
         t = point[0]
         assert abs(omega[0, 1, 1] + math.sin(t) * math.cos(t)) < 1e-4
         assert abs(omega[1, 0, 1] - math.cos(t) / math.sin(t)) < 1e-4
-        curvature = geometry.curvature_at(sphere, point)
+        curvature = geometry.curvature_at(sphere, point, geometry.connection_field(sphere))
         assert abs(curvature.components[0, 1, 0, 1] - math.sin(t) ** 2) < 1e-3
     report = structure.classify(sphere, theta_grid=structure.default_grid(sphere, 3))
     assert report.exponential_family == "no"
@@ -119,7 +119,7 @@ def test_criterion_4_sphere_vs_cylinder():
 def test_criterion_5_gce_dynamics(catalogue):
     gce = catalogue["gce"]
     theta0, velocity = [1.0, -1.0], [1.0, 0.5]
-    trace = transport.geodesic(gce, theta0, velocity, 1.0)
+    trace = transport.geodesic(geometry.connection_field(gce), theta0, velocity, 1.0)
     closed = gce.oracle.geodesic(theta0, velocity, 1.0)
     assert np.max(np.abs(trace.end_point - closed)) < 1e-6
     grid = [
@@ -127,7 +127,9 @@ def test_criterion_5_gce_dynamics(catalogue):
         for beta in np.linspace(0.5, 3.0, 6)
         for mu in np.linspace(-2.0, 0.9, 6)
     ]
-    field = transport.covariant_constant_field(gce, [1.0, 0.0], [1.0, 0.0], grid)
+    field = transport.covariant_constant_field(
+        geometry.connection_field(gce), [1.0, 0.0], [1.0, 0.0], grid
+    )
     for point, vector in zip(field.points, field.vectors):
         mu0 = 0.0  # seed (1, 0) at (1, 0) pins the integration constant
         expected = np.array([1.0, (mu0 - point[1]) / point[0]])
@@ -152,12 +154,13 @@ def test_criterion_6_structural_property_suite(catalogue):
     # torsion, flatness, Codazzi for the Hessian-structured models
     for name in HESSIAN_STRUCTURED:
         model = catalogue[name]
+        metric, conn = geometry.metric_field(model), geometry.connection_field(model)
         for _ in range(25):
             point = random_chart_point(model, rng)
             evaluation = geometry.connection_at(model, point)
             assert geometry.torsion_residual(evaluation.omega) <= 1e-3, name
-            assert geometry.curvature_at(model, point).max_abs <= 1e-3, name
-            assert geometry.codazzi_residual(model, point)[1] <= 1e-3, name
+            assert geometry.curvature_at(model, point, conn).max_abs <= 1e-3, name
+            assert geometry.codazzi_residual(model, point, metric, conn)[1] <= 1e-3, name
     # Pythagorean fibre constancy
     for name in HESSIAN_STRUCTURED:
         model = catalogue[name]

@@ -325,13 +325,13 @@ class TestCliRuns:
             ),
         )
         config = cli.RunConfig(model="split", op="metric", at=[0.0, 0.0])
-        metric, _ = cli._op_metric(config, model)
+        metric, _ = cli._run_op(config, model)
         assert metric["verdicts"] == {"condition4": "pass"}
-        curvature, _ = cli._op_curvature(dataclasses.replace(config, op="curvature"), model)
+        curvature, _ = cli._run_op(dataclasses.replace(config, op="curvature"), model)
         assert curvature["verdicts"] == {"condition4": "fail"}
         point = curvature["results"]["evidence"]["point"]
         assert point[0] > 0 and point != config.at
-        again, _ = cli._op_metric(dataclasses.replace(config, at=point), model)
+        again, _ = cli._run_op(dataclasses.replace(config, at=point), model)
         assert again["results"]["evidence"] == curvature["results"]["evidence"]
 
     def test_connection_and_classify_decide_the_probe_verdict_alike(self, tmp_path):
@@ -479,8 +479,13 @@ class TestExitCodes:
             # the fibre's null-space SVD is levels x levels
             (["--model", "gce", "--levels", ",".join(map(str, range(1, 1002))),
               "--op", "metric", "--at", "1,-1"], "--levels gives 1001"),
+            # a point list is charged as a count is: 2601 points, as --grid 51 asks for
+            (["--model", "regression-ls", "--op", "classify", "--grid", ";".join(["0,0"] * 2601)],
+             "--grid gives 2601 points"),
+            (["--model", "gce", "--op", "field", "--start", "1,-1", "--vector", "1,0",
+              "--grid", ";".join(["1,-1"] * 2601)], "--grid gives 2601 points"),
         ],
-        ids=["classify-grid", "field-grid", "gce-levels"],
+        ids=["classify-grid", "field-grid", "gce-levels", "classify-list", "field-list"],
     )
     def test_over_budget_input_is_one_without_running(self, args, flag, tmp_path):
         result = run_cli([*args, "--out", str(tmp_path / "x.json")], timeout=20)

@@ -237,3 +237,42 @@ def test_models_leave_the_probe_design_to_core():
         if name in ("ProbePair", "PROBE_DELTA")
     ]
     assert not found, found
+
+
+def field_fallbacks(source):
+    """(line, name) of every ``x or connection_field(...)`` and ``x or metric_field(...)``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            for value in node.values[1:]:
+                func = value.func if isinstance(value, ast.Call) else None
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("connection_field", "metric_field"):
+                    yield node.lineno, name
+
+
+def test_the_fallback_scan_sees_bare_and_qualified_builders():
+    source = (
+        "def f(model, conn=None, metric=None):\n"
+        "    conn = conn or connection_field(model)\n"
+        "    metric = (metric\n"
+        "              or geometry.metric_field(model))\n"
+        "    return conn or metric or connection_field\n"
+    )
+    assert list(field_fallbacks(source)) == [(2, "connection_field"), (3, "metric_field")]
+
+
+def test_paths_take_a_field_and_no_function_builds_a_hidden_one():
+    # a field built inside a function carries the default tolerances, not the
+    # caller's: transport integrates the field it is given, and a function
+    # that needs a field takes it as an argument
+    found = [
+        f"src/dsm_geom/transport.py:{line}: {name}"
+        for line, name in named((PACKAGE / "transport.py").read_text())
+        if name in ("ModelDefinition", "models", "connection_field")
+    ]
+    found += [
+        f"{path.relative_to(ROOT)}:{line}: or {name}("
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in field_fallbacks(path.read_text())
+    ]
+    assert not found, found

@@ -176,18 +176,25 @@ class TestConnectionAt:
 
 class TestDualConnection:
     def test_dlambda_self_dual_flat(self, catalogue):
-        dual = geometry.dual_connection_at(catalogue["regression-dlambda"], [0.5, -1.0])
+        model = catalogue["regression-dlambda"]
+        dual = geometry.dual_connection_at(
+            model, [0.5, -1.0], geometry.metric_field(model), geometry.connection_field(model)
+        )
         assert np.max(np.abs(dual)) < 1e-6
 
     def test_gaussian_dual_torsionless(self, catalogue):
-        dual = geometry.dual_connection_at(catalogue["gaussian-kl"], [0.0, 1.0])
+        model = catalogue["gaussian-kl"]
+        dual = geometry.dual_connection_at(
+            model, [0.0, 1.0], geometry.metric_field(model), geometry.connection_field(model)
+        )
         assert geometry.torsion_residual(dual) < 1e-4
 
     def test_cylinder_dual_from_duality_formula(self):
         # independent oracle: w*^e_ac = g^{eb} (d_a g_bc - g_dc w^d_ab)
         # with g = diag(kappa, 1/lambda^2) and w = 0 gives -2/lambda
         cylinder = models.build("vmf-cylinder", kappa=1.0)
-        dual = geometry.dual_connection_at(cylinder, [0.3, 2.0])
+        metric, conn = geometry.metric_field(cylinder), geometry.connection_field(cylinder)
+        dual = geometry.dual_connection_at(cylinder, [0.3, 2.0], metric, conn)
         assert dual[1, 1, 1] == pytest.approx(-2.0 / 2.0, abs=1e-4)
         mask = np.ones((2, 2, 2), dtype=bool)
         mask[1, 1, 1] = False
@@ -196,13 +203,14 @@ class TestDualConnection:
 
 class TestCurvature:
     def test_gce_flat(self, catalogue):
-        tensor = geometry.curvature_at(catalogue["gce"], [1.0, 0.2])
+        gce = catalogue["gce"]
+        tensor = geometry.curvature_at(gce, [1.0, 0.2], geometry.connection_field(gce))
         assert tensor.max_abs < 1e-4
 
     def test_sphere_component_against_brute_force(self):
         sphere = models.build("vmf-sphere", kappa=1.0)
         point = np.array([math.pi / 3, 0.0])
-        tensor = geometry.curvature_at(sphere, point)
+        tensor = geometry.curvature_at(sphere, point, geometry.connection_field(sphere))
         assert tensor.components[0, 1, 0, 1] == pytest.approx(
             math.sin(math.pi / 3) ** 2, abs=1e-3
         )
@@ -229,11 +237,13 @@ class TestCurvature:
         assert tensor.components == pytest.approx(brute, abs=1e-3)
 
     def test_zero_connection_model_exact(self, catalogue):
-        tensor = geometry.curvature_at(catalogue["regression-dlambda"], [0.0, 0.0])
+        model = catalogue["regression-dlambda"]
+        tensor = geometry.curvature_at(model, [0.0, 0.0], geometry.connection_field(model))
         assert tensor.max_abs < 1e-10
 
     def test_antisymmetric_in_last_pair(self, catalogue):
-        tensor = geometry.curvature_at(catalogue["gaussian-kl"], [0.3, 1.5])
+        model = catalogue["gaussian-kl"]
+        tensor = geometry.curvature_at(model, [0.3, 1.5], geometry.connection_field(model))
         swapped = np.transpose(tensor.components, (0, 1, 3, 2))
         assert np.max(np.abs(tensor.components + swapped)) < 1e-12
 
@@ -287,26 +297,36 @@ class TestCurvature:
 
 class TestCodazzi:
     def test_cylinder(self, catalogue):
-        _, residual = geometry.codazzi_residual(catalogue["vmf-cylinder"], [0.3, 1.2])
+        model = catalogue["vmf-cylinder"]
+        _, residual = geometry.codazzi_residual(
+            model, [0.3, 1.2], geometry.metric_field(model), geometry.connection_field(model)
+        )
         assert residual < 1e-6
 
     def test_gaussian(self, catalogue):
-        _, residual = geometry.codazzi_residual(catalogue["gaussian-kl"], [0.0, 1.0])
+        model = catalogue["gaussian-kl"]
+        _, residual = geometry.codazzi_residual(
+            model, [0.0, 1.0], geometry.metric_field(model), geometry.connection_field(model)
+        )
         assert residual < 1e-4
 
     def test_constant_metric_zero_connection(self, catalogue):
-        _, residual = geometry.codazzi_residual(catalogue["regression-dlambda"], [0.2, 0.4])
+        model = catalogue["regression-dlambda"]
+        _, residual = geometry.codazzi_residual(
+            model, [0.2, 0.4], geometry.metric_field(model), geometry.connection_field(model)
+        )
         assert residual < 1e-12
 
     def test_hessian_structure_chain(self, catalogue, rng):
         # probe consistency implies flat + Codazzi for Hessian-structured models
         for name in HESSIAN_STRUCTURED:
             model = catalogue[name]
+            metric, conn = geometry.metric_field(model), geometry.connection_field(model)
             for _ in range(3):
                 point = random_chart_point(model, rng)
                 assert geometry.connection_at(model, point).probe_consistency <= 1e-3
-                assert geometry.curvature_at(model, point).max_abs <= 1e-3, name
-                assert geometry.codazzi_residual(model, point)[1] <= 1e-3, name
+                assert geometry.curvature_at(model, point, conn).max_abs <= 1e-3, name
+                assert geometry.codazzi_residual(model, point, metric, conn)[1] <= 1e-3, name
 
 
 class TestMetricTransform:

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import geometry, models, transport
-from dsm_geom.errors import DomainError, NotFlat, NumericalFailure
+from dsm_geom import Tolerances, geometry, models, transport
+from dsm_geom.errors import Condition4Violated, DomainError, NotFlat, NumericalFailure
 
 from conftest import levi_civita_from_metric
 
 
 class TestGeodesic:
     def test_gce_closed_form_endpoint(self, catalogue):
-        trace = transport.geodesic(catalogue["gce"], [1.0, -1.0], [1.0, 0.5], 1.0)
+        trace = transport.geodesic(
+            geometry.connection_field(catalogue["gce"]), [1.0, -1.0], [1.0, 0.5], 1.0
+        )
         assert not trace.flags
         assert trace.end_point[0] == pytest.approx(2.0, abs=1e-9)
         assert trace.end_point[1] == pytest.approx(-0.75, abs=1e-6)
@@ -19,18 +21,24 @@ class TestGeodesic:
         assert trace.end_point == pytest.approx(closed, abs=1e-6)
 
     def test_zero_velocity_is_constant(self, catalogue):
-        trace = transport.geodesic(catalogue["gaussian-kl"], [0.3, 1.2], [0.0, 0.0], 1.0)
+        trace = transport.geodesic(
+            geometry.connection_field(catalogue["gaussian-kl"]), [0.3, 1.2], [0.0, 0.0], 1.0
+        )
         assert np.max(np.abs(trace.points - trace.points[0])) == 0.0
 
     def test_flat_chart_straight_line(self, catalogue):
-        trace = transport.geodesic(catalogue["regression-dlambda"], [0.0, 0.0], [1.0, 2.0], 1.0)
+        trace = transport.geodesic(
+            geometry.connection_field(catalogue["regression-dlambda"]), [0.0, 0.0], [1.0, 2.0], 1.0
+        )
         assert trace.end_point == pytest.approx([1.0, 2.0], abs=1e-12)
 
     def test_sphere_energy_conservation(self):
         # metric-connection oracle: the sphere connection preserves the
         # kinetic energy g(v, v) along its own geodesics
         sphere = models.build("vmf-sphere", kappa=2.0)
-        trace = transport.geodesic(sphere, [1.0, 0.3], [0.2, 0.4], 1.0, step=2e-3)
+        trace = transport.geodesic(
+            geometry.connection_field(sphere), [1.0, 0.3], [0.2, 0.4], 1.0, step=2e-3
+        )
         energies = [
             float(v @ sphere.oracle.metric(p) @ v)
             for p, v in zip(trace.points, trace.vectors)
@@ -45,22 +53,24 @@ class TestGeodesic:
             assert np.max(np.abs(gamma - omega)) < 1e-4
 
     def test_step_halving_changes_little(self, catalogue):
-        gce = catalogue["gce"]
-        coarse = transport.geodesic(gce, [1.0, -1.0], [1.0, 0.5], 1.0, step=2e-3)
-        fine = transport.geodesic(gce, [1.0, -1.0], [1.0, 0.5], 1.0, step=1e-3)
+        conn = geometry.connection_field(catalogue["gce"])
+        coarse = transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 1.0, step=2e-3)
+        fine = transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 1.0, step=1e-3)
         assert np.max(np.abs(coarse.end_point - fine.end_point)) < 1e-6
 
     def test_time_reversal_returns(self, catalogue):
-        gce = catalogue["gce"]
-        forward = transport.geodesic(gce, [1.0, -1.0], [0.8, 0.3], 1.0, step=2e-3)
+        conn = geometry.connection_field(catalogue["gce"])
+        forward = transport.geodesic(conn, [1.0, -1.0], [0.8, 0.3], 1.0, step=2e-3)
         back = transport.geodesic(
-            gce, forward.end_point, -forward.end_vector, 1.0, step=2e-3
+            conn, forward.end_point, -forward.end_vector, 1.0, step=2e-3
         )
         assert np.max(np.abs(back.end_point - np.array([1.0, -1.0]))) < 1e-6
 
     def test_domain_exit_flagged(self, catalogue):
         # driving mu towards min(eps) leaves the numeric field's chart
-        trace = transport.geodesic(catalogue["gce"], [1.0, 0.5], [0.0, 2.0], 1.0)
+        trace = transport.geodesic(
+            geometry.connection_field(catalogue["gce"]), [1.0, 0.5], [0.0, 2.0], 1.0
+        )
         assert "domain_exit" in trace.flags
         assert len(trace.points) < 1001
 
@@ -68,7 +78,7 @@ class TestGeodesic:
         gce = catalogue["gce"]
         conn, calls = counting_oracle_field(gce)
         with pytest.raises(NumericalFailure, match="budget"):
-            transport.geodesic(gce, [1.0, -1.0], [1.0, 0.5], 1.0, step=1e-9, connection=conn)
+            transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 1.0, step=1e-9)
         assert calls == []
 
     @pytest.mark.parametrize("source", ["fibre", "oracle"])
@@ -80,7 +90,7 @@ class TestGeodesic:
         cases = (([1.0, -1.0, 7.0], [1.0, 0.5, 0.0]), ([1.0, -1.0], [1.0, 0.5, 0.0]))
         for start, velocity in cases:
             with pytest.raises(DomainError) as excinfo:
-                transport.geodesic(gce, start, velocity, 1.0, connection=conn)
+                transport.geodesic(conn, start, velocity, 1.0)
             assert "\n" not in str(excinfo.value)
         assert not conn.contains([1.0, -1.0, 7.0])
 
@@ -108,8 +118,7 @@ class TestParallelTransport:
         conn, calls = counting_oracle_field(gce)
         with pytest.raises(DomainError, match="way point"):
             transport.parallel_transport(
-                gce, [np.array([1.0, 0.0]), np.array([-0.5, 0.0])], [1.0, 0.0],
-                connection=conn,
+                conn, [np.array([1.0, 0.0]), np.array([-0.5, 0.0])], [1.0, 0.0]
             )
         assert calls == []
 
@@ -119,8 +128,7 @@ class TestParallelTransport:
         conn, calls = counting_oracle_field(gce)
         with pytest.raises(DomainError, match="3 components, the path 2") as excinfo:
             transport.parallel_transport(
-                gce, [np.array([1.0, 0.0]), np.array([1.5, 0.0])], [1.0, 0.0, 0.0],
-                connection=conn,
+                conn, [np.array([1.0, 0.0]), np.array([1.5, 0.0])], [1.0, 0.0, 0.0]
             )
         assert "\n" not in str(excinfo.value) and calls == []
 
@@ -128,14 +136,14 @@ class TestParallelTransport:
         model = catalogue["gaussian-kl"]
         conn, calls = counting_oracle_field(model)
         a = np.array([0.3, 1.2])
-        trace = transport.parallel_transport(model, [a, a], [0.7, -0.2], connection=conn)
+        trace = transport.parallel_transport(conn, [a, a], [0.7, -0.2])
         assert len(trace.times) == 1 and calls == []
         assert trace.end_point.tolist() == [0.3, 1.2]
         assert trace.end_vector.tolist() == [0.7, -0.2]
 
     def test_zero_connection_keeps_vector(self, catalogue):
         trace = transport.parallel_transport(
-            catalogue["regression-dlambda"],
+            geometry.connection_field(catalogue["regression-dlambda"]),
             [np.array([0.0, 0.0]), np.array([1.5, -2.0])],
             [0.7, 0.3],
         )
@@ -146,10 +154,7 @@ class TestParallelTransport:
         gce = catalogue["gce"]
         oracle_field = geometry.connection_field(gce, source="oracle")
         trace = transport.parallel_transport(
-            gce,
-            [np.array([1.0, 0.0]), np.array([2.0, 1.0])],
-            [1.0, 0.0],
-            connection=oracle_field,
+            oracle_field, [np.array([1.0, 0.0]), np.array([2.0, 1.0])], [1.0, 0.0]
         )
         assert trace.end_vector == pytest.approx([1.0, -0.5], abs=1e-5)
         closed = gce.oracle.covariant_field([1.0, 0.0], [1.0, 0.0], [2.0, 1.0])
@@ -159,7 +164,7 @@ class TestParallelTransport:
         sphere = models.build("vmf-sphere", kappa=1.0)
         latitude = math.pi / 3
         loop = [np.array([latitude, phi]) for phi in np.linspace(0.0, 2.0 * math.pi, 9)]
-        trace = transport.parallel_transport(sphere, loop, [1.0, 0.0])
+        trace = transport.parallel_transport(geometry.connection_field(sphere), loop, [1.0, 0.0])
         g = sphere.oracle.metric([latitude, 0.0])
         v0 = np.array([1.0, 0.0])
         v1 = trace.end_vector
@@ -178,7 +183,9 @@ class TestCovariantConstantField:
             for beta in np.linspace(0.5, 3.0, 3)
             for mu in np.linspace(-2.0, 0.9, 3)
         ]
-        trace = transport.covariant_constant_field(gce, [1.0, 0.0], [1.0, 0.0], grid)
+        trace = transport.covariant_constant_field(
+            geometry.connection_field(gce), [1.0, 0.0], [1.0, 0.0], grid
+        )
         for point, vector in zip(trace.points, trace.vectors):
             expected = gce.oracle.covariant_field([1.0, 0.0], [1.0, 0.0], point)
             assert vector == pytest.approx(expected, abs=1e-4)
@@ -186,7 +193,10 @@ class TestCovariantConstantField:
     def test_zero_connection_constant_field(self, catalogue):
         grid = [np.array([a, b]) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
         trace = transport.covariant_constant_field(
-            catalogue["regression-dlambda"], [0.0, 0.0], [0.4, -0.9], grid
+            geometry.connection_field(catalogue["regression-dlambda"]),
+            [0.0, 0.0],
+            [0.4, -0.9],
+            grid,
         )
         assert np.max(np.abs(trace.vectors - np.array([0.4, -0.9]))) < 1e-12
 
@@ -201,7 +211,9 @@ class TestCovariantConstantField:
         jac0 = numdiff.fd_jacobian(model.oracle.affine_map, theta0)
         seed = np.linalg.solve(jac0, np.array([1.0, 0.0]))
         grid = [np.array([mu, sigma]) for mu in (-0.5, 0.5) for sigma in (0.8, 1.6)]
-        trace = transport.covariant_constant_field(model, theta0, seed, grid)
+        trace = transport.covariant_constant_field(
+            geometry.connection_field(model), theta0, seed, grid
+        )
         for point, vector in zip(trace.points, trace.vectors):
             jac = numdiff.fd_jacobian(model.oracle.affine_map, point)
             assert jac @ vector == pytest.approx([1.0, 0.0], abs=1e-3)
@@ -211,7 +223,7 @@ class TestCovariantConstantField:
         grid = [np.array([1.0, 0.5]), np.array([1.5, 1.0])]
         with pytest.raises(NotFlat):
             transport.covariant_constant_field(
-                sphere, [math.pi / 3, 0.0], [1.0, 0.0], grid
+                geometry.connection_field(sphere), [math.pi / 3, 0.0], [1.0, 0.0], grid
             )
 
     def test_detour_sees_curvature_beyond_two_dimensions(self):
@@ -232,8 +244,7 @@ class TestCovariantConstantField:
         grid = [np.array([1.0, 0.5, 0.4]), np.array([1.5, 1.0, -0.3])]
         with pytest.raises(NotFlat):
             transport.covariant_constant_field(
-                sphere, [math.pi / 3, 0.0, 0.0], [1.0, 0.0, 0.0], grid,
-                connection=conn,
+                conn, [math.pi / 3, 0.0, 0.0], [1.0, 0.0, 0.0], grid
             )
 
     def test_empty_grid_raises(self, catalogue):
@@ -241,9 +252,7 @@ class TestCovariantConstantField:
         model = catalogue["gce"]
         conn, calls = counting_oracle_field(model)
         with pytest.raises(DomainError, match="grid point"):
-            transport.covariant_constant_field(
-                model, [1.0, -1.0], [1.0, 0.0], [], connection=conn
-            )
+            transport.covariant_constant_field(conn, [1.0, -1.0], [1.0, 0.0], [])
         assert calls == []
 
     def test_detour_skips_zero_length_segments(self, catalogue):
@@ -254,10 +263,35 @@ class TestCovariantConstantField:
         model = catalogue["gaussian-kl"]
         conn, calls = counting_oracle_field(model)
         trace = transport.covariant_constant_field(
-            model, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])], connection=conn
+            conn, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])]
         )
         assert len(calls) == 2 * (9 + 8)
         assert trace.path_residual < 1e-12
+
+
+class TestFieldTolerance:
+    # regression-ls fails condition 4 by 0.1875 at (0.5, -0.25): a path gates
+    # through the tolerance its field was built with, and no other
+    PATHS = {
+        "geodesic": lambda conn: transport.geodesic(
+            conn, [0.5, -0.25], [1.0, 0.5], 0.1, step=0.01
+        ),
+        "transport": lambda conn: transport.parallel_transport(
+            conn, [[0.5, -0.25], [0.6, -0.2]], [1.0, 0.0]
+        ),
+        "field": lambda conn: transport.covariant_constant_field(
+            conn, [0.5, -0.25], [1.0, 0.0], [[0.6, -0.2]]
+        ),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_the_fields_condition4_tolerance_is_the_gate(self, catalogue, path):
+        model = catalogue["regression-ls"]
+        loose = geometry.connection_field(model, tol=Tolerances(cond4=10))
+        assert self.PATHS[path](loose).end_point == pytest.approx([0.6, -0.2], abs=1e-12)
+        with pytest.raises(Condition4Violated) as excinfo:
+            self.PATHS[path](geometry.connection_field(model))
+        assert excinfo.value.deviation == pytest.approx(0.1875)
 
 
 class TestSegmentSampling:
@@ -267,7 +301,7 @@ class TestSegmentSampling:
         model = catalogue["gaussian-kl"]
         conn, calls = counting_oracle_field(model)
         transport.parallel_transport(
-            model, [np.array([0.0, 1.0]), np.array([0.5, 1.4])], [1.0, 0.0], connection=conn
+            conn, [np.array([0.0, 1.0]), np.array([0.5, 1.4])], [1.0, 0.0]
         )
         assert len(calls) == 9 + 8
 
@@ -289,8 +323,7 @@ class TestSegmentSampling:
         )
         with pytest.raises(NumericalFailure, match="65 Chebyshev nodes") as excinfo:
             transport.parallel_transport(
-                model, [np.array([0.0, 1.0]), np.array([1.0, 1.0])], [1.0, 0.0],
-                connection=conn,
+                conn, [np.array([0.0, 1.0]), np.array([1.0, 1.0])], [1.0, 0.0]
             )
         assert "\n" not in str(excinfo.value)
         assert "[0.0, 1.0] -> [1.0, 1.0]" in str(excinfo.value)
@@ -303,7 +336,8 @@ class TestSegmentSampling:
         # (sigma^2, 0); one row per node of the accepted 17-node level after
         # s = 0, plus the start
         trace = transport.parallel_transport(
-            catalogue["gaussian-kl"], [np.array([0.0, 1.0]), np.array([3.0, 0.05])],
+            geometry.connection_field(catalogue["gaussian-kl"]),
+            [np.array([0.0, 1.0]), np.array([3.0, 0.05])],
             [1.0, 0.0],
         )
         assert np.max(np.abs(trace.end_vector - [0.0025, 0.0])) <= 1e-12
@@ -312,7 +346,9 @@ class TestSegmentSampling:
 
 class TestTraceFormat:
     def test_times_increase_and_points_in_chart(self, catalogue):
-        trace = transport.geodesic(catalogue["gce"], [1.0, -1.0], [1.0, 0.5], 1.0, step=0.01)
+        trace = transport.geodesic(
+            geometry.connection_field(catalogue["gce"]), [1.0, -1.0], [1.0, 0.5], 1.0, step=0.01
+        )
         assert np.all(np.diff(trace.times) > 0)
         for point in trace.points:
             assert catalogue["gce"].chart.contains(point)
