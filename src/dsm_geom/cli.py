@@ -26,6 +26,7 @@ from .core import (
     GaussianData,
     RegressionData,
     Tolerances,
+    passes,
 )
 from .errors import (
     Condition4Violated,
@@ -186,10 +187,9 @@ def parse_data_spec(spec: dict) -> DataSet:
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    """``value`` with numpy arrays and scalars as lists and numbers, each NaN as None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _jsonable(value.tolist())
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -302,8 +302,8 @@ def _op_metric(config, model):
 
 def _op_connection(config, model):
     evaluation = geometry.connection_at(model, config.at, tol=config.tol)
-    if evaluation.probe_consistency > config.tol.hessian:
-        results, verdict = {"family_estimates": [f.tolist() for f in evaluation.families]}, "fail"
+    if not passes(evaluation.probe_consistency, config.tol.hessian):
+        results, verdict = {"family_estimates": evaluation.families}, "fail"
     else:
         results, verdict = {"connection": evaluation.omega}, "pass"
     return make_document(
@@ -324,7 +324,7 @@ def _op_curvature(config, model):
         config,
         results={"curvature": tensor.components},
         residuals={"max_abs": tensor.max_abs},
-        verdicts={"flat": "pass" if tensor.max_abs <= config.tol.flat else "fail"},
+        verdicts={"flat": "pass" if passes(tensor.max_abs, config.tol.flat) else "fail"},
     ), None
 
 
@@ -545,6 +545,7 @@ def model_report(model, config: RunConfig) -> dict:
     oracle = model.oracle
     oracle_gaps = {}
     if oracle is not None and oracle.metric is not None:
+        # each gap is the largest over the points; np.maximum keeps a NaN, which max() may drop
         oracle_gaps = {"metric": 0.0, "connection": 0.0}
         for point in model.chart.random_points(np.random.default_rng(config.seed), 5):
             try:
@@ -553,12 +554,12 @@ def model_report(model, config: RunConfig) -> dict:
                     # probe-family disagreement is classify's verdict, not this one's
                     found = geometry.connection_at(model, point, tol=tol)
                     gap = geometry._relative_gap(found.omega, oracle.connection(point))
-                    oracle_gaps["connection"] = max(oracle_gaps["connection"], gap)
+                    oracle_gaps["connection"] = float(np.maximum(oracle_gaps["connection"], gap))
                     g = found.metric.matrix
                 else:
                     g = geometry.metric_at(model, point, tol=tol).matrix
                 gap = geometry._relative_gap(g, oracle.metric(point), floor=1e-12)
-                oracle_gaps["metric"] = max(oracle_gaps["metric"], gap)
+                oracle_gaps["metric"] = float(np.maximum(oracle_gaps["metric"], gap))
             except ArithmeticError as err:
                 raise NumericalFailure(
                     f"{type(err).__name__} in the oracle comparison at {point.tolist()}: {err}"

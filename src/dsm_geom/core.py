@@ -107,7 +107,8 @@ class ChartSpec:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Thresholds the verdict checks compare their residuals with.
+    """Thresholds the verdict checks compare their residuals with, each
+    through ``passes``.
 
     cond4: fibre-Hessian spread; hessian: probe-family gap and the Massieu
     potential's covariant-Hessian gap to the metric; flat: max-abs curvature
@@ -133,6 +134,11 @@ class Tolerances:
                     f"tolerance '{spec.name}' must be a finite number > 0, got {value!r}"
                 )
             object.__setattr__(self, spec.name, float(value))
+
+
+def passes(value, tolerance: float) -> bool:
+    """The one verdict rule: a value passes when at most its tolerance; NaN fails."""
+    return float(value) <= tolerance
 
 
 # ---------------------------------------------------------------------------

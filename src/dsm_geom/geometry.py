@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .core import ChartSpec, ModelDefinition, Tolerances, as_coords, in_open_box
+from .core import ChartSpec, ModelDefinition, Tolerances, as_coords, in_open_box, passes
 from .core import _divergence_gradients, _divergence_hessians
 from .errors import (
     Condition4Violated,
@@ -89,7 +89,7 @@ def metric_at(
     hessians = _divergence_hessians(model, members, coords)
     mean = hessians.sum(axis=0) / len(members)  # np.mean(axis=0) bit for bit, without its overhead
     largest = float(np.abs(mean).max())  # NaN or inf where any entry is not finite
-    if not math.isfinite(largest):  # a NaN passes every comparison below
+    if not math.isfinite(largest):  # cholesky below accepts a NaN matrix
         raise MetricNotPD(
             f"divergence Hessian of {model.name} is not finite at {coords.tolist()}"
         )
@@ -98,7 +98,7 @@ def metric_at(
     # is one of the pairs, and rounding keeps the order)
     deviation = float((hessians.max(axis=0) - hessians.min(axis=0)).max()) / scale
     labels = tuple(x.label for x in members)
-    if deviation > tol.cond4:
+    if not passes(deviation, tol.cond4):
         raise Condition4Violated(
             f"divergence Hessian of {model.name} varies by {deviation:.3g} "
             f"(relative) across fibre members at {coords.tolist()}",
@@ -327,7 +327,7 @@ def canonical_chart_for(model: ModelDefinition) -> ChartSpec:
     )
 
 
-def metric_transform_check(model: ModelDefinition, theta) -> float:
+def metric_transform_check(model: ModelDefinition, theta, tol: Tolerances = Tolerances()) -> float:
     """Tensor-transformation residual of the metric under the change to the
     model's affine coordinates and the canonical chart they span.  Both
     sides are evaluated numerically and compared through an FD Jacobian.
@@ -338,10 +338,10 @@ def metric_transform_check(model: ModelDefinition, theta) -> float:
     # both sides go through the same FD path (the target has no model
     # derivatives) so the residual measures the transformation property alone
     divergence_only = replace(model, gradient_fn=None, hessian_fn=None)
-    g_source = metric_at(divergence_only, coords).matrix
+    g_source = metric_at(divergence_only, coords, tol=tol).matrix
     jac = numdiff.fd_jacobian(forward, coords, model.chart.domain)
     target = reparametrized_model(model, forward, inverse, target_chart)
-    g_target = metric_at(target, forward(coords)).matrix
+    g_target = metric_at(target, forward(coords), tol=tol).matrix
     transformed = jac.T @ g_target @ jac
     return _relative_gap(transformed, g_source, floor=1e-12)
 
@@ -352,7 +352,9 @@ class CramerRaoReport:
     worst_affine_margin: Optional[float]
 
 
-def cramer_rao_check(model: ModelDefinition, theta) -> CramerRaoReport:
+def cramer_rao_check(
+    model: ModelDefinition, theta, tol: Tolerances = Tolerances()
+) -> CramerRaoReport:
     """Cauchy-Schwarz margins of the metric, as its smallest eigenvalue.
 
     (v.g.v)(w.g.w) >= (v.g.w)^2 holds for every vector pair exactly when g
@@ -364,7 +366,7 @@ def cramer_rao_check(model: ModelDefinition, theta) -> CramerRaoReport:
     potential's Hessian H in affine coordinates.
     """
     coords = model.chart.require(theta)
-    worst = float(np.linalg.eigvalsh(metric_at(model, coords).matrix)[0])
+    worst = float(np.linalg.eigvalsh(metric_at(model, coords, tol=tol).matrix)[0])
     worst_affine = None
     oracle = model.oracle
     if oracle is not None and oracle.affine_map is not None and oracle.massieu_affine is not None:

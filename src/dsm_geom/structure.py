@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .core import ModelDefinition, Tolerances, as_coords
+from .core import ModelDefinition, Tolerances, as_coords, passes
 from .core import divergence_hessian, evaluate_divergence
 from .errors import (
     Condition4Violated,
@@ -44,9 +44,10 @@ from .transport import _along, _l_path, _segment
 CLASSIFY_GRID_PER_AXIS = 5
 MAX_GRID_POINTS = 100 * CLASSIFY_GRID_PER_AXIS**2  # 100 times the default grid
 
-# the Hessian-structure checks: report block, key of the block's value, and
-# the tolerance that value is compared with (also its key in classify's worst)
-_HESSIAN_CHECKS = (
+# each check: its report block, the key of the block's value, and the
+# tolerance that value is compared with (also the check's key in classify's worst)
+_CHECKS = (
+    ("condition4", "worst_deviation", "cond4"),
     ("probe_consistency", "worst", "hessian"),
     ("torsionless", "residual", "torsion"),
     ("flat", "max_curvature", "flat"),
@@ -106,39 +107,34 @@ def classify(
 ) -> GeometryReport:
     """Run the full identification chain over a grid of chart points."""
     grid = theta_grid if theta_grid is not None else default_grid(model)
+    if not 1 <= len(grid) <= MAX_GRID_POINTS:
+        raise DomainError(
+            f"classify of {model.name} needs 1 to {MAX_GRID_POINTS} grid points, got {len(grid)}"
+        )
     grid = [as_coords(point) for point in grid]
-    if not grid:
-        raise DomainError(f"classify of {model.name} needs at least one grid point")
     tolerances = asdict(tol)
     del tolerances["path"]  # the affine and Massieu tolerance: no classify check
     report = GeometryReport(
         model=model.name, grid=[list(map(float, point)) for point in grid], tolerances=tolerances
     )
-    worst = {}  # the largest value (at least 0) of each check run at some grid point
-    worst_points = {}
-    failure_evidence = None  # of the worst condition-4 point
-    probe_evidence = None  # of the first probe solve that broke down
+    worst = {}  # of each check run at some grid point: (value, point, evidence)
     metric = metric_field(model, tol=tol)
     conn = connection_field(model, tol=tol)
 
-    def track(key, value, point):
-        """Keep the first largest value of a check; True when it is this point's."""
-        if value > worst.setdefault(key, 0.0):
-            worst[key] = value
-            worst_points[key] = [float(c) for c in point]
-            return True
-        return False
+    def track(key, value, point, evidence=None):
+        """Keep the first largest value of a check, at least 0; a NaN outranks any number."""
+        old = worst.setdefault(key, (0.0, None, None))[0]
+        if value > old or (np.isnan(value) and not np.isnan(old)):
+            worst[key] = (value, [float(c) for c in point], evidence)
 
     for point in grid:
         try:
             evaluation = metric_at(model, point, tol=tol)
         except Condition4Violated as err:
-            if track("cond4", err.deviation, point):
-                failure_evidence = condition4_evidence(model, err)
+            track("cond4", err.deviation, point, condition4_evidence(model, err))
             continue
         except (MetricNotPD, ArithmeticError) as err:
-            if track("cond4", float("inf"), point):
-                failure_evidence = {"point": point.tolist(), "error": str(err)}
+            track("cond4", float("inf"), point, {"point": point.tolist(), "error": str(err)})
             continue
         track("cond4", evaluation.fibre_deviation, point)
         if not model.has_probes:
@@ -146,11 +142,10 @@ def classify(
         try:
             connection = connection_at(model, point, tol=tol)
         except (ProbeSingular, ArithmeticError) as err:
-            if track("hessian", float("inf"), point):
-                probe_evidence = {"point": point.tolist(), "error": str(err)}
+            track("hessian", float("inf"), point, {"point": point.tolist(), "error": str(err)})
             continue
         track("hessian", connection.probe_consistency, point)
-        if connection.probe_consistency > tol.hessian:
+        if not passes(connection.probe_consistency, tol.hessian):
             continue
         track("torsion", torsion_residual(connection.omega), point)
         track("flat", curvature_at(model, point, connection=conn).max_abs, point)
@@ -159,27 +154,19 @@ def classify(
             codazzi_residual(model, point, metric=metric, connection=conn)[1],
             point,
         )
-    cond4_ok = worst["cond4"] <= tol.cond4
-    report.condition4 = {
-        "status": "pass" if cond4_ok else "fail",
-        "worst_deviation": worst["cond4"],
-        "worst_point": worst_points.get("cond4"),
-        "evidence": failure_evidence,
-    }
-    for block, value_key, key in _HESSIAN_CHECKS:
+    for block, value_key, key in _CHECKS:
+        value, point, evidence = worst.get(key, (None, None, None))
         entry = {"status": "not-evaluated", value_key: None}
-        if cond4_ok and key in worst:
-            entry = {
-                "status": "pass" if worst[key] <= tolerances[key] else "fail",
-                value_key: worst[key],
-                "worst_point": worst_points.get(key),
-            }
+        # a Hessian-structure check is decided only where condition 4 holds
+        if key in worst and (key == "cond4" or report.condition4["status"] == "pass"):
+            status = "pass" if passes(value, tolerances[key]) else "fail"
+            entry = {"status": status, value_key: value, "worst_point": point}
+        if evidence is not None or key == "cond4":
+            entry["evidence"] = evidence
         setattr(report, block, entry)
-    if probe_evidence is not None:
-        report.probe_consistency["evidence"] = probe_evidence
-    if not cond4_ok or model.has_probes:  # else the default "not-evaluated"
-        passed = [getattr(report, block)["status"] == "pass" for block, *_ in _HESSIAN_CHECKS]
-        report.hessian_structure = "pass" if all(passed) else "fail"
+    statuses = {getattr(report, block)["status"] for block, *_ in _CHECKS}
+    if "fail" in statuses or statuses == {"pass"}:  # else the default "not-evaluated"
+        report.hessian_structure = "fail" if "fail" in statuses else "pass"
     if model.divergence_tag == "kl":  # else the default "not-applicable"
         report.exponential_family = {"pass": "yes", "fail": "no"}.get(
             report.hessian_structure, "not-evaluated"
@@ -248,7 +235,7 @@ def affine_coordinates(
         detour = _along(_affine_rhs, conn, seed, _l_path(reference, stop), tol.path)[-1][2]
         value = straight[n * n :]
         residual = _relative_gap(detour[n * n :], value)
-        if residual > tol.path:
+        if not passes(residual, tol.path):
             raise NotFlat(
                 f"affine coordinates of {model.name} are path-dependent "
                 f"(residual {residual:.3g}) towards {stop.tolist()}"
@@ -309,7 +296,7 @@ def massieu(
         straight = _along(_massieu_rhs, local, seed, [reference, stop], tol.path)[-1][2]
         detour = _along(_massieu_rhs, local, seed, _l_path(reference, stop), tol.path)[-1][2]
         residual = _relative_gap(detour, straight)
-        if residual > tol.path:
+        if not passes(residual, tol.path):
             raise NotIntegrable(
                 f"Mayer-Lie system of {model.name} is path-dependent "
                 f"(residual {residual:.3g}) towards {stop.tolist()}"
@@ -319,7 +306,7 @@ def massieu(
         covectors.append(alpha)
         residuals.append(residual)
         hess_res, curl_res = _verify_massieu(model, local, stop, alpha, phi)
-        if hess_res > tol.hessian:
+        if not passes(hess_res, tol.hessian):
             raise NotIntegrable(
                 f"covariant Hessian of the sampled potential deviates from "
                 f"the metric by {hess_res:.3g} at {stop.tolist()}"
@@ -413,7 +400,9 @@ def pythagorean_check(model: ModelDefinition, theta, m_other) -> PythagoreanRepo
     )
 
 
-def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
+def induced_divergence_geometry_check(
+    model: ModelDefinition, theta, tol: Tolerances = Tolerances()
+) -> tuple:
     """Geometry of the induced proper divergence versus the model geometry.
 
     The induced divergence D(m_a || m_b) = D(x_a || m_b) - D(x_a || m_a)
@@ -432,7 +421,7 @@ def induced_divergence_geometry_check(model: ModelDefinition, theta) -> tuple:
         return evaluate_divergence(model, x, b) - evaluate_divergence(model, x, a)
 
     metric_fd = numdiff.fd_hessian(lambda b: induced(coords, b), coords, model.chart.domain)
-    evaluation = connection_at(model, coords)  # its condition-4 gate gives the metric
+    evaluation = connection_at(model, coords, tol=tol)  # its condition-4 gate gives the metric
     g = evaluation.metric.matrix
     metric_residual = _relative_gap(metric_fd, g, floor=1e-12)
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tolerances, as_coords
+from .core import Tolerances, as_coords, passes
 from .errors import DomainError, NotFlat, NumericalFailure
 from .geometry import ConnectionField, _relative_gap
 
@@ -332,8 +332,8 @@ def covariant_constant_field(
             continue
         detour = parallel_transport(connection, _l_path(base, target), seed, tol)
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale
-        worst = max(worst, gap)
-    if worst > tol.flat:
+        worst = float(np.maximum(worst, gap))  # keeps a NaN, which max() may drop
+    if not passes(worst, tol.flat):
         raise NotFlat(
             f"two transport paths disagree by {worst:.3g}; no covariant-constant "
             f"field exists for the {connection.provenance} connection"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,22 @@ def catalogue():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+def nan_probe_model():
+    """gaussian-kl whose model Hessian is NaN at every probe data set, so its
+    connection is NaN while its metric and condition 4 are sound."""
+    base = models.build("gaussian-kl")
+
+    def hessian(x, theta):
+        h = base.hessian_fn(x, theta)
+        return np.full_like(h, np.nan) if x.label == "probe" else h
+
+    return dataclasses.replace(base, hessian_fn=hessian)
+
+
+# floating-point errors raise, as under the command line
+RAISE_FP_ERRORS = dict(over="raise", divide="raise", invalid="raise")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 from dsm_geom import cli, geometry, models, structure
 
+from conftest import RAISE_FP_ERRORS, nan_probe_model
+
 # the sha256 of each file of `--model all --op report --seed 42`, as sha256sum writes it
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_seed42.sha256"
 
@@ -132,6 +134,17 @@ class TestDocuments:
         config = cli.config_from_args(["--model", "gce", "--op", "connection", "--at", "1,-1"])
         inputs = dataclasses.asdict(config)
         assert [inputs[name] for name in ("grid", "field_source")] == ["default", "fibre"]
+
+    def test_nan_is_null_inside_arrays_and_numpy_scalars(self):
+        value = {
+            "a": np.array([1.0, np.nan]),
+            "d": np.float64(np.nan),
+            "i": np.int64(3),
+            "overflow": [np.float64(np.inf)],  # classify records an overflow as inf
+        }
+        assert json.dumps(cli._jsonable(value)) == (
+            '{"a": [1.0, null], "d": null, "i": 3, "overflow": [Infinity]}'
+        )
 
     def test_unknown_report_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -294,6 +307,16 @@ class TestCliRuns:
         assert doc["verdicts"] == {"hessian_structure": "fail"}
         assert np.array(doc["results"]["family_estimates"]).shape == (2, 2, 2, 2)
         assert doc["residuals"]["probe_consistency"] > 0
+
+    def test_a_nan_connection_fails(self):
+        # a connection of NaNs used to pass the probe check
+        config = cli.RunConfig(model="gaussian-kl", op="connection", at=[0.0, 1.0])
+        with np.errstate(**RAISE_FP_ERRORS):
+            doc, _ = cli._run_op(config, nan_probe_model())
+        assert doc["verdicts"] == {"hessian_structure": "fail"}
+        assert list(doc["results"]) == ["family_estimates"]
+        assert doc["residuals"]["probe_consistency"] is None
+        json.dumps(doc, allow_nan=False)  # no bare NaN token
 
     def test_condition4_evidence_names_the_point_it_was_measured_at(self):
         # the fibre members disagree only for u > 0: the requested point passes
@@ -856,6 +879,16 @@ class TestReportAll:
                 for p in oracle_points
             ]
             assert disagree == [bool(tolerances)] * 5, name
+
+    def test_a_nan_oracle_gap_is_null(self):
+        # the connection gap of a NaN connection used to be reported as 0.0
+        config = cli.RunConfig(model="gaussian-kl", op="report")
+        with np.errstate(**RAISE_FP_ERRORS):
+            doc = cli.model_report(nan_probe_model(), config)
+        gaps = doc["results"]["oracle_comparison"]
+        assert gaps["connection"] is None and gaps["metric"] < 1e-6
+        assert doc["verdicts"]["exponential_family"] == "no"
+        json.dumps(doc, allow_nan=False)
 
     def test_report_bytes_match_the_recorded_digests(self, tmp_path, capsys):
         # a change that moves report bytes on purpose re-records the digests

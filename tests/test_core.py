@@ -20,6 +20,7 @@ from dsm_geom.core import (
     evaluate_divergence,
     divergence_gradient,
     divergence_hessian,
+    passes,
 )
 from dsm_geom.errors import DomainError, MissingStatistic
 from dsm_geom.fit import fit
@@ -37,6 +38,15 @@ from conftest import (
     random_chart_point,
     random_dataset,
 )
+
+
+class TestVerdictRule:
+    def test_a_value_passes_when_at_most_its_tolerance(self):
+        assert passes(0.0, 1e-3) and passes(1e-3, 1e-3) and passes(np.float64(1e-3), 1e-3)
+        assert not passes(2e-3, 1e-3) and not passes(math.inf, 1e-3)
+
+    def test_nan_fails(self):
+        assert not passes(math.nan, 1e-3) and not passes(np.float64("nan"), 1e-3)
 
 
 class TestTolerances:

@@ -5,11 +5,14 @@ Lazy imports inside functions count too, so an undeclared or unused import
 fails here even when no test runs the code that makes it.
 """
 import ast
+import dataclasses
 import pathlib
 import re
 import sys
 
 import pytest
+
+from dsm_geom.core import Tolerances
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dsm_geom"
@@ -274,5 +277,71 @@ def test_paths_take_a_field_and_no_function_builds_a_hidden_one():
         f"{path.relative_to(ROOT)}:{line}: or {name}("
         for path in sorted(PACKAGE.rglob("*.py"))
         for line, name in field_fallbacks(path.read_text())
+    ]
+    assert not found, found
+
+
+def raw_tolerance_comparisons(source, fields):
+    """(line, field) of every comparison with a ``tol.<field>`` or
+    ``<x>.tol.<field>`` operand, for ``<field>`` in ``fields``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                if not (isinstance(operand, ast.Attribute) and operand.attr in fields):
+                    continue
+                owner = operand.value
+                if getattr(owner, "id", None) == "tol" or getattr(owner, "attr", None) == "tol":
+                    yield node.lineno, operand.attr
+
+
+def test_the_comparison_scan_sees_bare_and_qualified_tolerances():
+    source = (
+        "def f(tol, config, x, limit):\n"
+        "    if x > tol.cond4:\n"
+        "        return config.tol.flat >= x\n"
+        "    return passes(x, tol.path) or x < tol.bogus or x <= limit\n"
+    )
+    found = raw_tolerance_comparisons(source, {"cond4", "flat", "path"})
+    assert list(found) == [(2, "cond4"), (3, "flat")]
+
+
+def test_every_tolerance_check_goes_through_the_verdict_rule():
+    # core.passes is the one rule: a value within its tolerance passes, NaN fails
+    fields = {spec.name for spec in dataclasses.fields(Tolerances)}
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: tol.{name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in raw_tolerance_comparisons(path.read_text(), fields)
+    ]
+    assert not found, found
+
+
+def gates_without_tol(source):
+    """(line, name) of every ``metric_at`` or ``connection_at`` call without a ``tol=``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("metric_at", "connection_at"):
+                if not any(keyword.arg == "tol" for keyword in node.keywords):
+                    yield node.lineno, name
+
+
+def test_the_gate_scan_sees_bare_and_qualified_calls():
+    source = (
+        "def f(model, x, tol):\n"
+        "    metric_at(model, x, tol=tol)\n"
+        "    geometry.connection_at(model, x)\n"
+        "    return metric_at(model, x, tol)\n"
+    )
+    assert list(gates_without_tol(source)) == [(3, "connection_at"), (4, "metric_at")]
+
+
+def test_every_condition4_gate_gets_the_callers_tolerances():
+    # a gate called without tol= checks condition 4 against the defaults,
+    # which the caller cannot loosen
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in gates_without_tol(path.read_text())
     ]
     assert not found, found

@@ -365,6 +365,24 @@ class TestCramerRao:
         assert report.worst_margin == np.linalg.eigvalsh(g)[0]
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        geometry.cramer_rao_check,
+        geometry.metric_transform_check,
+        structure.induced_divergence_geometry_check,
+    ],
+)
+def test_cross_checks_gate_with_the_callers_tolerances(catalogue, check):
+    check(catalogue["gaussian-kl"], [0.0, 1.0])
+    with pytest.raises(Condition4Violated):
+        check(catalogue["gaussian-kl"], [0.0, 1.0], tol=Tolerances(cond4=1e-300))
+    if check is not geometry.metric_transform_check:  # regression-ls has no affine map
+        with pytest.raises(Condition4Violated):
+            check(catalogue["regression-ls"], [0.5, -0.25])
+        check(catalogue["regression-ls"], [0.5, -0.25], tol=Tolerances(cond4=1.0))
+
+
 def _synthetic_model(hessian_matrix, degenerate_probes=False):
     """Minimal quadratic model for the error paths."""
     import math

@@ -11,8 +11,10 @@ from dsm_geom.geometry import connection_field, metric_field
 
 from conftest import (
     HESSIAN_STRUCTURED,
+    RAISE_FP_ERRORS,
     gauge_fit_residual,
     gaussian_kl_closed_form,
+    nan_probe_model,
     random_chart_point,
 )
 
@@ -147,6 +149,32 @@ class TestClassify:
         # an empty grid used to pass every check without evaluating one
         with pytest.raises(DomainError, match="grid point"):
             structure.classify(catalogue["regression-ls"], theta_grid=[])
+
+    def test_grid_over_the_budget_raises_before_any_model_call(self, catalogue):
+        calls = []
+        model = dataclasses.replace(catalogue["gaussian-kl"], fibre_sampler_fn=calls.append)
+        grid = structure.default_grid(model, 51)
+        with pytest.raises(DomainError) as caught:
+            structure.classify(model, grid)
+        assert str(caught.value) == (
+            "classify of gaussian-kl needs 1 to 2500 grid points, got 2601"
+        )
+        assert calls == []
+
+    def test_a_nan_probe_gap_fails(self):
+        # a NaN connection's probe gap, torsion and curvature used to be
+        # recorded as 0.0, and the model classified as an exponential family
+        with np.errstate(**RAISE_FP_ERRORS):
+            report = structure.classify(nan_probe_model())
+        assert report.verdicts == {
+            "condition4": "pass",
+            "hessian_structure": "fail",
+            "exponential_family": "no",
+        }
+        probe = report.probe_consistency
+        assert probe["status"] == "fail" and math.isnan(probe["worst"])
+        assert probe["worst_point"] == report.grid[0]  # the first NaN is kept
+        assert report.flat == {"status": "not-evaluated", "max_curvature": None}
 
     def test_tolerances_reach_every_gate(self, catalogue):
         model = catalogue["regression-ls"]

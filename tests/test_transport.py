@@ -247,6 +247,16 @@ class TestCovariantConstantField:
                 conn, [math.pi / 3, 0.0, 0.0], [1.0, 0.0, 0.0], grid
             )
 
+    def test_a_nan_path_gap_fails(self):
+        # max(0.0, nan) is 0.0: a field of NaNs used to pass the two-path check
+        conn = geometry.ConnectionField(
+            evaluate=lambda coords: np.full((2, 2, 2), np.nan),
+            provenance="nan",
+            domain=((-math.inf, math.inf), (-math.inf, math.inf)),
+        )
+        with pytest.raises(NotFlat, match="disagree by nan"):
+            transport.covariant_constant_field(conn, [0.0, 0.0], [1.0, 0.0], [[1.0, 1.0]])
+
     def test_empty_grid_raises(self, catalogue):
         # an empty grid used to end in numpy's zero-size array ValueError
         model = catalogue["gce"]
