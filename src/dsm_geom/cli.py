@@ -4,8 +4,9 @@ One invocation runs one operation on one catalogue model and writes a
 JSON report (plus a CSV file for curve traces).  ``--op report --model
 all`` runs the whole catalogue and acts as the acceptance harness.
 
-Exit codes: 0 success (expected-failure verdicts are data), 1 config
-error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success (a failed check, such as a curved model's
+path-dependence, is a verdict in the document), 1 config error, 2
+numerical failure, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ class RunConfig:
         if self.model == "all" and self.op != "report":
             raise ConfigError("--model all is only valid with --op report")
         takes = models.options(self.model) if self.model != "all" else ()
-        _, needs, may = _OPS[self.op]
+        _, needs, may, _ = _OPS[self.op]
         for name in given:
             if name in _MODEL_OPTIONS and name not in takes:
                 known = ", ".join(_flag(option) for option in takes) or "none"
@@ -112,11 +113,6 @@ class RunConfig:
             )
         if self.step is not None and self.step <= 0:
             raise ConfigError(f"--step must be > 0, got {self.step}")
-        if self.levels is not None and len(self.levels) > models.gce.MAX_LEVELS:
-            raise ConfigError(
-                f"--levels gives {len(self.levels)} levels, more than the budget "
-                f"of {models.gce.MAX_LEVELS}"
-            )
         try:
             self.tol  # the constructor checks every key and value
         except (DomainError, TypeError) as err:
@@ -199,15 +195,28 @@ def _jsonable(value):
     return value
 
 
+def judge(checks, residuals, tol: Tolerances) -> dict:
+    """The verdict of each (verdict, residual, tolerance) check: ``pass``
+    when ``residuals[residual]`` passes the tolerance (``core.passes``)."""
+    return {
+        verdict: "pass" if passes(residuals[residual], getattr(tol, key)) else "fail"
+        for verdict, residual, key in checks
+    }
+
+
 def make_document(config, results, residuals=None, verdicts=None):
+    """The op's document; ``verdicts`` defaults to its declared checks judged on ``residuals``."""
+    residuals = residuals or {}
+    if verdicts is None:
+        verdicts = judge(_OPS[config.op][3], residuals, config.tol)
     return {
         "schema_version": SCHEMA_VERSION,
         "model": config.model,
         "op": config.op,
         "inputs": _jsonable(dataclasses.asdict(config)),
         "results": _jsonable(results),
-        "residuals": _jsonable(residuals or {}),
-        "verdicts": _jsonable(verdicts or {}),
+        "residuals": _jsonable(residuals),
+        "verdicts": verdicts,
         "tolerances": _jsonable(config.tolerances),
     }
 
@@ -296,22 +305,18 @@ def _op_metric(config, model):
         config,
         results={"metric": evaluation.matrix, "members": list(evaluation.member_labels)},
         residuals={"fibre_deviation": evaluation.fibre_deviation},
-        verdicts={"condition4": "pass"},
     ), None
 
 
 def _op_connection(config, model):
     evaluation = geometry.connection_at(model, config.at, tol=config.tol)
-    if not passes(evaluation.probe_consistency, config.tol.hessian):
-        results, verdict = {"family_estimates": evaluation.families}, "fail"
-    else:
-        results, verdict = {"connection": evaluation.omega}, "pass"
-    return make_document(
-        config,
-        results=results,
-        residuals={"probe_consistency": evaluation.probe_consistency},
-        verdicts={"hessian_structure": verdict},
-    ), None
+    residuals = {"probe_consistency": evaluation.probe_consistency}
+    verdicts = judge((_PROBES,), residuals, config.tol)
+    if verdicts["hessian_structure"] == "pass":
+        results = {"connection": evaluation.omega}
+    else:  # the families disagree: there is no one connection to report
+        results = {"family_estimates": evaluation.families}
+    return make_document(config, results, residuals, verdicts), None
 
 
 def _connection_field(config, model):
@@ -324,7 +329,6 @@ def _op_curvature(config, model):
         config,
         results={"curvature": tensor.components},
         residuals={"max_abs": tensor.max_abs},
-        verdicts={"flat": "pass" if passes(tensor.max_abs, config.tol.flat) else "fail"},
     ), None
 
 
@@ -346,7 +350,7 @@ def _op_affine(config, model):
             "values": amap.values,
             "gradients": amap.gradients,
         },
-        residuals={"path_independence": max(amap.path_residuals)},
+        residuals={"path_independence": np.max(amap.path_residuals)},
     ), None
 
 
@@ -360,10 +364,11 @@ def _op_massieu(config, model):
             "potentials": sample.potentials,
             "covectors": sample.covectors,
         },
+        # np.max keeps a NaN, which max() drops when it is not first
         residuals={
-            "path_independence": max(sample.path_residuals),
-            "hessian_vs_metric": max(sample.hessian_residuals),
-            "curl": max(sample.curl_residuals),
+            "path_independence": np.max(sample.path_residuals),
+            "hessian_vs_metric": np.max(sample.hessian_residuals),
+            "curl": np.max(sample.curl_residuals),
         },
     ), None
 
@@ -428,21 +433,30 @@ def _op_report(config, model):
     return model_report(model, config), None
 
 
-# each op's handler, the options it cannot run without and the ones it may
-# take, in --op order
+# each check: (verdict key, residual key, tolerance key), the shape of
+# classify's _CHECKS; _GATE is metric_at's condition-4 gate
+_GATE = ("condition4", "fibre_deviation", "cond4")
+_PROBES = ("hessian_structure", "probe_consistency", "hessian")
+_PATH = ("path_independence", "path_independence", "path")
+_HESSIAN = ("hessian_vs_metric", "hessian_vs_metric", "hessian")
+_TWO_PATHS = ("path_residual", "path_residual", "flat")
+
+# each op's handler, the options it cannot run without, the ones it may take
+# and the checks that judge its residuals, in --op order; classify and
+# report take their verdicts from structure.classify
 _OPS = {
-    "fit": (_op_fit, ("data", "start"), ()),
-    "metric": (_op_metric, ("at",), ()),
-    "connection": (_op_connection, ("at",), ()),
-    "curvature": (_op_curvature, ("at",), ()),
-    "classify": (_op_classify, (), ("grid",)),
-    "affine": (_op_affine, ("start", "targets"), ()),
-    "massieu": (_op_massieu, ("start", "targets"), ()),
-    "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step", "field_source")),
-    "transport": (_op_transport, ("start", "end", "vector"), ("field_source",)),
-    "field": (_op_field, ("start", "vector"), ("grid", "field_source")),
-    "pythagoras": (_op_pythagoras, ("at", "other"), ()),
-    "report": (_op_report, (), ("grid", "seed")),
+    "fit": (_op_fit, ("data", "start"), (), ()),
+    "metric": (_op_metric, ("at",), (), (_GATE,)),
+    "connection": (_op_connection, ("at",), (), (_PROBES,)),
+    "curvature": (_op_curvature, ("at",), (), (("flat", "max_abs", "flat"),)),
+    "classify": (_op_classify, (), ("grid",), ()),
+    "affine": (_op_affine, ("start", "targets"), (), (_PATH,)),
+    "massieu": (_op_massieu, ("start", "targets"), (), (_PATH, _HESSIAN)),
+    "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step", "field_source"), ()),
+    "transport": (_op_transport, ("start", "end", "vector"), ("field_source",), ()),
+    "field": (_op_field, ("start", "vector"), ("grid", "field_source"), (_TWO_PATHS,)),
+    "pythagoras": (_op_pythagoras, ("at", "other"), (), ()),
+    "report": (_op_report, (), ("grid", "seed"), ()),
 }
 OPS = tuple(_OPS)
 
@@ -482,16 +496,16 @@ def _point_of(config) -> str:
 
 def _run_op(config, model):
     """The op's (document, trace); a condition-4 failure at ``--at`` is a verdict, not an error."""
-    handler, needs, _ = _OPS[config.op]
+    handler, needs, _, _ = _OPS[config.op]
     try:
         return handler(config, model)
     except Condition4Violated as err:
         if "at" not in needs:
             raise
+        residuals = {"fibre_deviation": err.deviation}
+        verdicts = judge((_GATE,), residuals, config.tol)
         evidence = structure.condition4_evidence(model, err)
-        return make_document(
-            config, results={"evidence": evidence}, verdicts={"condition4": "fail"}
-        ), None
+        return make_document(config, {"evidence": evidence}, residuals, verdicts), None
 
 
 def run(config: RunConfig) -> int:

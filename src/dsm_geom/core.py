@@ -116,7 +116,10 @@ class Tolerances:
     residuals; path: two-path gap of affine and Massieu solves.  flat and
     path also set how closely the path solves feeding those checks
     converge.  Each must be a finite number > 0, so no check passes
-    vacuously.
+    vacuously.  A failed check is a verdict, not an error: the library
+    returns each residual, and ``classify`` and the CLI judge it.  Only the
+    condition-4 gate of ``geometry.metric_at`` raises, since no metric or
+    connection exists past it.
     """
 
     cond4: float = 1e-3

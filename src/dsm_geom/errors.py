@@ -47,11 +47,3 @@ class ProbeSingular(DsmGeomError):
 
 class MetricNotPD(DsmGeomError):
     """The evaluated metric is not positive definite."""
-
-
-class NotFlat(DsmGeomError):
-    """Path dependence detected where a flat connection was required."""
-
-
-class NotIntegrable(DsmGeomError):
-    """The Mayer-Lie system failed its two-path integrability check."""

@@ -60,6 +60,10 @@ def _null_space_shift(levels):
 
 def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
     levels = np.asarray(levels, dtype=float)
+    if levels.size > MAX_LEVELS:
+        raise DomainError(
+            f"the gce spectrum has {levels.size} levels, more than the budget of {MAX_LEVELS}"
+        )
     if np.unique(levels).size < 2:
         raise DomainError(
             f"the energy spectrum needs at least two distinct levels, got {levels.tolist()}"

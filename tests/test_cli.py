@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dsm_geom import cli, geometry, models, structure
+from dsm_geom.core import Tolerances, passes
 
 from conftest import RAISE_FP_ERRORS, nan_probe_model
 
@@ -95,7 +96,7 @@ class TestRunConfig:
         # validate checks the given options against these names alone
         dests = {action.dest for action in cli.build_parser()._actions}
         read = set(cli._MODEL_OPTIONS) | set(cli._EVERY_OP)
-        for _, needs, may in cli._OPS.values():
+        for _, needs, may, _ in cli._OPS.values():
             assert set(needs + may) <= dests
             read |= set(needs + may)
         # and every flag is read by some op, is a model option or is taken by every op
@@ -459,6 +460,105 @@ class TestCliRuns:
                 assert gap <= 1e-10
 
 
+def _judged(doc, checks):
+    """Each verdict of ``checks`` (verdict -> (residual, tolerance key)) as
+    core.passes decides it from the document's residuals and tolerances."""
+    tol = Tolerances(**doc["tolerances"])
+    judged = {}
+    for verdict, (residual, key) in checks.items():
+        value = doc["residuals"][residual]  # a NaN is written as null
+        ok = passes(math.nan if value is None else value, getattr(tol, key))
+        judged[verdict] = "pass" if ok else "fail"
+    return judged
+
+
+class TestOpVerdicts:
+    """A failed check is a verdict in the document (exit 0), judged by core.passes."""
+
+    # each op's checks: verdict key -> (residual key, tolerance key)
+    CHECKS = {
+        "metric": {"condition4": ("fibre_deviation", "cond4")},
+        "connection": {"hessian_structure": ("probe_consistency", "hessian")},
+        "curvature": {"flat": ("max_abs", "flat")},
+        "affine": {"path_independence": ("path_independence", "path")},
+        "massieu": {
+            "path_independence": ("path_independence", "path"),
+            "hessian_vs_metric": ("hessian_vs_metric", "hessian"),
+        },
+        "field": {"path_residual": ("path_residual", "flat")},
+    }
+
+    @pytest.mark.parametrize(
+        "model, point, target, fails",
+        [
+            ("gce", "1,-1", "1.5,-1.2", set()),
+            # curved: path-dependence used to end the path ops in exit 2
+            (
+                "vmf-sphere", "1.2,0.5", "1.5,0.2",
+                {
+                    ("curvature", "flat"),
+                    ("affine", "path_independence"),
+                    ("massieu", "path_independence"),
+                    ("field", "path_residual"),
+                },
+            ),
+        ],
+        ids=["gce", "vmf-sphere"],
+    )
+    def test_every_verdict_is_its_check_judged_by_passes(
+        self, model, point, target, fails, tmp_path, capsys
+    ):
+        given = {
+            "metric": ["--at", point],
+            "connection": ["--at", point],
+            "curvature": ["--at", point],
+            "affine": ["--start", point, "--targets", target],
+            "massieu": ["--start", point, "--targets", target],
+            "field": ["--start", point, "--vector", "1,0", "--grid", "3"],
+        }
+        for op, args in given.items():
+            out = tmp_path / f"{op}.json"
+            code = cli.main(["--model", model, "--op", op, *args, "--out", str(out)])
+            assert code == 0, capsys.readouterr().err
+            doc = json.loads(out.read_text())
+            assert doc["verdicts"] == _judged(doc, self.CHECKS[op]), op
+            expected = {key: "fail" if (op, key) in fails else "pass" for key in doc["verdicts"]}
+            assert doc["verdicts"] == expected, op
+
+    def test_a_condition4_document_is_judged_by_the_gate_check(self, tmp_path, capsys):
+        # the gate's document records the deviation it caught as its residual
+        for op in ("metric", "connection", "curvature"):
+            out = tmp_path / f"{op}.json"
+            args = ["--model", "regression-ls", "--op", op, "--at", "0,0", "--out", str(out)]
+            assert cli.main(args) == 0, capsys.readouterr().err
+            doc = json.loads(out.read_text())
+            assert doc["verdicts"] == {"condition4": "fail"}
+            assert doc["verdicts"] == _judged(doc, self.CHECKS["metric"])
+            deviation = doc["results"]["evidence"]["deviation"]
+            assert doc["residuals"] == {"fibre_deviation": deviation}
+
+    @pytest.mark.parametrize("op", ["affine", "massieu"])
+    def test_a_nan_residual_after_the_first_target_fails(self, op, monkeypatch, tmp_path):
+        # max([0.0, nan]) is 0.0: the fold over the targets used to drop the NaN
+        name = "affine_coordinates" if op == "affine" else "massieu"
+        solve = getattr(structure, name)
+
+        def with_nan(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            for field in dataclasses.fields(result):
+                if field.name.endswith("_residuals"):
+                    setattr(result, field.name, [0.0, math.nan])
+            return result
+
+        monkeypatch.setattr(structure, name, with_nan)
+        out = tmp_path / f"{op}.json"
+        args = ["--model", "gce", "--op", op, "--start", "1,-1", "--targets", "1.5,-1.2;2,-1.5"]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc["verdicts"].values()) == {"fail"}
+        assert set(doc["residuals"].values()) == {None}
+
+
 class TestExitCodes:
     def test_config_error_is_one(self):
         assert run_cli(["--model", "gce", "--op", "geodesic"]).returncode == 1
@@ -466,15 +566,27 @@ class TestExitCodes:
         assert run_cli(["--model", "gce", "--op", "classify", "--tol", "bogus=1"]).returncode == 1
 
     def test_numerical_failure_is_two(self, tmp_path):
-        # the sphere has no flat connection: massieu must fail numerically
+        # a path op cannot integrate past the condition-4 gate: exit 2
         result = run_cli(
             [
-                "--model", "vmf-sphere", "--op", "massieu",
-                "--start", "1.0,0.0", "--targets", "1.5,1.0",
+                "--model", "regression-ls", "--op", "massieu",
+                "--start", "0,0", "--targets", "0.5,-0.25",
                 "--out", str(tmp_path / "m.json"),
             ]
         )
         assert result.returncode == 2
+        assert result.stderr.startswith("numerical failure:")
+        # the sphere has no flat connection: its Massieu solve is path-dependent,
+        # which is a fail verdict with exit 0, not a numerical failure
+        out = tmp_path / "sphere.json"
+        result = run_cli(
+            [
+                "--model", "vmf-sphere", "--op", "massieu",
+                "--start", "1.0,0.0", "--targets", "1.5,1.0", "--out", str(out),
+            ]
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["verdicts"]["path_independence"] == "fail"
 
     def test_over_budget_geodesic_is_two_without_running(self, tmp_path):
         # a step of 1e-9 asks for 10^9 RK4 steps; it used to run until killed
@@ -499,9 +611,9 @@ class TestExitCodes:
             (["--model", "gaussian-kl", "--op", "classify", "--grid", "1000"], "--grid 1000"),
             (["--model", "gce", "--op", "field", "--start", "1,-1", "--vector", "1,0",
               "--grid", "100000"], "--grid 100000"),
-            # the fibre's null-space SVD is levels x levels
+            # the fibre's null-space SVD is levels x levels; the model charges it
             (["--model", "gce", "--levels", ",".join(map(str, range(1, 1002))),
-              "--op", "metric", "--at", "1,-1"], "--levels gives 1001"),
+              "--op", "metric", "--at", "1,-1"], "gce spectrum has 1001 levels"),
             # a point list is charged as a count is: 2601 points, as --grid 51 asks for
             (["--model", "regression-ls", "--op", "classify", "--grid", ";".join(["0,0"] * 2601)],
              "--grid gives 2601 points"),
@@ -519,17 +631,19 @@ class TestExitCodes:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(
-        "args, tight",
+        "args, tight, verdict",
         [
             (
                 ["--model", "vmf-cylinder", "--op", "massieu", "--start", "0,1",
                  "--targets", "0.4,1.5"],
                 "hessian=1e-12",
+                "hessian_vs_metric",
             ),
             (
                 ["--model", "vmf-sphere", "--op", "field", "--start", "1,0.3",
                  "--vector", "1,0", "--grid", "1.01,0.31;1.02,0.32"],
                 "flat=1e-5",
+                "path_residual",
             ),
             (
                 # the transport solve settles at 33 nodes (level gap 4e-7 <=
@@ -538,20 +652,28 @@ class TestExitCodes:
                 ["--model", "vmf-sphere", "--op", "transport", "--start", "1,0.3",
                  "--end", "0.1,1", "--vector", "1,0"],
                 "flat=1e-13",
+                None,
             ),
         ],
         ids=["massieu-hessian", "field-flat", "transport-flat"],
     )
-    def test_tightened_tolerance_reaches_its_check(self, args, tight, tmp_path, capsys):
+    def test_tightened_tolerance_reaches_its_check(self, args, tight, verdict, tmp_path, capsys):
         # the first two checks used to compare with a fixed 1e-3, whatever
-        # --tol said
-        assert cli.main([*args, "--out", str(tmp_path / "default.json")]) == 0
+        # --tol said; a check that fails is a verdict (exit 0), while a path
+        # solve that cannot settle is a numerical failure (exit 2)
+        default, strict = tmp_path / "default.json", tmp_path / "tight.json"
+        assert cli.main([*args, "--out", str(default)]) == 0
         capsys.readouterr()
-        code = cli.main([*args, "--tol", tight, "--out", str(tmp_path / "tight.json")])
+        code = cli.main([*args, "--tol", tight, "--out", str(strict)])
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("numerical failure:") and err.count("\n") == 1, err
-        assert not (tmp_path / "tight.json").exists()
+        if verdict is None:
+            assert code == 2
+            assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+            assert not strict.exists()
+        else:
+            assert code == 0, err
+            assert json.loads(default.read_text())["verdicts"][verdict] == "pass"
+            assert json.loads(strict.read_text())["verdicts"][verdict] == "fail"
 
     def test_io_error_is_three(self, tmp_path):
         result = run_cli(

@@ -345,3 +345,59 @@ def test_every_condition4_gate_gets_the_callers_tolerances():
         for line, name in gates_without_tol(path.read_text())
     ]
     assert not found, found
+
+
+def raises_after_a_failed_check(source):
+    """(function, line) of every ``if`` whose test calls ``passes`` (bare or
+    qualified) and one of whose branches raises."""
+    found = []
+
+    def calls_passes(node):
+        return isinstance(node, ast.Call) and "passes" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.If) and any(calls_passes(sub) for sub in ast.walk(node.test)):
+            branches = node.body + node.orelse
+            if any(isinstance(sub, ast.Raise) for stmt in branches for sub in ast.walk(stmt)):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_raise_scan_sees_both_branches_and_qualified_calls():
+    source = (
+        "def gate(x, tol):\n"
+        "    if not passes(x, tol.cond4):\n"
+        "        raise Failed(x)\n"
+        "def solve(x, tol):\n"
+        "    if core.passes(x, tol.path):\n"
+        "        return x\n"
+        "    else:\n"
+        "        raise Failed(x)\n"
+        "def judge(x, tol):\n"
+        "    if not passes(x, tol.flat):\n"
+        "        return 'fail'\n"
+        "    if x is None:\n"
+        "        raise Failed(x)\n"
+        "    return 'pass' if passes(x, tol.flat) else 'fail'\n"
+    )
+    assert raises_after_a_failed_check(source) == [("gate", 2), ("solve", 5)]
+
+
+def test_only_the_condition4_gate_raises_on_a_failed_check():
+    # a failed check is a verdict the caller judges; the gate alone raises,
+    # since a field cannot evaluate past it
+    found = [
+        (str(path.relative_to(ROOT)), function)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for function, _ in raises_after_a_failed_check(path.read_text())
+    ]
+    assert found == [("src/dsm_geom/geometry.py", "metric_at")], found

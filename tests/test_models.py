@@ -117,6 +117,20 @@ class TestGrandCanonical:
         with pytest.raises(DomainError, match=r"two distinct levels.*\[1\.0"):
             models.build("gce", levels=levels)
 
+    def test_levels_over_the_budget_raise_before_the_svd(self, monkeypatch):
+        # the fibre's null-space shift is a levels x levels SVD: 2501 levels
+        # used to build a model whose SVD peaks at about 127 MB
+        budget = models.gce.MAX_LEVELS
+        assert models.build("gce", levels=np.arange(1.0, budget + 1.0)).name == "gce"
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for count in (budget + 1, 2501):
+            with pytest.raises(DomainError, match=f"{count} levels, .*budget of {budget}$"):
+                models.build("gce", levels=np.arange(1.0, count + 1.0))
+
     @pytest.mark.parametrize("levels", [[1.0, 1.0, 2.0], [2.0, 1.0]])
     def test_repeated_or_unsorted_levels_classify(self, levels):
         model = models.build("gce", levels=levels)
