@@ -113,6 +113,8 @@ class RunConfig:
             )
         if self.step is not None and self.step <= 0:
             raise ConfigError(f"--step must be > 0, got {self.step}")
+        if self.seed < 0:  # numpy seeds its generators with non-negative integers only
+            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         try:
             self.tol  # the constructor checks every key and value
         except (DomainError, TypeError) as err:
@@ -365,11 +367,7 @@ def _op_massieu(config, model):
             "covectors": sample.covectors,
         },
         # np.max keeps a NaN, which max() drops when it is not first
-        residuals={
-            "path_independence": np.max(sample.path_residuals),
-            "hessian_vs_metric": np.max(sample.hessian_residuals),
-            "curl": np.max(sample.curl_residuals),
-        },
+        residuals={"path_independence": np.max(sample.path_residuals)},
     ), None
 
 
@@ -438,7 +436,6 @@ def _op_report(config, model):
 _GATE = ("condition4", "fibre_deviation", "cond4")
 _PROBES = ("hessian_structure", "probe_consistency", "hessian")
 _PATH = ("path_independence", "path_independence", "path")
-_HESSIAN = ("hessian_vs_metric", "hessian_vs_metric", "hessian")
 _TWO_PATHS = ("path_residual", "path_residual", "flat")
 
 # each op's handler, the options it cannot run without, the ones it may take
@@ -451,7 +448,7 @@ _OPS = {
     "curvature": (_op_curvature, ("at",), (), (("flat", "max_abs", "flat"),)),
     "classify": (_op_classify, (), ("grid",), ()),
     "affine": (_op_affine, ("start", "targets"), (), (_PATH,)),
-    "massieu": (_op_massieu, ("start", "targets"), (), (_PATH, _HESSIAN)),
+    "massieu": (_op_massieu, ("start", "targets"), (), (_PATH,)),
     "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step", "field_source"), ()),
     "transport": (_op_transport, ("start", "end", "vector"), ("field_source",), ()),
     "field": (_op_field, ("start", "vector"), ("grid", "field_source"), (_TWO_PATHS,)),

@@ -110,12 +110,11 @@ class Tolerances:
     """Thresholds the verdict checks compare their residuals with, each
     through ``passes``.
 
-    cond4: fibre-Hessian spread; hessian: probe-family gap and the Massieu
-    potential's covariant-Hessian gap to the metric; flat: max-abs curvature
-    and the covariant-field two-path gap; torsion, codazzi: max-abs
-    residuals; path: two-path gap of affine and Massieu solves.  flat and
-    path also set how closely the path solves feeding those checks
-    converge.  Each must be a finite number > 0, so no check passes
+    cond4: fibre-Hessian spread; hessian: probe-family gap; flat: max-abs
+    curvature and the covariant-field two-path gap; torsion, codazzi:
+    max-abs residuals; path: two-path gap of affine and Massieu solves.
+    flat and path also set how closely the path solves feeding those
+    checks converge.  Each must be a finite number > 0, so no check passes
     vacuously.  A failed check is a verdict, not an error: the library
     returns each residual, and ``classify`` and the CLI judge it.  Only the
     condition-4 gate of ``geometry.metric_at`` raises, since no metric or

@@ -122,6 +122,8 @@ def regression_dlambda(lam: float = 1.0) -> ModelDefinition:
     if lam <= 0:
         raise DomainError("lambda must be > 0")
     lam2 = lam * lam
+    if not (math.isfinite(lam2) and lam2 > 0):  # overflow gives inf, underflow 0.0
+        raise ArithmeticError(f"lambda^2 = {lam2} is not a positive finite number")
 
     def parts(x):
         s = _sums(x)

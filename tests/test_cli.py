@@ -481,10 +481,7 @@ class TestOpVerdicts:
         "connection": {"hessian_structure": ("probe_consistency", "hessian")},
         "curvature": {"flat": ("max_abs", "flat")},
         "affine": {"path_independence": ("path_independence", "path")},
-        "massieu": {
-            "path_independence": ("path_independence", "path"),
-            "hessian_vs_metric": ("hessian_vs_metric", "hessian"),
-        },
+        "massieu": {"path_independence": ("path_independence", "path")},
         "field": {"path_residual": ("path_residual", "flat")},
     }
 
@@ -634,12 +631,6 @@ class TestExitCodes:
         "args, tight, verdict",
         [
             (
-                ["--model", "vmf-cylinder", "--op", "massieu", "--start", "0,1",
-                 "--targets", "0.4,1.5"],
-                "hessian=1e-12",
-                "hessian_vs_metric",
-            ),
-            (
                 ["--model", "vmf-sphere", "--op", "field", "--start", "1,0.3",
                  "--vector", "1,0", "--grid", "1.01,0.31;1.02,0.32"],
                 "flat=1e-5",
@@ -655,10 +646,10 @@ class TestExitCodes:
                 None,
             ),
         ],
-        ids=["massieu-hessian", "field-flat", "transport-flat"],
+        ids=["field-flat", "transport-flat"],
     )
     def test_tightened_tolerance_reaches_its_check(self, args, tight, verdict, tmp_path, capsys):
-        # the first two checks used to compare with a fixed 1e-3, whatever
+        # the first check used to compare with a fixed 1e-3, whatever
         # --tol said; a check that fails is a verdict (exit 0), while a path
         # solve that cannot settle is a numerical failure (exit 2)
         default, strict = tmp_path / "default.json", tmp_path / "tight.json"
@@ -867,6 +858,14 @@ class TestBadInput:
                  "--data", '{"kind":"gaussian","mean":0.5,"std":1}'],
                 "'exp_shift'",
             ),
+            # numpy refused a negative seed with a traceback, after classify had run
+            (["--model", "gce", "--op", "report", "--seed", "-1"], "--seed"),
+            (["--model", "all", "--op", "report", "--seed", "-1"], "--seed"),
+            # lambda^2 overflowed or underflowed; the metric gate then ended the run in exit 2
+            (["--model", "regression-dlambda", "--lambda", "1e200", "--op", "metric",
+              "--at", "0,0"], "--lambda"),
+            (["--model", "regression-dlambda", "--lambda", "1e-200", "--op", "metric",
+              "--at", "0,0"], "--lambda"),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -881,7 +880,8 @@ class TestBadInput:
             "kappa-overflow", "mu0-underflow", "data-std-not-a-number",
             "mu0-subnormal-square", "sigma0-subnormal-power", "data-std-overflow",
             "data-second-moment-overflow", "data-couples-x-overflow", "data-couples-y-overflow",
-            "cylinder-kappa-overflow", "gumbel-fit-foreign-data",
+            "cylinder-kappa-overflow", "gumbel-fit-foreign-data", "report-seed-negative",
+            "all-seed-negative", "dlambda-square-overflow", "dlambda-square-underflow",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -891,6 +891,14 @@ class TestBadInput:
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert needle in err
         assert not out.exists()
+
+    def test_a_moderate_lambda_still_builds(self, tmp_path, capsys):
+        args = ["--model", "regression-dlambda", "--lambda", "2", "--op", "metric", "--at", "0,0"]
+        code, err, out = self.run_main(args, tmp_path, capsys)
+        assert code == 0, err
+        doc = json.loads(out.read_text())
+        assert doc["results"]["metric"] == [[4.0, 0.0], [0.0, 1.0]]
+        assert doc["verdicts"] == {"condition4": "pass"}
 
     @pytest.mark.parametrize(
         "args, point",

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from dsm_geom import cli, structure
 from dsm_geom.core import Tolerances
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -281,16 +282,22 @@ def test_paths_take_a_field_and_no_function_builds_a_hidden_one():
     assert not found, found
 
 
+def _tolerance_read(node):
+    """The ``<field>`` of a ``tol.<field>`` or ``<x>.tol.<field>`` node, else None."""
+    if isinstance(node, ast.Attribute):
+        owner = node.value
+        if getattr(owner, "id", None) == "tol" or getattr(owner, "attr", None) == "tol":
+            return node.attr
+    return None
+
+
 def raw_tolerance_comparisons(source, fields):
     """(line, field) of every comparison with a ``tol.<field>`` or
     ``<x>.tol.<field>`` operand, for ``<field>`` in ``fields``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
             for operand in [node.left, *node.comparators]:
-                if not (isinstance(operand, ast.Attribute) and operand.attr in fields):
-                    continue
-                owner = operand.value
-                if getattr(owner, "id", None) == "tol" or getattr(owner, "attr", None) == "tol":
+                if _tolerance_read(operand) in fields:
                     yield node.lineno, operand.attr
 
 
@@ -314,6 +321,33 @@ def test_every_tolerance_check_goes_through_the_verdict_rule():
         for line, name in raw_tolerance_comparisons(path.read_text(), fields)
     ]
     assert not found, found
+
+
+def unchecked_tolerances(fields, check_tables, sources):
+    """The ``fields`` that are the tolerance (last column) of no check in
+    ``check_tables`` and are read as ``tol.<field>`` in none of ``sources``."""
+    used = {check[-1] for table in check_tables for check in table}
+    used.update(_tolerance_read(node) for source in sources for node in ast.walk(ast.parse(source)))
+    return sorted(set(fields) - used)
+
+
+def test_the_unchecked_tolerance_scan_sees_tables_and_reads():
+    source = (
+        "def f(tol, config, limits, x):\n"
+        "    solve(x, tol.flat)\n"
+        "    return passes(x, config.tol.path) and x < limits.hessian\n"
+    )
+    tables = [(("condition4", "fibre_deviation", "cond4"),), ()]
+    fields = ["cond4", "hessian", "flat", "torsion", "path"]
+    assert unchecked_tolerances(fields, tables, [source]) == ["hessian", "torsion"]
+
+
+def test_every_tolerance_is_the_tolerance_of_a_check():
+    # a field no check compares with is a --tol key that changes nothing
+    tables = [checks for *_, checks in cli._OPS.values()] + [structure._CHECKS]
+    fields = [spec.name for spec in dataclasses.fields(Tolerances)]
+    sources = [path.read_text() for path in sorted(PACKAGE.rglob("*.py"))]
+    assert unchecked_tolerances(fields, tables, sources) == []
 
 
 def gates_without_tol(source):

@@ -128,6 +128,24 @@ class TestConnectionAt:
                 ).omega
                 assert geometry.torsion_residual(omega) < 1e-10, name
 
+    def test_probe_connections_are_exactly_symmetric(self, catalogue):
+        # each probe Hessian is symmetric, so the (i, j) and (j, i) columns
+        # of a family's solve are the same right-hand side: classify's
+        # torsionless check compares an exact 0.0 with its tolerance
+        arrays = []
+        for model in catalogue.values():
+            if not model.has_probes:
+                continue
+            for point in structure.default_grid(model, 7):
+                try:
+                    evaluation = geometry.connection_at(model, point)
+                except Condition4Violated:  # regression-ls, at every point
+                    continue
+                arrays += [*evaluation.families, evaluation.omega]
+        assert len(arrays) == 6 * 7 * 7 * 3
+        for omega in arrays:
+            assert np.array_equal(omega, omega.transpose(0, 2, 1))
+
     @pytest.mark.parametrize("name, point", [("gce", [1.0, -1.0]), ("vmf-sphere", [1.0, 0.3])])
     def test_fibre_evaluation_makes_only_its_model_calls(
         self, catalogue, monkeypatch, name, point

@@ -88,6 +88,14 @@ class TestRegressionModels:
         with pytest.raises(DomainError):
             models.build("regression-dlambda", lam=-1.0)
 
+    @pytest.mark.parametrize(
+        "lam", [1e200, 1e-200], ids=["square-overflow", "square-underflow"]
+    )
+    def test_lambda_square_must_be_positive_and_finite(self, lam):
+        # lambda^2 used to come out inf or 0.0 and fail later, in the metric
+        with pytest.raises(ArithmeticError, match="lambda"):
+            models.build("regression-dlambda", lam=lam)
+
 
 class TestGrandCanonical:
     def test_metric_matches_spectral_sum(self, catalogue):

@@ -156,6 +156,26 @@ class TestHessian:
         hess = numdiff.fd_hessian(bumpy, rng.standard_normal(3))
         assert np.array_equal(hess, hess.T)
 
+    @pytest.mark.parametrize("distance", [None, 1e-2, 2.2e-4, 1e-6])
+    def test_exactly_symmetric_without_symmetrising(self, distance):
+        # each mixed entry is written to both halves at both Richardson
+        # levels, so the extrapolated result needs no symmetrisation; near
+        # the bound the steps shrink to fit, unequally along the three axes
+        rng = np.random.default_rng(7)
+        domain = ((-math.inf, math.inf), (0.0, 3.0), (-1.0, 1.0))
+        for _ in range(50):
+            matrix, weights = rng.standard_normal((3, 3)), rng.standard_normal(3)
+
+            def smooth(t):
+                return float(np.sin(t @ matrix @ t) + np.exp(weights @ t) + t[0] * t[1] * t[2])
+
+            point = np.array([rng.standard_normal(), rng.uniform(0.5, 2.5), rng.uniform(-0.5, 0.5)])
+            if distance is not None:
+                point[1] = distance
+            hess = numdiff.fd_hessian(smooth, point, domain)
+            assert np.all(np.isfinite(hess))
+            assert np.array_equal(hess, hess.T)
+
     def test_step_halving_robust_on_divergences(self, catalogue, rng, monkeypatch):
         for model in catalogue.values():
             chart = model.chart

@@ -293,8 +293,6 @@ class TestMassieu:
         # remove the affine gauge fixed at theta0
         gauge = -np.array([0.0, -1.0]) @ (np.array([0.4, 1.5]) - np.array([0.0, 1.0]))
         assert sample.potentials[0] - gauge == pytest.approx(closed, abs=1e-3)
-        assert max(sample.hessian_residuals) < 1e-3
-        assert max(sample.curl_residuals) < 1e-5
 
     def test_cost_of_one_verified_target(self):
         cylinder = models.build("vmf-cylinder", kappa=2.0)
@@ -316,22 +314,19 @@ class TestMassieu:
         structure.massieu(counted_model, theta0, targets)
         # Each chart point costs one gated connection evaluation: 3 fibre
         # Hessians plus 2 probe pairs (2 gradients, 2 Hessians each), so
-        # 4 gradients and 7 Hessians.  The points: 51 on the paths (the
-        # straight segment and the two detour segments each sample 9
+        # 4 gradients and 7 Hessians.  The points are the 51 on the paths:
+        # the straight segment and the two detour segments each sample 9
         # Lobatto nodes, then the 8 new ones of the 17-node level, whose end
-        # state agrees), 32 continuation points (16 distinct off-centre FD
-        # stencil points, each at the new Lobatto nodes s = 1/2 and 1 of a
-        # one-step segment) and the target itself (the s = 0 node of every
-        # continuation).
-        points = 3 * (9 + 8) + 16 * 2 + 1
+        # state agrees.  The two-path gap is the target's only check.
+        points = 3 * (9 + 8)
         assert calls == {"gradient": 4 * points, "hessian": 7 * points}
-        assert calls == {"gradient": 336, "hessian": 588}
+        assert calls == {"gradient": 204, "hessian": 357}
 
     def test_continuation_is_the_plain_rk4_step(self):
-        # the verification's 3-node segment samples exactly the RK4 stage
-        # points s = 0, 1/2, 1; its Lobatto IIIA solve and the RK4 step that
-        # calls the field at each stage are both 4th order, and on steps of
-        # 1e-4 they agree to rounding
+        # a 3-node segment samples exactly the RK4 stage points s = 0, 1/2,
+        # 1; its Lobatto IIIA solve and the RK4 step that calls the field at
+        # each stage are both 4th order, and on steps of 1e-4 they agree to
+        # rounding
         cylinder = models.build("vmf-cylinder", kappa=2.0)
 
         def local(point):
