@@ -39,7 +39,10 @@ from .errors import (
 )
 from .fit import fit
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# the versions load_document reads: a version-1 document differs only by
+# classify's torsionless block and its torsion tolerance
+_READABLE_VERSIONS = (1, 2)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -232,6 +235,11 @@ def load_document(path: str) -> dict:
     missing = (_REPORT_FIELDS - {"runtime_ms"}) - set(doc)
     if missing:
         raise ConfigError(f"report document misses fields: {sorted(missing)}")
+    if doc["schema_version"] not in _READABLE_VERSIONS:
+        raise ConfigError(
+            f"report document has schema version {doc['schema_version']!r}, "
+            f"readable: {list(_READABLE_VERSIONS)}"
+        )
     return doc
 
 

@@ -111,20 +111,21 @@ class Tolerances:
     through ``passes``.
 
     cond4: fibre-Hessian spread; hessian: probe-family gap; flat: max-abs
-    curvature and the covariant-field two-path gap; torsion, codazzi:
-    max-abs residuals; path: two-path gap of affine and Massieu solves.
+    curvature and the covariant-field two-path gap; codazzi: max-abs
+    Codazzi residual; path: two-path gap of affine and Massieu solves.
     flat and path also set how closely the path solves feeding those
-    checks converge.  Each must be a finite number > 0, so no check passes
-    vacuously.  A failed check is a verdict, not an error: the library
-    returns each residual, and ``classify`` and the CLI judge it.  Only the
-    condition-4 gate of ``geometry.metric_at`` raises, since no metric or
-    connection exists past it.
+    checks converge.  There is no torsion tolerance: the solved connection
+    is symmetric by construction, so no torsion check could fail.  Each
+    must be a finite number > 0, so no check passes vacuously.  A failed
+    check is a verdict, not an error: the library returns each residual,
+    and ``classify`` and the CLI judge it.  Only the condition-4 gate of
+    ``geometry.metric_at`` raises, since no metric or connection exists
+    past it.
     """
 
     cond4: float = 1e-3
     hessian: float = 1e-3
     flat: float = 1e-3
-    torsion: float = 1e-3
     codazzi: float = 1e-3
     path: float = 1e-4
 
@@ -217,46 +218,9 @@ class TwoPointData(DataSet):
         super().__init__(table, label=f"twopoint({center},{half_spread})")
 
 
-class VonMisesFisherData(DataSet):
-    """von Mises-Fisher distribution on the unit 2-sphere.
-
-    Mean resultant length A(kappa) = coth(kappa) - 1/kappa.
-    """
-
-    def __init__(self, kappa: float, direction: Sequence[float]):
-        if kappa <= 0:
-            raise DomainError("vMF data needs kappa > 0")
-        direction = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
-        if not norm > 0:
-            raise DomainError("vMF direction must be nonzero")
-        unit = direction / norm
-        k = float(kappa)
-        resultant = 1.0 / math.tanh(k) - 1.0 / k
-        log_norm = math.log(4.0 * math.pi * math.sinh(k) / k)
-        table = {f"mean_e{i + 1}": resultant * unit[i] for i in range(3)}
-        table["entropy"] = log_norm - k * resultant
-        super().__init__(table, label=f"vmf({kappa})")
-
-
 def occupation_totals(occupations: np.ndarray, levels: np.ndarray) -> dict:
     """The statistic table of occupation numbers on an energy spectrum."""
     return {"total_count": float(occupations.sum()), "total_energy": float(occupations @ levels)}
-
-
-class OccupationData(DataSet):
-    """Measured occupation numbers of a finite energy spectrum."""
-
-    def __init__(self, occupations: Sequence[float], levels: Sequence[float]):
-        occupations = np.asarray(occupations, dtype=float)
-        levels = np.asarray(levels, dtype=float)
-        if occupations.shape != levels.shape or occupations.size == 0:
-            raise DomainError("occupations and levels must match and be nonempty")
-        if np.any(occupations < 0):
-            raise DomainError("occupations must be >= 0")
-        super().__init__(
-            occupation_totals(occupations, levels), label=f"occupations(J={levels.size})"
-        )
 
 
 class RegressionData(DataSet):

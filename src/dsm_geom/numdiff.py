@@ -65,9 +65,10 @@ def fd_hessian(f: Callable, theta, domain: Optional[tuple] = None) -> np.ndarray
     if any(min(_room(coords, i, domain)) <= 2.5 * ABS_STEP_FLOOR for i in range(n)):
         raise NumericalFailure(f"no Hessian stencil fits inside the chart at {coords.tolist()}")
 
+    f0 = f(coords)  # the centre of every level's stencil
+
     def hessian_with(h_vec):
         hess = np.empty((n, n))
-        f0 = f(coords)
         for i in range(n):
             hi = h_vec[i]
             hess[i, i] = (

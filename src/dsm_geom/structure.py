@@ -3,8 +3,11 @@
 classify runs the geometry stack over a grid and applies the
 identification theorem: a model with a KL-tagged divergence belongs to
 the exponential family exactly when condition 4 holds and the induced
-connection has a Hessian structure (probe-independent, torsionless,
-flat, Codazzi-compatible).  Affine coordinates and the Massieu
+connection has a Hessian structure (probe-independent, flat,
+Codazzi-compatible).  The solved connection is torsion-free by
+construction: each probe Hessian is symmetric, so the (i, j) and (j, i)
+columns of a probe family's solve share one right-hand side, and no
+torsion check could fail.  Affine coordinates and the Massieu
 potential are recovered by integrating their defining linear systems
 along chart paths, with a second path recording path-independence.  These
 solves return their residuals and judge none of them: on a curved model
@@ -33,7 +36,6 @@ from .geometry import (
     curvature_at,
     metric_at,
     metric_field,
-    torsion_residual,
 )
 from .transport import _along, _l_path
 
@@ -45,7 +47,6 @@ MAX_GRID_POINTS = 100 * CLASSIFY_GRID_PER_AXIS**2  # 100 times the default grid
 _CHECKS = (
     ("condition4", "worst_deviation", "cond4"),
     ("probe_consistency", "worst", "hessian"),
-    ("torsionless", "residual", "torsion"),
     ("flat", "max_curvature", "flat"),
     ("codazzi", "residual", "codazzi"),
 )
@@ -61,7 +62,6 @@ class GeometryReport:
     tolerances: dict
     condition4: dict = field(default_factory=dict)
     probe_consistency: dict = field(default_factory=dict)
-    torsionless: dict = field(default_factory=dict)
     flat: dict = field(default_factory=dict)
     codazzi: dict = field(default_factory=dict)
     hessian_structure: str = "not-evaluated"
@@ -143,7 +143,6 @@ def classify(
         track("hessian", connection.probe_consistency, point)
         if not passes(connection.probe_consistency, tol.hessian):
             continue
-        track("torsion", torsion_residual(connection.omega), point)
         track("flat", curvature_at(model, point, connection=conn).max_abs, point)
         track(
             "codazzi",

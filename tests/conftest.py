@@ -8,10 +8,10 @@ from dsm_geom import models
 from dsm_geom.core import (
     DataSet,
     GaussianData,
-    OccupationData,
     RegressionData,
     TwoPointData,
     UniformData,
+    occupation_totals,
 )
 from dsm_geom.models.gumbel import ExponentialData, GumbelData
 
@@ -46,6 +46,25 @@ def nan_probe_model():
         return np.full_like(h, np.nan) if x.label == "probe" else h
 
     return dataclasses.replace(base, hessian_fn=hessian)
+
+
+def wrong_fibre_model():
+    """gaussian-kl whose three fibre members at (mu, sigma) have mean
+    mu + 0.1 sigma and spread sigma: members of another model point.  The
+    members agree with one another, so condition 4 holds, and the probes
+    are the model's own, so the probe families agree; only Codazzi fails."""
+    base = models.build("gaussian-kl")
+
+    def members(coords):
+        mean, sigma = coords[0] + 0.1 * coords[1], coords[1]
+        half = math.sqrt(3.0) * sigma
+        return [
+            GaussianData(mean, sigma),
+            TwoPointData(mean, sigma),
+            UniformData(mean - half, mean + half),
+        ]
+
+    return dataclasses.replace(base, fibre_sampler_fn=members)
 
 
 # floating-point errors raise, as under the command line
@@ -190,9 +209,8 @@ def random_dataset(model, rng):
         base = 1.0 / np.expm1(point[0] * (levels - point[1]))
         shift = np.array([1.0, -2.0, 1.0]) / math.sqrt(6.0)
         headroom = float(np.min(base / np.abs(shift)))
-        return OccupationData(
-            base + rng.uniform(-0.5, 0.5) * headroom * shift, levels
-        )
+        occupations = base + rng.uniform(-0.5, 0.5) * headroom * shift
+        return DataSet(occupation_totals(occupations, levels))
     if name == "gumbel":
         if rng.integers(0, 2) == 0:
             return GumbelData(rng.uniform(0.8, 3.0), rng.uniform(-1.0, 1.0))

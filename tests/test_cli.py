@@ -14,7 +14,11 @@ from dsm_geom.core import Tolerances, passes
 
 from conftest import RAISE_FP_ERRORS, nan_probe_model
 
-# the sha256 of each file of `--model all --op report --seed 42`, as sha256sum writes it
+# the sha256 of each file of `--model all --op report --seed 42`, as sha256sum
+# writes it. A change that moves report bytes on purpose re-records it from the
+# repository root with
+#   out=$(mktemp -d) && PYTHONPATH=src python -m dsm_geom.cli --model all --op report \
+#     --seed 42 --out "$out" && (cd "$out" && sha256sum *) > tests/data/report_seed42.sha256
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_seed42.sha256"
 
 
@@ -147,6 +151,25 @@ class TestDocuments:
             '{"a": [1.0, null], "d": null, "i": 3, "overflow": [Infinity]}'
         )
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_load_document_reads_both_schema_versions(self, version, tmp_path):
+        # version 1 differs only by classify's torsionless block and torsion tolerance
+        classification = {"tolerances": {"cond4": 1e-3}, "flat": {"status": "pass"}}
+        if version == 1:
+            classification["torsionless"] = {"status": "pass", "residual": 0.0}
+            classification["tolerances"]["torsion"] = 1e-3
+        doc = {
+            "schema_version": version, "model": "gce", "op": "report", "inputs": {},
+            "results": {"classification": classification}, "residuals": {},
+            "verdicts": {"condition4": "pass"}, "tolerances": {},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.load_document(str(path)) == doc
+        path.write_text(json.dumps({**doc, "schema_version": 3}))
+        with pytest.raises(cli.ConfigError, match="schema version 3"):
+            cli.load_document(str(path))
+
     def test_unknown_report_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 1, "surprise": True}))
@@ -174,6 +197,18 @@ class TestCliRuns:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(out.read_text())["verdicts"]["condition4"] == "fail"
+
+    def test_catalogue_build_leaves_numpy_ma_unloaded(self):
+        # gce's distinct-levels check used np.unique, which imports numpy.ma
+        # in every process that builds gce
+        code = (
+            "import sys, dsm_geom.cli; dsm_geom.cli.models.catalogue(); "
+            "assert 'numpy.ma' not in sys.modules"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_classify_gaussian(self, tmp_path):
         out = tmp_path / "r.json"
@@ -561,6 +596,17 @@ class TestExitCodes:
         assert run_cli(["--model", "gce", "--op", "geodesic"]).returncode == 1
         assert run_cli(["--model", "unknown", "--op", "classify"]).returncode == 1
         assert run_cli(["--model", "gce", "--op", "classify", "--tol", "bogus=1"]).returncode == 1
+
+    def test_torsion_tolerance_is_a_config_error(self, tmp_path, capsys):
+        # the solved connection is symmetric by construction, so no check reads
+        # a torsion tolerance and --tol no longer takes one
+        out = tmp_path / "c.json"
+        args = ["--model", "gce", "--op", "classify", "--tol", "torsion=1e-3", "--out", str(out)]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "['cond4', 'hessian', 'flat', 'codazzi', 'path']" in err
+        assert not out.exists()
 
     def test_numerical_failure_is_two(self, tmp_path):
         # a path op cannot integrate past the condition-4 gate: exit 2

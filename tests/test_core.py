@@ -10,12 +10,10 @@ from dsm_geom.core import (
     ChartSpec,
     DataSet,
     GaussianData,
-    OccupationData,
     RegressionData,
     Tolerances,
     TwoPointData,
     UniformData,
-    VonMisesFisherData,
     antithetic_pairs,
     evaluate_divergence,
     divergence_gradient,
@@ -55,7 +53,6 @@ class TestTolerances:
             "cond4": 1e-3,
             "hessian": 1e-3,
             "flat": 1e-3,
-            "torsion": 1e-3,
             "codazzi": 1e-3,
             "path": 1e-4,
         }
@@ -280,7 +277,6 @@ class TestAntitheticPairs:
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_VMF_RESULTANT = 1.0 / math.tanh(2.0) - 0.5
 
 
 class TestStatisticQuery:
@@ -298,19 +294,6 @@ class TestStatisticQuery:
             (
                 lambda: TwoPointData(1.0, 0.5),
                 {"mean_x": 1.0, "mean_x2": 1.25, "entropy": 0.5 * (1 + _LOG_2PI) + math.log(0.5)},
-            ),
-            (
-                lambda: VonMisesFisherData(2.0, [0.0, 0.0, 2.0]),
-                {
-                    "mean_e1": 0.0,
-                    "mean_e2": 0.0,
-                    "mean_e3": _VMF_RESULTANT,
-                    "entropy": math.log(2.0 * math.pi * math.sinh(2.0)) - 2.0 * _VMF_RESULTANT,
-                },
-            ),
-            (
-                lambda: OccupationData([0.5, 1.0, 2.0], [1.0, 2.0, 3.0]),
-                {"total_count": 3.5, "total_energy": 8.5},
             ),
             (
                 lambda: RegressionData([[0.0, 1.0], [1.0, 3.0], [2.0, 4.0]]),
@@ -339,8 +322,6 @@ class TestStatisticQuery:
             "gaussian",
             "uniform",
             "twopoint",
-            "vmf",
-            "occupations",
             "regression",
             "exponential",
             "gumbel",

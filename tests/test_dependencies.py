@@ -15,6 +15,8 @@ import pytest
 from dsm_geom import cli, structure
 from dsm_geom.core import Tolerances
 
+from test_witnesses import WITNESSES, check_tables
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dsm_geom"
 
@@ -338,8 +340,8 @@ def test_the_unchecked_tolerance_scan_sees_tables_and_reads():
         "    return passes(x, config.tol.path) and x < limits.hessian\n"
     )
     tables = [(("condition4", "fibre_deviation", "cond4"),), ()]
-    fields = ["cond4", "hessian", "flat", "torsion", "path"]
-    assert unchecked_tolerances(fields, tables, [source]) == ["hessian", "torsion"]
+    fields = ["cond4", "hessian", "flat", "codazzi", "path"]
+    assert unchecked_tolerances(fields, tables, [source]) == ["codazzi", "hessian"]
 
 
 def test_every_tolerance_is_the_tolerance_of_a_check():
@@ -348,6 +350,31 @@ def test_every_tolerance_is_the_tolerance_of_a_check():
     fields = [spec.name for spec in dataclasses.fields(Tolerances)]
     sources = [path.read_text() for path in sorted(PACKAGE.rglob("*.py"))]
     assert unchecked_tolerances(fields, tables, sources) == []
+
+
+def unwitnessed_checks(tables, witnesses):
+    """(place, check) of every check in ``tables`` (place -> checks) that no
+    ``witnesses`` row (place, check, ...) names."""
+    named = {(place, check) for place, check, *_ in witnesses}
+    return [
+        (place, check)
+        for place, checks in tables.items()
+        for check in checks
+        if (place, check) not in named
+    ]
+
+
+def test_the_witness_scan_sees_a_missing_or_misfiled_row():
+    gate = ("condition4", "fibre_deviation", "cond4")
+    flat = ("flat", "max_abs", "flat")
+    tables = {"classify": (gate, flat), "metric": (gate,), "fit": ()}
+    rows = [("classify", gate, "gumbel", {}), ("curvature", gate, "gumbel", {})]
+    assert unwitnessed_checks(tables, rows) == [("classify", flat), ("metric", gate)]
+
+
+def test_every_check_has_a_witness_that_fails_it():
+    # a check that no model fails decides nothing; test_witnesses runs each row
+    assert unwitnessed_checks(check_tables(), WITNESSES) == []
 
 
 def gates_without_tol(source):

@@ -6,7 +6,6 @@ import pytest
 from dsm_geom.core import (
     DataSet,
     GaussianData,
-    OccupationData,
     RegressionData,
     divergence_gradient,
 )

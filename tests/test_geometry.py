@@ -130,8 +130,8 @@ class TestConnectionAt:
 
     def test_probe_connections_are_exactly_symmetric(self, catalogue):
         # each probe Hessian is symmetric, so the (i, j) and (j, i) columns
-        # of a family's solve are the same right-hand side: classify's
-        # torsionless check compares an exact 0.0 with its tolerance
+        # of a family's solve are the same right-hand side: the connection is
+        # torsion-free by construction, so classify has no torsion check
         arrays = []
         for model in catalogue.values():
             if not model.has_probes:

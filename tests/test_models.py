@@ -9,7 +9,6 @@ from dsm_geom.core import (
     PROBE_DELTA,
     GaussianData,
     RegressionData,
-    VonMisesFisherData,
     divergence_gradient,
     divergence_hessian,
 )
@@ -193,12 +192,6 @@ class TestVonMisesFisher:
                 for member, sign in ((pair.plus, 1.0), (pair.minus, -1.0)):
                     moments = [member.statistic(f"mean_e{k}") for k in (1, 2, 3)]
                     assert np.array_equal(moments, c * u + (sign * s) * tangent)
-
-    def test_vmf_provider_moments(self):
-        data = VonMisesFisherData(2.0, [0.0, 0.0, 1.0])
-        resultant = 1.0 / math.tanh(2.0) - 0.5
-        assert data.statistic("mean_e3") == pytest.approx(resultant)
-        assert data.statistic("mean_e1") == 0.0
 
     def test_oracle_metrics_positive_definite(self, catalogue, rng):
         for name in ("gaussian-kl", "gaussian-sumsq", "gce", "vmf-sphere", "vmf-cylinder", "regression-dlambda"):

@@ -156,6 +156,20 @@ class TestHessian:
         hess = numdiff.fd_hessian(bumpy, rng.standard_normal(3))
         assert np.array_equal(hess, hess.T)
 
+    def test_both_richardson_levels_share_one_centre_call(self):
+        # each level's n = 2 stencil has 4 diagonal and 4 mixed points off the
+        # centre; the centre value used to be recomputed per level (18 calls)
+        centre = np.array([0.3, -1.2])
+        calls = []
+
+        def counting(t):
+            calls.append(np.array(t))
+            return float(t @ t)
+
+        numdiff.fd_hessian(counting, centre)
+        assert len(calls) == 2 * 8 + 1
+        assert sum(np.array_equal(t, centre) for t in calls) == 1
+
     @pytest.mark.parametrize("distance", [None, 1e-2, 2.2e-4, 1e-6])
     def test_exactly_symmetric_without_symmetrising(self, distance):
         # each mixed entry is written to both halves at both Richardson

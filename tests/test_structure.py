@@ -139,7 +139,6 @@ class TestClassify:
         grid = structure.default_grid(model, 2)
         report = structure.classify(model, grid, tol=Tolerances(hessian=1e-300))
         assert report.probe_consistency["status"] == "fail"
-        assert report.torsionless == {"status": "not-evaluated", "residual": None}
         assert report.flat == {"status": "not-evaluated", "max_curvature": None}
         assert report.codazzi == {"status": "not-evaluated", "residual": None}
         assert report.hessian_structure == "fail"
