@@ -220,7 +220,22 @@ class TwoPointData(DataSet):
 
 def occupation_totals(occupations: np.ndarray, levels: np.ndarray) -> dict:
     """The statistic table of occupation numbers on an energy spectrum."""
-    return {"total_count": float(occupations.sum()), "total_energy": float(occupations @ levels)}
+    return {
+        "total_count": float(occupations.sum()),
+        "total_energy": float(occupations.dot(levels)),
+    }
+
+
+def regression_sums(x: np.ndarray, y: np.ndarray) -> dict:
+    """The statistic table of the couples (x_j, y_j), from contiguous vectors."""
+    return {
+        "n_points": float(x.size),
+        "sum_x": float(x.sum()),
+        "sum_y": float(y.sum()),
+        "sum_xx": float(x.dot(x)),
+        "sum_xy": float(x.dot(y)),
+        "sum_yy": float(y.dot(y)),
+    }
 
 
 class RegressionData(DataSet):
@@ -238,18 +253,7 @@ class RegressionData(DataSet):
         n = arr.shape[0]
         if abs(n * np.sum(self.x**2) - np.sum(self.x) ** 2) < 1e-12:
             raise DomainError("regression abscissae are degenerate")
-        x, y = self.x, self.y
-        super().__init__(
-            {
-                "n_points": float(x.size),
-                "sum_x": float(x.sum()),
-                "sum_y": float(y.sum()),
-                "sum_xx": float(x @ x),
-                "sum_xy": float(x @ y),
-                "sum_yy": float(y @ y),
-            },
-            label=f"regression(n={n})",
-        )
+        super().__init__(regression_sums(self.x, self.y), label=f"regression(n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +286,15 @@ def antithetic_pairs(probe: Callable, scales: Sequence[float], family: int) -> l
     is ``probe(-offsets)``.
     """
     steps = [PROBE_DELTA * scale for scale in scales]
-    pairs = []
-    for i in range(len(steps)):
-        plus, minus = [], []
-        for j, step in enumerate(steps):
-            if family == 0:
-                offset = step if j == i else 0.0
-            else:
-                half = 0.5 * step
-                offset = half if j == i else (half / 3.0 if j > i else -half / 3.0)
-            plus.append(offset)
-            minus.append(-offset)
-        pairs.append(ProbePair(probe(plus), probe(minus)))
-    return pairs
+    if family == 0:
+        rows = [[s if j == i else 0.0 for j, s in enumerate(steps)] for i in range(len(steps))]
+    else:
+        halves = [0.5 * step for step in steps]
+        rows = [
+            [h if j == i else (h / 3.0 if j > i else -h / 3.0) for j, h in enumerate(halves)]
+            for i in range(len(halves))
+        ]
+    return [ProbePair(probe(plus), probe([-offset for offset in plus])) for plus in rows]
 
 
 @dataclass

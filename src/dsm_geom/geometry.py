@@ -128,17 +128,22 @@ def _solve_family(model, coords, family):
     grads = _divergence_gradients(model, data, coords)
     hessians = _divergence_hessians(model, data, coords)
     probe_matrix = 0.5 * (grads[:n] - grads[n:])
-    rhs = 0.5 * (hessians[:n] - hessians[n:])
-    singular_values = np.linalg.svd(probe_matrix, compute_uv=False)
-    condition = (
-        singular_values[0] / singular_values[-1] if singular_values[-1] > 0 else np.inf
-    )
-    if not np.isfinite(condition) or condition > PROBE_CONDITION_LIMIT:
+    rhs = 0.5 * (hessians[:n] - hessians[n:]).reshape(n, n * n)
+    # one LU solve gives omega and the inverse, and |P|_F |P^-1|_F bounds the
+    # 2-norm condition from above (Higham, Accuracy and Stability, ch. 15)
+    try:
+        solved = np.linalg.solve(probe_matrix, np.concatenate((rhs, np.eye(n)), axis=1))
+        condition = math.hypot(*probe_matrix.ravel().tolist()) * math.hypot(
+            *solved[:, n * n :].ravel().tolist()
+        )
+    except np.linalg.LinAlgError:  # an exactly singular pivot
+        condition = math.inf
+    if not condition <= PROBE_CONDITION_LIMIT:  # NaN fails too
         raise ProbeSingular(
             f"off-fibre probe matrix of {model.name} is singular "
             f"(condition {condition:.3g}) at {coords.tolist()}"
         )
-    return np.linalg.solve(probe_matrix, rhs.reshape(n, n * n)).reshape(n, n, n)
+    return solved[:, : n * n].reshape(n, n, n)
 
 
 def connection_at(
@@ -154,8 +159,8 @@ def connection_at(
     Hessian structure, and returns their gap for the caller to judge; with
     ``check_consistency=False`` it solves family 0 alone.
     """
-    coords = model.chart.require(theta)
-    metric = metric_at(model, coords, tol=tol)  # condition-4 gate
+    coords = as_coords(theta)
+    metric = metric_at(model, coords, tol=tol)  # condition-4 gate; checks the chart
     first = _solve_family(model, coords, 0)
     if not check_consistency:
         return ConnectionEvaluation((first,), first, float("nan"), metric)

@@ -35,7 +35,7 @@ def _central2(e1, e2, mu):
 
 
 def _fibre_members(coords):
-    mu, sigma = coords
+    mu, sigma = coords.tolist()
     return [
         GaussianData(mu, sigma),
         TwoPointData(mu, sigma),
@@ -48,7 +48,7 @@ def _probe_pairs(coords, family, second_moment):
 
     ``second_moment(mu, mean, spread)`` is a probe's raw second moment.
     """
-    mu, sigma = coords
+    mu, sigma = coords.tolist()
 
     def probe(offsets):
         mean, spread = mu + offsets[0], sigma + offsets[1]
@@ -83,8 +83,10 @@ def gaussian_kl() -> ModelDefinition:
             + _central2(e1, e2, mu) / (2.0 * sigma**2)
         )
 
+    # sigma stays a numpy scalar: a power of it that underflows to 0 divides
+    # to inf or NaN (as np.errstate says), where a float raises ZeroDivisionError
     def gradient(x, theta):
-        mu, sigma = theta
+        mu, sigma = float(theta[0]), theta[1]
         e1, e2 = _moments(x)
         return np.array(
             [
@@ -94,7 +96,7 @@ def gaussian_kl() -> ModelDefinition:
         )
 
     def hessian(x, theta):
-        mu, sigma = theta
+        mu, sigma = float(theta[0]), theta[1]
         e1, e2 = _moments(x)
         off = 2.0 * (e1 - mu) / sigma**3
         return np.array(
@@ -175,7 +177,7 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         return 0.5 * inv_mu02 * (mu - e1) ** 2 + 0.25 * inv_s04 * gap**2
 
     def gradient(x, theta):
-        mu, sigma = theta
+        mu, sigma = theta.tolist()
         e1, e2 = _moments(x)
         gap = mu**2 + sigma**2 - e2
         return np.array(
@@ -183,7 +185,7 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         )
 
     def hessian(x, theta):
-        mu, sigma = theta
+        mu, sigma = theta.tolist()
         _, e2 = _moments(x)
         return np.array(
             [

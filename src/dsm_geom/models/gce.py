@@ -99,7 +99,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         gap = levels - mu
         return _PointTerms(
             occupancies=f,
-            energy=float(levels @ f),
+            energy=float(levels.dot(f)),
             count=float(f.sum()),
             gap_h=float((gap * h).sum()),
             gap2_h=float((gap**2 * h).sum()),
@@ -107,7 +107,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         )
 
     def gradient(x, theta):
-        beta, mu = theta
+        beta, mu = theta.tolist()
         count, energy = stats(x)
         fibre = point_terms(beta, mu)
         return np.array(
@@ -118,16 +118,11 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         )
 
     def hessian(x, theta):
-        beta, mu = theta
+        beta, mu = theta.tolist()
         count = x.statistic("total_count")
         fibre = point_terms(beta, mu)
-        mixed = float(fibre.count - count - beta * fibre.gap_h)
-        return np.array(
-            [
-                [fibre.gap2_h, mixed],
-                [mixed, beta**2 * fibre.h_sum],
-            ]
-        )
+        mixed = fibre.count - count - beta * fibre.gap_h
+        return np.array([[fibre.gap2_h, mixed], [mixed, beta**2 * fibre.h_sum]])
 
     label = f"occupations(J={levels.size})"
 
@@ -136,16 +131,19 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         return DataSet(occupation_totals(occupations, levels), label=label)
 
     def fibre_members(coords):
-        base = point_terms(*coords).occupancies
+        fibre = point_terms(*coords.tolist())
+        # the base member's totals are the point's own sums, bit for bit
+        first = DataSet({"total_count": fibre.count, "total_energy": fibre.energy}, label=label)
         if shift is None:  # J=2 spectra only have the base member
-            return [member(base) for _ in range(3)]
+            return [first] * 3
+        base = fibre.occupancies
         headroom = float((base[moving] / steps).min())
         t = 0.5 * min(headroom, 1.0)
-        return [member(base), member(base + t * shift), member(base - t * shift)]
+        return [first, member(base + t * shift), member(base - t * shift)]
 
     def probe_pairs(coords, family):
         # the fibre conditions (count lowered, energy raised)
-        fibre = point_terms(*coords)
+        fibre = point_terms(*coords.tolist())
         count, energy = fibre.count, fibre.energy
 
         def probe(offsets):

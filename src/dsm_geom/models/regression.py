@@ -10,8 +10,8 @@ from ..core import (
     ClosedFormOracle,
     DataSet,
     ModelDefinition,
-    RegressionData,
     antithetic_pairs,
+    regression_sums,
 )
 from ..errors import DomainError
 
@@ -28,30 +28,34 @@ def _sums(x):
     return {name: x.statistic(name) for name in _SUM_IDS}
 
 
+# the fibre members' abscissae, non-degenerate, and residuals, orthogonal to {1, x}
+_CONFIGS = (
+    (np.array([0.0, 1.0, 2.0]), np.zeros(3)),
+    (np.array([0.0, 1.0, 2.0]), 0.3 * np.array([1.0, -2.0, 1.0])),
+    (np.array([-1.0, 0.0, 1.0, 2.0]), 0.4 * np.array([1.0, -1.0, -1.0, 1.0])),
+)
+
+
 def _fibre_members(coords):
     """Samples whose residuals are orthogonal to {1, x} at (a, b).
 
     Different abscissa configurations give different second-derivative
     matrices for the least-squares divergence, which is exactly the
-    condition-4 failure this model documents.
+    condition-4 failure this model documents.  Each is the RegressionData
+    table of its couples, without re-validating the constant abscissae.
     """
-    a, b = coords
-    configs = [
-        (np.array([0.0, 1.0, 2.0]), np.zeros(3)),
-        (np.array([0.0, 1.0, 2.0]), 0.3 * np.array([1.0, -2.0, 1.0])),
-        (np.array([-1.0, 0.0, 1.0, 2.0]), 0.4 * np.array([1.0, -1.0, -1.0, 1.0])),
-    ]
+    a, b = coords.tolist()
     return [
-        RegressionData(np.column_stack([xs, a * xs + b + residual]))
-        for xs, residual in configs
+        DataSet(regression_sums(xs, a * xs + b + residual), label=f"regression(n={xs.size})")
+        for xs, residual in _CONFIGS
     ]
 
 
 def _probe_pairs(coords, family):
     """Probes moving the fibre conditions (sum_xy, sum_y) of three points on the line."""
-    a, b = coords
-    xs = np.array([0.0, 1.0, 2.0])
-    sums = _sums(RegressionData(np.column_stack([xs, a * xs + b])))
+    a, b = coords.tolist()
+    xs = _CONFIGS[0][0]
+    sums = regression_sums(xs, a * xs + b)
     scale = max(abs(sums["sum_yy"]), 1.0)
 
     def probe(offsets):
@@ -87,7 +91,7 @@ def regression_ls() -> ModelDefinition:
         )
 
     def gradient(x, theta):
-        a, b = theta
+        a, b = theta.tolist()
         s = _sums(x)
         return np.array(
             [
@@ -142,12 +146,12 @@ def regression_dlambda(lam: float = 1.0) -> ModelDefinition:
         )
 
     def gradient(x, theta):
-        a, b = theta
+        a, b = theta.tolist()
         p, _, ra, _, rb = parts(x)
         return np.array([lam2 * (a - ra / p), b - rb / p])
 
     def hessian(x, theta):
-        return np.diag([lam2, 1.0])
+        return np.array([[lam2, 0.0], [0.0, 1.0]])
 
     def oracle_metric(theta):
         return np.diag([lam2, 1.0])

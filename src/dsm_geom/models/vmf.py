@@ -10,10 +10,12 @@ from ..core import ChartSpec, ClosedFormOracle, DataSet, ModelDefinition, antith
 from ..errors import DomainError
 
 
+def _moments(x):
+    return x.statistic("mean_e1"), x.statistic("mean_e2"), x.statistic("mean_e3")
+
+
 def _moment_vector(x):
-    return np.array(
-        [x.statistic("mean_e1"), x.statistic("mean_e2"), x.statistic("mean_e3")]
-    )
+    return np.array(_moments(x))
 
 
 def _moment_data(vector, entropy, tag):
@@ -85,22 +87,24 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
 
     def gradient(x, theta):
         moments = _moment_vector(x)
-        du_t, du_p = tangents_at(*theta)
-        return np.array([-kappa * float(du_t @ moments), -kappa * float(du_p @ moments)])
+        du_t, du_p = tangents_at(*theta.tolist())
+        return np.array([-kappa * float(du_t.dot(moments)), -kappa * float(du_p.dot(moments))])
 
     def hessian(x, theta):
         moments = _moment_vector(x)
-        du_tt, du_tp, du_pp = second_derivatives_at(*theta)
-        h = np.empty((2, 2))
-        h[0, 0] = -kappa * float(du_tt @ moments)
-        h[0, 1] = h[1, 0] = -kappa * float(du_tp @ moments)
-        h[1, 1] = -kappa * float(du_pp @ moments)
-        return h
+        du_tt, du_tp, du_pp = second_derivatives_at(*theta.tolist())
+        mixed = -kappa * float(du_tp.dot(moments))
+        return np.array(
+            [
+                [-kappa * float(du_tt.dot(moments)), mixed],
+                [mixed, -kappa * float(du_pp.dot(moments))],
+            ]
+        )
 
     def fibre_members(coords):
         # the fibre pins the moment vector; members differ in the
         # divergence-invisible entropy offset only
-        u = _sphere_point(coords)
+        u = _sphere_point(coords).tolist()
         return [
             _moment_data(u, fibre_entropy - 0.35 * j, f"sphere-fibre({j})")
             for j in range(3)
@@ -109,14 +113,17 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
     def probe_pairs(coords, family):
         # the fibre conditions are the moment vector's angles along the
         # orthonormal tangents; a probe moves it along a great circle
-        u = _sphere_point(coords)
-        du_t, du_p = tangents_at(*coords)
-        across = du_p / math.sin(coords[0])
+        t, p = coords.tolist()
+        u = _sphere_point(coords).tolist()
+        du_t, du_p = (d.tolist() for d in tangents_at(t, p))
+        across = [c / math.sin(t) for c in du_p]
 
         def probe(offsets):
             angle = math.hypot(offsets[0], offsets[1])
-            direction = (offsets[0] / angle) * du_t + (offsets[1] / angle) * across
-            vec = math.cos(angle) * u + math.sin(angle) * direction
+            a, b = offsets[0] / angle, offsets[1] / angle
+            cos, sin = math.cos(angle), math.sin(angle)
+            # u cos + (a d_t u + b across) sin, per component in floats
+            vec = [cos * ui + sin * (a * ti + b * ci) for ui, ti, ci in zip(u, du_t, across)]
             return _moment_data(vec, fibre_entropy, "great-circle-probe")
 
         return antithetic_pairs(probe, (1.0, 1.0), family)
@@ -194,31 +201,23 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         )
 
     def gradient(x, theta):
-        phi, lam = theta
-        moments = _moment_vector(x)
-        return np.array(
-            [
-                kappa * (math.sin(phi) * moments[0] - math.cos(phi) * moments[1]),
-                -1.0 / lam + moments[2],
-            ]
-        )
+        phi, lam = theta.tolist()
+        e1, e2, e3 = _moments(x)
+        return np.array([kappa * (math.sin(phi) * e1 - math.cos(phi) * e2), -1.0 / lam + e3])
 
     def hessian(x, theta):
-        phi, lam = theta
-        moments = _moment_vector(x)
+        phi, lam = theta  # lam a numpy scalar: lam**2 may underflow to 0
+        e1, e2, _ = _moments(x)
         return np.array(
-            [
-                [kappa * (math.cos(phi) * moments[0] + math.sin(phi) * moments[1]), 0.0],
-                [0.0, 1.0 / lam**2],
-            ]
+            [[kappa * (math.cos(phi) * e1 + math.sin(phi) * e2), 0.0], [0.0, 1.0 / lam**2]]
         )
 
     def fibre_entropy(lam):
         return log_norm(lam) - kappa + 1.0  # cross-entropy at the projection
 
     def fibre_members(coords):
-        phi, lam = coords
-        vec = np.array([math.cos(phi), math.sin(phi), 1.0 / lam])
+        phi, lam = coords.tolist()
+        vec = [math.cos(phi), math.sin(phi), 1.0 / lam]
         return [
             _moment_data(vec, fibre_entropy(lam) - 0.35 * j, f"cyl-fibre({j})")
             for j in range(3)
@@ -226,12 +225,12 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
 
     def probe_pairs(coords, family):
         # the fibre conditions (phi lowered, e3) on the cylinder surface
-        phi, lam = coords
+        phi, lam = coords.tolist()
         e3 = 1.0 / lam
 
         def probe(offsets):
             angle = phi - offsets[0]
-            vec = np.array([math.cos(angle), math.sin(angle), e3 + offsets[1]])
+            vec = [math.cos(angle), math.sin(angle), e3 + offsets[1]]
             # the smallest cross-entropy over the chart keeps divergences >= 0
             return _moment_data(vec, fibre_entropy(1.0 / vec[2]), "cyl-probe")
 

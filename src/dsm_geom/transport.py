@@ -239,10 +239,13 @@ def geodesic(
     n = coords.size
 
     def rhs(_, state):
-        pos, vel = state[:n], state[n:]
-        omega = connection(pos)
-        acc = -np.einsum("kij,i,j->k", omega, vel, vel)
-        return np.concatenate([vel, acc])
+        vel = state[n:].tolist()
+        omega = connection(state[:n]).reshape(n, n * n).tolist()
+        # acceleration -omega^k_ij v^i v^j, summed in floats over (i, j) in
+        # row-major order, as einsum("kij,i,j->k") sums it
+        pairs = [(a, b) for a in vel for b in vel]
+        acc = [-sum([w * a * b for w, (a, b) in zip(row, pairs)]) for row in omega]
+        return np.array(vel + acc)
 
     times = [0.0]
     states = [np.concatenate([coords, velocity])]

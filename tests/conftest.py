@@ -48,6 +48,18 @@ def nan_probe_model():
     return dataclasses.replace(base, hessian_fn=hessian)
 
 
+def nan_gradient_probe_model():
+    """gaussian-kl whose model gradient is NaN at every probe data set, so its
+    probe matrix is NaN while its metric and condition 4 are sound."""
+    base = models.build("gaussian-kl")
+
+    def gradient(x, theta):
+        g = base.gradient_fn(x, theta)
+        return np.full_like(g, np.nan) if x.label == "probe" else g
+
+    return dataclasses.replace(base, gradient_fn=gradient)
+
+
 def wrong_fibre_model():
     """gaussian-kl whose three fibre members at (mu, sigma) have mean
     mu + 0.1 sigma and spread sigma: members of another model point.  The

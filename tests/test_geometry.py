@@ -17,6 +17,7 @@ from conftest import (
     HESSIAN_STRUCTURED,
     METRIC_BEARING,
     levi_civita_from_metric,
+    nan_gradient_probe_model,
     random_chart_point,
     sphere_connection_reference,
 )
@@ -153,7 +154,7 @@ class TestConnectionAt:
         # one geodesic field evaluation: the condition-4 gate samples 3
         # fibre members (1 sampler call, 3 Hessians), one probe family of 2
         # antithetic pairs costs 4 gradients and 4 Hessians, and the chart
-        # is checked by connection_at and its gate only
+        # is checked once, by the gate
         model = catalogue[name]
         calls = collections.Counter()
 
@@ -172,7 +173,7 @@ class TestConnectionAt:
         for method in ("require", "contains"):
             monkeypatch.setattr(ChartSpec, method, counted("chart", getattr(ChartSpec, method)))
         geometry.connection_at(model, point, check_consistency=False)
-        assert calls.pop("chart") <= 2
+        assert calls.pop("chart") == 1
         assert calls == {
             "fibre_sampler_fn": 1, "probe_pairs_fn": 1, "gradient_fn": 4, "hessian_fn": 7
         }
@@ -461,6 +462,12 @@ class TestErrorPaths:
         assert report.condition4["status"] == "fail"
         assert "not finite" in report.condition4["evidence"]["error"]
 
+    def test_nan_probe_gradient_is_singular(self):
+        # a NaN probe matrix used to end in the SVD's LinAlgError, which
+        # classify does not record
+        with pytest.raises(geometry.ProbeSingular, match="condition nan"):
+            geometry.connection_at(nan_gradient_probe_model(), [0.3, 1.2])
+
     def test_degenerate_probes_raise(self):
         model = _synthetic_model(np.eye(2), degenerate_probes=True)
         with pytest.raises(geometry.ProbeSingular):
@@ -478,6 +485,80 @@ class TestErrorPaths:
         model = dataclasses.replace(model, probe_pairs_fn=three_pairs)
         with pytest.raises(geometry.ProbeSingular, match="3 probe pairs for dimension 2"):
             geometry.connection_at(model, [0.0, 0.0])
+
+
+def _probe_matrix_model(matrix):
+    """A model whose probe matrix is ``matrix`` exactly: probe pair i's plus
+    and minus gradients are +row i and -row i.  Its metric is the identity
+    and its probe Hessians are zero, so every connection it solves is 0."""
+    from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, ProbePair
+
+    rows = np.asarray(matrix, dtype=float)
+
+    def gradient(x, theta):
+        return x.statistic("sign") * rows[int(x.statistic("row"))]
+
+    def hessian(x, theta):
+        return np.zeros((2, 2)) if x.label == "probe" else np.eye(2)
+
+    def probes(theta, family):
+        def probe(row, sign):
+            return DataSet({"row": row, "sign": sign}, label="probe")
+
+        return [ProbePair(probe(i, 1.0), probe(i, -1.0)) for i in range(2)]
+
+    return ModelDefinition(
+        name="probe-matrix",
+        chart=ChartSpec(
+            domain=((-1.0, 1.0),) * 2, names=("u", "v"), sample_box=((-0.5, 0.5),) * 2
+        ),
+        divergence_fn=lambda x, theta: 0.0,
+        gradient_fn=gradient,
+        hessian_fn=hessian,
+        fibre_sampler_fn=lambda theta: [DataSet({}, label="member") for _ in range(3)],
+        probe_pairs_fn=probes,
+    )
+
+
+def _conditioned(condition):
+    """A 2x2 matrix, neither diagonal nor singular, whose 2-norm condition is ``condition``."""
+    turn = np.array([[0.8, -0.6], [0.6, 0.8]])
+    return turn @ np.diag([1.0, 1.0 / condition]) @ turn.T
+
+
+class TestProbeCondition:
+    """The probe solve refuses a matrix whose Frobenius condition bound
+    |P|_F |P^-1|_F exceeds PROBE_CONDITION_LIMIT (1e8)."""
+
+    def test_ill_conditioned_probe_matrix_raises(self):
+        matrix = _conditioned(1e9)
+        assert np.linalg.cond(matrix) == pytest.approx(1e9, rel=1e-3)
+        with pytest.raises(geometry.ProbeSingular, match="is singular"):
+            geometry.connection_at(_probe_matrix_model(matrix), [0.0, 0.0])
+
+    def test_well_conditioned_probe_matrix_solves(self):
+        matrix = _conditioned(1e6)
+        assert np.linalg.cond(matrix) == pytest.approx(1e6, rel=1e-6)
+        evaluation = geometry.connection_at(_probe_matrix_model(matrix), [0.0, 0.0])
+        assert np.array_equal(evaluation.omega, np.zeros((2, 2, 2)))
+
+    def test_frobenius_bound_is_never_below_the_2_norm_condition(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entries = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(values=st.lists(entries, min_size=9, max_size=9), size=st.integers(2, 3))
+        def check(values, size):
+            matrix = np.array(values[: size * size]).reshape(size, size)
+            singular = np.linalg.svd(matrix, compute_uv=False)
+            hypothesis.assume(singular[-1] > 1e-6 * singular[0])
+            inverse = np.linalg.solve(matrix, np.eye(size))
+            bound = math.hypot(*matrix.ravel().tolist()) * math.hypot(*inverse.ravel().tolist())
+            # the computed inverse is good to about cond * eps, far below 1e-6
+            assert bound >= singular[0] / singular[-1] * (1.0 - 1e-6)
+
+        check()
 
 
 class TestModelWithoutProbes:

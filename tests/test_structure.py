@@ -14,6 +14,7 @@ from conftest import (
     RAISE_FP_ERRORS,
     gauge_fit_residual,
     gaussian_kl_closed_form,
+    nan_gradient_probe_model,
     nan_probe_model,
     random_chart_point,
 )
@@ -174,6 +175,21 @@ class TestClassify:
         assert probe["status"] == "fail" and math.isnan(probe["worst"])
         assert probe["worst_point"] == report.grid[0]  # the first NaN is kept
         assert report.flat == {"status": "not-evaluated", "max_curvature": None}
+
+    def test_a_singular_probe_matrix_is_recorded(self):
+        # a NaN probe gradient makes the probe matrix singular at every point:
+        # a failed check with its evidence, not an aborted classify
+        point = [0.3, 1.2]
+        report = structure.classify(nan_gradient_probe_model(), [point])
+        assert report.verdicts == {
+            "condition4": "pass",
+            "hessian_structure": "fail",
+            "exponential_family": "no",
+        }
+        probe = report.probe_consistency
+        assert probe["status"] == "fail" and probe["worst"] == math.inf
+        assert probe["evidence"]["point"] == point
+        assert "singular" in probe["evidence"]["error"]
 
     def test_tolerances_reach_every_gate(self, catalogue):
         model = catalogue["regression-ls"]
