@@ -14,7 +14,7 @@ MAX_ITER = 200
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 # a Newton step whose predicted decrease is below this share of the value is
-# lost in rounding: a line search that then fails has arrived at the optimum
+# lost in rounding: no value comparison can judge it, so the fit has arrived
 ROUNDING_DECREASE = 4.0 * np.finfo(float).eps
 
 
@@ -28,26 +28,31 @@ class FitResult:
 
 
 def _descent_direction(grad, hess):
-    """Newton step when the Hessian is PD, else steepest descent."""
+    """Newton step when the Hessian is PD and it descends, else steepest descent."""
     try:
         chol = np.linalg.cholesky(hess)
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, -grad))
-        return step, True
+        if grad @ step < 0:
+            return step, True
     except np.linalg.LinAlgError:
-        norm = np.linalg.norm(grad)
-        return -grad / max(norm, 1.0), False
+        pass
+    return -grad / max(np.linalg.norm(grad), 1.0), False
 
 
 def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
-    """Damped Newton with Armijo backtracking, projected into the chart."""
+    """Damped Newton with Armijo backtracking, projected into the chart.
+
+    Converged when the gradient is below GRAD_TOL at a PD Hessian, or when the
+    Newton step's predicted decrease is lost in rounding (that step is taken
+    whole). A stalled line search or the MAX_ITER budget raises NoConvergence."""
     chart = model.chart
     theta = chart.require(theta0).copy()
     value = evaluate_divergence(model, x, theta)
     for iteration in range(MAX_ITER):
         grad = divergence_gradient(model, x, theta)
         gnorm = float(np.max(np.abs(grad)))
+        hess = divergence_hessian(model, x, theta)
         if gnorm <= GRAD_TOL:
-            hess = divergence_hessian(model, x, theta)
             try:
                 np.linalg.cholesky(hess)
             except np.linalg.LinAlgError:
@@ -56,13 +61,13 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
                     "not a local minimum"
                 )
             return FitResult(theta, value, gnorm, iteration, True)
-        hess = divergence_hessian(model, x, theta)
         direction, newton = _descent_direction(grad, hess)
         slope = float(grad @ direction)
-        if slope >= 0:  # fall back if curvature information misleads
-            direction = -grad / max(np.linalg.norm(grad), 1.0)
-            slope = float(grad @ direction)
-        arrived = newton and -slope <= ROUNDING_DECREASE * max(abs(value), 1.0)
+        if newton and -slope <= ROUNDING_DECREASE * max(abs(value), 1.0):
+            theta = chart.clip_inside(theta + direction)
+            gnorm = float(np.max(np.abs(divergence_gradient(model, x, theta))))
+            value = evaluate_divergence(model, x, theta)
+            return FitResult(theta, value, gnorm, iteration + 1, True)
         step = 1.0
         for _ in range(60):
             candidate = chart.clip_inside(theta + step * direction)
@@ -71,14 +76,8 @@ def fit(model: ModelDefinition, x: DataSet, theta0) -> FitResult:
                 break
             step *= ARMIJO_SHRINK
         else:
-            if arrived:
-                return FitResult(theta, value, gnorm, iteration, True)
             raise NoConvergence(f"line search stalled for {model.name} at {theta.tolist()}")
         theta, value = candidate, new_value
-    grad = divergence_gradient(model, x, theta)
-    gnorm = float(np.max(np.abs(grad)))
-    if gnorm <= GRAD_TOL or arrived:
-        return FitResult(theta, value, gnorm, MAX_ITER, True)
     raise NoConvergence(f"fit of {model.name} did not converge in {MAX_ITER} iterations")
 
 

@@ -118,8 +118,8 @@ def classify(
     conn = connection_field(model, tol=tol)
 
     def track(key, value, point, evidence=None):
-        """Keep the first largest value of a check, at least 0; a NaN outranks any number."""
-        old = worst.setdefault(key, (0.0, None, None))[0]
+        """Keep the first largest value of a check; a NaN outranks any number."""
+        old = worst[key][0] if key in worst else -np.inf
         if value > old or (np.isnan(value) and not np.isnan(old)):
             worst[key] = (value, [float(c) for c in point], evidence)
 

@@ -45,14 +45,14 @@ _NODES = 0.5 - 0.5 * np.sin(np.pi * (_FINEST - 2 * np.arange(_FINEST + 1)) / (2 
 
 @dataclass
 class Trace:
-    """Sampled curve output: (t, theta(t)) rows plus optional vectors.
+    """Sampled curve output: (t, theta(t), vector(t)) rows.
 
     ``path_residual`` is a covariant-constant field's two-path gap.
     """
 
     times: np.ndarray
     points: np.ndarray
-    vectors: Optional[np.ndarray] = None
+    vectors: np.ndarray
     flags: tuple = ()
     path_residual: Optional[float] = None
 
@@ -61,8 +61,8 @@ class Trace:
         return self.points[-1]
 
     @property
-    def end_vector(self) -> Optional[np.ndarray]:
-        return None if self.vectors is None else self.vectors[-1]
+    def end_vector(self) -> np.ndarray:
+        return self.vectors[-1]
 
 
 def _rk4(state, rhs, t, h):

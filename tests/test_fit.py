@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -53,8 +54,9 @@ class TestFit:
                 assert np.max(np.abs(grad)) <= 1e-8, name
 
     def test_gaussian_kl_arrives_when_newton_decrease_is_rounding(self, catalogue):
-        # once the Newton decrease is below rounding no Armijo step passes;
-        # the reproducer and 6 of these 100 starts reach that point
+        # once the Newton decrease is below rounding no Armijo step can pass;
+        # the fit takes that step whole and stops instead of running out its
+        # budget (6 of these 100 starts used to take all 200 iterations)
         model = catalogue["gaussian-kl"]
         result = fit(model, GaussianData(-0.4695, 0.9097), [0.2984, 2.0457])
         assert result.converged
@@ -64,7 +66,30 @@ class TestFit:
             x = GaussianData(rng.uniform(-1.0, 1.0), rng.uniform(0.7, 2.0))
             result = fit(model, x, [rng.uniform(-1.2, 1.2), rng.uniform(1.0, 2.5)])
             assert result.converged
-            assert result.theta_star == pytest.approx(closed_form_fit(model, x), abs=1e-7)
+            assert result.iterations < 20
+            assert result.theta_star == pytest.approx(closed_form_fit(model, x), abs=1e-8)
+
+    def test_newton_decrement_stop_lands_on_the_optimum(self, catalogue):
+        # this fit used to run 200 iterations and stop with gradient 9.1e-9
+        model = catalogue["gaussian-kl"]
+        result = fit(model, GaussianData(-0.1032, 1.1405), [-0.533, 1.3395])
+        assert result.converged
+        assert result.iterations <= 10
+        assert result.gradient_norm <= 1e-12
+
+    def test_budget_exit_raises(self, catalogue):
+        # a start across the phi = +-pi cut of the cylinder does not arrive
+        model = catalogue["vmf-cylinder"]
+        data = model.fibre_sampler(np.array([3.0, 1.0]))[0]
+        with pytest.raises(NoConvergence, match="did not converge in 200 iterations"):
+            fit(model, data, [-2.0, 1.0])
+
+    def test_line_search_stall_raises(self, catalogue):
+        # a gradient of the wrong sign sends every step uphill
+        model = catalogue["gaussian-kl"]
+        uphill = dataclasses.replace(model, gradient_fn=lambda *args: -model.gradient_fn(*args))
+        with pytest.raises(NoConvergence, match="line search stalled"):
+            fit(uphill, GaussianData(0.3, 1.2), [0.0, 1.0])
 
     def test_saddle_or_max_detected(self, catalogue):
         # the antipodal stationary point of the sphere divergence is a

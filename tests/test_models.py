@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from dsm_geom import models, structure
 from dsm_geom.core import (
@@ -217,6 +216,7 @@ class TestGumbel:
     def test_fibre_conditions_by_quadrature(self, catalogue):
         # both members satisfy E[exp(-a(x-m))] = 1 and
         # E[a(x-m)(1 - exp(-a(x-m)))] = 1 at the paired point
+        integrate = pytest.importorskip("scipy.integrate")
         rate = 1.0
         alpha, mode = compatible_point(rate)
 
@@ -252,6 +252,7 @@ class TestGumbel:
 
     def test_provider_statistics_by_quadrature(self):
         # the closed-form Gumbel provider against brute-force integrals
+        integrate = pytest.importorskip("scipy.integrate")
         provider = GumbelData(1.3, 0.4)
 
         def expect(f):

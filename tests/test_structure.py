@@ -133,6 +133,17 @@ class TestClassify:
         assert payload["condition4"]["status"] == "pass"
 
 
+    def test_a_zero_residual_names_the_first_grid_point(self, catalogue):
+        # every residual of the flat regression model is exactly 0; the worst
+        # point used to be null for a check that ran at every point
+        model = catalogue["regression-dlambda"]
+        grid = structure.default_grid(model, 2)
+        report = structure.classify(model, grid)
+        for block in ("condition4", "probe_consistency", "flat", "codazzi"):
+            entry = getattr(report, block)
+            assert entry["status"] == "pass", block
+            assert entry["worst_point"] == list(map(float, grid[0])), block
+
     def test_check_run_at_no_point_is_not_evaluated(self, catalogue):
         # every point stops at the probe check; the three checks after it used
         # to pass with value 0.0 on the curved sphere

@@ -11,6 +11,13 @@ from conftest import levi_civita_from_metric
 
 
 class TestGeodesic:
+    def test_zero_span_raises_before_any_evaluation(self, catalogue):
+        # t_end = 0 makes the default step 0
+        conn, calls = counting_oracle_field(catalogue["gce"])
+        with pytest.raises(NumericalFailure, match="needs a positive step"):
+            transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 0.0)
+        assert calls == []
+
     def test_gce_closed_form_endpoint(self, catalogue):
         trace = transport.geodesic(
             geometry.connection_field(catalogue["gce"]), [1.0, -1.0], [1.0, 0.5], 1.0
@@ -112,6 +119,12 @@ def counting_oracle_field(model):
 
 
 class TestParallelTransport:
+    def test_one_way_point_raises_before_any_evaluation(self, catalogue):
+        conn, calls = counting_oracle_field(catalogue["gce"])
+        with pytest.raises(NumericalFailure, match="at least two way points"):
+            transport.parallel_transport(conn, [np.array([1.0, 0.0])], [1.0, 0.0])
+        assert calls == []
+
     def test_waypoint_outside_domain_raises_before_any_evaluation(self, catalogue):
         # beta = -0.5 is outside the field domain beta > 0; the straight
         # path used to run until a step crossed the bound
