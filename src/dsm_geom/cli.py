@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -101,15 +102,16 @@ class RunConfig:
         _, needs, may, _ = _OPS[self.op]
         for name in given:
             if name in _MODEL_OPTIONS and name not in takes:
-                known = ", ".join(_flag(option) for option in takes) or "none"
+                known = ", ".join(_flags()[option] for option in takes) or "none"
                 raise ConfigError(
-                    f"--model {self.model} takes no {_flag(name)} (its options: {known})"
+                    f"--model {self.model} takes no {_flags()[name]} (its options: {known})"
                 )
             if name not in (*_MODEL_OPTIONS, *_EVERY_OP, *needs, *may):
-                known = ", ".join(_flag(option) for option in needs + may) or "none"
-                raise ConfigError(f"op '{self.op}' takes no {_flag(name)} (its options: {known})")
+                known = ", ".join(_flags()[option] for option in needs + may) or "none"
+                flag = _flags()[name]
+                raise ConfigError(f"op '{self.op}' takes no {flag} (its options: {known})")
         # a required option given empty or zero is as good as missing
-        unset = [_flag(name) for name in needs if not getattr(self, name)]
+        unset = [_flags()[name] for name in needs if not getattr(self, name)]
         if unset:
             raise ConfigError(
                 f"op '{self.op}' needs {', '.join(unset)}, each non-empty and nonzero"
@@ -134,7 +136,7 @@ class RunConfig:
         try:
             return models.build(self.model, **given)
         except ArithmeticError as err:
-            options = ", ".join(f"{_flag(name)} {value}" for name, value in given.items())
+            options = ", ".join(f"{_flags()[name]} {value}" for name, value in given.items())
             raise ConfigError(f"{options} out of range for {self.model} ({err})") from None
 
 
@@ -474,9 +476,10 @@ _EVERY_OP = ("model", "op", "tolerances", "out")
 _POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
 
 
-def _flag(name: str) -> str:
-    """The command-line spelling of a RunConfig field, such as ``--t``."""
-    return next(act.option_strings[0] for act in build_parser()._actions if act.dest == name)
+@functools.cache
+def _flags() -> dict:
+    """Each RunConfig field's command-line spelling, such as ``--t`` for ``t_end``."""
+    return {action.dest: action.option_strings[0] for action in build_parser()._actions}
 
 
 def _check_dims(config, dim):
@@ -495,7 +498,7 @@ def _point_of(config) -> str:
     for name in _OPS[config.op][1]:
         if name in ("at", "start"):
             value = ",".join(str(coordinate) for coordinate in getattr(config, name))
-            return f" at {_flag(name)} {value}"
+            return f" at {_flags()[name]} {value}"
     return ""
 
 

@@ -41,6 +41,26 @@ def in_open_box(coords: np.ndarray, domain: tuple) -> bool:
     return True
 
 
+def require_point(theta, domain: tuple, what: str = "point", where: str = "chart") -> np.ndarray:
+    """``theta`` as a float vector strictly inside the open box ``domain``, or a DomainError."""
+    coords = as_coords(theta)
+    if not in_open_box(coords, domain):
+        raise DomainError(f"{what} {coords.tolist()} outside {where} domain {domain}")
+    return coords
+
+
+def require_tangent(vector, point: np.ndarray, what: str, base: str) -> np.ndarray:
+    """``vector`` as a finite float vector of the checked ``point``'s length, or a DomainError."""
+    values = as_coords(vector)
+    if values.size != point.size:
+        raise DomainError(
+            f"{what} {values.tolist()} has {values.size} components, {base} {point.size}"
+        )
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} {values.tolist()} is not finite")
+    return values
+
+
 @dataclass(frozen=True)
 class ChartSpec:
     """Open coordinate box of a chart plus a finite box used for sampling.
@@ -72,12 +92,7 @@ class ChartSpec:
         return in_open_box(as_coords(theta), self.domain)
 
     def require(self, theta) -> np.ndarray:
-        coords = as_coords(theta)
-        if not in_open_box(coords, self.domain):
-            raise DomainError(
-                f"point {coords.tolist()} outside chart domain {self.domain}"
-            )
-        return coords
+        return require_point(theta, self.domain)
 
     def clip_inside(self, coords: np.ndarray) -> np.ndarray:
         """Project a vector onto the open box, 1e-9 inside each bound."""

@@ -192,6 +192,26 @@ class MassieuSample:
     path_residuals: list
 
 
+def _two_paths(model, theta0, targets, rhs, local, seed, compared, tol):
+    """Solve a linear path system from theta0 to each target along the
+    straight path and along the axis-aligned detour.
+
+    The reference and every target are checked against the chart before
+    the first solve.  Returns the reference, the targets, each straight
+    path's end state and each target's two-path gap over the ``compared``
+    slice of the state.
+    """
+    reference = model.chart.require(theta0)
+    stops = [model.chart.require(target) for target in targets]
+    ends, gaps = [], []
+    for stop in stops:
+        straight = _along(rhs, local, seed, [reference, stop], tol.path)[-1][2]
+        detour = _along(rhs, local, seed, _l_path(reference, stop), tol.path)[-1][2]
+        ends.append(straight)
+        gaps.append(_relative_gap(detour[compared], straight[compared]))
+    return reference, stops, ends, gaps
+
+
 def _affine_rhs(omega, delta, packed):
     """d(G, Theta)/ds on a segment with tangent delta.
 
@@ -218,26 +238,15 @@ def affine_coordinates(
     path-independence residual (``path_residuals``); one beyond
     ``tol.path`` means the connection is not flat.
     """
-    reference = model.chart.require(theta0)
-    conn = connection_field(model, tol=tol)
-    n = reference.size
+    n = model.chart.dim
     seed = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
-    values, gradients, residuals = [], [], []
-    for target in targets:
-        stop = model.chart.require(target)
-        straight = _along(_affine_rhs, conn, seed, [reference, stop], tol.path)[-1][2]
-        detour = _along(_affine_rhs, conn, seed, _l_path(reference, stop), tol.path)[-1][2]
-        value = straight[n * n :]
-        values.append(value)
-        gradients.append(straight[: n * n].reshape(n, n))
-        residuals.append(_relative_gap(detour[n * n :], value))
-    return AffineCoordinateMap(
-        reference=reference,
-        targets=[as_coords(t) for t in targets],
-        values=values,
-        gradients=gradients,
-        path_residuals=residuals,
+    conn = connection_field(model, tol=tol)
+    part = slice(n * n, None)  # the coordinates Theta, after the gradient rows
+    reference, stops, ends, gaps = _two_paths(
+        model, theta0, targets, _affine_rhs, conn, seed, part, tol
     )
+    gradients = [end[: n * n].reshape(n, n) for end in ends]
+    return AffineCoordinateMap(reference, stops, [end[part] for end in ends], gradients, gaps)
 
 
 def _massieu_rhs(local, delta, packed):
@@ -271,31 +280,19 @@ def massieu(
     Hessian the metric and alpha's Jacobian symmetric for any torsion-free
     connection, flat or not.
     """
-    reference = model.chart.require(theta0)
 
     def local(point):
         # one gated evaluation: the connection's condition-4 gate is the metric
         evaluation = connection_at(model, point, check_consistency=False, tol=tol)
         return evaluation.metric.matrix, evaluation.omega
 
-    n = reference.size
+    n = model.chart.dim
     seed = np.zeros(n + 1)
-    potentials, covectors, residuals = [], [], []
-    for target in targets:
-        stop = model.chart.require(target)
-        straight = _along(_massieu_rhs, local, seed, [reference, stop], tol.path)[-1][2]
-        detour = _along(_massieu_rhs, local, seed, _l_path(reference, stop), tol.path)[-1][2]
-        alpha, phi = straight[:n], float(straight[n])
-        potentials.append(phi)
-        covectors.append(alpha)
-        residuals.append(_relative_gap(detour, straight))
-    return MassieuSample(
-        reference=reference,
-        targets=[as_coords(t) for t in targets],
-        potentials=potentials,
-        covectors=covectors,
-        path_residuals=residuals,
+    reference, stops, ends, gaps = _two_paths(
+        model, theta0, targets, _massieu_rhs, local, seed, slice(None), tol
     )
+    potentials = [float(end[n]) for end in ends]
+    return MassieuSample(reference, stops, potentials, [end[:n] for end in ends], gaps)
 
 
 # ---------------------------------------------------------------------------

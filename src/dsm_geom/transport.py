@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tolerances, as_coords
+from .core import Tolerances, require_point, require_tangent
 from .errors import DomainError, NumericalFailure
 from .geometry import ConnectionField, _relative_gap
 
@@ -217,15 +217,8 @@ def geodesic(
     asks for more than ``MAX_GEODESIC_STEPS`` steps raises NumericalFailure
     before any field evaluation.
     """
-    coords = as_coords(theta0)
-    velocity = as_coords(v0)
-    if not connection.contains(coords):
-        raise DomainError(f"geodesic start {coords.tolist()} outside field domain")
-    if velocity.size != coords.size:
-        raise DomainError(
-            f"geodesic velocity {velocity.tolist()} has {velocity.size} components, "
-            f"the start {coords.size}"
-        )
+    coords = require_point(theta0, connection.domain, "geodesic start", "field")
+    velocity = require_tangent(v0, coords, "geodesic velocity", "the start")
     h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
     if not h > 0:
         raise NumericalFailure("geodesic needs a positive step")
@@ -281,20 +274,11 @@ def parallel_transport(
     The field domain is a box, so a path whose way points lie inside it
     stays inside; a way point outside it raises DomainError up front.
     """
-    waypoints = np.array([as_coords(point) for point in curve], dtype=float)
-    if waypoints.shape[0] < 2:
+    domain = connection.domain
+    waypoints = [require_point(point, domain, "transport way point", "field") for point in curve]
+    if len(waypoints) < 2:
         raise NumericalFailure("transport needs at least two way points")
-    for point in waypoints:
-        if not connection.contains(point):
-            raise DomainError(
-                f"transport way point {point.tolist()} outside field domain {connection.domain}"
-            )
-    vector = as_coords(v0)
-    if vector.size != waypoints.shape[1]:
-        raise DomainError(
-            f"transported vector {vector.tolist()} has {vector.size} components, "
-            f"the path {waypoints.shape[1]}"
-        )
+    vector = require_tangent(v0, waypoints[0], "transported vector", "the path")
 
     def rhs(omega, delta, vector):
         return -np.einsum("jik,i,k->j", omega, delta, vector)
@@ -315,27 +299,26 @@ def covariant_constant_field(
     A few grid points are re-transported along an axis-aligned detour and
     the worst disagreement is returned as ``path_residual``; one beyond
     ``tol.flat`` means the connection is not flat and no covariant-constant
-    extension exists.
+    extension exists.  The base, the seed and every grid point are checked
+    before the first transport.
     """
-    base = as_coords(theta0)
-    seed = as_coords(v0)
-    grid_points = [as_coords(point) for point in grid]
+    base = require_point(theta0, connection.domain, "field base", "field")
+    seed = require_tangent(v0, base, "field seed", "the base")
+    grid_points = [require_point(p, connection.domain, "field grid point", "field") for p in grid]
     if not grid_points:
         raise DomainError("a covariant-constant field needs at least one grid point")
-    vectors = []
-    for target in grid_points:
-        if np.allclose(target, base):
-            vectors.append(seed.copy())
-            continue
-        trace = parallel_transport(connection, [base, target], seed, tol)
-        vectors.append(trace.end_vector)
+    # the path to the base itself is one zero-length segment: the seed
+    vectors = [
+        parallel_transport(connection, [base, target], seed, tol).end_vector
+        for target in grid_points
+    ]
     scale = max(float(np.max(np.abs(vectors))), 1.0)
     worst = 0.0
     count = min(FIELD_SPOT_CHECKS, len(grid_points))
     picks = np.linspace(0, len(grid_points) - 1, count).astype(int)
     for index in picks:
         target = grid_points[index]
-        if np.allclose(target, base):
+        if np.array_equal(target, base):  # its detour has one corner
             continue
         detour = parallel_transport(connection, _l_path(base, target), seed, tol)
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -24,6 +25,29 @@ HESSIAN_STRUCTURED = (
 )
 
 METRIC_BEARING = HESSIAN_STRUCTURED + ("vmf-sphere",)
+
+
+MODEL_CALLABLES = (
+    "divergence_fn", "gradient_fn", "hessian_fn", "fibre_sampler_fn", "probe_pairs_fn"
+)
+
+
+def counting(calls, key, fn):
+    """``fn`` that adds one to ``calls[key]`` at each call."""
+
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def counted_model(model):
+    """A copy of ``model`` whose callables count their calls into the
+    returned Counter, keyed by attribute name."""
+    calls = collections.Counter()
+    wrapped = {attr: counting(calls, attr, getattr(model, attr)) for attr in MODEL_CALLABLES}
+    return dataclasses.replace(model, **wrapped), calls
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 from dsm_geom import cli, geometry, models, structure
 from dsm_geom.core import Tolerances, passes
 
-from conftest import RAISE_FP_ERRORS, nan_probe_model
+from conftest import RAISE_FP_ERRORS, counted_model, nan_probe_model
 
 # the sha256 of each file of `--model all --op report --seed 42`, as sha256sum
 # writes it. A change that moves report bytes on purpose re-records it from the
@@ -174,6 +174,16 @@ class TestDocuments:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 1, "surprise": True}))
         with pytest.raises(cli.ConfigError, match="unknown fields"):
+            cli.load_document(str(path))
+
+    def test_missing_report_fields_rejected(self, tmp_path):
+        doc = {
+            "schema_version": 2, "model": "gce", "op": "metric", "inputs": {},
+            "results": {}, "residuals": {}, "tolerances": {},
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cli.ConfigError, match=r"misses fields: \['verdicts'\]"):
             cli.load_document(str(path))
 
 
@@ -912,6 +922,16 @@ class TestBadInput:
               "--at", "0,0"], "--lambda"),
             (["--model", "regression-dlambda", "--lambda", "1e-200", "--op", "metric",
               "--at", "0,0"], "--lambda"),
+            (["--model", "all", "--op", "metric"], "--model all is only valid with --op report"),
+            (["--model", "gaussian-kl", "--op", "fit", "--start", "0,1", "--data", "{x"],
+             "--data is not JSON"),
+            (["--model", "gaussian-kl", "--op", "fit", "--start", "0,1", "--data", "[1]"],
+             "data spec must be an object with a 'kind'"),
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "poisson"}'],
+                "unknown data kind 'poisson'",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -928,6 +948,7 @@ class TestBadInput:
             "data-second-moment-overflow", "data-couples-x-overflow", "data-couples-y-overflow",
             "cylinder-kappa-overflow", "gumbel-fit-foreign-data", "report-seed-negative",
             "all-seed-negative", "dlambda-square-overflow", "dlambda-square-underflow",
+            "all-metric", "data-not-json", "data-not-an-object", "data-unknown-kind",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -1027,22 +1048,13 @@ class TestReportAll:
         # the metric compared with the oracle is that connection's gate, and a
         # point whose probe families disagree (every one at hessian=1e-15) is
         # not evaluated a second time
-        calls = []
-
-        def counted(model):
-            def hessian(x, theta, inner=model.hessian_fn):
-                calls.append(1)
-                return inner(x, theta)
-
-            return dataclasses.replace(model, hessian_fn=hessian)
-
         def count(action):
             calls.clear()
             action()
-            return len(calls)
+            return sum(calls.values())
 
         for name, tolerances in (("gce", {}), ("gaussian-kl", {"hessian": 1e-15})):
-            model = counted(models.build(name))
+            model, calls = counted_model(models.build(name))
             config = cli.RunConfig(model=name, op="report", grid="2", tolerances=tolerances)
             grid, tol = structure.default_grid(model, 2), config.tol
             report = count(lambda: cli.model_report(model, config))

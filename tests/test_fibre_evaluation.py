@@ -5,8 +5,6 @@ of, so its model calls are counted here and its numbers are pinned byte
 for byte at seeded chart points.  The report digests pin only the worst
 value of each check, so they cannot show a change in the other bits.
 """
-import collections
-import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -16,7 +14,7 @@ import pytest
 
 from dsm_geom import geometry, models
 
-from conftest import METRIC_BEARING
+from conftest import METRIC_BEARING, counted_model
 
 # the sha256 of each METRIC_BEARING model's fibre bits (fibre_digest), one
 # "<digest>  <model>" line each.  A change that moves these bits on purpose
@@ -25,8 +23,6 @@ from conftest import METRIC_BEARING
 FIBRE_DIGESTS = Path(__file__).parent / "data" / "fibre_bits_seed0.sha256"
 PIN_SEED = 0
 PIN_POINTS = 50
-
-_CALLABLES = ("divergence_fn", "gradient_fn", "hessian_fn", "fibre_sampler_fn", "probe_pairs_fn")
 
 
 def fibre_digest(model) -> str:
@@ -39,22 +35,6 @@ def fibre_digest(model) -> str:
             digest.update(omega.tobytes())
         digest.update(evaluation.metric.matrix.tobytes())
     return digest.hexdigest()
-
-
-def counted_model(model):
-    """A copy of ``model`` whose callables count their calls into the
-    returned Counter, keyed by attribute name."""
-    calls = collections.Counter()
-
-    def counted(attr, fn):
-        def wrapper(*args, **kwargs):
-            calls[attr] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    wrapped = {attr: counted(attr, getattr(model, attr)) for attr in _CALLABLES}
-    return dataclasses.replace(model, **wrapped), calls
 
 
 @pytest.mark.parametrize("name", METRIC_BEARING)

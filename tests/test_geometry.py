@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import math
 
@@ -16,6 +15,8 @@ from dsm_geom.errors import (
 from conftest import (
     HESSIAN_STRUCTURED,
     METRIC_BEARING,
+    counted_model,
+    counting,
     levi_civita_from_metric,
     nan_gradient_probe_model,
     random_chart_point,
@@ -155,23 +156,10 @@ class TestConnectionAt:
         # fibre members (1 sampler call, 3 Hessians), one probe family of 2
         # antithetic pairs costs 4 gradients and 4 Hessians, and the chart
         # is checked once, by the gate
-        model = catalogue[name]
-        calls = collections.Counter()
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        model_callables = (
-            "divergence_fn", "gradient_fn", "hessian_fn", "fibre_sampler_fn", "probe_pairs_fn"
-        )
-        for attr in model_callables:
-            monkeypatch.setattr(model, attr, counted(attr, getattr(model, attr)))
+        model, calls = counted_model(catalogue[name])
         for method in ("require", "contains"):
-            monkeypatch.setattr(ChartSpec, method, counted("chart", getattr(ChartSpec, method)))
+            counted = counting(calls, "chart", getattr(ChartSpec, method))
+            monkeypatch.setattr(ChartSpec, method, counted)
         geometry.connection_at(model, point, check_consistency=False)
         assert calls.pop("chart") == 1
         assert calls == {

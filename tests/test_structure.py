@@ -12,6 +12,7 @@ from dsm_geom.geometry import connection_field, metric_field
 from conftest import (
     HESSIAN_STRUCTURED,
     RAISE_FP_ERRORS,
+    counted_model,
     gauge_fit_residual,
     gaussian_kl_closed_form,
     nan_gradient_probe_model,
@@ -321,32 +322,24 @@ class TestMassieu:
         assert sample.potentials[0] - gauge == pytest.approx(closed, abs=1e-3)
 
     def test_cost_of_one_verified_target(self):
-        cylinder = models.build("vmf-cylinder", kappa=2.0)
-        calls = {"gradient": 0, "hessian": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        counted_model = dataclasses.replace(
-            cylinder,
-            gradient_fn=counted("gradient", cylinder.gradient_fn),
-            hessian_fn=counted("hessian", cylinder.hessian_fn),
-        )
+        cylinder, calls = counted_model(models.build("vmf-cylinder", kappa=2.0))
         theta0, targets = [0.0, 1.0], [[0.4, 1.5]]  # the target moves both coordinates
-        structure.massieu(counted_model, theta0, targets)
-        # Each chart point costs one gated connection evaluation: 3 fibre
-        # Hessians plus 2 probe pairs (2 gradients, 2 Hessians each), so
-        # 4 gradients and 7 Hessians.  The points are the 51 on the paths:
-        # the straight segment and the two detour segments each sample 9
-        # Lobatto nodes, then the 8 new ones of the 17-node level, whose end
-        # state agrees.  The two-path gap is the target's only check.
+        structure.massieu(cylinder, theta0, targets)
+        # Each chart point costs one gated connection evaluation: one fibre
+        # sample with 3 Hessians, and one probe family of 2 pairs (2
+        # gradients, 2 Hessians each), so 4 gradients and 7 Hessians.  The
+        # points are the 51 on the paths: the straight segment and the two
+        # detour segments each sample 9 Lobatto nodes, then the 8 new ones of
+        # the 17-node level, whose end state agrees.  The two-path gap is
+        # the target's only check.
         points = 3 * (9 + 8)
-        assert calls == {"gradient": 4 * points, "hessian": 7 * points}
-        assert calls == {"gradient": 204, "hessian": 357}
+        assert calls == {
+            "fibre_sampler_fn": points,
+            "probe_pairs_fn": points,
+            "gradient_fn": 4 * points,
+            "hessian_fn": 7 * points,
+        }
+        assert (calls["gradient_fn"], calls["hessian_fn"]) == (204, 357)
 
     def test_continuation_is_the_plain_rk4_step(self):
         # a 3-node segment samples exactly the RK4 stage points s = 0, 1/2,

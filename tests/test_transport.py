@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import Tolerances, geometry, models, transport
+from dsm_geom import Tolerances, geometry, models, structure, transport
 from dsm_geom.core import passes
 from dsm_geom.errors import Condition4Violated, DomainError, NumericalFailure
 
-from conftest import levi_civita_from_metric
+from conftest import counted_model, levi_civita_from_metric
 
 
 class TestGeodesic:
@@ -281,6 +281,17 @@ class TestCovariantConstantField:
             transport.covariant_constant_field(conn, [1.0, -1.0], [1.0, 0.0], [])
         assert calls == []
 
+    def test_a_grid_point_near_the_base_is_transported(self, catalogue):
+        # a grid point np.allclose to the base used to be taken for the base,
+        # and its field vector was the seed (1, 0) untransported
+        conn = geometry.connection_field(catalogue["gce"])
+        base = np.array([1.0, -1.0])
+        near = base * (1.0 + 5e-6)
+        field = transport.covariant_constant_field(conn, base, [1.0, 0.0], [near])
+        path = transport.parallel_transport(conn, [base, near], [1.0, 0.0])
+        assert field.vectors[0].tolist() == path.end_vector.tolist()
+        assert field.vectors[0][1] == pytest.approx(5.0e-6, rel=1e-4)
+
     def test_detour_skips_zero_length_segments(self, catalogue):
         # the target shares mu with the base, so the detour is one segment:
         # the straight path and the detour each sample 9 Lobatto nodes, then
@@ -293,6 +304,51 @@ class TestCovariantConstantField:
         )
         assert len(calls) == 2 * (9 + 8)
         assert trace.path_residual < 1e-12
+
+
+def _fibre(model):
+    return geometry.connection_field(model)
+
+
+# vmf-cylinder from (0, 1): the second target has kappa < 0, outside the chart
+_CYLINDER = ([0.0, 1.0], [[0.4, 1.5], [0.4, -1.0]])
+
+# each malformed input: the model, the call on its counted copy, and what
+# the call did before the one input check of core.require_point and
+# core.require_tangent
+MALFORMED = {
+    # a numpy ValueError (inhomogeneous shape)
+    "unequal-way-points": ("gce", lambda m: transport.parallel_transport(
+        _fibre(m), [[1.0, -1.0], [1.5, -1.0, 0.0]], [1.0, 0.0])),
+    # a numpy broadcast ValueError
+    "field-base-length": ("gce", lambda m: transport.covariant_constant_field(
+        _fibre(m), [1.0, -1.0, 0.0], [1.0, 0.0], [[1.5, -1.0]])),
+    # 3-vectors on a 2-d chart
+    "field-seed-length": ("gce", lambda m: transport.covariant_constant_field(
+        _fibre(m), [1.0, -1.0], [1.0, 0.0, 0.0], [[1.0, -1.0]])),
+    # a domain_exit after 0 steps
+    "geodesic-nan-velocity": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, -1.0], [math.nan, 0.5], 1.0)),
+    # a NaN end vector
+    "transport-nan-vector": ("gce", lambda m: transport.parallel_transport(
+        _fibre(m), [[1.0, -1.0], [1.5, -1.0]], [math.nan, 0.0])),
+    # refused after the first target was solved: 561 gradient and Hessian calls
+    "affine-last-target": ("vmf-cylinder", lambda m: structure.affine_coordinates(
+        m, *_CYLINDER)),
+    "massieu-last-target": ("vmf-cylinder", lambda m: structure.massieu(m, *_CYLINDER)),
+    # refused after the first grid point was transported
+    "field-last-grid-point": ("gce", lambda m: transport.covariant_constant_field(
+        _fibre(m), [1.0, -1.0], [1.0, 0.0], [[1.5, -1.0], [-0.5, -1.0]])),
+}
+
+
+@pytest.mark.parametrize("name, call", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_is_refused_before_any_model_call(name, call):
+    model, calls = counted_model(models.build(name))
+    with pytest.raises(DomainError) as excinfo:
+        call(model)
+    assert "\n" not in str(excinfo.value)
+    assert calls == {}
 
 
 class TestFieldTolerance:
