@@ -336,7 +336,7 @@ def _connection_field(config, model):
 
 
 def _op_curvature(config, model):
-    tensor = geometry.curvature_at(model, config.at, _connection_field(config, model))
+    tensor = geometry.curvature_at(_connection_field(config, model), config.at)
     return make_document(
         config,
         results={"curvature": tensor.components},
@@ -398,10 +398,7 @@ def _op_geodesic(config, model):
 
 def _op_transport(config, model):
     trace = transport.parallel_transport(
-        _connection_field(config, model),
-        [np.array(config.start, dtype=float), np.array(config.end, dtype=float)],
-        config.vector,
-        config.tol,
+        _connection_field(config, model), [config.start, config.end], config.vector
     )
     return make_document(
         config,
@@ -416,7 +413,7 @@ def _op_transport(config, model):
 def _op_field(config, model):
     grid = _grid_for(config, model)
     trace = transport.covariant_constant_field(
-        _connection_field(config, model), config.start, config.vector, grid, config.tol
+        _connection_field(config, model), config.start, config.vector, grid
     )
     return make_document(
         config,

@@ -24,7 +24,10 @@ CENTRAL_FRACTION = 0.6  # share of the sample box spanned by default grids
 
 def as_coords(theta) -> np.ndarray:
     """Coerce a sequence into a float vector."""
-    arr = np.asarray(theta, dtype=float)
+    try:
+        arr = np.asarray(theta, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise DomainError(f"parameter point must be a vector of numbers, got {theta!r}") from None
     if arr.ndim != 1:
         raise DomainError(f"parameter point must be a vector, got shape {arr.shape}")
     return arr

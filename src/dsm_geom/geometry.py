@@ -6,6 +6,9 @@ solved from off-fibre probes: antithetic probe pairs give the centered
 curve derivative of the Hessian, which coincides with the discrete
 probe formula whenever the model has a Hessian structure and stays
 second-order accurate when it does not (the sphere).
+A field carries the open box it is defined on, and a connection field the
+``Tolerances`` it was built with, so the functions that take a field take
+no model and no second tolerance.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import numdiff
 from .core import ChartSpec, ModelDefinition, Tolerances, as_coords, in_open_box, passes
-from .core import _divergence_gradients, _divergence_hessians
+from .core import _divergence_gradients, _divergence_hessians, require_point
 from .errors import (
     Condition4Violated,
     MetricNotPD,
@@ -55,6 +58,7 @@ class CurvatureTensor:
 class MetricField:
     evaluate: Callable
     provenance: str
+    domain: tuple  # the open box the field is defined on; FD stencils stay inside it
 
     def __call__(self, theta):
         return self.evaluate(as_coords(theta))
@@ -65,6 +69,7 @@ class ConnectionField:
     evaluate: Callable
     provenance: str
     domain: tuple
+    tol: Tolerances  # what the field was built with; paths solve to within tol.flat
 
     def __call__(self, theta):
         return self.evaluate(as_coords(theta))
@@ -174,6 +179,7 @@ def metric_field(model: ModelDefinition, tol: Tolerances = Tolerances()) -> Metr
     return MetricField(
         evaluate=lambda coords: metric_at(model, coords, tol=tol).matrix,
         provenance="fibre-evaluated",
+        domain=model.chart.domain,
     )
 
 
@@ -186,32 +192,24 @@ def connection_field(
         if model.oracle is None or model.oracle.connection is None:
             raise Unsupported(f"model {model.name} has no connection oracle")
         domain = model.oracle.connection_domain or model.chart.domain
-        return ConnectionField(
-            evaluate=model.oracle.connection,
-            provenance="analytic-oracle",
-            domain=domain,
-        )
+        return ConnectionField(model.oracle.connection, "analytic-oracle", domain, tol)
     return ConnectionField(
         evaluate=lambda coords: connection_at(
             model, coords, check_consistency=False, tol=tol
         ).omega,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
+        tol=tol,
     )
 
 
-def dual_connection_at(
-    model: ModelDefinition,
-    theta,
-    metric: MetricField,
-    connection: ConnectionField,
-) -> np.ndarray:
+def dual_connection_at(metric: MetricField, connection: ConnectionField, theta) -> np.ndarray:
     """Coefficients of the connection dual with respect to the metric."""
-    coords = model.chart.require(theta)
+    coords = require_point(theta, metric.domain, "point", "metric field")
     g = metric(coords)
     ginv = np.linalg.inv(g)
     omega = connection(coords)
-    dg = numdiff.fd_jacobian(metric, coords, model.chart.domain)
+    dg = numdiff.fd_jacobian(metric, coords, metric.domain)
     # rhs[a, b, c] = d_a g_bc - omega^d_ab g_dc; dual[k, a, c] = g^kb rhs[a, b, c]
     # einsum, not tensordot: tensordot sums omega^d_ab g_dc in another order,
     # which moves the last bit of some components
@@ -219,16 +217,12 @@ def dual_connection_at(
     return np.tensordot(ginv, rhs, axes=(1, 1))
 
 
-def curvature_at(
-    model: ModelDefinition,
-    theta,
-    connection: ConnectionField,
-) -> CurvatureTensor:
+def curvature_at(connection: ConnectionField, theta) -> CurvatureTensor:
     """Curvature components from field derivatives of the connection."""
-    coords = model.chart.require(theta)
+    coords = require_point(theta, connection.domain, "point", "field")
     omega = connection(coords)
     # domega[l, j, k, i] = d_i w^l_jk
-    domega = numdiff.fd_jacobian(connection, coords, model.chart.domain)
+    domega = numdiff.fd_jacobian(connection, coords, connection.domain)
     # components[l, k, i, j] = d_i w^l_jk - d_j w^l_ik + w^l_is w^s_jk - w^l_js w^s_ik,
     # summed in that order; product[l, i, j, k] = w^l_is w^s_jk
     product = np.tensordot(omega, omega, axes=(2, 0))
@@ -238,17 +232,12 @@ def curvature_at(
     return CurvatureTensor(components=components, max_abs=float(np.max(np.abs(components))))
 
 
-def codazzi_residual(
-    model: ModelDefinition,
-    theta,
-    metric: MetricField,
-    connection: ConnectionField,
-):
+def codazzi_residual(metric: MetricField, connection: ConnectionField, theta):
     """Residual of the Codazzi-Peterson compatibility equation."""
-    coords = model.chart.require(theta)
+    coords = require_point(theta, metric.domain, "point", "metric field")
     g = metric(coords)
     omega = connection(coords)
-    dg = numdiff.fd_jacobian(metric, coords, model.chart.domain)
+    dg = numdiff.fd_jacobian(metric, coords, metric.domain)
     # residual[a, b, c] = (d_a g_bc - d_b g_ac) + (g_as w^s_bc - g_bs w^s_ac)
     lowered = np.tensordot(g, omega, axes=(1, 0))  # lowered[a, b, c] = g_as w^s_bc
     residual = (dg.transpose(2, 0, 1) - dg.transpose(0, 2, 1)) + (

@@ -143,12 +143,8 @@ def classify(
         track("hessian", connection.probe_consistency, point)
         if not passes(connection.probe_consistency, tol.hessian):
             continue
-        track("flat", curvature_at(model, point, connection=conn).max_abs, point)
-        track(
-            "codazzi",
-            codazzi_residual(model, point, metric=metric, connection=conn)[1],
-            point,
-        )
+        track("flat", curvature_at(conn, point).max_abs, point)
+        track("codazzi", codazzi_residual(metric, conn, point)[1], point)
     for block, value_key, key in _CHECKS:
         value, point, evidence = worst.get(key, (None, None, None))
         entry = {"status": "not-evaluated", value_key: None}

@@ -1,8 +1,10 @@
 """Geodesics, parallel transport and covariant-constant fields.
 
-Every path integrates the connection field it is given; the caller
-builds that field once, with the tolerances of its condition-4 gate, and
-this module never sees a model.  A geodesic's route is not known in
+Every path integrates the connection field it is given and never sees a
+model: the caller builds the field once, and the field carries its domain
+and the tolerances it was built with (``ConnectionField.tol``), so its
+condition-4 gate and the level agreement of a path solve (``tol.flat``)
+come from one ``Tolerances``.  A geodesic's route is not known in
 advance, so a fixed-step RK4 loop (``_integrate``) calls its field at
 every stage.  Parallel transport and the affine-coordinate and Massieu
 systems of ``structure`` are linear in their state along a known
@@ -14,18 +16,19 @@ segment that does not settle is halved.
 Traces record the sampled curve; a geodesic that leaves the field's
 domain is truncated and flagged with ``domain_exit`` instead of raising.
 A covariant-constant field returns its two-path gap (``path_residual``)
-unjudged: a gap above ``tol.flat`` is the caller's ``fail`` verdict, not
-an error.  A path raises only when it cannot compute a value.
+unjudged: a gap above the field's ``tol.flat`` is the caller's ``fail``
+verdict, not an error.  A path raises only when it cannot compute a value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .core import Tolerances, require_point, require_tangent
+from .core import require_point, require_tangent
 from .errors import DomainError, NumericalFailure
 from .geometry import ConnectionField, _relative_gap
 
@@ -213,13 +216,16 @@ def geodesic(
     """Integrate d^2 theta/dt^2 = -omega^k_ij dtheta^i dtheta^j.
 
     The path is not known in advance, so every accepted step is checked
-    against the field domain; leaving it truncates the trace.  A step that
-    asks for more than ``MAX_GEODESIC_STEPS`` steps raises NumericalFailure
+    against the field domain; leaving it truncates the trace.  A t_end or
+    step that is not finite raises DomainError, and a step that asks for
+    more than ``MAX_GEODESIC_STEPS`` steps raises NumericalFailure, both
     before any field evaluation.
     """
     coords = require_point(theta0, connection.domain, "geodesic start", "field")
     velocity = require_tangent(v0, coords, "geodesic velocity", "the start")
     h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
+    if not (math.isfinite(t_end) and math.isfinite(h)):
+        raise DomainError(f"geodesic needs a finite t_end and step, got {t_end} and {step}")
     if not h > 0:
         raise NumericalFailure("geodesic needs a positive step")
     span = abs(t_end) / h  # a float first: a tiny step must not overflow int()
@@ -261,16 +267,12 @@ def geodesic(
     )
 
 
-def parallel_transport(
-    connection: ConnectionField,
-    curve,
-    v0,
-    tol: Tolerances = Tolerances(),
-) -> Trace:
+def parallel_transport(connection: ConnectionField, curve, v0) -> Trace:
     """Transport a vector along a piecewise-linear chart path.
 
     Solves dv^j/dt + omega^j_ik dtheta^i/dt v^k = 0 segment by segment,
-    to well within ``tol.flat`` (the two-path check of covariant fields).
+    to well within the field's ``tol.flat`` (the two-path check of
+    covariant fields).
     The field domain is a box, so a path whose way points lie inside it
     stays inside; a way point outside it raises DomainError up front.
     """
@@ -283,22 +285,16 @@ def parallel_transport(
     def rhs(omega, delta, vector):
         return -np.einsum("jik,i,k->j", omega, delta, vector)
 
-    times, points, vectors = zip(*_along(rhs, connection, vector, waypoints, tol.flat))
+    times, points, vectors = zip(*_along(rhs, connection, vector, waypoints, connection.tol.flat))
     return Trace(times=np.array(times), points=np.array(points), vectors=np.array(vectors))
 
 
-def covariant_constant_field(
-    connection: ConnectionField,
-    theta0,
-    v0,
-    grid,
-    tol: Tolerances = Tolerances(),
-) -> Trace:
+def covariant_constant_field(connection: ConnectionField, theta0, v0, grid) -> Trace:
     """Extend a vector to a grid by straight-path parallel transport.
 
     A few grid points are re-transported along an axis-aligned detour and
-    the worst disagreement is returned as ``path_residual``; one beyond
-    ``tol.flat`` means the connection is not flat and no covariant-constant
+    the worst disagreement is returned as ``path_residual``; one beyond the
+    field's ``tol.flat`` means the connection is not flat and no covariant-constant
     extension exists.  The base, the seed and every grid point are checked
     before the first transport.
     """
@@ -309,7 +305,7 @@ def covariant_constant_field(
         raise DomainError("a covariant-constant field needs at least one grid point")
     # the path to the base itself is one zero-length segment: the seed
     vectors = [
-        parallel_transport(connection, [base, target], seed, tol).end_vector
+        parallel_transport(connection, [base, target], seed).end_vector
         for target in grid_points
     ]
     scale = max(float(np.max(np.abs(vectors))), 1.0)
@@ -320,7 +316,7 @@ def covariant_constant_field(
         target = grid_points[index]
         if np.array_equal(target, base):  # its detour has one corner
             continue
-        detour = parallel_transport(connection, _l_path(base, target), seed, tol)
+        detour = parallel_transport(connection, _l_path(base, target), seed)
         gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale
         worst = float(np.maximum(worst, gap))  # keeps a NaN, which max() may drop
     return Trace(

@@ -89,7 +89,7 @@ def test_criterion_4_sphere_vs_cylinder():
         t = point[0]
         assert abs(omega[0, 1, 1] + math.sin(t) * math.cos(t)) < 1e-4
         assert abs(omega[1, 0, 1] - math.cos(t) / math.sin(t)) < 1e-4
-        curvature = geometry.curvature_at(sphere, point, geometry.connection_field(sphere))
+        curvature = geometry.curvature_at(geometry.connection_field(sphere), point)
         assert abs(curvature.components[0, 1, 0, 1] - math.sin(t) ** 2) < 1e-3
     report = structure.classify(sphere, theta_grid=structure.default_grid(sphere, 3))
     assert report.exponential_family == "no"
@@ -159,8 +159,8 @@ def test_criterion_6_structural_property_suite(catalogue):
             point = random_chart_point(model, rng)
             evaluation = geometry.connection_at(model, point)
             assert geometry.torsion_residual(evaluation.omega) <= 1e-3, name
-            assert geometry.curvature_at(model, point, conn).max_abs <= 1e-3, name
-            assert geometry.codazzi_residual(model, point, metric, conn)[1] <= 1e-3, name
+            assert geometry.curvature_at(conn, point).max_abs <= 1e-3, name
+            assert geometry.codazzi_residual(metric, conn, point)[1] <= 1e-3, name
     # Pythagorean fibre constancy
     for name in HESSIAN_STRUCTURED:
         model = catalogue[name]

@@ -103,6 +103,15 @@ class TestChartSpec:
             catalogue["gumbel"].chart.require([-1.0, 0.0])
 
     @pytest.mark.parametrize(
+        "point", [[1.0, [2.0, 3.0]], "ab", {"beta": 1.0}], ids=["ragged", "string", "dict"]
+    )
+    def test_a_point_that_is_not_a_vector_of_numbers_is_named(self, catalogue, point):
+        # numpy's ValueError or TypeError used to escape the chart check
+        with pytest.raises(DomainError, match="vector of numbers") as excinfo:
+            catalogue["gce"].chart.require(point)
+        assert repr(point) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
         "names, sample_box",
         [(("a", "b"), ((0.2, 0.8),)), (("a",), ((0.2, 0.8), (-1.0, 1.0)))],
         ids=["short-sample-box", "short-names"],

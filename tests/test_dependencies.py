@@ -284,6 +284,44 @@ def test_paths_take_a_field_and_no_function_builds_a_hidden_one():
     assert not found, found
 
 
+def second_sources(source):
+    """(line, function, parameter) of every ``model`` or ``tol`` parameter of a
+    public module-level function that also takes a field (``metric`` or
+    ``connection``)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            spec = node.args
+            names = [arg.arg for arg in spec.posonlyargs + spec.args + spec.kwonlyargs]
+            if {"metric", "connection"} & set(names):
+                for name in names:
+                    if name in ("model", "tol"):
+                        yield node.lineno, node.name, name
+
+
+def test_the_signature_scan_sees_every_parameter_kind():
+    source = (
+        "def f(model, theta, connection):\n    pass\n"
+        "def g(metric, connection, *, tol=None):\n    pass\n"
+        "def _h(model, connection):\n    pass\n"
+        "def k(connection, theta):\n    pass\n"
+        "def m(model, tol):\n    pass\n"
+        "class C:\n    def n(self, model, metric):\n        pass\n"
+    )
+    assert list(second_sources(source)) == [(1, "f", "model"), (3, "g", "tol")]
+
+
+def test_a_function_that_takes_a_field_takes_no_model_and_no_tolerances():
+    # a field carries its domain and the Tolerances it was built with; a model
+    # or tol beside it can disagree with it (a path solved to the default
+    # tol.flat, an oracle's curvature refused outside the model's chart)
+    found = [
+        f"src/dsm_geom/{module}.py:{line}: {function}(..., {name}, ...)"
+        for module in ("geometry", "transport")
+        for line, function, name in second_sources((PACKAGE / f"{module}.py").read_text())
+    ]
+    assert not found, found
+
+
 def _tolerance_read(node):
     """The ``<field>`` of a ``tol.<field>`` or ``<x>.tol.<field>`` node, else None."""
     if isinstance(node, ast.Attribute):

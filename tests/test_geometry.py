@@ -8,6 +8,7 @@ from dsm_geom import geometry, models, numdiff, structure
 from dsm_geom.core import ChartSpec, GaussianData, ModelDefinition, Tolerances
 from dsm_geom.errors import (
     Condition4Violated,
+    DomainError,
     MetricNotPD,
     Unsupported,
 )
@@ -185,14 +186,14 @@ class TestDualConnection:
     def test_dlambda_self_dual_flat(self, catalogue):
         model = catalogue["regression-dlambda"]
         dual = geometry.dual_connection_at(
-            model, [0.5, -1.0], geometry.metric_field(model), geometry.connection_field(model)
+            geometry.metric_field(model), geometry.connection_field(model), [0.5, -1.0]
         )
         assert np.max(np.abs(dual)) < 1e-6
 
     def test_gaussian_dual_torsionless(self, catalogue):
         model = catalogue["gaussian-kl"]
         dual = geometry.dual_connection_at(
-            model, [0.0, 1.0], geometry.metric_field(model), geometry.connection_field(model)
+            geometry.metric_field(model), geometry.connection_field(model), [0.0, 1.0]
         )
         assert geometry.torsion_residual(dual) < 1e-4
 
@@ -201,7 +202,7 @@ class TestDualConnection:
         # with g = diag(kappa, 1/lambda^2) and w = 0 gives -2/lambda
         cylinder = models.build("vmf-cylinder", kappa=1.0)
         metric, conn = geometry.metric_field(cylinder), geometry.connection_field(cylinder)
-        dual = geometry.dual_connection_at(cylinder, [0.3, 2.0], metric, conn)
+        dual = geometry.dual_connection_at(metric, conn, [0.3, 2.0])
         assert dual[1, 1, 1] == pytest.approx(-2.0 / 2.0, abs=1e-4)
         mask = np.ones((2, 2, 2), dtype=bool)
         mask[1, 1, 1] = False
@@ -211,13 +212,13 @@ class TestDualConnection:
 class TestCurvature:
     def test_gce_flat(self, catalogue):
         gce = catalogue["gce"]
-        tensor = geometry.curvature_at(gce, [1.0, 0.2], geometry.connection_field(gce))
+        tensor = geometry.curvature_at(geometry.connection_field(gce), [1.0, 0.2])
         assert tensor.max_abs < 1e-4
 
     def test_sphere_component_against_brute_force(self):
         sphere = models.build("vmf-sphere", kappa=1.0)
         point = np.array([math.pi / 3, 0.0])
-        tensor = geometry.curvature_at(sphere, point, geometry.connection_field(sphere))
+        tensor = geometry.curvature_at(geometry.connection_field(sphere), point)
         assert tensor.components[0, 1, 0, 1] == pytest.approx(
             math.sin(math.pi / 3) ** 2, abs=1e-3
         )
@@ -243,14 +244,24 @@ class TestCurvature:
                         )
         assert tensor.components == pytest.approx(brute, abs=1e-3)
 
+    def test_gce_oracle_is_flat_across_its_own_domain(self, catalogue):
+        # mu = 1.5 is past min(levels) = 1: outside the chart, inside the oracle
+        # connection's domain, which the model's chart used to stand in for
+        gce = catalogue["gce"]
+        oracle = geometry.connection_field(gce, source="oracle")
+        assert not gce.chart.contains([1.0, 1.5])
+        assert geometry.curvature_at(oracle, [1.0, 1.5]).max_abs <= 1e-10
+        with pytest.raises(DomainError, match="outside field domain"):
+            geometry.curvature_at(oracle, [-1.0, 1.5])
+
     def test_zero_connection_model_exact(self, catalogue):
         model = catalogue["regression-dlambda"]
-        tensor = geometry.curvature_at(model, [0.0, 0.0], geometry.connection_field(model))
+        tensor = geometry.curvature_at(geometry.connection_field(model), [0.0, 0.0])
         assert tensor.max_abs < 1e-10
 
     def test_antisymmetric_in_last_pair(self, catalogue):
         model = catalogue["gaussian-kl"]
-        tensor = geometry.curvature_at(model, [0.3, 1.5], geometry.connection_field(model))
+        tensor = geometry.curvature_at(geometry.connection_field(model), [0.3, 1.5])
         swapped = np.transpose(tensor.components, (0, 1, 3, 2))
         assert np.max(np.abs(tensor.components + swapped)) < 1e-12
 
@@ -269,18 +280,18 @@ class TestCurvature:
             return out
 
         metric = geometry.MetricField(
-            lambda coords: np.diag([1.0, math.sin(coords[0]) ** 2, 1.0]), "analytic"
+            lambda coords: np.diag([1.0, math.sin(coords[0]) ** 2, 1.0]), "analytic", domain
         )
-        conn = geometry.ConnectionField(omega, "analytic", domain)
+        conn = geometry.ConnectionField(omega, "analytic", domain, Tolerances())
         point = np.array([1.1, 0.4, -0.3])
-        components = geometry.curvature_at(model, point, connection=conn).components
+        components = geometry.curvature_at(conn, point).components
         assert components[0, 1, 0, 1] == pytest.approx(math.sin(1.1) ** 2, abs=1e-8)
         for axis in range(4):
             assert not np.any(np.take(components, 2, axis=axis))
-        residual, worst = geometry.codazzi_residual(model, point, metric=metric, connection=conn)
+        residual, worst = geometry.codazzi_residual(metric, conn, point)
         assert worst < 1e-8
         # a Levi-Civita connection is its own dual
-        dual = geometry.dual_connection_at(model, point, metric=metric, connection=conn)
+        dual = geometry.dual_connection_at(metric, conn, point)
         assert np.max(np.abs(dual - omega(point))) < 1e-8
         # the contractions sum as the index loops they replace, bit for bit
         w = omega(point)
@@ -306,21 +317,21 @@ class TestCodazzi:
     def test_cylinder(self, catalogue):
         model = catalogue["vmf-cylinder"]
         _, residual = geometry.codazzi_residual(
-            model, [0.3, 1.2], geometry.metric_field(model), geometry.connection_field(model)
+            geometry.metric_field(model), geometry.connection_field(model), [0.3, 1.2]
         )
         assert residual < 1e-6
 
     def test_gaussian(self, catalogue):
         model = catalogue["gaussian-kl"]
         _, residual = geometry.codazzi_residual(
-            model, [0.0, 1.0], geometry.metric_field(model), geometry.connection_field(model)
+            geometry.metric_field(model), geometry.connection_field(model), [0.0, 1.0]
         )
         assert residual < 1e-4
 
     def test_constant_metric_zero_connection(self, catalogue):
         model = catalogue["regression-dlambda"]
         _, residual = geometry.codazzi_residual(
-            model, [0.2, 0.4], geometry.metric_field(model), geometry.connection_field(model)
+            geometry.metric_field(model), geometry.connection_field(model), [0.2, 0.4]
         )
         assert residual < 1e-12
 
@@ -332,8 +343,8 @@ class TestCodazzi:
             for _ in range(3):
                 point = random_chart_point(model, rng)
                 assert geometry.connection_at(model, point).probe_consistency <= 1e-3
-                assert geometry.curvature_at(model, point, conn).max_abs <= 1e-3, name
-                assert geometry.codazzi_residual(model, point, metric, conn)[1] <= 1e-3, name
+                assert geometry.curvature_at(conn, point).max_abs <= 1e-3, name
+                assert geometry.codazzi_residual(metric, conn, point)[1] <= 1e-3, name
 
 
 class TestMetricTransform:

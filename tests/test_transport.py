@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,19 +104,20 @@ class TestGeodesic:
         assert not conn.contains([1.0, -1.0, 7.0])
 
 
-def counting_oracle_field(model):
-    """The model's oracle connection field, recording each evaluation."""
-    oracle = geometry.connection_field(model, source="oracle")
+def counted_field(field):
+    """A copy of ``field`` that records each evaluation in the returned list."""
     calls = []
 
     def counted(coords):
         calls.append(1)
-        return oracle.evaluate(coords)
+        return field.evaluate(coords)
 
-    conn = geometry.ConnectionField(
-        evaluate=counted, provenance=oracle.provenance, domain=oracle.domain
-    )
-    return conn, calls
+    return dataclasses.replace(field, evaluate=counted), calls
+
+
+def counting_oracle_field(model):
+    """The model's oracle connection field, recording each evaluation."""
+    return counted_field(geometry.connection_field(model, source="oracle"))
 
 
 class TestParallelTransport:
@@ -255,6 +257,7 @@ class TestCovariantConstantField:
             evaluate=omega,
             provenance="analytic-oracle",
             domain=sphere.chart.domain + ((-math.inf, math.inf),),
+            tol=Tolerances(),
         )
         grid = [np.array([1.0, 0.5, 0.4]), np.array([1.5, 1.0, -0.3])]
         trace = transport.covariant_constant_field(
@@ -268,6 +271,7 @@ class TestCovariantConstantField:
             evaluate=lambda coords: np.full((2, 2, 2), np.nan),
             provenance="nan",
             domain=((-math.inf, math.inf), (-math.inf, math.inf)),
+            tol=Tolerances(),
         )
         trace = transport.covariant_constant_field(conn, [0.0, 0.0], [1.0, 0.0], [[1.0, 1.0]])
         assert math.isnan(trace.path_residual)
@@ -339,6 +343,19 @@ MALFORMED = {
     # refused after the first grid point was transported
     "field-last-grid-point": ("gce", lambda m: transport.covariant_constant_field(
         _fibre(m), [1.0, -1.0], [1.0, 0.0], [[1.5, -1.0], [-0.5, -1.0]])),
+    # a numpy ValueError (inhomogeneous shape)
+    "geodesic-ragged-start": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, [2.0, 3.0]], [1.0, 0.5], 1.0)),
+    # a numpy ValueError (could not convert string to float)
+    "metric-string-point": ("gce", lambda m: geometry.metric_at(m, "ab")),
+    # a TypeError from float()
+    "classify-dict-point": ("gce", lambda m: structure.classify(m, [{"beta": 1.0}])),
+    # a NumericalFailure: "geodesic needs a positive step"
+    "geodesic-nan-t-end": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, -1.0], [1.0, 0.5], math.nan)),
+    # one RK4 step over the whole span, four field evaluations and no flag
+    "geodesic-inf-step": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, -1.0], [1.0, 0.5], 1.0, step=math.inf)),
 }
 
 
@@ -375,6 +392,23 @@ class TestFieldTolerance:
             self.PATHS[path](geometry.connection_field(model))
         assert excinfo.value.deviation == pytest.approx(0.1875)
 
+    @pytest.mark.parametrize("source", ["fibre", "oracle"])
+    def test_a_field_keeps_the_tolerances_it_was_built_with(self, catalogue, source):
+        tol = Tolerances(flat=1e-6)
+        assert geometry.connection_field(catalogue["gce"], source, tol).tol is tol
+
+    @pytest.mark.parametrize("flat, straight, field", [(1e-3, 33, 67), (1e-6, 65, 115)])
+    def test_paths_solve_to_the_fields_flat_tolerance(self, catalogue, flat, straight, field):
+        # a path took its own tol argument, Tolerances() by default, so a field
+        # built with flat=1e-6 was solved to the 1e-3 level limit: 33 and 67
+        sphere = catalogue["vmf-sphere"]
+        conn, calls = counted_field(geometry.connection_field(sphere, tol=Tolerances(flat=flat)))
+        transport.parallel_transport(conn, [[0.3, -2.0], [2.8, 2.5]], [1.0, 0.0])
+        assert len(calls) == straight
+        calls.clear()
+        transport.covariant_constant_field(conn, [0.3, -2.0], [1.0, 0.0], [(2.8, 2.5)])
+        assert len(calls) == field
+
 
 class TestSegmentSampling:
     def test_smooth_segment_costs_two_nested_levels(self, catalogue):
@@ -400,9 +434,7 @@ class TestSegmentSampling:
             calls.append(1)
             return oracle.evaluate(coords) + (coords[0] > 0.37)
 
-        conn = geometry.ConnectionField(
-            evaluate=jumping, provenance=oracle.provenance, domain=oracle.domain
-        )
+        conn = dataclasses.replace(oracle, evaluate=jumping)
         with pytest.raises(NumericalFailure, match="65 Chebyshev nodes") as excinfo:
             transport.parallel_transport(
                 conn, [np.array([0.0, 1.0]), np.array([1.0, 1.0])], [1.0, 0.0]
