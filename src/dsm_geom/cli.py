@@ -116,8 +116,6 @@ class RunConfig:
             raise ConfigError(
                 f"op '{self.op}' needs {', '.join(unset)}, each non-empty and nonzero"
             )
-        if self.step is not None and self.step <= 0:
-            raise ConfigError(f"--step must be > 0, got {self.step}")
         if self.seed < 0:  # numpy seeds its generators with non-negative integers only
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         try:
@@ -297,11 +295,6 @@ def _grid_for(config, model):
         grid = structure.default_grid(model, per_axis) if per_axis >= 1 else []
     if not grid:
         raise ConfigError(f"--grid '{config.grid}' has no point; a count must be >= 1")
-    for point in grid:
-        if len(point) != model.chart.dim:
-            raise ConfigError(
-                f"--grid points need {model.chart.dim} values, got {point.tolist()}"
-            )
     return grid
 
 
@@ -470,24 +463,10 @@ _MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.op
 # not name it is a config error
 _EVERY_OP = ("model", "op", "tolerances", "out")
 
-_POINT_OPTIONS = ("at", "start", "end", "velocity", "vector", "other")
-
-
 @functools.cache
 def _flags() -> dict:
     """Each RunConfig field's command-line spelling, such as ``--t`` for ``t_end``."""
     return {action.dest: action.option_strings[0] for action in build_parser()._actions}
-
-
-def _check_dims(config, dim):
-    """Each point and vector option needs one value per chart coordinate."""
-    given = [(name, getattr(config, name)) for name in _POINT_OPTIONS]
-    given += [("targets", point) for point in config.targets or []]
-    for name, value in given:
-        if value is not None and len(value) != dim:
-            raise ConfigError(
-                f"--{name} needs {dim} values for {config.model}, got {len(value)}"
-            )
 
 
 def _point_of(config) -> str:
@@ -524,7 +503,6 @@ def run(config: RunConfig) -> int:
                 documents, table = report_all(config)
             else:
                 model = config.build_model()
-                _check_dims(config, model.chart.dim)
                 started = time.perf_counter()
                 document, trace = _run_op(config, model)
                 if config.op != "report":  # a report is deterministic: no wall-clock field

@@ -47,6 +47,10 @@ def in_open_box(coords: np.ndarray, domain: tuple) -> bool:
 def require_point(theta, domain: tuple, what: str = "point", where: str = "chart") -> np.ndarray:
     """``theta`` as a float vector strictly inside the open box ``domain``, or a DomainError."""
     coords = as_coords(theta)
+    if coords.size != len(domain):
+        raise DomainError(
+            f"{what} {coords.tolist()} has {coords.size} coordinates, the {where} {len(domain)}"
+        )
     if not in_open_box(coords, domain):
         raise DomainError(f"{what} {coords.tolist()} outside {where} domain {domain}")
     return coords

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .core import ModelDefinition, Tolerances, as_coords, passes
+from .core import ModelDefinition, Tolerances, passes, require_point
 from .core import divergence_hessian, evaluate_divergence
 from .errors import Condition4Violated, DomainError, MetricNotPD, ProbeSingular
 from .geometry import (
@@ -107,7 +107,7 @@ def classify(
         raise DomainError(
             f"classify of {model.name} needs 1 to {MAX_GRID_POINTS} grid points, got {len(grid)}"
         )
-    grid = [as_coords(point) for point in grid]
+    grid = [require_point(point, model.chart.domain, "classify grid point") for point in grid]
     tolerances = asdict(tol)
     del tolerances["path"]  # the affine and Massieu tolerance: no classify check
     report = GeometryReport(

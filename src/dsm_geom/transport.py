@@ -217,17 +217,17 @@ def geodesic(
 
     The path is not known in advance, so every accepted step is checked
     against the field domain; leaving it truncates the trace.  A t_end or
-    step that is not finite raises DomainError, and a step that asks for
-    more than ``MAX_GEODESIC_STEPS`` steps raises NumericalFailure, both
-    before any field evaluation.
+    step that is not finite, or a step <= 0, raises DomainError, and a step
+    that asks for more than ``MAX_GEODESIC_STEPS`` steps raises
+    NumericalFailure, both before any field evaluation.
     """
     coords = require_point(theta0, connection.domain, "geodesic start", "field")
     velocity = require_tangent(v0, coords, "geodesic velocity", "the start")
     h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
-    if not (math.isfinite(t_end) and math.isfinite(h)):
-        raise DomainError(f"geodesic needs a finite t_end and step, got {t_end} and {step}")
-    if not h > 0:
-        raise NumericalFailure("geodesic needs a positive step")
+    if not (math.isfinite(t_end) and math.isfinite(h) and h > 0):
+        raise DomainError(
+            f"geodesic needs a finite t_end and a finite step > 0, got t_end {t_end} and step {h}"
+        )
     span = abs(t_end) / h  # a float first: a tiny step must not overflow int()
     if not span <= MAX_GEODESIC_STEPS:
         raise NumericalFailure(

@@ -788,10 +788,13 @@ class TestBadInput:
             (
                 ["--model", "gaussian-kl", "--op", "field", "--start", "0,1",
                  "--vector", "1,0", "--grid", "1,2;3"],
-                "--grid points need 2 values, got [3.0]",
+                "field grid point [3.0] has 1 coordinates",
             ),
             (["--model", "gaussian-kl", "--op", "classify", "--grid", "1,2;3"],
-             "--grid points need 2 values, got [3.0]"),
+             "classify grid point [3.0] has 1 coordinates"),
+            # classify evaluated the first point before it refused the second
+            (["--model", "gce", "--op", "classify", "--grid", "1,0.5;-5,0.5"],
+             "classify grid point [-5.0, 0.5] outside chart domain"),
             (["--model", "gaussian-kl", "--op", "metric", "--at", "0,1", "--fibre-k", "0"],
              "--fibre-k"),
             (
@@ -812,17 +815,17 @@ class TestBadInput:
             (
                 ["--model", "gaussian-kl", "--op", "geodesic", "--start", "0,1",
                  "--velocity", "1,0,0", "--t", "1"],
-                "--velocity",
+                "geodesic velocity [1.0, 0.0, 0.0] has 3 components",
             ),
             (
                 ["--model", "gaussian-kl", "--op", "transport", "--start", "0,1",
                  "--end", "0,1,3", "--vector", "1,0"],
-                "--end",
+                "way point [0.0, 1.0, 3.0] has 3 coordinates",
             ),
             (
                 ["--model", "gaussian-kl", "--op", "affine", "--start", "0,1",
                  "--targets", "0.5,1.5;0.5"],
-                "--targets",
+                "point [0.5] has 1 coordinates",
             ),
             (["--model", "gce", "--op", "metric", "--at", "1,-1", "--kappa", "2"], "--kappa"),
             (["--model", "regression-ls", "--op", "metric", "--at", "0.5,-0.25",
@@ -836,7 +839,7 @@ class TestBadInput:
             (
                 ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
                  "--velocity", "1,0", "--t", "1", "--step", "0"],
-                "--step",
+                "step 0.0",
             ),
             (
                 ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
@@ -936,6 +939,7 @@ class TestBadInput:
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
             "field-grid-zero", "field-grid-point-length", "classify-grid-point-length",
+            "classify-out-of-chart-last-point",
             "fibre-k-zero", "data-missing-key",
             "transport-outside-chart", "kappa-negative", "levels-empty",
             "report-one-level", "classify-one-level", "velocity-length",

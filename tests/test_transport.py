@@ -15,7 +15,7 @@ class TestGeodesic:
     def test_zero_span_raises_before_any_evaluation(self, catalogue):
         # t_end = 0 makes the default step 0
         conn, calls = counting_oracle_field(catalogue["gce"])
-        with pytest.raises(NumericalFailure, match="needs a positive step"):
+        with pytest.raises(DomainError, match="step > 0, got t_end 0.0 and step 0.0"):
             transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 0.0)
         assert calls == []
 
@@ -350,7 +350,13 @@ MALFORMED = {
     "metric-string-point": ("gce", lambda m: geometry.metric_at(m, "ab")),
     # a TypeError from float()
     "classify-dict-point": ("gce", lambda m: structure.classify(m, [{"beta": 1.0}])),
-    # a NumericalFailure: "geodesic needs a positive step"
+    # refused after the first grid point was classified: 159 gradient and Hessian calls
+    "classify-out-of-chart-last-point": ("gce", lambda m: structure.classify(
+        m, [[1.0, 0.5], [-5.0, 0.5]])),
+    # "outside chart domain" after the first grid point was classified
+    "classify-point-length": ("gce", lambda m: structure.classify(
+        m, [[1.0, 0.5], [1.0, 0.5, 0.0]])),
+    # a NaN default step, refused as not positive with a NumericalFailure
     "geodesic-nan-t-end": ("gce", lambda m: transport.geodesic(
         _fibre(m), [1.0, -1.0], [1.0, 0.5], math.nan)),
     # one RK4 step over the whole span, four field evaluations and no flag
