@@ -20,6 +20,7 @@ from .errors import DomainError, MissingStatistic, NumericalFailure, Unsupported
 _LOG_2PI = math.log(2.0 * math.pi)
 PROBE_DELTA = 1e-3  # an off-fibre probe moves a fibre condition by this times its scale
 CENTRAL_FRACTION = 0.6  # share of the sample box spanned by default grids
+MAX_POINTS = 2500  # longest grid, target or way-point list: 100 times the default 5 x 5 grid
 
 
 def as_coords(theta) -> np.ndarray:
@@ -54,6 +55,15 @@ def require_point(theta, domain: tuple, what: str = "point", where: str = "chart
     if not in_open_box(coords, domain):
         raise DomainError(f"{what} {coords.tolist()} outside {where} domain {domain}")
     return coords
+
+
+def require_points(points, domain: tuple, what: str, where: str = "chart") -> list:
+    """Each of ``points`` checked by ``require_point``, or a DomainError; a list
+    that is empty or longer than ``MAX_POINTS`` is refused before any point."""
+    points = list(points)
+    if not 1 <= len(points) <= MAX_POINTS:
+        raise DomainError(f"{len(points)} {what}s, outside the budget of 1 to {MAX_POINTS}")
+    return [require_point(point, domain, what, where) for point in points]
 
 
 def require_tangent(vector, point: np.ndarray, what: str, base: str) -> np.ndarray:

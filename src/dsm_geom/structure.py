@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .core import ModelDefinition, Tolerances, passes, require_point
+from .core import MAX_POINTS, ModelDefinition, Tolerances, passes, require_points
 from .core import divergence_hessian, evaluate_divergence
 from .errors import Condition4Violated, DomainError, MetricNotPD, ProbeSingular
 from .geometry import (
@@ -40,7 +40,6 @@ from .geometry import (
 from .transport import _along, _l_path
 
 CLASSIFY_GRID_PER_AXIS = 5
-MAX_GRID_POINTS = 100 * CLASSIFY_GRID_PER_AXIS**2  # 100 times the default grid
 
 # each check: its report block, the key of the block's value, and the
 # tolerance that value is compared with (also the check's key in classify's worst)
@@ -91,9 +90,16 @@ def condition4_evidence(model: ModelDefinition, err: Condition4Violated) -> dict
 
 
 def default_grid(model: ModelDefinition, per_axis: int = CLASSIFY_GRID_PER_AXIS) -> list:
-    if model.classify_points_fn is not None:
-        return model.classify_points_fn(per_axis)
-    return model.chart.central_grid(per_axis)
+    """The model's own curve of ``per_axis`` points, else the chart's grid of ``per_axis ** dim``;
+    one that would be empty or over ``MAX_POINTS`` is refused before it is built."""
+    curve = model.classify_points_fn
+    count = max(per_axis, 0) ** (1 if curve else model.chart.dim)
+    if not 1 <= count <= MAX_POINTS:
+        raise DomainError(
+            f"a {model.name} grid of {per_axis} per axis has {count} points, "
+            f"outside the budget of 1 to {MAX_POINTS}"
+        )
+    return curve(per_axis) if curve else model.chart.central_grid(per_axis)
 
 
 def classify(
@@ -103,11 +109,7 @@ def classify(
 ) -> GeometryReport:
     """Run the full identification chain over a grid of chart points."""
     grid = theta_grid if theta_grid is not None else default_grid(model)
-    if not 1 <= len(grid) <= MAX_GRID_POINTS:
-        raise DomainError(
-            f"classify of {model.name} needs 1 to {MAX_GRID_POINTS} grid points, got {len(grid)}"
-        )
-    grid = [require_point(point, model.chart.domain, "classify grid point") for point in grid]
+    grid = require_points(grid, model.chart.domain, "classify grid point")
     tolerances = asdict(tol)
     del tolerances["path"]  # the affine and Massieu tolerance: no classify check
     report = GeometryReport(
@@ -198,7 +200,7 @@ def _two_paths(model, theta0, targets, rhs, local, seed, compared, tol):
     slice of the state.
     """
     reference = model.chart.require(theta0)
-    stops = [model.chart.require(target) for target in targets]
+    stops = require_points(targets, model.chart.domain, "target")
     ends, gaps = [], []
     for stop in stops:
         straight = _along(rhs, local, seed, [reference, stop], tol.path)[-1][2]

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import require_point, require_tangent
+from .core import require_point, require_points, require_tangent
 from .errors import DomainError, NumericalFailure
 from .geometry import ConnectionField, _relative_gap
 
@@ -217,9 +217,9 @@ def geodesic(
 
     The path is not known in advance, so every accepted step is checked
     against the field domain; leaving it truncates the trace.  A t_end or
-    step that is not finite, or a step <= 0, raises DomainError, and a step
-    that asks for more than ``MAX_GEODESIC_STEPS`` steps raises
-    NumericalFailure, both before any field evaluation.
+    step that is not finite, a step <= 0, or a step that asks for more than
+    ``MAX_GEODESIC_STEPS`` steps raises DomainError before any field
+    evaluation.
     """
     coords = require_point(theta0, connection.domain, "geodesic start", "field")
     velocity = require_tangent(v0, coords, "geodesic velocity", "the start")
@@ -230,7 +230,7 @@ def geodesic(
         )
     span = abs(t_end) / h  # a float first: a tiny step must not overflow int()
     if not span <= MAX_GEODESIC_STEPS:
-        raise NumericalFailure(
+        raise DomainError(
             f"geodesic step {h:.3g} over t = {t_end:g} needs {span:.3g} steps, "
             f"more than the budget of {MAX_GEODESIC_STEPS}"
         )
@@ -274,12 +274,12 @@ def parallel_transport(connection: ConnectionField, curve, v0) -> Trace:
     to well within the field's ``tol.flat`` (the two-path check of
     covariant fields).
     The field domain is a box, so a path whose way points lie inside it
-    stays inside; a way point outside it raises DomainError up front.
+    stays inside; a way point outside it, or fewer than two, raises
+    DomainError up front.
     """
-    domain = connection.domain
-    waypoints = [require_point(point, domain, "transport way point", "field") for point in curve]
+    waypoints = require_points(curve, connection.domain, "transport way point", "field")
     if len(waypoints) < 2:
-        raise NumericalFailure("transport needs at least two way points")
+        raise DomainError("transport needs at least two way points, got 1")
     vector = require_tangent(v0, waypoints[0], "transported vector", "the path")
 
     def rhs(omega, delta, vector):
@@ -300,9 +300,7 @@ def covariant_constant_field(connection: ConnectionField, theta0, v0, grid) -> T
     """
     base = require_point(theta0, connection.domain, "field base", "field")
     seed = require_tangent(v0, base, "field seed", "the base")
-    grid_points = [require_point(p, connection.domain, "field grid point", "field") for p in grid]
-    if not grid_points:
-        raise DomainError("a covariant-constant field needs at least one grid point")
+    grid_points = require_points(grid, connection.domain, "field grid point", "field")
     # the path to the base itself is one zero-length segment: the seed
     vectors = [
         parallel_transport(connection, [base, target], seed).end_vector

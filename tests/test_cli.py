@@ -641,8 +641,9 @@ class TestExitCodes:
         assert result.returncode == 0, result.stderr
         assert json.loads(out.read_text())["verdicts"]["path_independence"] == "fail"
 
-    def test_over_budget_geodesic_is_two_without_running(self, tmp_path):
-        # a step of 1e-9 asks for 10^9 RK4 steps; it used to run until killed
+    def test_over_budget_geodesic_is_one_without_running(self, tmp_path):
+        # a step of 1e-9 asks for 10^9 RK4 steps; it used to run until killed,
+        # then ended in exit 2, though an input budget is an input error
         result = run_cli(
             [
                 "--model", "gce", "--op", "geodesic", "--start", "1,-1",
@@ -651,8 +652,8 @@ class TestExitCodes:
             ],
             timeout=20,
         )
-        assert result.returncode == 2
-        assert result.stderr.startswith("numerical failure:")
+        assert result.returncode == 1
+        assert result.stderr.startswith("config error:")
         assert result.stderr.count("\n") == 1 and "budget" in result.stderr
         assert not (tmp_path / "g.json").exists()
 
@@ -660,20 +661,26 @@ class TestExitCodes:
         "args, flag",
         [
             # 10^6 classify points: about an hour of work, and 10^10 a meshgrid
-            # that does not fit in memory
-            (["--model", "gaussian-kl", "--op", "classify", "--grid", "1000"], "--grid 1000"),
+            # that does not fit in memory; the library charges a count before
+            # it builds the grid
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", "1000"],
+             "grid of 1000 per axis has 1000000 points"),
             (["--model", "gce", "--op", "field", "--start", "1,-1", "--vector", "1,0",
-              "--grid", "100000"], "--grid 100000"),
+              "--grid", "100000"], "grid of 100000 per axis has 10000000000 points"),
             # the fibre's null-space SVD is levels x levels; the model charges it
             (["--model", "gce", "--levels", ",".join(map(str, range(1, 1002))),
               "--op", "metric", "--at", "1,-1"], "gce spectrum has 1001 levels"),
             # a point list is charged as a count is: 2601 points, as --grid 51 asks for
             (["--model", "regression-ls", "--op", "classify", "--grid", ";".join(["0,0"] * 2601)],
-             "--grid gives 2601 points"),
+             "2601 classify grid points"),
             (["--model", "gce", "--op", "field", "--start", "1,-1", "--vector", "1,0",
-              "--grid", ";".join(["1,-1"] * 2601)], "--grid gives 2601 points"),
+              "--grid", ";".join(["1,-1"] * 2601)], "2601 field grid points"),
+            # gumbel's grid is a curve of n points, not n^2
+            (["--model", "gumbel", "--op", "classify", "--grid", "2501"],
+             "grid of 2501 per axis has 2501 points"),
         ],
-        ids=["classify-grid", "field-grid", "gce-levels", "classify-list", "field-list"],
+        ids=["classify-grid", "field-grid", "gce-levels", "classify-list", "field-list",
+             "gumbel-grid"],
     )
     def test_over_budget_input_is_one_without_running(self, args, flag, tmp_path):
         result = run_cli([*args, "--out", str(tmp_path / "x.json")], timeout=20)
@@ -776,14 +783,17 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "args, needle",
         [
-            (["--model", "regression-ls", "--op", "classify", "--grid", "0"], "--grid"),
-            (["--model", "gaussian-kl", "--op", "classify", "--grid", ";"], "--grid"),
+            (["--model", "regression-ls", "--op", "classify", "--grid", "0"],
+             "grid of 0 per axis has 0 points, outside the budget of 1 to 2500"),
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", ";"],
+             "0 classify grid points, outside the budget of 1 to 2500"),
             (["--model", "gaussian-kl", "--op", "classify", "--grid", "abc"], "--grid"),
-            (["--model", "gaussian-kl", "--op", "classify", "--grid", "-2"], "--grid"),
+            (["--model", "gaussian-kl", "--op", "classify", "--grid", "-2"],
+             "grid of -2 per axis has 0 points, outside the budget of 1 to 2500"),
             (
                 ["--model", "gaussian-kl", "--op", "field", "--start", "0,1",
                  "--vector", "1,0", "--grid", "0"],
-                "--grid",
+                "grid of 0 per axis has 0 points, outside the budget of 1 to 2500",
             ),
             (
                 ["--model", "gaussian-kl", "--op", "field", "--start", "0,1",
@@ -825,7 +835,7 @@ class TestBadInput:
             (
                 ["--model", "gaussian-kl", "--op", "affine", "--start", "0,1",
                  "--targets", "0.5,1.5;0.5"],
-                "point [0.5] has 1 coordinates",
+                "target [0.5] has 1 coordinates",
             ),
             (["--model", "gce", "--op", "metric", "--at", "1,-1", "--kappa", "2"], "--kappa"),
             (["--model", "regression-ls", "--op", "metric", "--at", "0.5,-0.25",
@@ -962,6 +972,14 @@ class TestBadInput:
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert needle in err
         assert not out.exists()
+
+    def test_a_gumbel_count_is_charged_its_curve(self, tmp_path, capsys):
+        # gumbel's grid is a curve of n points; --grid 51 was charged 51^2
+        # points and refused
+        args = ["--model", "gumbel", "--op", "classify", "--grid", "51"]
+        code, err, out = self.run_main(args, tmp_path, capsys)
+        assert code == 0, err
+        assert len(json.loads(out.read_text())["results"]["grid"]) == 51
 
     def test_a_moderate_lambda_still_builds(self, tmp_path, capsys):
         args = ["--model", "regression-dlambda", "--lambda", "2", "--op", "metric", "--at", "0,0"]

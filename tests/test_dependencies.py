@@ -500,3 +500,91 @@ def test_only_the_condition4_gate_raises_on_a_failed_check():
         for function, _ in raises_after_a_failed_check(path.read_text())
     ]
     assert found == [("src/dsm_geom/geometry.py", "metric_at")], found
+
+
+def point_checks_over_lists(source):
+    """(line, name) of every ``require_point`` or ``<x>.require`` check, bare or
+    qualified, called in a loop or a comprehension or mapped over a list."""
+    names = ("require_point", "require")
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def name_of(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and name_of(node.func) == "map" and node.args:
+            if name_of(node.args[0]) in names:
+                found.add((node.lineno, name_of(node.args[0])))
+        if isinstance(node, loops):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and name_of(sub.func) in names:
+                    found.add((sub.lineno, name_of(sub.func)))
+    return sorted(found)
+
+
+def test_the_point_list_scan_sees_loops_comprehensions_and_map():
+    source = (
+        "def f(points, chart, domain):\n"
+        "    first = require_point(points[0], domain)\n"
+        "    grid = [core.require_point(p, domain) for p in points]\n"
+        "    for p in points:\n"
+        "        chart.require(p)\n"
+        "    return list(map(require_point, points)), {chart.require(p) for p in grid}\n"
+    )
+    assert point_checks_over_lists(source) == [
+        (3, "require_point"), (5, "require"), (6, "require"), (6, "require_point"),
+    ]
+
+
+def test_only_core_checks_a_list_of_points():
+    # core.require_points is the one check of a grid, target or way-point
+    # list: it refuses an empty list or one over core.MAX_POINTS before it
+    # checks any point
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "core.py"
+        for line, name in point_checks_over_lists(path.read_text())
+    ]
+    assert not found, found
+
+
+def readers(source, name):
+    """The module-level function or class (None for module-level code) of
+    every read of ``name``, bare or as an attribute."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            read = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if read == name and isinstance(getattr(sub, "ctx", None), ast.Load):
+                found.add(owner)
+    return found
+
+
+def test_the_reader_scan_sees_bare_qualified_and_module_level_reads():
+    source = (
+        "from .core import MAX_POINTS\n"
+        "LIMIT = MAX_POINTS\n"
+        "def grid(n):\n"
+        "    return n <= core.MAX_POINTS\n"
+        "def other(n, MAX_POINTS=1):\n"
+        "    return n\n"
+        "class Chart:\n"
+        "    def count(self):\n"
+        "        return MAX_POINTS\n"
+    )
+    assert readers(source, "MAX_POINTS") == {None, "grid", "Chart"}
+
+
+def test_only_core_and_default_grid_read_the_point_budget():
+    # default_grid charges a per-axis count before it builds the grid; every
+    # point list is charged by core.require_points
+    found = {
+        (str(path.relative_to(ROOT)), owner)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "core.py"
+        for owner in readers(path.read_text(), "MAX_POINTS")
+    }
+    assert found <= {("src/dsm_geom/structure.py", "default_grid")}, found

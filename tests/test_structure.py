@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import geometry, models, numdiff, structure, transport
+from dsm_geom import core, geometry, models, numdiff, structure, transport
 from dsm_geom.core import Tolerances, passes
 from dsm_geom.errors import DomainError
 from dsm_geom.geometry import connection_field, metric_field
@@ -165,13 +165,38 @@ class TestClassify:
     def test_grid_over_the_budget_raises_before_any_model_call(self, catalogue):
         calls = []
         model = dataclasses.replace(catalogue["gaussian-kl"], fibre_sampler_fn=calls.append)
-        grid = structure.default_grid(model, 51)
         with pytest.raises(DomainError) as caught:
-            structure.classify(model, grid)
+            structure.classify(model, [[0.0, 1.0]] * 2601)
         assert str(caught.value) == (
-            "classify of gaussian-kl needs 1 to 2500 grid points, got 2601"
+            "2601 classify grid points, outside the budget of 1 to 2500"
         )
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "name, per_axis, count",
+        [
+            ("gce", 3000, 9_000_000),
+            ("gaussian-kl", 51, 2601),
+            ("gce", 0, 0),
+            ("gumbel", 2501, 2501),
+        ],
+    )
+    def test_default_grid_over_the_budget_raises_before_it_is_built(
+        self, catalogue, monkeypatch, name, per_axis, count
+    ):
+        # gce at 3000 per axis used to build 9,000,000 points in 6.5 s
+        built = []
+        monkeypatch.setattr(core.ChartSpec, "central_grid", lambda chart, n: built.append(n))
+        model = catalogue[name]
+        if model.classify_points_fn is not None:  # gumbel's own curve
+            model = dataclasses.replace(model, classify_points_fn=built.append)
+        with pytest.raises(DomainError) as caught:
+            structure.default_grid(model, per_axis)
+        assert str(caught.value) == (
+            f"a {name} grid of {per_axis} per axis has {count} points, "
+            "outside the budget of 1 to 2500"
+        )
+        assert built == []
 
     def test_a_nan_probe_gap_fails(self):
         # a NaN connection's probe gap, torsion and curvature used to be

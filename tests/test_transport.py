@@ -86,7 +86,7 @@ class TestGeodesic:
     def test_step_budget_raises_before_any_evaluation(self, catalogue):
         gce = catalogue["gce"]
         conn, calls = counting_oracle_field(gce)
-        with pytest.raises(NumericalFailure, match="budget"):
+        with pytest.raises(DomainError, match="budget"):
             transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 1.0, step=1e-9)
         assert calls == []
 
@@ -123,7 +123,7 @@ def counting_oracle_field(model):
 class TestParallelTransport:
     def test_one_way_point_raises_before_any_evaluation(self, catalogue):
         conn, calls = counting_oracle_field(catalogue["gce"])
-        with pytest.raises(NumericalFailure, match="at least two way points"):
+        with pytest.raises(DomainError, match="at least two way points"):
             transport.parallel_transport(conn, [np.array([1.0, 0.0])], [1.0, 0.0])
         assert calls == []
 
@@ -362,6 +362,15 @@ MALFORMED = {
     # one RK4 step over the whole span, four field evaluations and no flag
     "geodesic-inf-step": ("gce", lambda m: transport.geodesic(
         _fibre(m), [1.0, -1.0], [1.0, 0.5], 1.0, step=math.inf)),
+    # point lists outside the budget of 1 to core.MAX_POINTS ran to the end:
+    # a zero-length path to a copy of the start makes no model call
+    "affine-over-budget-targets": ("vmf-cylinder", lambda m: structure.affine_coordinates(
+        m, [0.0, 1.0], [[0.0, 1.0]] * 2501)),
+    "massieu-no-target": ("vmf-cylinder", lambda m: structure.massieu(m, [0.0, 1.0], [])),
+    "field-over-budget-grid": ("gce", lambda m: transport.covariant_constant_field(
+        _fibre(m), [1.0, -1.0], [1.0, 0.0], [[1.0, -1.0]] * 2501)),
+    "transport-over-budget-way-points": ("gce", lambda m: transport.parallel_transport(
+        _fibre(m), [[1.0, -1.0]] * 2501, [1.0, 0.0])),
 }
 
 
