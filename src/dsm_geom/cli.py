@@ -16,8 +16,10 @@ import functools
 import json
 import math
 import os
+import pathlib
 import sys
 import time
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -110,12 +112,10 @@ class RunConfig:
                 known = ", ".join(_flags()[option] for option in needs + may) or "none"
                 flag = _flags()[name]
                 raise ConfigError(f"op '{self.op}' takes no {flag} (its options: {known})")
-        # a required option given empty or zero is as good as missing
-        unset = [_flags()[name] for name in needs if not getattr(self, name)]
+        # an empty or zero value is refused by the library check that reads it
+        unset = [_flags()[name] for name in needs if getattr(self, name) is None]
         if unset:
-            raise ConfigError(
-                f"op '{self.op}' needs {', '.join(unset)}, each non-empty and nonzero"
-            )
+            raise ConfigError(f"op '{self.op}' needs {', '.join(unset)}")
         if self.seed < 0:  # numpy seeds its generators with non-negative integers only
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         try:
@@ -209,18 +209,15 @@ def judge(checks, residuals, tol: Tolerances) -> dict:
     }
 
 
-def make_document(config, results, residuals=None, verdicts=None):
-    """The op's document; ``verdicts`` defaults to its declared checks judged on ``residuals``."""
-    residuals = residuals or {}
-    if verdicts is None:
-        verdicts = judge(_OPS[config.op][3], residuals, config.tol)
+def make_document(config, results, residuals, verdicts):
+    """The op's document: its inputs, numbers, verdicts and tolerances."""
     return {
         "schema_version": SCHEMA_VERSION,
         "model": config.model,
         "op": config.op,
         "inputs": _jsonable(dataclasses.asdict(config)),
         "results": _jsonable(results),
-        "residuals": _jsonable(residuals),
+        "residuals": _jsonable(residuals or {}),
         "verdicts": verdicts,
         "tolerances": _jsonable(config.tolerances),
     }
@@ -228,7 +225,12 @@ def make_document(config, results, residuals=None, verdicts=None):
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise ConfigError(f"report document {path} is not JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"report document is a JSON {type(doc).__name__}, not an object")
     unknown = set(doc) - _REPORT_FIELDS
     if unknown:
         raise ConfigError(f"report document carries unknown fields: {sorted(unknown)}")
@@ -245,8 +247,7 @@ def load_document(path: str) -> dict:
 
 def write_json(path: str, document: dict):
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    pathlib.Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def write_trace_csv(path: str, trace: transport.Trace, coord_names):
@@ -256,8 +257,7 @@ def write_trace_csv(path: str, trace: transport.Trace, coord_names):
         for t, point, vector in zip(trace.times, trace.points, trace.vectors)
     ]
     text = ",".join(columns) + "\n" + "\n".join(rows) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    pathlib.Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _out_paths(out: str):
@@ -287,30 +287,30 @@ def _grid_for(config, model):
     return structure.default_grid(model, per_axis)
 
 
+# an op's numbers; classify and report give their own verdicts, a path op its trace
+_Outcome = namedtuple("_Outcome", "results residuals verdicts trace", defaults=(None,) * 3)
+
+
 def _op_fit(config, model):
     data = parse_data_spec(config.data)
-    result = fit(model, data, config.start)
-    return make_document(config, results=dataclasses.asdict(result)), None
+    return _Outcome(dataclasses.asdict(fit(model, data, config.start)))
 
 
 def _op_metric(config, model):
     evaluation = geometry.metric_at(model, config.at, tol=config.tol)
-    return make_document(
-        config,
-        results={"metric": evaluation.matrix, "members": list(evaluation.member_labels)},
-        residuals={"fibre_deviation": evaluation.fibre_deviation},
-    ), None
+    return _Outcome(
+        {"metric": evaluation.matrix, "members": list(evaluation.member_labels)},
+        {"fibre_deviation": evaluation.fibre_deviation},
+    )
 
 
 def _op_connection(config, model):
     evaluation = geometry.connection_at(model, config.at, tol=config.tol)
-    residuals = {"probe_consistency": evaluation.probe_consistency}
-    verdicts = judge((_PROBES,), residuals, config.tol)
-    if verdicts["hessian_structure"] == "pass":
+    if passes(evaluation.probe_consistency, config.tol.hessian):
         results = {"connection": evaluation.omega}
     else:  # the families disagree: there is no one connection to report
         results = {"family_estimates": evaluation.families}
-    return make_document(config, results, residuals, verdicts), None
+    return _Outcome(results, {"probe_consistency": evaluation.probe_consistency})
 
 
 def _connection_field(config, model):
@@ -319,77 +319,45 @@ def _connection_field(config, model):
 
 def _op_curvature(config, model):
     tensor = geometry.curvature_at(_connection_field(config, model), config.at)
-    return make_document(
-        config,
-        results={"curvature": tensor.components},
-        residuals={"max_abs": tensor.max_abs},
-    ), None
+    return _Outcome({"curvature": tensor.components}, {"max_abs": tensor.max_abs})
 
 
 def _op_classify(config, model):
-    grid = _grid_for(config, model)
-    report = structure.classify(model, grid, tol=config.tol)
-    return make_document(
-        config, results=dataclasses.asdict(report), verdicts=report.verdicts
-    ), None
+    report = structure.classify(model, _grid_for(config, model), tol=config.tol)
+    return _Outcome(dataclasses.asdict(report), verdicts=report.verdicts)
 
 
-def _op_affine(config, model):
-    amap = structure.affine_coordinates(model, config.start, config.targets, tol=config.tol)
-    return make_document(
-        config,
-        results={
-            "reference": amap.reference,
-            "targets": amap.targets,
-            "values": amap.values,
-            "gradients": amap.gradients,
-        },
-        residuals={"path_independence": np.max(amap.path_residuals)},
-    ), None
-
-
-def _op_massieu(config, model):
-    sample = structure.massieu(model, config.start, config.targets, tol=config.tol)
-    return make_document(
-        config,
-        results={
-            "reference": sample.reference,
-            "targets": sample.targets,
-            "potentials": sample.potentials,
-            "covectors": sample.covectors,
-        },
-        # np.max keeps a NaN, which max() drops when it is not first
-        residuals={"path_independence": np.max(sample.path_residuals)},
-    ), None
+def _op_two_paths(config, model):
+    """affine or massieu: the solve's fields; its residual is the worst two-path gap."""
+    solve = structure.affine_coordinates if config.op == "affine" else structure.massieu
+    results = dataclasses.asdict(solve(model, config.start, config.targets, tol=config.tol))
+    # np.max keeps a NaN, which max() drops when it is not first
+    return _Outcome(results, {"path_independence": np.max(results.pop("path_residuals"))})
 
 
 def _op_geodesic(config, model):
     trace = transport.geodesic(
         _connection_field(config, model), config.start, config.velocity, config.t_end, config.step
     )
-    return make_document(
-        config,
-        results={
-            "end_point": trace.end_point,
-            "end_velocity": trace.end_vector,
-            "samples": len(trace.times),
-            "flags": list(trace.flags),
-        },
-    ), trace
+    results = {
+        "end_point": trace.end_point,
+        "end_velocity": trace.end_vector,
+        "samples": len(trace.times),
+        "flags": list(trace.flags),
+    }
+    return _Outcome(results, trace=trace)
 
 
 def _op_transport(config, model):
     trace = transport.parallel_transport(
         _connection_field(config, model), [config.start, config.end], config.vector
     )
-    return make_document(
-        config,
-        results={
-            "end_point": trace.end_point,
-            "end_vector": trace.end_vector,
-            "flags": list(trace.flags),
-        },
-    ), trace
+    results = {
+        "end_point": trace.end_point,
+        "end_vector": trace.end_vector,
+        "flags": list(trace.flags),
+    }
+    return _Outcome(results, trace=trace)
 
 
 def _op_field(config, model):
@@ -397,27 +365,21 @@ def _op_field(config, model):
     trace = transport.covariant_constant_field(
         _connection_field(config, model), config.start, config.vector, grid
     )
-    return make_document(
-        config,
-        results={"points": trace.points, "vectors": trace.vectors},
-        residuals={"path_residual": trace.path_residual},
-    ), trace
+    results = {"points": trace.points, "vectors": trace.vectors}
+    return _Outcome(results, {"path_residual": trace.path_residual}, trace=trace)
 
 
 def _op_pythagoras(config, model):
     report = structure.pythagorean_check(model, config.at, config.other)
-    return make_document(
-        config,
-        results={
-            "induced_value": report.induced_value,
-            "members": list(report.member_labels),
-        },
-        residuals={"fibre_deviation": report.max_deviation},
-    ), None
+    return _Outcome(
+        {"induced_value": report.induced_value, "members": list(report.member_labels)},
+        {"fibre_deviation": report.max_deviation},
+    )
 
 
 def _op_report(config, model):
-    return model_report(model, config), None
+    results, verdicts = model_report(model, config)
+    return _Outcome(results, verdicts=verdicts)
 
 
 # each check: (verdict key, residual key, tolerance key), the shape of
@@ -436,8 +398,8 @@ _OPS = {
     "connection": (_op_connection, ("at",), (), (_PROBES,)),
     "curvature": (_op_curvature, ("at",), (), (("flat", "max_abs", "flat"),)),
     "classify": (_op_classify, (), ("grid",), ()),
-    "affine": (_op_affine, ("start", "targets"), (), (_PATH,)),
-    "massieu": (_op_massieu, ("start", "targets"), (), (_PATH,)),
+    "affine": (_op_two_paths, ("start", "targets"), (), (_PATH,)),
+    "massieu": (_op_two_paths, ("start", "targets"), (), (_PATH,)),
     "geodesic": (_op_geodesic, ("start", "velocity", "t_end"), ("step", "field_source"), ()),
     "transport": (_op_transport, ("start", "end", "vector"), ("field_source",), ()),
     "field": (_op_field, ("start", "vector"), ("grid", "field_source"), (_TWO_PATHS,)),
@@ -468,17 +430,19 @@ def _point_of(config) -> str:
 
 
 def _run_op(config, model):
-    """The op's (document, trace); a condition-4 failure at ``--at`` is a verdict, not an error."""
-    handler, needs, _, _ = _OPS[config.op]
+    """The op's (document, trace): its numbers, judged by its checks unless it
+    gives its own verdicts; a condition-4 failure at ``--at`` is a verdict, not an error."""
+    handler, needs, _, checks = _OPS[config.op]
     try:
-        return handler(config, model)
+        outcome = handler(config, model)
     except Condition4Violated as err:
         if "at" not in needs:
             raise
-        residuals = {"fibre_deviation": err.deviation}
-        verdicts = judge((_GATE,), residuals, config.tol)
         evidence = structure.condition4_evidence(model, err)
-        return make_document(config, {"evidence": evidence}, residuals, verdicts), None
+        outcome = _Outcome({"evidence": evidence}, {"fibre_deviation": err.deviation})
+        checks = (_GATE,)
+    verdicts = outcome.verdicts or judge(checks, outcome.residuals, config.tol)
+    return make_document(config, outcome.results, outcome.residuals, verdicts), outcome.trace
 
 
 def run(config: RunConfig) -> int:
@@ -524,8 +488,8 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def model_report(model, config: RunConfig) -> dict:
-    """classify + oracle comparison for one model (deterministic)."""
+def model_report(model, config: RunConfig):
+    """classify + oracle comparison for one model (deterministic): its (results, verdicts)."""
     tol = config.tol
     report = structure.classify(model, _grid_for(config, model), tol=tol)
     oracle = model.oracle
@@ -550,11 +514,8 @@ def model_report(model, config: RunConfig) -> dict:
                 raise NumericalFailure(
                     f"{type(err).__name__} in the oracle comparison at {point.tolist()}: {err}"
                 ) from None
-    return make_document(
-        config,
-        results={"classification": dataclasses.asdict(report), "oracle_comparison": oracle_gaps},
-        verdicts=report.verdicts,
-    )
+    results = {"classification": dataclasses.asdict(report), "oracle_comparison": oracle_gaps}
+    return results, report.verdicts
 
 
 def report_all(config: RunConfig):
@@ -568,7 +529,7 @@ def report_all(config: RunConfig):
     documents, rows = [], []
     for name in sorted(models.MODEL_NAMES):
         model_config = dataclasses.replace(config, model=name, out="report.json")
-        document = model_report(models.build(name), model_config)
+        document, _ = _run_op(model_config, models.build(name))
         documents.append((os.path.join(config.out, f"{name}.json"), document))
         rows.append({"model": name, **document["verdicts"]})
     summary = {"schema_version": SCHEMA_VERSION, "seed": config.seed, "models": rows}

@@ -34,6 +34,11 @@ def as_coords(theta) -> np.ndarray:
     return arr
 
 
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number (a Python or numpy int or float)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def in_open_box(coords: np.ndarray, domain: tuple) -> bool:
     """True when the vector ``coords`` has one entry per (lo, hi) bound of
     ``domain`` and each lies strictly between its bounds."""
@@ -60,7 +65,10 @@ def require_point(theta, domain: tuple, what: str = "point", where: str = "chart
 def require_points(points, domain: tuple, what: str, where: str = "chart") -> list:
     """Each of ``points`` checked by ``require_point``, or a DomainError; a list
     that is empty or longer than ``MAX_POINTS`` is refused before any point."""
-    points = list(points)
+    try:
+        points = list(points)
+    except TypeError:  # a number, or None
+        raise DomainError(f"{what}s must be a list, got {points!r}") from None
     if not 1 <= len(points) <= MAX_POINTS:
         raise DomainError(f"{len(points)} {what}s, outside the budget of 1 to {MAX_POINTS}")
     return [require_point(point, domain, what, where) for point in points]
@@ -164,7 +172,7 @@ class Tolerances:
     def __post_init__(self):
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            if not (finite_real(value) and value > 0):
                 raise DomainError(
                     f"tolerance '{spec.name}' must be a finite number > 0, got {value!r}"
                 )

@@ -92,6 +92,8 @@ def condition4_evidence(model: ModelDefinition, err: Condition4Violated) -> dict
 def default_grid(model: ModelDefinition, per_axis: int = CLASSIFY_GRID_PER_AXIS) -> list:
     """The model's own curve of ``per_axis`` points, else the chart's grid of ``per_axis ** dim``;
     one that would be empty or over ``MAX_POINTS`` is refused before it is built."""
+    if not isinstance(per_axis, (int, np.integer)):
+        raise DomainError(f"a {model.name} grid needs a whole count per axis, got {per_axis!r}")
     curve = model.classify_points_fn
     count = max(per_axis, 0) ** (1 if curve else model.chart.dim)
     if not 1 <= count <= MAX_POINTS:

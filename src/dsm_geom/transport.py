@@ -21,14 +21,13 @@ verdict, not an error.  A path raises only when it cannot compute a value.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .core import require_point, require_points, require_tangent
+from .core import finite_real, require_point, require_points, require_tangent
 from .errors import DomainError, NumericalFailure
 from .geometry import ConnectionField, _relative_gap
 
@@ -217,14 +216,14 @@ def geodesic(
 
     The path is not known in advance, so every accepted step is checked
     against the field domain; leaving it truncates the trace.  A t_end or
-    step that is not finite, a step <= 0, or a step that asks for more than
+    step that is not a finite number, a step <= 0, or a step that asks for more than
     ``MAX_GEODESIC_STEPS`` steps raises DomainError before any field
     evaluation.
     """
     coords = require_point(theta0, connection.domain, "geodesic start", "field")
     velocity = require_tangent(v0, coords, "geodesic velocity", "the start")
-    h = step if step is not None else DEFAULT_STEP_FRACTION * abs(t_end)
-    if not (math.isfinite(t_end) and math.isfinite(h) and h > 0):
+    h = DEFAULT_STEP_FRACTION * abs(t_end) if step is None and finite_real(t_end) else step
+    if not (finite_real(t_end) and finite_real(h) and h > 0):
         raise DomainError(
             f"geodesic needs a finite t_end and a finite step > 0, got t_end {t_end} and step {h}"
         )

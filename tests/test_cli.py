@@ -170,6 +170,26 @@ class TestDocuments:
         with pytest.raises(cli.ConfigError, match="schema version 3"):
             cli.load_document(str(path))
 
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("{x", "is not JSON: Expecting property name"),
+            ("[1, 2]", "report document is a JSON list, not an object"),
+            ('"s"', "report document is a JSON str, not an object"),
+        ],
+        ids=["not-json", "list", "string"],
+    )
+    def test_a_document_that_is_not_a_json_object_is_one_config_error(
+        self, text, needle, tmp_path
+    ):
+        # a non-JSON file raised a bare JSONDecodeError, and a list or string
+        # was read as a collection of unknown fields
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigError, match=needle) as caught:
+            cli.load_document(str(path))
+        assert "\n" not in str(caught.value)
+
     def test_unknown_report_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 1, "surprise": True}))
@@ -854,7 +874,7 @@ class TestBadInput:
             (
                 ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
                  "--velocity", "1,0", "--t", "0"],
-                "--t",
+                "got t_end 0.0 and step 0.0",
             ),
             (
                 ["--model", "gce", "--op", "geodesic", "--start", "1,-1",
@@ -938,6 +958,8 @@ class TestBadInput:
             (["--model", "all", "--op", "metric"], "--model all is only valid with --op report"),
             (["--model", "gaussian-kl", "--op", "fit", "--start", "0,1", "--data", "{x"],
              "--data is not JSON"),
+            # an empty value was refused by the CLI, which kept a second copy of this check
+            (["--model", "gce", "--op", "metric", "--at="], "point [] has 0 coordinates"),
             (["--model", "gaussian-kl", "--op", "fit", "--start", "0,1", "--data", "[1]"],
              "data spec must be an object with a 'kind'"),
             (
@@ -962,13 +984,45 @@ class TestBadInput:
             "data-second-moment-overflow", "data-couples-x-overflow", "data-couples-y-overflow",
             "cylinder-kappa-overflow", "gumbel-fit-foreign-data", "report-seed-negative",
             "all-seed-negative", "dlambda-square-overflow", "dlambda-square-underflow",
-            "all-metric", "data-not-json", "data-not-an-object", "data-unknown-kind",
+            "all-metric", "data-not-json", "at-empty", "data-not-an-object", "data-unknown-kind",
         ],
     )
     @pytest.mark.filterwarnings("error")
     def test_run_input_errors_are_one_line(self, args, needle, tmp_path, capsys):
         code, err, out = self.run_main(args, tmp_path, capsys)
         assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            (["--op", "metric", "--at="], "point [] has 0 coordinates"),
+            (["--op", "massieu", "--start=", "--targets=1.5,-1"], "point [] has 0 coordinates"),
+            (["--op", "transport", "--start=1,-1", "--end=", "--vector=1,0"],
+             "transport way point [] has 0 coordinates"),
+            (["--op", "geodesic", "--start=1,-1", "--velocity=", "--t=1"],
+             "geodesic velocity [] has 0 components"),
+            (["--op", "field", "--start=1,-1", "--vector="], "field seed [] has 0 components"),
+            (["--op", "pythagoras", "--at=1,-1", "--other="], "point [] has 0 coordinates"),
+            (["--op", "affine", "--start=1,-1", "--targets=;"],
+             "0 targets, outside the budget of 1 to 2500"),
+            (["--op", "fit", "--start=1,-1", "--data="], "data spec must be an object"),
+            (["--op", "geodesic", "--start=1,-1", "--velocity=1,0", "--t", "0"],
+             "geodesic needs a finite t_end and a finite step > 0, got t_end 0.0 and step 0.0"),
+        ],
+        ids=["at", "start", "end", "velocity", "vector", "other", "targets", "data", "t-zero"],
+    )
+    def test_an_empty_value_is_refused_before_any_model_call(
+        self, args, needle, tmp_path, capsys, monkeypatch
+    ):
+        # the CLI refused an empty or zero required value with a second copy of
+        # the check; the library check that reads the value refuses it
+        model, calls = counted_model(models.build("gce"))
+        monkeypatch.setattr(cli.RunConfig, "build_model", lambda config: model)
+        code, err, out = self.run_main(["--model", "gce", *args], tmp_path, capsys)
+        assert (code, calls) == (1, {})
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert needle in err
         assert not out.exists()
@@ -1094,7 +1148,7 @@ class TestReportAll:
         # the connection gap of a NaN connection used to be reported as 0.0
         config = cli.RunConfig(model="gaussian-kl", op="report")
         with np.errstate(**RAISE_FP_ERRORS):
-            doc = cli.model_report(nan_probe_model(), config)
+            doc, _ = cli._run_op(config, nan_probe_model())
         gaps = doc["results"]["oracle_comparison"]
         assert gaps["connection"] is None and gaps["metric"] < 1e-6
         assert doc["verdicts"]["exponential_family"] == "no"

@@ -588,3 +588,34 @@ def test_only_core_and_default_grid_read_the_point_budget():
         for owner in readers(path.read_text(), "MAX_POINTS")
     }
     assert found <= {("src/dsm_geom/structure.py", "default_grid")}, found
+
+
+def test_the_reader_scan_sees_calls_in_handlers_lambdas_and_nested_functions():
+    source = (
+        "def _op_a(config):\n"
+        "    return make_document(config, {})\n"
+        "def _op_b(config):\n"
+        "    build = lambda: cli.make_document(config, {})\n"
+        "    return build()\n"
+        "def _op_c(config):\n"
+        "    return functools.partial(make_document, config)\n"
+        "def make_document(config, results):\n"
+        "    return {}\n"
+        "def _run_op(config):\n"
+        "    def build():\n"
+        "        return make_document(config, {})\n"
+        "    return build()\n"
+    )
+    assert readers(source, "make_document") == {"_op_a", "_op_b", "_op_c", "_run_op"}
+
+
+@pytest.mark.parametrize("name", ["make_document", "judge"])
+def test_run_op_alone_judges_and_builds_a_document(name):
+    # an op's handler returns its numbers; _run_op judges them by the op's
+    # _OPS row and builds the document, for --model all too
+    found = {
+        (str(path.relative_to(ROOT)), owner)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner in readers(path.read_text(), name)
+    }
+    assert found == {("src/dsm_geom/cli.py", "_run_op")}, found

@@ -198,6 +198,16 @@ class TestClassify:
         )
         assert built == []
 
+    @pytest.mark.parametrize("per_axis", [2.5, "3", None])
+    def test_a_count_that_is_not_an_integer_is_one_domain_error(self, catalogue, per_axis):
+        # 2.5 ended in "cannot be interpreted as an integer", "3" and None in
+        # a comparison TypeError
+        with pytest.raises(DomainError, match="needs a whole count per axis") as caught:
+            structure.default_grid(catalogue["gce"], per_axis)
+        assert str(caught.value) == (
+            f"a gce grid needs a whole count per axis, got {per_axis!r}"
+        )
+
     def test_a_nan_probe_gap_fails(self):
         # a NaN connection's probe gap, torsion and curvature used to be
         # recorded as 0.0, and the model classified as an exponential family

@@ -371,6 +371,21 @@ MALFORMED = {
         _fibre(m), [1.0, -1.0], [1.0, 0.0], [[1.0, -1.0]] * 2501)),
     "transport-over-budget-way-points": ("gce", lambda m: transport.parallel_transport(
         _fibre(m), [[1.0, -1.0]] * 2501, [1.0, 0.0])),
+    # arguments of the wrong kind ended in a Python TypeError: a number is not
+    # iterable, and abs() or math.isfinite() of a string or None
+    "classify-number-grid": ("gce", lambda m: structure.classify(m, 5)),
+    "transport-number-way-points": ("gce", lambda m: transport.parallel_transport(
+        _fibre(m), 7, [1.0, 0.0])),
+    "field-number-grid": ("gce", lambda m: transport.covariant_constant_field(
+        _fibre(m), [1.0, -1.0], [1.0, 0.0], 3)),
+    "affine-number-targets": ("gce", lambda m: structure.affine_coordinates(
+        m, [1.0, -1.0], 2.0)),
+    "geodesic-string-t-end": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, -1.0], [1.0, 0.0], "a")),
+    "geodesic-none-t-end": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, -1.0], [1.0, 0.0], None)),
+    "geodesic-string-step": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, -1.0], [1.0, 0.0], 1.0, step="x")),
 }
 
 
