@@ -4,7 +4,8 @@ A data set model couples a space of data sets, a parametrised model
 manifold, a model map and a divergence function.  Data sets enter every
 computation only through finitely many expectation values, so the data
 side of the contract is an expectation provider: given a statistic id
-it returns one real number.
+it returns one real number.  The off-fibre probes are data sets too: one
+flat list per probe family, the n plus probes and then their n minus probes.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def as_coords(theta) -> np.ndarray:
     """Coerce a sequence into a float vector."""
     try:
         arr = np.asarray(theta, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or beyond floats
         raise DomainError(f"parameter point must be a vector of numbers, got {theta!r}") from None
     if arr.ndim != 1:
         raise DomainError(f"parameter point must be a vector, got shape {arr.shape}")
@@ -36,7 +37,10 @@ def as_coords(theta) -> np.ndarray:
 
 def finite_real(value) -> bool:
     """Whether ``value`` is a finite real number (a Python or numpy int or float)."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def in_open_box(coords: np.ndarray, domain: tuple) -> bool:
@@ -301,29 +305,18 @@ class RegressionData(DataSet):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbePair:
-    """Antithetic off-fibre probe pair for one probe direction.
-
-    The pair realises a centered step along a curve through the fibre, so
-    the curve-derivative definition of the connection is evaluated to
-    second order in the probe offset.
-    """
-
-    plus: DataSet
-    minus: DataSet
-
-
 def antithetic_pairs(probe: Callable, scales: Sequence[float], family: int) -> list:
-    """Both probe families from one probe: ``probe(offsets)`` is the data set
-    whose n fibre conditions are moved by ``offsets``.
+    """One probe family's 2n data sets from one probe: ``probe(offsets)`` is
+    the data set whose n fibre conditions are moved by ``offsets``.
 
     Condition i's step is ``PROBE_DELTA * scales[i]``.  Family 0 moves
     condition i alone by its step.  Family 1 halves the steps and moves
     condition i by its step and each other condition by a third of its
     step, + after i and - before it; for a model with a Hessian structure
-    the two families give the same connection.  Each pair's minus member
-    is ``probe(-offsets)``.
+    the two families give the same connection.  The list holds the n plus
+    probes, then the n minus probes: minus probe i is ``probe(-offsets)`` of
+    plus probe i, a centered step along a curve through the fibre, so the
+    connection is evaluated to second order in the probe offset.
     """
     steps = [PROBE_DELTA * scale for scale in scales]
     if family == 0:
@@ -334,7 +327,7 @@ def antithetic_pairs(probe: Callable, scales: Sequence[float], family: int) -> l
             [h if j == i else (h / 3.0 if j > i else -h / 3.0) for j, h in enumerate(halves)]
             for i in range(len(halves))
         ]
-    return [ProbePair(probe(plus), probe([-offset for offset in plus])) for plus in rows]
+    return [probe(plus) for plus in rows] + [probe([-offset for offset in plus]) for plus in rows]
 
 
 @dataclass
@@ -394,8 +387,9 @@ class ModelDefinition:
         return self.probe_pairs_fn is not None
 
     def probe_pairs(self, theta, family: int = 0) -> list:
-        """Off-fibre probe pairs, each perturbing one fibre condition; two
-        families (0, 1) are available."""
+        """One probe family's off-fibre data sets, as ``antithetic_pairs``
+        lists them: n plus probes, then their n minus probes; two families
+        (0, 1) are available."""
         return self._probe_pairs(self.chart.require(theta), family)
 
     def _probe_pairs(self, coords, family):

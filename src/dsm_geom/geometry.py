@@ -2,10 +2,12 @@
 
 The metric averages divergence Hessians over fibre members and reports
 how constant they are (the condition-4 diagnostic).  The connection is
-solved from off-fibre probes: antithetic probe pairs give the centered
-curve derivative of the Hessian, which coincides with the discrete
-probe formula whenever the model has a Hessian structure and stays
-second-order accurate when it does not (the sphere).
+solved from off-fibre probes: a probe family's flat list of n plus and
+then n minus probes gives the centered curve derivative of the Hessian,
+which coincides with the discrete probe formula whenever the model has a
+Hessian structure and stays second-order accurate when it does not (the
+sphere).  The canonical-chart metric of ``metric_transform_check`` is
+taken directly, as FD Hessians of the divergence in affine coordinates.
 A field carries the open box it is defined on, and a connection field the
 ``Tolerances`` it was built with, so the functions that take a field take
 no model and no second tolerance.
@@ -19,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .core import ChartSpec, ModelDefinition, Tolerances, as_coords, in_open_box, passes
+from .core import ModelDefinition, Tolerances, as_coords, in_open_box, passes
 from .core import _divergence_gradients, _divergence_hessians, require_point
 from .errors import (
     Condition4Violated,
@@ -122,14 +124,13 @@ def metric_at(
 
 
 def _solve_family(model, coords, family):
-    pairs = model._probe_pairs(coords, family)
+    # data[:n] are the plus probes, data[n:] their minus probes
+    data = model._probe_pairs(coords, family)
     n = coords.size
-    if len(pairs) != n:
+    if len(data) != 2 * n:
         raise ProbeSingular(
-            f"{model.name} supplied {len(pairs)} probe pairs for dimension {n}"
+            f"{model.name} supplied {len(data)} probe data sets for dimension {n}, not {2 * n}"
         )
-    # rows [0, n) are the plus probes, rows [n, 2n) the minus probes
-    data = [pair.plus for pair in pairs] + [pair.minus for pair in pairs]
     grads = _divergence_gradients(model, data, coords)
     hessians = _divergence_hessians(model, data, coords)
     probe_matrix = 0.5 * (grads[:n] - grads[n:])
@@ -251,91 +252,29 @@ def torsion_residual(omega: np.ndarray) -> float:
     return float(np.max(np.abs(omega - np.transpose(omega, (0, 2, 1)))))
 
 
-def reparametrized_model(
-    model: ModelDefinition,
-    forward: Callable,
-    inverse: Callable,
-    chart: ChartSpec,
-) -> ModelDefinition:
-    """Express the same data set model in a different chart.
-
-    Derivatives are taken by finite differences in the new chart; the
-    wrapped divergence validates the mapped point against the original
-    chart, so coupled domain constraints survive the box chart.
-    """
-
-    def divergence(x, z):
-        back = model.chart.require(inverse(np.asarray(z, dtype=float)))
-        return model.divergence_fn(x, back)
-
-    def fibre_sampler(z):
-        return model.fibre_sampler(inverse(np.asarray(z, dtype=float)))
-
-    def probe_pairs(z, family):
-        return model.probe_pairs(inverse(np.asarray(z, dtype=float)), family)
-
-    return ModelDefinition(
-        name=f"{model.name}-reparam",
-        chart=chart,
-        divergence_fn=divergence,
-        gradient_fn=None,
-        hessian_fn=None,
-        fibre_sampler_fn=fibre_sampler,
-        probe_pairs_fn=probe_pairs if model.probe_pairs_fn else None,
-        closed_form_fit_fn=None,
-        oracle=None,
-        divergence_tag=model.divergence_tag,
-    )
-
-
-def canonical_chart_for(model: ModelDefinition) -> ChartSpec:
-    """Box chart spanned by the canonical image of the sample box."""
-    if model.oracle is None or model.oracle.affine_map is None:
-        raise Unsupported(f"model {model.name} declares no affine coordinates")
-    corners = []
-    lows = [lo for lo, _ in model.chart.sample_box]
-    highs = [hi for _, hi in model.chart.sample_box]
-    for mask in range(2**model.chart.dim):
-        corner = [
-            highs[i] if mask & (1 << i) else lows[i] for i in range(model.chart.dim)
-        ]
-        corners.append(model.oracle.affine_map(np.array(corner, dtype=float)))
-    corners = np.array(corners)
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    pad = 0.1 * (hi - lo + 1.0)
-    domain = []
-    for l, h, p in zip(lo, hi, pad):
-        wide_lo, wide_hi = l - 10 * p, h + 10 * p
-        # keep one-sided canonical coordinates (1/(2 sigma^2), beta, ...)
-        # on their side of zero
-        if l > 0 and wide_lo <= 0:
-            wide_lo = 1e-3 * l
-        if h < 0 and wide_hi >= 0:
-            wide_hi = 1e-3 * h
-        domain.append((wide_lo, wide_hi))
-    return ChartSpec(
-        domain=tuple(domain),
-        names=tuple(f"z{i+1}" for i in range(model.chart.dim)),
-        sample_box=tuple((l, h) for l, h in zip(lo, hi)),
-    )
-
-
 def metric_transform_check(model: ModelDefinition, theta, tol: Tolerances = Tolerances()) -> float:
     """Tensor-transformation residual of the metric under the change to the
-    model's affine coordinates and the canonical chart they span.  Both
-    sides are evaluated numerically and compared through an FD Jacobian.
+    model's affine coordinates w: the fibre mean of the FD Hessians of
+    w -> D(x || m(affine_inverse(w))) at w = affine_map(theta), pulled back
+    through an FD Jacobian, against the divergence-only metric at theta
+    (the condition-4 gate).  Both sides are FD Hessians, so the residual
+    measures the transformation property alone.
     """
-    target_chart = canonical_chart_for(model)
+    oracle = model.oracle
+    if oracle is None or oracle.affine_map is None:
+        raise Unsupported(f"model {model.name} declares no affine coordinates")
     coords = model.chart.require(theta)
-    forward, inverse = model.oracle.affine_map, model.oracle.affine_inverse
-    # both sides go through the same FD path (the target has no model
-    # derivatives) so the residual measures the transformation property alone
+    forward, inverse = oracle.affine_map, oracle.affine_inverse
     divergence_only = replace(model, gradient_fn=None, hessian_fn=None)
     g_source = metric_at(divergence_only, coords, tol=tol).matrix
     jac = numdiff.fd_jacobian(forward, coords, model.chart.domain)
-    target = reparametrized_model(model, forward, inverse, target_chart)
-    g_target = metric_at(target, forward(coords), tol=tol).matrix
+
+    def hessian(x):  # each mapped point is checked against the model's chart
+        return numdiff.fd_hessian(
+            lambda w: model.divergence_fn(x, model.chart.require(inverse(w))), forward(coords)
+        )
+
+    g_target = np.mean([hessian(x) for x in model.fibre_sampler(coords)], axis=0)
     transformed = jac.T @ g_target @ jac
     return _relative_gap(transformed, g_source, floor=1e-12)
 

@@ -77,8 +77,8 @@ def _rk4(state, rhs, t, h):
 
 def _integrate(f, y, t_end, steps):
     """Fixed-step RK4 for dy/dt = f(t, y) from t = 0; yields (t, y) per step."""
-    h = t_end / steps
     for k in range(steps):
+        h = t_end / steps
         y = _rk4(y, f, k * h, h)
         yield (k + 1) * h, y
 
@@ -218,7 +218,8 @@ def geodesic(
     against the field domain; leaving it truncates the trace.  A t_end or
     step that is not a finite number, a step <= 0, or a step that asks for more than
     ``MAX_GEODESIC_STEPS`` steps raises DomainError before any field
-    evaluation.
+    evaluation.  A t_end of 0 with a valid step is the one-sample trace of
+    the start, with no field evaluation.
     """
     coords = require_point(theta0, connection.domain, "geodesic start", "field")
     velocity = require_tangent(v0, coords, "geodesic velocity", "the start")
@@ -233,7 +234,7 @@ def geodesic(
             f"geodesic step {h:.3g} over t = {t_end:g} needs {span:.3g} steps, "
             f"more than the budget of {MAX_GEODESIC_STEPS}"
         )
-    steps = max(int(round(span)), 1)
+    steps = max(int(round(span)), 1) if t_end else 0  # t_end 0: the start alone
     n = coords.size
 
     def rhs(_, state):

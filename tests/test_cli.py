@@ -1027,6 +1027,20 @@ class TestBadInput:
         assert needle in err
         assert not out.exists()
 
+    def test_a_zero_span_geodesic_is_the_start_alone(self, tmp_path, capsys, monkeypatch):
+        # --t 0 --step 0.1 took one RK4 step of size 0: 16 gradient and 28
+        # Hessian calls, and two identical t = 0 rows
+        model, calls = counted_model(models.build("gce"))
+        monkeypatch.setattr(cli.RunConfig, "build_model", lambda config: model)
+        args = ["--model", "gce", "--op", "geodesic", "--start=1,-1", "--velocity=1,0"]
+        code, err, out = self.run_main([*args, "--t", "0", "--step", "0.1"], tmp_path, capsys)
+        assert (code, calls) == (0, {}), err
+        results = json.loads(out.read_text())["results"]
+        assert results["samples"] == 1
+        assert results["end_point"] == [1.0, -1.0]
+        rows = (tmp_path / "out.csv").read_text().splitlines()
+        assert rows[1:] == ["0,1,-1,1,0"]
+
     def test_a_gumbel_count_is_charged_its_curve(self, tmp_path, capsys):
         # gumbel's grid is a curve of n points; --grid 51 was charged 51^2
         # points and refused

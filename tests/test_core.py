@@ -58,7 +58,11 @@ class TestTolerances:
         }
 
     @pytest.mark.parametrize(
-        "value", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, "1e-3", None]
+        "value",
+        [
+            math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, "1e-3", None,
+            pytest.param(10**400, id="int-beyond-float"),
+        ],
     )
     def test_rejects_nonfinite_nonpositive_and_nonnumeric(self, value):
         for spec in dataclasses.fields(Tolerances):
@@ -274,9 +278,9 @@ class TestAntitheticPairs:
         # scales antithetic_pairs multiplies by it.  Family 1 moves condition i
         # by half its step, each later condition by +1/3 and each earlier one
         # by -1/3 of its half step
-        pairs = antithetic_pairs(np.array, steps, family)
-        plus = np.array([pair.plus for pair in pairs])
-        minus = np.array([pair.minus for pair in pairs])
+        # the list holds the n plus probes, then their n minus probes
+        probes = np.array(antithetic_pairs(np.array, steps, family))
+        plus, minus = probes[: len(steps)], probes[len(steps) :]
         assert plus == pytest.approx(PROBE_DELTA * np.array(expected), rel=1e-15, abs=0.0)
         assert np.array_equal(minus, -plus)
         # family 1 moves each condition by half the step of family 0

@@ -98,12 +98,15 @@ def test_every_imported_name_is_read_or_exported():
     assert not unused, unused
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _module_statements(source):
-    """(line, private names it defines, names it reads) of each module-level
-    statement.  A private name starts with one underscore; a read is a loaded
-    name or attribute."""
+    """(line, statement, names it defines, names it reads) of each
+    module-level statement.  A read is a loaded name or attribute; an
+    import or an ``__all__`` entry is not one."""
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _DEFINITIONS):
             defined = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -115,34 +118,44 @@ def _module_statements(source):
             ]
         else:
             defined = []
-        private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
         reads = {
             sub.id if isinstance(sub, ast.Name) else sub.attr
             for sub in ast.walk(node)
             if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
         }
-        yield node.lineno, private, reads
+        yield node.lineno, node, defined, reads
+
+
+def unread_names(sources, wanted):
+    """(module, line, name) of every name a module-level statement of
+    ``sources`` (module -> source) defines, ``wanted(statement, module,
+    name)`` selects, and no statement of any module reads, its own
+    definition excepted."""
+    statements = [
+        (module, line, node, defined, reads)
+        for module, source in sources.items()
+        for line, node, defined, reads in _module_statements(source)
+    ]
+    return [
+        (module, line, name)
+        for module, line, node, defined, _ in statements
+        for name in defined
+        if wanted(node, module, name)
+        and not any(
+            name in reads
+            for other, other_line, _, _, reads in statements
+            if (other, other_line) != (module, line)
+        )
+    ]
 
 
 def dead_private_names(sources):
     """(module, line, name) of every module-level private def, class or
-    assignment in ``sources`` (module -> source) that no statement of any
-    module reads, its own definition excepted."""
-    statements = [
-        (module, line, private, reads)
-        for module, source in sources.items()
-        for line, private, reads in _module_statements(source)
-    ]
-    return [
-        (module, line, name)
-        for module, line, private, _ in statements
-        for name in private
-        if not any(
-            name in reads
-            for other, other_line, _, reads in statements
-            if (other, other_line) != (module, line)
-        )
-    ]
+    assignment in ``sources`` that no statement of any module reads, its own
+    definition excepted.  A private name starts with one underscore."""
+    return unread_names(
+        sources, lambda node, module, name: name.startswith("_") and not name.startswith("__")
+    )
 
 
 def test_the_dead_helper_scan_sees_reads_from_other_modules_only():
@@ -235,12 +248,12 @@ def named(source):
 
 def test_models_leave_the_probe_design_to_core():
     # a model hands its probe to core.antithetic_pairs, which alone builds the
-    # pairs and knows the probe step
+    # probe list and knows the probe step
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((PACKAGE / "models").glob("*.py"))
         for line, name in named(path.read_text())
-        if name in ("ProbePair", "PROBE_DELTA")
+        if name == "PROBE_DELTA"
     ]
     assert not found, found
 
@@ -619,3 +632,81 @@ def test_run_op_alone_judges_and_builds_a_document(name):
         for owner in readers(path.read_text(), name)
     }
     assert found == {("src/dsm_geom/cli.py", "_run_op")}, found
+
+
+def unread_definitions(sources, exempt):
+    """(module, line, name) of every module-level function or class in
+    ``sources`` (dotted module -> source) that no statement of any module
+    reads, its own definition excepted, and that ``exempt`` (a set of
+    (module, name)) does not name."""
+    return unread_names(
+        sources,
+        lambda node, module, name: isinstance(node, _DEFINITIONS)
+        and (module, name) not in exempt,
+    )
+
+
+def traced_names(tracer_source):
+    """(module, name) of every function in the tracer's ``_FUNCTIONS`` table
+    and every class in its ``_METHODS`` table, read from its source."""
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer_source).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("_FUNCTIONS", "_METHODS")
+    }
+    return {(row[0], row[1]) for table in tables.values() for row in table}
+
+
+# module-level definitions that no code in the package reads, each with its reason
+READ_ONLY_OUTSIDE_THE_PACKAGE = {
+    # every entry built with its defaults: the benchmark's setup times it
+    # (perfbench/child.py, setup.catalogue_build_s) and the suite's fixture uses it
+    ("dsm_geom.models", "catalogue"),
+    # the reader of a written document under both schema versions, as the
+    # README documents it for users of the output
+    ("dsm_geom.cli", "load_document"),
+}
+
+
+def test_the_test_only_scan_flags_an_unread_function_and_passes_a_traced_one():
+    sources = {
+        "pkg.a": (
+            "def helper():\n"
+            "    return 1\n"
+            "def only_tests():\n"
+            "    return only_tests()\n"
+            "def traced():\n"
+            "    return helper()\n"
+            "class Exported:\n"
+            "    pass\n"
+            "__all__ = ['Exported']\n"
+        ),
+        "pkg.b": "from .a import traced\n",
+    }
+    tracer = (
+        "_FUNCTIONS = (('pkg.a', 'traced', 'a.traced'),)\n"
+        "_METHODS = (('pkg.c', 'Field', '__call__', 'c.Field'),)\n"
+        "_OTHER = (('pkg.a', 'only_tests', 'a.only_tests'),)\n"
+    )
+    exempt = traced_names(tracer)
+    assert exempt == {("pkg.a", "traced"), ("pkg.c", "Field")}
+    assert unread_definitions(sources, exempt) == [
+        ("pkg.a", 3, "only_tests"),
+        ("pkg.a", 7, "Exported"),
+    ]
+
+
+def test_no_src_definition_is_read_only_by_tests():
+    # code that only tests call leaves src/; the tracer's tables are parsed,
+    # never imported, so a traced name stays while the benchmark times it
+    sources = {
+        ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts).removesuffix(
+            ".__init__"
+        ): path.read_text()
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    exempt = traced_names((ROOT / "perfbench" / "tracer.py").read_text())
+    found = unread_definitions(sources, exempt | READ_ONLY_OUTSIDE_THE_PACKAGE)
+    assert not found, found

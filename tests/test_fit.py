@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dsm_geom.core import (
+    ChartSpec,
     DataSet,
     GaussianData,
     RegressionData,
@@ -12,7 +13,6 @@ from dsm_geom.core import (
 )
 from dsm_geom.errors import NoConvergence, Unsupported
 from dsm_geom.fit import closed_form_fit, fit, fit_from_closed_form
-from dsm_geom.geometry import canonical_chart_for, reparametrized_model
 from dsm_geom.models.gumbel import ExponentialData
 
 from conftest import (
@@ -144,8 +144,24 @@ class TestChartCovariance:
         model = catalogue["gaussian-kl"]
         forward = model.oracle.affine_map
         inverse = model.oracle.affine_inverse
-        wrapped = reparametrized_model(
-            model, forward, inverse, canonical_chart_for(model)
+        # gaussian-kl in its natural parameters z = (1 / (2 sigma^2), -mu / sigma^2):
+        # FD derivatives, each mapped point checked against the (mu, sigma) chart,
+        # and none of the callables that speak in (mu, sigma)
+        wrapped = dataclasses.replace(
+            model,
+            name="gaussian-kl-natural",
+            chart=ChartSpec(
+                domain=((0.0, math.inf), (-math.inf, math.inf)),
+                names=("z1", "z2"),
+                sample_box=((0.05, 2.0), (-8.0, 8.0)),
+            ),
+            divergence_fn=lambda x, z: model.divergence_fn(x, model.chart.require(inverse(z))),
+            gradient_fn=None,
+            hessian_fn=None,
+            fibre_sampler_fn=None,
+            probe_pairs_fn=None,
+            closed_form_fit_fn=None,
+            oracle=None,
         )
         for _ in range(3):
             x = random_dataset(model, rng)

@@ -22,6 +22,7 @@ from conftest import (
     nan_gradient_probe_model,
     random_chart_point,
     sphere_connection_reference,
+    wrong_fibre_model,
 )
 
 
@@ -356,6 +357,15 @@ class TestMetricTransform:
         residual = geometry.metric_transform_check(catalogue["gce"], [1.0, 0.5])
         assert residual < 1e-4
 
+    @pytest.mark.parametrize("point", [(0.0, 1.0), (0.3, 1.2), (-0.5, 2.0)])
+    def test_a_wrong_fibre_fails_where_the_right_one_passes(self, catalogue, point):
+        # members of another model point agree with one another, so condition 4
+        # holds, but D's gradient does not vanish at theta, and a Hessian moved
+        # to the affine chart picks up gradient times the chart change's second
+        # derivative: 0.0985, against 1e-8 to 9e-8 for gaussian-kl's own fibre
+        assert geometry.metric_transform_check(wrong_fibre_model(), point) >= 0.05
+        assert geometry.metric_transform_check(catalogue["gaussian-kl"], point) <= 1e-4
+
 
 class TestCramerRao:
     def test_equality_case(self, catalogue):
@@ -404,7 +414,7 @@ def test_cross_checks_gate_with_the_callers_tolerances(catalogue, check):
 def _synthetic_model(hessian_matrix, degenerate_probes=False):
     """Minimal quadratic model for the error paths."""
     import math
-    from dsm_geom.core import PROBE_DELTA, ChartSpec, DataSet, ModelDefinition, ProbePair
+    from dsm_geom.core import PROBE_DELTA, ChartSpec, DataSet, ModelDefinition
 
     chart = ChartSpec(
         domain=((-math.inf, math.inf), (-math.inf, math.inf)),
@@ -428,12 +438,12 @@ def _synthetic_model(hessian_matrix, degenerate_probes=False):
         delta = PROBE_DELTA
         if degenerate_probes:
             same = DataSet({"c1": theta[0], "c2": theta[1], "entropy": 0.0})
-            return [ProbePair(same, same), ProbePair(same, same)]
+            return [same] * 4
         first = DataSet({"c1": theta[0] + delta, "c2": theta[1], "entropy": 0.0})
         first_m = DataSet({"c1": theta[0] - delta, "c2": theta[1], "entropy": 0.0})
         second = DataSet({"c1": theta[0], "c2": theta[1] + delta, "entropy": 0.0})
         second_m = DataSet({"c1": theta[0], "c2": theta[1] - delta, "entropy": 0.0})
-        return [ProbePair(first, first_m), ProbePair(second, second_m)]
+        return [first, second, first_m, second_m]
 
     return ModelDefinition(
         name="synthetic",
@@ -473,24 +483,39 @@ class TestErrorPaths:
             geometry.connection_at(model, [0.0, 0.0])
 
     def test_extra_probe_pair_raises(self):
-        # a family has one pair per fibre condition: a third pair in 2-D is refused
+        # a family has one plus and one minus probe per fibre condition: a
+        # third pair in 2-D is refused
         model = _synthetic_model(np.eye(2))
         probes = model.probe_pairs_fn
 
         def three_pairs(theta, family):
-            pairs = probes(theta, family)
-            return pairs + pairs[:1]
+            data = probes(theta, family)
+            return data[:2] + data[:1] + data[2:] + data[2:3]
 
         model = dataclasses.replace(model, probe_pairs_fn=three_pairs)
-        with pytest.raises(geometry.ProbeSingular, match="3 probe pairs for dimension 2"):
+        with pytest.raises(
+            geometry.ProbeSingular, match="6 probe data sets for dimension 2, not 4"
+        ):
+            geometry.connection_at(model, [0.0, 0.0])
+
+    def test_unpaired_probe_raises(self):
+        # an odd list cannot be split into plus and minus halves
+        model = _synthetic_model(np.eye(2))
+        probes = model.probe_pairs_fn
+        model = dataclasses.replace(
+            model, probe_pairs_fn=lambda theta, family: probes(theta, family)[:3]
+        )
+        with pytest.raises(
+            geometry.ProbeSingular, match="3 probe data sets for dimension 2, not 4"
+        ):
             geometry.connection_at(model, [0.0, 0.0])
 
 
 def _probe_matrix_model(matrix):
-    """A model whose probe matrix is ``matrix`` exactly: probe pair i's plus
-    and minus gradients are +row i and -row i.  Its metric is the identity
+    """A model whose probe matrix is ``matrix`` exactly: plus probe i's
+    gradient is +row i and minus probe i's -row i.  Its metric is the identity
     and its probe Hessians are zero, so every connection it solves is 0."""
-    from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, ProbePair
+    from dsm_geom.core import ChartSpec, DataSet, ModelDefinition
 
     rows = np.asarray(matrix, dtype=float)
 
@@ -504,7 +529,7 @@ def _probe_matrix_model(matrix):
         def probe(row, sign):
             return DataSet({"row": row, "sign": sign}, label="probe")
 
-        return [ProbePair(probe(i, 1.0), probe(i, -1.0)) for i in range(2)]
+        return [probe(i, sign) for sign in (1.0, -1.0) for i in range(2)]
 
     return ModelDefinition(
         name="probe-matrix",
@@ -617,18 +642,16 @@ def _loop_metric(model, coords, tol=Tolerances()):
 
 
 def _loop_family(model, coords, family):
-    """One probe family's connection, one pair at a time."""
-    pairs = model.probe_pairs(coords, family)
+    """One probe family's connection, one antithetic pair at a time."""
+    data = model.probe_pairs(coords, family)
     n = coords.size
-    probe_matrix = np.empty((len(pairs), n))
-    rhs = np.empty((len(pairs), n, n))
-    for c, pair in enumerate(pairs):
+    probe_matrix = np.empty((n, n))
+    rhs = np.empty((n, n, n))
+    for c, (plus, minus) in enumerate(zip(data[:n], data[n:])):
         probe_matrix[c] = 0.5 * (
-            _loop_gradient(model, pair.plus, coords) - _loop_gradient(model, pair.minus, coords)
+            _loop_gradient(model, plus, coords) - _loop_gradient(model, minus, coords)
         )
-        rhs[c] = 0.5 * (
-            _loop_hessian(model, pair.plus, coords) - _loop_hessian(model, pair.minus, coords)
-        )
+        rhs[c] = 0.5 * (_loop_hessian(model, plus, coords) - _loop_hessian(model, minus, coords))
     return np.linalg.solve(probe_matrix, rhs.reshape(n, n * n)).reshape(n, n, n)
 
 

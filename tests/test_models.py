@@ -187,10 +187,10 @@ class TestVonMisesFisher:
                 np.array([-math.sin(t) * math.sin(p), math.sin(t) * math.cos(p), 0.0])
                 / math.sin(t),
             ]
-            for pair, tangent in zip(model.probe_pairs([t, p], family=0), tangents):
-                for member, sign in ((pair.plus, 1.0), (pair.minus, -1.0)):
-                    moments = [member.statistic(f"mean_e{k}") for k in (1, 2, 3)]
-                    assert np.array_equal(moments, c * u + (sign * s) * tangent)
+            probes = model.probe_pairs([t, p], family=0)  # the 2 plus probes, then the 2 minus
+            for member, sign, tangent in zip(probes, (1.0, 1.0, -1.0, -1.0), tangents * 2):
+                moments = [member.statistic(f"mean_e{k}") for k in (1, 2, 3)]
+                assert np.array_equal(moments, c * u + (sign * s) * tangent)
 
     def test_oracle_metrics_positive_definite(self, catalogue, rng):
         for name in ("gaussian-kl", "gaussian-sumsq", "gce", "vmf-sphere", "vmf-cylinder", "regression-dlambda"):

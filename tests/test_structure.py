@@ -66,9 +66,9 @@ class TestClassify:
 
     def test_probe_failure_keeps_condition4_evidence(self):
         # members disagree on the weight for u > 0 (condition 4 fails there);
-        # the probe pairs are degenerate everywhere (the probe solve fails
+        # the probes are degenerate everywhere (the probe solve fails
         # wherever condition 4 holds)
-        from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, ProbePair
+        from dsm_geom.core import ChartSpec, DataSet, ModelDefinition
 
         def divergence(x, theta):
             delta = np.asarray(theta) - [x.statistic("c1"), x.statistic("c2")]
@@ -81,8 +81,7 @@ class TestClassify:
             return [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)]
 
         def probes(theta, family):
-            same = data(theta, 1.0)
-            return [ProbePair(same, same), ProbePair(same, same)]
+            return [data(theta, 1.0)] * 4
 
         model = ModelDefinition(
             name="split",

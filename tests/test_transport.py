@@ -19,6 +19,16 @@ class TestGeodesic:
             transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 0.0)
         assert calls == []
 
+    def test_zero_span_with_a_step_is_the_start_alone(self, catalogue):
+        # it took one RK4 step of size 0: four field evaluations and two t = 0 rows
+        conn, calls = counting_oracle_field(catalogue["gce"])
+        trace = transport.geodesic(conn, [1.0, -1.0], [1.0, 0.5], 0.0, step=0.1)
+        assert calls == []
+        assert trace.times.tolist() == [0.0]
+        assert trace.points.tolist() == [[1.0, -1.0]]
+        assert trace.vectors.tolist() == [[1.0, 0.5]]
+        assert trace.flags == ()
+
     def test_gce_closed_form_endpoint(self, catalogue):
         trace = transport.geodesic(
             geometry.connection_field(catalogue["gce"]), [1.0, -1.0], [1.0, 0.5], 1.0
@@ -386,6 +396,13 @@ MALFORMED = {
         _fibre(m), [1.0, -1.0], [1.0, 0.0], None)),
     "geodesic-string-step": ("gce", lambda m: transport.geodesic(
         _fibre(m), [1.0, -1.0], [1.0, 0.0], 1.0, step="x")),
+    # an int beyond the float range: "int too large to convert to float"
+    "geodesic-huge-int-t-end": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1, -1], [1, 0], 10**400)),
+    "geodesic-huge-int-step": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1, -1], [1, 0], 1.0, step=10**400)),
+    "geodesic-huge-int-start": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [10**400, -1], [1, 0], 1.0)),
 }
 
 
