@@ -151,7 +151,8 @@ def parse_data_spec(spec: dict) -> DataSet:
 
     kinds: gaussian {mean, std}; moments {statistic: value, ...};
     regression {couples: [[x, y], ...]}.  Every entry of the data set's
-    statistic table must come out a finite number.
+    statistic table must come out a finite number, and a table with mean_x
+    and mean_x2 must imply a variance > 0, whatever its entropy.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("data spec must be an object with a 'kind'")
@@ -174,6 +175,9 @@ def parse_data_spec(spec: dict) -> DataSet:
             for statistic_id, value in data.moments.items():
                 if not math.isfinite(value):
                     raise OverflowError(f"statistic '{statistic_id}' overflows")
+            mean, second = data.moments.get("mean_x"), data.moments.get("mean_x2")
+            if None not in (mean, second) and not second > mean**2:
+                raise ConfigError(f"data spec of kind '{kind}' implies mean_x2 - mean_x^2 <= 0")
             return data
     except KeyError as err:
         raise ConfigError(f"data spec of kind '{kind}' needs key {err}") from None
@@ -318,7 +322,7 @@ def _connection_field(config, model):
 
 
 def _op_curvature(config, model):
-    tensor = geometry.curvature_at(_connection_field(config, model), config.at)
+    tensor = geometry.curvature_at(geometry.connection_field(model, tol=config.tol), config.at)
     return _Outcome({"curvature": tensor.components}, {"max_abs": tensor.max_abs})
 
 

@@ -13,9 +13,9 @@ along chart paths, with a second path recording path-independence.  These
 solves return their residuals and judge none of them: on a curved model
 the second path disagrees, and that is the caller's ``fail`` verdict
 (``core.passes`` against ``tol.path``), not an error.
-The systems' coefficients (the connection, and the metric for Massieu)
-are sampled once per path segment at Chebyshev nodes, where one linear
-solve gives the state (``transport._along``).
+The two-path solve is ``transport._two_paths``, which also judges a
+covariant-constant field; it samples the systems' coefficients (the
+connection, and the metric for Massieu) once per segment at Chebyshev nodes.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .geometry import (
     metric_at,
     metric_field,
 )
-from .transport import _along, _l_path
+from .transport import _two_paths
 
 CLASSIFY_GRID_PER_AXIS = 5
 
@@ -192,26 +192,6 @@ class MassieuSample:
     path_residuals: list
 
 
-def _two_paths(model, theta0, targets, rhs, local, seed, compared, tol):
-    """Solve a linear path system from theta0 to each target along the
-    straight path and along the axis-aligned detour.
-
-    The reference and every target are checked against the chart before
-    the first solve.  Returns the reference, the targets, each straight
-    path's end state and each target's two-path gap over the ``compared``
-    slice of the state.
-    """
-    reference = model.chart.require(theta0)
-    stops = require_points(targets, model.chart.domain, "target")
-    ends, gaps = [], []
-    for stop in stops:
-        straight = _along(rhs, local, seed, [reference, stop], tol.path)[-1][2]
-        detour = _along(rhs, local, seed, _l_path(reference, stop), tol.path)[-1][2]
-        ends.append(straight)
-        gaps.append(_relative_gap(detour[compared], straight[compared]))
-    return reference, stops, ends, gaps
-
-
 def _affine_rhs(omega, delta, packed):
     """d(G, Theta)/ds on a segment with tangent delta.
 
@@ -242,9 +222,9 @@ def affine_coordinates(
     seed = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
     conn = connection_field(model, tol=tol)
     part = slice(n * n, None)  # the coordinates Theta, after the gradient rows
-    reference, stops, ends, gaps = _two_paths(
-        model, theta0, targets, _affine_rhs, conn, seed, part, tol
-    )
+    reference = model.chart.require(theta0)
+    stops = require_points(targets, model.chart.domain, "target")
+    ends, gaps = _two_paths(_affine_rhs, conn, seed, reference, stops, part, tol.path)
     gradients = [end[: n * n].reshape(n, n) for end in ends]
     return AffineCoordinateMap(reference, stops, [end[part] for end in ends], gradients, gaps)
 
@@ -288,9 +268,9 @@ def massieu(
 
     n = model.chart.dim
     seed = np.zeros(n + 1)
-    reference, stops, ends, gaps = _two_paths(
-        model, theta0, targets, _massieu_rhs, local, seed, slice(None), tol
-    )
+    reference = model.chart.require(theta0)
+    stops = require_points(targets, model.chart.domain, "target")
+    ends, gaps = _two_paths(_massieu_rhs, local, seed, reference, stops, slice(None), tol.path)
     potentials = [float(end[n]) for end in ends]
     return MassieuSample(reference, stops, potentials, [end[:n] for end in ends], gaps)
 

@@ -5,19 +5,22 @@ model: the caller builds the field once, and the field carries its domain
 and the tolerances it was built with (``ConnectionField.tol``), so its
 condition-4 gate and the level agreement of a path solve (``tol.flat``)
 come from one ``Tolerances``.  A geodesic's route is not known in
-advance, so a fixed-step RK4 loop (``_integrate``) calls its field at
-every stage.  Parallel transport and the affine-coordinate and Massieu
-systems of ``structure`` are linear in their state along a known
+advance, so ``geodesic`` takes fixed RK4 steps (``_rk4``) that call its
+field at every stage.  Parallel transport and the affine-coordinate and
+Massieu systems of ``structure`` are linear in their state along a known
 piecewise-linear path, so ``_along`` samples their position-only
 coefficients once per segment at nested Chebyshev-Lobatto nodes and
 solves the system at those nodes in integral form, one linear solve per
 level (spectral integration: Greengard, SIAM J. Numer. Anal. 28, 1991); a
-segment that does not settle is halved.
-Traces record the sampled curve; a geodesic that leaves the field's
-domain is truncated and flagged with ``domain_exit`` instead of raising.
-A covariant-constant field returns its two-path gap (``path_residual``)
-unjudged: a gap above the field's ``tol.flat`` is the caller's ``fail``
-verdict, not an error.  A path raises only when it cannot compute a value.
+segment that does not settle is halved.  A covariant-constant field,
+affine coordinates and a Massieu potential exist only on a flat
+connection, so one check judges all three: ``_two_paths`` solves to each
+stop along the straight path and an axis-aligned detour, and returns
+their gap unjudged; a gap above the check's tolerance is the caller's
+``fail`` verdict, not an error.  Traces record the sampled curve; a
+geodesic that leaves the field's domain is truncated and flagged with
+``domain_exit`` instead of raising.  A path raises only when it cannot
+compute a value.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from .geometry import ConnectionField, _relative_gap
 
 DEFAULT_STEP_FRACTION = 1e-3
 MAX_GEODESIC_STEPS = 100_000  # 100 times the default path
-FIELD_SPOT_CHECKS = 3
 PATH_NODES = (9, 17, 33, 65)  # nested Chebyshev-Lobatto levels on a segment
 LEVEL_AGREEMENT = 1e-3  # share of the consuming check's tolerance
 MAX_HALVINGS = 6  # a segment that has not settled is split down to 1/64 of it
@@ -73,14 +75,6 @@ def _rk4(state, rhs, t, h):
     k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
     k4 = rhs(t + h, state + h * k3)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _integrate(f, y, t_end, steps):
-    """Fixed-step RK4 for dy/dt = f(t, y) from t = 0; yields (t, y) per step."""
-    for k in range(steps):
-        h = t_end / steps
-        y = _rk4(y, f, k * h, h)
-        yield (k + 1) * h, y
 
 
 @cache
@@ -205,6 +199,28 @@ def _l_path(start, stop):
     return corners
 
 
+def _transport_rhs(omega, delta, vector):
+    """dv/ds of parallel transport on a segment with tangent delta."""
+    return -np.einsum("jik,i,k->j", omega, delta, vector)
+
+
+def _two_paths(rhs, local, seed, reference, stops, compared, tol):
+    """Solve a linear path system from ``reference`` to each stop along the
+    straight path and along the axis-aligned detour, each to ``tol``.
+
+    Returns each straight path's end state and each stop's two-path gap
+    over the ``compared`` slice of the state, relative to the straight
+    path's (scale at least 1).
+    """
+    ends, gaps = [], []
+    for stop in stops:
+        straight = _along(rhs, local, seed, [reference, stop], tol)[-1][2]
+        detour = _along(rhs, local, seed, _l_path(reference, stop), tol)[-1][2]
+        ends.append(straight)
+        gaps.append(_relative_gap(detour[compared], straight[compared]))
+    return ends, gaps
+
+
 def geodesic(
     connection: ConnectionField,
     theta0,
@@ -246,15 +262,16 @@ def geodesic(
         acc = [-sum([w * a * b for w, (a, b) in zip(row, pairs)]) for row in omega]
         return np.array(vel + acc)
 
-    times = [0.0]
-    states = [np.concatenate([coords, velocity])]
-    flags = []
+    state = np.concatenate([coords, velocity])
+    times, states, flags = [0.0], [state], []
     try:
-        for t, state in _integrate(rhs, states[0], t_end, steps):
+        for k in range(steps):
+            dt = t_end / steps
+            state = _rk4(state, rhs, k * dt, dt)
             if not connection.contains(state[:n]):
                 flags.append("domain_exit")
                 break
-            times.append(t)
+            times.append((k + 1) * dt)
             states.append(state)
     except DomainError:  # an RK4 stage left the chart
         flags.append("domain_exit")
@@ -281,45 +298,29 @@ def parallel_transport(connection: ConnectionField, curve, v0) -> Trace:
     if len(waypoints) < 2:
         raise DomainError("transport needs at least two way points, got 1")
     vector = require_tangent(v0, waypoints[0], "transported vector", "the path")
-
-    def rhs(omega, delta, vector):
-        return -np.einsum("jik,i,k->j", omega, delta, vector)
-
-    times, points, vectors = zip(*_along(rhs, connection, vector, waypoints, connection.tol.flat))
+    samples = _along(_transport_rhs, connection, vector, waypoints, connection.tol.flat)
+    times, points, vectors = zip(*samples)
     return Trace(times=np.array(times), points=np.array(points), vectors=np.array(vectors))
 
 
 def covariant_constant_field(connection: ConnectionField, theta0, v0, grid) -> Trace:
     """Extend a vector to a grid by straight-path parallel transport.
 
-    A few grid points are re-transported along an axis-aligned detour and
-    the worst disagreement is returned as ``path_residual``; one beyond the
-    field's ``tol.flat`` means the connection is not flat and no covariant-constant
-    extension exists.  The base, the seed and every grid point are checked
-    before the first transport.
+    Every grid point is also reached along an axis-aligned detour, and the
+    worst two-path gap is returned as ``path_residual``; one beyond the
+    field's ``tol.flat`` means the connection is not flat and no
+    covariant-constant extension exists.  The base, the seed and every
+    grid point are checked before the first transport.
     """
     base = require_point(theta0, connection.domain, "field base", "field")
     seed = require_tangent(v0, base, "field seed", "the base")
     grid_points = require_points(grid, connection.domain, "field grid point", "field")
-    # the path to the base itself is one zero-length segment: the seed
-    vectors = [
-        parallel_transport(connection, [base, target], seed).end_vector
-        for target in grid_points
-    ]
-    scale = max(float(np.max(np.abs(vectors))), 1.0)
-    worst = 0.0
-    count = min(FIELD_SPOT_CHECKS, len(grid_points))
-    picks = np.linspace(0, len(grid_points) - 1, count).astype(int)
-    for index in picks:
-        target = grid_points[index]
-        if np.array_equal(target, base):  # its detour has one corner
-            continue
-        detour = parallel_transport(connection, _l_path(base, target), seed)
-        gap = float(np.max(np.abs(detour.end_vector - vectors[index]))) / scale
-        worst = float(np.maximum(worst, gap))  # keeps a NaN, which max() may drop
+    vectors, gaps = _two_paths(
+        _transport_rhs, connection, seed, base, grid_points, slice(None), connection.tol.flat
+    )
     return Trace(
         times=np.arange(len(grid_points), dtype=float),
         points=np.array(grid_points),
         vectors=np.array(vectors),
-        path_residual=worst,
+        path_residual=float(np.max(gaps)),  # np.max keeps a NaN, which max() may drop
     )

@@ -967,6 +967,28 @@ class TestBadInput:
                  "--data", '{"kind": "poisson"}'],
                 "unknown data kind 'poisson'",
             ),
+            # a spec with an entropy escaped the variance rule: the gaussian-kl
+            # fit ended in exit 2, and the gaussian-sumsq fit reported converged
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "gaussian", "mean": 0, "std": 1e-200}'],
+                "implies mean_x2 - mean_x^2 <= 0",
+            ),
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "gaussian", "mean": 1e10, "std": 1e-3}'],
+                "implies mean_x2 - mean_x^2 <= 0",
+            ),
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "moments", "mean_x": 0, "mean_x2": -1, "entropy": 0}'],
+                "implies mean_x2 - mean_x^2 <= 0",
+            ),
+            (
+                ["--model", "gaussian-sumsq", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind": "gaussian", "mean": 0, "std": 1e-200}'],
+                "implies mean_x2 - mean_x^2 <= 0",
+            ),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -985,6 +1007,8 @@ class TestBadInput:
             "cylinder-kappa-overflow", "gumbel-fit-foreign-data", "report-seed-negative",
             "all-seed-negative", "dlambda-square-overflow", "dlambda-square-underflow",
             "all-metric", "data-not-json", "at-empty", "data-not-an-object", "data-unknown-kind",
+            "data-std-underflow", "data-variance-cancels", "data-moments-variance-negative",
+            "sumsq-data-std-underflow",
         ],
     )
     @pytest.mark.filterwarnings("error")

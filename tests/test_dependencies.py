@@ -603,6 +603,19 @@ def test_only_core_and_default_grid_read_the_point_budget():
     assert found <= {("src/dsm_geom/structure.py", "default_grid")}, found
 
 
+@pytest.mark.parametrize("name", ["_along", "_l_path", "_rk4"])
+def test_only_transport_reads_the_path_solvers(name):
+    # structure kept its own two-path loop on _along and _l_path, and the
+    # covariant-constant field a spot-checked third; every path system now
+    # goes through transport._two_paths, and the geodesic alone steps RK4
+    found = {
+        str(path.relative_to(ROOT))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "transport.py" and readers(path.read_text(), name)
+    }
+    assert not found, found
+
+
 def test_the_reader_scan_sees_calls_in_handlers_lambdas_and_nested_functions():
     source = (
         "def _op_a(config):\n"

@@ -393,7 +393,7 @@ class TestMassieu:
             def field_at_stages(s, y):
                 return structure._massieu_rhs(local(target + s * delta), delta, y)
 
-            (_, plain), = transport._integrate(field_at_stages, state, 1.0, 1)
+            plain = transport._rk4(state, field_at_stages, 0.0, 1.0)
             run = transport._segment(
                 structure._massieu_rhs, local, target, delta, state, 3, {0: local(target)}
             )

@@ -46,6 +46,18 @@ WITNESSES = (
         "vmf-sphere",
         {"start": [1.2, 0.5], "vector": [1.0, 0.0], "grid": "3"},
     ),
+    # a spot check of three points passed at 0.0: each shared theta with the
+    # base, so its detour was the straight path
+    (
+        "field",
+        ("path_residual", "path_residual", "flat"),
+        "vmf-sphere",
+        {
+            "start": [1.2, 0.5],
+            "vector": [1.0, 0.0],
+            "grid": "1.2,0.0;1.5,1.0;1.2,1.0;1.6,0.9;1.2,1.5",
+        },
+    ),
 )
 
 
@@ -68,10 +80,17 @@ def status(where, check, witness, options) -> str:
     return document["verdicts"][check[0]]
 
 
+def row_id(index) -> str:
+    """where-check-witness of a row, numbered from 2 where an earlier row has all three."""
+    where, check, witness, _ = WITNESSES[index]
+    repeats = [row[:3] for row in WITNESSES[:index]].count((where, check, witness))
+    return f"{where}-{check[0]}-{witness}" + (f"-{repeats + 1}" if repeats else "")
+
+
 @pytest.mark.parametrize(
     "where, check, witness, options",
     WITNESSES,
-    ids=[f"{where}-{check[0]}-{witness}" for where, check, witness, _ in WITNESSES],
+    ids=[row_id(index) for index in range(len(WITNESSES))],
 )
 def test_the_witness_fails_its_check(where, check, witness, options):
     assert check in check_tables()[where]  # a row for a check that is gone is stale
