@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -67,75 +66,6 @@ _REPORT_FIELDS = {
 
 class ConfigError(DsmGeomError):
     pass
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Validated description of one batch run."""
-
-    model: str
-    op: str
-    levels: Optional[list[float]] = None
-    kappa: Optional[float] = None
-    lam: Optional[float] = None
-    mu0: Optional[float] = None
-    sigma0: Optional[float] = None
-    at: Optional[list[float]] = None
-    start: Optional[list[float]] = None
-    end: Optional[list[float]] = None
-    velocity: Optional[list[float]] = None
-    vector: Optional[list[float]] = None
-    targets: Optional[list[list[float]]] = None
-    other: Optional[list[float]] = None
-    t_end: Optional[float] = None
-    step: Optional[float] = None
-    grid: str = "default"
-    data: Optional[dict] = None
-    field_source: str = "fibre"
-    tolerances: dict = dataclasses.field(default_factory=dict)
-    seed: int = 42
-    out: str = "report.json"
-
-    def validate(self, given):
-        """Check the run as a whole; ``given`` names the options set on the command line."""
-        if self.model == "all" and self.op != "report":
-            raise ConfigError("--model all is only valid with --op report")
-        takes = models.options(self.model) if self.model != "all" else ()
-        _, needs, may, _ = _OPS[self.op]
-        for name in given:
-            if name in _MODEL_OPTIONS and name not in takes:
-                known = ", ".join(_flags()[option] for option in takes) or "none"
-                raise ConfigError(
-                    f"--model {self.model} takes no {_flags()[name]} (its options: {known})"
-                )
-            if name not in (*_MODEL_OPTIONS, *_EVERY_OP, *needs, *may):
-                known = ", ".join(_flags()[option] for option in needs + may) or "none"
-                flag = _flags()[name]
-                raise ConfigError(f"op '{self.op}' takes no {flag} (its options: {known})")
-        # an empty or zero value is refused by the library check that reads it
-        unset = [_flags()[name] for name in needs if getattr(self, name) is None]
-        if unset:
-            raise ConfigError(f"op '{self.op}' needs {', '.join(unset)}")
-        if self.seed < 0:  # numpy seeds its generators with non-negative integers only
-            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
-        try:
-            self.tol  # the constructor checks every key and value
-        except (DomainError, TypeError) as err:
-            keys = [spec.name for spec in dataclasses.fields(Tolerances)]
-            raise ConfigError(f"bad tolerances (keys {keys}): {err}") from None
-
-    @property
-    def tol(self) -> Tolerances:
-        return Tolerances(**self.tolerances)
-
-    def build_model(self):
-        given = {name: getattr(self, name) for name in models.options(self.model)}
-        given = {name: value for name, value in given.items() if value is not None}
-        try:
-            return models.build(self.model, **given)
-        except ArithmeticError as err:
-            options = ", ".join(f"{_flags()[name]} {value}" for name, value in given.items())
-            raise ConfigError(f"{options} out of range for {self.model} ({err})") from None
 
 
 def _finite(value, depth=0) -> bool:
@@ -418,11 +348,6 @@ _MODEL_OPTIONS = sorted({opt for name in models.MODEL_NAMES for opt in models.op
 # not name it is a config error
 _EVERY_OP = ("model", "op", "tolerances", "out")
 
-@functools.cache
-def _flags() -> dict:
-    """Each RunConfig field's command-line spelling, such as ``--t`` for ``t_end``."""
-    return {action.dest: action.option_strings[0] for action in build_parser()._actions}
-
 
 def _point_of(config) -> str:
     """' at --at 0.0,1.0' for the chart point the op starts from, '' for an op without one."""
@@ -549,7 +474,7 @@ def report_all(config: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Run options and argument parsing
 # ---------------------------------------------------------------------------
 
 
@@ -576,30 +501,95 @@ def _point_list(text):
     return [_vector(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+def _option(flag, default=None, **parse):
+    """A RunConfig field declared with its ``flag`` and the argparse keywords that
+    ``parse`` it: a required option has no default, a callable default is a factory."""
+    metadata = {"flag": flag, "parse": parse}
+    if parse.get("required"):
+        return dataclasses.field(metadata=metadata)
+    if callable(default):
+        return dataclasses.field(default_factory=default, metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+@dataclasses.dataclass
+class RunConfig:
+    """Validated description of one batch run; each field declares its option."""
+
+    model: str = _option("--model", required=True, choices=("all", *models.MODEL_NAMES))
+    op: str = _option("--op", required=True, choices=OPS)
+    levels: Optional[list[float]] = _option("--levels", type=_vector)
+    kappa: Optional[float] = _option("--kappa", type=_number)
+    lam: Optional[float] = _option("--lambda", type=_number)
+    mu0: Optional[float] = _option("--mu0", type=_number)
+    sigma0: Optional[float] = _option("--sigma0", type=_number)
+    at: Optional[list[float]] = _option("--at", type=_vector)
+    start: Optional[list[float]] = _option("--start", type=_vector)
+    end: Optional[list[float]] = _option("--end", type=_vector)
+    velocity: Optional[list[float]] = _option("--velocity", type=_vector)
+    vector: Optional[list[float]] = _option("--vector", type=_vector)
+    targets: Optional[list[list[float]]] = _option("--targets", type=_point_list)
+    other: Optional[list[float]] = _option("--other", type=_vector)
+    t_end: Optional[float] = _option("--t", type=_number)
+    step: Optional[float] = _option("--step", type=_number)
+    grid: str = _option("--grid", "default")
+    data: Optional[dict] = _option("--data", help="JSON data-set spec")
+    field_source: str = _option("--field", "fibre", choices=("fibre", "oracle"))
+    tolerances: dict = _option("--tol", dict, action="append", metavar="KEY=VAL")
+    seed: int = _option("--seed", 42, type=int)
+    out: str = _option("--out", "report.json")
+
+    def validate(self, given):
+        """Check the run as a whole; ``given`` names the options set on the command line."""
+        if self.model == "all" and self.op != "report":
+            raise ConfigError("--model all is only valid with --op report")
+        takes = models.options(self.model) if self.model != "all" else ()
+        _, needs, may, _ = _OPS[self.op]
+        for name in given:
+            if name in _MODEL_OPTIONS and name not in takes:
+                known = ", ".join(_flags()[option] for option in takes) or "none"
+                raise ConfigError(
+                    f"--model {self.model} takes no {_flags()[name]} (its options: {known})"
+                )
+            if name not in (*_MODEL_OPTIONS, *_EVERY_OP, *needs, *may):
+                known = ", ".join(_flags()[option] for option in needs + may) or "none"
+                flag = _flags()[name]
+                raise ConfigError(f"op '{self.op}' takes no {flag} (its options: {known})")
+        # an empty or zero value is refused by the library check that reads it
+        unset = [_flags()[name] for name in needs if getattr(self, name) is None]
+        if unset:
+            raise ConfigError(f"op '{self.op}' needs {', '.join(unset)}")
+        if self.seed < 0:  # numpy seeds its generators with non-negative integers only
+            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
+        try:
+            self.tol  # the constructor checks every key and value
+        except (DomainError, TypeError) as err:
+            keys = [spec.name for spec in dataclasses.fields(Tolerances)]
+            raise ConfigError(f"bad tolerances (keys {keys}): {err}") from None
+
+    @property
+    def tol(self) -> Tolerances:
+        return Tolerances(**self.tolerances)
+
+    def build_model(self):
+        given = {name: getattr(self, name) for name in models.options(self.model)}
+        given = {name: value for name, value in given.items() if value is not None}
+        try:
+            return models.build(self.model, **given)
+        except ArithmeticError as err:
+            options = ", ".join(f"{_flags()[name]} {value}" for name, value in given.items())
+            raise ConfigError(f"{options} out of range for {self.model} ({err})") from None
+
+
+def _flags() -> dict:
+    """Each RunConfig field's command-line spelling, such as ``--t`` for ``t_end``."""
+    return {field.name: field.metadata["flag"] for field in dataclasses.fields(RunConfig)}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dsm-geom", description=__doc__)
-    parser.add_argument("--model", required=True, choices=("all", *models.MODEL_NAMES))
-    parser.add_argument("--op", required=True, choices=OPS)
-    parser.add_argument("--levels", type=_vector)
-    parser.add_argument("--kappa", type=_number)
-    parser.add_argument("--lambda", dest="lam", type=_number)
-    parser.add_argument("--mu0", type=_number)
-    parser.add_argument("--sigma0", type=_number)
-    parser.add_argument("--at", type=_vector)
-    parser.add_argument("--start", type=_vector)
-    parser.add_argument("--end", type=_vector)
-    parser.add_argument("--velocity", type=_vector)
-    parser.add_argument("--vector", type=_vector)
-    parser.add_argument("--targets", type=_point_list)
-    parser.add_argument("--other", type=_vector)
-    parser.add_argument("--t", dest="t_end", type=_number)
-    parser.add_argument("--step", type=_number)
-    parser.add_argument("--grid")
-    parser.add_argument("--data", help="JSON data-set spec")
-    parser.add_argument("--field", dest="field_source", choices=("fibre", "oracle"))
-    parser.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
+    for field in dataclasses.fields(RunConfig):
+        parser.add_argument(field.metadata["flag"], dest=field.name, **field.metadata["parse"])
     return parser
 
 
@@ -607,7 +597,7 @@ def config_from_args(argv) -> RunConfig:
     namespace = vars(build_parser().parse_args(argv))
     given = {name: value for name, value in namespace.items() if value is not None}
     tolerances = {}
-    for item in given.pop("tol"):
+    for item in given.get("tolerances", ()):
         key, _, value = item.partition("=")
         try:
             tolerances[key.strip()] = float(value)

@@ -37,26 +37,21 @@ def _sphere_point(theta):
     )
 
 
-def _read_only(*arrays):
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-def _sphere_tangents(t, p):
-    """First chart derivatives of the moment map: d_t u, d_p u (read-only)."""
+# one entry: every member and probe of a fibre evaluation asks at one point
+@functools.lru_cache(maxsize=1)
+def _sphere_frame(t, p):
+    """Read-only chart derivatives of the moment map: d_t u, d_p u, d_tt u = -u, d_tp u, d_pp u."""
     st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-    return _read_only(np.array([ct * cp, ct * sp, -st]), np.array([-st * sp, st * cp, 0.0]))
-
-
-def _sphere_second_derivatives(t, p):
-    """Second chart derivatives of the moment map: d_tt u = -u, d_tp u, d_pp u (read-only)."""
-    st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-    return _read_only(
+    frame = (
+        np.array([ct * cp, ct * sp, -st]),
+        np.array([-st * sp, st * cp, 0.0]),
         -np.array([st * cp, st * sp, ct]),
         np.array([-ct * sp, ct * cp, 0.0]),
         np.array([-st * cp, -st * sp, 0.0]),
     )
+    for array in frame:
+        array.flags.writeable = False
+    return frame
 
 
 def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
@@ -77,22 +72,18 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         sample_box=((0.05, math.pi - 0.05), (-math.pi, math.pi)),
     )
 
-    # one entry each: every member and probe of a fibre evaluation asks at one point
-    tangents_at = functools.lru_cache(maxsize=1)(_sphere_tangents)
-    second_derivatives_at = functools.lru_cache(maxsize=1)(_sphere_second_derivatives)
-
     def divergence(x, theta):
         u = _sphere_point(theta)
         return -x.statistic("entropy") + log_norm - kappa * float(u @ _moment_vector(x))
 
     def gradient(x, theta):
         moments = _moment_vector(x)
-        du_t, du_p = tangents_at(*theta.tolist())
+        du_t, du_p = _sphere_frame(*theta.tolist())[:2]
         return np.array([-kappa * float(du_t.dot(moments)), -kappa * float(du_p.dot(moments))])
 
     def hessian(x, theta):
         moments = _moment_vector(x)
-        du_tt, du_tp, du_pp = second_derivatives_at(*theta.tolist())
+        du_tt, du_tp, du_pp = _sphere_frame(*theta.tolist())[2:]
         mixed = -kappa * float(du_tp.dot(moments))
         return np.array(
             [
@@ -115,7 +106,7 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         # orthonormal tangents; a probe moves it along a great circle
         t, p = coords.tolist()
         u = _sphere_point(coords).tolist()
-        du_t, du_p = (d.tolist() for d in tangents_at(t, p))
+        du_t, du_p = (d.tolist() for d in _sphere_frame(t, p)[:2])
         across = [c / math.sin(t) for c in du_p]
 
         def probe(offsets):

@@ -223,8 +223,9 @@ def affine_coordinates(
     conn = connection_field(model, tol=tol)
     part = slice(n * n, None)  # the coordinates Theta, after the gradient rows
     reference = model.chart.require(theta0)
-    stops = require_points(targets, model.chart.domain, "target")
-    ends, gaps = _two_paths(_affine_rhs, conn, seed, reference, stops, part, tol.path)
+    domain = model.chart.domain
+    stops = require_points(targets, domain, "target")
+    ends, gaps = _two_paths(_affine_rhs, conn, seed, reference, stops, domain, tol.path, part)
     gradients = [end[: n * n].reshape(n, n) for end in ends]
     return AffineCoordinateMap(reference, stops, [end[part] for end in ends], gradients, gaps)
 
@@ -269,8 +270,9 @@ def massieu(
     n = model.chart.dim
     seed = np.zeros(n + 1)
     reference = model.chart.require(theta0)
-    stops = require_points(targets, model.chart.domain, "target")
-    ends, gaps = _two_paths(_massieu_rhs, local, seed, reference, stops, slice(None), tol.path)
+    domain = model.chart.domain
+    stops = require_points(targets, domain, "target")
+    ends, gaps = _two_paths(_massieu_rhs, local, seed, reference, stops, domain, tol.path)
     potentials = [float(end[n]) for end in ends]
     return MassieuSample(reference, stops, potentials, [end[:n] for end in ends], gaps)
 

@@ -15,12 +15,12 @@ level (spectral integration: Greengard, SIAM J. Numer. Anal. 28, 1991); a
 segment that does not settle is halved.  A covariant-constant field,
 affine coordinates and a Massieu potential exist only on a flat
 connection, so one check judges all three: ``_two_paths`` solves to each
-stop along the straight path and an axis-aligned detour, and returns
-their gap unjudged; a gap above the check's tolerance is the caller's
-``fail`` verdict, not an error.  Traces record the sampled curve; a
-geodesic that leaves the field's domain is truncated and flagged with
-``domain_exit`` instead of raising.  A path raises only when it cannot
-compute a value.
+stop along the straight path and an axis-aligned detour, a rectangle
+round a stop one coordinate away, and returns their gap unjudged; a gap
+above the check's tolerance is the caller's ``fail`` verdict, not an
+error.  Traces record the sampled curve; a geodesic that leaves the
+field's domain is truncated and flagged with ``domain_exit`` instead of
+raising.  A path raises only when it cannot compute a value.
 """
 from __future__ import annotations
 
@@ -188,15 +188,28 @@ def _along(rhs, local, state, waypoints, tol):
     return samples
 
 
-def _l_path(start, stop):
-    """Axis-aligned detour: change one differing coordinate at a time."""
-    corners = [np.array(start, dtype=float)]
-    for axis in range(start.size):
-        if stop[axis] != start[axis]:
-            corner = corners[-1].copy()
-            corner[axis] = stop[axis]
-            corners.append(corner)
-    return corners
+def _l_path(start, stop, domain):
+    """Axis-aligned detour: change one differing coordinate at a time.
+
+    Where that is the straight path (one coordinate differs, of two or
+    more), first step along the next axis by the stop's offset, or by half
+    the room on that axis's roomier side of the open ``domain`` box if less,
+    and step back at the end: a rectangle.  Elsewhere the step is zero, and
+    ``_along`` skips the zero-length legs.
+    """
+    differing = np.flatnonzero(stop != start)
+    side = np.zeros(start.size)
+    if differing.size == 1 and start.size > 1:
+        axis, across = differing[0], (differing[0] + 1) % start.size
+        below, above = start[across] - domain[across][0], domain[across][1] - start[across]
+        width = min(abs(stop[axis] - start[axis]), 0.5 * max(below, above))
+        side[across] = width if above >= below else -width
+    corners = [start, start + side]
+    for axis in differing:
+        corner = corners[-1].copy()
+        corner[axis] = stop[axis]
+        corners.append(corner)
+    return corners + [stop]
 
 
 def _transport_rhs(omega, delta, vector):
@@ -204,9 +217,10 @@ def _transport_rhs(omega, delta, vector):
     return -np.einsum("jik,i,k->j", omega, delta, vector)
 
 
-def _two_paths(rhs, local, seed, reference, stops, compared, tol):
+def _two_paths(rhs, local, seed, reference, stops, domain, tol, compared=slice(None)):
     """Solve a linear path system from ``reference`` to each stop along the
-    straight path and along the axis-aligned detour, each to ``tol``.
+    straight path and along the detour ``_l_path`` in the ``domain`` box,
+    each to ``tol``.
 
     Returns each straight path's end state and each stop's two-path gap
     over the ``compared`` slice of the state, relative to the straight
@@ -215,7 +229,7 @@ def _two_paths(rhs, local, seed, reference, stops, compared, tol):
     ends, gaps = [], []
     for stop in stops:
         straight = _along(rhs, local, seed, [reference, stop], tol)[-1][2]
-        detour = _along(rhs, local, seed, _l_path(reference, stop), tol)[-1][2]
+        detour = _along(rhs, local, seed, _l_path(reference, stop, domain), tol)[-1][2]
         ends.append(straight)
         gaps.append(_relative_gap(detour[compared], straight[compared]))
     return ends, gaps
@@ -312,11 +326,12 @@ def covariant_constant_field(connection: ConnectionField, theta0, v0, grid) -> T
     covariant-constant extension exists.  The base, the seed and every
     grid point are checked before the first transport.
     """
-    base = require_point(theta0, connection.domain, "field base", "field")
+    domain = connection.domain
+    base = require_point(theta0, domain, "field base", "field")
     seed = require_tangent(v0, base, "field seed", "the base")
-    grid_points = require_points(grid, connection.domain, "field grid point", "field")
+    grid_points = require_points(grid, domain, "field grid point", "field")
     vectors, gaps = _two_paths(
-        _transport_rhs, connection, seed, base, grid_points, slice(None), connection.tol.flat
+        _transport_rhs, connection, seed, base, grid_points, domain, connection.tol.flat
     )
     return Trace(
         times=np.arange(len(grid_points), dtype=float),

@@ -98,19 +98,23 @@ class TestRunConfig:
 
     def test_op_options_are_parser_dests(self):
         # validate checks the given options against these names alone
-        dests = {action.dest for action in cli.build_parser()._actions}
+        fields = {field.name for field in dataclasses.fields(cli.RunConfig)}
         read = set(cli._MODEL_OPTIONS) | set(cli._EVERY_OP)
         for _, needs, may, _ in cli._OPS.values():
-            assert set(needs + may) <= dests
+            assert set(needs + may) <= fields
             read |= set(needs + may)
-        # and every flag is read by some op, is a model option or is taken by every op
-        assert dests - {"help", "tol"} <= read
+        # and every option is read by some op, is a model option or is taken by every op
+        assert fields == read
 
-    def test_parser_dests_match_config_fields(self):
-        # config_from_args passes the parsed namespace to RunConfig as is
-        dests = {action.dest for action in cli.build_parser()._actions}
-        fields = {field.name for field in dataclasses.fields(cli.RunConfig)}
-        assert dests - {"help", "tol"} == fields - {"tolerances"}
+    def test_help_lists_each_option_once(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        listed = [line.split()[0] for line in text.split("options:\n")[1].splitlines()]
+        flags = [field.metadata["flag"] for field in dataclasses.fields(cli.RunConfig)]
+        assert listed == ["-h,", *flags]
 
 
 class TestDocuments:

@@ -307,17 +307,39 @@ class TestCovariantConstantField:
         assert field.vectors[0][1] == pytest.approx(5.0e-6, rel=1e-4)
 
     def test_detour_skips_zero_length_segments(self, catalogue):
-        # the target shares mu with the base, so the detour is one segment:
-        # the straight path and the detour each sample 9 Lobatto nodes, then
-        # the 8 new ones of the 17-node level, whose end state agrees
+        # the target moves both coordinates, so the detour is two segments:
+        # the straight path and each detour segment sample 9 Lobatto nodes,
+        # then the 8 new ones of the 17-node level, whose end state agrees
         # (a zero-length corner would cost another 17)
         model = catalogue["gaussian-kl"]
         conn, calls = counting_oracle_field(model)
         trace = transport.covariant_constant_field(
-            conn, [0.0, 1.0], [1.0, 0.0], [np.array([0.0, 1.5])]
+            conn, [0.0, 1.0], [1.0, 0.0], [np.array([0.5, 1.5])]
         )
-        assert len(calls) == 2 * (9 + 8)
+        assert len(calls) == 3 * (9 + 8)
         assert trace.path_residual < 1e-12
+
+    def test_detour_to_a_one_coordinate_stop_leaves_the_straight_path(self, catalogue):
+        # the target shares mu with the base: changing one coordinate at a
+        # time is the straight path, whose gap is 0 on any connection, so the
+        # detour steps along mu by the offset first and goes around a square
+        model = catalogue["gaussian-kl"]
+        conn = geometry.connection_field(model, source="oracle")
+        mus = []
+
+        def recorded(coords):
+            mus.append(coords[0])
+            return conn.evaluate(coords)
+
+        trace = transport.covariant_constant_field(
+            dataclasses.replace(conn, evaluate=recorded), [0.0, 1.0], [1.0, 0.0], [[0.0, 1.5]]
+        )
+        assert max(mus) == pytest.approx(0.5) and min(mus) == 0.0
+        assert trace.path_residual < 1e-12
+        corners = transport._l_path(np.array([0.0, 1.0]), np.array([0.0, 1.5]), conn.domain)
+        assert [corner.tolist() for corner in corners] == [
+            [0.0, 1.0], [0.5, 1.0], [0.5, 1.5], [0.0, 1.5]
+        ]
 
 
 def _fibre(model):

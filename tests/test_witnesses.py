@@ -39,7 +39,10 @@ WITNESSES = (
     ),
     ("curvature", ("flat", "max_abs", "flat"), "vmf-sphere", {"at": [1.2, 0.5]}),
     ("affine", _PATH, "vmf-sphere", _SPHERE_PATH),
+    # a target one coordinate away passed at 0.0: its detour was the straight path
+    ("affine", _PATH, "vmf-sphere", {"start": [1.2, 0.5], "targets": [[1.2, 1.0]]}),
     ("massieu", _PATH, "vmf-sphere", _SPHERE_PATH),
+    ("massieu", _PATH, "vmf-sphere", {"start": [1.2, 0.5], "targets": [[1.5, 0.5]]}),
     (
         "field",
         ("path_residual", "path_residual", "flat"),
@@ -57,6 +60,13 @@ WITNESSES = (
             "vector": [1.0, 0.0],
             "grid": "1.2,0.0;1.5,1.0;1.2,1.0;1.6,0.9;1.2,1.5",
         },
+    ),
+    # each grid point one coordinate away from the base passed at 0.0
+    (
+        "field",
+        ("path_residual", "path_residual", "flat"),
+        "vmf-sphere",
+        {"start": [1.2, 0.5], "vector": [1.0, 0.0], "grid": "1.2,0.0;1.5,0.5"},
     ),
 )
 
