@@ -42,26 +42,11 @@ from .errors import (
 from .fit import fit
 
 SCHEMA_VERSION = 2
-# the versions load_document reads: a version-1 document differs only by
-# classify's torsionless block and its torsion tolerance
-_READABLE_VERSIONS = (1, 2)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
-
-_REPORT_FIELDS = {
-    "schema_version",
-    "model",
-    "op",
-    "inputs",
-    "results",
-    "residuals",
-    "verdicts",
-    "tolerances",
-    "runtime_ms",
-}
 
 
 class ConfigError(DsmGeomError):
@@ -155,28 +140,6 @@ def make_document(config, results, residuals, verdicts):
         "verdicts": verdicts,
         "tolerances": _jsonable(config.tolerances),
     }
-
-
-def load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except ValueError as err:  # not JSON, or not UTF-8
-            raise ConfigError(f"report document {path} is not JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"report document is a JSON {type(doc).__name__}, not an object")
-    unknown = set(doc) - _REPORT_FIELDS
-    if unknown:
-        raise ConfigError(f"report document carries unknown fields: {sorted(unknown)}")
-    missing = (_REPORT_FIELDS - {"runtime_ms"}) - set(doc)
-    if missing:
-        raise ConfigError(f"report document misses fields: {sorted(missing)}")
-    if doc["schema_version"] not in _READABLE_VERSIONS:
-        raise ConfigError(
-            f"report document has schema version {doc['schema_version']!r}, "
-            f"readable: {list(_READABLE_VERSIONS)}"
-        )
-    return doc
 
 
 def write_json(path: str, document: dict):
@@ -576,7 +539,7 @@ class RunConfig:
         given = {name: value for name, value in given.items() if value is not None}
         try:
             return models.build(self.model, **given)
-        except ArithmeticError as err:
+        except (ArithmeticError, DomainError) as err:
             options = ", ".join(f"{_flags()[name]} {value}" for name, value in given.items())
             raise ConfigError(f"{options} out of range for {self.model} ({err})") from None
 

@@ -292,12 +292,12 @@ class RegressionData(DataSet):
         arr = np.asarray(couples, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
             raise DomainError("regression data needs >= 2 (x, y) couples")
-        self.x = arr[:, 0].copy()
-        self.y = arr[:, 1].copy()
+        x = arr[:, 0].copy()
+        y = arr[:, 1].copy()
         n = arr.shape[0]
-        if abs(n * np.sum(self.x**2) - np.sum(self.x) ** 2) < 1e-12:
+        if abs(n * np.sum(x**2) - np.sum(x) ** 2) < 1e-12:
             raise DomainError("regression abscissae are degenerate")
-        super().__init__(regression_sums(self.x, self.y), label=f"regression(n={n})")
+        super().__init__(regression_sums(x, y), label=f"regression(n={n})")
 
 
 # ---------------------------------------------------------------------------

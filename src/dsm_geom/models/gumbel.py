@@ -21,9 +21,6 @@ from ..errors import DomainError, MissingStatistic
 EULER_GAMMA = float(np.euler_gamma)
 GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
 
-#: alpha^2 * E[(x-mu)^2 exp(-alpha(x-mu))] for a Gumbel member of its own fibre
-SELF_FIBRE_CONSTANT = EULER_GAMMA**2 - 2.0 * EULER_GAMMA + math.pi**2 / 6.0
-
 _CHART = ChartSpec(
     domain=((0.0, math.inf), (-math.inf, math.inf)),
     names=("alpha", "mu"),

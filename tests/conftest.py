@@ -215,6 +215,15 @@ def gauge_fit_residual(numeric, closed_form):
     return float(np.max(np.abs(design @ coeffs - numeric)))
 
 
+def random_couples(rng):
+    """3 to 8 random (x, y) couples with non-degenerate abscissae."""
+    n = int(rng.integers(3, 9))
+    xs = np.sort(rng.uniform(-3.0, 3.0, size=n))
+    xs[-1] += 0.5  # keep the abscissae non-degenerate
+    ys = rng.uniform(-3.0, 3.0, size=n)
+    return np.column_stack([xs, ys])
+
+
 def random_dataset(model, rng):
     """A random data set the model's divergence can read, with D >= 0."""
     name = model.name
@@ -231,11 +240,7 @@ def random_dataset(model, rng):
             return UniformData(mean - half, mean + half)
         return DataSet({"mean_x": mean, "mean_x2": std**2 + mean**2})
     if name.startswith("regression"):
-        n = int(rng.integers(3, 9))
-        xs = np.sort(rng.uniform(-3.0, 3.0, size=n))
-        xs[-1] += 0.5  # keep the abscissae non-degenerate
-        ys = rng.uniform(-3.0, 3.0, size=n)
-        return RegressionData(np.column_stack([xs, ys]))
+        return RegressionData(random_couples(rng))
     if name == "gce":
         # occupancies of a random chart point, shifted inside the fibre so
         # the data stays in the model map's domain (not every occupation

@@ -648,13 +648,13 @@ def test_run_op_alone_judges_and_builds_a_document(name):
 
 
 def unread_definitions(sources, exempt):
-    """(module, line, name) of every module-level function or class in
-    ``sources`` (dotted module -> source) that no statement of any module
-    reads, its own definition excepted, and that ``exempt`` (a set of
-    (module, name)) does not name."""
+    """(module, line, name) of every module-level function, class or public
+    assignment in ``sources`` (dotted module -> source) that no statement of
+    any module reads, its own definition excepted, and that ``exempt`` (a set
+    of (module, name)) does not name."""
     return unread_names(
         sources,
-        lambda node, module, name: isinstance(node, _DEFINITIONS)
+        lambda node, module, name: (isinstance(node, _DEFINITIONS) or not name.startswith("_"))
         and (module, name) not in exempt,
     )
 
@@ -677,9 +677,6 @@ READ_ONLY_OUTSIDE_THE_PACKAGE = {
     # every entry built with its defaults: the benchmark's setup times it
     # (perfbench/child.py, setup.catalogue_build_s) and the suite's fixture uses it
     ("dsm_geom.models", "catalogue"),
-    # the reader of a written document under both schema versions, as the
-    # README documents it for users of the output
-    ("dsm_geom.cli", "load_document"),
 }
 
 
@@ -691,10 +688,11 @@ def test_the_test_only_scan_flags_an_unread_function_and_passes_a_traced_one():
             "def only_tests():\n"
             "    return only_tests()\n"
             "def traced():\n"
-            "    return helper()\n"
+            "    return helper() + LIMIT\n"
             "class Exported:\n"
             "    pass\n"
             "__all__ = ['Exported']\n"
+            "LIMIT, UNREAD, _PRIVATE = 1, 2, 3\n"
         ),
         "pkg.b": "from .a import traced\n",
     }
@@ -708,6 +706,7 @@ def test_the_test_only_scan_flags_an_unread_function_and_passes_a_traced_one():
     assert unread_definitions(sources, exempt) == [
         ("pkg.a", 3, "only_tests"),
         ("pkg.a", 7, "Exported"),
+        ("pkg.a", 10, "UNREAD"),
     ]
 
 

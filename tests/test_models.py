@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import models, structure
+from dsm_geom import geometry, models, structure
 from dsm_geom.core import (
     PROBE_DELTA,
     GaussianData,
@@ -15,12 +15,11 @@ from dsm_geom.errors import DomainError
 from dsm_geom.fit import fit
 from dsm_geom.models.gumbel import (
     GOLDEN_RATIO,
-    SELF_FIBRE_CONSTANT,
     GumbelData,
     compatible_point,
 )
 
-from conftest import least_squares_fit, random_chart_point, random_dataset
+from conftest import least_squares_fit, random_chart_point, random_couples, random_dataset
 
 
 class TestGaussianOracles:
@@ -76,11 +75,12 @@ class TestRegressionModels:
         dlambda = models.build("regression-dlambda", lam=2.0)
         ls = catalogue["regression-ls"]
         for _ in range(10):
-            data = random_dataset(ls, rng)
+            couples = random_couples(rng)
+            data = RegressionData(couples)
             fit_ls = fit(ls, data, [0.0, 0.0]).theta_star
             fit_dl = fit(dlambda, data, [0.0, 0.0]).theta_star
             assert fit_ls == pytest.approx(fit_dl, abs=1e-8)
-            assert fit_ls == pytest.approx(least_squares_fit(np.column_stack([data.x, data.y])), abs=1e-8)
+            assert fit_ls == pytest.approx(least_squares_fit(couples), abs=1e-8)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -208,10 +208,19 @@ class TestGumbel:
             alpha = GOLDEN_RATIO * rate
             assert alpha**2 / (rate * (alpha + rate)) == pytest.approx(1.0, abs=1e-14)
 
-    def test_self_member_constant(self):
-        assert SELF_FIBRE_CONSTANT == pytest.approx(0.82, abs=0.005)
+    def test_self_member_constant(self, catalogue):
+        # alpha^2 E[(x-mu)^2 exp(-alpha(x-mu))] for a Gumbel member of its own fibre
         gamma = np.euler_gamma
-        assert SELF_FIBRE_CONSTANT == gamma**2 - 2 * gamma + math.pi**2 / 6
+        constant = gamma**2 - 2 * gamma + math.pi**2 / 6
+        assert constant == pytest.approx(0.82, abs=0.005)
+        gumbel = catalogue["gumbel"]
+        for rate in (0.5, 1.0, 2.0):
+            point = compatible_point(rate)
+            with pytest.raises(geometry.Condition4Violated) as caught:
+                geometry.metric_at(gumbel, point)
+            terms = structure.condition4_evidence(gumbel, caught.value)["varying_terms"]
+            [own] = [value for label, value in terms.items() if label.startswith("gumbel(")]
+            assert own == pytest.approx(constant, abs=1e-12), rate
 
     def test_fibre_conditions_by_quadrature(self, catalogue):
         # both members satisfy E[exp(-a(x-m))] = 1 and
