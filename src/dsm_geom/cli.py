@@ -29,6 +29,7 @@ from .core import (
     GaussianData,
     RegressionData,
     Tolerances,
+    finite_real,
     passes,
 )
 from .errors import (
@@ -54,11 +55,10 @@ class ConfigError(DsmGeomError):
 
 
 def _finite(value, depth=0) -> bool:
-    """Whether ``value`` is a number (a finite one if a float) in ``depth`` levels of lists."""
+    """Whether ``value`` is a ``core.finite_real`` number in ``depth`` levels of lists."""
     if depth:
         return isinstance(value, list) and all(_finite(item, depth - 1) for item in value)
-    finite = not isinstance(value, float) or math.isfinite(value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and finite
+    return finite_real(value)
 
 
 def parse_data_spec(spec: dict) -> DataSet:
@@ -540,8 +540,8 @@ class RunConfig:
         try:
             return models.build(self.model, **given)
         except (ArithmeticError, DomainError) as err:
-            options = ", ".join(f"{_flags()[name]} {value}" for name, value in given.items())
-            raise ConfigError(f"{options} out of range for {self.model} ({err})") from None
+            flags = ", ".join(_flags()[name] for name in given)
+            raise ConfigError(f"{flags} out of range for {self.model} ({err})") from None
 
 
 def _flags() -> dict:

@@ -36,9 +36,9 @@ def as_coords(theta) -> np.ndarray:
 
 
 def finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number (a Python or numpy int or float)."""
+    """Whether ``value`` is a finite real number: a Python or numpy int or float, not a bool."""
     try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        return isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
 
@@ -344,6 +344,19 @@ class ClosedFormOracle:
     geodesic: Optional[Callable] = None
     covariant_field: Optional[Callable] = None
 
+    @classmethod
+    def identity_chart(cls, metric: Callable, massieu: Callable) -> ClosedFormOracle:
+        """The oracle of a flat model whose chart coordinates are affine: a zero
+        connection of the chart's dimension, and affine maps that return copies."""
+
+        def connection(theta):
+            return np.zeros((len(theta),) * 3)
+
+        def identity(theta):
+            return np.asarray(theta, dtype=float).copy()
+
+        return cls(metric, connection, identity, identity, massieu)
+
     def massieu_chart(self, theta) -> float:
         """The Massieu potential at a chart point, through the affine coordinates."""
         return self.massieu_affine(self.affine_map(theta))
@@ -435,13 +448,7 @@ def _divergence_gradients(model: ModelDefinition, data, coords) -> np.ndarray:
         return np.array([model.gradient_fn(x, coords) for x in data], dtype=float)
     from . import numdiff
 
-    domain = model.chart.domain
-    return np.array(
-        [
-            numdiff.fd_gradient(lambda t, x=x: model.divergence_fn(x, t), coords, domain)
-            for x in data
-        ]
-    )
+    return _fd_stack(numdiff.fd_gradient, model, data, coords)
 
 
 def divergence_hessian(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
@@ -460,10 +467,12 @@ def _divergence_hessians(model: ModelDefinition, data, coords) -> np.ndarray:
         return 0.5 * (hess + hess.transpose(0, 2, 1))
     from . import numdiff
 
+    return _fd_stack(numdiff.fd_hessian, model, data, coords)
+
+
+def _fd_stack(stencil: Callable, model: ModelDefinition, data, coords) -> np.ndarray:
+    """The ``numdiff`` ``stencil`` of D(x || m_coords) for each data set x in ``data``, stacked."""
     domain = model.chart.domain
     return np.array(
-        [
-            numdiff.fd_hessian(lambda t, x=x: model.divergence_fn(x, t), coords, domain)
-            for x in data
-        ]
+        [stencil(lambda t, x=x: model.divergence_fn(x, t), coords, domain) for x in data]
     )

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .core import ModelDefinition, Tolerances, as_coords, in_open_box, passes
+from .core import ModelDefinition, Tolerances, as_coords, passes
 from .core import _divergence_gradients, _divergence_hessians, require_point
 from .errors import (
     Condition4Violated,
@@ -75,9 +75,6 @@ class ConnectionField:
 
     def __call__(self, theta):
         return self.evaluate(as_coords(theta))
-
-    def contains(self, coords) -> bool:
-        return in_open_box(as_coords(coords), self.domain)
 
 
 def _relative_gap(candidate, reference, floor=1.0):

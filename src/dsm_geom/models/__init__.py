@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import inspect
 
-from ..core import ModelDefinition
+import numpy as np
+
+from ..core import ModelDefinition, finite_real
+from ..errors import DomainError
 from .gaussian import gaussian_kl, gaussian_sumsq
 from .gce import grand_canonical
 from .gumbel import gumbel
@@ -30,13 +33,18 @@ MODEL_NAMES = tuple(_BUILDERS)
 
 
 def build(name: str, **kwargs) -> ModelDefinition:
-    """Construct a catalogue entry by its CLI name."""
+    """Construct a catalogue entry by its CLI name; each option, or each element
+    of a list option, must be a ``core.finite_real`` number."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown model '{name}'; choose from {', '.join(_BUILDERS)}"
         ) from None
+    for option, value in kwargs.items():
+        for leaf in np.asarray(value, dtype=object).ravel():  # a scalar, or each list element
+            if not finite_real(leaf):
+                raise DomainError(f"{name} option '{option}' needs finite numbers, got {leaf!r}")
     return builder(**kwargs)
 
 

@@ -66,8 +66,9 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         )
     # min < max rather than np.unique, which imports numpy.ma
     if not (levels.size and levels.min() < levels.max()):
+        span = f" in [{levels.min()}, {levels.max()}]" if levels.size else ""
         raise DomainError(
-            f"the energy spectrum needs at least two distinct levels, got {levels.tolist()}"
+            f"the energy spectrum needs at least two distinct levels, got {levels.size}{span}"
         )
     eps_min = float(np.min(levels))
     # the shift depends on the spectrum alone, as do the levels it moves and

@@ -156,22 +156,9 @@ def regression_dlambda(lam: float = 1.0) -> ModelDefinition:
     def oracle_metric(theta):
         return np.diag([lam2, 1.0])
 
-    def oracle_connection(theta):
-        return np.zeros((2, 2, 2))
-
-    identity = lambda theta: np.asarray(theta, dtype=float).copy()
-
     def massieu(theta):
         a, b = theta
         return 0.5 * (lam2 * a**2 + b**2)
-
-    oracle = ClosedFormOracle(
-        metric=oracle_metric,
-        connection=oracle_connection,
-        affine_map=identity,
-        affine_inverse=identity,
-        massieu_affine=massieu,
-    )
 
     return ModelDefinition(
         name="regression-dlambda",
@@ -182,6 +169,6 @@ def regression_dlambda(lam: float = 1.0) -> ModelDefinition:
         fibre_sampler_fn=_fibre_members,
         probe_pairs_fn=_probe_pairs,
         closed_form_fit_fn=_closed_form_fit,
-        oracle=oracle,
+        oracle=ClosedFormOracle.identity_chart(oracle_metric, massieu),
         divergence_tag="other",
     )

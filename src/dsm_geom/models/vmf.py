@@ -14,10 +14,6 @@ def _moments(x):
     return x.statistic("mean_e1"), x.statistic("mean_e2"), x.statistic("mean_e3")
 
 
-def _moment_vector(x):
-    return np.array(_moments(x))
-
-
 def _moment_data(vector, entropy, tag):
     return DataSet(
         {
@@ -74,15 +70,15 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
 
     def divergence(x, theta):
         u = _sphere_point(theta)
-        return -x.statistic("entropy") + log_norm - kappa * float(u @ _moment_vector(x))
+        return -x.statistic("entropy") + log_norm - kappa * float(u @ np.array(_moments(x)))
 
     def gradient(x, theta):
-        moments = _moment_vector(x)
+        moments = np.array(_moments(x))
         du_t, du_p = _sphere_frame(*theta.tolist())[:2]
         return np.array([-kappa * float(du_t.dot(moments)), -kappa * float(du_p.dot(moments))])
 
     def hessian(x, theta):
-        moments = _moment_vector(x)
+        moments = np.array(_moments(x))
         du_tt, du_tp, du_pp = _sphere_frame(*theta.tolist())[2:]
         mixed = -kappa * float(du_tp.dot(moments))
         return np.array(
@@ -120,7 +116,7 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         return antithetic_pairs(probe, (1.0, 1.0), family)
 
     def closed_form_fit(x):
-        moments = _moment_vector(x)
+        moments = np.array(_moments(x))
         norm = float(np.linalg.norm(moments))
         if not norm > 0:
             raise DomainError("moment vector vanishes; no unique projection")
@@ -183,7 +179,7 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
 
     def divergence(x, theta):
         phi, lam = theta
-        moments = _moment_vector(x)
+        moments = np.array(_moments(x))
         return (
             -x.statistic("entropy")
             + log_norm(lam)
@@ -228,7 +224,7 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         return antithetic_pairs(probe, (1.0, e3), family)
 
     def closed_form_fit(x):
-        moments = _moment_vector(x)
+        moments = np.array(_moments(x))
         if moments[2] <= 0:
             raise DomainError("third moment must be positive on the half-cylinder")
         return np.array([math.atan2(moments[1], moments[0]), 1.0 / moments[2]])
@@ -236,22 +232,9 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     def oracle_metric(theta):
         return np.diag([kappa, 1.0 / theta[1] ** 2])
 
-    def oracle_connection(theta):
-        return np.zeros((2, 2, 2))
-
-    identity = lambda theta: np.asarray(theta, dtype=float).copy()
-
     def massieu(theta):
         phi, lam = theta
         return 0.5 * kappa * phi**2 - math.log(lam)
-
-    oracle = ClosedFormOracle(
-        metric=oracle_metric,
-        connection=oracle_connection,
-        affine_map=identity,
-        affine_inverse=identity,
-        massieu_affine=massieu,
-    )
 
     return ModelDefinition(
         name="vmf-cylinder",
@@ -262,6 +245,6 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
         fibre_sampler_fn=fibre_members,
         probe_pairs_fn=probe_pairs,
         closed_form_fit_fn=closed_form_fit,
-        oracle=oracle,
+        oracle=ClosedFormOracle.identity_chart(oracle_metric, massieu),
         divergence_tag="kl",
     )

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import finite_real, require_point, require_points, require_tangent
+from .core import finite_real, in_open_box, require_point, require_points, require_tangent
 from .errors import DomainError, NumericalFailure
 from .geometry import ConnectionField, _relative_gap
 
@@ -282,7 +282,7 @@ def geodesic(
         for k in range(steps):
             dt = t_end / steps
             state = _rk4(state, rhs, k * dt, dt)
-            if not connection.contains(state[:n]):
+            if not in_open_box(state[:n], connection.domain):
                 flags.append("domain_exit")
                 break
             times.append((k + 1) * dt)

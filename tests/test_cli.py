@@ -643,9 +643,11 @@ class TestExitCodes:
              "grid of 1000 per axis has 1000000 points"),
             (["--model", "gce", "--op", "field", "--start", "1,-1", "--vector", "1,0",
               "--grid", "100000"], "grid of 100000 per axis has 10000000000 points"),
-            # the fibre's null-space SVD is levels x levels; the model charges it
+            # the fibre's null-space SVD is levels x levels; the model charges it.
+            # The error spelled the whole list in its prefix: 7011 bytes
             (["--model", "gce", "--levels", ",".join(map(str, range(1, 1002))),
-              "--op", "metric", "--at", "1,-1"], "gce spectrum has 1001 levels"),
+              "--op", "metric", "--at", "1,-1"],
+             "--levels out of range for gce (the gce spectrum has 1001 levels"),
             # a point list is charged as a count is: 2601 points, as --grid 51 asks for
             (["--model", "regression-ls", "--op", "classify", "--grid", ";".join(["0,0"] * 2601)],
              "2601 classify grid points"),
@@ -663,6 +665,7 @@ class TestExitCodes:
         assert result.returncode == 1
         assert result.stderr.startswith("config error:")
         assert result.stderr.count("\n") == 1 and "budget" in result.stderr
+        assert len(result.stderr.encode()) < 300
         assert flag in result.stderr
         assert not (tmp_path / "x.json").exists()
 
@@ -798,6 +801,11 @@ class TestBadInput:
             (["--model", "gce", "--op", "metric", "--at", "1,-1", "--levels="], "levels"),
             (["--model", "gce", "--op", "report", "--levels", "1"], "levels"),
             (["--model", "gce", "--op", "classify", "--levels", "1"], "levels"),
+            # the prefix and the message each spelled the whole list: 10108 bytes
+            (["--model", "gce", "--op", "metric", "--at", "1,-1",
+              "--levels", ",".join(["1"] * 1000)],
+             "--levels out of range for gce (the energy spectrum needs at least two distinct "
+             "levels, got 1000 in [1.0, 1.0])"),
             # a builder's domain error named neither the option nor the model
             (["--model", "gce", "--op", "metric", "--at", "1,-1", "--levels", "1e300,2e300"],
              "--levels"),
@@ -955,7 +963,8 @@ class TestBadInput:
             "classify-out-of-chart-last-point",
             "fibre-k-zero", "data-missing-key",
             "transport-outside-chart", "kappa-negative", "levels-empty",
-            "report-one-level", "classify-one-level", "levels-huge", "velocity-length",
+            "report-one-level", "classify-one-level", "levels-all-equal", "levels-huge",
+            "velocity-length",
             "end-length", "targets-point-length", "gce-kappa", "regression-ls-lambda",
             "all-levels", "geodesic-outside-chart", "step-zero", "t-zero", "t-inf",
             "vector-nan", "metric-unread-options", "all-at", "connection-fibre-k",
@@ -975,6 +984,7 @@ class TestBadInput:
         code, err, out = self.run_main(args, tmp_path, capsys)
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert len(err.encode()) < 300, err
         assert needle in err
         assert not out.exists()
 

@@ -62,6 +62,9 @@ class TestTolerances:
         [
             math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, "1e-3", None,
             pytest.param(10**400, id="int-beyond-float"),
+            # a bool was accepted as 1.0
+            pytest.param(True, id="bool"),
+            pytest.param(np.True_, id="numpy-bool"),
         ],
     )
     def test_rejects_nonfinite_nonpositive_and_nonnumeric(self, value):

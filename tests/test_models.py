@@ -322,6 +322,19 @@ class TestCatalogue:
         with pytest.raises(KeyError):
             models.build("no-such-model")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "bool"])
+    @pytest.mark.parametrize(
+        "name, option",
+        [(name, option) for name in models.MODEL_NAMES for option in models.options(name)],
+    )
+    def test_an_option_that_is_not_a_finite_number_is_refused(self, name, option, bad):
+        # a NaN or inf kappa built a vmf-sphere whose metric then failed, a bool
+        # built kappa = 1, and other options failed later with a message about
+        # an overflow or the spectrum instead of the option
+        value = [1.0, 2.0, bad] if option == "levels" else bad
+        with pytest.raises(DomainError, match=f"{name} option '{option}' needs finite numbers"):
+            models.build(name, **{option: value})
+
     def test_divergence_tags(self, catalogue):
         kl_tagged = {n for n, m in catalogue.items() if m.divergence_tag == "kl"}
         assert kl_tagged == {"gaussian-kl", "gce", "vmf-sphere", "vmf-cylinder", "gumbel"}

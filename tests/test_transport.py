@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsm_geom import Tolerances, geometry, models, structure, transport
-from dsm_geom.core import passes
+from dsm_geom.core import in_open_box, passes
 from dsm_geom.errors import Condition4Violated, DomainError, NumericalFailure
 
 from conftest import counted_model, levi_civita_from_metric
@@ -111,7 +111,7 @@ class TestGeodesic:
             with pytest.raises(DomainError) as excinfo:
                 transport.geodesic(conn, start, velocity, 1.0)
             assert "\n" not in str(excinfo.value)
-        assert not conn.contains([1.0, -1.0, 7.0])
+        assert not in_open_box(np.array([1.0, -1.0, 7.0]), conn.domain)
 
 
 def counted_field(field):
@@ -425,6 +425,9 @@ MALFORMED = {
         _fibre(m), [1, -1], [1, 0], 1.0, step=10**400)),
     "geodesic-huge-int-start": ("gce", lambda m: transport.geodesic(
         _fibre(m), [10**400, -1], [1, 0], 1.0)),
+    # a bool is an int to Python: it ran a geodesic of length 1
+    "geodesic-bool-t-end": ("gce", lambda m: transport.geodesic(
+        _fibre(m), [1.0, -1.0], [1.0, 0.5], True, step=0.5)),
 }
 
 
