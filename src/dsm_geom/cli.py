@@ -16,6 +16,7 @@ import json
 import math
 import os
 import pathlib
+import reprlib
 import sys
 import time
 from collections import namedtuple
@@ -29,7 +30,7 @@ from .core import (
     GaussianData,
     RegressionData,
     Tolerances,
-    finite_real,
+    bad_leaf,
     passes,
 )
 from .errors import (
@@ -54,38 +55,45 @@ class ConfigError(DsmGeomError):
     pass
 
 
-def _finite(value, depth=0) -> bool:
-    """Whether ``value`` is a ``core.finite_real`` number in ``depth`` levels of lists."""
-    if depth:
-        return isinstance(value, list) and all(_finite(item, depth - 1) for item in value)
-    return finite_real(value)
+# each data kind's builder and each key's list nesting; moments take any key, one number
+_DATA_KINDS = {
+    "gaussian": (GaussianData, {"mean": 0, "std": 0}),
+    "regression": (RegressionData, {"couples": 2}),
+    "moments": (DataSet, None),
+}
 
 
 def parse_data_spec(spec: dict) -> DataSet:
     """Build a data set from a JSON payload.
 
     kinds: gaussian {mean, std}; moments {statistic: value, ...};
-    regression {couples: [[x, y], ...]}.  Every entry of the data set's
-    statistic table must come out a finite number, and a table with mean_x
-    and mean_x2 must imply a variance > 0, whatever its entropy.
+    regression {couples: [[x, y], ...]}.  A key the kind does not take is
+    refused, as is the first leaf that is not a finite number.  Every entry
+    of the data set's statistic table must come out a finite number, and a
+    table with mean_x and mean_x2 must imply a variance > 0, whatever its entropy.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("data spec must be an object with a 'kind'")
     kind = spec["kind"]
+    if not (isinstance(kind, str) and kind in _DATA_KINDS):
+        raise ConfigError(f"unknown data kind {reprlib.repr(kind)}")
+    builder, depths = _DATA_KINDS[kind]
     body = {key: value for key, value in spec.items() if key != "kind"}
     for key, value in body.items():
-        if not _finite(value, 2 if kind == "regression" else 0):
-            raise ConfigError(f"data spec key '{key}' needs finite numbers, got {value!r}")
+        name = reprlib.repr(key)
+        if depths is not None and key not in depths:
+            raise ConfigError(
+                f"data spec of kind '{kind}' takes no key {name}; "
+                f"its keys are {', '.join(map(repr, depths))}"
+            )
+        if (leaf := bad_leaf(value, depths[key] if depths else 0)) is not None:
+            raise ConfigError(f"data spec key {name} needs finite numbers, got {leaf}")
+    for key in depths or ():
+        if key not in body:
+            raise ConfigError(f"data spec of kind '{kind}' needs key '{key}'")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if kind == "gaussian":
-                data = GaussianData(body["mean"], body["std"])
-            elif kind == "moments":
-                data = DataSet(body)
-            elif kind == "regression":
-                data = RegressionData(body["couples"])
-            else:
-                raise ConfigError(f"unknown data kind '{kind}'")
+            data = builder(**body) if depths else builder(body)
             # a float sum that overflows gives inf without an exception
             for statistic_id, value in data.moments.items():
                 if not math.isfinite(value):
@@ -94,8 +102,6 @@ def parse_data_spec(spec: dict) -> DataSet:
             if None not in (mean, second) and not second > mean**2:
                 raise ConfigError(f"data spec of kind '{kind}' implies mean_x2 - mean_x^2 <= 0")
             return data
-    except KeyError as err:
-        raise ConfigError(f"data spec of kind '{kind}' needs key {err}") from None
     except ArithmeticError as err:
         keys = ", ".join(f"'{key}'" for key in body)
         raise ConfigError(f"data spec of kind '{kind}' out of range in {keys} ({err})") from None
@@ -386,20 +392,17 @@ def model_report(model, config: RunConfig):
     report = structure.classify(model, _grid_for(config, model), tol=tol)
     oracle = model.oracle
     oracle_gaps = {}
-    if oracle is not None and oracle.metric is not None:
+    if oracle is not None and oracle.metric and oracle.connection and model.has_probes:
         # each gap is the largest over the points; np.maximum keeps a NaN, which max() may drop
         oracle_gaps = {"metric": 0.0, "connection": 0.0}
         for point in model.chart.random_points(np.random.default_rng(config.seed), 5):
             try:
-                if oracle.connection is not None and model.has_probes:
-                    # the connection's condition-4 gate evaluates the metric; a
-                    # probe-family disagreement is classify's verdict, not this one's
-                    found = geometry.connection_at(model, point, tol=tol)
-                    gap = geometry._relative_gap(found.omega, oracle.connection(point))
-                    oracle_gaps["connection"] = float(np.maximum(oracle_gaps["connection"], gap))
-                    g = found.metric.matrix
-                else:
-                    g = geometry.metric_at(model, point, tol=tol).matrix
+                # the connection's condition-4 gate evaluates the metric; a
+                # probe-family disagreement is classify's verdict, not this one's
+                found = geometry.connection_at(model, point, tol=tol)
+                gap = geometry._relative_gap(found.omega, oracle.connection(point))
+                oracle_gaps["connection"] = float(np.maximum(oracle_gaps["connection"], gap))
+                g = found.metric.matrix
                 gap = geometry._relative_gap(g, oracle.metric(point), floor=1e-12)
                 oracle_gaps["metric"] = float(np.maximum(oracle_gaps["metric"], gap))
             except ArithmeticError as err:
@@ -570,7 +573,7 @@ def config_from_args(argv) -> RunConfig:
     if given.get("data"):
         try:
             given["data"] = json.loads(given["data"])
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:  # nested past the recursion limit
             raise ConfigError(f"--data is not JSON: {err}") from None
     config = RunConfig(**given)
     config.validate(given)

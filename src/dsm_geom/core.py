@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +42,16 @@ def finite_real(value) -> bool:
         return isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def bad_leaf(value, depth: int = 0) -> Optional[str]:
+    """The short repr of the first leaf of ``value``, read as ``depth`` levels of
+    lists, that is not a ``finite_real`` number, else None.  A tuple or numpy
+    array counts as a list; a value nested the wrong way is one leaf."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if depth and isinstance(value, (list, tuple)):
+        return next(filter(None, (bad_leaf(item, depth - 1) for item in value)), None)
+    return None if not depth and finite_real(value) else reprlib.repr(value)
 
 
 def in_open_box(coords: np.ndarray, domain: tuple) -> bool:
@@ -289,7 +300,10 @@ class RegressionData(DataSet):
     """
 
     def __init__(self, couples: Sequence[Sequence[float]]):
-        arr = np.asarray(couples, dtype=float)
+        try:
+            arr = np.asarray(couples, dtype=float)
+        except (TypeError, ValueError):  # ragged or not numbers: the shape check refuses it
+            arr = np.empty(0)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
             raise DomainError("regression data needs >= 2 (x, y) couples")
         x = arr[:, 0].copy()

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import inspect
 
-import numpy as np
-
-from ..core import ModelDefinition, finite_real
+from ..core import ModelDefinition, bad_leaf
 from ..errors import DomainError
 from .gaussian import gaussian_kl, gaussian_sumsq
 from .gce import grand_canonical
@@ -33,18 +31,19 @@ MODEL_NAMES = tuple(_BUILDERS)
 
 
 def build(name: str, **kwargs) -> ModelDefinition:
-    """Construct a catalogue entry by its CLI name; each option, or each element
-    of a list option, must be a ``core.finite_real`` number."""
+    """Construct a catalogue entry by its CLI name; an option with a sequence
+    default takes a flat list of ``core.finite_real`` numbers, any other one."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown model '{name}'; choose from {', '.join(_BUILDERS)}"
         ) from None
+    parameters = inspect.signature(builder).parameters
     for option, value in kwargs.items():
-        for leaf in np.asarray(value, dtype=object).ravel():  # a scalar, or each list element
-            if not finite_real(leaf):
-                raise DomainError(f"{name} option '{option}' needs finite numbers, got {leaf!r}")
+        listed = option in parameters and isinstance(parameters[option].default, (tuple, list))
+        if (leaf := bad_leaf(value, int(listed))) is not None:
+            raise DomainError(f"{name} option '{option}' needs finite numbers, got {leaf}")
     return builder(**kwargs)
 
 

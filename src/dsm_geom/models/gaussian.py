@@ -132,14 +132,6 @@ def gaussian_kl() -> ModelDefinition:
         t1, t2 = canonical
         return t2**2 / (4.0 * t1) + 0.5 * math.log(math.pi / t1)
 
-    oracle = ClosedFormOracle(
-        metric=oracle_metric,
-        connection=oracle_connection,
-        affine_map=affine_map,
-        affine_inverse=affine_inverse,
-        massieu_affine=massieu_affine,
-    )
-
     return ModelDefinition(
         name="gaussian-kl",
         chart=_CHART,
@@ -149,7 +141,13 @@ def gaussian_kl() -> ModelDefinition:
         fibre_sampler_fn=_fibre_members,
         probe_pairs_fn=functools.partial(_probe_pairs, second_moment=_central_pinned),
         closed_form_fit_fn=_closed_form_fit,
-        oracle=oracle,
+        oracle=ClosedFormOracle(
+            metric=oracle_metric,
+            connection=oracle_connection,
+            affine_map=affine_map,
+            affine_inverse=affine_inverse,
+            massieu_affine=massieu_affine,
+        ),
         divergence_tag="kl",
     )
 
@@ -224,14 +222,6 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
         e1, e2 = expectation
         return 0.5 * inv_mu02 * e1**2 + 0.25 * inv_s04 * e2**2
 
-    oracle = ClosedFormOracle(
-        metric=oracle_metric,
-        connection=oracle_connection,
-        affine_map=affine_map,
-        affine_inverse=affine_inverse,
-        massieu_affine=massieu_affine,
-    )
-
     return ModelDefinition(
         name="gaussian-sumsq",
         chart=_CHART,
@@ -244,6 +234,11 @@ def gaussian_sumsq(mu0: float = 1.0, sigma0: float = 1.0) -> ModelDefinition:
             _probe_pairs, second_moment=lambda mu, mean, spread: spread**2 + mu**2
         ),
         closed_form_fit_fn=_closed_form_fit,
-        oracle=oracle,
-        divergence_tag="other",
+        oracle=ClosedFormOracle(
+            metric=oracle_metric,
+            connection=oracle_connection,
+            affine_map=affine_map,
+            affine_inverse=affine_inverse,
+            massieu_affine=massieu_affine,
+        ),
     )

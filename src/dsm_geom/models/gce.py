@@ -38,12 +38,6 @@ def _occupancies(levels, beta, mu):
     return 1.0 / np.expm1(beta * (levels - mu))
 
 
-def _bose_weights(levels, beta, mu):
-    """h_j = exp(x_j) / (exp(x_j) - 1)^2 = f_j (1 + f_j)."""
-    f = _occupancies(levels, beta, mu)
-    return f * (1.0 + f)
-
-
 def _log_partition(levels, beta, mu):
     return float(-np.log(-np.expm1(-beta * (levels - mu))).sum())
 
@@ -96,7 +90,7 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
     @functools.lru_cache(maxsize=1)
     def point_terms(beta, mu) -> _PointTerms:
         f = _occupancies(levels, beta, mu)
-        h = f * (1.0 + f)  # _bose_weights from the occupancies at hand
+        h = f * (1.0 + f)
         gap = levels - mu
         return _PointTerms(
             occupancies=f,
@@ -155,7 +149,8 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
 
     def oracle_metric(theta):
         beta, mu = theta
-        h = _bose_weights(levels, beta, mu)
+        f = _occupancies(levels, beta, mu)
+        h = f * (1.0 + f)  # exp(x) / (exp(x) - 1)^2, the Bose weight
         gap = levels - mu
         return np.array(
             [
@@ -197,19 +192,6 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         invariant = beta0 * v0[1] + mu0 * v0[0]
         return np.array([v0[0], (invariant - mu * v0[0]) / beta])
 
-    oracle = ClosedFormOracle(
-        metric=oracle_metric,
-        connection=oracle_connection,
-        affine_map=affine_map,
-        affine_inverse=affine_inverse,
-        massieu_affine=massieu_affine,
-        # the closed-form connection 1/beta is smooth for all mu, and its
-        # geodesics legitimately cross mu = min(levels)
-        connection_domain=((0.0, math.inf), (-math.inf, math.inf)),
-        geodesic=closed_geodesic,
-        covariant_field=closed_covariant_field,
-    )
-
     return ModelDefinition(
         name="gce",
         chart=chart,
@@ -218,7 +200,17 @@ def grand_canonical(levels=(1.0, 2.0, 3.0)) -> ModelDefinition:
         hessian_fn=hessian,
         fibre_sampler_fn=fibre_members,
         probe_pairs_fn=probe_pairs,
-        closed_form_fit_fn=None,
-        oracle=oracle,
+        oracle=ClosedFormOracle(
+            metric=oracle_metric,
+            connection=oracle_connection,
+            affine_map=affine_map,
+            affine_inverse=affine_inverse,
+            massieu_affine=massieu_affine,
+            # the closed-form connection 1/beta is smooth for all mu, and its
+            # geodesics legitimately cross mu = min(levels)
+            connection_domain=((0.0, math.inf), (-math.inf, math.inf)),
+            geodesic=closed_geodesic,
+            covariant_field=closed_covariant_field,
+        ),
         divergence_tag="kl",
     )

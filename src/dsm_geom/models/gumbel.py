@@ -207,18 +207,15 @@ def gumbel() -> ModelDefinition:
             "varying_ratio": values[-1] / values[0] if values[0] else float("inf"),
         }
 
-    model = ModelDefinition(
+    return ModelDefinition(
         name="gumbel",
         chart=_CHART,
         divergence_fn=divergence,
         gradient_fn=gradient,
         hessian_fn=hessian,
         fibre_sampler_fn=fibre_members,
-        probe_pairs_fn=None,
         closed_form_fit_fn=closed_form_fit,
-        oracle=None,
         divergence_tag="kl",
         classify_points_fn=classify_points,
         condition4_evidence_fn=condition4_evidence,
     )
-    return model

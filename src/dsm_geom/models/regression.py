@@ -115,8 +115,6 @@ def regression_ls() -> ModelDefinition:
         fibre_sampler_fn=_fibre_members,
         probe_pairs_fn=_probe_pairs,
         closed_form_fit_fn=_closed_form_fit,
-        oracle=None,
-        divergence_tag="other",
     )
 
 
@@ -170,5 +168,4 @@ def regression_dlambda(lam: float = 1.0) -> ModelDefinition:
         probe_pairs_fn=_probe_pairs,
         closed_form_fit_fn=_closed_form_fit,
         oracle=ClosedFormOracle.identity_chart(oracle_metric, massieu),
-        divergence_tag="other",
     )

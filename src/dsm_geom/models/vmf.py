@@ -26,6 +26,11 @@ def _moment_data(vector, entropy, tag):
     )
 
 
+def _fibre_members(vector, entropy, tag):
+    # one fibre pins the moment vector: its members differ in the entropy alone
+    return [_moment_data(vector, entropy - 0.35 * j, f"{tag}({j})") for j in range(3)]
+
+
 def _sphere_point(theta):
     t, p = theta
     return np.array(
@@ -89,13 +94,7 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         )
 
     def fibre_members(coords):
-        # the fibre pins the moment vector; members differ in the
-        # divergence-invisible entropy offset only
-        u = _sphere_point(coords).tolist()
-        return [
-            _moment_data(u, fibre_entropy - 0.35 * j, f"sphere-fibre({j})")
-            for j in range(3)
-        ]
+        return _fibre_members(_sphere_point(coords).tolist(), fibre_entropy, "sphere-fibre")
 
     def probe_pairs(coords, family):
         # the fibre conditions are the moment vector's angles along the
@@ -135,11 +134,6 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         omega[1, 0, 1] = omega[1, 1, 0] = math.cos(t) / math.sin(t)
         return omega
 
-    oracle = ClosedFormOracle(
-        metric=oracle_metric,
-        connection=oracle_connection,
-    )
-
     return ModelDefinition(
         name="vmf-sphere",
         chart=chart,
@@ -149,7 +143,7 @@ def vmf_sphere(kappa: float = 2.0) -> ModelDefinition:
         fibre_sampler_fn=fibre_members,
         probe_pairs_fn=probe_pairs,
         closed_form_fit_fn=closed_form_fit,
-        oracle=oracle,
+        oracle=ClosedFormOracle(oracle_metric, oracle_connection),
         divergence_tag="kl",
     )
 
@@ -205,10 +199,7 @@ def vmf_cylinder(kappa: float = 2.0) -> ModelDefinition:
     def fibre_members(coords):
         phi, lam = coords.tolist()
         vec = [math.cos(phi), math.sin(phi), 1.0 / lam]
-        return [
-            _moment_data(vec, fibre_entropy(lam) - 0.35 * j, f"cyl-fibre({j})")
-            for j in range(3)
-        ]
+        return _fibre_members(vec, fibre_entropy(lam), "cyl-fibre")
 
     def probe_pairs(coords, family):
         # the fibre conditions (phi lowered, e3) on the cylinder surface

@@ -19,7 +19,7 @@ connection, and the metric for Massieu) once per segment at Chebyshev nodes.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,12 +59,12 @@ class GeometryReport:
     model: str
     grid: list  # of lists of floats
     tolerances: dict
-    condition4: dict = field(default_factory=dict)
-    probe_consistency: dict = field(default_factory=dict)
-    flat: dict = field(default_factory=dict)
-    codazzi: dict = field(default_factory=dict)
-    hessian_structure: str = "not-evaluated"
-    exponential_family: str = "not-applicable"
+    condition4: dict
+    probe_consistency: dict
+    flat: dict
+    codazzi: dict
+    hessian_structure: str
+    exponential_family: str
 
     @property
     def verdicts(self) -> dict:
@@ -114,9 +114,6 @@ def classify(
     grid = require_points(grid, model.chart.domain, "classify grid point")
     tolerances = asdict(tol)
     del tolerances["path"]  # the affine and Massieu tolerance: no classify check
-    report = GeometryReport(
-        model=model.name, grid=[list(map(float, point)) for point in grid], tolerances=tolerances
-    )
     worst = {}  # of each check run at some grid point: (value, point, evidence)
     metric = metric_field(model, tol=tol)
     conn = connection_field(model, tol=tol)
@@ -149,24 +146,25 @@ def classify(
             continue
         track("flat", curvature_at(conn, point).max_abs, point)
         track("codazzi", codazzi_residual(metric, conn, point)[1], point)
+    blocks = {}
     for block, value_key, key in _CHECKS:
         value, point, evidence = worst.get(key, (None, None, None))
         entry = {"status": "not-evaluated", value_key: None}
         # a Hessian-structure check is decided only where condition 4 holds
-        if key in worst and (key == "cond4" or report.condition4["status"] == "pass"):
+        if key in worst and (key == "cond4" or blocks["condition4"]["status"] == "pass"):
             status = "pass" if passes(value, tolerances[key]) else "fail"
             entry = {"status": status, value_key: value, "worst_point": point}
         if evidence is not None or key == "cond4":
             entry["evidence"] = evidence
-        setattr(report, block, entry)
-    statuses = {getattr(report, block)["status"] for block, *_ in _CHECKS}
-    if "fail" in statuses or statuses == {"pass"}:  # else the default "not-evaluated"
-        report.hessian_structure = "fail" if "fail" in statuses else "pass"
-    if model.divergence_tag == "kl":  # else the default "not-applicable"
-        report.exponential_family = {"pass": "yes", "fail": "no"}.get(
-            report.hessian_structure, "not-evaluated"
-        )
-    return report
+        blocks[block] = entry
+    statuses = {entry["status"] for entry in blocks.values()}
+    verdict = "fail" if "fail" in statuses else "pass" if statuses == {"pass"} else "not-evaluated"
+    family = {"pass": "yes", "fail": "no"}.get(verdict, "not-evaluated")
+    return GeometryReport(
+        model.name, [list(map(float, point)) for point in grid], tolerances, **blocks,
+        hessian_structure=verdict,
+        exponential_family=family if model.divergence_tag == "kl" else "not-applicable",
+    )
 
 
 # ---------------------------------------------------------------------------

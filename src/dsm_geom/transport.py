@@ -244,8 +244,8 @@ def geodesic(
 ) -> Trace:
     """Integrate d^2 theta/dt^2 = -omega^k_ij dtheta^i dtheta^j.
 
-    The path is not known in advance, so every accepted step is checked
-    against the field domain; leaving it truncates the trace.  A t_end or
+    The path is not known in advance, so every RK4 stage and accepted step is
+    checked against the field domain; leaving it truncates the trace.  A t_end or
     step that is not a finite number, a step <= 0, or a step that asks for more than
     ``MAX_GEODESIC_STEPS`` steps raises DomainError before any field
     evaluation.  A t_end of 0 with a valid step is the one-sample trace of
@@ -268,13 +268,12 @@ def geodesic(
     n = coords.size
 
     def rhs(_, state):
-        vel = state[n:].tolist()
-        omega = connection(state[:n]).reshape(n, n * n).tolist()
-        # acceleration -omega^k_ij v^i v^j, summed in floats over (i, j) in
-        # row-major order, as einsum("kij,i,j->k") sums it
-        pairs = [(a, b) for a in vel for b in vel]
-        acc = [-sum([w * a * b for w, (a, b) in zip(row, pairs)]) for row in omega]
-        return np.array(vel + acc)
+        point, vel = state[:n], state[n:]
+        if not in_open_box(point, connection.domain):  # refused before any field sees it
+            raise DomainError("geodesic stage outside the field domain")
+        # einsum sums the terms of a strided omega in another order
+        omega = np.ascontiguousarray(connection(point))
+        return np.concatenate([vel, -np.einsum("kij,i,j->k", omega, vel, vel)])
 
     state = np.concatenate([coords, velocity])
     times, states, flags = [0.0], [state], []
@@ -287,7 +286,7 @@ def geodesic(
                 break
             times.append((k + 1) * dt)
             states.append(state)
-    except DomainError:  # an RK4 stage left the chart
+    except DomainError:  # an RK4 stage left the field's box
         flags.append("domain_exit")
     states = np.array(states)
     return Trace(

@@ -718,6 +718,10 @@ class TestExitCodes:
         assert result.returncode == 3
 
 
+# 1000 good couples and one whose y is a bool
+LONG_COUPLES = [[i, 2 * i] for i in range(1000)] + [[1, True]]
+
+
 class TestBadInput:
     """Bad run input ends with exit 1 and one line, never a vacuous verdict."""
 
@@ -956,6 +960,34 @@ class TestBadInput:
                  "--data", '{"kind": "gaussian", "mean": 0, "std": 1e-200}'],
                 "implies mean_x2 - mean_x^2 <= 0",
             ),
+            # the line spelled all 1001 couples: 13746 bytes
+            (
+                ["--model", "regression-dlambda", "--op", "fit", "--start", "0,0",
+                 "--data", json.dumps({"kind": "regression", "couples": LONG_COUPLES})],
+                "data spec key 'couples' needs finite numbers, got True",
+            ),
+            # an unread key was recorded in the document's inputs, and the run exited 0
+            (
+                ["--model", "gaussian-kl", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind":"gaussian","mean":0.2,"std":1.1,"typo_std":5}'],
+                "data spec of kind 'gaussian' takes no key 'typo_std'; its keys are 'mean', 'std'",
+            ),
+            # an extra list key was refused as "needs finite numbers, got [1, 2, 3]"
+            (
+                ["--model", "regression-ls", "--op", "fit", "--start", "0,1",
+                 "--data",
+                 '{"kind":"regression","couples":[[0,0],[1,2],[2,3]],"weights":[1,2,3]}'],
+                "data spec of kind 'regression' takes no key 'weights'; its keys are 'couples'",
+            ),
+            # a ragged couples list ended in a numpy ValueError traceback
+            (
+                ["--model", "regression-ls", "--op", "fit", "--start", "0,1",
+                 "--data", '{"kind":"regression","couples":[[1,2],[3]]}'],
+                "regression data needs >= 2 (x, y) couples",
+            ),
+            # json.loads ended in a RecursionError traceback
+            (["--model", "gaussian-kl", "--op", "fit", "--start", "0,1", "--data", "[" * 100000],
+             "--data is not JSON"),
         ],
         ids=[
             "grid-zero", "grid-no-point", "grid-not-a-count", "grid-negative",
@@ -976,7 +1008,8 @@ class TestBadInput:
             "all-seed-negative", "dlambda-square-overflow", "dlambda-square-underflow",
             "all-metric", "data-not-json", "at-empty", "data-not-an-object", "data-unknown-kind",
             "data-std-underflow", "data-variance-cancels", "data-moments-variance-negative",
-            "sumsq-data-std-underflow",
+            "sumsq-data-std-underflow", "data-long-couples-one-bool", "data-unknown-key",
+            "data-regression-extra-key", "data-ragged-couples", "data-nested-past-recursion-limit",
         ],
     )
     @pytest.mark.filterwarnings("error")

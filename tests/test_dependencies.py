@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from dsm_geom import cli, structure
-from dsm_geom.core import Tolerances
+from dsm_geom.core import ModelDefinition, Tolerances
 
 from test_witnesses import WITNESSES, check_tables
 
@@ -254,6 +254,53 @@ def test_models_leave_the_probe_design_to_core():
         for path in sorted((PACKAGE / "models").glob("*.py"))
         for line, name in named(path.read_text())
         if name == "PROBE_DELTA"
+    ]
+    assert not found, found
+
+
+def restated_defaults(source, defaults):
+    """(line, keyword) of every keyword of a ``ModelDefinition(...)`` call, bare
+    or qualified, whose value is a constant equal to ``defaults[keyword]``, of
+    the same type."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name != "ModelDefinition":
+                continue
+            for keyword in node.keywords:
+                if isinstance(keyword.value, ast.Constant) and keyword.arg in defaults:
+                    value, default = keyword.value.value, defaults[keyword.arg]
+                    if type(value) is type(default) and value == default:
+                        yield keyword.value.lineno, keyword.arg
+
+
+def test_the_default_scan_sees_bare_and_qualified_calls_and_constants_only():
+    source = (
+        "def f(oracle, fit):\n"
+        "    a = ModelDefinition(name='a', oracle=None, divergence_tag='kl', count=0)\n"
+        "    b = core.ModelDefinition(\n"
+        "        name='b', oracle=oracle, closed_form_fit_fn=fit,\n"
+        "        divergence_tag='other', count=False)\n"
+        "    return Other(oracle=None)\n"
+    )
+    defaults = {"oracle": None, "closed_form_fit_fn": None, "divergence_tag": "other", "count": 0}
+    assert list(restated_defaults(source, defaults)) == [
+        (2, "oracle"), (2, "count"), (5, "divergence_tag"),
+    ]
+
+
+def test_no_model_builder_restates_a_model_definition_default():
+    # a keyword that passes the contract's own default says nothing; the
+    # builders left out oracle, probes or a closed-form fit by spelling None
+    defaults = {
+        spec.name: spec.default
+        for spec in dataclasses.fields(ModelDefinition)
+        if spec.default is not dataclasses.MISSING
+    }
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {keyword}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, keyword in restated_defaults(path.read_text(), defaults)
     ]
     assert not found, found
 

@@ -335,6 +335,34 @@ class TestCatalogue:
         with pytest.raises(DomainError, match=f"{name} option '{option}' needs finite numbers"):
             models.build(name, **{option: value})
 
+    @pytest.mark.parametrize(
+        "name, option, value, leaf",
+        [
+            ("vmf-sphere", "kappa", [1.0, 2.0], "[1.0, 2.0]"),
+            ("regression-dlambda", "lam", [2.0], "[2.0]"),
+            ("vmf-sphere", "kappa", [1.0] * 1000, "[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]"),
+            ("gce", "levels", [[1.0, 2.0], [3.0, 4.0]], "[1.0, 2.0]"),
+            ("gce", "levels", np.array([[1.0, 2.0], [3.0, 4.0]]), "[1.0, 2.0]"),
+            ("gce", "levels", 2.0, "2.0"),
+        ],
+        ids=["list-for-kappa", "list-for-lam", "long-list-for-kappa", "levels-2d",
+             "levels-2d-array", "number-for-levels"],
+    )
+    def test_an_option_nested_the_wrong_way_names_its_first_leaf(self, name, option, value, leaf):
+        # a list for a number ended in a bare TypeError from the builder's
+        # range check, and 2-D levels in a numpy ValueError
+        with pytest.raises(DomainError) as excinfo:
+            models.build(name, **{option: value})
+        message = str(excinfo.value)
+        assert message == f"{name} option '{option}' needs finite numbers, got {leaf}"
+        assert len(message) < 300
+
+    @pytest.mark.parametrize(
+        "levels", [np.arange(1, 5), (1.0, 2.0, 5.0), [1, 2, 3]], ids=["int-array", "tuple", "list"]
+    )
+    def test_a_flat_sequence_of_levels_is_accepted(self, levels):
+        assert models.build("gce", levels=levels).name == "gce"
+
     def test_divergence_tags(self, catalogue):
         kl_tagged = {n for n, m in catalogue.items() if m.divergence_tag == "kl"}
         assert kl_tagged == {"gaussian-kl", "gce", "vmf-sphere", "vmf-cylinder", "gumbel"}

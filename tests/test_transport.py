@@ -8,7 +8,7 @@ from dsm_geom import Tolerances, geometry, models, structure, transport
 from dsm_geom.core import in_open_box, passes
 from dsm_geom.errors import Condition4Violated, DomainError, NumericalFailure
 
-from conftest import counted_model, levi_civita_from_metric
+from conftest import RAISE_FP_ERRORS, counted_model, levi_civita_from_metric
 
 
 class TestGeodesic:
@@ -92,6 +92,54 @@ class TestGeodesic:
         )
         assert "domain_exit" in trace.flags
         assert len(trace.points) < 1001
+
+    def test_a_stage_outside_the_box_is_a_domain_exit_for_the_oracle_field(self):
+        # the fibre field refused such a stage through the chart check; the
+        # oracle field was evaluated there, and math.sin(inf) in the sphere's
+        # connection ended the run in a ValueError
+        field = geometry.connection_field(models.build("vmf-sphere"), source="oracle")
+        seen = []
+
+        def recorded(coords):
+            seen.append(in_open_box(coords, field.domain))
+            return field.evaluate(coords)
+
+        conn = dataclasses.replace(field, evaluate=recorded)
+        with np.errstate(**RAISE_FP_ERRORS):
+            trace = transport.geodesic(conn, [1.2, 0.5], [1e160, 1e160], 1.0)
+        assert trace.flags == ("domain_exit",)
+        assert trace.points.tolist() == [[1.2, 0.5]]
+        assert seen == [True]
+
+    @pytest.mark.parametrize("strided", [True, False], ids=["strided", "contiguous"])
+    def test_the_acceleration_sums_as_the_float_loop_does(self, strided):
+        # reference: -omega^k_ij v^i v^j summed in Python floats over (i, j) in
+        # row-major order; the fibre solve returns omega as a strided view
+        # (a slice of its solution matrix), which einsum sums in another order;
+        # the speed makes a last-bit change in the acceleration reach the state
+        base = 0.2 * np.random.default_rng(3).normal(size=(2, 3, 2))
+        base[1, 0, :] = [0.0, -0.0]
+
+        def omega(coords):
+            scaled = base * math.cos(coords[0])
+            return scaled[:, :2, :] if strided else np.ascontiguousarray(scaled[:, :2, :])
+
+        def reference_rhs(_, state):
+            vel = state[2:].tolist()
+            rows = np.ascontiguousarray(omega(state[:2])).reshape(2, 4).tolist()
+            pairs = [(a, b) for a in vel for b in vel]
+            acc = [-sum([w * a * b for w, (a, b) in zip(row, pairs)]) for row in rows]
+            return np.array(vel + acc)
+
+        field = geometry.ConnectionField(omega, "test", ((-math.inf, math.inf),) * 2, Tolerances())
+        trace = transport.geodesic(field, [0.1, 0.2], [1.0, -1.2], 1.0, step=0.1)
+        state, states = np.array([0.1, 0.2, 1.0, -1.2]), []
+        for k in range(10):
+            state = transport._rk4(state, reference_rhs, k * 0.1, 0.1)
+            states.append(state)
+        assert trace.flags == ()
+        found = np.concatenate([trace.points, trace.vectors], axis=1)[1:]
+        assert found.tobytes() == np.array(states).tobytes()
 
     def test_step_budget_raises_before_any_evaluation(self, catalogue):
         gce = catalogue["gce"]
