@@ -392,7 +392,7 @@ def model_report(model, config: RunConfig):
     report = structure.classify(model, _grid_for(config, model), tol=tol)
     oracle = model.oracle
     oracle_gaps = {}
-    if oracle is not None and oracle.metric and oracle.connection and model.has_probes:
+    if oracle is not None and oracle.metric and oracle.connection:
         # each gap is the largest over the points; np.maximum keeps a NaN, which max() may drop
         oracle_gaps = {"metric": 0.0, "connection": 0.0}
         for point in model.chart.random_points(np.random.default_rng(config.seed), 5):
@@ -405,6 +405,9 @@ def model_report(model, config: RunConfig):
                 g = found.metric.matrix
                 gap = geometry._relative_gap(g, oracle.metric(point), floor=1e-12)
                 oracle_gaps["metric"] = float(np.maximum(oracle_gaps["metric"], gap))
+            except Condition4Violated:  # no gap is measured at a refused point: both are NaN
+                oracle_gaps = {"metric": math.nan, "connection": math.nan}
+                break
             except ArithmeticError as err:
                 raise NumericalFailure(
                     f"{type(err).__name__} in the oracle comparison at {point.tolist()}: {err}"

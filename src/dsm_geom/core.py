@@ -6,6 +6,9 @@ computation only through finitely many expectation values, so the data
 side of the contract is an expectation provider: given a statistic id
 it returns one real number.  The off-fibre probes are data sets too: one
 flat list per probe family, the n plus probes and then their n minus probes.
+A model is whole with a divergence and a fibre sampler: a model that
+supplies no probes gets the neighbouring fibres' members as its probes,
+and its own probe design is an optional, faster source of the same data.
 """
 from __future__ import annotations
 
@@ -378,7 +381,7 @@ class ClosedFormOracle:
 
 @dataclass
 class ModelDefinition:
-    """One data set model: chart, divergence, samplers and probes."""
+    """One data set model: chart, divergence, samplers and, optionally, probes."""
 
     name: str
     chart: ChartSpec
@@ -409,21 +412,29 @@ class ModelDefinition:
             )
         return members
 
-    @property
-    def has_probes(self) -> bool:
-        return self.probe_pairs_fn is not None
-
     def probe_pairs(self, theta, family: int = 0) -> list:
         """One probe family's off-fibre data sets, as ``antithetic_pairs``
         lists them: n plus probes, then their n minus probes; two families
-        (0, 1) are available."""
+        (0, 1) are available.  Without ``probe_pairs_fn`` the probe at
+        offsets is member 0 of the fibre at the point moved by them."""
         return self._probe_pairs(self.chart.require(theta), family)
 
     def _probe_pairs(self, coords, family):
         # the body of probe_pairs: coords are already checked against the chart
-        if self.probe_pairs_fn is None:
-            raise Unsupported(f"model {self.name} has no off-fibre probes")
-        return self.probe_pairs_fn(coords, family)
+        if self.probe_pairs_fn is not None:
+            return self.probe_pairs_fn(coords, family)
+        # without the model's own probes, the probe at offsets is member 0 of the
+        # neighbouring fibre; each step keeps within half the room to a bound
+        scales = [
+            min(max(abs(c), 1.0), 0.5 * min(c - lo, hi - c) / PROBE_DELTA)
+            for c, (lo, hi) in zip(coords.tolist(), self.chart.domain)
+        ]
+        try:
+            return antithetic_pairs(
+                lambda offsets: self.fibre_sampler(coords + offsets)[0], scales, family
+            )
+        except (DomainError, Unsupported) as err:  # a neighbour with no fibre
+            raise Unsupported(f"model {self.name} has no off-fibre probes: {err}") from None
 
     def closed_form_fit(self, x: DataSet) -> np.ndarray:
         if self.closed_form_fit_fn is None:

@@ -27,7 +27,7 @@ import numpy as np
 from . import numdiff
 from .core import MAX_POINTS, ModelDefinition, Tolerances, passes, require_points
 from .core import divergence_hessian, evaluate_divergence
-from .errors import Condition4Violated, DomainError, MetricNotPD, ProbeSingular
+from .errors import Condition4Violated, DomainError, MetricNotPD, ProbeSingular, Unsupported
 from .geometry import (
     _relative_gap,
     codazzi_residual,
@@ -92,7 +92,7 @@ def condition4_evidence(model: ModelDefinition, err: Condition4Violated) -> dict
 def default_grid(model: ModelDefinition, per_axis: int = CLASSIFY_GRID_PER_AXIS) -> list:
     """The model's own curve of ``per_axis`` points, else the chart's grid of ``per_axis ** dim``;
     one that would be empty or over ``MAX_POINTS`` is refused before it is built."""
-    if not isinstance(per_axis, (int, np.integer)):
+    if type(per_axis) is bool or not isinstance(per_axis, (int, np.integer)):
         raise DomainError(f"a {model.name} grid needs a whole count per axis, got {per_axis!r}")
     curve = model.classify_points_fn
     count = max(per_axis, 0) ** (1 if curve else model.chart.dim)
@@ -134,18 +134,21 @@ def classify(
             track("cond4", float("inf"), point, {"point": point.tolist(), "error": str(err)})
             continue
         track("cond4", evaluation.fibre_deviation, point)
-        if not model.has_probes:
-            continue
         try:
             connection = connection_at(model, point, tol=tol)
+        except Unsupported:  # neighbours with no fibre: the probe check is not evaluated
+            continue
         except (ProbeSingular, ArithmeticError) as err:
             track("hessian", float("inf"), point, {"point": point.tolist(), "error": str(err)})
             continue
         track("hessian", connection.probe_consistency, point)
         if not passes(connection.probe_consistency, tol.hessian):
             continue
-        track("flat", curvature_at(conn, point).max_abs, point)
-        track("codazzi", codazzi_residual(metric, conn, point)[1], point)
+        try:
+            track("flat", curvature_at(conn, point).max_abs, point)
+            track("codazzi", codazzi_residual(metric, conn, point)[1], point)
+        except Condition4Violated as err:  # at an FD stencil point next to this one
+            track("cond4", err.deviation, point, condition4_evidence(model, err))
     blocks = {}
     for block, value_key, key in _CHECKS:
         value, point, evidence = worst.get(key, (None, None, None))

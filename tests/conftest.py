@@ -7,8 +7,10 @@ import pytest
 
 from dsm_geom import models
 from dsm_geom.core import (
+    ChartSpec,
     DataSet,
     GaussianData,
+    ModelDefinition,
     RegressionData,
     TwoPointData,
     UniformData,
@@ -46,7 +48,11 @@ def counted_model(model):
     """A copy of ``model`` whose callables count their calls into the
     returned Counter, keyed by attribute name."""
     calls = collections.Counter()
-    wrapped = {attr: counting(calls, attr, getattr(model, attr)) for attr in MODEL_CALLABLES}
+    wrapped = {
+        attr: counting(calls, attr, getattr(model, attr))
+        for attr in MODEL_CALLABLES
+        if getattr(model, attr) is not None  # a missing probe keeps the default
+    }
     return dataclasses.replace(model, **wrapped), calls
 
 
@@ -82,6 +88,31 @@ def nan_gradient_probe_model():
         return np.full_like(g, np.nan) if x.label == "probe" else g
 
     return dataclasses.replace(base, gradient_fn=gradient)
+
+
+def split_model(probe_pairs_fn=None):
+    """A quadratic divergence on the (u, v) plane whose three fibre members
+    differ in weight only for u > 0, so condition 4 fails there alone.
+    Without ``probe_pairs_fn`` each probe is a neighbouring fibre's member 0."""
+
+    def divergence(x, theta):
+        delta = np.asarray(theta) - [x.statistic("c1"), x.statistic("c2")]
+        return float(0.5 * x.statistic("w") * (delta @ delta))
+
+    def data(theta, weight):
+        return DataSet({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
+
+    return ModelDefinition(
+        name="split",
+        chart=ChartSpec(
+            domain=((-math.inf, math.inf), (-math.inf, math.inf)),
+            names=("u", "v"),
+            sample_box=((-1.0, 1.0), (-1.0, 1.0)),
+        ),
+        divergence_fn=divergence,
+        fibre_sampler_fn=lambda theta: [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)],
+        probe_pairs_fn=probe_pairs_fn,
+    )
 
 
 def wrong_fibre_model():

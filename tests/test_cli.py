@@ -15,7 +15,7 @@ import pytest
 from dsm_geom import cli, geometry, models, structure
 from dsm_geom.core import Tolerances, passes
 
-from conftest import RAISE_FP_ERRORS, counted_model, nan_probe_model
+from conftest import RAISE_FP_ERRORS, counted_model, nan_probe_model, split_model
 
 # the sha256 of each file of `--model all --op report --seed 42`, as sha256sum
 # writes it. A change that moves report bytes on purpose re-records it from the
@@ -343,32 +343,9 @@ class TestCliRuns:
     def test_condition4_evidence_names_the_point_it_was_measured_at(self):
         # the fibre members disagree only for u > 0: the requested point passes
         # condition 4, and the curvature's FD stencil steps onto u > 0, where it
-        # fails; the evidence used to carry the requested point
-        from dsm_geom.core import ChartSpec, DataSet, ModelDefinition, antithetic_pairs
-
-        def divergence(x, theta):
-            delta = np.asarray(theta) - [x.statistic("c1"), x.statistic("c2")]
-            return float(0.5 * x.statistic("w") * (delta @ delta))
-
-        def data(theta, weight):
-            return DataSet({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
-
-        def shifted(theta, offsets):
-            return data(np.asarray(theta) + offsets, 1.0)
-
-        model = ModelDefinition(
-            name="split",
-            chart=ChartSpec(
-                domain=((-math.inf, math.inf), (-math.inf, math.inf)),
-                names=("u", "v"),
-                sample_box=((-1.0, 1.0), (-1.0, 1.0)),
-            ),
-            divergence_fn=divergence,
-            fibre_sampler_fn=lambda theta: [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)],
-            probe_pairs_fn=lambda theta, family: antithetic_pairs(
-                lambda offsets: shifted(theta, offsets), (1.0, 1.0), family
-            ),
-        )
+        # fails; the evidence used to carry the requested point.  Its probes are
+        # the default ones, each the member 0 of a neighbouring fibre
+        model = split_model()
         config = cli.RunConfig(model="split", op="metric", at=[0.0, 0.0])
         metric, _ = cli._run_op(config, model)
         assert metric["verdicts"] == {"condition4": "pass"}
@@ -741,15 +718,17 @@ class TestBadInput:
         assert not out.exists()
 
     def test_model_without_probes_has_no_connection(self, tmp_path, capsys):
-        # gumbel supplies no probes; at cond4=1 its fibre passes the gate,
-        # so the run reaches the probe step
+        # gumbel supplies no probes, and its fibre exists only on a curve, so
+        # the neighbouring fibres that stand in for probes do not exist; at
+        # cond4=1 its own fibre passes the gate, so the run reaches the probe step
         from dsm_geom.models.gumbel import compatible_point
 
         point = compatible_point(1.3)
         args = ["--model", "gumbel", "--op", "connection", "--at", f"{point[0]},{point[1]}"]
         code, err, out = self.run_main([*args, "--tol", "cond4=1"], tmp_path, capsys)
         assert code == 1
-        assert err == "config error: model gumbel has no off-fibre probes\n"
+        assert err.startswith("config error: model gumbel has no off-fibre probes: ")
+        assert err.count("\n") == 1, err
         assert not out.exists()
 
     def test_user_cond4_reaches_the_connection_gate(self, tmp_path, capsys):
@@ -1192,6 +1171,19 @@ class TestReportAll:
         gaps = doc["results"]["oracle_comparison"]
         assert gaps["connection"] is None and gaps["metric"] < 1e-6
         assert doc["verdicts"]["exponential_family"] == "no"
+        json.dumps(doc, allow_nan=False)
+
+    @pytest.mark.parametrize("name", ["gaussian-kl", "gaussian-sumsq"])
+    def test_an_oracle_point_the_gate_refuses_makes_both_gaps_null(self, name):
+        # at cond4=1e-16 the condition-4 gate refuses 4 of the 5 seed-42 oracle
+        # points; the first refusal used to end the report with exit 2
+        config = cli.RunConfig(
+            model=name, op="report", grid="-1.2,1.0", tolerances={"cond4": 1e-16}
+        )
+        with np.errstate(**RAISE_FP_ERRORS):
+            doc, _ = cli._run_op(config, models.build(name))
+        assert doc["results"]["oracle_comparison"] == {"metric": None, "connection": None}
+        assert doc["verdicts"]["condition4"] == "fail"
         json.dumps(doc, allow_nan=False)
 
     def test_report_bytes_match_the_recorded_digests(self, tmp_path, capsys):

@@ -138,12 +138,10 @@ class TestConnectionAt:
         # torsion-free by construction, so classify has no torsion check
         arrays = []
         for model in catalogue.values():
-            if not model.has_probes:
-                continue
             for point in structure.default_grid(model, 7):
                 try:
                     evaluation = geometry.connection_at(model, point)
-                except Condition4Violated:  # regression-ls, at every point
+                except Condition4Violated:  # regression-ls and gumbel, at every point
                     continue
                 arrays += [*evaluation.families, evaluation.omega]
         assert len(arrays) == 6 * 7 * 7 * 3
@@ -585,17 +583,67 @@ class TestProbeCondition:
         check()
 
 
-class TestModelWithoutProbes:
-    def test_connection_is_unsupported_and_classify_stops_at_condition4(self, catalogue):
-        model = dataclasses.replace(catalogue["gaussian-kl"], probe_pairs_fn=None)
-        assert not model.has_probes
-        with pytest.raises(Unsupported, match="model gaussian-kl has no off-fibre probes"):
-            geometry.connection_at(model, [0, 1])
-        report = structure.classify(model, structure.default_grid(model, 3))
+def _neighbour_probes(model):
+    """``model`` without its own probes: each probe is a neighbouring fibre's member 0."""
+    return dataclasses.replace(model, probe_pairs_fn=None)
+
+
+class TestNeighbourFibreProbes:
+    """A model that supplies no probes gets them from its fibre sampler."""
+
+    def test_classify_gives_the_analytic_verdicts(self, catalogue):
+        expected = {
+            "gaussian-kl": ("pass", "pass", "yes"),
+            "gaussian-sumsq": ("pass", "pass", "not-applicable"),
+            "regression-ls": ("fail", "fail", "not-applicable"),
+            "regression-dlambda": ("pass", "pass", "not-applicable"),
+            "gce": ("pass", "pass", "yes"),
+            "vmf-sphere": ("pass", "fail", "no"),
+            "vmf-cylinder": ("pass", "pass", "yes"),
+            "gumbel": ("fail", "fail", "no"),
+        }
+        assert sorted(expected) == sorted(catalogue)
+        for name, model in catalogue.items():
+            model = _neighbour_probes(model)
+            report = structure.classify(model, structure.default_grid(model, 5))
+            assert tuple(report.verdicts.values()) == expected[name], name
+
+    @pytest.mark.parametrize("name", [*HESSIAN_STRUCTURED, "vmf-sphere"])
+    def test_connection_matches_the_hand_probes(self, catalogue, name):
+        # the two families agree only on a model with a Hessian structure, so
+        # the sphere compares family 0 alone; measured gaps are at most 3.9e-12
+        model = catalogue[name]
+        both = name != "vmf-sphere"
+        for point in structure.default_grid(model, 7):
+            hand = geometry.connection_at(model, point, check_consistency=both)
+            found = geometry.connection_at(_neighbour_probes(model), point, check_consistency=both)
+            assert geometry._relative_gap(found.omega, hand.omega) <= 1e-10, point
+
+    @pytest.mark.parametrize("mean", [0.3, -1.0])
+    def test_steps_stay_inside_the_chart_near_its_bound(self, catalogue, mean):
+        # at sigma = 5e-4 a step of 1e-3 would leave the chart (sigma > 0); the
+        # capped step stays inside and matches the closed form
+        model = catalogue["gaussian-kl"]
+        point = np.array([mean, 5e-4])
+        evaluation = geometry.connection_at(_neighbour_probes(model), point)
+        assert geometry._relative_gap(evaluation.omega, model.oracle.connection(point)) <= 1e-10
+        assert evaluation.probe_consistency <= 1e-10
+
+    def test_neighbours_without_a_fibre_are_one_unsupported(self, catalogue):
+        # gumbel's fibre exists only on a curve, so its neighbours have none;
+        # at cond4 = 1 its own fibre passes the gate, and classify leaves the
+        # probe check not evaluated
+        from dsm_geom.models.gumbel import compatible_point
+
+        model, loose = catalogue["gumbel"], Tolerances(cond4=1.0)
+        assert model.probe_pairs_fn is None
+        prefix = "^model gumbel has no off-fibre probes: gumbel fibre pair exists only on"
+        with pytest.raises(Unsupported, match=prefix):
+            geometry.connection_at(model, compatible_point(1.3), tol=loose)
+        report = structure.classify(model, structure.default_grid(model, 3), tol=loose)
         assert report.condition4["status"] == "pass"
-        assert report.hessian_structure == "not-evaluated"
-        # no exponential-family verdict without the Hessian-structure check
-        assert report.exponential_family == "not-evaluated"
+        assert report.probe_consistency == {"status": "not-evaluated", "worst": None}
+        assert report.verdicts["exponential_family"] == "not-evaluated"
 
 
 class TestLeviCivitaOracle:
@@ -658,10 +706,17 @@ def _loop_family(model, coords, family):
 class TestStackedEvaluation:
     @pytest.mark.parametrize("divergence_only", [False, True], ids=["model", "divergence-only"])
     @pytest.mark.parametrize(
-        "name", [name for name in models.MODEL_NAMES if models.build(name).has_probes]
+        "name, hand_probes",
+        [(name, True) for name in models.MODEL_NAMES if models.build(name).probe_pairs_fn]
+        + [(name, False) for name in models.MODEL_NAMES],
+        ids=lambda value: {True: "hand-probes", False: "neighbour-probes"}.get(value, value),
     )
-    def test_bit_identical_to_the_per_member_loop(self, catalogue, name, divergence_only):
+    def test_bit_identical_to_the_per_member_loop(
+        self, catalogue, name, hand_probes, divergence_only
+    ):
         model = catalogue[name]
+        if not hand_probes:
+            model = _neighbour_probes(model)
         if divergence_only:
             model = dataclasses.replace(model, gradient_fn=None, hessian_fn=None)
         for point in structure.default_grid(model, 3):

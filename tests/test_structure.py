@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsm_geom import core, geometry, models, numdiff, structure, transport
-from dsm_geom.core import Tolerances, passes
+from dsm_geom.core import DataSet, Tolerances, passes
 from dsm_geom.errors import DomainError
 from dsm_geom.geometry import connection_field, metric_field
 
@@ -18,6 +18,7 @@ from conftest import (
     nan_gradient_probe_model,
     nan_probe_model,
     random_chart_point,
+    split_model,
 )
 
 
@@ -68,32 +69,10 @@ class TestClassify:
         # members disagree on the weight for u > 0 (condition 4 fails there);
         # the probes are degenerate everywhere (the probe solve fails
         # wherever condition 4 holds)
-        from dsm_geom.core import ChartSpec, DataSet, ModelDefinition
-
-        def divergence(x, theta):
-            delta = np.asarray(theta) - [x.statistic("c1"), x.statistic("c2")]
-            return float(0.5 * x.statistic("w") * (delta @ delta))
-
-        def data(theta, weight):
-            return DataSet({"c1": theta[0], "c2": theta[1], "w": weight, "entropy": 0.0})
-
-        def sampler(theta):
-            return [data(theta, 1.0 + (theta[0] > 0) * i) for i in range(3)]
-
         def probes(theta, family):
-            return [data(theta, 1.0)] * 4
+            return [DataSet({"c1": theta[0], "c2": theta[1], "w": 1.0, "entropy": 0.0})] * 4
 
-        model = ModelDefinition(
-            name="split",
-            chart=ChartSpec(
-                domain=((-math.inf, math.inf), (-math.inf, math.inf)),
-                names=("u", "v"),
-                sample_box=((-1.0, 1.0), (-1.0, 1.0)),
-            ),
-            divergence_fn=divergence,
-            fibre_sampler_fn=sampler,
-            probe_pairs_fn=probes,
-        )
+        model = split_model(probes)
         report = structure.classify(model, [[-1.0, 0.0], [1.0, 0.0], [-0.5, 0.0]])
         assert report.condition4["status"] == "fail"
         assert report.condition4["evidence"]["point"] == [1.0, 0.0]
@@ -105,6 +84,18 @@ class TestClassify:
         # the key is there only when a probe solve broke down
         clean = structure.classify(model, [[1.0, 0.0]])
         assert "evidence" not in clean.probe_consistency
+
+    def test_condition4_failure_at_a_stencil_point_is_a_verdict(self):
+        # (0, 0) passes condition 4, and the curvature's FD stencil steps onto
+        # u > 0, where it fails; that used to escape classify as an error
+        report = structure.classify(split_model(), [[0.0, 0.0], [-0.5, 0.0]])
+        assert report.condition4["status"] == "fail"
+        assert report.condition4["worst_point"] == [0.0, 0.0]
+        evidence = report.condition4["evidence"]
+        assert evidence["point"][0] > 0 and evidence["point"][1] == 0.0
+        assert evidence["deviation"] == report.condition4["worst_deviation"] > 0.1
+        assert report.hessian_structure == "fail"
+        assert report.flat["status"] == "not-evaluated"
 
     def test_verdict_consistency_across_catalogue(self, catalogue):
         expected = {
@@ -197,10 +188,10 @@ class TestClassify:
         )
         assert built == []
 
-    @pytest.mark.parametrize("per_axis", [2.5, "3", None])
+    @pytest.mark.parametrize("per_axis", [2.5, "3", None, True, pytest.param(np.True_, id="numpy-bool")])
     def test_a_count_that_is_not_an_integer_is_one_domain_error(self, catalogue, per_axis):
         # 2.5 ended in "cannot be interpreted as an integer", "3" and None in
-        # a comparison TypeError
+        # a comparison TypeError, and True in a grid of one point
         with pytest.raises(DomainError, match="needs a whole count per axis") as caught:
             structure.default_grid(catalogue["gce"], per_axis)
         assert str(caught.value) == (

@@ -6,6 +6,8 @@ was one, since the solved connection is symmetric by construction.
 check an op declares in ``cli._OPS``, a model that fails it, and each row
 runs here.  ``test_dependencies`` audits that every check has a row.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ _PATH = ("path_independence", "path_independence", "path")
 _SPHERE_PATH = {"start": [1.2, 0.5], "targets": [[1.5, 0.2]]}
 
 # the conftest witnesses; any other witness is a catalogue model
-_BUILDERS = {"nan-probe": nan_probe_model, "wrong-fibre": wrong_fibre_model}
+_BUILDERS = {
+    "nan-probe": nan_probe_model,
+    "wrong-fibre": wrong_fibre_model,
+    # probes from its neighbouring fibres, not gaussian-kl's own
+    "wrong-fibre-neighbour-probes": lambda: replace(wrong_fibre_model(), probe_pairs_fn=None),
+}
 
 # each row: where the check runs (classify, or the op that declares it), the
 # check as its table writes it, the witness and the op's options
@@ -29,6 +36,7 @@ WITNESSES = (
     ("classify", ("probe_consistency", "worst", "hessian"), "nan-probe", {}),
     ("classify", ("flat", "max_curvature", "flat"), "vmf-sphere", {}),
     ("classify", ("codazzi", "residual", "codazzi"), "wrong-fibre", {}),
+    ("classify", ("codazzi", "residual", "codazzi"), "wrong-fibre-neighbour-probes", {}),
     ("metric", _GATE, "regression-ls", {"at": [0.0, 0.0]}),
     ("metric", _GATE, "gumbel", {"at": compatible_point(1.0).tolist()}),
     (
@@ -107,10 +115,12 @@ def test_the_witness_fails_its_check(where, check, witness, options):
     assert status(where, check, witness, options) == "fail"
 
 
-def test_the_wrong_fibre_fails_codazzi_alone():
+@pytest.mark.parametrize("witness", ["wrong-fibre", "wrong-fibre-neighbour-probes"])
+def test_the_wrong_fibre_fails_codazzi_alone(witness):
     # its members fit another model point but agree with one another, and its
-    # probes are gaussian-kl's own: every check before Codazzi passes
-    model = wrong_fibre_model()
+    # probes are gaussian-kl's own or its neighbouring fibres' members: every
+    # check before Codazzi passes
+    model = _BUILDERS[witness]()
     report = structure.classify(model, structure.default_grid(model, 3))
     statuses = {block: getattr(report, block)["status"] for block, *_ in structure._CHECKS}
     assert statuses == {

@@ -6,11 +6,14 @@ Runs the tier-1 command (``python -m pytest -q --continue-on-collection-errors``
 with ``src`` first on PYTHONPATH) three times, one after another, from the
 repository root, and writes ``BENCH_tier1.json`` there: the commit and
 whether the working tree had changes beyond that commit, the pass and fail counts,
-each run's wall as pytest reports it and as this script measures it, and
-the median of the pytest walls.  Exits 1 when a run fails a test.
+each run's wall as pytest reports it and as this script measures it, the
+median of the pytest walls, and ``src_lines``, the line count of the
+package (``wc -l src/dsm_geom/*.py src/dsm_geom/models/*.py``).  Exits 1
+when a run fails a test.
 """
 from __future__ import annotations
 
+import glob
 import json
 import os
 import platform
@@ -47,6 +50,16 @@ def _run_once(env) -> dict:
     }
 
 
+def _src_lines() -> int:
+    """The newline count of the package's modules, as ``wc -l`` totals it."""
+    total = 0
+    for pattern in ("src/dsm_geom/*.py", "src/dsm_geom/models/*.py"):
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, "rb") as handle:
+                total += handle.read().count(b"\n")
+    return total
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
@@ -69,6 +82,7 @@ def main() -> int:
         "failed": max(run["failed"] for run in runs),
         "runs": runs,
         "median_pytest_s": statistics.median(run["pytest_s"] for run in runs),
+        "src_lines": _src_lines(),
     }
     path = os.path.join(ROOT, "BENCH_tier1.json")
     with open(path, "w", encoding="utf-8") as handle:
