@@ -460,44 +460,49 @@ def evaluate_divergence(model: ModelDefinition, x: DataSet, theta) -> float:
 
 def divergence_gradient(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
     """First parameter derivatives of D(x || m_theta): ``gradient_fn`` or FD."""
-    return _divergence_gradients(model, [x], model.chart.require(theta))[0]
+    return np.array(_gradient_rows(model, [x], model.chart.require(theta)), dtype=float)[0]
 
 
-def _divergence_gradients(model: ModelDefinition, data, coords) -> np.ndarray:
-    """Gradients of D(x || m_coords) for each data set x in ``data``, stacked (k, n).
+def _gradient_rows(model: ModelDefinition, data, coords) -> list:
+    """Gradients of D(x || m_coords), one row for each data set x in ``data``.
 
     One ``gradient_fn`` call (or FD gradient) per data set; ``coords`` are
-    already checked against the chart.
+    already checked against the chart.  The caller stacks the rows, so the
+    rows of a whole stack of points are stacked once.
     """
     if model.gradient_fn is not None:
-        return np.array([model.gradient_fn(x, coords) for x in data], dtype=float)
+        return [model.gradient_fn(x, coords) for x in data]
     from . import numdiff
 
-    return _fd_stack(numdiff.fd_gradient, model, data, coords)
+    return _fd_rows(numdiff.fd_gradient, model, data, coords)
 
 
 def divergence_hessian(model: ModelDefinition, x: DataSet, theta) -> np.ndarray:
     """Plain (non-covariant) second derivatives of D(x || m_theta): ``hessian_fn`` or FD."""
-    return _divergence_hessians(model, [x], model.chart.require(theta))[0]
+    return _stacked_hessians(model, _hessian_rows(model, [x], model.chart.require(theta)))[0]
 
 
-def _divergence_hessians(model: ModelDefinition, data, coords) -> np.ndarray:
-    """Symmetric Hessians of D(x || m_coords) for each data set x in ``data``, stacked (k, n, n).
-
-    One ``hessian_fn`` call (or FD Hessian, already symmetric) per data
-    set; ``coords`` are already checked against the chart.
-    """
+def _hessian_rows(model: ModelDefinition, data, coords) -> list:
+    """Hessians of D(x || m_coords), one row for each data set x in ``data``,
+    as ``_gradient_rows`` gives gradients; ``_stacked_hessians`` stacks them."""
     if model.hessian_fn is not None:
-        hess = np.array([model.hessian_fn(x, coords) for x in data], dtype=float)
-        return 0.5 * (hess + hess.transpose(0, 2, 1))
+        return [model.hessian_fn(x, coords) for x in data]
     from . import numdiff
 
-    return _fd_stack(numdiff.fd_hessian, model, data, coords)
+    return _fd_rows(numdiff.fd_hessian, model, data, coords)
 
 
-def _fd_stack(stencil: Callable, model: ModelDefinition, data, coords) -> np.ndarray:
-    """The ``numdiff`` ``stencil`` of D(x || m_coords) for each data set x in ``data``, stacked."""
+def _stacked_hessians(model: ModelDefinition, rows) -> np.ndarray:
+    """Hessian rows, or lists of them, stacked (..., n, n) and symmetric:
+    ``hessian_fn`` values are averaged with their transposes, FD Hessians
+    are symmetric as computed."""
+    hess = np.array(rows, dtype=float)
+    if model.hessian_fn is None:
+        return hess
+    return 0.5 * (hess + hess.swapaxes(-1, -2))
+
+
+def _fd_rows(stencil: Callable, model: ModelDefinition, data, coords) -> list:
+    """The ``numdiff`` ``stencil`` of D(x || m_coords) for each data set x in ``data``."""
     domain = model.chart.domain
-    return np.array(
-        [stencil(lambda t, x=x: model.divergence_fn(x, t), coords, domain) for x in data]
-    )
+    return [stencil(lambda t, x=x: model.divergence_fn(x, t), coords, domain) for x in data]

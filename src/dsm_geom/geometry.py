@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import numdiff
 from .core import ModelDefinition, Tolerances, as_coords, passes
-from .core import _divergence_gradients, _divergence_hessians, require_point
+from .core import _gradient_rows, _hessian_rows, _stacked_hessians, require_point
 from .errors import (
     Condition4Violated,
     MetricNotPD,
@@ -61,6 +62,9 @@ class MetricField:
     evaluate: Callable
     provenance: str
     domain: tuple  # the open box the field is defined on; FD stencils stay inside it
+    # points -> their values in order from one evaluation of all of them, each
+    # point's error raised at its read; None for a field evaluated point by point
+    stack: Optional[Callable] = None
 
     def __call__(self, theta):
         return self.evaluate(as_coords(theta))
@@ -72,6 +76,7 @@ class ConnectionField:
     provenance: str
     domain: tuple
     tol: Tolerances  # what the field was built with; paths solve to within tol.flat
+    stack: Optional[Callable] = None  # as MetricField.stack
 
     def __call__(self, theta):
         return self.evaluate(as_coords(theta))
@@ -82,45 +87,62 @@ def _relative_gap(candidate, reference, floor=1.0):
     return float(np.max(np.abs(candidate - reference))) / scale
 
 
-def metric_at(
-    model: ModelDefinition,
-    theta,
-    tol: Tolerances = Tolerances(),
-) -> MetricEvaluation:
-    """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
+class _FibreGate:
+    """One chart point's ``_gate_terms``, alone or its entry of a stack's (or
+    the exception evaluating the point raised), read through the
+    condition-4 gate."""
+
+    __slots__ = ("model", "coords", "members", "terms")
+
+    def __init__(self, model, coords, members, terms):
+        self.model, self.coords, self.members, self.terms = model, coords, members, terms
+
+    def metric_at(self, tol: Tolerances) -> MetricEvaluation:
+        if isinstance(self.terms, Exception):
+            raise self.terms
+        hessians, mean, largest, spread, factorable = self.terms
+        name, coords = self.model.name, self.coords
+        if not math.isfinite(largest):  # cholesky accepts a NaN matrix
+            raise MetricNotPD(f"divergence Hessian of {name} is not finite at {coords.tolist()}")
+        deviation = spread / max(largest, 1e-12)
+        labels = tuple(x.label for x in self.members)
+        if not passes(deviation, tol.cond4):
+            raise Condition4Violated(
+                f"divergence Hessian of {name} varies by {deviation:.3g} "
+                f"(relative) across fibre members at {coords.tolist()}",
+                point=coords,
+                deviation=deviation,
+                member_hessians=list(hessians),
+                member_labels=labels,
+            )
+        if not factorable:
+            raise MetricNotPD(f"metric of {name} at {coords.tolist()} is not positive definite")
+        return MetricEvaluation(matrix=mean, fibre_deviation=deviation, member_labels=labels)
+
+
+def _connection(model: ModelDefinition, coords, terms) -> np.ndarray:
+    """The connection of one point's ``_solve_terms`` (or the exception
+    evaluating them raised), unless its probe matrix is singular."""
+    if isinstance(terms, Exception):
+        raise terms
+    omega, condition = terms
+    if not condition <= PROBE_CONDITION_LIMIT:  # NaN fails too
+        raise ProbeSingular(
+            f"off-fibre probe matrix of {model.name} is singular "
+            f"(condition {condition:.3g}) at {coords.tolist()}"
+        )
+    return omega
+
+
+def _member_rows(model: ModelDefinition, theta):
+    """The chart check, the fibre sampler and the member Hessian rows at theta."""
     coords = model.chart.require(theta)
     members = model._fibre_sampler(coords)
-    hessians = _divergence_hessians(model, members, coords)
-    mean = hessians.sum(axis=0) / len(members)  # np.mean(axis=0) bit for bit, without its overhead
-    largest = float(np.abs(mean).max())  # NaN or inf where any entry is not finite
-    if not math.isfinite(largest):  # cholesky below accepts a NaN matrix
-        raise MetricNotPD(
-            f"divergence Hessian of {model.name} is not finite at {coords.tolist()}"
-        )
-    scale = max(largest, 1e-12)
-    # the largest pairwise gap |h_i - h_j|: per entry it is max - min (that pair
-    # is one of the pairs, and rounding keeps the order)
-    deviation = float((hessians.max(axis=0) - hessians.min(axis=0)).max()) / scale
-    labels = tuple(x.label for x in members)
-    if not passes(deviation, tol.cond4):
-        raise Condition4Violated(
-            f"divergence Hessian of {model.name} varies by {deviation:.3g} "
-            f"(relative) across fibre members at {coords.tolist()}",
-            point=coords,
-            deviation=deviation,
-            member_hessians=list(hessians),
-            member_labels=labels,
-        )
-    try:
-        np.linalg.cholesky(mean)
-    except np.linalg.LinAlgError:
-        raise MetricNotPD(
-            f"metric of {model.name} at {coords.tolist()} is not positive definite"
-        )
-    return MetricEvaluation(matrix=mean, fibre_deviation=deviation, member_labels=labels)
+    return coords, members, _hessian_rows(model, members, coords)
 
 
-def _solve_family(model, coords, family):
+def _probe_rows(model: ModelDefinition, coords, family):
+    """One probe family's gradient and Hessian rows at checked coords."""
     # data[:n] are the plus probes, data[n:] their minus probes
     data = model._probe_pairs(coords, family)
     n = coords.size
@@ -128,25 +150,135 @@ def _solve_family(model, coords, family):
         raise ProbeSingular(
             f"{model.name} supplied {len(data)} probe data sets for dimension {n}, not {2 * n}"
         )
-    grads = _divergence_gradients(model, data, coords)
-    hessians = _divergence_hessians(model, data, coords)
-    probe_matrix = 0.5 * (grads[:n] - grads[n:])
-    rhs = 0.5 * (hessians[:n] - hessians[n:]).reshape(n, n * n)
+    return _gradient_rows(model, data, coords), _hessian_rows(model, data, coords)
+
+
+def _fibre_stack(model: ModelDefinition, points, family=None) -> tuple:
+    """The fibre fields at chart points as one stack: each point's
+    ``_FibreGate`` and, with a probe ``family``, its ``_solve_terms``.
+
+    Each point makes a one-point evaluation's model calls in its order,
+    one point after another (gce and vmf-sphere keep per-point terms in
+    one-entry caches), up to the first point whose calls raise; that point
+    raises it when read.  The numpy work then runs once for the stack, so
+    reading the points in order raises what evaluating them one at a time
+    raises.
+    """
+    coords, samples, member_rows, probe_rows = [], [], [], []
+    gate_error = solve_error = None
+    for theta in points:
+        try:
+            point, members, rows = _member_rows(model, theta)
+        except Exception as err:  # raised when the point's gate is read
+            gate_error = err
+            break
+        coords.append(point)
+        samples.append(members)
+        member_rows.append((rows,))
+        if family is not None:
+            try:
+                probe_rows.append(_probe_rows(model, point, family))
+            except Exception as err:  # raised when the point's connection is read
+                solve_error = err
+                break
+    gates = _each_point(_gate_terms, model, member_rows, gate_error)
+    return (
+        [_FibreGate(model, *point) for point in zip_longest(coords, samples, gates)],
+        _each_point(_solve_terms, model, probe_rows, solve_error),
+    )
+
+
+def _each_point(terms, model, rows, error=None) -> list:
+    """Each point's ``terms(model, *row)``, then ``error`` if a point's model
+    calls raised: one stacked call for two or more points, or one call per
+    point, whose error is then its terms, for one point or a stack that
+    raises (an overflow, fibres of different sizes)."""
+    each = []
+    if len(rows) > 1:
+        try:
+            each = list(zip(*terms(model, *zip(*rows))))
+        except Exception:
+            pass  # point by point below
+    if not each:
+        for row in rows:
+            try:
+                each.append(terms(model, *row))
+            except Exception as err:
+                each.append(err)
+    if error is not None:
+        each.append(error)
+    return each
+
+
+def _gate_terms(model, rows) -> tuple:
+    """Member Hessians (..., k, n, n), fibre mean, largest mean entry, member
+    spread and Cholesky flag from one point's k member Hessian rows, or each
+    of them stacked from a list of several points' rows.  A stack with a
+    mean that is not finite or has no Cholesky factor raises, so that each
+    point is taken alone."""
+    hessians = _stacked_hessians(model, rows)
+    stacked = hessians.ndim > 3
+    entries = (-2, -1) if stacked else None  # each point's entries, or all of one point's
+    # np.mean(axis=0) of each point's members bit for bit, without its overhead
+    means = hessians.sum(axis=-3) / hessians.shape[-3]
+    largest = np.abs(means).max(entries).tolist()  # NaN or inf where any entry is not finite
+    if not (all(map(math.isfinite, largest)) if stacked else math.isfinite(largest)):
+        if stacked:
+            raise ArithmeticError("a fibre mean is not finite")
+        return hessians, means, largest, math.nan, False  # refused before its spread is read
+    # the largest pairwise gap |h_i - h_j|: per entry it is max - min (that
+    # pair is one of the pairs, and rounding keeps the order)
+    spread = (hessians.max(-3) - hessians.min(-3)).max(entries).tolist()
+    try:
+        np.linalg.cholesky(means)
+    except np.linalg.LinAlgError:
+        if stacked:
+            raise
+        return hessians, means, largest, spread, False
+    return hessians, means, largest, spread, [True] * len(largest) if stacked else True
+
+
+def _solve_terms(model, grads, hessians) -> tuple:
+    """Connection (..., n, n, n) and probe-matrix condition from one point's
+    2n probe gradient and Hessian rows, or each of them stacked from lists
+    of several points' rows.  A stack with an exactly singular probe matrix
+    raises, so that each point is taken alone."""
+    grads = np.array(grads, dtype=float)
+    hessians = _stacked_hessians(model, hessians)
+    lead, n = grads.shape[:-2], grads.shape[-2] // 2
+    probe_matrices = 0.5 * (grads[..., :n, :] - grads[..., n:, :])
+    rhs = 0.5 * (hessians[..., :n, :, :] - hessians[..., n:, :, :]).reshape(lead + (n, n * n))
+    identity = np.broadcast_to(np.eye(n), lead + (n, n)) if lead else np.eye(n)
     # one LU solve gives omega and the inverse, and |P|_F |P^-1|_F bounds the
     # 2-norm condition from above (Higham, Accuracy and Stability, ch. 15)
     try:
-        solved = np.linalg.solve(probe_matrix, np.concatenate((rhs, np.eye(n)), axis=1))
-        condition = math.hypot(*probe_matrix.ravel().tolist()) * math.hypot(
-            *solved[:, n * n :].ravel().tolist()
-        )
+        solved = np.linalg.solve(probe_matrices, np.concatenate((rhs, identity), axis=-1))
     except np.linalg.LinAlgError:  # an exactly singular pivot
-        condition = math.inf
-    if not condition <= PROBE_CONDITION_LIMIT:  # NaN fails too
-        raise ProbeSingular(
-            f"off-fibre probe matrix of {model.name} is singular "
-            f"(condition {condition:.3g}) at {coords.tolist()}"
-        )
-    return solved[:, : n * n].reshape(n, n, n)
+        if lead:
+            raise
+        return None, math.inf
+    matrices = probe_matrices.reshape(lead + (-1,)).tolist()
+    inverses = solved[..., n * n :].reshape(lead + (-1,)).tolist()
+    if lead:
+        condition = [math.hypot(*p) * math.hypot(*q) for p, q in zip(matrices, inverses)]
+    else:
+        condition = math.hypot(*matrices) * math.hypot(*inverses)
+    return solved[..., : n * n].reshape(lead + (n, n, n)), condition
+
+
+def metric_at(
+    model: ModelDefinition,
+    theta,
+    tol: Tolerances = Tolerances(),
+) -> MetricEvaluation:
+    """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
+    coords, members, rows = _member_rows(model, theta)
+    return _FibreGate(model, coords, members, _gate_terms(model, rows)).metric_at(tol=tol)
+
+
+def _family_at(model: ModelDefinition, coords, family) -> np.ndarray:
+    """One probe family's connection at checked coords."""
+    return _connection(model, coords, _solve_terms(model, *_probe_rows(model, coords, family)))
 
 
 def connection_at(
@@ -164,20 +296,24 @@ def connection_at(
     """
     coords = as_coords(theta)
     metric = metric_at(model, coords, tol=tol)  # condition-4 gate; checks the chart
-    first = _solve_family(model, coords, 0)
+    first = _family_at(model, coords, 0)
     if not check_consistency:
         return ConnectionEvaluation((first,), first, float("nan"), metric)
-    other = _solve_family(model, coords, 1)
+    other = _family_at(model, coords, 1)
     return ConnectionEvaluation(
         (first, other), 0.5 * (first + other), _relative_gap(other, first), metric
     )
 
 
 def metric_field(model: ModelDefinition, tol: Tolerances = Tolerances()) -> MetricField:
+    def stack(points):
+        return (gate.metric_at(tol=tol).matrix for gate in _fibre_stack(model, points)[0])
+
     return MetricField(
         evaluate=lambda coords: metric_at(model, coords, tol=tol).matrix,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
+        stack=stack,
     )
 
 
@@ -191,6 +327,13 @@ def connection_field(
             raise Unsupported(f"model {model.name} has no connection oracle")
         domain = model.oracle.connection_domain or model.chart.domain
         return ConnectionField(model.oracle.connection, "analytic-oracle", domain, tol)
+
+    def stack(points):
+        gates, solves = _fibre_stack(model, points, family=0)
+        for gate, terms in zip_longest(gates, solves):
+            gate.metric_at(tol=tol)  # the condition-4 gate
+            yield _connection(model, gate.coords, terms)
+
     return ConnectionField(
         evaluate=lambda coords: connection_at(
             model, coords, check_consistency=False, tol=tol
@@ -198,6 +341,7 @@ def connection_field(
         provenance="fibre-evaluated",
         domain=model.chart.domain,
         tol=tol,
+        stack=stack,
     )
 
 

@@ -6,9 +6,13 @@ shrunk so 2.5 steps fit before the nearer bound of the open box ``domain``
 First derivatives are central differences with one Richardson level, or a
 one-sided 2nd-order stencil pointing away from the bound where even 2.5
 floor steps do not fit (a Hessian is refused there): no stencil leaves the box.
+Each checks its two step sizes against each other.  A Jacobian evaluates
+the stencils of all axes as one list of points, so a field that can
+evaluate a list of points at once does.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,33 +93,64 @@ def fd_hessian(f: Callable, theta, domain: Optional[tuple] = None) -> np.ndarray
     return (4.0 * fine - coarse) / 3.0
 
 
-def fd_field_derivative(field: Callable, theta, direction: int, domain: Optional[tuple] = None):
-    """d field / d theta^direction for a scalar or tensor field (same shape as the field)."""
-    coords = as_coords(theta)
-    h = _step(coords, direction, domain)
+def _stencil(coords, axis, domain):
+    """One axis's FD stencil: its points in the order its formula reads their
+    values, and the formula, which checks two step sizes against each other.
 
-    def at(step):
-        return np.asarray(field(_shifted(coords, direction, step)), dtype=float)
-
-    below, above = _room(coords, direction, domain)
+    Central differences at h and h/2 with one Richardson level; where 2.5
+    floor steps do not fit before a bound, the 2nd-order one-sided formula
+    at h, pointing away from it, checked against the same formula at h/2.
+    """
+    h = _step(coords, axis, domain)
+    below, above = _room(coords, axis, domain)
     if min(below, above) <= 2.5 * ABS_STEP_FLOOR:
         sign = 1.0 if above >= below else -1.0
-        return sign * (-3.0 * at(0.0) + 4.0 * at(sign * h) - at(sign * 2.0 * h)) / (2.0 * h)
 
-    def central(step):
-        return (at(step) - at(-step)) / (2.0 * step)
+        def one_sided(at_0, at_h, at_2h, at_half):
+            coarse = sign * (-3.0 * at_0 + 4.0 * at_h - at_2h) / (2.0 * h)
+            fine = sign * (-3.0 * at_0 + 4.0 * at_half - at_h) / h
+            _check_agreement(fine, coarse, coords, axis)
+            return coarse
 
-    coarse = central(h)
-    fine = central(0.5 * h)
-    refined = (4.0 * fine - coarse) / 3.0
-    _check_agreement(fine, refined, coords, direction)
-    return refined
+        steps, formula = (0.0, sign * h, sign * 2.0 * h, sign * 0.5 * h), one_sided
+    else:
+
+        def central(at_h, at_minus_h, at_half, at_minus_half):
+            coarse = (at_h - at_minus_h) / (2.0 * h)
+            fine = (at_half - at_minus_half) / h
+            refined = (4.0 * fine - coarse) / 3.0
+            _check_agreement(fine, refined, coords, axis)
+            return refined
+
+        steps, formula = (h, -h, 0.5 * h, -0.5 * h), central
+    return [_shifted(coords, axis, step) for step in steps], formula
+
+
+def _values(field: Callable, points):
+    """The field's values at ``points``, in order, as the FD formulas read them.
+
+    A field with a ``stack`` (the fibre fields) evaluates all of them in one
+    call and raises a point's error when that point is read; any other
+    callable is called at each point as it is read.
+    """
+    stack = getattr(field, "stack", None)
+    if stack is not None:
+        return stack(points)
+    return (np.asarray(field(point), dtype=float) for point in points)
+
+
+def fd_field_derivative(field: Callable, theta, direction: int, domain: Optional[tuple] = None):
+    """d field / d theta^direction for a scalar or tensor field (same shape as the field)."""
+    points, formula = _stencil(as_coords(theta), direction, domain)
+    return formula(*_values(field, points))
 
 
 def fd_jacobian(field: Callable, theta, domain: Optional[tuple] = None) -> np.ndarray:
-    """Derivatives J[..., i] = d field[...] / d theta^i of a tensor field of any rank."""
+    """Derivatives J[..., i] = d field[...] / d theta^i of a tensor field of any
+    rank, from one stencil over every axis."""
     coords = as_coords(theta)
+    stencils = [_stencil(coords, axis, domain) for axis in range(coords.size)]
+    values = _values(field, [point for points, _ in stencils for point in points])
     return np.stack(
-        [fd_field_derivative(field, coords, axis, domain) for axis in range(coords.size)],
-        axis=-1,
+        [formula(*islice(values, len(points))) for points, formula in stencils], axis=-1
     )

@@ -594,6 +594,25 @@ class TestExitCodes:
         assert result.returncode == 0, result.stderr
         assert json.loads(out.read_text())["verdicts"]["path_independence"] == "fail"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--model", "gaussian-kl", "--op", "curvature", "--at", "0,1e-9"],
+            ["--model", "gaussian-kl", "--op", "classify", "--grid", "0,1e-9;0,1"],
+        ],
+        ids=["curvature", "classify"],
+    )
+    def test_a_one_sided_stencil_that_disagrees_with_its_half_step_is_two(self, args, tmp_path):
+        # at sigma = 1e-9 the stencil is one-sided; it used to give no error
+        # estimate, so curvature reported `flat: fail` (max_abs 1.97e18) and
+        # classify `exponential_family: no`
+        out = tmp_path / "out.json"
+        result = run_cli([*args, "--out", str(out)])
+        assert result.returncode == 2
+        assert result.stderr.startswith("numerical failure: Richardson levels disagree")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert not out.exists()
+
     def test_over_budget_geodesic_is_one_without_running(self, tmp_path):
         # a step of 1e-9 asks for 10^9 RK4 steps; it used to run until killed,
         # then ended in exit 2, though an input budget is an input error

@@ -72,6 +72,27 @@ class TestGradient:
         assert min(calls) >= 0.0
         assert grad[1] == pytest.approx(1.0, abs=1e-5)
 
+    def test_one_sided_levels_that_disagree_raise(self):
+        # the one-sided formula at h and at h/2 are compared as the central
+        # levels are; 1/sigma at sigma = 1e-9 used to give a derivative off
+        # by orders of magnitude with no error
+        domain = ((-math.inf, math.inf), (0.0, math.inf))
+        with pytest.raises(NumericalFailure, match="Richardson levels disagree .* along axis 1"):
+            numdiff.fd_gradient(lambda t: 1.0 / t[1], np.array([0.0, 1e-9]), domain)
+
+    def test_one_sided_stencil_adds_its_half_step(self):
+        # f(0), f(h), f(2h) as before, then f(h/2) for the second level
+        domain = ((-math.inf, math.inf), (0.0, math.inf))
+        seen = []
+
+        def smooth(t):
+            seen.append(t[1])
+            return math.sin(t[1])
+
+        numdiff.fd_field_derivative(smooth, np.array([0.5, 1e-8]), 1, domain)
+        h = numdiff.ABS_STEP_FLOOR
+        assert seen == [1e-8, 1e-8 + h, 1e-8 + 2.0 * h, 1e-8 + 0.5 * h]
+
     def test_richardson_disagreement_raises(self):
         def kinked(t):
             return abs(t[0] - 1.000013)
