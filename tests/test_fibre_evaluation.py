@@ -84,7 +84,8 @@ def recorded_model(model):
         return wrapper
 
     names = ("gradient_fn", "hessian_fn", "fibre_sampler_fn", "probe_pairs_fn")
-    return dataclasses.replace(model, **{name: record(name, getattr(model, name)) for name in names}), calls
+    wrapped = {name: record(name, getattr(model, name)) for name in names}
+    return dataclasses.replace(model, **wrapped), calls
 
 
 @pytest.mark.parametrize("name", METRIC_BEARING)
@@ -214,7 +215,13 @@ KL = models.build("gaussian-kl")
         (split_model(), [0.0, 0.0], numdiff.fd_jacobian, "metric", Condition4Violated),
         # the sphere's pole: the one-sided stencil of axis 0 disagrees with its
         # half step before axis 1's first point, whose probe matrix is singular
-        (models.build("vmf-sphere"), [1e-8, 0.0], numdiff.fd_jacobian, "connection", NumericalFailure),
+        (
+            models.build("vmf-sphere"),
+            [1e-8, 0.0],
+            numdiff.fd_jacobian,
+            "connection",
+            NumericalFailure,
+        ),
         (
             models.build("vmf-sphere"),
             [1e-8, 0.0],
@@ -264,7 +271,9 @@ KL = models.build("gaussian-kl")
         "one-point-not-positive-definite",
     ],
 )
-def test_a_stacked_stencil_raises_what_the_per_point_order_raises(model, point, derive, fields, kind):
+def test_a_stacked_stencil_raises_what_the_per_point_order_raises(
+    model, point, derive, fields, kind
+):
     field = (geometry.connection_field if fields == "connection" else geometry.metric_field)(model)
     stacked = raised(lambda: derive(field, point, field.domain))
     alone = raised(lambda: derive(dataclasses.replace(field, stack=None), point, field.domain))

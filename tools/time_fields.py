@@ -37,7 +37,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from dsm_geom import geometry, models, numdiff, structure  # noqa: E402
 
-MODELS = ("gaussian-kl", "gaussian-sumsq", "regression-dlambda", "gce", "vmf-cylinder", "vmf-sphere")
+MODELS = (
+    "gaussian-kl", "gaussian-sumsq", "regression-dlambda", "gce", "vmf-cylinder", "vmf-sphere"
+)
 LOOPS = 100
 REPEATS = 11
 CLASSIFY_RUNS = 5
