@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import zip_longest
+from functools import partial
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,8 +63,10 @@ class MetricField:
     evaluate: Callable
     provenance: str
     domain: tuple  # the open box the field is defined on; FD stencils stay inside it
-    # points -> their values in order from one evaluation of all of them, each
-    # point's error raised at its read; None for a field evaluated point by point
+    # (points, sizes=None) -> their values in order from one evaluation of all
+    # of them, each point's error raised at its read: one iterator, or one for
+    # each segment of sizes, an error ending only its own segment; None for a
+    # field evaluated point by point
     stack: Optional[Callable] = None
 
     def __call__(self, theta):
@@ -153,60 +156,70 @@ def _probe_rows(model: ModelDefinition, coords, family):
     return _gradient_rows(model, data, coords), _hessian_rows(model, data, coords)
 
 
-def _fibre_stack(model: ModelDefinition, points, family=None) -> tuple:
+def _fibre_stack(model: ModelDefinition, points, families=(), sizes=None) -> tuple:
     """The fibre fields at chart points as one stack: each point's
-    ``_FibreGate`` and, with a probe ``family``, its ``_solve_terms``.
+    ``_FibreGate`` and the ``_solve_terms`` of each of its probe families.
 
-    Each point makes a one-point evaluation's model calls in its order,
-    one point after another (gce and vmf-sphere keep per-point terms in
-    one-entry caches), up to the first point whose calls raise; that point
-    raises it when read.  The numpy work then runs once for the stack, so
-    reading the points in order raises what evaluating them one at a time
-    raises.
+    ``families`` is the tuple of probe families every point solves, in
+    ``connection_at``'s order, or a list of one such tuple per point.
+    ``sizes`` cuts the points into consecutive segments (by default one).
+    Each point makes a one-point evaluation's model calls in its order, one
+    point after another (gce and vmf-sphere keep per-point terms in
+    one-entry caches), up to the first call that raises in its segment.
+    That point keeps the error in place of its gate or of that family's
+    terms, and the rest of its segment is not evaluated (None gates, no
+    terms); the next segment goes on.  The numpy work then runs once for
+    the stack, so reading a segment's points in order raises what
+    evaluating them one at a time raises.
     """
-    coords, samples, member_rows, probe_rows = [], [], [], []
-    gate_error = solve_error = None
-    for theta in points:
-        try:
-            point, members, rows = _member_rows(model, theta)
-        except Exception as err:  # raised when the point's gate is read
-            gate_error = err
-            break
-        coords.append(point)
-        samples.append(members)
-        member_rows.append((rows,))
-        if family is not None:
+    if not isinstance(families, list):
+        families = [families] * len(points)
+    member_rows, probe_rows, evaluated = [], [], []
+    for segment in numdiff._segments(range(len(points)), sizes or [len(points)]):
+        for index in segment:
             try:
-                probe_rows.append(_probe_rows(model, point, family))
-            except Exception as err:  # raised when the point's connection is read
-                solve_error = err
+                coords, members, rows = _member_rows(model, points[index])
+            except Exception as err:  # raised when the point's gate is read
+                evaluated.append((index, None, None, 0, err))
                 break
-    gates = _each_point(_gate_terms, model, member_rows, gate_error)
-    return (
-        [_FibreGate(model, *point) for point in zip_longest(coords, samples, gates)],
-        _each_point(_solve_terms, model, probe_rows, solve_error),
-    )
+            member_rows.append((rows,))
+            count, error = len(probe_rows), None
+            for family in families[index]:
+                try:
+                    probe_rows.append(_probe_rows(model, coords, family))
+                except Exception as err:  # raised when this family's connection is read
+                    error = err
+                    break
+            evaluated.append((index, coords, members, len(probe_rows) - count, error))
+            if error is not None:
+                break
+    gates, solves = [None] * len(points), [()] * len(points)
+    gate_terms = iter(_each_point(partial(_gate_terms, model), member_rows))
+    solve_terms = iter(_each_point(partial(_solve_terms, model), probe_rows))
+    for index, coords, members, count, error in evaluated:
+        if coords is None:
+            gates[index] = _FibreGate(model, None, None, error)
+            continue
+        gates[index] = _FibreGate(model, coords, members, next(gate_terms))
+        solves[index] = tuple(islice(solve_terms, count)) + (() if error is None else (error,))
+    return gates, solves
 
 
-def _each_point(terms, model, rows, error=None) -> list:
-    """Each point's ``terms(model, *row)``, then ``error`` if a point's model
-    calls raised: one stacked call for two or more points, or one call per
-    point, whose error is then its terms, for one point or a stack that
-    raises (an overflow, fibres of different sizes)."""
-    each = []
+def _each_point(terms, rows) -> list:
+    """Each point's ``terms(*row)``: one stacked call for two or more points,
+    or one call per point, whose error is then its terms, for one point or a
+    stack that raises (an overflow, fibres of different sizes)."""
     if len(rows) > 1:
         try:
-            each = list(zip(*terms(model, *zip(*rows))))
+            return list(zip(*terms(*zip(*rows))))
         except Exception:
             pass  # point by point below
-    if not each:
-        for row in rows:
-            try:
-                each.append(terms(model, *row))
-            except Exception as err:
-                each.append(err)
-    if error is not None:
-        each.append(error)
+    each = []
+    for row in rows:
+        try:
+            each.append(terms(*row))
+        except Exception as err:
+            each.append(err)
     return each
 
 
@@ -305,15 +318,36 @@ def connection_at(
     )
 
 
-def metric_field(model: ModelDefinition, tol: Tolerances = Tolerances()) -> MetricField:
-    def stack(points):
-        return (gate.metric_at(tol=tol).matrix for gate in _fibre_stack(model, points)[0])
+@dataclass(frozen=True)
+class _FibreStack:
+    """A fibre field's ``stack``: each point's metric (no probe family) or
+    family-0 connection (families (0,)) of one model under one tolerance,
+    from one ``_fibre_stack``; ``families`` is as that takes it."""
 
+    model: ModelDefinition
+    tol: Tolerances
+    families: tuple
+
+    def __call__(self, points, sizes=None):
+        gates, solves = _fibre_stack(self.model, points, self.families, sizes)
+
+        def read(segment):
+            for index in segment:
+                metric = gates[index].metric_at(tol=self.tol)  # the condition-4 gate
+                terms, coords = solves[index], gates[index].coords
+                yield _connection(self.model, coords, terms[0]) if terms else metric.matrix
+
+        if sizes is None:
+            return read(range(len(points)))
+        return [read(segment) for segment in numdiff._segments(range(len(points)), sizes)]
+
+
+def metric_field(model: ModelDefinition, tol: Tolerances = Tolerances()) -> MetricField:
     return MetricField(
         evaluate=lambda coords: metric_at(model, coords, tol=tol).matrix,
         provenance="fibre-evaluated",
         domain=model.chart.domain,
-        stack=stack,
+        stack=_FibreStack(model, tol, ()),
     )
 
 
@@ -327,13 +361,6 @@ def connection_field(
             raise Unsupported(f"model {model.name} has no connection oracle")
         domain = model.oracle.connection_domain or model.chart.domain
         return ConnectionField(model.oracle.connection, "analytic-oracle", domain, tol)
-
-    def stack(points):
-        gates, solves = _fibre_stack(model, points, family=0)
-        for gate, terms in zip_longest(gates, solves):
-            gate.metric_at(tol=tol)  # the condition-4 gate
-            yield _connection(model, gate.coords, terms)
-
     return ConnectionField(
         evaluate=lambda coords: connection_at(
             model, coords, check_consistency=False, tol=tol
@@ -341,7 +368,7 @@ def connection_field(
         provenance="fibre-evaluated",
         domain=model.chart.domain,
         tol=tol,
-        stack=stack,
+        stack=_FibreStack(model, tol, (0,)),
     )
 
 
@@ -359,33 +386,100 @@ def dual_connection_at(metric: MetricField, connection: ConnectionField, theta) 
     return np.tensordot(ginv, rhs, axes=(1, 1))
 
 
+def _each_centre(terms, results) -> list:
+    """``results`` with each centre's values (a tuple) replaced by ``terms``
+    of them, stacked over the centres as ``_each_point`` stacks them."""
+    done = [values for values in results if not isinstance(values, Exception)]
+    made = iter(_each_point(terms, done))
+    return [values if isinstance(values, Exception) else next(made) for values in results]
+
+
+def _one_centre(results):
+    """The one result of a many-centre form, raised if it is an exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _curvature_terms(omega, domega) -> tuple:
+    """Curvature components and their max-abs from one point's connection
+    (n, n, n) and its Jacobian domega[l, j, k, i] = d_i w^l_jk, or from each
+    of several points' stacked."""
+    omega, domega = np.asarray(omega), np.asarray(domega)
+    lead, n = omega.shape[:-3], omega.shape[-1]
+    # components[l, k, i, j] = d_i w^l_jk - d_j w^l_ik + w^l_is w^s_jk - w^l_js w^s_ik,
+    # summed in that order; product[l, i, j, k] = w^l_is w^s_jk, summed as
+    # tensordot sums it
+    product = np.matmul(omega.reshape(lead + (n * n, n)), omega.reshape(lead + (n, n * n)))
+    product = product.reshape(lead + (n,) * 4)
+    components = np.moveaxis(domega, -3, -1) - np.swapaxes(domega, -3, -2)
+    components += np.moveaxis(product, -1, -3)
+    components -= np.swapaxes(product, -3, -1)
+    return components, np.abs(components).max(axis=(-4, -3, -2, -1)).tolist()
+
+
+def _curvatures(connection: ConnectionField, centres) -> list:
+    """``curvature_at`` at each of the centres, which are checked points of
+    the field's domain, or the exception evaluating it raised: each
+    centre's connection and stencil are one segment of one stack."""
+    stack = partial(numdiff._field_values, connection)
+    results = numdiff.fd_jacobians(stack, centres, connection.domain, head=1)
+    return [
+        terms if isinstance(terms, Exception) else CurvatureTensor(*terms)
+        for terms in _each_centre(_curvature_terms, results)
+    ]
+
+
 def curvature_at(connection: ConnectionField, theta) -> CurvatureTensor:
     """Curvature components from field derivatives of the connection."""
     coords = require_point(theta, connection.domain, "point", "field")
-    omega = connection(coords)
-    # domega[l, j, k, i] = d_i w^l_jk
-    domega = numdiff.fd_jacobian(connection, coords, connection.domain)
-    # components[l, k, i, j] = d_i w^l_jk - d_j w^l_ik + w^l_is w^s_jk - w^l_js w^s_ik,
-    # summed in that order; product[l, i, j, k] = w^l_is w^s_jk
-    product = np.tensordot(omega, omega, axes=(2, 0))
-    components = domega.transpose(0, 2, 3, 1) - domega.transpose(0, 2, 1, 3)
-    components += product.transpose(0, 3, 1, 2)
-    components -= product.transpose(0, 3, 2, 1)
-    return CurvatureTensor(components=components, max_abs=float(np.max(np.abs(components))))
+    return _one_centre(_curvatures(connection, [coords]))
+
+
+def _codazzi_terms(g, omega, dg) -> tuple:
+    """Codazzi residual and its max-abs from one point's metric (n, n),
+    connection (n, n, n) and metric Jacobian dg[b, c, a] = d_a g_bc, or from
+    each of several points' stacked."""
+    g, omega, dg = np.asarray(g), np.asarray(omega), np.asarray(dg)
+    lead, n = g.shape[:-2], g.shape[-1]
+    # residual[a, b, c] = (d_a g_bc - d_b g_ac) + (g_as w^s_bc - g_bs w^s_ac);
+    # lowered[a, b, c] = g_as w^s_bc, summed as tensordot sums it
+    lowered = np.matmul(g, omega.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
+    residual = (np.moveaxis(dg, -1, -3) - np.swapaxes(dg, -2, -1)) + (
+        lowered - np.swapaxes(lowered, -3, -2)
+    )
+    return residual, np.abs(residual).max(axis=(-3, -2, -1)).tolist()
+
+
+def _codazzi_residuals(metric: MetricField, connection: ConnectionField, centres) -> list:
+    """``codazzi_residual`` at each of the centres, which are checked points
+    of the metric's domain, or the exception evaluating it raised: each
+    centre's metric, connection and metric stencil are one segment of one
+    stack, a fibre stack for the fibre fields of one model."""
+    first, other = metric.stack, connection.stack
+    fibre = isinstance(first, _FibreStack) and isinstance(other, _FibreStack)
+    fibre = fibre and first.model is other.model and first.tol == other.tol
+
+    def stack(points, sizes):
+        # each segment: the metric at its centre, the connection there, then the stencil
+        fields = [f for size in sizes for f in (metric, connection, *[metric] * (size - 2))]
+        if fibre:
+            families = [field.stack.families for field in fields]
+            return replace(first, families=families)(points, sizes)
+        return [
+            (np.asarray(field(point), dtype=float) for field, point in segment)
+            for segment in numdiff._segments(list(zip(fields, points)), sizes)
+        ]
+
+    results = numdiff.fd_jacobians(stack, centres, metric.domain, head=2)
+    return _each_centre(_codazzi_terms, results)
 
 
 def codazzi_residual(metric: MetricField, connection: ConnectionField, theta):
     """Residual of the Codazzi-Peterson compatibility equation."""
     coords = require_point(theta, metric.domain, "point", "metric field")
-    g = metric(coords)
-    omega = connection(coords)
-    dg = numdiff.fd_jacobian(metric, coords, metric.domain)
-    # residual[a, b, c] = (d_a g_bc - d_b g_ac) + (g_as w^s_bc - g_bs w^s_ac)
-    lowered = np.tensordot(g, omega, axes=(1, 0))  # lowered[a, b, c] = g_as w^s_bc
-    residual = (dg.transpose(2, 0, 1) - dg.transpose(0, 2, 1)) + (
-        lowered - lowered.transpose(1, 0, 2)
-    )
-    return residual, float(np.max(np.abs(residual)))
+    return _one_centre(_codazzi_residuals(metric, connection, [coords]))
 
 
 def torsion_residual(omega: np.ndarray) -> float:

@@ -7,11 +7,13 @@ First derivatives are central differences with one Richardson level, or a
 one-sided 2nd-order stencil pointing away from the bound where even 2.5
 floor steps do not fit (a Hessian is refused there): no stencil leaves the box.
 Each checks its two step sizes against each other.  A Jacobian evaluates
-the stencils of all axes as one list of points, so a field that can
-evaluate a list of points at once does.
+the stencils of all axes as one list of points, and ``fd_jacobians`` the
+stencils of many centres as one list cut into one segment per centre, so a
+field that can evaluate a list of points at once does.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from typing import Callable, Optional
 
@@ -126,8 +128,17 @@ def _stencil(coords, axis, domain):
     return [_shifted(coords, axis, step) for step in steps], formula
 
 
-def _values(field: Callable, points):
-    """The field's values at ``points``, in order, as the FD formulas read them.
+def _segments(points, sizes):
+    """``points`` cut into consecutive segments of ``sizes``."""
+    start = 0
+    for size in sizes:
+        yield points[start : start + size]
+        start += size
+
+
+def _field_values(field: Callable, points, sizes) -> list:
+    """The field's values at ``points``, one iterator for each segment of
+    ``sizes``, in order, as the FD formulas read them.
 
     A field with a ``stack`` (the fibre fields) evaluates all of them in one
     call and raises a point's error when that point is read; any other
@@ -135,22 +146,54 @@ def _values(field: Callable, points):
     """
     stack = getattr(field, "stack", None)
     if stack is not None:
-        return stack(points)
-    return (np.asarray(field(point), dtype=float) for point in points)
+        return stack(points, sizes)
+    return [
+        (np.asarray(field(point), dtype=float) for point in segment)
+        for segment in _segments(points, sizes)
+    ]
 
 
 def fd_field_derivative(field: Callable, theta, direction: int, domain: Optional[tuple] = None):
     """d field / d theta^direction for a scalar or tensor field (same shape as the field)."""
     points, formula = _stencil(as_coords(theta), direction, domain)
-    return formula(*_values(field, points))
+    return formula(*_field_values(field, points, [len(points)])[0])
+
+
+def fd_jacobians(stack: Callable, centres, domain: Optional[tuple] = None, head: int = 0) -> list:
+    """For each centre, its ``head`` values and its Jacobian (as ``fd_jacobian``
+    gives it), or the first exception reading them raised.
+
+    One call ``stack(points, sizes)`` gives all the values: one segment for
+    each centre, the centre ``head`` times and then its stencil over every
+    axis, read from one iterator for each segment that raises a point's
+    error when that point is read.  So an error ends only its own centre.
+    """
+    plans, points, sizes = [], [], []
+    for centre in centres:
+        coords = as_coords(centre)
+        stencils = [_stencil(coords, axis, domain) for axis in range(coords.size)]
+        segment = [coords] * head + [point for axis, _ in stencils for point in axis]
+        plans.append(stencils)
+        points += segment
+        sizes.append(len(segment))
+    results = []
+    for stencils, values in zip(plans, stack(points, sizes)):
+        try:
+            heads = [next(values) for _ in range(head)]
+            jacobian = np.stack(
+                [formula(*islice(values, len(axis))) for axis, formula in stencils], axis=-1
+            )
+        except Exception as err:
+            results.append(err)
+        else:
+            results.append((*heads, jacobian))
+    return results
 
 
 def fd_jacobian(field: Callable, theta, domain: Optional[tuple] = None) -> np.ndarray:
     """Derivatives J[..., i] = d field[...] / d theta^i of a tensor field of any
-    rank, from one stencil over every axis."""
-    coords = as_coords(theta)
-    stencils = [_stencil(coords, axis, domain) for axis in range(coords.size)]
-    values = _values(field, [point for points, _ in stencils for point in points])
-    return np.stack(
-        [formula(*islice(values, len(points))) for points, formula in stencils], axis=-1
-    )
+    rank, from one stencil over every axis: the one-centre ``fd_jacobians``."""
+    (result,) = fd_jacobians(partial(_field_values, field), [theta], domain)
+    if isinstance(result, Exception):
+        raise result
+    return result[0]

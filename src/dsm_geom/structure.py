@@ -19,6 +19,7 @@ connection, and the metric for Massieu) once per segment at Chebyshev nodes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -29,12 +30,13 @@ from .core import MAX_POINTS, ModelDefinition, Tolerances, passes, require_point
 from .core import divergence_hessian, evaluate_divergence
 from .errors import Condition4Violated, DomainError, MetricNotPD, ProbeSingular, Unsupported
 from .geometry import (
+    _codazzi_residuals,
+    _connection,
+    _curvatures,
+    _fibre_stack,
     _relative_gap,
-    codazzi_residual,
     connection_at,
     connection_field,
-    curvature_at,
-    metric_at,
     metric_field,
 )
 from .transport import _two_paths
@@ -114,41 +116,88 @@ def classify(
     grid = require_points(grid, model.chart.domain, "classify grid point")
     tolerances = asdict(tol)
     del tolerances["path"]  # the affine and Massieu tolerance: no classify check
-    worst = {}  # of each check run at some grid point: (value, point, evidence)
     metric = metric_field(model, tol=tol)
     conn = connection_field(model, tol=tol)
+    # each grid point's checks in the order it runs them, as (key, value,
+    # error): the error is a failed check's evidence, or, with no key, what
+    # ends classify at that point
+    events = [[] for _ in grid]
 
-    def track(key, value, point, evidence=None):
-        """Keep the first largest value of a check; a NaN outranks any number."""
-        old = worst[key][0] if key in worst else -np.inf
-        if value > old or (np.isnan(value) and not np.isnan(old)):
-            worst[key] = (value, [float(c) for c in point], evidence)
+    def record(index, key, value, err=None):
+        events[index].append((key, value, err))
 
-    for point in grid:
+    # each phase evaluates every grid point that reached it as one stack, in
+    # which each point is a segment of its own: 1. the condition-4 gate
+    gated = []
+    gates, _ = _fibre_stack(model, grid, sizes=[1] * len(grid))
+    for index, gate in enumerate(gates):
         try:
-            evaluation = metric_at(model, point, tol=tol)
+            record(index, "cond4", gate.metric_at(tol=tol).fibre_deviation)
         except Condition4Violated as err:
-            track("cond4", err.deviation, point, condition4_evidence(model, err))
+            record(index, "cond4", err.deviation, err)
             continue
         except (MetricNotPD, ArithmeticError) as err:
-            track("cond4", float("inf"), point, {"point": point.tolist(), "error": str(err)})
+            record(index, "cond4", math.inf, err)
             continue
-        track("cond4", evaluation.fibre_deviation, point)
+        except Exception as err:
+            record(index, None, None, err)
+            continue
+        gated.append(index)
+    # 2. both probe families' connections, as connection_at solves them
+    probed = []
+    gates, solves = _fibre_stack(model, [grid[index] for index in gated], (0, 1), [1] * len(gated))
+    for index, gate, families in zip(gated, gates, solves):
         try:
-            connection = connection_at(model, point, tol=tol)
+            gate.metric_at(tol=tol)  # the condition-4 gate
+            first, other = (_connection(model, gate.coords, terms) for terms in families)
+            gap = _relative_gap(other, first)
         except Unsupported:  # neighbours with no fibre: the probe check is not evaluated
             continue
         except (ProbeSingular, ArithmeticError) as err:
-            track("hessian", float("inf"), point, {"point": point.tolist(), "error": str(err)})
+            record(index, "hessian", math.inf, err)
             continue
-        track("hessian", connection.probe_consistency, point)
-        if not passes(connection.probe_consistency, tol.hessian):
+        except Exception as err:
+            record(index, None, None, err)
             continue
-        try:
-            track("flat", curvature_at(conn, point).max_abs, point)
-            track("codazzi", codazzi_residual(metric, conn, point)[1], point)
-        except Condition4Violated as err:  # at an FD stencil point next to this one
-            track("cond4", err.deviation, point, condition4_evidence(model, err))
+        record(index, "hessian", gap)
+        if passes(gap, tol.hessian):
+            probed.append(index)
+    # 3. curvature and 4. Codazzi where the probe families agree; a condition-4
+    # failure at an FD stencil point is a verdict
+    def stencil_check(indices, results, key, value) -> list:
+        """Record each point's result; the points whose check was taken."""
+        taken = []
+        for index, result in zip(indices, results):
+            if isinstance(result, Condition4Violated):
+                record(index, "cond4", result.deviation, result)
+            elif isinstance(result, Exception):
+                record(index, None, None, result)
+            else:
+                record(index, key, value(result))
+                taken.append(index)
+        return taken
+
+    curvatures = _curvatures(conn, [grid[index] for index in probed])
+    flat = stencil_check(probed, curvatures, "flat", lambda tensor: tensor.max_abs)
+    residuals = _codazzi_residuals(metric, conn, [grid[index] for index in flat])
+    stencil_check(flat, residuals, "codazzi", lambda residual: residual[1])
+
+    # replayed in grid order, as running each point's checks one point after
+    # another records and raises them: each check keeps its first largest
+    # value, a NaN outranking any number
+    worst = {}  # of each check run at some grid point: (value, point, evidence)
+    for point, recorded in zip(grid, events):
+        for key, value, err in recorded:
+            if key is None:
+                raise err
+            evidence = None
+            if isinstance(err, Condition4Violated):
+                evidence = condition4_evidence(model, err)
+            elif err is not None:
+                evidence = {"point": point.tolist(), "error": str(err)}
+            old = worst[key][0] if key in worst else -np.inf
+            if value > old or (np.isnan(value) and not np.isnan(old)):
+                worst[key] = (value, [float(c) for c in point], evidence)
     blocks = {}
     for block, value_key, key in _CHECKS:
         value, point, evidence = worst.get(key, (None, None, None))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dsm_geom import models
+from dsm_geom import models, numdiff
 from dsm_geom.core import (
     ChartSpec,
     DataSet,
@@ -132,6 +132,40 @@ def wrong_fibre_model():
         ]
 
     return dataclasses.replace(base, fibre_sampler_fn=members)
+
+
+def stencil_points(model, point):
+    """The points of the FD stencil ``fd_jacobian`` reads at ``point`` of the
+    model's chart, in the order its formulas read them."""
+    seen = []
+    numdiff.fd_jacobian(lambda theta: seen.append(theta) or 0.0, point, model.chart.domain)
+    return seen
+
+
+def raised(call):
+    """The type and message of what ``call()`` raises."""
+    with pytest.raises(Exception) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
+def faulty_model(hessian_at=None, sampler_at=()):
+    """gaussian-kl whose model Hessian raises ArithmeticError at the chart
+    point ``hessian_at`` (None: nowhere) and whose fibre sampler raises
+    ValueError at each chart point of ``sampler_at``."""
+    base = models.build("gaussian-kl")
+
+    def hessian(x, theta):
+        if hessian_at is not None and np.array_equal(theta, hessian_at):
+            raise ArithmeticError(f"hessian refuses {np.asarray(theta).tolist()}")
+        return base.hessian_fn(x, theta)
+
+    def sampler(theta):
+        if any(np.array_equal(theta, point) for point in sampler_at):
+            raise ValueError(f"sampler refuses {np.asarray(theta).tolist()}")
+        return base.fibre_sampler_fn(theta)
+
+    return dataclasses.replace(base, hessian_fn=hessian, fibre_sampler_fn=sampler)
 
 
 # floating-point errors raise, as under the command line

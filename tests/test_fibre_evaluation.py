@@ -17,7 +17,7 @@ from dsm_geom import geometry, models, numdiff
 from dsm_geom.core import Tolerances
 from dsm_geom.errors import Condition4Violated, MetricNotPD, NumericalFailure, ProbeSingular
 
-from conftest import METRIC_BEARING, counted_model, split_model
+from conftest import METRIC_BEARING, counted_model, raised, split_model, stencil_points
 
 # the sha256 of each METRIC_BEARING model's fibre bits (fibre_digest), one
 # "<digest>  <model>" line each.  A change that moves these bits on purpose
@@ -60,14 +60,6 @@ class TestCallCounts:
         assert calls == {
             "fibre_sampler_fn": 1, "probe_pairs_fn": 2, "gradient_fn": 8, "hessian_fn": 11
         }
-
-
-def stencil_points(model, point):
-    """The points of the FD stencil ``fd_jacobian`` reads at ``point`` of the
-    model's chart, in the order its formulas read them."""
-    seen = []
-    numdiff.fd_jacobian(lambda theta: seen.append(theta) or 0.0, point, model.chart.domain)
-    return seen
 
 
 def recorded_model(model):
@@ -197,13 +189,6 @@ def nth_stencil_point(model, index, point=None):
     return stencil_points(model, point)[index]
 
 
-def raised(call):
-    """The type and message of what ``call()`` raises."""
-    with pytest.raises(Exception) as excinfo:
-        call()
-    return type(excinfo.value), str(excinfo.value)
-
-
 KL = models.build("gaussian-kl")
 
 
@@ -281,6 +266,29 @@ def test_a_stacked_stencil_raises_what_the_per_point_order_raises(
     assert stacked[0] is kind
     if kind is ProbeSingular:
         assert stacked[1].endswith("(condition 1e+08) at [1e-08, 0.0001]")
+
+
+def test_a_raise_ends_only_its_own_segment(catalogue):
+    # three stencils as one segmented stack; the middle one's third point
+    # refuses its fibre, and the last stencil is still evaluated
+    centres = [[-0.5, 0.8], [0.0, 1.0], [0.7, 2.0]]
+    segments = [stencil_points(KL, centre) for centre in centres]
+    model, calls = recorded_model(refusing_model(KL, segments[1][2]))
+    points = [point for segment in segments for point in segment]
+    sizes = [len(segment) for segment in segments]
+    stacked = geometry.connection_field(model).stack(points, sizes)
+    stacked_calls = list(calls)
+    calls.clear()
+    alone = [geometry.connection_field(model).stack(segment) for segment in segments]
+    assert stacked_calls == calls
+    assert sum(name == "fibre_sampler_fn" for name, _ in calls) == 8 + 3 + 8
+    first, middle, last = stacked
+    for values, expected in ((first, alone[0]), (last, alone[2])):
+        assert [value.tobytes() for value in values] == [value.tobytes() for value in expected]
+    for _ in range(2):
+        assert next(middle).tobytes() == next(alone[1]).tobytes()
+    refused = f"sampler refuses {segments[1][2].tolist()}"
+    assert raised(lambda: next(middle)) == raised(lambda: next(alone[1])) == (ValueError, refused)
 
 
 def test_fibre_bits_are_pinned(catalogue):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,20 +7,152 @@ import pytest
 
 from dsm_geom import core, geometry, models, numdiff, structure, transport
 from dsm_geom.core import DataSet, Tolerances, passes
-from dsm_geom.errors import DomainError
+from dsm_geom.errors import (
+    Condition4Violated,
+    DomainError,
+    MetricNotPD,
+    NumericalFailure,
+    ProbeSingular,
+    Unsupported,
+)
 from dsm_geom.geometry import connection_field, metric_field
 
 from conftest import (
     HESSIAN_STRUCTURED,
     RAISE_FP_ERRORS,
     counted_model,
+    faulty_model,
     gauge_fit_residual,
     gaussian_kl_closed_form,
     nan_gradient_probe_model,
     nan_probe_model,
     random_chart_point,
+    raised,
     split_model,
+    stencil_points,
 )
+
+
+def per_point_classify(model, grid, tol=Tolerances()) -> structure.GeometryReport:
+    """classify as one grid point after another: each point's metric_at,
+    connection_at, curvature_at and codazzi_residual in turn, kept as the
+    reference the phased classify equals."""
+    grid = core.require_points(grid, model.chart.domain, "classify grid point")
+    tolerances = dataclasses.asdict(tol)
+    del tolerances["path"]
+    worst = {}
+    metric = metric_field(model, tol=tol)
+    conn = connection_field(model, tol=tol)
+
+    def track(key, value, point, evidence=None):
+        old = worst[key][0] if key in worst else -np.inf
+        if value > old or (np.isnan(value) and not np.isnan(old)):
+            worst[key] = (value, [float(c) for c in point], evidence)
+
+    for point in grid:
+        try:
+            evaluation = geometry.metric_at(model, point, tol=tol)
+        except Condition4Violated as err:
+            track("cond4", err.deviation, point, structure.condition4_evidence(model, err))
+            continue
+        except (MetricNotPD, ArithmeticError) as err:
+            track("cond4", float("inf"), point, {"point": point.tolist(), "error": str(err)})
+            continue
+        track("cond4", evaluation.fibre_deviation, point)
+        try:
+            connection = geometry.connection_at(model, point, tol=tol)
+        except Unsupported:
+            continue
+        except (ProbeSingular, ArithmeticError) as err:
+            track("hessian", float("inf"), point, {"point": point.tolist(), "error": str(err)})
+            continue
+        track("hessian", connection.probe_consistency, point)
+        if not passes(connection.probe_consistency, tol.hessian):
+            continue
+        try:
+            track("flat", geometry.curvature_at(conn, point).max_abs, point)
+            track("codazzi", geometry.codazzi_residual(metric, conn, point)[1], point)
+        except Condition4Violated as err:
+            track("cond4", err.deviation, point, structure.condition4_evidence(model, err))
+    blocks = {}
+    for block, value_key, key in structure._CHECKS:
+        value, point, evidence = worst.get(key, (None, None, None))
+        entry = {"status": "not-evaluated", value_key: None}
+        if key in worst and (key == "cond4" or blocks["condition4"]["status"] == "pass"):
+            status = "pass" if passes(value, tolerances[key]) else "fail"
+            entry = {"status": status, value_key: value, "worst_point": point}
+        if evidence is not None or key == "cond4":
+            entry["evidence"] = evidence
+        blocks[block] = entry
+    statuses = {entry["status"] for entry in blocks.values()}
+    verdict = "fail" if "fail" in statuses else "pass" if statuses == {"pass"} else "not-evaluated"
+    family = {"pass": "yes", "fail": "no"}.get(verdict, "not-evaluated")
+    return structure.GeometryReport(
+        model.name, [list(map(float, point)) for point in grid], tolerances, **blocks,
+        hessian_structure=verdict,
+        exponential_family=family if model.divergence_tag == "kl" else "not-applicable",
+    )
+
+
+def report_bytes(report) -> str:
+    return json.dumps(dataclasses.asdict(report))
+
+
+class TestPhasedClassify:
+    """classify evaluates each check over the whole grid as one stack and
+    replays each point's results in grid order: its report, its model calls
+    and what it raises are those of the per-point reference."""
+
+    @pytest.mark.parametrize("per_axis", [3, 4, 5, 7])
+    @pytest.mark.parametrize("name", models.MODEL_NAMES)
+    def test_each_catalogue_model_is_the_per_point_reference(self, catalogue, name, per_axis):
+        model, calls = counted_model(catalogue[name])
+        grid = structure.default_grid(model, per_axis)
+        phased = report_bytes(structure.classify(model, grid))
+        phased_calls = dict(calls)
+        calls.clear()
+        assert phased == report_bytes(per_point_classify(model, grid))
+        assert phased_calls == calls
+
+    def test_a_near_bound_point_takes_the_one_sided_stencil(self, catalogue):
+        # the angle pi - 1e-7 has no room for a central stencil on axis 0
+        model, calls = counted_model(catalogue["vmf-cylinder"])
+        grid = [[math.pi - 1e-7, 1.0], [0.3, 1.2], [-math.pi + 2e-7, 0.7]]
+        # the one-sided stencil reads its centre
+        assert stencil_points(model, grid[0])[0].tolist() == grid[0]
+        phased = report_bytes(structure.classify(model, grid))
+        phased_calls = dict(calls)
+        calls.clear()
+        assert phased == report_bytes(per_point_classify(model, grid))
+        assert phased_calls == calls
+
+    def test_an_arithmetic_failure_is_recorded_and_a_later_stencil_error_raised(self):
+        # the middle point's Hessian raises: a failed condition-4 check with
+        # its evidence; then a stencil point of a later grid point refuses its
+        # fibre, which ends classify there, before the next grid point's own
+        # refusal is reached, though the phased gate meets that one first
+        grid = structure.default_grid(models.build("gaussian-kl"), 3)
+        middle, later = grid[4], grid[6]
+        sound = faulty_model(hessian_at=middle)
+        report = structure.classify(sound, grid)
+        assert report_bytes(report) == report_bytes(per_point_classify(sound, grid))
+        assert report.condition4["evidence"] == {
+            "point": middle.tolist(), "error": f"hessian refuses {middle.tolist()}"
+        }
+        stencil = stencil_points(sound, later)
+        model = faulty_model(hessian_at=middle, sampler_at=(stencil[2], grid[7]))
+        phased = raised(lambda: structure.classify(model, grid))
+        assert phased == raised(lambda: per_point_classify(model, grid))
+        assert phased == (ValueError, f"sampler refuses {stencil[2].tolist()}")
+
+    def test_the_first_point_that_ends_classify_raises(self, catalogue):
+        # sigma = 1e-9 takes a one-sided stencil that disagrees with its half
+        # step; the point after it would end classify too
+        model = catalogue["gaussian-kl"]
+        grid = [[0.0, 1.0], [0.0, 1e-9], [0.5, 2e-9]]
+        phased = raised(lambda: structure.classify(model, grid))
+        assert phased == raised(lambda: per_point_classify(model, grid))
+        assert phased[0] is NumericalFailure and "[0.0, 1e-09]" in phased[1]
 
 
 class TestClassify:

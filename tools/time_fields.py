@@ -15,8 +15,11 @@ process:
 Each is the median over REPEATS timings of LOOPS calls.  Then the
 gaussian-kl ``classify`` on ``default_grid(model, 5)``: the median wall of
 CLASSIFY_RUNS runs and its model gradient and Hessian calls (the tracer
-self-check of ``perfbench/run.py`` pins 1200 and 2775).  The file records
-the commit and the host as ``BENCH_tier1.json`` does.
+self-check of ``perfbench/run.py`` pins 1200 and 2775); and the classify
+of every catalogue model on its default grid, one after another, which is
+the classify work of ``--model all --op report``: the median wall of
+CLASSIFY_RUNS runs.  The file records the commit and the host as
+``BENCH_tier1.json`` does.
 """
 from __future__ import annotations
 
@@ -108,6 +111,23 @@ def _classify() -> dict:
     }
 
 
+def _catalogue_classify() -> dict:
+    catalogue = models.catalogue()
+    grids = {name: structure.default_grid(model) for name, model in catalogue.items()}
+    walls = []
+    for _ in range(CLASSIFY_RUNS):
+        started = time.perf_counter()
+        for name, model in catalogue.items():
+            structure.classify(model, grids[name])
+        walls.append(time.perf_counter() - started)
+    return {
+        "models": sorted(catalogue),
+        "grid": "default_grid(model)",
+        "wall_s": [round(wall, 4) for wall in walls],
+        "median_wall_s": round(statistics.median(walls), 4),
+    }
+
+
 def main() -> int:
     record = {
         "commit": _git("rev-parse", "HEAD"),
@@ -124,6 +144,7 @@ def main() -> int:
         "repeats": REPEATS,
         "models": {name: _fields(name) for name in MODELS},
         "classify": _classify(),
+        "catalogue_classify": _catalogue_classify(),
     }
     path = os.path.join(ROOT, "BENCH_fields.json")
     with open(path, "w", encoding="utf-8") as handle:
