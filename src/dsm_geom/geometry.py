@@ -63,10 +63,10 @@ class MetricField:
     evaluate: Callable
     provenance: str
     domain: tuple  # the open box the field is defined on; FD stencils stay inside it
-    # (points, sizes=None) -> their values in order from one evaluation of all
-    # of them, each point's error raised at its read: one iterator, or one for
-    # each segment of sizes, an error ending only its own segment; None for a
-    # field evaluated point by point
+    # (points, sizes) -> their values in order from one evaluation of all of
+    # them, one iterator for each segment of sizes, each point's error raised
+    # at its read and ending only its own segment; None for a field evaluated
+    # point by point
     stack: Optional[Callable] = None
 
     def __call__(self, theta):
@@ -90,45 +90,33 @@ def _relative_gap(candidate, reference, floor=1.0):
     return float(np.max(np.abs(candidate - reference))) / scale
 
 
-class _FibreGate:
-    """One chart point's ``_gate_terms``, alone or its entry of a stack's (or
-    the exception evaluating the point raised), read through the
-    condition-4 gate."""
-
-    __slots__ = ("model", "coords", "members", "terms")
-
-    def __init__(self, model, coords, members, terms):
-        self.model, self.coords, self.members, self.terms = model, coords, members, terms
-
-    def metric_at(self, tol: Tolerances) -> MetricEvaluation:
-        if isinstance(self.terms, Exception):
-            raise self.terms
-        hessians, mean, largest, spread, factorable = self.terms
-        name, coords = self.model.name, self.coords
-        if not math.isfinite(largest):  # cholesky accepts a NaN matrix
-            raise MetricNotPD(f"divergence Hessian of {name} is not finite at {coords.tolist()}")
-        deviation = spread / max(largest, 1e-12)
-        labels = tuple(x.label for x in self.members)
-        if not passes(deviation, tol.cond4):
-            raise Condition4Violated(
-                f"divergence Hessian of {name} varies by {deviation:.3g} "
-                f"(relative) across fibre members at {coords.tolist()}",
-                point=coords,
-                deviation=deviation,
-                member_hessians=list(hessians),
-                member_labels=labels,
-            )
-        if not factorable:
-            raise MetricNotPD(f"metric of {name} at {coords.tolist()} is not positive definite")
-        return MetricEvaluation(matrix=mean, fibre_deviation=deviation, member_labels=labels)
+def _gate(model: ModelDefinition, tol: Tolerances, coords, members, terms) -> MetricEvaluation:
+    """The condition-4 gate: the metric of one point's ``_gate_terms`` (or
+    the exception evaluating them raised), unless condition 4 fails or the
+    metric is not positive definite."""
+    hessians, mean, largest, spread, factorable = numdiff._unwrap(terms)
+    if not math.isfinite(largest):  # cholesky accepts a NaN matrix
+        raise MetricNotPD(f"divergence Hessian of {model.name} is not finite at {coords.tolist()}")
+    deviation = spread / max(largest, 1e-12)
+    labels = tuple(x.label for x in members)
+    if not passes(deviation, tol.cond4):
+        raise Condition4Violated(
+            f"divergence Hessian of {model.name} varies by {deviation:.3g} "
+            f"(relative) across fibre members at {coords.tolist()}",
+            point=coords,
+            deviation=deviation,
+            member_hessians=list(hessians),
+            member_labels=labels,
+        )
+    if not factorable:
+        raise MetricNotPD(f"metric of {model.name} at {coords.tolist()} is not positive definite")
+    return MetricEvaluation(matrix=mean, fibre_deviation=deviation, member_labels=labels)
 
 
 def _connection(model: ModelDefinition, coords, terms) -> np.ndarray:
     """The connection of one point's ``_solve_terms`` (or the exception
     evaluating them raised), unless its probe matrix is singular."""
-    if isinstance(terms, Exception):
-        raise terms
-    omega, condition = terms
+    omega, condition = numdiff._unwrap(terms)
     if not condition <= PROBE_CONDITION_LIMIT:  # NaN fails too
         raise ProbeSingular(
             f"off-fibre probe matrix of {model.name} is singular "
@@ -156,30 +144,31 @@ def _probe_rows(model: ModelDefinition, coords, family):
     return _gradient_rows(model, data, coords), _hessian_rows(model, data, coords)
 
 
-def _fibre_stack(model: ModelDefinition, points, families=(), sizes=None) -> tuple:
-    """The fibre fields at chart points as one stack: each point's
-    ``_FibreGate`` and the ``_solve_terms`` of each of its probe families.
+def _fibre_stack(model: ModelDefinition, tol: Tolerances, points, families, sizes) -> list:
+    """The fibre fields at chart points as one stack: for each point, its
+    ``MetricEvaluation`` and the connection of each of its probe families,
+    or the first exception ``connection_at``'s order meets there, or None.
 
     ``families`` is the tuple of probe families every point solves, in
     ``connection_at``'s order, or a list of one such tuple per point.
-    ``sizes`` cuts the points into consecutive segments (by default one).
-    Each point makes a one-point evaluation's model calls in its order, one
-    point after another (gce and vmf-sphere keep per-point terms in
-    one-entry caches), up to the first call that raises in its segment.
-    That point keeps the error in place of its gate or of that family's
-    terms, and the rest of its segment is not evaluated (None gates, no
-    terms); the next segment goes on.  The numpy work then runs once for
-    the stack, so reading a segment's points in order raises what
-    evaluating them one at a time raises.
+    ``sizes`` cuts the points into consecutive segments.  Each point makes
+    a one-point evaluation's model calls in its order, one point after
+    another (gce and vmf-sphere keep per-point terms in one-entry caches),
+    up to the first call that raises in its segment.  That point's entry is
+    the first of: its gate terms' error, its gate's, each family's
+    singular probe matrix or terms error, and the raise; the rest of its
+    segment is not evaluated (None), and the next segment goes on.  The
+    numpy work runs once for the stack, so reading a segment's entries in
+    order raises what evaluating its points one at a time raises.
     """
     if not isinstance(families, list):
         families = [families] * len(points)
     member_rows, probe_rows, evaluated = [], [], []
-    for segment in numdiff._segments(range(len(points)), sizes or [len(points)]):
+    for segment in numdiff._segments(range(len(points)), sizes):
         for index in segment:
             try:
                 coords, members, rows = _member_rows(model, points[index])
-            except Exception as err:  # raised when the point's gate is read
+            except Exception as err:  # the point's entry
                 evaluated.append((index, None, None, 0, err))
                 break
             member_rows.append((rows,))
@@ -187,22 +176,29 @@ def _fibre_stack(model: ModelDefinition, points, families=(), sizes=None) -> tup
             for family in families[index]:
                 try:
                     probe_rows.append(_probe_rows(model, coords, family))
-                except Exception as err:  # raised when this family's connection is read
+                except Exception as err:  # the entry, after the earlier families
                     error = err
                     break
             evaluated.append((index, coords, members, len(probe_rows) - count, error))
             if error is not None:
                 break
-    gates, solves = [None] * len(points), [()] * len(points)
+    results = [None] * len(points)
     gate_terms = iter(_each_point(partial(_gate_terms, model), member_rows))
     solve_terms = iter(_each_point(partial(_solve_terms, model), probe_rows))
     for index, coords, members, count, error in evaluated:
         if coords is None:
-            gates[index] = _FibreGate(model, None, None, error)
+            results[index] = error
             continue
-        gates[index] = _FibreGate(model, coords, members, next(gate_terms))
-        solves[index] = tuple(islice(solve_terms, count)) + (() if error is None else (error,))
-    return gates, solves
+        # both taken before the gate can raise, so the next point reads its own
+        gate, solves = next(gate_terms), list(islice(solve_terms, count))
+        try:
+            metric = _gate(model, tol, coords, members, gate)
+            omegas = tuple(_connection(model, coords, terms) for terms in solves)
+        except Exception as err:
+            results[index] = err
+        else:
+            results[index] = (metric, omegas) if error is None else error
+    return results
 
 
 def _each_point(terms, rows) -> list:
@@ -286,7 +282,7 @@ def metric_at(
 ) -> MetricEvaluation:
     """Fibre-averaged divergence Hessian with the condition-4 diagnostic."""
     coords, members, rows = _member_rows(model, theta)
-    return _FibreGate(model, coords, members, _gate_terms(model, rows)).metric_at(tol=tol)
+    return _gate(model, tol, coords, members, _gate_terms(model, rows))
 
 
 def _family_at(model: ModelDefinition, coords, family) -> np.ndarray:
@@ -328,18 +324,15 @@ class _FibreStack:
     tol: Tolerances
     families: tuple
 
-    def __call__(self, points, sizes=None):
-        gates, solves = _fibre_stack(self.model, points, self.families, sizes)
+    def __call__(self, points, sizes):
+        results = _fibre_stack(self.model, self.tol, points, self.families, sizes)
 
         def read(segment):
-            for index in segment:
-                metric = gates[index].metric_at(tol=self.tol)  # the condition-4 gate
-                terms, coords = solves[index], gates[index].coords
-                yield _connection(self.model, coords, terms[0]) if terms else metric.matrix
+            for result in segment:
+                metric, omegas = numdiff._unwrap(result)
+                yield omegas[0] if omegas else metric.matrix
 
-        if sizes is None:
-            return read(range(len(points)))
-        return [read(segment) for segment in numdiff._segments(range(len(points)), sizes)]
+        return [read(segment) for segment in numdiff._segments(results, sizes)]
 
 
 def metric_field(model: ModelDefinition, tol: Tolerances = Tolerances()) -> MetricField:
@@ -394,14 +387,6 @@ def _each_centre(terms, results) -> list:
     return [values if isinstance(values, Exception) else next(made) for values in results]
 
 
-def _one_centre(results):
-    """The one result of a many-centre form, raised if it is an exception."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _curvature_terms(omega, domega) -> tuple:
     """Curvature components and their max-abs from one point's connection
     (n, n, n) and its Jacobian domega[l, j, k, i] = d_i w^l_jk, or from each
@@ -434,7 +419,7 @@ def _curvatures(connection: ConnectionField, centres) -> list:
 def curvature_at(connection: ConnectionField, theta) -> CurvatureTensor:
     """Curvature components from field derivatives of the connection."""
     coords = require_point(theta, connection.domain, "point", "field")
-    return _one_centre(_curvatures(connection, [coords]))
+    return numdiff._unwrap(*_curvatures(connection, [coords]))
 
 
 def _codazzi_terms(g, omega, dg) -> tuple:
@@ -479,7 +464,7 @@ def _codazzi_residuals(metric: MetricField, connection: ConnectionField, centres
 def codazzi_residual(metric: MetricField, connection: ConnectionField, theta):
     """Residual of the Codazzi-Peterson compatibility equation."""
     coords = require_point(theta, metric.domain, "point", "metric field")
-    return _one_centre(_codazzi_residuals(metric, connection, [coords]))
+    return numdiff._unwrap(*_codazzi_residuals(metric, connection, [coords]))
 
 
 def torsion_residual(omega: np.ndarray) -> float:

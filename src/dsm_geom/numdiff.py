@@ -6,10 +6,12 @@ shrunk so 2.5 steps fit before the nearer bound of the open box ``domain``
 First derivatives are central differences with one Richardson level, or a
 one-sided 2nd-order stencil pointing away from the bound where even 2.5
 floor steps do not fit (a Hessian is refused there): no stencil leaves the box.
-Each checks its two step sizes against each other.  A Jacobian evaluates
-the stencils of all axes as one list of points, and ``fd_jacobians`` the
-stencils of many centres as one list cut into one segment per centre, so a
-field that can evaluate a list of points at once does.
+Each first-derivative stencil checks its two step sizes against each
+other; ``fd_hessian`` extrapolates its two levels without comparing them.
+A Jacobian evaluates the stencils of all axes as one list of points, and
+``fd_jacobians`` the stencils of many centres as one list cut into one
+segment per centre, so a field that can evaluate a list of points at once
+does.
 """
 from __future__ import annotations
 
@@ -190,10 +192,14 @@ def fd_jacobians(stack: Callable, centres, domain: Optional[tuple] = None, head:
     return results
 
 
+def _unwrap(result):
+    """One entry of a value-or-exception list: its value, or its exception raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def fd_jacobian(field: Callable, theta, domain: Optional[tuple] = None) -> np.ndarray:
     """Derivatives J[..., i] = d field[...] / d theta^i of a tensor field of any
     rank, from one stencil over every axis: the one-centre ``fd_jacobians``."""
-    (result,) = fd_jacobians(partial(_field_values, field), [theta], domain)
-    if isinstance(result, Exception):
-        raise result
-    return result[0]
+    return _unwrap(*fd_jacobians(partial(_field_values, field), [theta], domain))[0]

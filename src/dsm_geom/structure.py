@@ -31,7 +31,6 @@ from .core import divergence_hessian, evaluate_divergence
 from .errors import Condition4Violated, DomainError, MetricNotPD, ProbeSingular, Unsupported
 from .geometry import (
     _codazzi_residuals,
-    _connection,
     _curvatures,
     _fibre_stack,
     _relative_gap,
@@ -51,6 +50,19 @@ _CHECKS = (
     ("flat", "max_curvature", "flat"),
     ("codazzi", "residual", "codazzi"),
 )
+
+
+# the exceptions of each classify phase that are verdicts, as (kinds, the
+# check they fail at that point, with the condition-4 deviation or inf);
+# any other exception ends classify at its point
+_CONDITION4 = (Condition4Violated, "cond4")
+_VERDICTS = {
+    "cond4": (_CONDITION4, ((MetricNotPD, ArithmeticError), "cond4")),
+    # neighbours with no fibre leave the probe check not evaluated
+    "hessian": ((Unsupported, "not-evaluated"), ((ProbeSingular, ArithmeticError), "hessian")),
+    "flat": (_CONDITION4,),  # at an FD stencil point
+    "codazzi": (_CONDITION4,),
+}
 
 
 @dataclass
@@ -123,64 +135,38 @@ def classify(
     # ends classify at that point
     events = [[] for _ in grid]
 
-    def record(index, key, value, err=None):
-        events[index].append((key, value, err))
+    def record(key, indices, results, value) -> list:
+        """Record one phase's value or exception at each of its points; the
+        points whose check was taken."""
+        taken = []
+        for index, result in zip(indices, results):
+            if not isinstance(result, Exception):
+                events[index].append((key, value(result), None))
+                taken.append(index)
+                continue
+            check = next((c for kinds, c in _VERDICTS[key] if isinstance(result, kinds)), None)
+            failed = result.deviation if isinstance(result, Condition4Violated) else math.inf
+            if check != "not-evaluated":
+                events[index].append((check, failed, result))
+        return taken
+
+    def probe_gap(result):
+        _, (first, other) = result
+        return _relative_gap(other, first)
 
     # each phase evaluates every grid point that reached it as one stack, in
     # which each point is a segment of its own: 1. the condition-4 gate
-    gated = []
-    gates, _ = _fibre_stack(model, grid, sizes=[1] * len(grid))
-    for index, gate in enumerate(gates):
-        try:
-            record(index, "cond4", gate.metric_at(tol=tol).fibre_deviation)
-        except Condition4Violated as err:
-            record(index, "cond4", err.deviation, err)
-            continue
-        except (MetricNotPD, ArithmeticError) as err:
-            record(index, "cond4", math.inf, err)
-            continue
-        except Exception as err:
-            record(index, None, None, err)
-            continue
-        gated.append(index)
+    stack = _fibre_stack(model, tol, grid, (), [1] * len(grid))
+    gated = record("cond4", range(len(grid)), stack, lambda result: result[0].fibre_deviation)
     # 2. both probe families' connections, as connection_at solves them
-    probed = []
-    gates, solves = _fibre_stack(model, [grid[index] for index in gated], (0, 1), [1] * len(gated))
-    for index, gate, families in zip(gated, gates, solves):
-        try:
-            gate.metric_at(tol=tol)  # the condition-4 gate
-            first, other = (_connection(model, gate.coords, terms) for terms in families)
-            gap = _relative_gap(other, first)
-        except Unsupported:  # neighbours with no fibre: the probe check is not evaluated
-            continue
-        except (ProbeSingular, ArithmeticError) as err:
-            record(index, "hessian", math.inf, err)
-            continue
-        except Exception as err:
-            record(index, None, None, err)
-            continue
-        record(index, "hessian", gap)
-        if passes(gap, tol.hessian):
-            probed.append(index)
-    # 3. curvature and 4. Codazzi where the probe families agree; a condition-4
-    # failure at an FD stencil point is a verdict
-    def stencil_check(indices, results, key, value) -> list:
-        """Record each point's result; the points whose check was taken."""
-        taken = []
-        for index, result in zip(indices, results):
-            if isinstance(result, Condition4Violated):
-                record(index, "cond4", result.deviation, result)
-            elif isinstance(result, Exception):
-                record(index, None, None, result)
-            else:
-                record(index, key, value(result))
-                taken.append(index)
-        return taken
-
+    stack = _fibre_stack(model, tol, [grid[index] for index in gated], (0, 1), [1] * len(gated))
+    probed = record("hessian", gated, stack, probe_gap)
+    probed = [index for index in probed if passes(events[index][-1][1], tol.hessian)]
+    # 3. curvature and 4. Codazzi where the probe families agree
     curvatures = _curvatures(conn, [grid[index] for index in probed])
-    flat = stencil_check(probed, curvatures, "flat", lambda tensor: tensor.max_abs)
+    flat = record("flat", probed, curvatures, lambda tensor: tensor.max_abs)
     residuals = _codazzi_residuals(metric, conn, [grid[index] for index in flat])
-    stencil_check(flat, residuals, "codazzi", lambda residual: residual[1])
+    record("codazzi", flat, residuals, lambda residual: residual[1])
 
     # replayed in grid order, as running each point's checks one point after
     # another records and raises them: each check keeps its first largest

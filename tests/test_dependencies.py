@@ -559,7 +559,7 @@ def test_only_the_condition4_gate_raises_on_a_failed_check():
         for path in sorted(PACKAGE.rglob("*.py"))
         for function, _ in raises_after_a_failed_check(path.read_text())
     ]
-    assert found == [("src/dsm_geom/geometry.py", "metric_at")], found
+    assert found == [("src/dsm_geom/geometry.py", "_gate")], found
 
 
 def point_checks_over_lists(source):
@@ -661,6 +661,20 @@ def test_only_transport_reads_the_path_solvers(name):
         if path.name != "transport.py" and readers(path.read_text(), name)
     }
     assert not found, found
+
+
+@pytest.mark.parametrize("name", ["_connection", "_gate_terms", "_solve_terms", "_FibreGate"])
+def test_structure_drives_no_gate_or_solve_internals(name):
+    # geometry._fibre_stack returns each point's values or its exception, so
+    # classify reads results and never runs a gate or a probe solve itself
+    source = (PACKAGE / "structure.py").read_text()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "geometry"
+        for alias in node.names
+    }
+    assert name not in imported and not readers(source, name)
 
 
 def test_the_reader_scan_sees_calls_in_handlers_lambdas_and_nested_functions():

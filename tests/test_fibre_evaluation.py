@@ -62,6 +62,12 @@ class TestCallCounts:
         }
 
 
+def one_segment(field, points):
+    """The field's values at ``points`` from its ``stack``, as one segment."""
+    (values,) = field.stack(points, [len(points)])
+    return values
+
+
 def recorded_model(model):
     """A copy of ``model`` whose callables append (name, point) to the
     returned list at each call, the point as bytes."""
@@ -92,12 +98,11 @@ class TestStackedStencil:
         metric = geometry.metric_field(model)
         points = stencil_points(model, model.chart.central_grid(1)[0])
         assert len(points) == 8
-        gates, _ = geometry._fibre_stack(model, points)
-        omegas = list(connection.stack(points))
-        matrices = list(metric.stack(points))
-        for point, gate, omega, matrix in zip(points, gates, omegas, matrices):
+        results = geometry._fibre_stack(model, Tolerances(), points, (), [len(points)])
+        omegas = list(one_segment(connection, points))
+        matrices = list(one_segment(metric, points))
+        for point, (stacked, _), omega, matrix in zip(points, results, omegas, matrices):
             alone = geometry.metric_at(model, point)
-            stacked = gate.metric_at(tol=Tolerances())
             assert stacked.matrix.tobytes() == matrix.tobytes() == alone.matrix.tobytes()
             assert stacked.fibre_deviation.hex() == alone.fibre_deviation.hex()
             assert stacked.member_labels == alone.member_labels
@@ -116,10 +121,10 @@ class TestStackedStencil:
         model = catalogue[name]
         points = stencil_points(model, model.chart.central_grid(1)[0])
         counted, calls = counted_model(model)
-        list(geometry.connection_field(counted).stack(points))
+        list(one_segment(geometry.connection_field(counted), points))
         assert calls == {key: 8 * count for key, count in ONE_POINT_CALLS.items()}
         stacked, order = recorded_model(model)
-        list(geometry.connection_field(stacked).stack(points))
+        list(one_segment(geometry.connection_field(stacked), points))
         alone, expected = recorded_model(model)
         for point in points:
             geometry.connection_field(alone)(point)
@@ -279,7 +284,7 @@ def test_a_raise_ends_only_its_own_segment(catalogue):
     stacked = geometry.connection_field(model).stack(points, sizes)
     stacked_calls = list(calls)
     calls.clear()
-    alone = [geometry.connection_field(model).stack(segment) for segment in segments]
+    alone = [one_segment(geometry.connection_field(model), segment) for segment in segments]
     assert stacked_calls == calls
     assert sum(name == "fibre_sampler_fn" for name, _ in calls) == 8 + 3 + 8
     first, middle, last = stacked
@@ -289,6 +294,35 @@ def test_a_raise_ends_only_its_own_segment(catalogue):
         assert next(middle).tobytes() == next(alone[1]).tobytes()
     refused = f"sampler refuses {segments[1][2].tolist()}"
     assert raised(lambda: next(middle)) == raised(lambda: next(alone[1])) == (ValueError, refused)
+    # the stack itself: each evaluated point's metric and connections as one
+    # point gives them, the refused point's error, and None after it
+    results = geometry._fibre_stack(model, Tolerances(), points, (0, 1), sizes)
+    at = sizes[0] + 2
+    assert raised(lambda: numdiff._unwrap(results[at])) == (ValueError, refused)
+    assert results[at + 1 : sizes[0] + sizes[1]] == [None] * (sizes[1] - 3)
+    evaluated = [index for index, result in enumerate(results) if isinstance(result, tuple)]
+    assert evaluated == [*range(at), *range(sizes[0] + sizes[1], len(points))]
+    for index in evaluated:
+        (metric, omegas), point = results[index], points[index]
+        alone_metric = geometry.metric_at(model, point)
+        alone_omegas = geometry.connection_at(model, point).families
+        assert metric.matrix.tobytes() == alone_metric.matrix.tobytes()
+        assert metric.fibre_deviation.hex() == alone_metric.fibre_deviation.hex()
+        assert metric.member_labels == alone_metric.member_labels
+        assert [omega.tobytes() for omega in omegas] == [omega.tobytes() for omega in alone_omegas]
+
+
+def test_a_failed_gate_leaves_the_next_segment_its_own_values():
+    # split fails condition 4 at the first point of the stencil at (0, 0),
+    # after its probe family's terms joined the stack's solve; the next
+    # segment still reads its own connections
+    model = split_model()
+    field = geometry.connection_field(model)
+    segments = [stencil_points(model, [0.0, 0.0]), stencil_points(model, [-0.5, 0.3])]
+    first, second = field.stack([*segments[0], *segments[1]], [len(s) for s in segments])
+    assert raised(lambda: next(first))[0] is Condition4Violated
+    alone = one_segment(field, segments[1])
+    assert [value.tobytes() for value in second] == [value.tobytes() for value in alone]
 
 
 def test_fibre_bits_are_pinned(catalogue):

@@ -9,7 +9,8 @@ process:
 - ``one_point_us``: one fibre connection field evaluation,
   ``connection_field(model)(point)``, the unit a geodesic stage pays;
 - ``stack_us_per_point``: the 8-point stencil ``numdiff.fd_jacobian`` reads
-  there, evaluated as one stack (``field.stack``), per point;
+  there, evaluated as one stack of one segment
+  (``field.stack(points, [len(points)])``), per point;
 - ``per_point_us_per_point``: the same 8 points evaluated one at a time.
 
 Each is the median over REPEATS timings of LOOPS calls.  Then the
@@ -18,8 +19,11 @@ CLASSIFY_RUNS runs and its model gradient and Hessian calls (the tracer
 self-check of ``perfbench/run.py`` pins 1200 and 2775); and the classify
 of every catalogue model on its default grid, one after another, which is
 the classify work of ``--model all --op report``: the median wall of
-CLASSIFY_RUNS runs.  The file records the commit and the host as
-``BENCH_tier1.json`` does.
+CLASSIFY_RUNS runs.  Last the gce fibre geodesic
+``transport.geodesic(connection_field(gce), (1, -1), (1, 0.5), 1)``,
+1000 RK4 steps of one-point field evaluations, the unit cost of the
+benchmark's ``paths`` workload: the median wall of GEODESIC_RUNS runs.
+The file records the commit and the host as ``BENCH_tier1.json`` does.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ import numpy
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from dsm_geom import geometry, models, numdiff, structure  # noqa: E402
+from dsm_geom import geometry, models, numdiff, structure, transport  # noqa: E402
 
 MODELS = (
     "gaussian-kl", "gaussian-sumsq", "regression-dlambda", "gce", "vmf-cylinder", "vmf-sphere"
@@ -46,6 +50,7 @@ MODELS = (
 LOOPS = 100
 REPEATS = 11
 CLASSIFY_RUNS = 5
+GEODESIC_RUNS = 7
 
 
 def _git(*args) -> str:
@@ -70,10 +75,15 @@ def _fields(name) -> dict:
     point = model.chart.central_grid(1)[0]
     stencil = []
     numdiff.fd_jacobian(lambda theta: stencil.append(theta) or 0.0, point, field.domain)
+
+    def stack():
+        (values,) = field.stack(stencil, [len(stencil)])
+        return list(values)
+
     return {
         "stencil_points": len(stencil),
         "one_point_us": _median_us(lambda: field(point)),
-        "stack_us_per_point": _median_us(lambda: list(field.stack(stencil)), len(stencil)),
+        "stack_us_per_point": _median_us(stack, len(stencil)),
         "per_point_us_per_point": _median_us(lambda: [field(p) for p in stencil], len(stencil)),
     }
 
@@ -128,6 +138,20 @@ def _catalogue_classify() -> dict:
     }
 
 
+def _geodesic() -> dict:
+    field = geometry.connection_field(models.build("gce"))
+    walls = []
+    for _ in range(GEODESIC_RUNS):
+        started = time.perf_counter()
+        transport.geodesic(field, (1.0, -1.0), (1.0, 0.5), 1.0)
+        walls.append(time.perf_counter() - started)
+    return {
+        "call": "transport.geodesic(connection_field(gce), (1, -1), (1, 0.5), 1)",
+        "wall_s": [round(wall, 4) for wall in walls],
+        "median_wall_s": round(statistics.median(walls), 4),
+    }
+
+
 def main() -> int:
     record = {
         "commit": _git("rev-parse", "HEAD"),
@@ -145,6 +169,7 @@ def main() -> int:
         "models": {name: _fields(name) for name in MODELS},
         "classify": _classify(),
         "catalogue_classify": _catalogue_classify(),
+        "gce_geodesic": _geodesic(),
     }
     path = os.path.join(ROOT, "BENCH_fields.json")
     with open(path, "w", encoding="utf-8") as handle:
