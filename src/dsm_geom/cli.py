@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -555,7 +556,9 @@ def _flags() -> dict:
     return {field.name: field.metadata["flag"] for field in dataclasses.fields(RunConfig)}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: parsing keeps no state between calls."""
     parser = _Parser(prog="dsm-geom", description=__doc__)
     for field in dataclasses.fields(RunConfig):
         parser.add_argument(field.metadata["flag"], dest=field.name, **field.metadata["parse"])

@@ -560,6 +560,29 @@ class TestExitCodes:
         assert run_cli(["--model", "unknown", "--op", "classify"]).returncode == 1
         assert run_cli(["--model", "gce", "--op", "classify", "--tol", "bogus=1"]).returncode == 1
 
+    def test_runs_in_one_process_are_those_of_fresh_processes(self, tmp_path):
+        # the parser is built once per process: a refused run, then runs with
+        # and without options, each give what a fresh process gives (the
+        # document's own wall clock, runtime_ms, aside)
+        out = tmp_path / "out.json"
+        runs = [
+            ["--model", "gce", "--op", "metric", "--tol", "bogus=1", "--at", "1,-1"],
+            ["--model", "gce", "--op", "metric", "--at", "1,-1", "--tol", "cond4=0.5"],
+            ["--model", "gce", "--op", "metric", "--at", "0.5,-0.5", "--levels", "1,2,4"],
+            ["--model", "gaussian-kl", "--op", "connection", "--at", "0.2,1.5"],
+        ]
+        for args in runs:
+            results = []
+            for timeout in (None, 60):  # in this process, then a fresh one
+                result = run_cli([*args, "--out", str(out)], timeout)
+                written = json.loads(out.read_text()) if out.exists() else None
+                assert written is None or written.pop("runtime_ms") >= 0
+                out.unlink(missing_ok=True)
+                results.append((result.returncode, result.stderr, written))
+            assert results[0] == results[1], args
+            refused = args is runs[0]
+            assert (results[0][0], results[0][2] is None) == (1 if refused else 0, refused)
+
     def test_torsion_tolerance_is_a_config_error(self, tmp_path, capsys):
         # the solved connection is symmetric by construction, so no check reads
         # a torsion tolerance and --tol no longer takes one

@@ -195,6 +195,20 @@ def nth_stencil_point(model, index, point=None):
 
 
 KL = models.build("gaussian-kl")
+SPHERE = models.build("vmf-sphere")
+POLE = [1e-8, 0.0]  # axis 0 takes the one-sided stencil there, which disagrees with its half step
+
+
+def among_others(field, point, domain):
+    """``fd_jacobian`` of ``field`` at ``point``, read as the middle one of
+    three centres of ``fd_jacobians``: the two others' Jacobians must be
+    their one-centre ones, byte for byte, whatever the middle one meets."""
+    others = [[0.7, -1.9], [2.5, 1.9]]
+    stack = lambda points, sizes: numdiff._field_values(field, points, sizes)
+    first, middle, last = numdiff.fd_jacobians(stack, [others[0], point, others[1]], domain)
+    for other, (jacobian,) in zip(others, (first, last)):
+        assert jacobian.tobytes() == numdiff.fd_jacobian(field, other, domain).tobytes()
+    return numdiff._unwrap(middle)[0]
 
 
 @pytest.mark.parametrize(
@@ -249,6 +263,31 @@ KL = models.build("gaussian-kl")
             "connection",
             MetricNotPD,
         ),
+        # axis 0's levels disagree before axis 1's first point refuses its fibre
+        (
+            refusing_model(SPHERE, nth_stencil_point(SPHERE, 4, POLE)),
+            POLE,
+            numdiff.fd_jacobian,
+            "connection",
+            NumericalFailure,
+        ),
+        # a point of axis 0 refuses its fibre before axis 0's levels disagree
+        (
+            refusing_model(SPHERE, nth_stencil_point(SPHERE, 1, POLE)),
+            POLE,
+            numdiff.fd_jacobian,
+            "connection",
+            ValueError,
+        ),
+        # a failing centre between two centres whose Jacobians are their own
+        (SPHERE, POLE, among_others, "connection", NumericalFailure),
+        (
+            refusing_model(SPHERE, nth_stencil_point(SPHERE, 5, POLE)),
+            POLE,
+            among_others,
+            "metric",
+            ValueError,
+        ),
     ],
     ids=[
         "split-condition4-connection",
@@ -259,6 +298,10 @@ KL = models.build("gaussian-kl")
         "sampler-value-error-metric",
         "condition4-before-a-later-value-error",
         "one-point-not-positive-definite",
+        "axis-0-levels-before-an-axis-1-value-error",
+        "axis-0-value-error-before-its-levels",
+        "a-failing-centre-among-others-connection",
+        "a-failing-centre-among-others-metric",
     ],
 )
 def test_a_stacked_stencil_raises_what_the_per_point_order_raises(
@@ -271,6 +314,8 @@ def test_a_stacked_stencil_raises_what_the_per_point_order_raises(
     assert stacked[0] is kind
     if kind is ProbeSingular:
         assert stacked[1].endswith("(condition 1e+08) at [1e-08, 0.0001]")
+    if kind is NumericalFailure:
+        assert stacked[1].endswith("along axis 0 at [1e-08, 0.0]")
 
 
 def test_a_raise_ends_only_its_own_segment(catalogue):

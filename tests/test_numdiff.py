@@ -7,7 +7,7 @@ from dsm_geom import numdiff
 from dsm_geom.core import GaussianData
 from dsm_geom.errors import NumericalFailure
 
-from conftest import random_chart_point, random_dataset
+from conftest import raised, random_chart_point, random_dataset
 
 
 class TestGradient:
@@ -264,3 +264,120 @@ class TestJacobian:
         forward = catalogue["gaussian-kl"].oracle.affine_map
         jac = numdiff.fd_jacobian(forward, np.array([0.0, 1.0]))
         assert jac == pytest.approx(np.array([[0.0, -1.0], [-1.0, 0.0]]), abs=1e-8)
+
+
+def per_centre_jacobian(field, centre, domain):
+    """The Jacobian at one centre as the per-centre formulas computed it: one
+    axis at a time, its step from the scalar rule ``fd_hessian`` takes, its
+    stencil points shifted on that axis alone, its central (with one
+    Richardson level) or one-sided formula, then stacked."""
+    columns = []
+    for axis in range(centre.size):
+        below, above = numdiff._room(centre, axis, domain)
+        h = numdiff._step(centre, axis, domain)
+
+        def at(step):
+            point = np.array(centre, dtype=float)
+            point[axis] += step
+            return np.asarray(field(point), dtype=float)
+
+        if min(below, above) <= 2.5 * numdiff.ABS_STEP_FLOOR:
+            sign = 1.0 if above >= below else -1.0
+            at_0, at_h, at_2h = at(0.0), at(sign * h), at(sign * 2.0 * h)
+            columns.append(sign * (-3.0 * at_0 + 4.0 * at_h - at_2h) / (2.0 * h))
+        else:
+            coarse = (at(h) - at(-h)) / (2.0 * h)
+            fine = (at(0.5 * h) - at(-0.5 * h)) / h
+            columns.append((4.0 * fine - coarse) / 3.0)
+    return np.stack(columns, axis=-1)
+
+
+class TestBatchedFormulas:
+    # axis 1 lives in (0, 3); the third centre is 1e-8 from its lower bound,
+    # closer than 2.5 floor steps, so its axis-1 stencil is one-sided
+    DOMAIN = ((-math.inf, math.inf), (0.0, 3.0))
+    CENTRES = [[0.4, 1.0], [-1.3, 2.2], [0.9, 1e-8], [2.0, 0.5]]
+
+    @staticmethod
+    def field(rank):
+        def value(t):
+            wave, cross = math.sin(t[0]) * math.exp(t[1]), t[0] * t[1] ** 2
+            if rank == 0:
+                return wave + cross
+            matrix = np.array([[wave, cross], [cross, math.cos(t[1])]])
+            return matrix if rank == 2 else np.stack([matrix, t[0] * matrix.T])
+
+        return value
+
+    @pytest.mark.parametrize("rank", [0, 2, 3])
+    def test_each_centre_is_its_per_centre_formulas_bit_for_bit(self, rank):
+        field = self.field(rank)
+        stack = lambda points, sizes: numdiff._field_values(field, points, sizes)
+        results = numdiff.fd_jacobians(stack, self.CENTRES, self.DOMAIN)
+        for centre, (jacobian,) in zip(self.CENTRES, results):
+            expected = per_centre_jacobian(field, np.array(centre), self.DOMAIN)
+            assert jacobian.shape == expected.shape == np.shape(field(centre)) + (2,)
+            assert jacobian.tobytes() == expected.tobytes(), centre
+
+    def test_each_step_moves_its_own_axis_only(self):
+        # the other coordinate keeps its -0.0; the one-sided zero step adds
+        # +0.0 to its own axis, as shifting one point at a time adds it
+        centre, seen = np.array([-0.0, -0.0]), []
+        domain = ((-math.inf, math.inf), (-1.0, 1e-7))  # axis 1 steps down
+        numdiff.fd_jacobian(lambda t: seen.append(t) or 0.0, centre, domain)
+        h, floor = numdiff.REL_STEP, numdiff.ABS_STEP_FLOOR
+        steps = [(0, h), (0, -h), (0, 0.5 * h), (0, -0.5 * h)]
+        steps += [(1, 0.0), (1, -floor), (1, -2.0 * floor), (1, -0.5 * floor)]
+        expected = [numdiff._shifted(centre, axis, step) for axis, step in steps]
+        assert [point.tobytes() for point in seen] == [point.tobytes() for point in expected]
+        assert np.signbit(seen[0][1]) and not np.signbit(seen[4][1])
+
+    def test_a_stencil_whose_formula_overflows_fails_only_its_centre(self):
+        # the middle centre's values are 1e308 times the others', so its
+        # Richardson step 4 * fine overflows; the stack is redone stencil by
+        # stencil, and each centre gets what it gets alone
+        def field(t):
+            return np.array([math.sin(t[0]) * (1e308 if t[1] > 2.5 else 1.0), t[1]])
+
+        centres = [[0.3, 1.0], [0.3, 2.7], [0.8, 2.0]]
+        stack = lambda points, sizes: numdiff._field_values(field, points, sizes)
+        with np.errstate(all="raise"):
+            first, middle, last = numdiff.fd_jacobians(stack, centres, self.DOMAIN)
+            alone = raised(lambda: numdiff.fd_jacobian(field, centres[1], self.DOMAIN))
+            assert alone == (FloatingPointError, "overflow encountered in multiply")
+            assert (type(middle), str(middle)) == alone
+            for centre, (jacobian,) in zip(centres[::2], (first, last)):
+                expected = numdiff.fd_jacobian(field, centre, self.DOMAIN)
+                assert jacobian.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("domain", [None, DOMAIN, ((-2.0, 1e-7), (1e-9, 5.0))])
+    def test_the_array_step_rule_is_the_scalar_one(self, domain, rng):
+        # fd_hessian keeps the scalar rule; each stencil's step, room and
+        # sign are that rule over an array, bit for bit
+        centres = np.vstack([rng.uniform(-1.5, 3.0, (6, 2)), [[0.0, 1e-8], [-1.9, 4.0]]])
+        if domain is not None:
+            lo, hi = np.array(domain).T
+            centres = np.clip(centres, lo + 1e-10, hi - 1e-10)
+        bounds = None if domain is None else np.array(domain)
+        h, room, sign = numdiff._steps(centres, bounds)
+        for row, centre in enumerate(centres):
+            for axis in range(2):
+                below, above = numdiff._room(centre, axis, domain)
+                assert h[row, axis] == numdiff._step(centre, axis, domain)
+                assert room[row, axis] == min(below, above)
+                if domain is not None:
+                    assert sign[row, axis] == (1.0 if above >= below else -1.0)
+
+    def test_a_plain_field_is_called_at_each_point_before_any_check(self):
+        # the formulas and their checks run after the reads, so a field with
+        # no stack is called at all of its centre's stencil points, also
+        # when axis 0's levels disagree: f jumps between h/2 and h there
+        calls = []
+
+        def kinked(t):
+            calls.append(t)
+            return (t[0] if abs(t[0]) > 0.75e-4 else 0.0) + t[1]
+
+        with pytest.raises(NumericalFailure, match="along axis 0 at \\[0.0, 0.5\\]"):
+            numdiff.fd_jacobian(kinked, np.array([0.0, 0.5]))
+        assert len(calls) == 8

@@ -126,6 +126,28 @@ class TestPhasedClassify:
         assert phased == report_bytes(per_point_classify(model, grid))
         assert phased_calls == calls
 
+    def test_each_fd_phase_runs_each_formula_kind_once(self, catalogue, monkeypatch):
+        # the curvature and Codazzi phases each evaluate the FD formulas of
+        # every centre's stencils as one call per stencil kind, not per centre
+        calls = []
+        for name in ("_central", "_one_sided"):
+            formula = getattr(numdiff, name)
+
+            def counted(values, h, sign, formula=formula, name=name):
+                calls.append((name, len(values)))
+                return formula(values, h, sign)
+
+            monkeypatch.setattr(numdiff, name, counted)
+        model = catalogue["gaussian-kl"]
+        structure.classify(model, structure.default_grid(model, 5))
+        # 25 centres, 2 axes each: curvature, then Codazzi
+        assert calls == [("_central", 50), ("_central", 50)]
+        calls.clear()
+        # the first and last vmf-cylinder points take the one-sided kind on axis 0
+        grid = [[math.pi - 1e-7, 1.0], [0.3, 1.2], [-math.pi + 2e-7, 0.7]]
+        structure.classify(catalogue["vmf-cylinder"], grid)
+        assert calls == [("_central", 4), ("_one_sided", 2)] * 2
+
     def test_an_arithmetic_failure_is_recorded_and_a_later_stencil_error_raised(self):
         # the middle point's Hessian raises: a failed condition-4 check with
         # its evidence; then a stencil point of a later grid point refuses its

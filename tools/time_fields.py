@@ -13,7 +13,12 @@ process:
   (``field.stack(points, [len(points)])``), per point;
 - ``per_point_us_per_point``: the same 8 points evaluated one at a time.
 
-Each is the median over REPEATS timings of LOOPS calls.  Then the
+Each is the median over REPEATS timings of LOOPS calls.  Then
+``fd_formulas``: the FD layer of one gaussian-kl 5×5 curvature phase,
+``numdiff.fd_jacobians`` over the 25 centres of ``default_grid(model, 5)``
+with one head value each, reading stack values stored from one fibre
+stack, so the model calls are left out: the median over REPEATS timings
+of LOOPS calls, in µs per phase and per centre.  Then the
 gaussian-kl ``classify`` on ``default_grid(model, 5)``: the median wall of
 CLASSIFY_RUNS runs and its model gradient and Hessian calls (the tracer
 self-check of ``perfbench/run.py`` pins 1200 and 2775); and the classify
@@ -85,6 +90,32 @@ def _fields(name) -> dict:
         "one_point_us": _median_us(lambda: field(point)),
         "stack_us_per_point": _median_us(stack, len(stencil)),
         "per_point_us_per_point": _median_us(lambda: [field(p) for p in stencil], len(stencil)),
+    }
+
+
+def _fd_formulas() -> dict:
+    model = models.build("gaussian-kl")
+    field = geometry.connection_field(model)
+    centres = structure.default_grid(model, 5)
+    stored = []
+
+    def store(points, sizes):
+        stored.extend(list(values) for values in field.stack(points, sizes))
+        return [iter(values) for values in stored]
+
+    numdiff.fd_jacobians(store, centres, field.domain, head=1)
+
+    def phase():
+        replay = lambda points, sizes: [iter(values) for values in stored]
+        return numdiff.fd_jacobians(replay, centres, field.domain, head=1)
+
+    phase_us = _median_us(phase)
+    return {
+        "model": "gaussian-kl",
+        "grid": "default_grid(model, 5)",
+        "centres": len(centres),
+        "phase_us": phase_us,
+        "us_per_centre": round(phase_us / len(centres), 2),
     }
 
 
@@ -167,6 +198,7 @@ def main() -> int:
         "loops": LOOPS,
         "repeats": REPEATS,
         "models": {name: _fields(name) for name in MODELS},
+        "fd_formulas": _fd_formulas(),
         "classify": _classify(),
         "catalogue_classify": _catalogue_classify(),
         "gce_geodesic": _geodesic(),
